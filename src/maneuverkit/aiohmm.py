@@ -195,33 +195,36 @@ def emission_scales(m: AioHmmModel, xs: np.ndarray, z_prev: np.ndarray) -> np.nd
     return s
 
 
-def emission_logpdf(
-    m: AioHmmModel, i: int, z: np.ndarray, x: np.ndarray, z_prev: np.ndarray
-) -> float:
-    """Gaussian log density of one observation under state i."""
-    logb = emission_logprobs(
-        m, np.asarray(x, float)[None, :], np.asarray(z, float)[None, :],
-        z_prev=np.asarray(z_prev, float)[None, :],
-    )
-    return float(logb[0, i])
+def emission_factors(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors (S, dz, dz) and log-determinants (S,) of a
+    covariance stack, in the form :func:`emission_logprobs` takes them."""
+    chol = np.linalg.cholesky(sigma)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return chol, logdet
 
 
 def emission_logprobs(
-    m: AioHmmModel, xs: np.ndarray, zs: np.ndarray, z_prev: np.ndarray | None = None
+    m: AioHmmModel,
+    xs: np.ndarray,
+    zs: np.ndarray,
+    z_prev: np.ndarray | None = None,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """(T, S) log emission densities for a whole sequence."""
+    """(T, S) log emission densities for a whole sequence.
+
+    All states go through one batched factorization and one batched solve.
+    ``factors`` are ``emission_factors(m.sigma)`` when the caller keeps them
+    across calls; every stage matches a per-state loop bit for bit.
+    """
     if z_prev is None:
         z_prev = shifted_observations(zs)
+    chol, logdet = emission_factors(m.sigma) if factors is None else factors
     scales = emission_scales(m, xs, z_prev)
-    T, S, dz = zs.shape[0], m.states, m.dim_z
-    out = np.empty((T, S))
-    for i in range(S):
-        chol = np.linalg.cholesky(m.sigma[i])
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        resid = zs - scales[:, i][:, None] * m.mu[i]
-        y = np.linalg.solve(chol, resid.T)
-        quad = np.sum(y * y, axis=0)
-        out[:, i] = -0.5 * (dz * LOG_2PI + logdet + quad)
+    resid = zs[None, :, :] - scales.T[:, :, None] * m.mu[:, None, :]    # (S, T, dz)
+    y = np.linalg.solve(chol, resid.transpose(0, 2, 1))                 # (S, dz, T)
+    quad = np.sum(y * y, axis=1)                                        # (S, T)
+    out = np.empty((zs.shape[0], m.states))
+    out[:] = (-0.5 * ((m.dim_z * LOG_2PI + logdet)[:, None] + quad)).T
     return out
 
 

@@ -22,9 +22,13 @@ from typing import Any, Protocol
 import numpy as np
 
 from .aiohmm import (
+    VARIANT_AIO,
+    VARIANT_HMM,
+    VARIANT_IO,
     AioHmmEnsemble,
+    AioHmmModel,
+    emission_factors,
     emission_logprobs,
-    log_transition_matrices,
     posterior_from_logliks,
 )
 from .events import straight_index
@@ -35,6 +39,8 @@ from .numerics import softmax
 STEP_SECONDS = 0.8
 STICK_SECONDS = 5.0
 STICK_STEPS = math.ceil(STICK_SECONDS / STEP_SECONDS)  # 7
+
+_BIAS = np.ones(1)  # the constant transition input of the hmm variant
 
 
 class Predictor(Protocol):
@@ -80,43 +86,88 @@ class FusionRnnPredictor:
         return (sx, sz), softmax(logits)
 
 
-class AioHmmPredictor:
-    """Streams the per-class model ensemble with incremental forward passes.
+@dataclass(frozen=True)
+class _ClassGroup:
+    """Classes of an ensemble that share a state count and a transition input."""
 
-    Each class carries a log-space forward vector over its latent states;
-    the class posterior is the shifted softmax of the accumulated prefix
+    classes: np.ndarray     # (Kg,) positions in the event tuple
+    rows: np.ndarray        # (Kg * S,) their states in the stacked emission model
+    bias: bool              # transitions driven by a constant (the hmm variant)
+    w: np.ndarray           # (Kg, S, S, dt) transition weights
+    log_pi: np.ndarray      # (Kg, S) log initial probabilities
+
+
+class AioHmmPredictor:
+    """Streams the per-class model ensemble as one stacked log-space filter.
+
+    The constructor takes a snapshot of the ensemble's parameters: every
+    class's states become one K*S-state emission model whose Cholesky
+    factors are computed once, and the transition weights and log initial
+    probabilities of classes sharing a state count and a transition input
+    are stacked into (K, S, S, dt) and (K, S) arrays.  Later changes to the
+    ensemble's models are not seen by the predictor.
+
+    A step is one emission call for all classes, then per group one
+    log-softmax over the stacked transitions and one log-sum-exp forward
+    update; the class posterior is the shifted softmax of the prefix
     log-likelihoods plus the log prior.  Working in log space keeps the
     filter finite even for classes whose model assigns essentially no
     density to the observed prefix.
     """
 
     def __init__(self, ensemble: AioHmmEnsemble):
-        self.ensemble = ensemble
         self.events = ensemble.events
+        self.prior = np.array(ensemble.prior, dtype=float)
+        models = [ensemble.models[e] for e in self.events]
+        mu = np.concatenate([m.mu for m in models])
+        a = np.concatenate([m.a for m in models])
+        n = mu.shape[0]
+        self._emission = AioHmmModel(
+            variant=VARIANT_AIO if any(m.variant == VARIANT_AIO for m in models) else VARIANT_IO,
+            mu=mu, a=a, b=np.concatenate([m.b for m in models]),
+            sigma=np.concatenate([m.sigma for m in models]),
+            w=np.zeros((n, n, a.shape[1])), pi=np.full(n, 1.0 / n),  # transitions unused
+        )
+        self._factors = emission_factors(self._emission.sigma)
+
+        offsets = np.cumsum([0] + [m.states for m in models])
+        members: dict[tuple[int, bool], list[int]] = {}
+        for k, m in enumerate(models):
+            members.setdefault((m.states, m.variant == VARIANT_HMM), []).append(k)
+        self._groups = []
+        for (_, bias), ks in members.items():
+            with np.errstate(divide="ignore"):  # pi entries may be exactly zero
+                log_pi = np.log(np.stack([models[k].pi for k in ks]))
+            self._groups.append(_ClassGroup(
+                classes=np.array(ks),
+                rows=np.concatenate([np.arange(offsets[k], offsets[k + 1]) for k in ks]),
+                bias=bias, w=np.stack([models[k].w for k in ks]), log_pi=log_pi,
+            ))
 
     def begin(self):
-        # per-class (log alpha or None, z_prev)
-        return [(None, None) for _ in self.ensemble.events]
+        return None  # after a step: (per-group (Kg, S) log alphas, z)
 
     def step(self, state, x: np.ndarray, z: np.ndarray):
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        new_state = []
-        logliks = np.empty(len(self.ensemble.events))
-        for idx, event in enumerate(self.ensemble.events):
-            m = self.ensemble.models[event]
-            log_alpha, z_prev = state[idx]
-            zp = np.zeros_like(z) if z_prev is None else z_prev
-            logb = emission_logprobs(m, x[None, :], z[None, :], z_prev=zp[None, :])[0]
-            if log_alpha is None:
-                with np.errstate(divide="ignore"):
-                    log_alpha = np.log(m.pi) + logb
+        z_prev = np.zeros_like(z) if state is None else state[1]
+        logb = emission_logprobs(
+            self._emission, x[None, :], z[None, :], z_prev=z_prev[None, :], factors=self._factors
+        )[0]
+        logliks = np.empty(len(self.events))
+        alphas = []
+        for g, group in enumerate(self._groups):
+            lb = logb[group.rows].reshape(group.log_pi.shape)
+            if state is None:
+                log_alpha = group.log_pi + lb
             else:
-                logA = log_transition_matrices(m, x[None, :])[0]
-                log_alpha = np.logaddexp.reduce(log_alpha[:, None] + logA, axis=0) + logb
-            logliks[idx] = np.logaddexp.reduce(log_alpha)
-            new_state.append((log_alpha, z))
-        return new_state, posterior_from_logliks(logliks, self.ensemble.prior)
+                logits = group.w @ (_BIAS if group.bias else x)
+                shifted = logits - logits.max(axis=2, keepdims=True)
+                log_a = shifted - np.log(np.sum(np.exp(shifted), axis=2, keepdims=True))
+                log_alpha = np.logaddexp.reduce(state[0][g][:, :, None] + log_a, axis=1) + lb
+            logliks[group.classes] = np.logaddexp.reduce(log_alpha, axis=1)
+            alphas.append(log_alpha)
+        return (alphas, z), posterior_from_logliks(logliks, self.prior)
 
 
 class WindowedPredictor:

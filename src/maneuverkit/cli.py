@@ -150,15 +150,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_predictor(path: str, window: int | None = None) -> anticipation.Predictor:
+def _load_predictor(
+    path: str, window: int | None = None
+) -> tuple[anticipation.Predictor, tuple[int, int]]:
+    """The checkpoint's predictor and its (x, z) input sizes."""
     model, kind, _config = dataio.load_model(path)
     if kind == dataio.KIND_FUSION:
         pred = anticipation.FusionRnnPredictor(model)
+        sizes = (model.input_x, model.input_z)
     else:
         pred = anticipation.AioHmmPredictor(model)
+        first = model.models[model.events[0]]
+        sizes = (first.dim_x, first.dim_z)
     if window is not None:
         pred = anticipation.WindowedPredictor(pred, window)
-    return pred
+    return pred, sizes
 
 
 def _eval_report_dict(ev: metrics.DatasetEval, p_th: float, which: str) -> dict:
@@ -182,7 +188,7 @@ def _eval_report_dict(ev: metrics.DatasetEval, p_th: float, which: str) -> dict:
 
 def cmd_eval(args) -> int:
     _log_config("eval", args)
-    predictor = _load_predictor(args.model)
+    predictor, _sizes = _load_predictor(args.model)
     dataset = dataio.load_dataset(_resolve_data(args.data))
     ev = metrics.evaluate_dataset(predictor, dataset, args.pth)
     print(metrics.format_eval(ev))
@@ -194,9 +200,9 @@ def cmd_eval(args) -> int:
 
 def cmd_anticipate(args) -> int:
     _log_config("anticipate", args)
-    predictor = _load_predictor(args.model, args.window_steps)
+    predictor, sizes = _load_predictor(args.model, args.window_steps)
     if args.stream:
-        return _stream_loop(predictor, args.pth)
+        return _stream_loop(predictor, args.pth, sizes)
     if not args.data:
         raise ValueError("anticipate needs --data unless --stream is given")
     dataset = dataio.load_dataset(_resolve_data(args.data))
@@ -217,12 +223,14 @@ def cmd_anticipate(args) -> int:
     return 0
 
 
-def _stream_loop(predictor: anticipation.Predictor, p_th: float) -> int:
+def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[int, int]) -> int:
     """Read step records from stdin, emit one probability record per step.
 
     Input lines: {"x": [...], "z": [...]} with an optional "onset": label
-    key marking an event start (which lifts the stick-rule suppression).
-    Commitment events follow the same stick rule as session scoring.
+    key marking the start of one of the predictor's events (which lifts the
+    stick-rule suppression).  Commitment events follow the same stick rule
+    as session scoring.  The first malformed record ends the stream with a
+    ValueError that names its 1-based input line.
     """
     from .events import straight_index
 
@@ -230,17 +238,15 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float) -> int:
     state = predictor.begin()
     pending_until: int | None = None
     t = 0
-    for line in sys.stdin:
+    for lineno, line in enumerate(sys.stdin, 1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
+        x, z, onset = _parse_step(line, lineno, sizes, predictor.events)
         t += 1
-        state, probs = predictor.step(
-            state, np.asarray(record["x"], float), np.asarray(record["z"], float)
-        )
+        state, probs = predictor.step(state, x, z)
         out = {"t": t, "probs": {e: float(p) for e, p in zip(predictor.events, probs)}}
-        if record.get("onset"):
+        if onset is not None:
             pending_until = None
         suppressed = pending_until is not None and t <= pending_until
         if not suppressed:
@@ -253,9 +259,38 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float) -> int:
     return 0
 
 
+def _parse_step(
+    line: str, lineno: int, sizes: tuple[int, int], events: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """Decode one stream record into (x, z, onset), or raise a ValueError
+    that names the input line and the offending field."""
+    where = f"stdin line {lineno}"
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{where}: not a JSON record ({err.msg})") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a JSON object with fields 'x' and 'z'")
+    vectors = []
+    for field, size in zip(("x", "z"), sizes):
+        if field not in record:
+            raise ValueError(f"{where}: missing field {field!r}")
+        try:
+            vector = np.asarray(record[field], float)
+        except (TypeError, ValueError):
+            vector = None
+        if vector is None or vector.shape != (size,):
+            raise ValueError(f"{where}: field {field!r} must be a list of {size} numbers")
+        vectors.append(vector)
+    onset = record.get("onset")
+    if onset is not None and onset not in events:
+        raise ValueError(f"{where}: field 'onset' is {onset!r}, not one of {list(events)}")
+    return vectors[0], vectors[1], onset
+
+
 def cmd_sweep(args) -> int:
     _log_config("sweep", args)
-    predictor = _load_predictor(args.model)
+    predictor, _sizes = _load_predictor(args.model)
     dataset = dataio.load_dataset(_resolve_data(args.data))
     sweep = metrics.threshold_sweep(predictor, dataset, args.grid)
     rows = []

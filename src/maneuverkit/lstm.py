@@ -20,8 +20,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import check_finite
-
 GATE_NAMES = ("i", "f", "c", "o")
 
 
@@ -211,11 +209,6 @@ def lstm_forward(p: LstmParams, xs: np.ndarray) -> tuple[list[LstmState], LstmTa
     return states, tape
 
 
-def lstm_grads_zero(p: LstmParams) -> LstmParams:
-    """A gradient container with the same field layout, all zeros."""
-    return LstmParams(**{f.name: np.zeros_like(getattr(p, f.name)) for f in fields(LstmParams)})
-
-
 def lstm_backward(
     p: LstmParams, tape: LstmTape, dh: np.ndarray
 ) -> tuple[LstmParams, np.ndarray]:
@@ -268,8 +261,3 @@ def lstm_backward(
     )
     dx = da_i @ p.W_i + da_f @ p.W_f + da_g @ p.W_c + da_o @ p.W_o
     return grads, dx
-
-
-def validate_state(state: LstmState) -> None:
-    check_finite("lstm hidden state", state.h)
-    check_finite("lstm cell state", state.c)

@@ -7,7 +7,9 @@ import pytest
 from maneuverkit.aiohmm import (
     AioHmmModel,
     EmConfig,
-    emission_logpdf,
+    emission_factors,
+    emission_logprobs,
+    emission_scales,
     fit_em,
     forward_backward,
     infer_maneuver,
@@ -15,6 +17,7 @@ from maneuverkit.aiohmm import (
     posterior_from_logliks,
     sample_sequence,
     sequence_loglik,
+    shifted_observations,
     transition_row,
 )
 from maneuverkit.numerics import make_rng
@@ -39,6 +42,29 @@ def random_model(rng, S, dz, dx, variant="aio", scale=0.3):
     )
     m.validate()
     return m
+
+
+def emission_logpdf(m, i, z, x, z_prev):
+    """Gaussian log density of one observation under state i."""
+    logb = emission_logprobs(m, np.asarray(x, float)[None, :], np.asarray(z, float)[None, :],
+                             z_prev=np.asarray(z_prev, float)[None, :])
+    return float(logb[0, i])
+
+
+def per_state_emission_logprobs(m, xs, zs):
+    """The per-state loop that the batched kernel replaced: one
+    factorization and one solve per covariance, in state order."""
+    scales = emission_scales(m, xs, shifted_observations(zs))
+    T, S, dz = zs.shape[0], m.states, m.dim_z
+    out = np.empty((T, S))
+    for i in range(S):
+        chol = np.linalg.cholesky(m.sigma[i])
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        resid = zs - scales[:, i][:, None] * m.mu[i]
+        y = np.linalg.solve(chol, resid.T)
+        quad = np.sum(y * y, axis=0)
+        out[:, i] = -0.5 * (dz * math.log(2.0 * math.pi) + logdet + quad)
+    return out
 
 
 def enumeration_loglik(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> float:
@@ -101,6 +127,23 @@ class TestTransitions:
 
 
 class TestEmission:
+    @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
+    def test_batched_kernel_equals_per_state_loop(self, variant):
+        rng = make_rng(19)
+        for trial in range(40):
+            S, dz, dx = int(rng.integers(1, 6)), int(rng.integers(1, 10)), int(rng.integers(1, 7))
+            m = random_model(rng, S, dz, dx, variant=variant, scale=float(rng.uniform(0.1, 2.0)))
+            if trial % 4 == 0:
+                m.sigma[-1] = 1e-6 * np.eye(dz)  # a covariance at the EM floor
+            T = 1 if trial % 5 == 0 else int(rng.integers(2, 30))
+            xs = rng.standard_normal((T, dx))
+            zs = rng.standard_normal((T, dz)) * float(rng.uniform(0.1, 5.0))
+            expected = per_state_emission_logprobs(m, xs, zs)
+            np.testing.assert_array_equal(emission_logprobs(m, xs, zs), expected)
+            np.testing.assert_array_equal(
+                emission_logprobs(m, xs, zs, factors=emission_factors(m.sigma)), expected
+            )
+
     def test_zero_couplings_mean_is_mu(self):
         rng = make_rng(3)
         m = random_model(rng, 2, 3, 2)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from maneuverkit.aiohmm import AioHmmEnsemble, infer_maneuver
+from maneuverkit.aiohmm import (
+    AioHmmEnsemble,
+    emission_logprobs,
+    infer_maneuver,
+    log_transition_matrices,
+    posterior_from_logliks,
+)
 from maneuverkit.anticipation import (
     STICK_STEPS,
     AioHmmPredictor,
@@ -17,6 +23,28 @@ from maneuverkit.fusion_rnn import forward, init_fusion_model
 from maneuverkit.numerics import make_rng
 
 from test_aiohmm import random_model
+
+
+def per_class_filter(ensemble, xs, zs):
+    """Reference (T, K) trajectory: one log-space forward vector per class,
+    each advanced with that class's own emissions and transitions."""
+    models = [ensemble.models[e] for e in ensemble.events]
+    with np.errstate(divide="ignore"):
+        alphas = [np.log(m.pi) for m in models]
+    rows = []
+    for t in range(xs.shape[0]):
+        z_prev = zs[t - 1 : t] if t else np.zeros((1, zs.shape[1]))
+        logliks = []
+        for k, m in enumerate(models):
+            logb = emission_logprobs(m, xs[t : t + 1], zs[t : t + 1], z_prev=z_prev)[0]
+            if t == 0:
+                alphas[k] = alphas[k] + logb
+            else:
+                log_a = log_transition_matrices(m, xs[t : t + 1])[0]
+                alphas[k] = np.logaddexp.reduce(alphas[k][:, None] + log_a, axis=0) + logb
+            logliks.append(np.logaddexp.reduce(alphas[k]))
+        rows.append(posterior_from_logliks(np.array(logliks), ensemble.prior))
+    return np.array(rows)
 
 
 class ScriptedPredictor:
@@ -182,6 +210,44 @@ class TestPredictors:
         for t in range(1, 7):
             full = infer_maneuver([models[e] for e in EVENTS], xs[:t], zs[:t])
             np.testing.assert_allclose(stream[t - 1], full, atol=1e-10)
+
+    @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
+    def test_stacked_aiohmm_matches_per_class_filter(self, variant):
+        rng = make_rng(6)
+        for trial in range(6):
+            S = int(rng.integers(1, 4))
+            models = {name: random_model(rng, S, 3, 4, variant=variant) for name in EVENTS}
+            models[EVENTS[trial % len(EVENTS)]].pi = np.eye(S)[-1]  # zero entries unless S == 1
+            prior = rng.uniform(0.5, 1.0, len(EVENTS))
+            ens = AioHmmEnsemble(events=EVENTS, models=models, prior=prior / prior.sum())
+            T = int(rng.integers(1, 12))
+            xs, zs = rng.standard_normal((T, 4)), rng.standard_normal((T, 3))
+            stream = trajectory(AioHmmPredictor(ens), xs, zs)
+            np.testing.assert_allclose(stream, per_class_filter(ens, xs, zs), rtol=0, atol=1e-12)
+
+    def test_stacked_aiohmm_groups_mixed_ensembles(self):
+        rng = make_rng(7)
+        shapes = [(2, "aio"), (3, "io"), (2, "hmm"), (3, "aio"), (1, "hmm")]
+        models = {name: random_model(rng, S, 3, 4, variant=v) for name, (S, v) in zip(EVENTS, shapes)}
+        models[EVENTS[1]].pi = np.array([0.0, 0.5, 0.5])
+        ens = AioHmmEnsemble(events=EVENTS, models=models)
+        xs, zs = rng.standard_normal((15, 4)), rng.standard_normal((15, 3))
+        stream = trajectory(AioHmmPredictor(ens), xs, zs)
+        np.testing.assert_allclose(stream, per_class_filter(ens, xs, zs), rtol=0, atol=1e-12)
+
+    def test_stacked_aiohmm_finite_when_a_class_gives_no_density(self):
+        rng = make_rng(8)
+        models = {name: random_model(rng, 2, 3, 4) for name in EVENTS}
+        far = models[EVENTS[0]]
+        far.mu = far.mu + 1e4
+        far.sigma = np.stack([1e-6 * np.eye(3)] * 2)
+        ens = AioHmmEnsemble(events=EVENTS, models=models)
+        xs, zs = rng.standard_normal((10, 4)), rng.standard_normal((10, 3))
+        stream = trajectory(AioHmmPredictor(ens), xs, zs)
+        assert np.all(np.isfinite(stream))
+        np.testing.assert_allclose(stream.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(stream[:, 0] < 1e-300)
+        np.testing.assert_allclose(stream, per_class_filter(ens, xs, zs), rtol=0, atol=1e-12)
 
     def test_windowed_predictor_limits_context(self):
         rng = make_rng(4)

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -173,3 +174,52 @@ class TestStreaming:
         lines = [json.loads(l) for l in out.strip().splitlines()]
         assert len(lines) == 10
         assert {"id", "predicted", "actual", "t_pred", "ttm_steps", "ttm_seconds"} <= set(lines[0])
+
+
+STEP = {"x": [1, 0, 0, 50, 52, 48], "z": [0.1] * 9}
+
+
+@pytest.fixture(scope="module")
+def hmm_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stream")
+    d, m = root / "d.jsonl", root / "hmm.json"
+    assert main(["synth", "--n", "60", "--seed", "3", "--out", str(d)]) == 0
+    assert main(["train", "--data", str(d), "--arch", "hmm", "--states", "2",
+                 "--em-iters", "2", "--seed", "2", "--out", str(m)]) == 0
+    return m
+
+
+def stream(model, lines, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    code, out = run(["anticipate", "--model", str(model), "--pth", "0.99", "--stream"], capsys)
+    return code, [json.loads(line) for line in out.splitlines()]
+
+
+class TestStreamRecords:
+    def test_known_onset_is_accepted(self, hmm_checkpoint, monkeypatch, capsys):
+        lines = [json.dumps(STEP), json.dumps({**STEP, "onset": "left_turn"})]
+        code, records = stream(hmm_checkpoint, lines, monkeypatch, capsys)
+        assert code == 0
+        assert [r["t"] for r in records] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"z": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]}', "missing field 'x'"),
+            (json.dumps({"x": STEP["x"], "z": [0.1] * 8}), "field 'z' must be a list of 9 numbers"),
+            (json.dumps({"x": STEP["x"][:5], "z": STEP["z"]}), "field 'x' must be a list of 6 numbers"),
+            (json.dumps({"x": ["a"] * 6, "z": STEP["z"]}), "field 'x' must be a list of 6 numbers"),
+            ("{not json", "not a JSON record"),
+            ("[1, 2]", "expected a JSON object"),
+            (json.dumps({**STEP, "onset": "bogus"}), "field 'onset' is 'bogus'"),
+            (json.dumps({**STEP, "onset": True}), "field 'onset' is True"),
+        ],
+    )
+    def test_malformed_record_stops_with_located_error(
+        self, hmm_checkpoint, monkeypatch, capsys, caplog, bad, message
+    ):
+        lines = [json.dumps(STEP), "", bad, json.dumps(STEP)]
+        code, records = stream(hmm_checkpoint, lines, monkeypatch, capsys)
+        assert code == 1
+        assert [r["t"] for r in records] == [1]
+        assert f"stdin line 3: {message}" in caplog.text
