@@ -6,11 +6,12 @@ the argmax at each step and commits to the first non-straight event whose
 probability strictly exceeds the threshold; otherwise it concludes straight
 driving.  Ties in the argmax resolve to the lowest event index.
 
-``run_session`` applies the same rule to a long timeline with known event
-onsets: after committing, the algorithm sticks with its prediction and
-stays silent for 5 seconds (7 steps of 0.8 s) or until an event starts,
-whichever comes first, and each commitment/onset is scored as a true,
-false, false-positive, or missed prediction.
+``CommitTracker`` applies the same rule to a long timeline with known event
+onsets, one step at a time: after committing, it sticks with its prediction
+and stays silent for 5 seconds (7 steps of 0.8 s) or until an event starts,
+whichever comes first, and scores each commitment/onset as a true, false,
+false-positive, or missed prediction.  ``run_session`` and the CLI's
+``anticipate --stream`` both drive it.
 """
 
 from __future__ import annotations
@@ -225,19 +226,32 @@ def trajectory(predictor: Predictor, xs: np.ndarray, zs: np.ndarray) -> np.ndarr
     return np.asarray(rows)
 
 
+def check_threshold(p_th: float) -> float:
+    """Return ``p_th`` if it lies in (0, 1], else raise ValueError."""
+    if not 0.0 < p_th <= 1.0:
+        raise ValueError(f"threshold must lie in (0, 1], got {p_th}")
+    return p_th
+
+
+def _crossings(probs: np.ndarray, straight: int, p_th: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per probability row (last axis): the argmax event, and whether it is a
+    maneuver whose probability strictly exceeds p_th.  Ties in the argmax go
+    to the lowest event index."""
+    best = probs.argmax(axis=-1)
+    return best, (best != straight) & (probs.max(axis=-1) > p_th)
+
+
 def commit_step(traj: np.ndarray, straight: int, p_th: float) -> tuple[int | None, int | None]:
     """First step whose argmax is a maneuver with probability > p_th.
 
     Returns (1-based step, event index) or (None, None).  The inequality is
     strict, so p_th = 1.0 never commits.
     """
-    if not 0.0 < p_th <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {p_th}")
-    for t in range(traj.shape[0]):
-        best = int(np.argmax(traj[t]))
-        if best != straight and traj[t, best] > p_th:
-            return t + 1, best
-    return None, None
+    best, hit = _crossings(traj, straight, check_threshold(p_th))
+    hits = np.flatnonzero(hit)
+    if hits.size == 0:
+        return None, None
+    return int(hits[0]) + 1, int(best[hits[0]])
 
 
 def anticipate(
@@ -247,14 +261,10 @@ def anticipate(
     traj = trajectory(predictor, xs, zs)
     straight = straight_index(predictor.events)
     t_pred, maneuver = commit_step(traj, straight, p_th)
-    if t_pred is None:
-        return AnticipationResult(
-            maneuver=straight, t_pred=None, time_to_maneuver_steps=None, trajectory=traj
-        )
     return AnticipationResult(
-        maneuver=maneuver,
+        maneuver=straight if t_pred is None else maneuver,
         t_pred=t_pred,
-        time_to_maneuver_steps=traj.shape[0] - t_pred,
+        time_to_maneuver_steps=None if t_pred is None else traj.shape[0] - t_pred,
         trajectory=traj,
     )
 
@@ -270,6 +280,61 @@ class PredictionEvent:
     ttm_steps: int | None     # onset - commitment, tp only
 
 
+class CommitTracker:
+    """The stick rule over a timeline, fed one step at a time.
+
+    At step t, with no commitment pending, the tracker commits to the
+    argmax event if it is a maneuver whose probability exceeds p_th.  A
+    pending commitment is then resolved by an onset at t (same event: a
+    true prediction with time-to-maneuver onset - commitment; another event:
+    a false one), or after STICK_STEPS steps without an onset (a false
+    positive).  An onset with nothing pending is a missed prediction.  So
+    an onset step never commits while a commitment is pending, and one made
+    on the onset step itself is resolved by that onset at once; either way
+    the next commitment can come no earlier than the following step.
+    """
+
+    def __init__(self, events: tuple[str, ...], p_th: float):
+        self.straight = straight_index(events)
+        self.p_th = check_threshold(p_th)
+        self.pending: tuple[int, int] | None = None  # (commit step, event index)
+
+    def step(
+        self, t: int, probs: np.ndarray, onset: int | None
+    ) -> tuple[int | None, PredictionEvent | None]:
+        """Feed the probabilities of 1-based step t and the index of the
+        event starting there, if any.  Returns the event committed to at
+        this step (or None) and the outcome this step closes (or None)."""
+        commit = None
+        if self.pending is None:
+            best, hit = _crossings(probs, self.straight, self.p_th)
+            if hit:
+                commit = int(best)
+                self.pending = (t, commit)
+        if onset is not None:
+            if self.pending is None:
+                missed = PredictionEvent(kind="mp", step=t, predicted=None, actual=onset, ttm_steps=None)
+                return commit, missed
+            commit_t, predicted = self.pending
+            self.pending = None
+            tp = predicted == onset
+            return commit, PredictionEvent(
+                kind="tp" if tp else "fp", step=commit_t, predicted=predicted, actual=onset,
+                ttm_steps=t - commit_t if tp else None,
+            )
+        if self.pending is not None and t - self.pending[0] >= STICK_STEPS:
+            return commit, self.close()
+        return commit, None
+
+    def close(self) -> PredictionEvent | None:
+        """End the timeline: a commitment still pending is a false positive."""
+        if self.pending is None:
+            return None
+        commit_t, predicted = self.pending
+        self.pending = None
+        return PredictionEvent(kind="fpp", step=commit_t, predicted=predicted, actual=None, ttm_steps=None)
+
+
 def run_session(
     predictor: Predictor,
     xs: np.ndarray,
@@ -280,13 +345,10 @@ def run_session(
     """Score a timeline with known event onsets under the stick rule.
 
     ``onsets`` is a list of (1-based step, event index), strictly increasing
-    in step.  A commitment is matched against the first onset inside its
-    5-second window: same event is a true prediction, a different event a
-    false one; a window with no onset is a false positive.  An onset that
-    arrives with no prediction pending is a missed prediction.
+    in step.  The outcomes are those of :class:`CommitTracker`, in the
+    order they close.
     """
-    if not 0.0 < p_th <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {p_th}")
+    tracker = CommitTracker(predictor.events, p_th)
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
     T = xs.shape[0]
@@ -296,44 +358,11 @@ def run_session(
     if any(not 1 <= s <= T for s in steps):
         raise ValueError("onset steps must lie within the timeline")
     onset_at = dict(onsets)
-    straight = straight_index(predictor.events)
 
-    events: list[PredictionEvent] = []
     state = predictor.begin()
-    pending: tuple[int, int] | None = None  # (commit step, event index)
+    outcomes = []
     for t in range(1, T + 1):
         state, probs = predictor.step(state, xs[t - 1], zs[t - 1])
-        suppressed = pending is not None
-        if not suppressed:
-            best = int(np.argmax(probs))
-            if best != straight and probs[best] > p_th:
-                pending = (t, best)
-        if t in onset_at:
-            actual = onset_at[t]
-            if pending is not None:
-                commit_t, predicted = pending
-                kind = "tp" if predicted == actual else "fp"
-                events.append(
-                    PredictionEvent(
-                        kind=kind, step=commit_t, predicted=predicted, actual=actual,
-                        ttm_steps=(t - commit_t) if kind == "tp" else None,
-                    )
-                )
-                pending = None
-            else:
-                events.append(
-                    PredictionEvent(kind="mp", step=t, predicted=None, actual=actual, ttm_steps=None)
-                )
-        elif pending is not None and t - pending[0] >= STICK_STEPS:
-            commit_t, predicted = pending
-            events.append(
-                PredictionEvent(kind="fpp", step=commit_t, predicted=predicted, actual=None, ttm_steps=None)
-            )
-            pending = None
-    if pending is not None:
-        # The timeline ended inside the stick window with no onset.
-        commit_t, predicted = pending
-        events.append(
-            PredictionEvent(kind="fpp", step=commit_t, predicted=predicted, actual=None, ttm_steps=None)
-        )
-    return events
+        outcomes.append(tracker.step(t, probs, onset_at.get(t))[1])
+    outcomes.append(tracker.close())
+    return [e for e in outcomes if e is not None]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -90,7 +91,9 @@ def _train_config(args) -> training.TrainConfig:
     )
 
 
-def _train_rnn(args, dataset) -> tuple[fusion_rnn.FusionRnnModel, dict, list]:
+def _train_rnn(args, dataset, fold: int = 0) -> tuple[training.TrainReport, dict, list]:
+    """Train the network; only its initialization is seeded per fold
+    (args.seed + fold), augmentation and training use args.seed."""
     arch, _ = RNN_ARCHS[args.arch]
     events = events_for_setting(args.setting)
     dataset = [s for s in dataset if EVENTS[s.label] in events]
@@ -99,22 +102,21 @@ def _train_rnn(args, dataset) -> tuple[fusion_rnn.FusionRnnModel, dict, list]:
         dataset = training.augment(dataset, config.augmentation_factor, config.seed)
     model = fusion_rnn.init_fusion_model(
         arch, dataset[0].xs.shape[1], dataset[0].zs.shape[1], args.hidden,
-        events, make_rng(args.seed), fusion=args.fusion_width,
+        events, make_rng(args.seed + fold), fusion=args.fusion_width,
     )
     report = training.train(dataset, model, config)
-    if report.aborted:
-        raise RuntimeError("training diverged; checkpoint holds the last finite state")
     meta = {"arch": args.arch, "setting": args.setting, "train": config.to_dict(),
             "hidden": args.hidden, "fusion_width": args.fusion_width}
     curve = [("epoch", "mean_loss")] + list(enumerate(report.epoch_losses))
-    return report.model, meta, curve
+    return report, meta, curve
 
 
-def _train_hmm(args, dataset) -> tuple[aiohmm.AioHmmEnsemble, dict, list]:
+def _train_hmm(args, dataset, fold: int = 0) -> tuple[aiohmm.AioHmmEnsemble, dict, list]:
+    """Fit one model per event, with EM seeded per fold (args.seed + fold)."""
     variant = HMM_ARCHS[args.arch]
     events = events_for_setting(args.setting)
     config = aiohmm.EmConfig(
-        states=args.states, variant=variant, max_iter=args.em_iters, seed=args.seed
+        states=args.states, variant=variant, max_iter=args.em_iters, seed=args.seed + fold
     )
     models = {}
     curve = [("event", "iteration", "loglik")]
@@ -137,7 +139,10 @@ def cmd_train(args) -> int:
     if not dataset:
         raise ValueError("training dataset is empty")
     if args.arch in RNN_ARCHS:
-        model, meta, curve = _train_rnn(args, dataset)
+        report, meta, curve = _train_rnn(args, dataset)
+        if report.aborted:
+            raise RuntimeError("training diverged; checkpoint holds the last finite state")
+        model = report.model
     else:
         model, meta, curve = _train_hmm(args, dataset)
     dataio.save_model(model, meta, args.out)
@@ -227,16 +232,14 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
     """Read step records from stdin, emit one probability record per step.
 
     Input lines: {"x": [...], "z": [...]} with an optional "onset": label
-    key marking the start of one of the predictor's events (which lifts the
-    stick-rule suppression).  Commitment events follow the same stick rule
-    as session scoring.  The first malformed record ends the stream with a
-    ValueError that names its 1-based input line.
+    key marking the start of one of the predictor's events.  A step record
+    carries a "commit" entry exactly when ``anticipation.CommitTracker``, the
+    stick rule of session scoring, commits at that step.  The first
+    malformed record ends the stream with a ValueError that names its
+    1-based input line.
     """
-    from .events import straight_index
-
-    straight = straight_index(predictor.events)
+    tracker = anticipation.CommitTracker(predictor.events, p_th)
     state = predictor.begin()
-    pending_until: int | None = None
     t = 0
     for lineno, line in enumerate(sys.stdin, 1):
         line = line.strip()
@@ -246,24 +249,18 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
         t += 1
         state, probs = predictor.step(state, x, z)
         out = {"t": t, "probs": {e: float(p) for e, p in zip(predictor.events, probs)}}
-        if onset is not None:
-            pending_until = None
-        suppressed = pending_until is not None and t <= pending_until
-        if not suppressed:
-            pending_until = None
-            best = int(np.argmax(probs))
-            if best != straight and probs[best] > p_th:
-                out["commit"] = {"event": predictor.events[best], "p": float(probs[best])}
-                pending_until = t + anticipation.STICK_STEPS
+        commit, _ = tracker.step(t, probs, onset)
+        if commit is not None:
+            out["commit"] = {"event": predictor.events[commit], "p": float(probs[commit])}
         print(json.dumps(out), flush=True)
     return 0
 
 
 def _parse_step(
     line: str, lineno: int, sizes: tuple[int, int], events: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Decode one stream record into (x, z, onset), or raise a ValueError
-    that names the input line and the offending field."""
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Decode one stream record into (x, z, onset event index or None), or
+    raise a ValueError that names the input line and the offending field."""
     where = f"stdin line {lineno}"
     try:
         record = json.loads(line)
@@ -277,15 +274,17 @@ def _parse_step(
             raise ValueError(f"{where}: missing field {field!r}")
         try:
             vector = np.asarray(record[field], float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             vector = None
         if vector is None or vector.shape != (size,):
             raise ValueError(f"{where}: field {field!r} must be a list of {size} numbers")
+        if not all(map(math.isfinite, vector.tolist())):  # cheaper than np.isfinite here
+            raise ValueError(f"{where}: field {field!r} must be finite")
         vectors.append(vector)
     onset = record.get("onset")
     if onset is not None and onset not in events:
         raise ValueError(f"{where}: field 'onset' is {onset!r}, not one of {list(events)}")
-    return vectors[0], vectors[1], onset
+    return vectors[0], vectors[1], None if onset is None else events.index(onset)
 
 
 def cmd_sweep(args) -> int:
@@ -319,27 +318,10 @@ def cmd_xval(args) -> int:
     dataset = [s for s in dataset if EVENTS[s.label] in events]
 
     def trainer(train_samples, fold_idx):
+        # A diverged network is scored with its last finite state.
         if args.arch in RNN_ARCHS:
-            arch, _loss = RNN_ARCHS[args.arch]
-            config = _train_config(args)
-            samples = train_samples
-            if config.augmentation_factor > 1.0:
-                samples = training.augment(samples, config.augmentation_factor, config.seed)
-            model = fusion_rnn.init_fusion_model(
-                arch, samples[0].xs.shape[1], samples[0].zs.shape[1], args.hidden,
-                events, make_rng(args.seed + fold_idx), fusion=args.fusion_width,
-            )
-            report = training.train(samples, model, config)
-            return anticipation.FusionRnnPredictor(report.model)
-        variant = HMM_ARCHS[args.arch]
-        config = aiohmm.EmConfig(
-            states=args.states, variant=variant, max_iter=args.em_iters, seed=args.seed + fold_idx
-        )
-        models = {}
-        for name in events:
-            seqs = [(s.xs, s.zs) for s in train_samples if s.label == EVENTS.index(name)]
-            models[name], _ = aiohmm.fit_em(seqs, config)
-        return anticipation.AioHmmPredictor(aiohmm.AioHmmEnsemble(events=events, models=models))
+            return anticipation.FusionRnnPredictor(_train_rnn(args, train_samples, fold_idx)[0].model)
+        return anticipation.AioHmmPredictor(_train_hmm(args, train_samples, fold_idx)[0])
 
     report = metrics.cross_validate(dataset, args.folds, trainer, args.seed, args.grid)
     doc = _xval_report_dict(report, args)

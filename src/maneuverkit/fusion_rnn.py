@@ -26,7 +26,7 @@ from .lstm import (
     lstm_backward,
     lstm_forward,
 )
-from .numerics import check_finite, softmax_rows
+from .numerics import softmax_rows
 
 ARCH_FUSION = "fusion"
 ARCH_CONCAT = "concat"
@@ -258,7 +258,3 @@ def set_flat_params(m: FusionRnnModel, flat: np.ndarray) -> None:
     if offset != flat.size:
         raise ValueError(f"flat vector has {flat.size} entries, model holds {offset}")
 
-
-def validate_finite(m: FusionRnnModel) -> None:
-    for name, arr in param_blocks(m):
-        check_finite(f"parameter block {name}", arr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anticipation import Predictor, anticipate, commit_step, trajectory
+from .anticipation import Predictor, anticipate, check_threshold, commit_step, trajectory
 from .events import straight_index
 from .synth import SequenceSample, split_folds
 from .training import map_label_to_model
@@ -121,60 +121,46 @@ class DatasetEval:
         return macro_precision_recall(tp_m, p_m, n_m)
 
 
-def _score_pair(
-    predicted: int, actual: int, straight: int, counts: OutcomeCounts
-) -> None:
-    if actual != straight:
-        if predicted == actual:
-            counts.tp += 1
+def score_outcomes(
+    events: tuple[str, ...],
+    decisions: list[tuple[int, int | None]],
+    actuals: list[int],
+) -> DatasetEval:
+    """Score one decision per sample against its actual event index.
+
+    A decision is (predicted event index, time-to-maneuver steps or None),
+    with straight as the prediction when nothing was committed to.
+    """
+    K = len(events)
+    straight = straight_index(events)
+    counts = OutcomeCounts()
+    confusion = np.zeros((K, K))
+    ttm: list[int] = []
+    for (predicted, ttm_steps), actual in zip(decisions, actuals):
+        confusion[predicted, actual] += 1
+        if actual != straight:
+            if predicted == actual:
+                counts.tp += 1
+                ttm.append(ttm_steps)
+            elif predicted != straight:
+                counts.fp += 1
+            else:
+                counts.mp += 1
         elif predicted != straight:
-            counts.fp += 1
-        else:
-            counts.mp += 1
-    elif predicted != straight:
-        counts.fpp += 1
+            counts.fpp += 1
+    return DatasetEval(events=events, counts=counts, confusion=confusion, ttm_steps=ttm)
 
 
 def evaluate_dataset(
     predictor: Predictor, dataset: list[SequenceSample], p_th: float
 ) -> DatasetEval:
     """Run the anticipation walk on every sample and score the outcomes."""
-    K = len(predictor.events)
-    straight = straight_index(predictor.events)
-    counts = OutcomeCounts()
-    confusion = np.zeros((K, K))
-    ttm: list[int] = []
-    for sample in dataset:
-        result = anticipate(predictor, sample.xs, sample.zs, p_th)
-        actual = map_label_to_model(sample.label, predictor.events)
-        confusion[result.maneuver, actual] += 1
-        before = counts.tp
-        _score_pair(result.maneuver, actual, straight, counts)
-        if counts.tp > before:
-            ttm.append(result.time_to_maneuver_steps)
-    return DatasetEval(events=predictor.events, counts=counts, confusion=confusion, ttm_steps=ttm)
-
-
-def _eval_from_trajectories(
-    events: tuple[str, ...],
-    trajs: list[np.ndarray],
-    actuals: list[int],
-    p_th: float,
-) -> DatasetEval:
-    K = len(events)
-    straight = straight_index(events)
-    counts = OutcomeCounts()
-    confusion = np.zeros((K, K))
-    ttm: list[int] = []
-    for traj, actual in zip(trajs, actuals):
-        t_pred, maneuver = commit_step(traj, straight, p_th)
-        predicted = straight if t_pred is None else maneuver
-        confusion[predicted, actual] += 1
-        before = counts.tp
-        _score_pair(predicted, actual, straight, counts)
-        if counts.tp > before:
-            ttm.append(traj.shape[0] - t_pred)
-    return DatasetEval(events=events, counts=counts, confusion=confusion, ttm_steps=ttm)
+    results = [anticipate(predictor, s.xs, s.zs, p_th) for s in dataset]
+    return score_outcomes(
+        predictor.events,
+        [(r.maneuver, r.time_to_maneuver_steps) for r in results],
+        [map_label_to_model(s.label, predictor.events) for s in dataset],
+    )
 
 
 @dataclass
@@ -206,13 +192,18 @@ def threshold_sweep(
     """
     if len(grid) == 0:
         raise ValueError("threshold grid must be nonempty")
-    if any(not 0.0 < g <= 1.0 for g in grid):
-        raise ValueError("thresholds must lie in (0, 1]")
+    for g in grid:
+        check_threshold(g)
     trajs = [trajectory(predictor, s.xs, s.zs) for s in dataset]
     actuals = [map_label_to_model(s.label, predictor.events) for s in dataset]
+    straight = straight_index(predictor.events)
     points = []
     for g in grid:
-        ev = _eval_from_trajectories(predictor.events, trajs, actuals, g)
+        decisions = []
+        for traj in trajs:
+            t_pred, maneuver = commit_step(traj, straight, g)
+            decisions.append((straight, None) if t_pred is None else (maneuver, traj.shape[0] - t_pred))
+        ev = score_outcomes(predictor.events, decisions, actuals)
         points.append(
             SweepPoint(p_th=g, precision=ev.precision, recall=ev.recall, f1=ev.f1,
                        mean_ttm_steps=ev.mean_ttm_steps)

@@ -30,17 +30,6 @@ def check_finite(name: str, value: np.ndarray | float) -> None:
         raise ValueError(f"{name} contains non-finite values")
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explanatory shape diagnostic."""
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ValueError(f"matvec expects a matrix and a vector, got shapes {m.shape} and {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"matvec dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, vector has length {v.shape[0]}")
-    return m @ v
-
-
 def softmax(v: np.ndarray) -> np.ndarray:
     """Probability vector exp(v_i) / sum_j exp(v_j).
 
@@ -62,15 +51,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     shifted = m - np.max(m, axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=1, keepdims=True)
-
-
-def logsumexp(v: np.ndarray) -> float:
-    """log(sum(exp(v))) computed without overflow."""
-    v = np.asarray(v, dtype=float)
-    hi = np.max(v)
-    if not np.isfinite(hi):
-        return float(hi)
-    return float(hi + np.log(np.sum(np.exp(v - hi))))
 
 
 def finite_diff_grad(

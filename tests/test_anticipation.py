@@ -1,5 +1,12 @@
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import (
     AioHmmEnsemble,
@@ -18,7 +25,8 @@ from maneuverkit.anticipation import (
     run_session,
     trajectory,
 )
-from maneuverkit.events import EVENTS
+from maneuverkit.cli import _stream_loop
+from maneuverkit.events import EVENTS, events_for_setting
 from maneuverkit.fusion_rnn import forward, init_fusion_model
 from maneuverkit.numerics import make_rng
 
@@ -130,6 +138,95 @@ class TestCommitRule:
                     # raising the threshold never commits earlier
                     assert t is None or t >= previous[1]
                 previous = (p_th, t)
+
+
+def reference_commit_step(traj, straight, p_th):
+    """The commit rule written as a plain per-step loop."""
+    for t in range(traj.shape[0]):
+        best = int(np.argmax(traj[t]))
+        if best != straight and traj[t, best] > p_th:
+            return t + 1, best
+    return None, None
+
+
+# Coarse probabilities and thresholds, so argmax ties and values equal to the
+# threshold come up often.
+TENTHS = st.integers(0, 10).map(lambda i: i / 10)
+THRESHOLDS = st.sampled_from([0.1, 0.3, 0.5, 0.6, 0.9, 1.0])
+
+
+@st.composite
+def timelines(draw):
+    """(events, (T, K) table, strictly increasing onsets, p_th)."""
+    events = draw(st.sampled_from([events_for_setting(s) for s in ("all", "lane", "turn")]))
+    T = draw(st.integers(1, 30))
+    table = draw(st.lists(st.lists(TENTHS, min_size=len(events), max_size=len(events)),
+                          min_size=T, max_size=T))
+    steps = draw(st.sets(st.integers(1, T), max_size=T))
+    onsets = [(s, draw(st.integers(0, len(events) - 1))) for s in sorted(steps)]
+    return events, table, onsets, draw(THRESHOLDS)
+
+
+def streamed_commits(predictor, T, onsets, p_th):
+    """(step, event index) of every commit printed by ``anticipate --stream``."""
+    onset_at = dict(onsets)
+    lines = []
+    for t in range(1, T + 1):
+        record = {"x": [0.0] * 6, "z": [0.0] * 9}
+        if t in onset_at:
+            record["onset"] = predictor.events[onset_at[t]]
+        lines.append(json.dumps(record) + "\n")
+    saved, sys.stdin = sys.stdin, io.StringIO("".join(lines))
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            assert _stream_loop(predictor, p_th, (6, 9)) == 0
+    finally:
+        sys.stdin = saved
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["t"] for r in records] == list(range(1, T + 1))
+    return [(r["t"], predictor.events.index(r["commit"]["event"])) for r in records if "commit" in r]
+
+
+def session_commits(predictor, T, onsets, p_th):
+    """(step, event index) of every commitment that run_session scores."""
+    events = run_session(predictor, *dummy_streams(T), onsets=onsets, p_th=p_th)
+    return sorted((e.step, e.predicted) for e in events if e.kind != "mp")
+
+
+class TestOneStickRule:
+    @settings(max_examples=200, deadline=None)
+    @given(timelines())
+    def test_commit_step_matches_per_step_loop(self, timeline):
+        events, table, _, p_th = timeline
+        traj = np.array(table)
+        straight = events.index("straight")
+        assert commit_step(traj, straight, p_th) == reference_commit_step(traj, straight, p_th)
+
+    @settings(max_examples=200, deadline=None)
+    @given(timelines())
+    def test_stream_commits_equal_run_session_commits(self, timeline):
+        events, table, onsets, p_th = timeline
+        predictor = ScriptedPredictor(table, events)
+        T = len(table)
+        assert streamed_commits(predictor, T, onsets, p_th) == session_commits(predictor, T, onsets, p_th)
+
+    def test_onset_while_pending_defers_the_next_commit(self):
+        # 0.92 on right_lane at every step; right_lane starts at step 3 while
+        # the commitment of step 1 is pending.  The onset resolves it and
+        # commits nothing itself; the next commitment comes at step 4.
+        row = [0.02, 0.92, 0.02, 0.02, 0.02]
+        predictor = ScriptedPredictor([row])
+        events = run_session(predictor, *dummy_streams(12), onsets=[(3, 1)], p_th=0.5)
+        assert [(e.kind, e.step) for e in events] == [("tp", 1), ("fpp", 4), ("fpp", 12)]
+        assert streamed_commits(predictor, 12, [(3, 1)], 0.5) == [(1, 1), (4, 1), (12, 1)]
+
+    def test_commit_on_onset_step_is_resolved_at_once(self):
+        rows = [UNIFORM_ROW, MANEUVER_ROW, MANEUVER_ROW]
+        predictor = ScriptedPredictor(rows)
+        events = run_session(predictor, *dummy_streams(3), onsets=[(2, 1)], p_th=0.5)
+        assert [(e.kind, e.step, e.ttm_steps) for e in events] == [("tp", 2, 0), ("fpp", 3, None)]
+        assert streamed_commits(predictor, 3, [(2, 1)], 0.5) == [(2, 1), (3, 1)]
 
 
 class TestRunSession:

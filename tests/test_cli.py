@@ -213,6 +213,11 @@ class TestStreamRecords:
             ("[1, 2]", "expected a JSON object"),
             (json.dumps({**STEP, "onset": "bogus"}), "field 'onset' is 'bogus'"),
             (json.dumps({**STEP, "onset": True}), "field 'onset' is True"),
+            (json.dumps({"x": STEP["x"], "z": [float("nan")] * 9}), "field 'z' must be finite"),
+            (json.dumps({"x": [float("inf")] + STEP["x"][1:], "z": STEP["z"]}), "field 'x' must be finite"),
+            (json.dumps({"x": STEP["x"], "z": [-float("inf")] + STEP["z"][1:]}), "field 'z' must be finite"),
+            pytest.param(json.dumps({**STEP, "x": [10**400] + STEP["x"][1:]}),
+                         "field 'x' must be a list of 6 numbers", id="integer-beyond-float-range"),
         ],
     )
     def test_malformed_record_stops_with_located_error(
@@ -223,3 +228,15 @@ class TestStreamRecords:
         assert code == 1
         assert [r["t"] for r in records] == [1]
         assert f"stdin line 3: {message}" in caplog.text
+
+    def test_non_finite_record_stops_a_fusion_stream(self, tmp_path, monkeypatch, capsys, caplog):
+        d, m = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert main(["synth", "--n", "20", "--seed", "4", "--out", str(d)]) == 0
+        assert main(["train", "--data", str(d), "--arch", "frnn-el", "--hidden", "4",
+                     "--epochs", "1", "--seed", "1", "--out", str(m)]) == 0
+        capsys.readouterr()
+        lines = [json.dumps(STEP), json.dumps({"x": STEP["x"], "z": [0.1] * 8 + [float("nan")]})]
+        code, records = stream(m, lines, monkeypatch, capsys)
+        assert code == 1
+        assert [r["t"] for r in records] == [1]
+        assert "stdin line 2: field 'z' must be finite" in caplog.text

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maneuverkit.events import EVENTS
 from maneuverkit.metrics import (
@@ -96,6 +98,14 @@ class SequencePredictor:
         return state + 1, self.tables[self.calls][state]
 
 
+class CyclingPredictor(SequencePredictor):
+    """Scripted trajectories that start over after the last sample."""
+
+    def begin(self):
+        self.calls = (self.calls + 1) % len(self.tables)
+        return 0
+
+
 def confident(label, p=0.9):
     row = [(1 - p) / 4] * 5
     row[EVENTS.index(label)] = p
@@ -172,15 +182,29 @@ class TestThresholdSweep:
         plan.append(("straight", [[0.2] * 5] * 4))
         samples, tables = scripted_dataset(plan)
 
-        class Repeating(SequencePredictor):
-            def begin(self):
-                self.calls = (self.calls + 1) % len(self.tables)
-                return 0
-
         grid = [0.3, 0.5, 0.7]
-        sweep = threshold_sweep(Repeating(tables), samples, grid)
+        sweep = threshold_sweep(CyclingPredictor(tables), samples, grid)
         for p in sweep.points:
             assert p.f1 == pytest.approx(1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_point_equals_evaluate_dataset(self, data):
+        n = data.draw(st.integers(1, 12))
+        plan = []
+        for _ in range(n):
+            T = data.draw(st.integers(1, 8))
+            row = st.lists(st.integers(0, 10).map(lambda i: i / 10), min_size=5, max_size=5)
+            table = data.draw(st.lists(row, min_size=T, max_size=T))
+            plan.append((data.draw(st.sampled_from(EVENTS)), table))
+        samples, tables = scripted_dataset(plan)
+        grid = [0.1, 0.3, 0.5, 0.6, 0.9, 1.0]
+        sweep = threshold_sweep(CyclingPredictor(tables), samples, grid)
+        for point in sweep.points:
+            ev = evaluate_dataset(CyclingPredictor(tables), samples, point.p_th)
+            assert (point.precision, point.recall, point.f1, point.mean_ttm_steps) == (
+                ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps
+            )
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -4,27 +4,9 @@ import pytest
 from maneuverkit.numerics import (
     finite_diff_grad,
     l2_normalize,
-    logsumexp,
     make_rng,
-    matvec,
     softmax,
 )
-
-
-class TestMatvec:
-    def test_identity(self):
-        np.testing.assert_array_equal(matvec(np.eye(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-    def test_annihilation(self):
-        np.testing.assert_array_equal(matvec(np.zeros((2, 3)), [5.0, 5.0, 5.0]), [0.0, 0.0])
-
-    def test_hand_arithmetic(self):
-        out = matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0])
-        np.testing.assert_allclose(out, [3.0, 7.0])
-
-    def test_dimension_mismatch_is_diagnosed(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matvec(np.eye(3), [1.0, 2.0])
 
 
 class TestSoftmax:
@@ -96,13 +78,6 @@ class TestRng:
         a = make_rng(1).standard_normal(10)
         b = make_rng(2).standard_normal(10)
         assert not np.array_equal(a, b)
-
-
-def test_logsumexp_matches_direct():
-    v = np.array([-1.0, 0.5, 2.0])
-    assert abs(logsumexp(v) - np.log(np.sum(np.exp(v)))) < 1e-12
-    big = np.array([1000.0, 1001.0])
-    assert abs(logsumexp(big) - (1001.0 + np.log(1 + np.exp(-1.0)))) < 1e-9
 
 
 def test_l2_normalize():
