@@ -18,10 +18,10 @@ The E-step is a scaled forward-backward pass over the inhomogeneous chain;
 the M-step solves the coupled mean parameters by alternating exact weighted
 least squares, updates each covariance from posterior-weighted residuals
 (eigenvalue-floored), refits the initial distribution from the t=1
-posteriors, and improves the transition weights by gradient ascent with
-backtracking.  Every piece either maximizes or never decreases the expected
-complete-data log-likelihood, so the training log-likelihood trace is
-non-decreasing.
+posteriors, and improves the transition weights by Boehning's fixed-Hessian
+lower-bound ascent for multinomial logistic regression (Boehning 1992).
+Every piece either maximizes or never decreases the expected complete-data
+log-likelihood, so the training log-likelihood trace is non-decreasing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import make_rng, softmax_rows
+from .numerics import make_rng
 
 log = logging.getLogger(__name__)
 
@@ -115,8 +115,7 @@ class EmConfig:
     seed: int = 0
     cov_floor: float = 1e-6        # smallest allowed covariance eigenvalue
     mean_rounds: int = 3           # alternating WLS rounds for (mu, a, b)
-    w_step: float = 1e-2
-    w_iters: int = 25
+    w_iters: int = 25              # bound-ascent steps on the transition weights
 
     def validate(self) -> None:
         if self.states < 1:
@@ -130,12 +129,13 @@ class EmConfig:
         return {
             "states": self.states, "variant": self.variant, "max_iter": self.max_iter,
             "tol": self.tol, "seed": self.seed, "cov_floor": self.cov_floor,
-            "mean_rounds": self.mean_rounds, "w_step": self.w_step, "w_iters": self.w_iters,
+            "mean_rounds": self.mean_rounds, "w_iters": self.w_iters,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmConfig":
-        return cls(**d)
+        # Older checkpoints still record the retired gradient step size.
+        return cls(**{k: v for k, v in d.items() if k != "w_step"})
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +174,12 @@ def log_transition_matrices(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
     Computed as log-softmax of the finite logits, so entries never reach
     -inf even when the probabilities themselves underflow.
     """
-    xe = transition_inputs(m, xs)
-    logits = np.einsum("ijk,tk->tij", m.w, xe)
+    return _log_transitions(m.w, transition_inputs(m, xs))
+
+
+def _log_transitions(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
+    """(T, S, S) log-softmax of the logits w_i . xe_t for every source state."""
+    logits = np.einsum("ijk,tk->tij", w, xe)
     shifted = logits - logits.max(axis=2, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=2, keepdims=True))
 
@@ -344,7 +348,7 @@ def _update_mean_params(
 
     Holding (a, b) fixed, the optimal mu has the closed form
     sum(g s z) / sum(g s^2) with s = 1 + a.x + b.z_prev; holding mu fixed,
-    (a, b) solve a gamma-weighted normal equation.  Each solve can only
+    (a, b) are a gamma-weighted least-squares fit.  Each solve can only
     improve the expected complete-data log-likelihood.
     """
     mu, a, b = m.mu[i].copy(), m.a[i].copy(), m.b[i].copy()
@@ -371,18 +375,17 @@ def _update_mean_params(
         if fit_b:
             cols.append(Zprev)
         R = np.concatenate(cols, axis=1)
-        lhs = (R * g[:, None]).T @ R
-        rhs = (R * g[:, None]).T @ (beta / alpha - 1.0)
-        try:
-            theta = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            # Binary or constant features routinely make the design
-            # rank-deficient; the system is still consistent, so a tiny
-            # ridge recovers the natural solution.
+        # Lane flags constant within a sequence and near-collinear speeds make
+        # the design rank-deficient or nearly so.  Solving its normal
+        # equations squares that conditioning and returns a theta that can
+        # lower the expected log-likelihood; the minimum-norm least-squares
+        # solution of the weighted design does not.
+        root_g = np.sqrt(g)
+        theta, _, rank, _ = np.linalg.lstsq(
+            R * root_g[:, None], root_g * (beta / alpha - 1.0), rcond=None
+        )
+        if rank < R.shape[1]:
             diag["ridge"] = diag.get("ridge", 0) + 1
-            log.debug("singular mean design for state %d; applying ridge", i)
-            scale = 1.0 + float(np.trace(lhs)) / lhs.shape[0]
-            theta = np.linalg.solve(lhs + 1e-9 * scale * np.eye(lhs.shape[0]), rhs)
         offset = 0
         if fit_a:
             a = theta[offset : offset + X.shape[1]]
@@ -392,45 +395,37 @@ def _update_mean_params(
     return mu, a, b
 
 
-def _transition_objective(w_i: np.ndarray, Xe: np.ndarray, Xi_i: np.ndarray) -> float:
-    """Expected transition log-likelihood for one source state."""
-    logits = Xe @ w_i.T
-    logp = logits - logits.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    return float(np.sum(Xi_i * logp))
-
-
-def _update_transitions(
-    m: AioHmmModel, Xe: np.ndarray, Xi: np.ndarray, config: EmConfig
-) -> np.ndarray:
-    """Gradient ascent with backtracking on the expected transition term.
+def _transition_gradient(w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray) -> np.ndarray:
+    """(S, S, dt) gradient of the expected transition log-likelihood in w.
 
     Xe: (R, dt) transition inputs for every within-sequence step t >= 2;
     Xi: (R, S, S) matching transition posteriors.
     """
-    S = m.states
-    w = m.w.copy()
+    coeff = Xi - Xi.sum(axis=2, keepdims=True) * np.exp(_log_transitions(w, Xe))
+    return np.einsum("rij,rk->ijk", coeff, Xe)
+
+
+def _update_transitions(
+    w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray, config: EmConfig
+) -> np.ndarray:
+    """Boehning lower-bound ascent on the expected transition term.
+
+    For source state i with visit counts n_r = sum_j Xi[r, i, j] and
+    M_i = sum_r n_r x_r x_r^T, the Hessian of its term is bounded below by
+    -1/2 (I - 11^T/S) (x) M_i.  The gradient's rows sum to zero, so the bound's
+    maximizer is w_i + 2 G_i M_i^-1, a step that never lowers the term.  A
+    ridge on M_i keeps it invertible; a larger M_i is still a valid bound.
+    All source states step together.
+    """
+    w = w.copy()
     if Xe.shape[0] == 0:
         return w
-    for i in range(S):
-        w_i = w[i]
-        q = _transition_objective(w_i, Xe, Xi[:, i, :])
-        for _ in range(config.w_iters):
-            p = softmax_rows(Xe @ w_i.T)
-            coeff = Xi[:, i, :] - Xi[:, i, :].sum(axis=1, keepdims=True) * p
-            grad = coeff.T @ Xe
-            step = config.w_step
-            improved = False
-            while step > 1e-12:
-                cand = w_i + step * grad
-                q_cand = _transition_objective(cand, Xe, Xi[:, i, :])
-                if q_cand >= q:
-                    w_i, q, improved = cand, q_cand, True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        w[i] = w_i
+    M = np.einsum("ri,rk,rl->ikl", Xi.sum(axis=2), Xe, Xe)          # (S, dt, dt)
+    dt = M.shape[1]
+    ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
+    step = 2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt))
+    for _ in range(config.w_iters):
+        w += _transition_gradient(w, Xe, Xi) @ step
     return w
 
 
@@ -443,8 +438,9 @@ def m_step(
 ) -> AioHmmModel:
     """Maximization step over all sequences' posterior statistics.
 
-    ``diag``, when given, accumulates counts of ridge-regularized solves
-    and floored covariances so callers can report them once per fit.
+    ``diag``, when given, accumulates counts of rank-deficient mean solves
+    (key ``"ridge"``) and floored covariances so callers can report them
+    once per fit.
     """
     if diag is None:
         diag = {}
@@ -475,7 +471,7 @@ def m_step(
         new.mu[i], new.a[i], new.b[i] = mu, a, b
         new.sigma[i] = _floor_covariance(cov, config.cov_floor, diag)
 
-    new.w = _update_transitions(m, Xe, Xi, config)
+    new.w = _update_transitions(m.w, Xe, Xi, config)
     pi = np.sum([st.gamma[0] for st in stats], axis=0)
     new.pi = pi / pi.sum()
     return new
@@ -548,7 +544,7 @@ def fit_em(
         model = m_step(sequences, stats, model, config, diag)
     if diag.get("ridge") or diag.get("floored"):
         log.warning(
-            "EM fit used %d ridge-regularized mean solve(s) and floored %d covariance update(s)",
+            "EM fit used %d rank-deficient mean solve(s) and floored %d covariance update(s)",
             diag.get("ridge", 0), diag.get("floored", 0),
         )
     return model, trace

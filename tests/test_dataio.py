@@ -170,6 +170,13 @@ def test_train_config_round_trips_through_checkpoint(tmp_path):
     assert EmConfig.from_dict(em.to_dict()) == em
 
 
+def test_em_config_from_checkpoint_with_retired_step_size():
+    from maneuverkit.aiohmm import EmConfig
+
+    em = EmConfig(states=4, variant="io", max_iter=12, seed=8)
+    assert EmConfig.from_dict({**em.to_dict(), "w_step": 1e-2}) == em
+
+
 def test_frame_records_round_trip(tmp_path):
     path = tmp_path / "frames.jsonl"
     lines = [
