@@ -62,7 +62,6 @@ class FusionRnnPredictor:
     """
 
     def __init__(self, model: FusionRnnModel):
-        model.validate()
         self.model = model
         self.events = model.events
 

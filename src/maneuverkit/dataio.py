@@ -18,15 +18,13 @@ are bit-exact.  NaN or Inf anywhere in a model is a save-time error.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .aiohmm import AioHmmEnsemble, AioHmmModel
 from .events import EVENTS, validate_events
-from .fusion_rnn import ARCH_FUSION, FusionRnnModel, param_blocks
-from .lstm import LstmParams
+from .fusion_rnn import FusionRnnModel, param_blocks
 from .synth import SequenceSample
 
 FORMAT_VERSION = 1
@@ -157,7 +155,7 @@ def load_model(path: str | Path):
     kind = doc.get("kind")
     config = doc.get("config", {})
     if kind == KIND_FUSION:
-        return _fusion_from_dict(doc["params"]), kind, config
+        return _fusion_from_dict(doc["params"], path), kind, config
     if kind == KIND_AIOHMM:
         return _ensemble_from_dict(doc["params"]), kind, config
     raise DataFormatError(f"{path}: unknown checkpoint kind {kind!r}")
@@ -177,26 +175,28 @@ def _fusion_to_dict(m: FusionRnnModel) -> dict:
     }
 
 
-def _fusion_from_dict(d: dict) -> FusionRnnModel:
-    blocks = d["blocks"]
-
-    def arr(name: str) -> np.ndarray:
-        return np.asarray(blocks[name], dtype=float)
-
-    def lstm(prefix: str) -> LstmParams:
-        return LstmParams(**{f.name: arr(f"{prefix}.{f.name}") for f in fields(LstmParams)})
-
-    is_fusion = d["arch"] == ARCH_FUSION
-    model = FusionRnnModel(
-        arch=d["arch"], input_x=d["input_x"], input_z=d["input_z"],
-        hidden=d["hidden"], fusion=d["fusion"], events=tuple(d["events"]),
-        lstm_x=lstm("lstm_x"),
-        lstm_z=lstm("lstm_z") if is_fusion else None,
-        W_f=arr("W_f") if is_fusion else None,
-        b_f=arr("b_f") if is_fusion else None,
-        W_y=arr("W_y"), b_y=arr("b_y"),
-    )
-    model.validate()
+def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
+    """Build the network, then copy each named block into its view."""
+    try:
+        model = FusionRnnModel(
+            arch=d["arch"], input_x=d["input_x"], input_z=d["input_z"],
+            hidden=d["hidden"], fusion=d["fusion"], events=tuple(d["events"]),
+        )
+        blocks = d["blocks"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataFormatError(f"{path}: bad fusion network description ({err!r})") from None
+    for name, view in param_blocks(model):
+        if name not in blocks:
+            raise DataFormatError(f"{path}: block {name!r} is missing")
+        try:
+            arr = np.asarray(blocks[name], dtype=float)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"{path}: block {name!r} is not an array of numbers") from None
+        if arr.shape != view.shape:
+            raise DataFormatError(f"{path}: block {name!r} has shape {arr.shape}, expected {view.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise DataFormatError(f"{path}: block {name!r} contains non-finite values")
+        view[...] = arr
     return model
 
 

@@ -11,20 +11,29 @@ softmax output head:
 Concat mode is the single-stream baseline: one LSTM over the per-step
 concatenation [x_t; z_t] with the softmax head reading the hidden state
 directly (no fusion layer).
+
+All parameters live in one contiguous float64 vector ``theta``; every
+parameter array is a reshaped view into it.  The order is lstm_x (W, U, V,
+b), lstm_z (W, U, V, b), W_f, b_f, W_y, b_y, which is also the order of the
+per-gate blocks that :func:`param_blocks` names and checkpoints store.
+Gradients are flat vectors with the same layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .lstm import (
     LstmParams,
     LstmTape,
+    gate_blocks,
     init_lstm_params,
     lstm_backward,
     lstm_forward,
+    lstm_shapes,
 )
 from .numerics import softmax_rows
 
@@ -34,10 +43,11 @@ ARCH_CONCAT = "concat"
 
 @dataclass
 class FusionRnnModel:
-    """Parameters of the full network.
+    """Parameters of the full network, as views of ``theta``.
 
-    In concat mode ``lstm_z``, ``W_f`` and ``b_f`` are None and ``lstm_x``
-    consumes the concatenated input of size input_x + input_z.
+    ``theta=None`` allocates a zero vector.  In concat mode ``lstm_z``,
+    ``W_f`` and ``b_f`` are None and ``lstm_x`` consumes the concatenated
+    input of size input_x + input_z.
     """
 
     arch: str
@@ -46,52 +56,54 @@ class FusionRnnModel:
     hidden: int
     fusion: int
     events: tuple[str, ...]
-    lstm_x: LstmParams
-    lstm_z: LstmParams | None
-    W_f: np.ndarray | None
-    b_f: np.ndarray | None
-    W_y: np.ndarray
-    b_y: np.ndarray
+    theta: np.ndarray | None = None
+    lstm_x: LstmParams = field(init=False, repr=False)
+    lstm_z: LstmParams | None = field(init=False, repr=False)
+    W_f: np.ndarray | None = field(init=False, repr=False)
+    b_f: np.ndarray | None = field(init=False, repr=False)
+    W_y: np.ndarray = field(init=False, repr=False)
+    b_y: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.arch not in (ARCH_FUSION, ARCH_CONCAT):
+            raise ValueError(f"unknown arch {self.arch!r}")
+        if min(self.input_x, self.input_z, self.hidden, self.k) < 1:
+            raise ValueError("all model dimensions must be positive")
+        fused = self.arch == ARCH_FUSION
+        if fused and self.fusion < 1:
+            raise ValueError("fusion width must be positive")
+        H = self.hidden
+        if fused:
+            shapes = lstm_shapes(self.input_x, H) + lstm_shapes(self.input_z, H)
+            shapes += [(self.fusion, 2 * H), (self.fusion,)]
+        else:
+            shapes = lstm_shapes(self.input_x + self.input_z, H)
+        shapes += [(self.k, self.fusion if fused else H), (self.k,)]
+        size = sum(math.prod(s) for s in shapes)
+        if self.theta is None:
+            self.theta = np.zeros(size)
+        theta = self.theta
+        if theta.shape != (size,) or theta.dtype != np.float64 or not theta.flags.c_contiguous:
+            raise ValueError(
+                f"theta must be a contiguous float64 vector of {size} entries, got "
+                f"{theta.dtype} {theta.shape}"
+            )
+        views, offset = [], 0
+        for shape in shapes:
+            n = math.prod(shape)
+            views.append(theta[offset : offset + n].reshape(shape))
+            offset += n
+        self.lstm_x = LstmParams(*views[:4])
+        self.lstm_z = LstmParams(*views[4:8]) if fused else None
+        self.W_f, self.b_f = views[8:10] if fused else (None, None)
+        self.W_y, self.b_y = views[-2:]
 
     @property
     def k(self) -> int:
         return len(self.events)
 
-    def validate(self) -> None:
-        if self.arch not in (ARCH_FUSION, ARCH_CONCAT):
-            raise ValueError(f"unknown arch {self.arch!r}")
-        if min(self.input_x, self.input_z, self.hidden, self.k) < 1:
-            raise ValueError("all model dimensions must be positive")
-        self.lstm_x.validate()
-        if self.arch == ARCH_FUSION:
-            if self.lstm_z is None or self.W_f is None or self.b_f is None:
-                raise ValueError("fusion mode requires lstm_z and the fusion layer")
-            self.lstm_z.validate()
-            if self.fusion < 1:
-                raise ValueError("fusion width must be positive")
-            if self.W_f.shape != (self.fusion, 2 * self.hidden):
-                raise ValueError(f"W_f has shape {self.W_f.shape}, expected {(self.fusion, 2 * self.hidden)}")
-            if self.W_y.shape != (self.k, self.fusion):
-                raise ValueError(f"W_y has shape {self.W_y.shape}, expected {(self.k, self.fusion)}")
-        else:
-            if self.lstm_z is not None or self.W_f is not None or self.b_f is not None:
-                raise ValueError("concat mode must not carry a second stream or fusion layer")
-            if self.lstm_x.input_size != self.input_x + self.input_z:
-                raise ValueError("concat LSTM input size must be input_x + input_z")
-            if self.W_y.shape != (self.k, self.hidden):
-                raise ValueError(f"W_y has shape {self.W_y.shape}, expected {(self.k, self.hidden)}")
-        if self.b_y.shape != (self.k,):
-            raise ValueError(f"b_y has shape {self.b_y.shape}, expected {(self.k,)}")
-
     def copy(self) -> "FusionRnnModel":
-        def cp(v):
-            if isinstance(v, np.ndarray):
-                return v.copy()
-            if isinstance(v, LstmParams):
-                return v.copy()
-            return v
-
-        return FusionRnnModel(**{f.name: cp(getattr(self, f.name)) for f in fields(self)})
+        return replace(self, theta=self.theta.copy())
 
 
 @dataclass
@@ -125,26 +137,19 @@ def init_fusion_model(
 
     if arch == ARCH_FUSION:
         fusion = hidden if fusion is None else fusion
-        model = FusionRnnModel(
-            arch=arch, input_x=input_x, input_z=input_z, hidden=hidden,
-            fusion=fusion, events=tuple(events),
-            lstm_x=init_lstm_params(input_x, hidden, rng),
-            lstm_z=init_lstm_params(input_z, hidden, rng),
-            W_f=uni(fusion, 2 * hidden), b_f=np.zeros(fusion),
-            W_y=uni(k, fusion), b_y=np.zeros(k),
-        )
+        cells = [init_lstm_params(input_x, hidden, rng), init_lstm_params(input_z, hidden, rng)]
+        head = [uni(fusion, 2 * hidden), np.zeros(fusion), uni(k, fusion), np.zeros(k)]
     elif arch == ARCH_CONCAT:
-        model = FusionRnnModel(
-            arch=arch, input_x=input_x, input_z=input_z, hidden=hidden,
-            fusion=0, events=tuple(events),
-            lstm_x=init_lstm_params(input_x + input_z, hidden, rng),
-            lstm_z=None, W_f=None, b_f=None,
-            W_y=uni(k, hidden), b_y=np.zeros(k),
-        )
+        fusion = 0
+        cells = [init_lstm_params(input_x + input_z, hidden, rng)]
+        head = [uni(k, hidden), np.zeros(k)]
     else:
         raise ValueError(f"unknown arch {arch!r}")
-    model.validate()
-    return model
+    parts = [a for p in cells for a in (p.W, p.U, p.V, p.b)] + head
+    return FusionRnnModel(
+        arch=arch, input_x=input_x, input_z=input_z, hidden=hidden, fusion=fusion,
+        events=tuple(events), theta=np.concatenate([a.ravel() for a in parts]),
+    )
 
 
 def forward(m: FusionRnnModel, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, FusionTape]:
@@ -165,71 +170,51 @@ def forward(m: FusionRnnModel, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarr
         )
 
     if m.arch == ARCH_CONCAT:
-        cat = np.concatenate([xs, zs], axis=1)
-        _, tape_x = lstm_forward(m.lstm_x, cat)
-        logits = tape_x.h @ m.W_y.T + m.b_y
-        probs = softmax_rows(logits)
+        tape_x = lstm_forward(m.lstm_x, np.concatenate([xs, zs], axis=1))
+        probs = softmax_rows(tape_x.h @ m.W_y.T + m.b_y)
         return probs, FusionTape(tape_x=tape_x, tape_z=None, hcat=None, e=None, probs=probs)
 
-    _, tape_x = lstm_forward(m.lstm_x, xs)
-    _, tape_z = lstm_forward(m.lstm_z, zs)
+    tape_x = lstm_forward(m.lstm_x, xs)
+    tape_z = lstm_forward(m.lstm_z, zs)
     hcat = np.concatenate([tape_x.h, tape_z.h], axis=1)
     e = np.tanh(hcat @ m.W_f.T + m.b_f)
-    logits = e @ m.W_y.T + m.b_y
-    probs = softmax_rows(logits)
+    probs = softmax_rows(e @ m.W_y.T + m.b_y)
     return probs, FusionTape(tape_x=tape_x, tape_z=tape_z, hcat=hcat, e=e, probs=probs)
 
 
-@dataclass
-class FusionGrads:
-    """Gradients mirroring FusionRnnModel's parameter blocks."""
-
-    lstm_x: LstmParams
-    lstm_z: LstmParams | None
-    W_f: np.ndarray | None
-    b_f: np.ndarray | None
-    W_y: np.ndarray
-    b_y: np.ndarray
-
-
-def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> FusionGrads:
-    """Exact gradients given per-step gradients on the pre-softmax logits."""
+def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.ndarray:
+    """Exact gradient, laid out like ``m.theta``, given per-step gradients
+    on the pre-softmax logits."""
     dlogits = np.asarray(dlogits, dtype=float)
     T = tape.probs.shape[0]
     if dlogits.shape != (T, m.k):
         raise ValueError(f"dlogits has shape {dlogits.shape}, expected {(T, m.k)}")
+    g = replace(m, theta=np.zeros_like(m.theta))  # views of the gradient vector
 
+    np.sum(dlogits, axis=0, out=g.b_y)
     if m.arch == ARCH_CONCAT:
-        dW_y = dlogits.T @ tape.tape_x.h
-        db_y = dlogits.sum(axis=0)
-        dh = dlogits @ m.W_y
-        gx, _ = lstm_backward(m.lstm_x, tape.tape_x, dh)
-        return FusionGrads(lstm_x=gx, lstm_z=None, W_f=None, b_f=None, W_y=dW_y, b_y=db_y)
+        np.matmul(dlogits.T, tape.tape_x.h, out=g.W_y)
+        lstm_backward(m.lstm_x, tape.tape_x, dlogits @ m.W_y, g.lstm_x)
+        return g.theta
 
-    dW_y = dlogits.T @ tape.e
-    db_y = dlogits.sum(axis=0)
-    de = dlogits @ m.W_y
-    da_f = de * (1.0 - tape.e * tape.e)
-    dW_f = da_f.T @ tape.hcat
-    db_f = da_f.sum(axis=0)
+    np.matmul(dlogits.T, tape.e, out=g.W_y)
+    da_f = (dlogits @ m.W_y) * (1.0 - tape.e * tape.e)
+    np.matmul(da_f.T, tape.hcat, out=g.W_f)
+    np.sum(da_f, axis=0, out=g.b_f)
     dcat = da_f @ m.W_f
     # The fusion gradient splits at the concatenation boundary.
-    dhx = dcat[:, : m.hidden]
-    dhz = dcat[:, m.hidden :]
-    gx, _ = lstm_backward(m.lstm_x, tape.tape_x, dhx)
-    gz, _ = lstm_backward(m.lstm_z, tape.tape_z, dhz)
-    return FusionGrads(lstm_x=gx, lstm_z=gz, W_f=dW_f, b_f=db_f, W_y=dW_y, b_y=db_y)
+    lstm_backward(m.lstm_x, tape.tape_x, dcat[:, : m.hidden], g.lstm_x)
+    lstm_backward(m.lstm_z, tape.tape_z, dcat[:, m.hidden :], g.lstm_z)
+    return g.theta
 
 
-def param_blocks(m: FusionRnnModel | FusionGrads) -> list[tuple[str, np.ndarray]]:
-    """Named parameter arrays in a fixed order (used by the optimizer,
-    serialization, and the gradient checker)."""
+def param_blocks(m: FusionRnnModel) -> list[tuple[str, np.ndarray]]:
+    """Named per-gate parameter views of ``m.theta``, in storage order
+    (used by serialization and the gradient checker)."""
     blocks: list[tuple[str, np.ndarray]] = []
     for stream, lp in (("lstm_x", m.lstm_x), ("lstm_z", m.lstm_z)):
-        if lp is None:
-            continue
-        for f in fields(LstmParams):
-            blocks.append((f"{stream}.{f.name}", getattr(lp, f.name)))
+        if lp is not None:
+            blocks += [(f"{stream}.{name}", arr) for name, arr in gate_blocks(lp)]
     for name in ("W_f", "b_f", "W_y", "b_y"):
         arr = getattr(m, name)
         if arr is not None:
@@ -242,19 +227,3 @@ def param_count(m: FusionRnnModel) -> dict[str, int]:
     counts = {name: int(arr.size) for name, arr in param_blocks(m)}
     counts["total"] = sum(counts.values())
     return counts
-
-
-def flatten_params(m: FusionRnnModel | FusionGrads) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in param_blocks(m)])
-
-
-def set_flat_params(m: FusionRnnModel, flat: np.ndarray) -> None:
-    """Write a flat vector back into the model's arrays, in block order."""
-    offset = 0
-    for _, arr in param_blocks(m):
-        n = arr.size
-        arr.flat[:] = flat[offset : offset + n]
-        offset += n
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, model holds {offset}")
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fusion_rnn
-from .fusion_rnn import FusionGrads, FusionRnnModel
+from .fusion_rnn import FusionRnnModel
 from .numerics import finite_diff_grad, make_rng
 
 log = logging.getLogger(__name__)
@@ -162,27 +162,23 @@ def rmsprop_update(
 
 
 class RmsProp:
-    """RMSprop over all parameter blocks of a FusionRnnModel (in place)."""
+    """RMSprop over a FusionRnnModel's parameter vector (in place)."""
 
     def __init__(self, model: FusionRnnModel, config: TrainConfig):
         self.config = config
-        self.acc = {name: np.zeros_like(arr) for name, arr in fusion_rnn.param_blocks(model)}
+        self.acc = np.zeros_like(model.theta)
 
-    def step(self, model: FusionRnnModel, grads: FusionGrads) -> None:
+    def step(self, model: FusionRnnModel, grad: np.ndarray) -> None:
+        """Apply one update from a gradient laid out like ``model.theta``."""
         cfg = self.config
-        grad_map = dict(fusion_rnn.param_blocks(grads))
         if cfg.grad_clip is not None:
-            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grad_map.values()))
+            norm = np.sqrt(float(grad @ grad))
             if norm > cfg.grad_clip:
-                scale = cfg.grad_clip / norm
-                grad_map = {k: g * scale for k, g in grad_map.items()}
-        for name, arr in fusion_rnn.param_blocks(model):
-            new_p, new_acc = rmsprop_update(
-                arr, grad_map[name], self.acc[name],
-                cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_epsilon,
-            )
-            arr[...] = new_p
-            self.acc[name] = new_acc
+                grad = grad * (cfg.grad_clip / norm)
+        model.theta[...], self.acc = rmsprop_update(
+            model.theta, grad, self.acc,
+            cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_epsilon,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -347,27 +343,23 @@ def gradient_check(
 ) -> GradCheckReport:
     """Compare analytic gradients of the training loss to central differences."""
     work = model.copy()
-    p0 = fusion_rnn.flatten_params(work)
 
-    def objective(flat: np.ndarray) -> float:
-        fusion_rnn.set_flat_params(work, flat)
+    def objective(theta: np.ndarray) -> float:
+        work.theta[...] = theta
         probs, _ = fusion_rnn.forward(work, xs, zs)
         return anticipation_loss(probs, target, config.loss_mode, config.time_scale, config.prob_floor)
 
-    numeric = finite_diff_grad(objective, p0, eps)
-    fusion_rnn.set_flat_params(work, p0)
+    numeric = finite_diff_grad(objective, model.theta, eps)
+    work.theta[...] = model.theta
 
     probs, tape = fusion_rnn.forward(work, xs, zs)
     dlogits = loss_logit_grads(probs, target, config.loss_mode, config.time_scale, config.prob_floor)
-    grads = fusion_rnn.backward(work, tape, dlogits)
+    analytic = fusion_rnn.backward(work, tape, dlogits)
 
     errors: dict[str, float] = {}
     offset = 0
-    analytic_blocks = dict(fusion_rnn.param_blocks(grads))
     for name, arr in fusion_rnn.param_blocks(work):
-        n = arr.size
-        errors[name] = _block_error(
-            analytic_blocks[name].ravel(), numeric[offset : offset + n]
-        )
-        offset += n
+        block = slice(offset, offset + arr.size)
+        errors[name] = _block_error(analytic[block], numeric[block])
+        offset += arr.size
     return GradCheckReport(block_errors=errors, tolerance=tol)

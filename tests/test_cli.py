@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +241,25 @@ class TestStreamRecords:
         assert code == 1
         assert [r["t"] for r in records] == [1]
         assert "stdin line 2: field 'z' must be finite" in caplog.text
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b.pop("lstm_z.V_f"), "block 'lstm_z.V_f' is missing"),
+            (lambda b: b.update({"lstm_x.U_c": [[0.5]]}),
+             "block 'lstm_x.U_c' has shape (1, 1), expected (2, 2)"),
+            (lambda b: b["b_y"].__setitem__(0, float("nan")), "block 'b_y' contains non-finite values"),
+        ],
+        ids=["missing", "misshaped", "nan"],
+    )
+    def test_bad_checkpoint_block_stops_with_located_error(
+        self, tmp_path, monkeypatch, capsys, caplog, edit, message
+    ):
+        doc = json.loads((Path(__file__).parent / "data" / "fusion_h2.json").read_text(encoding="utf-8"))
+        edit(doc["params"]["blocks"])
+        m = tmp_path / "edited.json"
+        m.write_text(json.dumps(doc), encoding="utf-8")
+        code, records = stream(m, [json.dumps(STEP)], monkeypatch, capsys)
+        assert code == 1
+        assert records == []
+        assert f"{m}: {message}" in caplog.text

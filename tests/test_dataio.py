@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from maneuverkit.dataio import (
     save_model,
 )
 from maneuverkit.events import EVENTS
-from maneuverkit.fusion_rnn import flatten_params, init_fusion_model
+from maneuverkit.fusion_rnn import init_fusion_model, param_blocks, param_count
 from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, generate
 
 from test_aiohmm import random_model
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestDatasetRoundTrip:
@@ -88,14 +91,14 @@ class TestCheckpoints:
         save_model(model, {"seed": 3}, path)
         loaded, kind, config = load_model(path)
         assert kind == "fusion_rnn" and config == {"seed": 3}
-        np.testing.assert_array_equal(flatten_params(loaded), flatten_params(model))
+        np.testing.assert_array_equal(loaded.theta, model.theta)
 
     def test_concat_round_trip(self, tmp_path):
         model = init_fusion_model("concat", 6, 9, 5, EVENTS, make_rng(4))
         path = tmp_path / "m.json"
         save_model(model, {}, path)
         loaded, _, _ = load_model(path)
-        np.testing.assert_array_equal(flatten_params(loaded), flatten_params(model))
+        np.testing.assert_array_equal(loaded.theta, model.theta)
         assert loaded.lstm_z is None and loaded.W_f is None
 
     def test_ensemble_round_trip_bit_exact(self, tmp_path):
@@ -153,6 +156,51 @@ class TestCheckpoints:
         loaded, _, _ = load_model(path)
         after, _ = forward(loaded, xs, zs)
         np.testing.assert_array_equal(before, after)
+
+
+class TestParentCheckpoints:
+    """Checkpoints written before the parameters moved into one flat vector
+    (hidden 2, one epoch on `synth --n 20 --seed 4`)."""
+
+    @pytest.mark.parametrize("name, total", [("fusion_h2", 205), ("concat_h2", 165)])
+    def test_load_and_resave_byte_identically(self, tmp_path, name, total):
+        src = DATA / f"{name}.json"
+        model, kind, config = load_model(src)
+        save_model(model, config, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == src.read_bytes()
+        blocks = json.loads(src.read_text(encoding="utf-8"))["params"]["blocks"]
+        counts = param_count(model)
+        assert [name for name, _ in param_blocks(model)] == list(blocks)
+        assert counts.pop("total") == total
+        assert counts == {name: np.asarray(value).size for name, value in blocks.items()}
+
+
+def edited_checkpoint(tmp_path, edit) -> Path:
+    doc = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
+    edit(doc["params"]["blocks"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+class TestCheckpointBlockErrors:
+    def test_missing_block_names_file_and_block(self, tmp_path):
+        path = edited_checkpoint(tmp_path, lambda b: b.pop("lstm_z.V_f"))
+        with pytest.raises(DataFormatError, match=r"edited\.json: block 'lstm_z\.V_f' is missing"):
+            load_model(path)
+
+    def test_misshaped_block_names_file_and_block(self, tmp_path):
+        path = edited_checkpoint(tmp_path, lambda b: b.update({"lstm_x.U_c": [[0.5]]}))
+        with pytest.raises(
+            DataFormatError,
+            match=r"edited\.json: block 'lstm_x\.U_c' has shape \(1, 1\), expected \(2, 2\)",
+        ):
+            load_model(path)
+
+    def test_non_finite_block_names_file_and_block(self, tmp_path):
+        path = edited_checkpoint(tmp_path, lambda b: b["W_y"][0].__setitem__(1, float("nan")))
+        with pytest.raises(DataFormatError, match=r"edited\.json: block 'W_y' contains non-finite"):
+            load_model(path)
 
 
 def test_train_config_round_trips_through_checkpoint(tmp_path):

@@ -3,15 +3,15 @@ import pytest
 
 from maneuverkit.fusion_rnn import (
     backward,
-    flatten_params,
     forward,
     init_fusion_model,
     param_blocks,
     param_count,
-    set_flat_params,
 )
-from maneuverkit.numerics import make_rng
+from maneuverkit.numerics import make_rng, softmax_rows
 from maneuverkit.training import TrainConfig, gradient_check
+
+from test_lstm import reference_backward, reference_forward
 
 EVENTS5 = ("left_lane", "right_lane", "left_turn", "right_turn", "straight")
 
@@ -75,8 +75,8 @@ class TestBackward:
         m = make_model()
         _, tape = forward(m, xs, zs)
         grads = backward(m, tape, np.zeros((5, 5)))
-        for _, arr in param_blocks(grads):
-            np.testing.assert_array_equal(arr, 0.0)
+        assert grads.shape == m.theta.shape
+        np.testing.assert_array_equal(grads, 0.0)
 
     @pytest.mark.parametrize("arch", ["fusion", "concat"])
     def test_full_model_gradient_check(self, arch):
@@ -90,12 +90,12 @@ class TestBackward:
         _, tape = forward(m, xs, zs)
         rng = make_rng(9)
         dlogits = rng.standard_normal((4, 5))
-        total = flatten_params(backward(m, tape, dlogits))
+        total = backward(m, tape, dlogits)
         parts = np.zeros_like(total)
         for t in range(4):
             only_t = np.zeros_like(dlogits)
             only_t[t] = dlogits[t]
-            parts += flatten_params(backward(m, tape, only_t))
+            parts += backward(m, tape, only_t)
         np.testing.assert_allclose(total, parts, atol=1e-12)
 
 
@@ -127,7 +127,103 @@ class TestParamCount:
 
 def test_flat_round_trip():
     m = make_model()
-    flat = flatten_params(m)
+    flat = np.concatenate([arr.ravel() for _, arr in param_blocks(m)])
+    np.testing.assert_array_equal(flat, m.theta)
     m2 = make_model(seed=99)
-    set_flat_params(m2, flat)
-    np.testing.assert_array_equal(flatten_params(m2), flat)
+    m2.theta[...] = flat
+    for (name, a), (name2, b) in zip(param_blocks(m), param_blocks(m2)):
+        assert name == name2
+        np.testing.assert_array_equal(a, b)
+
+
+def reference_init(arch, hidden, seed):
+    """The per-gate initialization: every block drawn on its own, in
+    param_blocks order, and laid end to end."""
+    rng = make_rng(seed)
+
+    def draw(shape, fan_in):
+        r = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-r, r, size=shape)
+
+    def cell(d):
+        W = [draw((hidden, d), d) for _ in range(4)]
+        U = [draw((hidden, hidden), hidden) for _ in range(4)]
+        V = [draw(hidden, hidden) for _ in range(3)]
+        return W + U + V + [np.zeros(hidden)] * 4
+
+    def uni(rows, cols):
+        return draw((rows, cols), cols)
+
+    if arch == "fusion":
+        blocks = cell(6) + cell(9) + [uni(hidden, 2 * hidden), np.zeros(hidden), uni(5, hidden)]
+    else:
+        blocks = cell(15) + [uni(5, hidden)]
+    return np.concatenate([b.ravel() for b in blocks] + [np.zeros(5)])
+
+
+def reference_pass(m, xs, zs, dlogits):
+    """Probabilities and the gradient in theta order, from the per-gate
+    reference LSTM unroll and BPTT."""
+    H = m.hidden
+    if m.arch == "concat":
+        tx = reference_forward(m.lstm_x, np.concatenate([xs, zs], axis=1))
+        probs = softmax_rows(tx["h"] @ m.W_y.T + m.b_y)
+        cells = {"lstm_x": reference_backward(m.lstm_x, tx, dlogits @ m.W_y)[0]}
+        head = {"W_y": dlogits.T @ tx["h"], "b_y": dlogits.sum(axis=0)}
+    else:
+        tx = reference_forward(m.lstm_x, xs)
+        tz = reference_forward(m.lstm_z, zs)
+        hcat = np.concatenate([tx["h"], tz["h"]], axis=1)
+        e = np.tanh(hcat @ m.W_f.T + m.b_f)
+        probs = softmax_rows(e @ m.W_y.T + m.b_y)
+        da_f = (dlogits @ m.W_y) * (1.0 - e * e)
+        dcat = da_f @ m.W_f
+        cells = {
+            "lstm_x": reference_backward(m.lstm_x, tx, dcat[:, :H])[0],
+            "lstm_z": reference_backward(m.lstm_z, tz, dcat[:, H:])[0],
+        }
+        head = {"W_f": da_f.T @ hcat, "b_f": da_f.sum(axis=0),
+                "W_y": dlogits.T @ e, "b_y": dlogits.sum(axis=0)}
+    for stream, grads in cells.items():
+        head.update({f"{stream}.{name}": g for name, g in grads.items()})
+    return probs, np.concatenate([head[name].ravel() for name, _ in param_blocks(m)])
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("arch", ["fusion", "concat"])
+    @pytest.mark.parametrize("hidden", [1, 16, 64])
+    def test_matches_per_gate_reference(self, arch, hidden):
+        m = make_model(arch, hidden=hidden, seed=hidden)
+        rng = make_rng(50 + hidden)
+        m.theta[...] += rng.uniform(-0.1, 0.1, size=m.theta.shape)  # nonzero biases too
+        xs, zs = random_streams(hidden, 9)
+        dlogits = rng.standard_normal((9, 5))
+        probs, tape = forward(m, xs, zs)
+        ref_probs, ref_grad = reference_pass(m, xs, zs, dlogits)
+        np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(backward(m, tape, dlogits), ref_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("arch", ["fusion", "concat"])
+    def test_init_matches_per_gate_draws(self, arch):
+        m = make_model(arch, hidden=3, seed=11)
+        np.testing.assert_array_equal(m.theta, reference_init(arch, 3, 11))
+
+    @pytest.mark.parametrize("arch", ["fusion", "concat"])
+    def test_every_block_is_a_view_of_theta(self, arch):
+        m = make_model(arch)
+        cells = [m.lstm_x] + ([m.lstm_z] if arch == "fusion" else [])
+        stacked = [a for p in cells for a in (p.W, p.U, p.V, p.b)]
+        for arr in [a for _, a in param_blocks(m)] + stacked:
+            assert np.shares_memory(arr, m.theta)
+        c = m.copy()
+        for (_, a), (_, b) in zip(param_blocks(c), param_blocks(m)):
+            assert np.shares_memory(a, c.theta) and not np.shares_memory(a, m.theta)
+            np.testing.assert_array_equal(a, b)
+        c.theta[...] = 0.0
+        assert np.all(c.W_y == 0.0) and np.any(m.W_y != 0.0)
+
+    def test_wrong_theta_size_rejected(self):
+        m = make_model()
+        with pytest.raises(ValueError, match="theta"):
+            type(m)(arch="fusion", input_x=6, input_z=9, hidden=6, fusion=6,
+                    events=EVENTS5, theta=m.theta[:-1].copy())

@@ -4,10 +4,12 @@ import pytest
 from maneuverkit.lstm import (
     LstmParams,
     LstmState,
+    gate_blocks,
     init_lstm_params,
     lstm_backward,
     lstm_forward,
     lstm_step,
+    sigmoid,
     zero_state,
 )
 from maneuverkit.numerics import finite_diff_grad, make_rng
@@ -23,7 +25,9 @@ def zero_params(input_size: int, hidden: int) -> LstmParams:
 
 def reference_step(p: LstmParams, x, prev):
     """Straight-line transcription of the cell equations, written without
-    reuse of the library's step code: every gate spelled out with loops."""
+    reuse of the library's step code: every gate spelled out with loops.
+    Gate k of i, f, c, o sits at rows k, H + k, 2H + k, 3H + k of the
+    stacked W, U and b; V holds V_i, V_f, V_o at k, H + k, 2H + k."""
     H = p.hidden_size
     i = np.empty(H)
     f = np.empty(H)
@@ -32,30 +36,95 @@ def reference_step(p: LstmParams, x, prev):
     c = np.empty(H)
     h = np.empty(H)
     for k in range(H):
-        ai = p.b_i[k] + p.V_i[k] * prev.c[k]
-        af = p.b_f[k] + p.V_f[k] * prev.c[k]
-        ag = p.b_c[k]
+        ai = p.b[k] + p.V[k] * prev.c[k]
+        af = p.b[H + k] + p.V[H + k] * prev.c[k]
+        ag = p.b[2 * H + k]
         for d in range(p.input_size):
-            ai += p.W_i[k, d] * x[d]
-            af += p.W_f[k, d] * x[d]
-            ag += p.W_c[k, d] * x[d]
+            ai += p.W[k, d] * x[d]
+            af += p.W[H + k, d] * x[d]
+            ag += p.W[2 * H + k, d] * x[d]
         for d in range(H):
-            ai += p.U_i[k, d] * prev.h[d]
-            af += p.U_f[k, d] * prev.h[d]
-            ag += p.U_c[k, d] * prev.h[d]
+            ai += p.U[k, d] * prev.h[d]
+            af += p.U[H + k, d] * prev.h[d]
+            ag += p.U[2 * H + k, d] * prev.h[d]
         i[k] = 1.0 / (1.0 + np.exp(-ai))
         f[k] = 1.0 / (1.0 + np.exp(-af))
         g[k] = np.tanh(ag)
         c[k] = f[k] * prev.c[k] + i[k] * g[k]
     for k in range(H):
-        ao = p.b_o[k] + p.V_o[k] * c[k]
+        ao = p.b[3 * H + k] + p.V[2 * H + k] * c[k]
         for d in range(p.input_size):
-            ao += p.W_o[k, d] * x[d]
+            ao += p.W[3 * H + k, d] * x[d]
         for d in range(H):
-            ao += p.U_o[k, d] * prev.h[d]
+            ao += p.U[3 * H + k, d] * prev.h[d]
         o[k] = 1.0 / (1.0 + np.exp(-ao))
         h[k] = o[k] * np.tanh(c[k])
     return h, c
+
+
+def reference_forward(p: LstmParams, xs: np.ndarray) -> dict:
+    """The per-gate unroll: four input projections and four recurrent
+    matvecs per step, one array per gate."""
+    G = dict(gate_blocks(p))
+    T, H = xs.shape[0], p.hidden_size
+    pre_i = xs @ G["W_i"].T + G["b_i"]
+    pre_f = xs @ G["W_f"].T + G["b_f"]
+    pre_g = xs @ G["W_c"].T + G["b_c"]
+    pre_o = xs @ G["W_o"].T + G["b_o"]
+    tape = {key: np.empty((T, H)) for key in ("i", "f", "g", "o", "c", "h", "tanh_c", "c_prev", "h_prev")}
+    h = np.zeros(H)
+    c = np.zeros(H)
+    for t in range(T):
+        tape["c_prev"][t] = c
+        tape["h_prev"][t] = h
+        i = sigmoid(pre_i[t] + G["U_i"] @ h + G["V_i"] * c)
+        f = sigmoid(pre_f[t] + G["U_f"] @ h + G["V_f"] * c)
+        g = np.tanh(pre_g[t] + G["U_c"] @ h)
+        c = f * c + i * g
+        o = sigmoid(pre_o[t] + G["U_o"] @ h + G["V_o"] * c)
+        tc = np.tanh(c)
+        h = o * tc
+        for key, value in (("i", i), ("f", f), ("g", g), ("o", o), ("c", c), ("h", h), ("tanh_c", tc)):
+            tape[key][t] = value
+    tape["xs"] = xs
+    return tape
+
+
+def reference_backward(p: LstmParams, tape: dict, dh: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Per-gate BPTT of sum_t dh_t . h_t: returns ({W_i: ..., b_o: ...}, dx)."""
+    G = dict(gate_blocks(p))
+    T, H = dh.shape
+    da = {gate: np.empty((T, H)) for gate in "ifco"}
+    dh_next = np.zeros(H)
+    dc_next = np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        dht = dh[t] + dh_next
+        o, i, f, g = tape["o"][t], tape["i"][t], tape["f"][t], tape["g"][t]
+        tc = tape["tanh_c"][t]
+        dao = dht * tc * o * (1.0 - o)
+        dct = dht * o * (1.0 - tc * tc) + dc_next + G["V_o"] * dao
+        dai = dct * g * i * (1.0 - i)
+        daf = dct * tape["c_prev"][t] * f * (1.0 - f)
+        dag = dct * i * (1.0 - g * g)
+        da["i"][t], da["f"][t], da["c"][t], da["o"][t] = dai, daf, dag, dao
+        dh_next = G["U_i"].T @ dai + G["U_f"].T @ daf + G["U_c"].T @ dag + G["U_o"].T @ dao
+        dc_next = dct * f + G["V_i"] * dai + G["V_f"] * daf
+    grads = {}
+    for gate in "ifco":
+        grads[f"W_{gate}"] = da[gate].T @ tape["xs"]
+        grads[f"U_{gate}"] = da[gate].T @ tape["h_prev"]
+        grads[f"b_{gate}"] = np.sum(da[gate], axis=0)
+    grads["V_i"] = np.sum(da["i"] * tape["c_prev"], axis=0)
+    grads["V_f"] = np.sum(da["f"] * tape["c_prev"], axis=0)
+    grads["V_o"] = np.sum(da["o"] * tape["c"], axis=0)
+    dx = sum(da[gate] @ G[f"W_{gate}"] for gate in "ifco")
+    return grads, dx
+
+
+def run_backward(p: LstmParams, tape, dh) -> tuple[LstmParams, np.ndarray]:
+    grads = LstmParams(*(np.zeros_like(a) for a in (p.W, p.U, p.V, p.b)))
+    dx = lstm_backward(p, tape, dh, grads)
+    return grads, dx
 
 
 class TestStep:
@@ -99,24 +168,23 @@ class TestForward:
         rng = make_rng(3)
         p = init_lstm_params(2, 3, rng)
         x = rng.standard_normal((1, 2))
-        states, _ = lstm_forward(p, x)
+        tape = lstm_forward(p, x)
         direct, _ = lstm_step(p, x[0], zero_state(3))
-        np.testing.assert_array_equal(states[0].h, direct.h)
-        np.testing.assert_array_equal(states[0].c, direct.c)
+        np.testing.assert_array_equal(tape.h[0], direct.h)
+        np.testing.assert_array_equal(tape.c[0], direct.c)
 
     def test_zero_params_all_zero_hidden(self):
         p = zero_params(2, 3)
-        states, _ = lstm_forward(p, make_rng(1).standard_normal((6, 2)))
-        for s in states:
-            np.testing.assert_array_equal(s.h, np.zeros(3))
+        tape = lstm_forward(p, make_rng(1).standard_normal((6, 2)))
+        np.testing.assert_array_equal(tape.h, np.zeros((6, 3)))
 
     def test_constant_input_converges(self):
         rng = make_rng(5)
         p = init_lstm_params(2, 4, rng)
         xs = np.tile(np.array([0.4, -0.3]), (201, 1))
-        states, _ = lstm_forward(p, xs)
-        early = np.max(np.abs(states[5].h - states[4].h))
-        late = np.max(np.abs(states[200].h - states[199].h))
+        h = lstm_forward(p, xs).h
+        early = np.max(np.abs(h[5] - h[4]))
+        late = np.max(np.abs(h[200] - h[199]))
         assert late < early
 
     def test_empty_rejected(self):
@@ -126,15 +194,17 @@ class TestForward:
     def test_gates_strictly_inside_unit_interval(self):
         rng = make_rng(9)
         p = init_lstm_params(3, 5, rng)
-        _, tape = lstm_forward(p, rng.standard_normal((20, 3)))
-        for arr in (tape.i, tape.f, tape.o):
+        tape = lstm_forward(p, rng.standard_normal((20, 3)))
+        i, f, _, o = np.split(tape.gates, 4, axis=1)
+        for arr in (i, f, o):
             assert np.all(arr > 0.0) and np.all(arr < 1.0)
 
     def test_cell_update_reproducible_from_cached_gates(self):
         rng = make_rng(13)
         p = init_lstm_params(3, 5, rng)
-        _, tape = lstm_forward(p, rng.standard_normal((12, 3)))
-        rebuilt = tape.f * tape.c_prev + tape.i * tape.g
+        tape = lstm_forward(p, rng.standard_normal((12, 3)))
+        i, f, g, _ = np.split(tape.gates, 4, axis=1)
+        rebuilt = f * tape.c_prev + i * g
         np.testing.assert_array_equal(rebuilt, tape.c)
 
     def test_determinism_forward_and_backward(self):
@@ -142,25 +212,24 @@ class TestForward:
         p = init_lstm_params(3, 4, rng)
         xs = rng.standard_normal((7, 3))
         dh = rng.standard_normal((7, 4))
-        _, t1 = lstm_forward(p, xs)
-        _, t2 = lstm_forward(p, xs)
+        t1 = lstm_forward(p, xs)
+        t2 = lstm_forward(p, xs)
         np.testing.assert_array_equal(t1.h, t2.h)
         np.testing.assert_array_equal(t1.c, t2.c)
-        g1, dx1 = lstm_backward(p, t1, dh)
-        g2, dx2 = lstm_backward(p, t2, dh)
+        g1, dx1 = run_backward(p, t1, dh)
+        g2, dx2 = run_backward(p, t2, dh)
         np.testing.assert_array_equal(dx1, dx2)
         for name in vars(g1):
             np.testing.assert_array_equal(getattr(g1, name), getattr(g2, name))
 
 
 def flatten(p: LstmParams) -> np.ndarray:
-    return np.concatenate([getattr(p, name).ravel() for name in sorted(vars(p))])
+    return np.concatenate([arr.ravel() for _, arr in gate_blocks(p)])
 
 
 def unflatten_into(p: LstmParams, flat: np.ndarray) -> None:
     offset = 0
-    for name in sorted(vars(p)):
-        arr = getattr(p, name)
+    for _, arr in gate_blocks(p):
         arr.flat[:] = flat[offset : offset + arr.size]
         offset += arr.size
 
@@ -174,20 +243,20 @@ def bptt_error(seed: int, T: int, hidden: int, input_size: int = 3) -> float:
     dh = rng.standard_normal((T, hidden))
 
     def objective(flat: np.ndarray) -> float:
-        work = p.copy()
+        work = LstmParams(*(a.copy() for a in (p.W, p.U, p.V, p.b)))
         unflatten_into(work, flat)
-        _, tape = lstm_forward(work, xs)
+        tape = lstm_forward(work, xs)
         return float(np.sum(dh * tape.h))
 
     numeric = finite_diff_grad(objective, flatten(p), 1e-5)
-    _, tape = lstm_forward(p, xs)
-    grads, _ = lstm_backward(p, tape, dh)
+    tape = lstm_forward(p, xs)
+    grads, _ = run_backward(p, tape, dh)
     analytic = flatten(grads)
 
     worst = 0.0
     offset = 0
-    for name in sorted(vars(p)):
-        n = getattr(p, name).size
+    for _, arr in gate_blocks(p):
+        n = arr.size
         a = analytic[offset : offset + n]
         m = numeric[offset : offset + n]
         offset += n
@@ -201,8 +270,8 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = make_rng(2)
         p = init_lstm_params(2, 3, rng)
-        _, tape = lstm_forward(p, rng.standard_normal((4, 2)))
-        grads, dx = lstm_backward(p, tape, np.zeros((4, 3)))
+        tape = lstm_forward(p, rng.standard_normal((4, 2)))
+        grads, dx = run_backward(p, tape, np.zeros((4, 3)))
         for name in vars(grads):
             np.testing.assert_array_equal(getattr(grads, name), 0.0)
         np.testing.assert_array_equal(dx, 0.0)
@@ -223,9 +292,9 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         rng = make_rng(2)
         p = init_lstm_params(2, 3, rng)
-        _, tape = lstm_forward(p, rng.standard_normal((4, 2)))
+        tape = lstm_forward(p, rng.standard_normal((4, 2)))
         with pytest.raises(ValueError):
-            lstm_backward(p, tape, np.zeros((5, 3)))
+            run_backward(p, tape, np.zeros((5, 3)))
 
     def test_input_gradients_match_finite_differences(self):
         rng = make_rng(17)
@@ -234,10 +303,57 @@ class TestBackward:
         dh = rng.standard_normal((5, 4))
 
         def objective(flat_xs: np.ndarray) -> float:
-            _, tape = lstm_forward(p, flat_xs.reshape(5, 3))
+            tape = lstm_forward(p, flat_xs.reshape(5, 3))
             return float(np.sum(dh * tape.h))
 
         numeric = finite_diff_grad(objective, xs.ravel(), 1e-5).reshape(5, 3)
-        _, tape = lstm_forward(p, xs)
-        _, dx = lstm_backward(p, tape, dh)
+        tape = lstm_forward(p, xs)
+        _, dx = run_backward(p, tape, dh)
         np.testing.assert_allclose(dx, numeric, atol=1e-7)
+
+
+class TestStackedMatchesPerGate:
+    """The gate-stacked kernels against the per-gate reference unroll, at
+    the stream widths of fusion mode (6, 9) and concat mode (15)."""
+
+    @pytest.mark.parametrize("hidden", [1, 16, 64])
+    @pytest.mark.parametrize("input_size", [6, 9, 15])
+    def test_forward_and_backward(self, hidden, input_size):
+        rng = make_rng(300 + hidden + input_size)
+        p = init_lstm_params(input_size, hidden, rng)
+        p.b[...] = rng.uniform(-0.5, 0.5, size=p.b.shape)
+        xs = rng.standard_normal((9, input_size))
+        dh = rng.standard_normal((9, hidden))
+        tape = lstm_forward(p, xs)
+        ref = reference_forward(p, xs)
+        ref_gates = np.hstack([ref[key] for key in ("i", "f", "g", "o")])
+        np.testing.assert_allclose(tape.gates, ref_gates, rtol=0, atol=1e-12)
+        for key in ("c", "h", "tanh_c", "c_prev", "h_prev"):
+            np.testing.assert_allclose(getattr(tape, key), ref[key], rtol=0, atol=1e-12)
+        grads, dx = run_backward(p, tape, dh)
+        ref_grads, ref_dx = reference_backward(p, ref, dh)
+        for name, arr in gate_blocks(grads):
+            np.testing.assert_allclose(arr, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hidden", [1, 16, 64])
+    def test_streamed_steps_match_the_unroll(self, hidden):
+        rng = make_rng(400 + hidden)
+        p = init_lstm_params(6, hidden, rng)
+        xs = rng.standard_normal((9, 6))
+        tape = lstm_forward(p, xs)
+        state = zero_state(hidden)
+        for t in range(9):
+            state, _ = lstm_step(p, xs[t], state)
+            np.testing.assert_allclose(state.h, tape.h[t], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.c, tape.c[t], rtol=0, atol=1e-12)
+
+    def test_init_draws_in_per_gate_order(self):
+        p = init_lstm_params(3, 4, make_rng(8))
+        rng = make_rng(8)
+        draws = [rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), size=(4, 3)) for _ in range(4)]
+        draws += [rng.uniform(-0.5, 0.5, size=(4, 4)) for _ in range(4)]
+        draws += [rng.uniform(-0.5, 0.5, size=4) for _ in range(3)]
+        np.testing.assert_array_equal(flatten(p)[: sum(d.size for d in draws)],
+                                      np.concatenate([d.ravel() for d in draws]))
+        np.testing.assert_array_equal(p.b, 0.0)

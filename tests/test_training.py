@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from maneuverkit.events import EVENTS
-from maneuverkit.fusion_rnn import flatten_params, init_fusion_model
+from maneuverkit.fusion_rnn import init_fusion_model, param_blocks
 from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, SequenceSample, generate
 from maneuverkit.training import (
     LOSS_EXPONENTIAL,
     LOSS_UNIFORM,
+    RmsProp,
     TrainConfig,
     anticipation_loss,
     augment,
@@ -78,6 +79,27 @@ class TestRmsProp:
         with pytest.raises(FloatingPointError):
             rmsprop_update(np.zeros(1), np.array([np.nan]), np.zeros(1), 0.1, 0.9, 1e-8)
 
+    @pytest.mark.parametrize("arch", ["fusion", "concat"])
+    def test_flat_step_equals_per_block_updates(self, arch):
+        rng = make_rng(12)
+        model = init_fusion_model(arch, 6, 9, 5, EVENTS, rng)
+        ref = model.copy()
+        cfg = TrainConfig(learning_rate=1e-2)
+        opt = RmsProp(model, cfg)
+        acc = {name: np.zeros_like(arr) for name, arr in param_blocks(ref)}
+        for _ in range(3):
+            grad = rng.standard_normal(model.theta.shape)
+            opt.step(model, grad)
+            offset = 0
+            for name, arr in param_blocks(ref):
+                g = grad[offset : offset + arr.size].reshape(arr.shape)
+                offset += arr.size
+                arr[...], acc[name] = rmsprop_update(
+                    arr, g, acc[name], cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_epsilon
+                )
+        np.testing.assert_array_equal(model.theta, ref.theta)
+        np.testing.assert_array_equal(opt.acc, np.concatenate([a.ravel() for a in acc.values()]))
+
 
 def toy_dataset(n=24, seed=0):
     """Two linearly separable classes over constant streams, T=4."""
@@ -132,7 +154,7 @@ class TestTrain:
         data = toy_dataset()
         model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(1))
         report = train(data, model, TrainConfig(epochs=0))
-        np.testing.assert_array_equal(flatten_params(report.model), flatten_params(model))
+        np.testing.assert_array_equal(report.model.theta, model.theta)
 
     def test_loss_decreases_on_separable_data(self):
         data = toy_dataset(seed=1)
@@ -147,7 +169,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, learning_rate=1e-3, seed=9)
         r1 = train(data, model, cfg)
         r2 = train(data, model, cfg)
-        np.testing.assert_array_equal(flatten_params(r1.model), flatten_params(r2.model))
+        np.testing.assert_array_equal(r1.model.theta, r2.model.theta)
 
     def test_empty_dataset_rejected(self):
         model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(5))
