@@ -14,8 +14,13 @@ The ``io`` variant pins b_i = 0 (no autoregression); the ``hmm`` variant
 additionally pins a_i = 0 and replaces the transition input by a constant
 bias coordinate, making transitions input-independent.
 
-The E-step is a scaled forward-backward pass over the inhomogeneous chain;
-the M-step solves the coupled mean parameters by alternating exact weighted
+The E-step is one scaled forward-backward pass over a zero-padded batch of
+a class's sequences: one emission call and one log-softmax cover every
+step, and the (B, S) recursion runs over the batch.  Past its own end each
+sequence gets unit emissions, zero shift and identity transitions, which
+leaves its real steps exactly as a pass over that sequence alone; a
+sequence whose scaled pass underflows is redone alone in log space.  The
+M-step solves the coupled mean parameters by alternating exact weighted
 least squares, updates each covariance from posterior-weighted residuals
 (eigenvalue-floored), refits the initial distribution from the t=1
 posteriors, and improves the transition weights by Boehning's fixed-Hessian
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,20 +80,26 @@ class AioHmmModel:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.mu.ndim != 2 or self.a.ndim != 2:
+            raise ValueError(f"mu and a must be 2-D, got shapes {self.mu.shape} and {self.a.shape}")
         S, dz, dx = self.states, self.dim_z, self.dim_x
         dt = dx if self.variant != VARIANT_HMM else 1
-        if self.sigma.shape != (S, dz, dz):
-            raise ValueError(f"sigma has shape {self.sigma.shape}, expected {(S, dz, dz)}")
-        if self.w.shape != (S, S, dt):
-            raise ValueError(f"w has shape {self.w.shape}, expected {(S, S, dt)}")
-        if self.pi.shape != (S,) or abs(float(self.pi.sum()) - 1.0) > 1e-9:
+        shapes = {"a": (S, dx), "b": (S, dz), "sigma": (S, dz, dz), "w": (S, S, dt)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
+        if (self.pi.shape != (S,) or (self.pi < 0.0).any()
+                or abs(float(self.pi.sum()) - 1.0) > 1e-9):
             raise ValueError("pi must be a distribution over states")
         if self.variant in (VARIANT_IO, VARIANT_HMM) and np.any(self.b):
             raise ValueError(f"variant {self.variant!r} requires b = 0")
         if self.variant == VARIANT_HMM and np.any(self.a):
             raise ValueError("variant 'hmm' requires a = 0")
         for i in range(S):
-            np.linalg.cholesky(self.sigma[i])  # raises if not PD
+            try:
+                np.linalg.cholesky(self.sigma[i])
+            except np.linalg.LinAlgError:
+                raise ValueError(f"sigma[{i}] is not positive definite") from None
 
     def copy(self) -> "AioHmmModel":
         return AioHmmModel(
@@ -98,12 +110,14 @@ class AioHmmModel:
 
 @dataclass
 class PosteriorStats:
-    """E-step output for one sequence: gamma (T, S) state posteriors,
-    xi (T-1, S, S) transition posteriors, and the data log-likelihood."""
+    """E-step output: gamma (T, S) state posteriors, xi (T-1, S, S)
+    transition posteriors and the data log-likelihood of one sequence, or
+    (B, T, S), (B, T-1, S, S) and (B,) for a padded batch, zero past each
+    sequence's end."""
 
     gamma: np.ndarray
     xi: np.ndarray
-    loglik: float
+    loglik: float | np.ndarray
 
 
 @dataclass
@@ -143,10 +157,36 @@ class EmConfig:
 # ---------------------------------------------------------------------------
 
 
+class Padded(NamedTuple):
+    """A class's sequences stacked along a leading batch axis, as
+    :func:`forward_backward` and :func:`m_step` take them; both ignore
+    whatever lies past each sequence's end."""
+
+    xs: np.ndarray       # (B, T, dx)
+    zs: np.ndarray       # (B, T, dz)
+    lengths: np.ndarray  # (B,) steps per sequence, 1..T
+
+
+def pad_sequences(sequences: list[tuple[np.ndarray, np.ndarray]]) -> Padded:
+    """Stack (xs, zs) pairs of any lengths into one zero-padded batch."""
+    pairs = [(np.asarray(xs, dtype=float), np.asarray(zs, dtype=float)) for xs, zs in sequences]
+    for xs, zs in pairs:
+        if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0] or xs.shape[0] == 0:
+            raise ValueError(f"need equal-length nonempty streams, got {xs.shape} and {zs.shape}")
+    lengths = np.array([xs.shape[0] for xs, _ in pairs])
+    B, T = len(pairs), int(lengths.max())
+    xs_pad = np.zeros((B, T, pairs[0][0].shape[1]))
+    zs_pad = np.zeros((B, T, pairs[0][1].shape[1]))
+    for k, (xs, zs) in enumerate(pairs):
+        xs_pad[k, : xs.shape[0]] = xs
+        zs_pad[k, : zs.shape[0]] = zs
+    return Padded(xs_pad, zs_pad, lengths)
+
+
 def transition_inputs(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
     """Effective transition features: x_t, or a constant bias for 'hmm'."""
     if m.variant == VARIANT_HMM:
-        return np.ones((xs.shape[0], 1))
+        return np.ones(xs.shape[:-1] + (1,))
     return xs
 
 
@@ -159,35 +199,31 @@ def transition_row(m: AioHmmModel, i: int, x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def transition_matrices(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
-    """(T, S, S) stochastic matrices; row [t, i] is P(. | i, x_t)."""
-    xe = transition_inputs(m, xs)
-    logits = np.einsum("ijk,tk->tij", m.w, xe)
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=2, keepdims=True)
-
-
 def log_transition_matrices(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
     """(T, S, S) log transition probabilities.
 
     Computed as log-softmax of the finite logits, so entries never reach
     -inf even when the probabilities themselves underflow.
     """
-    return _log_transitions(m.w, transition_inputs(m, xs))
+    return _log_transitions(m.w, transition_inputs(m, xs)).transpose(2, 0, 1)
 
 
 def _log_transitions(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
-    """(T, S, S) log-softmax of the logits w_i . xe_t for every source state."""
-    logits = np.einsum("ijk,tk->tij", w, xe)
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=2, keepdims=True))
+    """(S, S, R) log-softmax of the logits w_i . xe_r for every source state
+    i and input row r of xe (R, dt), from one (S*S, dt) @ (dt, R) product.
+    Rows run along the last axis, so the softmax over successors reduces
+    whole contiguous rows instead of length-S runs."""
+    S = w.shape[0]
+    logits = (w.reshape(S * S, -1) @ xe.T).reshape(S, S, -1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
 
 
 def shifted_observations(zs: np.ndarray) -> np.ndarray:
-    """z_{t-1} rows with the boundary z_0 taken as the zero vector."""
+    """z_{t-1} rows (along the second-to-last axis) with the boundary z_0
+    taken as the zero vector."""
     prev = np.zeros_like(zs)
-    prev[1:] = zs[:-1]
+    prev[..., 1:, :] = zs[..., :-1, :]
     return prev
 
 
@@ -237,59 +273,80 @@ def emission_logprobs(
 # ---------------------------------------------------------------------------
 
 
-def forward_backward(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> PosteriorStats:
-    """Forward-backward over the input-driven chain.
+def forward_backward(
+    m: AioHmmModel, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray | None = None
+) -> PosteriorStats:
+    """Forward-backward over the input-driven chain, for one (T, d)
+    sequence or a padded (B, T, d) batch with per-sequence ``lengths``
+    (every sequence runs the full T when omitted).
 
-    The fast path is the classical scaled recursion with per-step emission
-    shifts.  When a step still underflows to an all-zero vector (a model
-    evaluated on data it assigns essentially no density to), the pass is
-    redone fully in log space, which cannot vanish for finite inputs.
+    The pass is the classical scaled recursion with per-step emission
+    shifts, run over the whole batch at once.  Past its own end a sequence
+    gets unit emissions, zero shift, identity transitions and unit scale,
+    so every real step, and the log-likelihood, is what a pass over that
+    sequence alone computes.  A sequence whose emissions all vanish at a
+    step, or whose forward pass underflows to an all-zero vector (a model
+    evaluated on data it assigns essentially no density to), is redone
+    alone fully in log space, which cannot vanish for finite inputs.
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
-    if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0] or xs.shape[0] == 0:
+    single = xs.ndim == 2
+    if single:
+        xs, zs = xs[None], zs[None]
+    if xs.ndim != 3 or zs.ndim != 3 or xs.shape[:2] != zs.shape[:2] or 0 in xs.shape[:2]:
         raise ValueError(f"need equal-length nonempty streams, got {xs.shape} and {zs.shape}")
-    try:
-        return _forward_backward_scaled(m, xs, zs)
-    except FloatingPointError:
-        return _forward_backward_log(m, xs, zs)
+    B, T, S = xs.shape[0], xs.shape[1], m.states
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (B,) or lengths.min() < 1 or lengths.max() > T:
+        raise ValueError(f"need one length in [1, {T}] per sequence, got {lengths!r}")
+    live = np.arange(T) < lengths[:, None]                               # (B, T)
 
+    logb = emission_logprobs(
+        m, xs.reshape(B * T, -1), zs.reshape(B * T, -1),
+        z_prev=shifted_observations(zs).reshape(B * T, -1),
+    ).reshape(B, T, S)
+    logb[~live] = 0.0
+    shift = logb.max(axis=2)
+    redo = ~np.all(np.isfinite(shift), axis=1)
+    logb[redo] = 0.0
+    shift[redo] = 0.0
+    b = np.exp(logb - shift[:, :, None])
+    xe = transition_inputs(m, xs[:, 1:])
+    xe = xe.reshape(B * (T - 1), xe.shape[2])
+    A = np.exp(_log_transitions(m.w, xe)).transpose(2, 0, 1).reshape(B, T - 1, S, S)
+    A[~live[:, 1:]] = np.eye(S)
 
-def _forward_backward_scaled(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> PosteriorStats:
-    T, S = xs.shape[0], m.states
-    logb = emission_logprobs(m, xs, zs)
-    shift = logb.max(axis=1)
-    if not np.all(np.isfinite(shift)):
-        t_bad = int(np.argmin(np.isfinite(shift)))
-        raise FloatingPointError(f"all emission densities vanished at step {t_bad}")
-    b = np.exp(logb - shift[:, None])
-    A = transition_matrices(m, xs)
+    alpha = np.empty((B, T, S))
+    scale = np.empty((B, T))
+    for t in range(T):  # A[:, t - 1] leads into step t
+        a = m.pi * b[:, 0] if t == 0 else (alpha[:, t - 1, None, :] @ A[:, t - 1])[:, 0] * b[:, t]
+        c = np.where(live[:, t], a.sum(axis=1), 1.0)
+        underflow = c <= 0.0
+        redo |= underflow
+        c[underflow] = 1.0
+        alpha[:, t] = a / c[:, None]
+        scale[:, t] = c
 
-    alpha = np.empty((T, S))
-    scale = np.empty(T)
-    alpha[0] = m.pi * b[0]
-    scale[0] = alpha[0].sum()
-    if scale[0] <= 0.0:
-        raise FloatingPointError("forward pass underflowed at step 0")
-    alpha[0] /= scale[0]
-    for t in range(1, T):
-        alpha[t] = (alpha[t - 1] @ A[t]) * b[t]
-        scale[t] = alpha[t].sum()
-        if scale[t] <= 0.0:
-            raise FloatingPointError(f"forward pass underflowed at step {t}")
-        alpha[t] /= scale[t]
-
-    beta = np.empty((T, S))
-    beta[T - 1] = 1.0
+    beta = np.empty((B, T, S))
+    beta[:, T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        beta[t] = (A[t + 1] @ (b[t + 1] * beta[t + 1])) / scale[t + 1]
+        ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
+        beta[:, t] = (A[:, t] @ ahead)[:, :, 0] / scale[:, t + 1, None]
 
     gamma = alpha * beta
-    xi = np.empty((T - 1, S, S))
-    for t in range(1, T):
-        xi[t - 1] = (alpha[t - 1][:, None] * A[t]) * (b[t] * beta[t])[None, :] / scale[t]
+    gamma[~live] = 0.0
+    xi = (alpha[:, :-1, :, None] * A) * (b[:, 1:] * beta[:, 1:])[:, :, None, :]
+    xi /= scale[:, 1:, None, None]
+    xi[~live[:, 1:]] = 0.0
+    loglik = np.sum(np.log(scale), axis=1) + np.sum(shift, axis=1)
 
-    loglik = float(np.sum(np.log(scale)) + np.sum(shift))
+    for k in np.flatnonzero(redo):
+        L = lengths[k]
+        st = _forward_backward_log(m, xs[k, :L], zs[k, :L])
+        gamma[k, :L], xi[k, : L - 1], loglik[k] = st.gamma, st.xi, st.loglik
+    if single:
+        return PosteriorStats(gamma=gamma[0], xi=xi[0], loglik=float(loglik[0]))
     return PosteriorStats(gamma=gamma, xi=xi, loglik=loglik)
 
 
@@ -395,14 +452,22 @@ def _update_mean_params(
     return mu, a, b
 
 
-def _transition_gradient(w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray) -> np.ndarray:
+def _transition_gradient(
+    w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray, n: np.ndarray | None = None
+) -> np.ndarray:
     """(S, S, dt) gradient of the expected transition log-likelihood in w.
 
     Xe: (R, dt) transition inputs for every within-sequence step t >= 2;
-    Xi: (R, S, S) matching transition posteriors.
+    Xi: (R, S, S) matching transition posteriors; n: their visit counts
+    Xi.sum(axis=2), when the caller already has them.  The logits are one
+    (S*S, dt) @ (dt, R) product and the gradient one (S*S, R) @ (R, dt)
+    product.
     """
-    coeff = Xi - Xi.sum(axis=2, keepdims=True) * np.exp(_log_transitions(w, Xe))
-    return np.einsum("rij,rk->ijk", coeff, Xe)
+    S, R = w.shape[0], Xe.shape[0]
+    if n is None:
+        n = Xi.sum(axis=2)
+    coeff = Xi.transpose(1, 2, 0) - n.T[:, None, :] * np.exp(_log_transitions(w, Xe))
+    return (coeff.reshape(S * S, R) @ Xe).reshape(w.shape)
 
 
 def _update_transitions(
@@ -420,23 +485,25 @@ def _update_transitions(
     w = w.copy()
     if Xe.shape[0] == 0:
         return w
-    M = np.einsum("ri,rk,rl->ikl", Xi.sum(axis=2), Xe, Xe)          # (S, dt, dt)
+    n = Xi.sum(axis=2)
+    M = np.einsum("ri,rk,rl->ikl", n, Xe, Xe)                       # (S, dt, dt)
     dt = M.shape[1]
     ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
     step = 2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt))
     for _ in range(config.w_iters):
-        w += _transition_gradient(w, Xe, Xi) @ step
+        w += _transition_gradient(w, Xe, Xi, n) @ step
     return w
 
 
 def m_step(
-    sequences: list[tuple[np.ndarray, np.ndarray]],
-    stats: list[PosteriorStats],
+    batch: Padded,
+    stats: PosteriorStats,
     m: AioHmmModel,
     config: EmConfig,
     diag: dict | None = None,
 ) -> AioHmmModel:
-    """Maximization step over all sequences' posterior statistics.
+    """Maximization step over a padded batch and its ``forward_backward``
+    statistics; only each sequence's real steps count.
 
     ``diag``, when given, accumulates counts of rank-deficient mean solves
     (key ``"ridge"``) and floored covariances so callers can report them
@@ -445,17 +512,12 @@ def m_step(
     if diag is None:
         diag = {}
     S = m.states
-    Z = np.concatenate([zs for _, zs in sequences], axis=0)
-    X = np.concatenate([xs for xs, _ in sequences], axis=0)
-    Zprev = np.concatenate([shifted_observations(zs) for _, zs in sequences], axis=0)
-    G = np.concatenate([st.gamma for st in stats], axis=0)
-
-    Xe = np.concatenate(
-        [transition_inputs(m, xs)[1:] for xs, _ in sequences if xs.shape[0] > 1], axis=0
-    ) if any(xs.shape[0] > 1 for xs, _ in sequences) else np.zeros((0, m.w.shape[2]))
-    Xi = np.concatenate(
-        [st.xi for st in stats if st.xi.shape[0] > 0], axis=0
-    ) if any(st.xi.shape[0] > 0 for st in stats) else np.zeros((0, S, S))
+    xs, zs, lengths = batch
+    live = np.arange(xs.shape[1]) < lengths[:, None]
+    X, Z, Zprev = xs[live], zs[live], shifted_observations(zs)[live]
+    G = stats.gamma[live]
+    Xe = transition_inputs(m, xs[:, 1:][live[:, 1:]])
+    Xi = stats.xi[live[:, 1:]]
 
     new = m.copy()
     for i in range(S):
@@ -472,7 +534,7 @@ def m_step(
         new.sigma[i] = _floor_covariance(cov, config.cov_floor, diag)
 
     new.w = _update_transitions(m.w, Xe, Xi, config)
-    pi = np.sum([st.gamma[0] for st in stats], axis=0)
+    pi = stats.gamma[:, 0].sum(axis=0)
     new.pi = pi / pi.sum()
     return new
 
@@ -482,9 +544,7 @@ def m_step(
 # ---------------------------------------------------------------------------
 
 
-def _init_model(
-    sequences: list[tuple[np.ndarray, np.ndarray]], config: EmConfig
-) -> AioHmmModel:
+def _init_model(batch: Padded, config: EmConfig) -> AioHmmModel:
     """Randomized-responsibility initialization.
 
     Each observation receives a random state posterior from the seeded
@@ -493,8 +553,8 @@ def _init_model(
     """
     rng = make_rng(config.seed)
     S = config.states
-    dx = sequences[0][0].shape[1]
-    dz = sequences[0][1].shape[1]
+    B, T, dx = batch.xs.shape
+    dz = batch.zs.shape[2]
     dt = dx if config.variant != VARIANT_HMM else 1
 
     blank = AioHmmModel(
@@ -503,15 +563,14 @@ def _init_model(
         sigma=np.stack([np.eye(dz)] * S), w=np.zeros((S, S, dt)),
         pi=np.full(S, 1.0 / S),
     )
-    stats = []
-    for xs, zs in sequences:
-        T = xs.shape[0]
-        gamma = rng.uniform(0.2, 1.0, size=(T, S))
-        gamma /= gamma.sum(axis=1, keepdims=True)
-        xi = gamma[:-1, :, None] * gamma[1:, None, :]
-        stats.append(PosteriorStats(gamma=gamma, xi=xi, loglik=float("nan")))
+    gamma = np.zeros((B, T, S))
+    for k, L in enumerate(batch.lengths):
+        g = rng.uniform(0.2, 1.0, size=(L, S))
+        gamma[k, :L] = g / g.sum(axis=1, keepdims=True)
+    xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
+    stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.full(B, np.nan))
     init_cfg = EmConfig(**{**config.to_dict(), "mean_rounds": 1})
-    model = m_step(sequences, stats, blank, init_cfg, diag={})
+    model = m_step(batch, stats, blank, init_cfg, diag={})
     model.validate()
     return model
 
@@ -523,25 +582,27 @@ def fit_em(
 
     Returns the model and the per-iteration total log-likelihood trace.
     Stops when the relative improvement drops below ``config.tol`` or after
-    ``config.max_iter`` iterations.
+    ``config.max_iter`` iterations.  The sequences are padded into one
+    batch once; each iteration is one ``forward_backward`` and one
+    ``m_step`` over it.
     """
     config.validate()
     if not sequences:
         raise ValueError("cannot fit a model to an empty dataset")
-    sequences = [(np.asarray(xs, float), np.asarray(zs, float)) for xs, zs in sequences]
-    model = _init_model(sequences, config)
+    batch = pad_sequences(sequences)
+    model = _init_model(batch, config)
 
     trace: list[float] = []
     diag: dict = {}
     for _ in range(config.max_iter):
-        stats = [forward_backward(model, xs, zs) for xs, zs in sequences]
-        total = float(sum(st.loglik for st in stats))
+        stats = forward_backward(model, *batch)
+        total = float(sum(stats.loglik.tolist()))  # left to right: the tol = 0 stop sees the order
         trace.append(total)
         if len(trace) >= 2:
             prev = trace[-2]
             if abs(total - prev) <= config.tol * max(abs(prev), 1.0):
                 break
-        model = m_step(sequences, stats, model, config, diag)
+        model = m_step(batch, stats, model, config, diag)
     if diag.get("ridge") or diag.get("floored"):
         log.warning(
             "EM fit used %d rank-deficient mean solve(s) and floored %d covariance update(s)",

@@ -149,16 +149,21 @@ def load_model(path: str | Path):
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{path}: malformed JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported format_version {version!r}")
     kind = doc.get("kind")
     config = doc.get("config", {})
+    if kind not in (KIND_FUSION, KIND_AIOHMM):
+        raise DataFormatError(f"{path}: unknown checkpoint kind {kind!r}")
+    params = doc.get("params")
+    if not isinstance(params, dict):
+        raise DataFormatError(f"{path}: field 'params' must be an object")
     if kind == KIND_FUSION:
-        return _fusion_from_dict(doc["params"], path), kind, config
-    if kind == KIND_AIOHMM:
-        return _ensemble_from_dict(doc["params"]), kind, config
-    raise DataFormatError(f"{path}: unknown checkpoint kind {kind!r}")
+        return _fusion_from_dict(params, path), kind, config
+    return _ensemble_from_dict(params, path), kind, config
 
 
 def _fusion_to_dict(m: FusionRnnModel) -> dict:
@@ -200,8 +205,11 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
     return model
 
 
+AIOHMM_ARRAYS = ("mu", "a", "b", "sigma", "w", "pi")
+
+
 def _aiohmm_to_dict(m: AioHmmModel) -> dict:
-    for name in ("mu", "a", "b", "sigma", "w", "pi"):
+    for name in AIOHMM_ARRAYS:
         _check_finite_tree(name, getattr(m, name))
     return {
         "variant": m.variant,
@@ -210,17 +218,28 @@ def _aiohmm_to_dict(m: AioHmmModel) -> dict:
     }
 
 
-def _aiohmm_from_dict(d: dict) -> AioHmmModel:
-    model = AioHmmModel(
-        variant=d["variant"],
-        mu=np.asarray(d["mu"], dtype=float),
-        a=np.asarray(d["a"], dtype=float),
-        b=np.asarray(d["b"], dtype=float),
-        sigma=np.asarray(d["sigma"], dtype=float),
-        w=np.asarray(d["w"], dtype=float),
-        pi=np.asarray(d["pi"], dtype=float),
-    )
-    model.validate()
+def _aiohmm_from_dict(d, path: Path, name: str) -> AioHmmModel:
+    """Build one event class's model; every fault names the file, the class
+    and the field."""
+    where = f"{path}: model {name!r}"
+    if not isinstance(d, dict):
+        raise DataFormatError(f"{where} must be an object")
+    for field in ("variant", *AIOHMM_ARRAYS):
+        if field not in d:
+            raise DataFormatError(f"{where}: field {field!r} is missing")
+    arrays = {}
+    for field in AIOHMM_ARRAYS:
+        try:
+            arrays[field] = np.asarray(d[field], dtype=float)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"{where}: field {field!r} is not an array of numbers") from None
+        if not np.isfinite(arrays[field]).all():
+            raise DataFormatError(f"{where}: field {field!r} contains non-finite values")
+    model = AioHmmModel(variant=d["variant"], **arrays)
+    try:
+        model.validate()
+    except ValueError as err:
+        raise DataFormatError(f"{where}: {err}") from None
     return model
 
 
@@ -232,14 +251,32 @@ def _ensemble_to_dict(e: AioHmmEnsemble) -> dict:
     }
 
 
-def _ensemble_from_dict(d: dict) -> AioHmmEnsemble:
-    events = tuple(d["events"])
-    validate_events(events)
-    return AioHmmEnsemble(
-        events=events,
-        models={name: _aiohmm_from_dict(md) for name, md in d["models"].items()},
-        prior=np.asarray(d["prior"], dtype=float),
-    )
+def _ensemble_from_dict(d: dict, path: Path) -> AioHmmEnsemble:
+    try:
+        events = tuple(d["events"])
+        validate_events(events)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataFormatError(f"{path}: bad 'events' entry ({err!r})") from None
+    try:
+        prior = np.asarray(d["prior"], dtype=float)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataFormatError(f"{path}: bad 'prior' entry ({err!r})") from None
+    if (prior.shape != (len(events),) or not np.all(np.isfinite(prior)) or np.any(prior < 0)
+            or abs(float(prior.sum()) - 1.0) > 1e-9):
+        raise DataFormatError(
+            f"{path}: 'prior' must be a distribution over the {len(events)} events"
+        )
+    entries = d.get("models")
+    if not isinstance(entries, dict):
+        raise DataFormatError(f"{path}: 'models' must be an object keyed by event")
+    missing = [e for e in events if e not in entries]
+    if missing:
+        raise DataFormatError(f"{path}: 'models' has no model for events {missing!r}")
+    models = {name: _aiohmm_from_dict(md, path, name) for name, md in entries.items()}
+    sizes = {(m.dim_x, m.dim_z) for m in models.values()}
+    if len(sizes) > 1:
+        raise DataFormatError(f"{path}: models disagree on their (x, z) sizes {sorted(sizes)}")
+    return AioHmmEnsemble(events=events, models=models, prior=prior)
 
 
 # ---------------------------------------------------------------------------

@@ -53,5 +53,5 @@ def validate_events(events: tuple[str, ...]) -> None:
         raise ValueError(f"unknown event labels {unknown!r}")
     if len(set(events)) != len(events):
         raise ValueError(f"duplicate event labels in {events!r}")
-    if events[-1] != STRAIGHT:
+    if not events or events[-1] != STRAIGHT:
         raise ValueError(f"{STRAIGHT!r} must be the last event, got {events!r}")

@@ -1,15 +1,18 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maneuverkit import synth
+from maneuverkit import aiohmm, synth
 from maneuverkit.aiohmm import (
     AioHmmModel,
     EmConfig,
+    Padded,
+    PosteriorStats,
     _transition_gradient,
     _update_transitions,
     emission_factors,
@@ -19,6 +22,7 @@ from maneuverkit.aiohmm import (
     forward_backward,
     infer_maneuver,
     m_step,
+    pad_sequences,
     posterior_from_logliks,
     sample_sequence,
     sequence_loglik,
@@ -128,6 +132,103 @@ def transition_objectives(w, Xe, Xi):
     return out
 
 
+def reference_forward_backward(m, xs, zs):
+    """The per-sequence scaled recursion that the padded batch replaced,
+    with its own softmax transition matrices.  Returns (gamma, xi, loglik);
+    raises FloatingPointError where the library redoes a sequence in log
+    space."""
+    T, S = xs.shape[0], m.states
+    logb = emission_logprobs(m, xs, zs)
+    shift = logb.max(axis=1)
+    if not np.all(np.isfinite(shift)):
+        raise FloatingPointError("all emission densities vanished")
+    b = np.exp(logb - shift[:, None])
+    logits = np.einsum("ijk,tk->tij", m.w, xs if m.variant != "hmm" else np.ones((T, 1)))
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    A = e / e.sum(axis=2, keepdims=True)
+
+    alpha = np.empty((T, S))
+    scale = np.empty(T)
+    for t in range(T):
+        alpha[t] = m.pi * b[0] if t == 0 else (alpha[t - 1] @ A[t]) * b[t]
+        scale[t] = alpha[t].sum()
+        if scale[t] <= 0.0:
+            raise FloatingPointError(f"forward pass underflowed at step {t}")
+        alpha[t] /= scale[t]
+
+    beta = np.empty((T, S))
+    beta[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        beta[t] = (A[t + 1] @ (b[t + 1] * beta[t + 1])) / scale[t + 1]
+    xi = np.empty((T - 1, S, S))
+    for t in range(1, T):
+        xi[t - 1] = (alpha[t - 1][:, None] * A[t]) * (b[t] * beta[t])[None, :] / scale[t]
+    return alpha * beta, xi, float(np.sum(np.log(scale)) + np.sum(shift))
+
+
+def assert_batch_matches_reference(m, seqs, stats, skip=()):
+    """Each sequence's gamma and xi within 1e-12, its log-likelihood within
+    1e-12 relative, and zeros past its end."""
+    for k, (xs, zs) in enumerate(seqs):
+        if k in skip:
+            continue
+        T = xs.shape[0]
+        gamma, xi, loglik = reference_forward_backward(m, xs, zs)
+        np.testing.assert_allclose(stats.gamma[k, :T], gamma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stats.xi[k, : T - 1], xi, rtol=0, atol=1e-12)
+        assert abs(stats.loglik[k] - loglik) <= 1e-12 * (1.0 + abs(loglik))
+        assert not np.any(stats.gamma[k, T:]) and not np.any(stats.xi[k, T - 1 :])
+
+
+def saturated_chain_model():
+    """Transitions pinned to state 0, but only state 1 can emit z = 50."""
+    m = AioHmmModel(
+        variant="aio",
+        mu=np.array([[0.0], [50.0]]),
+        a=np.zeros((2, 1)),
+        b=np.zeros((2, 1)),
+        sigma=np.full((2, 1, 1), 1e-4),
+        w=np.array([[[900.0], [-900.0]], [[900.0], [-900.0]]]),
+        pi=np.array([1.0, 0.0]),
+    )
+    m.validate()
+    return m
+
+
+def einsum_transition_gradient(w, Xe, Xi):
+    """The einsum gradient that the two matmul products replaced."""
+    logits = np.einsum("ijk,tk->tij", w, Xe)
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=2, keepdims=True))
+    coeff = Xi - Xi.sum(axis=2, keepdims=True) * np.exp(logp)
+    return np.einsum("rij,rk->ijk", coeff, Xe)
+
+
+def einsum_update_transitions(w, Xe, Xi, iters):
+    """The bound ascent on the einsum gradient, as it was before the
+    matmul products."""
+    w = w.copy()
+    M = np.einsum("ri,rk,rl->ikl", Xi.sum(axis=2), Xe, Xe)
+    dt = M.shape[1]
+    ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
+    step = 2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt))
+    for _ in range(iters):
+        w += einsum_transition_gradient(w, Xe, Xi) @ step
+    return w
+
+
+def synthetic_transition_problem(data_seed, n, label, states=3, seed=2):
+    """(w, Xe, Xi) of a freshly initialized EM fit on one synthetic class,
+    whose speed features sit near 40."""
+    dataset = synth.generate(synth.ScenarioConfig(seed=data_seed), n)
+    seqs = [(s.xs, s.zs) for s in dataset if s.label == EVENTS.index(label)]
+    model, _ = fit_em(seqs, EmConfig(states=states, max_iter=1, seed=seed))
+    stats = [forward_backward(model, xs, zs) for xs, zs in seqs]
+    Xe = np.concatenate([xs[1:] for xs, _ in seqs])
+    Xi = np.concatenate([st.xi for st in stats])
+    return model.w, Xe, Xi
+
+
 def backtracking_ascent(w, Xe, Xi, iters, step0=1e-2):
     """The transition update the bound ascent replaced: per source state,
     gradient steps from ``step0``, halved until the objective does not drop."""
@@ -223,19 +324,38 @@ class TestTransitions:
             np.testing.assert_allclose(_transition_gradient(w, Xe, Xi), fd, rtol=1e-6, atol=1e-7)
 
     def test_bound_ascent_reaches_backtracking_objective(self):
-        # Posteriors of a freshly initialized EM fit on one synthetic class,
-        # whose speed features near 40 made the fixed-step ascent halve.
-        dataset = synth.generate(synth.ScenarioConfig(seed=1), 120)
-        seqs = [(s.xs, s.zs) for s in dataset if s.label == EVENTS.index("left_lane")]
-        model, _ = fit_em(seqs, EmConfig(states=3, max_iter=1, seed=2))
-        stats = [forward_backward(model, xs, zs) for xs, zs in seqs]
-        Xe = np.concatenate([xs[1:] for xs, _ in seqs])
-        Xi = np.concatenate([st.xi for st in stats])
-        bound = transition_objectives(_update_transitions(model.w, Xe, Xi, EmConfig()), Xe, Xi)
-        old_w = backtracking_ascent(model.w, Xe, Xi, EmConfig().w_iters)
+        # the fixed-step ascent halved on these speed features near 40
+        w, Xe, Xi = synthetic_transition_problem(1, 120, "left_lane")
+        bound = transition_objectives(_update_transitions(w, Xe, Xi, EmConfig()), Xe, Xi)
+        old_w = backtracking_ascent(w, Xe, Xi, EmConfig().w_iters)
         old = transition_objectives(old_w, Xe, Xi)
         assert np.all(bound >= old)
-        assert np.all(bound > transition_objectives(model.w, Xe, Xi))
+        assert np.all(bound > transition_objectives(w, Xe, Xi))
+
+    @settings(max_examples=300, deadline=None)
+    @given(transition_problems())
+    def test_matmul_gradient_matches_einsum_reference(self, problem):
+        w, Xe, Xi = problem
+        ref = einsum_transition_gradient(w, Xe, Xi)
+        got = _transition_gradient(w, Xe, Xi)
+        assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+        np.testing.assert_array_equal(_transition_gradient(w, Xe, Xi, Xi.sum(axis=2)), got)
+
+    @pytest.mark.parametrize(
+        "data_seed, n, label", [(1, 120, "left_lane"), (1, 240, "left_turn"), (42, 600, "straight")]
+    )
+    def test_matmul_ascent_reaches_einsum_objective(self, data_seed, n, label):
+        # The lane-flag columns make M_i singular, so the ridge-limited
+        # inverse turns 1e-16 gradient rounding into ~1e-8 weight moves along
+        # directions the data barely sees; the objective reached must agree.
+        w, Xe, Xi = synthetic_transition_problem(data_seed, n, label)
+        ref_grad = einsum_transition_gradient(w, Xe, Xi)
+        grad = _transition_gradient(w, Xe, Xi)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * (1.0 + np.abs(ref_grad).max())
+        iters = EmConfig().w_iters
+        got = transition_objectives(_update_transitions(w, Xe, Xi, EmConfig()), Xe, Xi)
+        ref = transition_objectives(einsum_update_transitions(w, Xe, Xi, iters), Xe, Xi)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
 class TestEmission:
@@ -326,19 +446,9 @@ class TestForwardBackward:
             forward_backward(m, rng.standard_normal((4, 2)), rng.standard_normal((5, 2)))
 
     def test_log_space_fallback_on_saturated_chain(self):
-        # Transitions pinned to state 0, but only state 1 can emit z_2: the
-        # scaled recursion hits an exact zero and the log-space pass must
-        # still agree with path enumeration.
-        m = AioHmmModel(
-            variant="aio",
-            mu=np.array([[0.0], [50.0]]),
-            a=np.zeros((2, 1)),
-            b=np.zeros((2, 1)),
-            sigma=np.full((2, 1, 1), 1e-4),
-            w=np.array([[[900.0], [-900.0]], [[900.0], [-900.0]]]),
-            pi=np.array([1.0, 0.0]),
-        )
-        m.validate()
+        # The scaled recursion hits an exact zero at z_2 and the log-space
+        # pass must still agree with path enumeration.
+        m = saturated_chain_model()
         xs = np.ones((2, 1))
         zs = np.array([[0.0], [50.0]])
         stats = forward_backward(m, xs, zs)
@@ -347,30 +457,109 @@ class TestForwardBackward:
         assert abs(stats.loglik - ref) <= 1e-9 * abs(ref)
         np.testing.assert_allclose(stats.gamma.sum(axis=1), 1.0, atol=1e-10)
 
+    def test_only_the_saturated_sequence_falls_back(self, monkeypatch):
+        m = saturated_chain_model()
+        seqs = [
+            (np.ones((3, 1)), np.array([[0.0], [0.01], [-0.01]])),
+            (np.ones((2, 1)), np.array([[0.0], [50.0]])),
+            (np.ones((1, 1)), np.array([[0.005]])),
+        ]
+        redone = []
+        log_pass = aiohmm._forward_backward_log
+
+        def counting(m, xs, zs):
+            redone.append(xs.shape[0])
+            return log_pass(m, xs, zs)
+
+        monkeypatch.setattr(aiohmm, "_forward_backward_log", counting)
+        stats = forward_backward(m, *pad_sequences(seqs))
+        assert redone == [2]
+        ref = enumeration_loglik(m, *seqs[1])
+        assert abs(stats.loglik[1] - ref) <= 1e-9 * abs(ref)
+        np.testing.assert_allclose(stats.gamma[1, :2].sum(axis=1), 1.0, atol=1e-10)
+        assert not np.any(stats.gamma[1, 2:]) and not np.any(stats.xi[1, 1:])
+        assert_batch_matches_reference(m, seqs, stats, skip=(1,))
+
+    @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
+    def test_padded_batch_matches_per_sequence_reference(self, variant):
+        rng = make_rng(21)
+        for _ in range(12):
+            S, dz, dx = int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            m = random_model(rng, S, dz, dx, variant=variant, scale=float(rng.uniform(0.1, 1.0)))
+            lengths = [1, *rng.integers(1, 15, size=int(rng.integers(1, 8)))]
+            seqs = [(rng.standard_normal((T, dx)), rng.standard_normal((T, dz))) for T in lengths]
+            assert_batch_matches_reference(m, seqs, forward_backward(m, *pad_sequences(seqs)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(["aio", "io", "hmm"]),
+           st.lists(st.integers(1, 12), min_size=1, max_size=8), st.integers(0, 3),
+           st.sampled_from([1.0, 1e3, np.nan]))
+    def test_padded_batch_matches_reference_on_random_batches(self, seed, S, variant, lengths, extra, fill):
+        rng = make_rng(seed)
+        dz, dx = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        m = random_model(rng, S, dz, dx, variant=variant, scale=float(rng.uniform(0.1, 1.0)))
+        seqs = [(rng.standard_normal((T, dx)), rng.standard_normal((T, dz)) * 2.0) for T in lengths]
+        # whatever sits past a sequence's end, including extra padded steps
+        # and NaN, is ignored
+        width = max(lengths) + extra
+        xs, zs = rng.standard_normal((2, len(seqs), width, max(dx, dz))) * fill
+        xs, zs = xs[:, :, :dx], zs[:, :, :dz]
+        for k, (x, z) in enumerate(seqs):
+            xs[k, : len(x)], zs[k, : len(z)] = x, z
+        assert_batch_matches_reference(m, seqs, forward_backward(m, xs, zs, lengths))
+
+    def test_bad_lengths_rejected(self):
+        m = random_model(make_rng(8), 2, 2, 2)
+        xs = np.zeros((3, 4, 2))
+        for lengths in ([4, 4], [0, 4, 4], [4, 5, 4]):
+            with pytest.raises(ValueError, match="length"):
+                forward_backward(m, xs, xs, lengths)
+
 
 class TestMStep:
     def test_pinned_scales_reduce_to_weighted_mean(self):
         rng = make_rng(9)
         m = random_model(rng, 2, 2, 2, variant="hmm")
         seqs = [(rng.standard_normal((8, 2)), rng.standard_normal((8, 2))) for _ in range(4)]
-        stats = [forward_backward(m, xs, zs) for xs, zs in seqs]
-        new = m_step(seqs, stats, m, EmConfig(states=2, variant="hmm"))
+        batch = pad_sequences(seqs)
+        new = m_step(batch, forward_backward(m, *batch), m, EmConfig(states=2, variant="hmm"))
         Z = np.concatenate([zs for _, zs in seqs])
-        G = np.concatenate([st.gamma for st in stats])
+        G = np.concatenate([forward_backward(m, xs, zs).gamma for xs, zs in seqs])
         for i in range(2):
             expected = (G[:, i] @ Z) / G[:, i].sum()
             np.testing.assert_allclose(new.mu[i], expected, atol=1e-10)
             np.testing.assert_array_equal(new.a[i], 0.0)
             np.testing.assert_array_equal(new.b[i], 0.0)
 
+    def test_entries_past_each_end_are_ignored(self):
+        rng = make_rng(22)
+        m = random_model(rng, 3, 2, 2)
+        seqs = [(rng.standard_normal((T, 2)), rng.standard_normal((T, 2))) for T in (1, 5, 9, 3)]
+        batch = pad_sequences(seqs)
+        stats = forward_backward(m, *batch)
+        cfg = EmConfig(states=3)
+        expected = m_step(batch, stats, m, cfg)
+
+        def with_garbage(a, steps):
+            out = rng.uniform(-5.0, 5.0, (a.shape[0], a.shape[1] + 2) + a.shape[2:])
+            for k, L in enumerate(steps):
+                out[k, :L] = a[k, :L]
+            return out
+
+        L = batch.lengths
+        noisy = Padded(with_garbage(batch.xs, L), with_garbage(batch.zs, L), L)
+        noisy_stats = PosteriorStats(with_garbage(stats.gamma, L), with_garbage(stats.xi, L - 1), stats.loglik)
+        got = m_step(noisy, noisy_stats, m, cfg)
+        for name in ("mu", "a", "b", "sigma", "w", "pi"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
     def test_covariance_floor_enforced(self):
         rng = make_rng(10)
         m = random_model(rng, 2, 2, 2)
         # identical observations collapse the residuals
         zs = np.tile(np.array([0.5, -0.25]), (12, 1))
-        seqs = [(rng.standard_normal((12, 2)), zs.copy()) for _ in range(3)]
-        stats = [forward_backward(m, xs, z) for xs, z in seqs]
-        new = m_step(seqs, stats, m, EmConfig(states=2, variant="aio"))
+        batch = pad_sequences([(rng.standard_normal((12, 2)), zs.copy()) for _ in range(3)])
+        new = m_step(batch, forward_backward(m, *batch), m, EmConfig(states=2, variant="aio"))
         for i in range(2):
             assert np.linalg.eigvalsh(new.sigma[i]).min() >= 1e-6 - 1e-12
 
@@ -380,9 +569,10 @@ class TestMStep:
         seqs = [sample_sequence(gen, 15, rng) for _ in range(30)]
         cfg = EmConfig(states=2, variant="aio", max_iter=1, seed=0)
         m0, _ = fit_em(seqs, cfg)
-        stats = [forward_backward(m0, xs, zs) for xs, zs in seqs]
-        before = sum(st.loglik for st in stats)
-        m1 = m_step(seqs, stats, m0, cfg)
+        batch = pad_sequences(seqs)
+        stats = forward_backward(m0, *batch)
+        before = sum(stats.loglik)
+        m1 = m_step(batch, stats, m0, cfg)
         after = sum(forward_backward(m1, xs, zs).loglik for xs, zs in seqs)
         assert after >= before - 1e-8
 
@@ -435,6 +625,15 @@ class TestFitEm:
         seqs = [(s.xs, s.zs) for s in train if s.label == EVENTS.index("left_turn")]
         _, trace = fit_em(seqs, EmConfig(states=3, max_iter=10, seed=2 + fold))
         assert np.diff(trace).min() >= -1e-8
+
+    def test_padded_fit_raises_no_runtime_warning(self):
+        dataset = synth.generate(synth.ScenarioConfig(seed=1), 240)
+        seqs = [(s.xs, s.zs) for s in dataset if s.label == EVENTS.index("left_turn")]
+        assert len({xs.shape[0] for xs, _ in seqs}) > 1  # the batch is really padded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = fit_em(seqs, EmConfig(states=3, max_iter=10, seed=2))
+        assert np.all(np.isfinite(trace))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -263,3 +263,24 @@ class TestStreamRecords:
         assert code == 1
         assert records == []
         assert f"{m}: {message}" in caplog.text
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["mu"][0].__setitem__(0, float("nan")),
+             "model 'left_turn': field 'mu' contains non-finite values"),
+            (lambda m: m.pop("sigma"), "model 'left_turn': field 'sigma' is missing"),
+        ],
+        ids=["nan", "missing"],
+    )
+    def test_bad_hmm_checkpoint_stops_with_located_error(
+        self, hmm_checkpoint, tmp_path, monkeypatch, capsys, caplog, edit, message
+    ):
+        doc = json.loads(hmm_checkpoint.read_text(encoding="utf-8"))
+        edit(doc["params"]["models"]["left_turn"])
+        m = tmp_path / "edited.json"
+        m.write_text(json.dumps(doc), encoding="utf-8")
+        code, records = stream(m, [json.dumps(STEP)], monkeypatch, capsys)
+        assert code == 1
+        assert records == []
+        assert f"{m}: {message}" in caplog.text

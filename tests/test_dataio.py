@@ -203,6 +203,106 @@ class TestCheckpointBlockErrors:
             load_model(path)
 
 
+@pytest.fixture(scope="module")
+def hmm_doc(tmp_path_factory):
+    """A saved three-class AIO-HMM ensemble (2 states, dx = 2, dz = 3) as
+    parsed JSON."""
+    rng = make_rng(30)
+    events = ("left_lane", "right_lane", "straight")
+    ensemble = AioHmmEnsemble(events=events, models={e: random_model(rng, 2, 3, 2) for e in events})
+    path = tmp_path_factory.mktemp("hmm") / "hmm.json"
+    save_model(ensemble, {}, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def edited_hmm_checkpoint(tmp_path, doc, edit) -> Path:
+    doc = json.loads(json.dumps(doc))
+    edit(doc["params"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+class TestAioHmmCheckpointErrors:
+    def test_unedited_checkpoint_loads(self, tmp_path, hmm_doc):
+        ensemble, kind, _ = load_model(edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: None))
+        assert kind == "aio_hmm" and ensemble.events == ("left_lane", "right_lane", "straight")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_field_names_file_class_and_field(self, tmp_path, hmm_doc, value):
+        path = edited_hmm_checkpoint(
+            tmp_path, hmm_doc, lambda p: p["models"]["right_lane"]["mu"][1].__setitem__(2, value)
+        )
+        with pytest.raises(
+            DataFormatError, match=r"edited\.json: model 'right_lane': field 'mu' contains non-finite"
+        ):
+            load_model(path)
+
+    def test_missing_field_names_file_class_and_field(self, tmp_path, hmm_doc):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"]["straight"].pop("sigma"))
+        with pytest.raises(DataFormatError, match=r"edited\.json: model 'straight': field 'sigma' is missing"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["abc", [[1.0, 2.0], [3.0]], {"x": 1}])
+    def test_non_numeric_field_names_file_class_and_field(self, tmp_path, hmm_doc, value):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"]["left_lane"].update(w=value))
+        with pytest.raises(
+            DataFormatError, match=r"edited\.json: model 'left_lane': field 'w' is not an array of numbers"
+        ):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma", np.zeros((1, 1, 1)).tolist(), r"sigma has shape \(1, 1, 1\), expected \(2, 3, 3\)"),
+            ("b", [[0.0, 0.0, 0.0]], r"b has shape \(1, 3\), expected \(2, 3\)"),
+            ("mu", [1.0, 2.0], r"mu and a must be 2-D"),
+            ("pi", [1.5, -0.5], r"pi must be a distribution"),
+            ("sigma", (-np.ones((2, 3, 3))).tolist(), r"sigma\[0\] is not positive definite"),
+            ("variant", "lstm", r"unknown variant 'lstm'"),
+        ],
+    )
+    def test_invalid_field_names_file_and_class(self, tmp_path, hmm_doc, field, value, message):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"]["straight"].update({field: value}))
+        with pytest.raises(DataFormatError, match=r"edited\.json: model 'straight': " + message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("events"), r"bad 'events' entry \(KeyError"),
+            (lambda p: p.update(events=["straight", "left_lane"]), r"bad 'events' entry .*must be the last"),
+            (lambda p: p.update(events=7), r"bad 'events' entry \(TypeError"),
+            (lambda p: p.update(events=[]), r"bad 'events' entry .*must be the last"),
+            (lambda p: p.update(prior=["a", "b", "c"]), r"bad 'prior' entry"),
+            (lambda p: p.update(prior=[0.5, 0.5]), r"'prior' must be a distribution over the 3 events"),
+            (lambda p: p.update(prior=[0.5, float("nan"), 0.5]), r"'prior' must be a distribution"),
+            (lambda p: p.update(models=[]), r"'models' must be an object keyed by event"),
+            (lambda p: p["models"].pop("right_lane"), r"'models' has no model for events \['right_lane'\]"),
+            (lambda p: p["models"].update(right_lane=[1, 2]), r"model 'right_lane' must be an object"),
+        ],
+        ids=["no-events", "straight-not-last", "events-not-a-list", "no-event", "prior-not-numbers",
+             "prior-misshaped", "prior-nan", "models-not-an-object", "model-missing", "model-not-an-object"],
+    )
+    def test_bad_ensemble_entry_names_file(self, tmp_path, hmm_doc, edit, message):
+        with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
+            load_model(edited_hmm_checkpoint(tmp_path, hmm_doc, edit))
+
+    def test_models_with_different_sizes_rejected(self, tmp_path, hmm_doc):
+        other = random_model(make_rng(31), 2, 4, 2)
+        entry = {"variant": "aio", **{k: getattr(other, k).tolist() for k in ("mu", "a", "b", "sigma", "w", "pi")}}
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"].update(straight=entry))
+        with pytest.raises(DataFormatError, match=r"edited\.json: models disagree on their \(x, z\) sizes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"format_version": 1, "kind": "aio_hmm"}])
+    def test_document_without_params_rejected(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"m\.json: "):
+            load_model(path)
+
+
 def test_train_config_round_trips_through_checkpoint(tmp_path):
     from maneuverkit.aiohmm import EmConfig
     from maneuverkit.training import TrainConfig
