@@ -14,17 +14,21 @@ The ``io`` variant pins b_i = 0 (no autoregression); the ``hmm`` variant
 additionally pins a_i = 0 and replaces the transition input by a constant
 bias coordinate, making transitions input-independent.
 
-The E-step is one scaled forward-backward pass over a zero-padded batch of
-a class's sequences: one emission call and one log-softmax cover every
-step, and the (B, S) recursion runs over the batch.  Past its own end each
-sequence gets unit emissions, zero shift and identity transitions, which
-leaves its real steps exactly as a pass over that sequence alone; a
-sequence whose scaled pass underflows is redone alone in log space.  The
-M-step solves the coupled mean parameters by alternating exact weighted
-least squares, updates each covariance from posterior-weighted residuals
-(eigenvalue-floored), refits the initial distribution from the t=1
-posteriors, and improves the transition weights by Boehning's fixed-Hessian
-lower-bound ascent for multinomial logistic regression (Boehning 1992).
+The E-step is one log-space forward-backward pass over a zero-padded batch
+of a class's sequences: one emission call and one log-softmax cover every
+step, and the (B, S) recursion runs over the batch, so no step can
+underflow.  Past its own end each sequence gets log emission 0 and the log
+of the identity transition matrix, which leaves its real steps exactly as
+a pass over that sequence alone.  The streaming predictor advances its
+forward vectors with the same :func:`log_forward_step` and
+:func:`log_transitions`.
+
+The M-step solves the coupled mean parameters by alternating exact
+weighted least squares, updates each covariance from posterior-weighted
+residuals (eigenvalue-floored), refits the initial distribution from the
+t=1 posteriors, and improves the transition weights by Boehning's
+fixed-Hessian lower-bound ascent for multinomial logistic regression
+(Boehning 1992).
 Every piece either maximizes or never decreases the expected complete-data
 log-likelihood, so the training log-likelihood trace is non-decreasing.
 """
@@ -190,33 +194,33 @@ def transition_inputs(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def transition_row(m: AioHmmModel, i: int, x: np.ndarray) -> np.ndarray:
-    """Distribution over successor states when leaving state i under input x."""
-    x_eff = transition_inputs(m, np.asarray(x, dtype=float)[None, :])[0]
-    logits = m.w[i] @ x_eff
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def log_transition_matrices(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
     """(T, S, S) log transition probabilities.
 
     Computed as log-softmax of the finite logits, so entries never reach
     -inf even when the probabilities themselves underflow.
     """
-    return _log_transitions(m.w, transition_inputs(m, xs)).transpose(2, 0, 1)
+    return log_transitions(m.w, transition_inputs(m, xs)).transpose(2, 0, 1)
 
 
-def _log_transitions(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
-    """(S, S, R) log-softmax of the logits w_i . xe_r for every source state
-    i and input row r of xe (R, dt), from one (S*S, dt) @ (dt, R) product.
-    Rows run along the last axis, so the softmax over successors reduces
-    whole contiguous rows instead of length-S runs."""
-    S = w.shape[0]
-    logits = (w.reshape(S * S, -1) @ xe.T).reshape(S, S, -1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+def log_transitions(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
+    """(..., S, S, R) log-softmax of the logits w_i . xe_r for weights
+    (..., S, S, dt) with any leading axes, every source state i and input
+    row r of xe (R, dt), from one product of the flattened weights with
+    xe.T.  Rows run along the last axis, so the softmax over successors
+    (axis -2) reduces whole contiguous rows instead of length-S runs."""
+    logits = (w.reshape(-1, w.shape[-1]) @ xe.T).reshape(w.shape[:-1] + (-1,))
+    shifted = logits - logits.max(axis=-2, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-2, keepdims=True))
+
+
+def log_forward_step(
+    log_alpha: np.ndarray, log_a: np.ndarray, logb: np.ndarray | float
+) -> np.ndarray:
+    """One log-space forward update over any leading axes: log alphas
+    (..., S), log transitions (..., S, S) from source (axis -2) to successor
+    (axis -1), and the successors' log emissions (..., S)."""
+    return np.logaddexp.reduce(log_alpha[..., :, None] + log_a, axis=-2) + logb
 
 
 def shifted_observations(zs: np.ndarray) -> np.ndarray:
@@ -280,14 +284,13 @@ def forward_backward(
     sequence or a padded (B, T, d) batch with per-sequence ``lengths``
     (every sequence runs the full T when omitted).
 
-    The pass is the classical scaled recursion with per-step emission
-    shifts, run over the whole batch at once.  Past its own end a sequence
-    gets unit emissions, zero shift, identity transitions and unit scale,
-    so every real step, and the log-likelihood, is what a pass over that
-    sequence alone computes.  A sequence whose emissions all vanish at a
-    step, or whose forward pass underflows to an all-zero vector (a model
-    evaluated on data it assigns essentially no density to), is redone
-    alone fully in log space, which cannot vanish for finite inputs.
+    The pass runs in log space over the whole batch at once, with the
+    forward update of :func:`log_forward_step` and its mirror backward, so
+    no step can underflow for finite inputs.  Past its own end a sequence
+    gets log emission 0 and the log of the identity transition matrix,
+    which carries its forward and backward vectors through unchanged: every
+    real step, and the log-likelihood, is what a pass over that sequence
+    alone computes.
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
@@ -307,73 +310,32 @@ def forward_backward(
         z_prev=shifted_observations(zs).reshape(B * T, -1),
     ).reshape(B, T, S)
     logb[~live] = 0.0
-    shift = logb.max(axis=2)
-    redo = ~np.all(np.isfinite(shift), axis=1)
-    logb[redo] = 0.0
-    shift[redo] = 0.0
-    b = np.exp(logb - shift[:, :, None])
     xe = transition_inputs(m, xs[:, 1:])
     xe = xe.reshape(B * (T - 1), xe.shape[2])
-    A = np.exp(_log_transitions(m.w, xe)).transpose(2, 0, 1).reshape(B, T - 1, S, S)
-    A[~live[:, 1:]] = np.eye(S)
+    log_a = log_transitions(m.w, xe).transpose(2, 0, 1).reshape(B, T - 1, S, S)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: off the identity's diagonal, zero pi entries
+        log_a[~live[:, 1:]] = np.log(np.eye(S))
+        log_pi = np.log(m.pi)
 
-    alpha = np.empty((B, T, S))
-    scale = np.empty((B, T))
-    for t in range(T):  # A[:, t - 1] leads into step t
-        a = m.pi * b[:, 0] if t == 0 else (alpha[:, t - 1, None, :] @ A[:, t - 1])[:, 0] * b[:, t]
-        c = np.where(live[:, t], a.sum(axis=1), 1.0)
-        underflow = c <= 0.0
-        redo |= underflow
-        c[underflow] = 1.0
-        alpha[:, t] = a / c[:, None]
-        scale[:, t] = c
+    la = np.empty((B, T, S))
+    la[:, 0] = log_pi + logb[:, 0]
+    for t in range(1, T):  # log_a[:, t - 1] leads into step t
+        la[:, t] = log_forward_step(la[:, t - 1], log_a[:, t - 1], logb[:, t])
+    lb = np.empty((B, T, S))
+    lb[:, T - 1] = 0.0
+    for t in range(T - 2, -1, -1):  # the same update along reversed transitions
+        lb[:, t] = log_forward_step(logb[:, t + 1] + lb[:, t + 1], log_a[:, t].swapaxes(1, 2), 0.0)
 
-    beta = np.empty((B, T, S))
-    beta[:, T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        ahead = (b[:, t + 1] * beta[:, t + 1])[:, :, None]
-        beta[:, t] = (A[:, t] @ ahead)[:, :, 0] / scale[:, t + 1, None]
-
-    gamma = alpha * beta
+    loglik = np.logaddexp.reduce(la[:, T - 1], axis=-1)
+    if not np.all(np.isfinite(loglik)):
+        raise FloatingPointError("log-space forward pass degenerated")
+    gamma = np.exp(la + lb - loglik[:, None, None])
     gamma[~live] = 0.0
-    xi = (alpha[:, :-1, :, None] * A) * (b[:, 1:] * beta[:, 1:])[:, :, None, :]
-    xi /= scale[:, 1:, None, None]
+    xi = np.exp(la[:, :-1, :, None] + log_a + (logb[:, 1:] + lb[:, 1:])[:, :, None, :]
+                - loglik[:, None, None, None])
     xi[~live[:, 1:]] = 0.0
-    loglik = np.sum(np.log(scale), axis=1) + np.sum(shift, axis=1)
-
-    for k in np.flatnonzero(redo):
-        L = lengths[k]
-        st = _forward_backward_log(m, xs[k, :L], zs[k, :L])
-        gamma[k, :L], xi[k, : L - 1], loglik[k] = st.gamma, st.xi, st.loglik
     if single:
         return PosteriorStats(gamma=gamma[0], xi=xi[0], loglik=float(loglik[0]))
-    return PosteriorStats(gamma=gamma, xi=xi, loglik=loglik)
-
-
-def _forward_backward_log(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> PosteriorStats:
-    T, S = xs.shape[0], m.states
-    logb = emission_logprobs(m, xs, zs)
-    logA = log_transition_matrices(m, xs)
-    with np.errstate(divide="ignore"):  # pi entries may be exactly zero
-        logpi = np.log(m.pi)
-
-    la = np.empty((T, S))
-    la[0] = logpi + logb[0]
-    for t in range(1, T):
-        la[t] = np.logaddexp.reduce(la[t - 1][:, None] + logA[t], axis=0) + logb[t]
-
-    lb = np.empty((T, S))
-    lb[T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        lb[t] = np.logaddexp.reduce(logA[t + 1] + (logb[t + 1] + lb[t + 1])[None, :], axis=1)
-
-    loglik = float(np.logaddexp.reduce(la[T - 1]))
-    if not np.isfinite(loglik):
-        raise FloatingPointError("log-space forward pass degenerated")
-    gamma = np.exp(la + lb - loglik)
-    xi = np.empty((T - 1, S, S))
-    for t in range(1, T):
-        xi[t - 1] = np.exp(la[t - 1][:, None] + logA[t] + (logb[t] + lb[t])[None, :] - loglik)
     return PosteriorStats(gamma=gamma, xi=xi, loglik=loglik)
 
 
@@ -466,7 +428,7 @@ def _transition_gradient(
     S, R = w.shape[0], Xe.shape[0]
     if n is None:
         n = Xi.sum(axis=2)
-    coeff = Xi.transpose(1, 2, 0) - n.T[:, None, :] * np.exp(_log_transitions(w, Xe))
+    coeff = Xi.transpose(1, 2, 0) - n.T[:, None, :] * np.exp(log_transitions(w, Xe))
     return (coeff.reshape(S * S, R) @ Xe).reshape(w.shape)
 
 
@@ -668,7 +630,8 @@ def sample_sequence(
     for t in range(T):
         xs[t] = x_sampler(rng)
         if t > 0:
-            h = int(rng.choice(m.states, p=transition_row(m, h, xs[t])))
+            log_row = log_transition_matrices(m, xs[t : t + 1])[0, h]
+            h = int(rng.choice(m.states, p=np.exp(log_row)))
         scale = 1.0 + float(m.a[h] @ xs[t])
         if m.variant == VARIANT_AIO:
             scale += float(m.b[h] @ z_prev)

@@ -30,6 +30,8 @@ from .aiohmm import (
     AioHmmModel,
     emission_factors,
     emission_logprobs,
+    log_forward_step,
+    log_transitions,
     posterior_from_logliks,
 )
 from .events import straight_index
@@ -41,7 +43,7 @@ STEP_SECONDS = 0.8
 STICK_SECONDS = 5.0
 STICK_STEPS = math.ceil(STICK_SECONDS / STEP_SECONDS)  # 7
 
-_BIAS = np.ones(1)  # the constant transition input of the hmm variant
+_BIAS = np.ones((1, 1))  # the constant transition input row of the hmm variant
 
 
 class Predictor(Protocol):
@@ -108,8 +110,9 @@ class AioHmmPredictor:
     ensemble's models are not seen by the predictor.
 
     A step is one emission call for all classes, then per group one
-    log-softmax over the stacked transitions and one log-sum-exp forward
-    update; the class posterior is the shifted softmax of the prefix
+    :func:`~maneuverkit.aiohmm.log_transitions` over the stacked weights and
+    one :func:`~maneuverkit.aiohmm.log_forward_step`, the kernels of the EM
+    forward pass; the class posterior is the shifted softmax of the prefix
     log-likelihoods plus the log prior.  Working in log space keeps the
     filter finite even for classes whose model assigns essentially no
     density to the observed prefix.
@@ -161,10 +164,8 @@ class AioHmmPredictor:
             if state is None:
                 log_alpha = group.log_pi + lb
             else:
-                logits = group.w @ (_BIAS if group.bias else x)
-                shifted = logits - logits.max(axis=2, keepdims=True)
-                log_a = shifted - np.log(np.sum(np.exp(shifted), axis=2, keepdims=True))
-                log_alpha = np.logaddexp.reduce(state[0][g][:, :, None] + log_a, axis=1) + lb
+                log_a = log_transitions(group.w, _BIAS if group.bias else x[None, :])[..., 0]
+                log_alpha = log_forward_step(state[0][g], log_a, lb)
             logliks[group.classes] = np.logaddexp.reduce(log_alpha, axis=1)
             alphas.append(log_alpha)
         return (alphas, z), posterior_from_logliks(logliks, self.prior)

@@ -172,6 +172,21 @@ def _load_predictor(
     return pred, sizes
 
 
+def _load_model_data(model_path: str, sizes: tuple[int, int], data_path: str) -> list:
+    """The dataset at ``data_path``, checked against the (x, z) input sizes
+    of the checkpoint at ``model_path``."""
+    path = _resolve_data(data_path)
+    dataset = dataio.load_dataset(path)
+    if dataset:
+        found = (dataset[0].xs.shape[1], dataset[0].zs.shape[1])
+        if found != sizes:
+            raise ValueError(
+                f"{path} has (x, z) sizes {found}, but the model {model_path} "
+                f"expects {sizes}"
+            )
+    return dataset
+
+
 def _eval_report_dict(ev: metrics.DatasetEval, p_th: float, which: str) -> dict:
     macro_pr, macro_re = ev.macro_scores()
     out = {
@@ -193,8 +208,8 @@ def _eval_report_dict(ev: metrics.DatasetEval, p_th: float, which: str) -> dict:
 
 def cmd_eval(args) -> int:
     _log_config("eval", args)
-    predictor, _sizes = _load_predictor(args.model)
-    dataset = dataio.load_dataset(_resolve_data(args.data))
+    predictor, sizes = _load_predictor(args.model)
+    dataset = _load_model_data(args.model, sizes, args.data)
     ev = metrics.evaluate_dataset(predictor, dataset, args.pth)
     print(metrics.format_eval(ev))
     if args.out:
@@ -210,7 +225,7 @@ def cmd_anticipate(args) -> int:
         return _stream_loop(predictor, args.pth, sizes)
     if not args.data:
         raise ValueError("anticipate needs --data unless --stream is given")
-    dataset = dataio.load_dataset(_resolve_data(args.data))
+    dataset = _load_model_data(args.model, sizes, args.data)
     for sample in dataset:
         result = anticipation.anticipate(predictor, sample.xs, sample.zs, args.pth)
         print(
@@ -289,8 +304,8 @@ def _parse_step(
 
 def cmd_sweep(args) -> int:
     _log_config("sweep", args)
-    predictor, _sizes = _load_predictor(args.model)
-    dataset = dataio.load_dataset(_resolve_data(args.data))
+    predictor, sizes = _load_predictor(args.model)
+    dataset = _load_model_data(args.model, sizes, args.data)
     sweep = metrics.threshold_sweep(predictor, dataset, args.grid)
     rows = []
     for i, p in enumerate(sweep.points):

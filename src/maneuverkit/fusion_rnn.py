@@ -136,6 +136,8 @@ def init_fusion_model(
         return rng.uniform(-r, r, size=(rows, cols))
 
     if arch == ARCH_FUSION:
+        if fusion is not None and fusion < 1:  # checked before any draw: uni() divides by it
+            raise ValueError(f"fusion width must be positive, got {fusion}")
         fusion = hidden if fusion is None else fusion
         cells = [init_lstm_params(input_x, hidden, rng), init_lstm_params(input_z, hidden, rng)]
         head = [uni(fusion, 2 * hidden), np.zeros(fusion), uni(k, fusion), np.zeros(k)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maneuverkit import aiohmm, synth
+from maneuverkit import synth
 from maneuverkit.aiohmm import (
     AioHmmModel,
     EmConfig,
@@ -21,13 +21,14 @@ from maneuverkit.aiohmm import (
     fit_em,
     forward_backward,
     infer_maneuver,
+    log_transition_matrices,
+    log_transitions,
     m_step,
     pad_sequences,
     posterior_from_logliks,
     sample_sequence,
     sequence_loglik,
     shifted_observations,
-    transition_row,
 )
 from maneuverkit.events import EVENTS
 from maneuverkit.numerics import finite_diff_grad, make_rng
@@ -135,8 +136,7 @@ def transition_objectives(w, Xe, Xi):
 def reference_forward_backward(m, xs, zs):
     """The per-sequence scaled recursion that the padded batch replaced,
     with its own softmax transition matrices.  Returns (gamma, xi, loglik);
-    raises FloatingPointError where the library redoes a sequence in log
-    space."""
+    raises FloatingPointError where the scaled recursion underflows."""
     T, S = xs.shape[0], m.states
     logb = emission_logprobs(m, xs, zs)
     shift = logb.max(axis=1)
@@ -278,6 +278,11 @@ def transition_problems(draw):
     return w, Xe, Xi
 
 
+def transition_row(m, i, x):
+    """Distribution over successor states when leaving state i under x."""
+    return np.exp(log_transition_matrices(m, np.asarray(x, dtype=float)[None, :])[0, i])
+
+
 class TestTransitions:
     def test_zero_weights_give_uniform(self):
         rng = make_rng(0)
@@ -301,6 +306,16 @@ class TestTransitions:
             x = rng.standard_normal(3)
             for i in range(4):
                 assert abs(transition_row(m, i, x).sum() - 1.0) <= 1e-12
+
+    def test_stacked_weights_match_per_model_calls(self):
+        rng = make_rng(22)
+        for K, S, dt, R in ((1, 1, 1, 1), (4, 3, 4, 1), (5, 2, 6, 9), (3, 4, 1, 13)):
+            w = rng.standard_normal((K, S, S, dt)) * 2.0
+            xe = rng.standard_normal((R, dt))
+            stacked = log_transitions(w, xe)
+            assert stacked.shape == (K, S, S, R)
+            for k in range(K):
+                np.testing.assert_array_equal(stacked[k], log_transitions(w[k], xe))
 
     @settings(max_examples=300, deadline=None)
     @given(transition_problems())
@@ -445,9 +460,9 @@ class TestForwardBackward:
         with pytest.raises(ValueError):
             forward_backward(m, rng.standard_normal((4, 2)), rng.standard_normal((5, 2)))
 
-    def test_log_space_fallback_on_saturated_chain(self):
-        # The scaled recursion hits an exact zero at z_2 and the log-space
-        # pass must still agree with path enumeration.
+    def test_saturated_chain_matches_enumeration(self):
+        # A scaled recursion hits an exact zero at z_2; the log-space pass
+        # must stay finite and agree with path enumeration.
         m = saturated_chain_model()
         xs = np.ones((2, 1))
         zs = np.array([[0.0], [50.0]])
@@ -457,23 +472,17 @@ class TestForwardBackward:
         assert abs(stats.loglik - ref) <= 1e-9 * abs(ref)
         np.testing.assert_allclose(stats.gamma.sum(axis=1), 1.0, atol=1e-10)
 
-    def test_only_the_saturated_sequence_falls_back(self, monkeypatch):
+    def test_saturated_sequence_in_a_padded_batch(self):
         m = saturated_chain_model()
         seqs = [
             (np.ones((3, 1)), np.array([[0.0], [0.01], [-0.01]])),
             (np.ones((2, 1)), np.array([[0.0], [50.0]])),
             (np.ones((1, 1)), np.array([[0.005]])),
         ]
-        redone = []
-        log_pass = aiohmm._forward_backward_log
-
-        def counting(m, xs, zs):
-            redone.append(xs.shape[0])
-            return log_pass(m, xs, zs)
-
-        monkeypatch.setattr(aiohmm, "_forward_backward_log", counting)
+        with pytest.raises(FloatingPointError):
+            reference_forward_backward(m, *seqs[1])
         stats = forward_backward(m, *pad_sequences(seqs))
-        assert redone == [2]
+        assert np.all(np.isfinite(stats.loglik))
         ref = enumeration_loglik(m, *seqs[1])
         assert abs(stats.loglik[1] - ref) <= 1e-9 * abs(ref)
         np.testing.assert_allclose(stats.gamma[1, :2].sum(axis=1), 1.0, atol=1e-10)

@@ -12,7 +12,6 @@ from maneuverkit.aiohmm import (
     AioHmmEnsemble,
     emission_logprobs,
     infer_maneuver,
-    log_transition_matrices,
     posterior_from_logliks,
 )
 from maneuverkit.anticipation import (
@@ -35,7 +34,8 @@ from test_aiohmm import random_model
 
 def per_class_filter(ensemble, xs, zs):
     """Reference (T, K) trajectory: one log-space forward vector per class,
-    each advanced with that class's own emissions and transitions."""
+    each advanced with that class's own emissions and its own einsum
+    log-softmax of the transition logits."""
     models = [ensemble.models[e] for e in ensemble.events]
     with np.errstate(divide="ignore"):
         alphas = [np.log(m.pi) for m in models]
@@ -48,7 +48,10 @@ def per_class_filter(ensemble, xs, zs):
             if t == 0:
                 alphas[k] = alphas[k] + logb
             else:
-                log_a = log_transition_matrices(m, xs[t : t + 1])[0]
+                x_eff = xs[t] if m.variant != "hmm" else np.ones(1)
+                logits = np.einsum("ijk,k->ij", m.w, x_eff)
+                hi = logits.max(axis=1, keepdims=True)
+                log_a = logits - hi - np.log(np.exp(logits - hi).sum(axis=1, keepdims=True))
                 alphas[k] = np.logaddexp.reduce(alphas[k][:, None] + log_a, axis=0) + logb
             logliks.append(np.logaddexp.reduce(alphas[k]))
         rows.append(posterior_from_logliks(np.array(logliks), ensemble.prior))

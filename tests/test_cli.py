@@ -92,6 +92,18 @@ class TestValidation:
     def test_gradcheck_rejects_hmm_archs(self):
         assert main(["gradcheck", "--arch", "aiohmm"]) == 1
 
+    @pytest.mark.parametrize("width", [0, -2])
+    @pytest.mark.parametrize("command", ["train", "xval"])
+    def test_bad_fusion_width_is_reported(self, tmp_path, caplog, command, width):
+        d = tmp_path / "d.jsonl"
+        assert main(["synth", "--n", "20", "--seed", "0", "--out", str(d)]) == 0
+        argv = [command, "--data", str(d), "--arch", "frnn-el", "--hidden", "4",
+                "--epochs", "1", "--fusion-width", str(width)]
+        argv += ["--out", str(tmp_path / "m.json")] if command == "train" else ["--folds", "2"]
+        assert main(argv) == 1
+        assert f"fusion width must be positive, got {width}" in caplog.text
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestReports:
     def test_eval_report_renders_text_and_csv(self, tmp_path, capsys):
@@ -284,3 +296,34 @@ class TestStreamRecords:
         assert code == 1
         assert records == []
         assert f"{m}: {message}" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def wide_z_dataset(tmp_path_factory):
+    """A valid dataset whose z rows have 12 entries, not the synthetic 9."""
+    root = tmp_path_factory.mktemp("wide")
+    d, wide = root / "d.jsonl", root / "wide.jsonl"
+    assert main(["synth", "--n", "10", "--seed", "1", "--out", str(d)]) == 0
+    with wide.open("w", encoding="utf-8") as fh:
+        for line in d.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            for step in record["steps"]:
+                step["z"] = step["z"] + [0.0] * 3
+            fh.write(json.dumps(record) + "\n")
+    return wide
+
+
+class TestModelDataSizes:
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["sweep", "--grid", "0.5,0.9"], ["anticipate", "--pth", "0.7"],
+    ], ids=["eval", "sweep", "anticipate"])
+    @pytest.mark.parametrize("kind", ["fusion", "aiohmm"])
+    def test_mismatched_sizes_name_both_files(
+        self, hmm_checkpoint, wide_z_dataset, capsys, caplog, command, kind
+    ):
+        model = Path(__file__).parent / "data" / "fusion_h2.json" if kind == "fusion" else hmm_checkpoint
+        code, out = run([*command, "--model", str(model), "--data", str(wide_z_dataset)], capsys)
+        assert code == 1
+        assert out == ""
+        assert (f"{wide_z_dataset} has (x, z) sizes (6, 12), but the model {model} "
+                f"expects (6, 9)") in caplog.text

@@ -119,6 +119,14 @@ class TestParamCount:
         with pytest.raises(ValueError):
             init_fusion_model("fusion", 6, 9, 0, EVENTS5, make_rng(0))
 
+    @pytest.mark.parametrize("fusion", [0, -2])
+    def test_bad_fusion_width_rejected_before_any_draw(self, fusion):
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"fusion width must be positive, got {fusion}"):
+            init_fusion_model("fusion", 6, 9, 4, EVENTS5, rng, fusion=fusion)
+        assert rng.bit_generator.state == before
+
     def test_default_architecture_count_is_documented(self):
         # hidden 64 per stream, fusion width 64, |x|=6, |z|=9, K=5
         m = init_fusion_model("fusion", 6, 9, 64, EVENTS5, make_rng(0))
