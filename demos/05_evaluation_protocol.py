@@ -19,7 +19,6 @@ from maneuverkit import (
     threshold_sweep,
     train,
 )
-from maneuverkit.metrics import format_eval
 from maneuverkit.numerics import make_rng
 
 data = generate(ScenarioConfig(seed=17, noise_sigma=0.2), 500)
@@ -37,8 +36,18 @@ for i, p in enumerate(sweep.points):
     print(f"  p_th={p.p_th:.1f}  F1={f1}{mark}")
 
 best = sweep.best
+ev = evaluate_dataset(predictor, holdout, best.p_th)
+macro_pr, macro_re = ev.macro_scores()
+c = ev.counts
 print(f"\nfull scorecard at p_th={best.p_th}:")
-print(format_eval(evaluate_dataset(predictor, holdout, best.p_th)))
+print(f"  counts: tp={c.tp} fp={c.fp} fpp={c.fpp} mp={c.mp}")
+print(f"  session: Pr={ev.precision:.3f} Re={ev.recall:.3f} F1={ev.f1:.3f}")
+print(f"  macro:   Pr={macro_pr:.3f} Re={macro_re:.3f}")
+print(f"  time-to-maneuver: {ev.mean_ttm_steps:.2f} steps ({ev.mean_ttm_steps * 0.8:.2f} s)")
+print("  confusion (rows = predicted, cols = actual):")
+print("  " + " " * 11 + " ".join(f"{e[:10]:>10}" for e in ev.events))
+for name, row in zip(ev.events, ev.confusion):
+    print(f"  {name:>10} " + " ".join(f"{int(v):>10}" for v in row))
 
 
 def trainer(train_samples, fold_idx):

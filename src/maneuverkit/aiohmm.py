@@ -566,7 +566,7 @@ def fit_em(
                 break
         model = m_step(batch, stats, model, config, diag)
     if diag.get("ridge") or diag.get("floored"):
-        log.warning(
+        log.info(
             "EM fit used %d rank-deficient mean solve(s) and floored %d covariance update(s)",
             diag.get("ridge", 0), diag.get("floored", 0),
         )

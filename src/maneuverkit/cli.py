@@ -80,57 +80,62 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_config(args) -> training.TrainConfig:
-    return training.TrainConfig(
-        loss_mode=RNN_ARCHS[args.arch][1],
-        time_scale=args.loss_scale,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        augmentation_factor=args.augment_factor,
-    )
+def train_model(args, dataset, seed: int):
+    """Train the ``args.arch`` model on ``dataset``; ``seed`` seeds everything
+    random: the network's initialization, sample order and augmentation, or
+    EM's starting point.
 
-
-def _train_rnn(args, dataset, fold: int = 0) -> tuple[training.TrainReport, dict, list]:
-    """Train the network; only its initialization is seeded per fold
-    (args.seed + fold), augmentation and training use args.seed."""
-    arch, _ = RNN_ARCHS[args.arch]
+    Returns (model, checkpoint meta, training curve rows, aborted).  A
+    diverged network comes back with its last finite state and aborted set.
+    """
     events = events_for_setting(args.setting)
+    if args.arch in HMM_ARCHS:
+        config = aiohmm.EmConfig(
+            states=args.states, variant=HMM_ARCHS[args.arch], max_iter=args.em_iters, seed=seed
+        )
+        models = {}
+        curve = [("event", "iteration", "loglik")]
+        for name in events:
+            label = EVENTS.index(name)
+            seqs = [(s.xs, s.zs) for s in dataset if s.label == label]
+            if not seqs:
+                raise ValueError(f"dataset has no samples for event {name!r}")
+            models[name], trace = aiohmm.fit_em(seqs, config)
+            curve.extend((name, i, v) for i, v in enumerate(trace))
+            log.info("fit %s: %d EM iterations, final loglik %.2f", name, len(trace), trace[-1])
+        meta = {"arch": args.arch, "setting": args.setting, "em": config.to_dict()}
+        return aiohmm.AioHmmEnsemble(events=events, models=models), meta, curve, False
+
+    arch, loss_mode = RNN_ARCHS[args.arch]
     dataset = [s for s in dataset if EVENTS[s.label] in events]
-    config = _train_config(args)
+    if not dataset:
+        raise ValueError(f"dataset has no samples for the {args.setting!r} events {list(events)}")
+    config = training.TrainConfig(
+        loss_mode=loss_mode, time_scale=args.loss_scale, learning_rate=args.lr,
+        epochs=args.epochs, seed=seed, augmentation_factor=args.augment_factor,
+    )
     if config.augmentation_factor > 1.0:
-        dataset = training.augment(dataset, config.augmentation_factor, config.seed)
+        dataset = training.augment(dataset, config.augmentation_factor, seed)
     model = fusion_rnn.init_fusion_model(
         arch, dataset[0].xs.shape[1], dataset[0].zs.shape[1], args.hidden,
-        events, make_rng(args.seed + fold), fusion=args.fusion_width,
+        events, make_rng(seed), fusion=args.fusion_width,
     )
     report = training.train(dataset, model, config)
     meta = {"arch": args.arch, "setting": args.setting, "train": config.to_dict(),
             "hidden": args.hidden, "fusion_width": args.fusion_width}
     curve = [("epoch", "mean_loss")] + list(enumerate(report.epoch_losses))
-    return report, meta, curve
+    return report.model, meta, curve, report.aborted
 
 
-def _train_hmm(args, dataset, fold: int = 0) -> tuple[aiohmm.AioHmmEnsemble, dict, list]:
-    """Fit one model per event, with EM seeded per fold (args.seed + fold)."""
-    variant = HMM_ARCHS[args.arch]
-    events = events_for_setting(args.setting)
-    config = aiohmm.EmConfig(
-        states=args.states, variant=variant, max_iter=args.em_iters, seed=args.seed + fold
-    )
-    models = {}
-    curve = [("event", "iteration", "loglik")]
-    for name in events:
-        label = EVENTS.index(name)
-        seqs = [(s.xs, s.zs) for s in dataset if s.label == label]
-        if not seqs:
-            raise ValueError(f"dataset has no samples for event {name!r}")
-        models[name], trace = aiohmm.fit_em(seqs, config)
-        curve.extend((name, i, v) for i, v in enumerate(trace))
-        log.info("fit %s: %d EM iterations, final loglik %.2f", name, len(trace), trace[-1])
-    ensemble = aiohmm.AioHmmEnsemble(events=events, models=models)
-    meta = {"arch": args.arch, "setting": args.setting, "em": config.to_dict()}
-    return ensemble, meta, curve
+def fold_trainer(args):
+    """The ``cross_validate`` trainer for ``args``: fold k trains with seed
+    ``args.seed + k``, and a diverged network is scored with its last
+    finite state."""
+
+    def trainer(train_samples, fold: int) -> anticipation.Predictor:
+        return _predictor(train_model(args, train_samples, args.seed + fold)[0])
+
+    return trainer
 
 
 def cmd_train(args) -> int:
@@ -138,13 +143,9 @@ def cmd_train(args) -> int:
     dataset = dataio.load_dataset(_resolve_data(args.data))
     if not dataset:
         raise ValueError("training dataset is empty")
-    if args.arch in RNN_ARCHS:
-        report, meta, curve = _train_rnn(args, dataset)
-        if report.aborted:
-            raise RuntimeError("training diverged; checkpoint holds the last finite state")
-        model = report.model
-    else:
-        model, meta, curve = _train_hmm(args, dataset)
+    model, meta, curve, aborted = train_model(args, dataset, args.seed)
+    if aborted:
+        raise RuntimeError("training diverged; checkpoint holds the last finite state")
     dataio.save_model(model, meta, args.out)
     log.info("checkpoint written to %s", args.out)
     if args.curve_out:
@@ -155,18 +156,24 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _predictor(model) -> anticipation.Predictor:
+    """The predictor for a fusion network or an AIO-HMM ensemble."""
+    if isinstance(model, fusion_rnn.FusionRnnModel):
+        return anticipation.FusionRnnPredictor(model)
+    return anticipation.AioHmmPredictor(model)
+
+
 def _load_predictor(
     path: str, window: int | None = None
 ) -> tuple[anticipation.Predictor, tuple[int, int]]:
     """The checkpoint's predictor and its (x, z) input sizes."""
     model, kind, _config = dataio.load_model(path)
     if kind == dataio.KIND_FUSION:
-        pred = anticipation.FusionRnnPredictor(model)
         sizes = (model.input_x, model.input_z)
     else:
-        pred = anticipation.AioHmmPredictor(model)
         first = model.models[model.events[0]]
         sizes = (first.dim_x, first.dim_z)
+    pred = _predictor(model)
     if window is not None:
         pred = anticipation.WindowedPredictor(pred, window)
     return pred, sizes
@@ -188,7 +195,6 @@ def _load_model_data(model_path: str, sizes: tuple[int, int], data_path: str) ->
 
 
 def _eval_report_dict(ev: metrics.DatasetEval, p_th: float, which: str) -> dict:
-    macro_pr, macro_re = ev.macro_scores()
     out = {
         "kind": "eval",
         "events": list(ev.events),
@@ -200,6 +206,7 @@ def _eval_report_dict(ev: metrics.DatasetEval, p_th: float, which: str) -> dict:
     if which in ("session", "both"):
         out["session"] = {"precision": ev.precision, "recall": ev.recall, "f1": ev.f1}
     if which in ("macro", "both"):
+        macro_pr, macro_re = ev.macro_scores()
         out["macro"] = {
             "precision": macro_pr, "recall": macro_re, "f1": metrics.f1_score(macro_pr, macro_re)
         }
@@ -211,11 +218,17 @@ def cmd_eval(args) -> int:
     predictor, sizes = _load_predictor(args.model)
     dataset = _load_model_data(args.model, sizes, args.data)
     ev = metrics.evaluate_dataset(predictor, dataset, args.pth)
-    print(metrics.format_eval(ev))
-    if args.out:
-        dataio.save_report(_eval_report_dict(ev, args.pth, args.metrics), args.out)
-        log.info("report written to %s", args.out)
+    _emit_report(_eval_report_dict(ev, args.pth, args.metrics), args.out)
     return 0
+
+
+def _emit_report(doc: dict, out: str | None) -> None:
+    """Print a report as ``report --format text`` renders it, and save it to
+    ``out`` when given."""
+    print(_report_text(doc))
+    if out:
+        dataio.save_report(doc, out)
+        log.info("report written to %s", out)
 
 
 def cmd_anticipate(args) -> int:
@@ -307,22 +320,14 @@ def cmd_sweep(args) -> int:
     predictor, sizes = _load_predictor(args.model)
     dataset = _load_model_data(args.model, sizes, args.data)
     sweep = metrics.threshold_sweep(predictor, dataset, args.grid)
-    rows = []
-    for i, p in enumerate(sweep.points):
-        rows.append(
-            {
-                "p_th": p.p_th, "precision": p.precision, "recall": p.recall,
-                "f1": p.f1, "ttm_steps": p.mean_ttm_steps, "best": i == sweep.best_index,
-            }
-        )
-        flag = " *" if i == sweep.best_index else ""
-        print(
-            f"p_th={p.p_th:.3f} precision={metrics._fmt(p.precision)} "
-            f"recall={metrics._fmt(p.recall)} f1={metrics._fmt(p.f1)}{flag}"
-        )
-    if args.out:
-        dataio.save_report({"kind": "sweep", "points": rows}, args.out)
-        log.info("report written to %s", args.out)
+    rows = [
+        {
+            "p_th": p.p_th, "precision": p.precision, "recall": p.recall,
+            "f1": p.f1, "ttm_steps": p.mean_ttm_steps, "best": i == sweep.best_index,
+        }
+        for i, p in enumerate(sweep.points)
+    ]
+    _emit_report({"kind": "sweep", "points": rows}, args.out)
     return 0
 
 
@@ -331,31 +336,8 @@ def cmd_xval(args) -> int:
     dataset = dataio.load_dataset(_resolve_data(args.data))
     events = events_for_setting(args.setting)
     dataset = [s for s in dataset if EVENTS[s.label] in events]
-
-    def trainer(train_samples, fold_idx):
-        # A diverged network is scored with its last finite state.
-        if args.arch in RNN_ARCHS:
-            return anticipation.FusionRnnPredictor(_train_rnn(args, train_samples, fold_idx)[0].model)
-        return anticipation.AioHmmPredictor(_train_hmm(args, train_samples, fold_idx)[0])
-
-    report = metrics.cross_validate(dataset, args.folds, trainer, args.seed, args.grid)
-    doc = _xval_report_dict(report, args)
-    for i, f in enumerate(report.folds):
-        print(
-            f"fold {i}: precision={metrics._fmt(f.precision)} recall={metrics._fmt(f.recall)} "
-            f"f1={metrics._fmt(f.f1)} ttm={metrics._fmt(f.mean_ttm_steps)} steps @ p_th={f.p_th}"
-        )
-    pr, pr_se = report.precision_mean_stderr()
-    re_, re_se = report.recall_mean_stderr()
-    ttm, ttm_se = report.ttm_mean_stderr()
-    print(
-        f"mean: precision={metrics._fmt(pr)} +/- {metrics._fmt(pr_se)}  "
-        f"recall={metrics._fmt(re_)} +/- {metrics._fmt(re_se)}  "
-        f"ttm={metrics._fmt(ttm)} +/- {metrics._fmt(ttm_se)} steps"
-    )
-    if args.out:
-        dataio.save_report(doc, args.out)
-        log.info("report written to %s", args.out)
+    report = metrics.cross_validate(dataset, args.folds, fold_trainer(args), args.seed, args.grid)
+    _emit_report(_xval_report_dict(report, args), args.out)
     return 0
 
 
@@ -406,104 +388,97 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     _log_config("report", args)
     doc = dataio.load_report(args.infile)
-    if args.format == "text":
-        _print_report_text(doc)
-    else:
-        _print_report_csv(doc)
+    render = _report_text if args.format == "text" else _report_csv
+    try:
+        text = render(doc)
+    except KeyError as err:
+        raise dataio.DataFormatError(
+            f"{args.infile}: {doc.get('kind')!r} report lacks field {err.args[0]!r}"
+        ) from None
+    except (TypeError, ValueError, AttributeError) as err:
+        raise dataio.DataFormatError(f"{args.infile}: malformed report ({err})") from None
+    print(text)
     return 0
 
 
-def _print_report_text(doc: dict) -> None:
+SCORES = ("precision", "recall", "f1", "ttm_steps")
+
+
+def _report_text(doc: dict) -> str:
+    """The text rendering of a report; also the stdout of eval, sweep and xval."""
     kind = doc.get("kind", "?")
     if kind == "eval":
-        print(f"evaluation at p_th={doc['p_th']}")
+        lines = [f"evaluation at p_th={doc['p_th']}"]
         c = doc["counts"]
-        print(f"  counts: tp={c['tp']} fp={c['fp']} fpp={c['fpp']} mp={c['mp']}")
+        lines.append(f"  counts: tp={c['tp']} fp={c['fp']} fpp={c['fpp']} mp={c['mp']}")
         for section in ("session", "macro"):
             if section in doc:
                 s = doc[section]
-                print(
+                lines.append(
                     f"  {section}: precision={_num(s['precision'])} "
                     f"recall={_num(s['recall'])} f1={_num(s['f1'])}"
                 )
-        print(f"  time-to-maneuver: {_num(doc['ttm_steps'])} steps")
-        _print_confusion(doc)
+        lines.append(f"  time-to-maneuver: {_num(doc['ttm_steps'])} steps")
     elif kind == "xval":
-        print(f"cross-validation ({doc.get('arch', '?')})")
+        lines = [f"cross-validation ({doc.get('arch', '?')})"]
         for i, f in enumerate(doc["folds"]):
-            print(
+            lines.append(
                 f"  fold {i}: precision={_num(f['precision'])} recall={_num(f['recall'])} "
                 f"f1={_num(f['f1'])} ttm={_num(f['ttm_steps'])} @ p_th={f['p_th']}"
             )
         m, s = doc["mean"], doc["stderr"]
-        for key in ("precision", "recall", "f1", "ttm_steps"):
-            print(f"  {key}: {_num(m[key])} +/- {_num(s[key])}")
-        _print_confusion(doc)
+        lines += [f"  {key}: {_num(m[key])} +/- {_num(s[key])}" for key in SCORES]
     elif kind == "sweep":
-        for p in doc["points"]:
-            flag = " *" if p["best"] else ""
-            print(
-                f"  p_th={p['p_th']} precision={_num(p['precision'])} "
-                f"recall={_num(p['recall'])} f1={_num(p['f1'])}{flag}"
-            )
+        lines = [
+            f"  p_th={p['p_th']} precision={_num(p['precision'])} "
+            f"recall={_num(p['recall'])} f1={_num(p['f1'])}" + (" *" if p["best"] else "")
+            for p in doc["points"]
+        ]
     else:
-        print(json.dumps(doc, indent=2))
+        return json.dumps(doc, indent=2)
+    events, confusion = doc.get("events"), doc.get("confusion")
+    if events and confusion is not None:
+        lines.append("  confusion (rows = predicted, cols = actual):")
+        lines.append(_confusion_row("", [e[:10] for e in events]))
+        lines += [_confusion_row(e[:10], [int(v) for v in row]) for e, row in zip(events, confusion)]
+    return "\n".join(lines)
 
 
-def _print_confusion(doc: dict) -> None:
-    events = doc.get("events")
-    confusion = doc.get("confusion")
-    if not events or confusion is None:
-        return
-    print("  confusion (rows = predicted, cols = actual):")
-    print("    " + " ".join(f"{e[:10]:>10}" for e in events))
-    for name, row in zip(events, confusion):
-        print(f"    {name[:10]:>10} " + " ".join(f"{int(v):>10}" for v in row))
+def _confusion_row(head: str, cells: list) -> str:
+    return f"    {head:>10} " + " ".join(f"{v:>10}" for v in cells)
 
 
-def _print_report_csv(doc: dict) -> None:
+def _report_csv(doc: dict) -> str:
     kind = doc.get("kind", "?")
     if kind == "eval":
-        print("metric,value")
+        lines = ["metric,value"]
         c = doc["counts"]
-        for k in ("tp", "fp", "fpp", "mp"):
-            print(f"{k},{c[k]}")
+        lines += [f"{k},{c[k]}" for k in ("tp", "fp", "fpp", "mp")]
         for section in ("session", "macro"):
             if section in doc:
-                for k, v in doc[section].items():
-                    print(f"{section}_{k},{_num(v)}")
-        print(f"ttm_steps,{_num(doc['ttm_steps'])}")
-        _print_confusion_csv(doc)
+                lines += [f"{section}_{k},{_num(v)}" for k, v in doc[section].items()]
+        lines.append(f"ttm_steps,{_num(doc['ttm_steps'])}")
     elif kind == "xval":
-        print("fold,precision,recall,f1,ttm_steps,p_th")
-        for i, f in enumerate(doc["folds"]):
-            print(
-                f"{i},{_num(f['precision'])},{_num(f['recall'])},"
-                f"{_num(f['f1'])},{_num(f['ttm_steps'])},{f['p_th']}"
-            )
-        m, s = doc["mean"], doc["stderr"]
-        print(f"mean,{_num(m['precision'])},{_num(m['recall'])},{_num(m['f1'])},{_num(m['ttm_steps'])},")
-        print(f"stderr,{_num(s['precision'])},{_num(s['recall'])},{_num(s['f1'])},{_num(s['ttm_steps'])},")
-        _print_confusion_csv(doc)
+        lines = ["fold,precision,recall,f1,ttm_steps,p_th"]
+        lines += [
+            f"{i}," + ",".join(_num(f[key]) for key in SCORES) + f",{f['p_th']}"
+            for i, f in enumerate(doc["folds"])
+        ]
+        lines += [f"{row}," + ",".join(_num(doc[row][key]) for key in SCORES) + ","
+                  for row in ("mean", "stderr")]
     elif kind == "sweep":
-        print("p_th,precision,recall,f1,ttm_steps,best")
-        for p in doc["points"]:
-            print(
-                f"{p['p_th']},{_num(p['precision'])},{_num(p['recall'])},"
-                f"{_num(p['f1'])},{_num(p['ttm_steps'])},{int(p['best'])}"
-            )
+        lines = ["p_th,precision,recall,f1,ttm_steps,best"]
+        lines += [
+            f"{p['p_th']}," + ",".join(_num(p[key]) for key in SCORES) + f",{int(p['best'])}"
+            for p in doc["points"]
+        ]
     else:
         raise ValueError(f"cannot render report of kind {kind!r} as CSV")
-
-
-def _print_confusion_csv(doc: dict) -> None:
-    events = doc.get("events")
-    confusion = doc.get("confusion")
-    if not events or confusion is None:
-        return
-    print("confusion," + ",".join(events))
-    for name, row in zip(events, confusion):
-        print(f"{name}," + ",".join(str(int(v)) for v in row))
+    events, confusion = doc.get("events"), doc.get("confusion")
+    if events and confusion is not None:
+        lines.append("confusion," + ",".join(events))
+        lines += [f"{e}," + ",".join(str(int(v)) for v in row) for e, row in zip(events, confusion)]
+    return "\n".join(lines)
 
 
 def _num(v) -> str:

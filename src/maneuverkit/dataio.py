@@ -291,9 +291,12 @@ def save_report(report: dict, path: str | Path) -> None:
 def load_report(path: str | Path) -> dict:
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{path}: malformed JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: a report must be a JSON object")
+    return doc
 
 
 def load_frames(path: str | Path):

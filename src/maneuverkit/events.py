@@ -41,11 +41,6 @@ def straight_index(events: tuple[str, ...]) -> int:
     return events.index(STRAIGHT)
 
 
-def maneuver_indices(events: tuple[str, ...]) -> list[int]:
-    """Indices of all non-straight events."""
-    return [i for i, e in enumerate(events) if e != STRAIGHT]
-
-
 def validate_events(events: tuple[str, ...]) -> None:
     """Check an event tuple: known labels, no duplicates, straight last."""
     unknown = [e for e in events if e not in EVENTS]

@@ -34,11 +34,6 @@ class OutcomeCounts:
     fpp: int = 0
     mp: int = 0
 
-    def __add__(self, other: "OutcomeCounts") -> "OutcomeCounts":
-        return OutcomeCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fpp + other.fpp, self.mp + other.mp
-        )
-
 
 def precision_recall(c: OutcomeCounts) -> tuple[float | None, float | None]:
     """Session-outcome precision and recall; None marks a 0/0 ratio."""
@@ -302,26 +297,3 @@ def row_normalized(confusion: np.ndarray) -> np.ndarray:
     np.divide(confusion, sums, out=out, where=sums > 0)
     return out
 
-
-def format_eval(ev: DatasetEval) -> str:
-    """Human-readable text block for a single evaluation."""
-    macro_pr, macro_re = ev.macro_scores()
-    lines = [
-        f"counts: tp={ev.counts.tp} fp={ev.counts.fp} fpp={ev.counts.fpp} mp={ev.counts.mp}",
-        f"session: precision={_fmt(ev.precision)} recall={_fmt(ev.recall)} f1={_fmt(ev.f1)}",
-        f"macro:   precision={_fmt(macro_pr)} recall={_fmt(macro_re)} "
-        f"f1={_fmt(f1_score(macro_pr, macro_re))}",
-        f"time-to-maneuver: {_fmt(ev.mean_ttm_steps)} steps"
-        + (f" ({ev.mean_ttm_steps * 0.8:.2f} s)" if ev.mean_ttm_steps is not None else ""),
-        "confusion (rows = predicted, cols = actual):",
-    ]
-    header = " " * 12 + " ".join(f"{e[:10]:>10}" for e in ev.events)
-    lines.append(header)
-    for i, e in enumerate(ev.events):
-        row = " ".join(f"{int(v):>10}" for v in ev.confusion[i])
-        lines.append(f"{e[:10]:>10}  {row}")
-    return "\n".join(lines)
-
-
-def _fmt(v: float | None) -> str:
-    return "undef" if v is None else f"{v:.4f}"

@@ -38,7 +38,6 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     augmentation_factor: float = 1.0
-    grad_clip: float | None = None
     prob_floor: float = 1e-12
 
     def validate(self) -> None:
@@ -65,13 +64,13 @@ class TrainConfig:
             "epochs": self.epochs,
             "seed": self.seed,
             "augmentation_factor": self.augmentation_factor,
-            "grad_clip": self.grad_clip,
             "prob_floor": self.prob_floor,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        # Older checkpoints still record the retired gradient clip (always null).
+        return cls(**{k: v for k, v in d.items() if k != "grad_clip"})
 
 
 @dataclass
@@ -171,10 +170,6 @@ class RmsProp:
     def step(self, model: FusionRnnModel, grad: np.ndarray) -> None:
         """Apply one update from a gradient laid out like ``model.theta``."""
         cfg = self.config
-        if cfg.grad_clip is not None:
-            norm = np.sqrt(float(grad @ grad))
-            if norm > cfg.grad_clip:
-                grad = grad * (cfg.grad_clip / norm)
         model.theta[...], self.acc = rmsprop_update(
             model.theta, grad, self.acc,
             cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_epsilon,

@@ -162,44 +162,29 @@ def test_criterion_05_em_monotonicity_and_recovery():
 GRID = [round(0.1 * i, 2) for i in range(2, 10)]
 
 
-def _rnn_trainer(arch, loss_mode, hidden=16, epochs=6, lr=2e-3, seed=11):
-    def trainer(train_samples, fold_idx):
-        model = fusion_rnn.init_fusion_model(
-            arch, 6, 9, hidden, EVENTS, make_rng(seed + fold_idx)
-        )
-        config = training.TrainConfig(
-            loss_mode=loss_mode, epochs=epochs, learning_rate=lr, seed=seed + fold_idx
-        )
-        result = training.train(train_samples, model, config)
-        return anticipation.FusionRnnPredictor(result.model)
-
-    return trainer
+def xval_trainer(*flags):
+    """The trainer `maneuverkit xval <flags>` hands to cross_validate: fold k
+    trains with seed + k.  It never reads --data."""
+    return cli.fold_trainer(cli.build_parser().parse_args(["xval", "--data", "-", *flags]))
 
 
-def _hmm_trainer(states=3, em_iters=20, seed=11):
-    def trainer(train_samples, fold_idx):
-        config = aiohmm.EmConfig(states=states, variant="aio", max_iter=em_iters, seed=seed + fold_idx)
-        models = {}
-        for name in EVENTS:
-            seqs = [(s.xs, s.zs) for s in train_samples if s.label == EVENTS.index(name)]
-            models[name], _ = aiohmm.fit_em(seqs, config)
-        return anticipation.AioHmmPredictor(aiohmm.AioHmmEnsemble(events=EVENTS, models=models))
-
-    return trainer
+def rnn_trainer(arch, seed):
+    return xval_trainer(
+        "--arch", arch, "--hidden", "16", "--epochs", "6", "--lr", "2e-3", "--seed", str(seed)
+    )
 
 
 def test_criterion_06_synthetic_end_to_end():
     start = time.monotonic()
     dataset = synth.generate(synth.ScenarioConfig(seed=42), 1000)
 
-    rnn_report = metrics.cross_validate(
-        dataset, 5, _rnn_trainer("fusion", training.LOSS_EXPONENTIAL), seed=13, grid=GRID
-    )
+    rnn_report = metrics.cross_validate(dataset, 5, rnn_trainer("frnn-el", 11), seed=13, grid=GRID)
     rnn_pr, _ = rnn_report.precision_mean_stderr()
     rnn_re, _ = rnn_report.recall_mean_stderr()
     rnn_ttm, _ = rnn_report.ttm_mean_stderr()
 
-    hmm_report = metrics.cross_validate(dataset, 5, _hmm_trainer(), seed=13, grid=GRID)
+    hmm_trainer = xval_trainer("--arch", "aiohmm", "--states", "3", "--em-iters", "20", "--seed", "11")
+    hmm_report = metrics.cross_validate(dataset, 5, hmm_trainer, seed=13, grid=GRID)
     hmm_pr, _ = hmm_report.precision_mean_stderr()
 
     elapsed = time.monotonic() - start
@@ -220,12 +205,7 @@ def test_criterion_06_synthetic_end_to_end():
 
 
 def test_criterion_07_architecture_ordering():
-    variants = {
-        "frnn-el": ("fusion", training.LOSS_EXPONENTIAL),
-        "frnn-ul": ("fusion", training.LOSS_UNIFORM),
-        "srnn": ("concat", training.LOSS_EXPONENTIAL),
-    }
-    scores = {name: [] for name in variants}
+    scores = {name: [] for name in ("frnn-el", "frnn-ul", "srnn")}
     for seed in range(5):
         config = synth.ScenarioConfig(
             seed=100 + seed, noise_sigma=0.25, inside_nuisance=1.0, outside_nuisance=1.0
@@ -233,8 +213,8 @@ def test_criterion_07_architecture_ordering():
         data = synth.generate(config, 400)
         folds = synth.split_folds(data, 5, seed=7)
         test, train_set = folds[0], [s for f in folds[1:] for s in f]
-        for name, (arch, loss_mode) in variants.items():
-            predictor = _rnn_trainer(arch, loss_mode, seed=50 + seed)(train_set, 0)
+        for name in scores:
+            predictor = rnn_trainer(name, 50 + seed)(train_set, 0)
             sweep = metrics.threshold_sweep(predictor, test, GRID)
             scores[name].append(sweep.best.f1 if sweep.best else 0.0)
     means = {name: float(np.mean(v)) for name, v in scores.items()}

@@ -1,10 +1,16 @@
 import io
 import json
+import logging
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from maneuverkit import training
 from maneuverkit.cli import main
+from maneuverkit.dataio import load_dataset, load_model, save_dataset
+from maneuverkit.synth import split_folds
 
 
 def run(argv, capsys):
@@ -91,6 +97,16 @@ class TestValidation:
 
     def test_gradcheck_rejects_hmm_archs(self):
         assert main(["gradcheck", "--arch", "aiohmm"]) == 1
+
+    @pytest.mark.parametrize("arch", ["frnn-el", "aiohmm"])
+    def test_dataset_without_the_settings_events_is_reported(self, tmp_path, caplog, arch):
+        d, turns = tmp_path / "d.jsonl", tmp_path / "turns.jsonl"
+        assert main(["synth", "--n", "40", "--seed", "1", "--out", str(d)]) == 0
+        turns.write_text("".join(line + "\n" for line in d.read_text(encoding="utf-8").splitlines()
+                                 if '"label": "left_turn"' in line), encoding="utf-8")
+        assert main(["train", "--data", str(turns), "--arch", arch, "--setting", "lane",
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert "dataset has no samples for" in caplog.text
 
     @pytest.mark.parametrize("width", [0, -2])
     @pytest.mark.parametrize("command", ["train", "xval"])
@@ -327,3 +343,124 @@ class TestModelDataSizes:
         assert out == ""
         assert (f"{wide_z_dataset} has (x, z) sizes (6, 12), but the model {model} "
                 f"expects (6, 9)") in caplog.text
+
+
+@pytest.fixture(scope="module")
+def fusion_run(tmp_path_factory):
+    """A small dataset and a fusion checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("fusion")
+    d, m = root / "d.jsonl", root / "m.json"
+    assert main(["synth", "--n", "40", "--seed", "11", "--out", str(d)]) == 0
+    assert main(["train", "--data", str(d), "--arch", "frnn-el", "--hidden", "4",
+                 "--epochs", "2", "--lr", "5e-3", "--seed", "1", "--out", str(m)]) == 0
+    return d, m
+
+
+class TestReportText:
+    @pytest.mark.parametrize("command", [
+        ["eval", "--pth", "0.4"],
+        ["eval", "--metrics", "session"],
+        ["sweep", "--grid", "0.3,0.5,0.9"],
+        ["xval", "--arch", "frnn-el", "--hidden", "4", "--epochs", "1", "--folds", "2",
+         "--grid", "0.3,0.6"],
+    ], ids=["eval", "eval-session", "sweep", "xval"])
+    def test_stdout_is_the_report_rendering(self, fusion_run, tmp_path, capsys, command):
+        d, m = fusion_run
+        r = tmp_path / "r.json"
+        model = [] if command[0] == "xval" else ["--model", str(m)]
+        code, printed = run([*command, *model, "--data", str(d), "--out", str(r)], capsys)
+        assert code == 0
+        code, rendered = run(["report", "--in", str(r), "--format", "text"], capsys)
+        assert code == 0
+        assert printed == rendered
+        assert printed.startswith("  p_th=" if command[0] == "sweep" else ("evaluation", "cross-validation"))
+        if "session" in command:
+            assert "session:" in printed and "macro:" not in printed
+
+    def test_confusion_header_is_aligned_with_its_columns(self, tmp_path, capsys):
+        events = ["left_lane", "right_lane", "left_turn", "right_turn", "straight"]
+        doc = {"kind": "eval", "events": events, "p_th": 0.7,
+               "counts": {"tp": 1, "fp": 0, "fpp": 0, "mp": 0}, "ttm_steps": 2.0,
+               "confusion": [[1000 * (i + 1) + j for j in range(5)] for i in range(5)]}
+        r = tmp_path / "r.json"
+        r.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(["report", "--in", str(r)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        header = lines.index("  confusion (rows = predicted, cols = actual):") + 1
+        ends = [m.end() for m in re.finditer(r"\S+", lines[header])]
+        assert len(ends) == 5
+        for line in lines[header + 1 : header + 6]:
+            assert [m.end() for m in re.finditer(r"\S+", line)][1:] == ends
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize("doc, fmt, message", [
+        ([1, 2], "text", "a report must be a JSON object"),
+        ([1, 2], "csv", "a report must be a JSON object"),
+        ({"kind": "eval"}, "text", "'eval' report lacks field 'p_th'"),
+        ({"kind": "eval"}, "csv", "'eval' report lacks field 'counts'"),
+        ({"kind": "eval", "p_th": 0.5, "counts": {"tp": 1}}, "text",
+         "'eval' report lacks field 'fp'"),
+        ({"kind": "sweep", "points": [{}]}, "text", "'sweep' report lacks field 'p_th'"),
+        ({"kind": "sweep", "points": [{"p_th": 0.5}]}, "text",
+         "'sweep' report lacks field 'precision'"),
+        ({"kind": "sweep", "points": [{"p_th": 0.5, "precision": 1, "recall": 1, "f1": 1}]},
+         "text", "'sweep' report lacks field 'best'"),
+        ({"kind": "sweep", "points": [{"p_th": 0.5}]}, "csv",
+         "'sweep' report lacks field 'precision'"),
+        ({"kind": "xval", "folds": []}, "csv", "'xval' report lacks field 'mean'"),
+        ({"kind": "eval", "p_th": 0.5, "counts": 3}, "text", "malformed report"),
+        ({"kind": "sweep", "points": [{"p_th": 0.5, "precision": "high"}]}, "csv",
+         "malformed report"),
+        ({"kind": "bogus"}, "csv", "malformed report (cannot render report of kind 'bogus' as CSV)"),
+    ])
+    def test_malformed_report_is_a_located_error(self, tmp_path, capsys, caplog, doc, fmt, message):
+        r = tmp_path / "r.json"
+        r.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(["report", "--in", str(r), "--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{r}: {message}" in caplog.text
+
+
+class TestTrainerFactory:
+    def test_xval_fold_trains_the_network_train_writes_with_seed_plus_fold(
+        self, fusion_run, tmp_path, monkeypatch
+    ):
+        d, _ = fusion_run
+        flags = ["--arch", "frnn-el", "--hidden", "3", "--epochs", "2", "--lr", "5e-3",
+                 "--augment-factor", "1.5"]
+        networks = []
+
+        def recording_train(dataset, model, config):
+            report = train(dataset, model, config)
+            networks.append(report.model)
+            return report
+
+        train = training.train
+        monkeypatch.setattr(training, "train", recording_train)
+        assert main(["xval", "--data", str(d), "--folds", "3", "--seed", "7",
+                     "--grid", "0.5", *flags]) == 0
+        monkeypatch.undo()
+        assert len(networks) == 3
+
+        folds = split_folds(load_dataset(d), 3, 7)
+        for k, network in enumerate(networks):
+            split, m = tmp_path / f"train{k}.jsonl", tmp_path / f"m{k}.json"
+            save_dataset([s for j, f in enumerate(folds) if j != k for s in f], split)
+            assert main(["train", "--data", str(split), "--seed", str(7 + k),
+                         "--out", str(m), *flags]) == 0
+            assert np.array_equal(load_model(m)[0].theta, network.theta)
+        assert not np.array_equal(networks[0].theta, networks[1].theta)
+
+    def test_hmm_training_logs_no_warning(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO)
+        d = tmp_path / "d.jsonl"
+        assert main(["synth", "--n", "60", "--seed", "3", "--out", str(d)]) == 0
+        assert main(["train", "--data", str(d), "--arch", "aiohmm", "--states", "2",
+                     "--em-iters", "3", "--seed", "2", "--out", str(tmp_path / "m.json")]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        summaries = [r for r in caplog.records if r.funcName == "fit_em"]
+        assert len(summaries) == 5
+        assert all(r.levelno == logging.INFO and len(r.args) == 2 for r in summaries)

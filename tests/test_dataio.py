@@ -318,6 +318,13 @@ def test_train_config_round_trips_through_checkpoint(tmp_path):
     assert EmConfig.from_dict(em.to_dict()) == em
 
 
+def test_train_config_from_checkpoint_with_retired_gradient_clip():
+    from maneuverkit.training import TrainConfig
+
+    cfg = TrainConfig(epochs=3, seed=5)
+    assert TrainConfig.from_dict({**cfg.to_dict(), "grad_clip": None}) == cfg
+
+
 def test_em_config_from_checkpoint_with_retired_step_size():
     from maneuverkit.aiohmm import EmConfig
 
