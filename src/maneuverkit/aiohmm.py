@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import make_rng
+from .numerics import make_rng, softmax
 
 log = logging.getLogger(__name__)
 
@@ -579,10 +579,7 @@ def posterior_from_logliks(logliks: np.ndarray, prior: np.ndarray) -> np.ndarray
     Max-shifted, so the result (and its argmax in particular) is invariant
     under adding a constant to every log-likelihood.
     """
-    scores = np.asarray(logliks, dtype=float) + np.log(prior)
-    shifted = scores - scores.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax(np.asarray(logliks, dtype=float) + np.log(prior))
 
 
 def infer_maneuver(

@@ -12,6 +12,12 @@ and stays silent for 5 seconds (7 steps of 0.8 s) or until an event starts,
 whichever comes first, and scores each commitment/onset as a true, false,
 false-positive, or missed prediction.  ``run_session`` and the CLI's
 ``anticipate --stream`` both drive it.
+
+``FusionRnnPredictor`` streams either network arch through the cell inputs
+and the readout of :mod:`~maneuverkit.fusion_rnn`, so it holds no arch
+logic or head arithmetic of its own; ``AioHmmPredictor`` streams the
+per-class model ensemble through the log-space forward step of
+:mod:`~maneuverkit.aiohmm`.
 """
 
 from __future__ import annotations
@@ -35,9 +41,8 @@ from .aiohmm import (
     posterior_from_logliks,
 )
 from .events import straight_index
-from .fusion_rnn import ARCH_CONCAT, FusionRnnModel
+from .fusion_rnn import FusionRnnModel, cell_inputs, readout
 from .lstm import lstm_step, zero_state
-from .numerics import softmax
 
 STEP_SECONDS = 0.8
 STICK_SECONDS = 5.0
@@ -59,8 +64,11 @@ class Predictor(Protocol):
 class FusionRnnPredictor:
     """Streams a fusion or concat network one step at a time.
 
-    The recurrent state carries over between steps, so evaluating the
-    prefix at step t costs one cell update, not a recomputation from t=1.
+    The state is one recurrent state per cell and carries over between
+    steps, so evaluating the prefix at step t costs one update per cell,
+    not a recomputation from t=1.  Each step feeds the cells through
+    :func:`~maneuverkit.fusion_rnn.cell_inputs` and reads them out through
+    :func:`~maneuverkit.fusion_rnn.readout`, as the batch forward pass does.
     """
 
     def __init__(self, model: FusionRnnModel):
@@ -68,24 +76,13 @@ class FusionRnnPredictor:
         self.events = model.events
 
     def begin(self):
-        m = self.model
-        if m.arch == ARCH_CONCAT:
-            return (zero_state(m.hidden),)
-        return (zero_state(m.hidden), zero_state(m.hidden))
+        return tuple(zero_state(self.model.hidden) for _ in self.model.cells)
 
     def step(self, state, x: np.ndarray, z: np.ndarray):
         m = self.model
-        if m.arch == ARCH_CONCAT:
-            (sx,) = state
-            sx, _ = lstm_step(m.lstm_x, np.concatenate([x, z]), sx)
-            logits = m.W_y @ sx.h + m.b_y
-            return (sx,), softmax(logits)
-        sx, sz = state
-        sx, _ = lstm_step(m.lstm_x, x, sx)
-        sz, _ = lstm_step(m.lstm_z, z, sz)
-        e = np.tanh(m.W_f @ np.concatenate([sx.h, sz.h]) + m.b_f)
-        logits = m.W_y @ e + m.b_y
-        return (sx, sz), softmax(logits)
+        inputs = cell_inputs(m, x, z)
+        state = tuple(lstm_step(p, u, s)[0] for p, u, s in zip(m.cells, inputs, state))
+        return state, readout(m, [s.h for s in state])[-1]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -301,14 +300,9 @@ def _parse_step(
         if field not in record:
             raise ValueError(f"{where}: missing field {field!r}")
         try:
-            vector = np.asarray(record[field], float)
-        except (TypeError, ValueError, OverflowError):
-            vector = None
-        if vector is None or vector.shape != (size,):
-            raise ValueError(f"{where}: field {field!r} must be a list of {size} numbers")
-        if not all(map(math.isfinite, vector.tolist())):  # cheaper than np.isfinite here
-            raise ValueError(f"{where}: field {field!r} must be finite")
-        vectors.append(vector)
+            vectors.append(dataio.parse_vector(record[field], field, (size,)))
+        except dataio.DataFormatError as err:
+            raise ValueError(f"{where}: {err}") from None
     onset = record.get("onset")
     if onset is not None and onset not in events:
         raise ValueError(f"{where}: field 'onset' is {onset!r}, not one of {list(events)}")

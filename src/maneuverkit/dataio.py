@@ -18,6 +18,7 @@ are bit-exact.  NaN or Inf anywhere in a model is a save-time error.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -102,21 +103,38 @@ def _parse_sample(record: dict, path: Path, lineno: int) -> SequenceSample:
     for i, step in enumerate(steps):
         if not isinstance(step, dict) or "x" not in step or "z" not in step:
             raise fail(f"step {i} must be an object with 'x' and 'z'")
-        x, z = step["x"], step["z"]
-        if len(x) != 6:
-            raise fail(f"step {i}: x has length {len(x)}, expected 6")
-        if len(z) not in (9, 12):
-            raise fail(f"step {i}: z has length {len(z)}, expected 9 or 12")
+        try:
+            x = parse_vector(step["x"], "x", (6,))
+            z = parse_vector(step["z"], "z", (9, 12))
+        except DataFormatError as err:
+            raise fail(f"step {i}: {err}") from None
+        if zs and len(z) != len(zs[0]):
+            raise fail(f"step {i}: z has length {len(z)}, but earlier steps use {len(zs[0])}")
         xs.append(x)
         zs.append(z)
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(zs))):
-        raise fail("features contain non-finite values")
     return SequenceSample(
-        id=str(record["id"]), xs=xs, zs=zs, label=EVENTS.index(label),
+        id=str(record["id"]), xs=np.array(xs), zs=np.array(zs), label=EVENTS.index(label),
         meta=record.get("meta", {}),
     )
+
+
+def parse_vector(value, field: str, sizes: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a finite float vector whose length is one of ``sizes``.
+
+    A fault raises DataFormatError naming the field; callers prefix it with
+    the location (file, line and step, or stream line).
+    """
+    try:
+        vector = np.asarray(value, float)
+    except (TypeError, ValueError, OverflowError):
+        vector = None
+    if vector is None or vector.ndim != 1 or len(vector) not in sizes:
+        raise DataFormatError(
+            f"field {field!r} must be a list of {' or '.join(map(str, sizes))} numbers"
+        )
+    if not all(map(math.isfinite, vector.tolist())):  # cheaper than np.isfinite here
+        raise DataFormatError(f"field {field!r} must be finite")
+    return vector
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Two-stream sensory-fusion recurrent network for event anticipation.
 
-Fusion mode runs the outside stream x and the inside stream z through
-separate LSTM cells, concatenates their hidden states at every step,
-squashes the concatenation through a tanh fusion layer, and applies a
-softmax output head:
+A network is a list of LSTM cells plus an optional tanh fusion layer.  The
+cells' hidden states are concatenated at every step into h_t, and one
+readout turns h_t into event probabilities:
 
-    e_t = tanh(W_f [h_t^x; h_t^z] + b_f)
+    e_t = tanh(W_f h_t + b_f)       (or e_t = h_t without a fusion layer)
     y_t = softmax(W_y e_t + b_y)
 
-Concat mode is the single-stream baseline: one LSTM over the per-step
-concatenation [x_t; z_t] with the softmax head reading the hidden state
-directly (no fusion layer).
+Fusion mode has two cells, ``lstm_x`` over the outside stream x and
+``lstm_z`` over the inside stream z, and the fusion layer.  Concat mode is
+the single-stream baseline: ``lstm_x`` alone over the per-step
+concatenation [x_t; z_t], read out with no fusion layer.  :func:`cell_inputs`
+and :func:`readout` serve the batch pass over a (T, ·) sequence and the
+streaming step over a (·,) vector alike, so ``arch`` is decided here only.
 
 All parameters live in one contiguous float64 vector ``theta``; every
 parameter array is a reshaped view into it.  The order is lstm_x (W, U, V,
@@ -35,19 +37,20 @@ from .lstm import (
     lstm_forward,
     lstm_shapes,
 )
-from .numerics import softmax_rows
+from .numerics import softmax
 
 ARCH_FUSION = "fusion"
 ARCH_CONCAT = "concat"
+CELL_NAMES = ("lstm_x", "lstm_z")
 
 
 @dataclass
 class FusionRnnModel:
     """Parameters of the full network, as views of ``theta``.
 
-    ``theta=None`` allocates a zero vector.  In concat mode ``lstm_z``,
-    ``W_f`` and ``b_f`` are None and ``lstm_x`` consumes the concatenated
-    input of size input_x + input_z.
+    ``theta=None`` allocates a zero vector.  ``cells`` holds ``lstm_x`` and
+    ``lstm_z`` in fusion mode and ``lstm_x`` alone, over input_x + input_z
+    inputs, in concat mode, where ``W_f`` and ``b_f`` are None.
     """
 
     arch: str
@@ -57,8 +60,7 @@ class FusionRnnModel:
     fusion: int
     events: tuple[str, ...]
     theta: np.ndarray | None = None
-    lstm_x: LstmParams = field(init=False, repr=False)
-    lstm_z: LstmParams | None = field(init=False, repr=False)
+    cells: list[LstmParams] = field(init=False, repr=False)
     W_f: np.ndarray | None = field(init=False, repr=False)
     b_f: np.ndarray | None = field(init=False, repr=False)
     W_y: np.ndarray = field(init=False, repr=False)
@@ -71,14 +73,13 @@ class FusionRnnModel:
             raise ValueError("all model dimensions must be positive")
         fused = self.arch == ARCH_FUSION
         if fused and self.fusion < 1:
-            raise ValueError("fusion width must be positive")
-        H = self.hidden
+            raise ValueError(f"fusion width must be positive, got {self.fusion}")
+        sizes = [self.input_x, self.input_z] if fused else [self.input_x + self.input_z]
+        width = len(sizes) * self.hidden
+        shapes = [s for d in sizes for s in lstm_shapes(d, self.hidden)]
         if fused:
-            shapes = lstm_shapes(self.input_x, H) + lstm_shapes(self.input_z, H)
-            shapes += [(self.fusion, 2 * H), (self.fusion,)]
-        else:
-            shapes = lstm_shapes(self.input_x + self.input_z, H)
-        shapes += [(self.k, self.fusion if fused else H), (self.k,)]
+            shapes += [(self.fusion, width), (self.fusion,)]
+        shapes += [(self.k, self.fusion if fused else width), (self.k,)]
         size = sum(math.prod(s) for s in shapes)
         if self.theta is None:
             self.theta = np.zeros(size)
@@ -93,9 +94,8 @@ class FusionRnnModel:
             n = math.prod(shape)
             views.append(theta[offset : offset + n].reshape(shape))
             offset += n
-        self.lstm_x = LstmParams(*views[:4])
-        self.lstm_z = LstmParams(*views[4:8]) if fused else None
-        self.W_f, self.b_f = views[8:10] if fused else (None, None)
+        self.cells = [LstmParams(*views[4 * c : 4 * c + 4]) for c in range(len(sizes))]
+        self.W_f, self.b_f = views[-4:-2] if fused else (None, None)
         self.W_y, self.b_y = views[-2:]
 
     @property
@@ -110,11 +110,10 @@ class FusionRnnModel:
 class FusionTape:
     """Forward-pass cache consumed by :func:`backward`."""
 
-    tape_x: LstmTape
-    tape_z: LstmTape | None
-    hcat: np.ndarray | None   # (T, 2*hidden), fusion mode only
-    e: np.ndarray | None      # (T, fusion), fusion mode only
-    probs: np.ndarray         # (T, K)
+    tapes: list[LstmTape]  # one per cell
+    hcat: np.ndarray       # (T, cells * hidden)
+    e: np.ndarray          # (T, fusion); hcat itself without a fusion layer
+    probs: np.ndarray      # (T, K)
 
 
 def init_fusion_model(
@@ -126,32 +125,38 @@ def init_fusion_model(
     rng: np.random.Generator,
     fusion: int | None = None,
 ) -> FusionRnnModel:
-    """Build a model with uniform [-1/sqrt(fan_in), +...] weights."""
-    k = len(events)
-    if k < 2:
+    """Build a model with uniform [-1/sqrt(fan_in), +...] weights and zero
+    biases, drawn cell by cell, then W_f, then W_y."""
+    if len(events) < 2:
         raise ValueError("need at least two events")
+    fusion = 0 if arch == ARCH_CONCAT else (hidden if fusion is None else fusion)
+    # Every size is checked here, before any draw.
+    m = FusionRnnModel(arch=arch, input_x=input_x, input_z=input_z, hidden=hidden,
+                       fusion=fusion, events=tuple(events))
+    for cell in m.cells:
+        drawn = init_lstm_params(cell.input_size, hidden, rng)
+        cell.W[...], cell.U[...], cell.V[...] = drawn.W, drawn.U, drawn.V
+    for W in (m.W_f, m.W_y):
+        if W is not None:
+            r = 1.0 / np.sqrt(W.shape[1])
+            W[...] = rng.uniform(-r, r, size=W.shape)
+    return m
 
-    def uni(rows: int, cols: int) -> np.ndarray:
-        r = 1.0 / np.sqrt(cols)
-        return rng.uniform(-r, r, size=(rows, cols))
 
-    if arch == ARCH_FUSION:
-        if fusion is not None and fusion < 1:  # checked before any draw: uni() divides by it
-            raise ValueError(f"fusion width must be positive, got {fusion}")
-        fusion = hidden if fusion is None else fusion
-        cells = [init_lstm_params(input_x, hidden, rng), init_lstm_params(input_z, hidden, rng)]
-        head = [uni(fusion, 2 * hidden), np.zeros(fusion), uni(k, fusion), np.zeros(k)]
-    elif arch == ARCH_CONCAT:
-        fusion = 0
-        cells = [init_lstm_params(input_x + input_z, hidden, rng)]
-        head = [uni(k, hidden), np.zeros(k)]
-    else:
-        raise ValueError(f"unknown arch {arch!r}")
-    parts = [a for p in cells for a in (p.W, p.U, p.V, p.b)] + head
-    return FusionRnnModel(
-        arch=arch, input_x=input_x, input_z=input_z, hidden=hidden, fusion=fusion,
-        events=tuple(events), theta=np.concatenate([a.ravel() for a in parts]),
-    )
+def cell_inputs(m: FusionRnnModel, x: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+    """What each cell of ``m`` reads: x and z apart, or [x; z] joined along
+    the last axis, for a (T, ·) sequence or a (·,) step."""
+    if m.arch == ARCH_CONCAT:
+        return [np.concatenate([x, z], axis=-1)]
+    return [x, z]
+
+
+def readout(m: FusionRnnModel, hs: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """(hcat, e, probs) from the cells' hidden states ``hs``, for a (T, ·)
+    sequence or a (·,) step."""
+    hcat = np.concatenate(hs, axis=-1)
+    e = hcat if m.W_f is None else np.tanh(hcat @ m.W_f.T + m.b_f)
+    return hcat, e, softmax(e @ m.W_y.T + m.b_y)
 
 
 def forward(m: FusionRnnModel, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, FusionTape]:
@@ -170,18 +175,9 @@ def forward(m: FusionRnnModel, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarr
             f"stream dims ({xs.shape[1]}, {zs.shape[1]}) do not match model "
             f"({m.input_x}, {m.input_z})"
         )
-
-    if m.arch == ARCH_CONCAT:
-        tape_x = lstm_forward(m.lstm_x, np.concatenate([xs, zs], axis=1))
-        probs = softmax_rows(tape_x.h @ m.W_y.T + m.b_y)
-        return probs, FusionTape(tape_x=tape_x, tape_z=None, hcat=None, e=None, probs=probs)
-
-    tape_x = lstm_forward(m.lstm_x, xs)
-    tape_z = lstm_forward(m.lstm_z, zs)
-    hcat = np.concatenate([tape_x.h, tape_z.h], axis=1)
-    e = np.tanh(hcat @ m.W_f.T + m.b_f)
-    probs = softmax_rows(e @ m.W_y.T + m.b_y)
-    return probs, FusionTape(tape_x=tape_x, tape_z=tape_z, hcat=hcat, e=e, probs=probs)
+    tapes = [lstm_forward(p, u) for p, u in zip(m.cells, cell_inputs(m, xs, zs))]
+    hcat, e, probs = readout(m, [tape.h for tape in tapes])
+    return probs, FusionTape(tapes=tapes, hcat=hcat, e=e, probs=probs)
 
 
 def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.ndarray:
@@ -194,29 +190,25 @@ def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.nda
     g = replace(m, theta=np.zeros_like(m.theta))  # views of the gradient vector
 
     np.sum(dlogits, axis=0, out=g.b_y)
-    if m.arch == ARCH_CONCAT:
-        np.matmul(dlogits.T, tape.tape_x.h, out=g.W_y)
-        lstm_backward(m.lstm_x, tape.tape_x, dlogits @ m.W_y, g.lstm_x)
-        return g.theta
-
     np.matmul(dlogits.T, tape.e, out=g.W_y)
-    da_f = (dlogits @ m.W_y) * (1.0 - tape.e * tape.e)
-    np.matmul(da_f.T, tape.hcat, out=g.W_f)
-    np.sum(da_f, axis=0, out=g.b_f)
-    dcat = da_f @ m.W_f
-    # The fusion gradient splits at the concatenation boundary.
-    lstm_backward(m.lstm_x, tape.tape_x, dcat[:, : m.hidden], g.lstm_x)
-    lstm_backward(m.lstm_z, tape.tape_z, dcat[:, m.hidden :], g.lstm_z)
+    dcat = dlogits @ m.W_y
+    if m.W_f is not None:
+        da_f = dcat * (1.0 - tape.e * tape.e)
+        np.matmul(da_f.T, tape.hcat, out=g.W_f)
+        np.sum(da_f, axis=0, out=g.b_f)
+        dcat = da_f @ m.W_f
+    # The gradient on the concatenation splits at the cell boundaries.
+    H = m.hidden
+    for c, (p, cell_tape, grads) in enumerate(zip(m.cells, tape.tapes, g.cells)):
+        lstm_backward(p, cell_tape, dcat[:, c * H : (c + 1) * H], grads)
     return g.theta
 
 
 def param_blocks(m: FusionRnnModel) -> list[tuple[str, np.ndarray]]:
     """Named per-gate parameter views of ``m.theta``, in storage order
     (used by serialization and the gradient checker)."""
-    blocks: list[tuple[str, np.ndarray]] = []
-    for stream, lp in (("lstm_x", m.lstm_x), ("lstm_z", m.lstm_z)):
-        if lp is not None:
-            blocks += [(f"{stream}.{name}", arr) for name, arr in gate_blocks(lp)]
+    blocks = [(f"{stream}.{name}", arr)
+              for stream, cell in zip(CELL_NAMES, m.cells) for name, arr in gate_blocks(cell)]
     for name in ("W_f", "b_f", "W_y", "b_y"):
         arr = getattr(m, name)
         if arr is not None:

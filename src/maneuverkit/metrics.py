@@ -262,38 +262,26 @@ def cross_validate(
     ``trainer(train_samples, fold_index) -> Predictor`` owns training (and
     any augmentation of the training folds); test folds are passed through
     verbatim.  Each fold is scored at its own best-F1 threshold from the
-    grid, matching how headline numbers are tabulated.
+    grid, matching how headline numbers are tabulated.  A fold with no
+    defined best point keeps a row of None scores at ``grid[0]``, and its
+    decisions at that threshold still enter the summed confusion matrix.
     """
     folds = split_folds(dataset, k, seed)
     scores: list[FoldScore] = []
     confusion_total: np.ndarray | None = None
-    events: tuple[str, ...] | None = None
     for fold_idx, test in enumerate(folds):
         train_samples = [s for j, f in enumerate(folds) if j != fold_idx for s in f]
         predictor = trainer(train_samples, fold_idx)
-        events = predictor.events
-        sweep = threshold_sweep(predictor, test, grid)
-        best = sweep.best
+        best = threshold_sweep(predictor, test, grid).best
+        p_th = grid[0] if best is None else best.p_th
+        ev = evaluate_dataset(predictor, test, p_th)
         if best is None:
             log.warning("fold %d: F1 undefined at every threshold", fold_idx)
-            scores.append(FoldScore(None, None, None, None, grid[0]))
-            continue
-        ev = evaluate_dataset(predictor, test, best.p_th)
-        scores.append(
-            FoldScore(ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps, best.p_th)
-        )
+            scores.append(FoldScore(None, None, None, None, p_th))
+        else:
+            scores.append(FoldScore(ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps, p_th))
         confusion_total = ev.confusion if confusion_total is None else confusion_total + ev.confusion
-    if events is None:
-        raise ValueError("cross-validation produced no folds")
     if confusion_total is None:
-        confusion_total = np.zeros((len(events), len(events)))
-    return EvalReport(events=events, folds=scores, confusion=confusion_total)
-
-
-def row_normalized(confusion: np.ndarray) -> np.ndarray:
-    """Confusion rows divided by their sums (zero rows stay zero)."""
-    sums = confusion.sum(axis=1, keepdims=True)
-    out = np.zeros_like(confusion, dtype=float)
-    np.divide(confusion, sums, out=out, where=sums > 0)
-    return out
+        raise ValueError("cross-validation produced no folds")
+    return EvalReport(events=predictor.events, folds=scores, confusion=confusion_total)
 

@@ -24,14 +24,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def check_finite(name: str, value: np.ndarray | float) -> None:
-    """Raise ValueError if ``value`` contains NaN or Inf."""
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} contains non-finite values")
-
-
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Probability vector exp(v_i) / sum_j exp(v_j).
+    """exp(v_i) / sum_j exp(v_j) along the last axis, so a (T, K) array
+    gives one probability row per step.
 
     Always subtracts the max first: callers feed logits whose spread covers
     many orders of magnitude (e.g. per-model log-likelihoods).
@@ -39,18 +34,8 @@ def softmax(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    check_finite("softmax input", v)
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-d array, max-subtracted per row."""
-    m = np.asarray(m, dtype=float)
-    shifted = m - np.max(m, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))  # methods: cheaper than np.max per step
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def finite_diff_grad(

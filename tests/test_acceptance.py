@@ -296,7 +296,7 @@ def test_criterion_09_metrics_exactness():
         p, r = rng.uniform(0.01, 1.0, 2)
         f1_ok &= abs(metrics.f1_score(p, r) - 2 * p * r / (p + r)) <= 1e-12
 
-    from test_metrics import SequencePredictor, confident, scripted_dataset
+    from test_metrics import SequencePredictor, confident, row_normalized, scripted_dataset
 
     plan = [
         ("left_lane", [confident("left_lane")] * 4),
@@ -307,7 +307,7 @@ def test_criterion_09_metrics_exactness():
     ]
     samples, tables = scripted_dataset(plan)
     ev = metrics.evaluate_dataset(SequencePredictor(tables), samples, 0.7)
-    norm = metrics.row_normalized(ev.confusion)
+    norm = row_normalized(ev.confusion)
     confusion_ok = True
     for i in range(4):
         p_m = ev.confusion[i].sum()

@@ -290,15 +290,24 @@ class TestRunSession:
 
 
 class TestPredictors:
-    def test_rnn_incremental_matches_batch_forward(self):
-        rng = make_rng(1)
-        for arch in ("fusion", "concat"):
-            model = init_fusion_model(arch, 6, 9, 5, EVENTS, make_rng(2))
-            xs = rng.standard_normal((8, 6))
-            zs = rng.standard_normal((8, 9))
-            batch, _ = forward(model, xs, zs)
-            stream = trajectory(FusionRnnPredictor(model), xs, zs)
-            np.testing.assert_allclose(stream, batch, atol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arch=st.sampled_from(["fusion", "concat"]),
+        hidden=st.integers(1, 32),
+        T=st.integers(1, 15),
+        scale=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rnn_incremental_matches_batch_forward(self, arch, hidden, T, scale, seed):
+        # Weights scaled up to 3x drive the gates into saturation.
+        model = init_fusion_model(arch, 6, 9, hidden, EVENTS, make_rng(seed))
+        model.theta[...] *= scale
+        rng = make_rng(seed + 1)
+        xs = rng.standard_normal((T, 6))
+        zs = rng.standard_normal((T, 9))
+        batch, _ = forward(model, xs, zs)
+        stream = trajectory(FusionRnnPredictor(model), xs, zs)
+        np.testing.assert_allclose(stream, batch, rtol=0, atol=1e-12)
 
     def test_aiohmm_incremental_matches_full_prefix_inference(self):
         rng = make_rng(3)

@@ -1,8 +1,12 @@
+import copy
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import AioHmmEnsemble
 from maneuverkit.dataio import (
@@ -84,6 +88,86 @@ class TestDatasetRoundTrip:
             load_dataset(path)
 
 
+VALID_RECORD = {
+    "id": "a", "label": "left_turn", "meta": {"k": 1},
+    "steps": [{"x": [0.5] * 6, "z": [0.1] * 9}, {"x": [0.0] * 6, "z": [0.2] * 9}],
+}
+
+
+def write_dataset(path, *records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+def with_step(step_index, **fields):
+    record = copy.deepcopy(VALID_RECORD)
+    record["steps"][step_index].update(fields)
+    return record
+
+
+class TestDatasetStepFaults:
+    """Each malformed step names the file, the line, the step and the field."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"x": 5}, "field 'x' must be a list of 6 numbers"),
+            ({"x": None}, "field 'x' must be a list of 6 numbers"),
+            ({"x": [[1]] * 6}, "field 'x' must be a list of 6 numbers"),
+            ({"x": ["a"] * 6}, "field 'x' must be a list of 6 numbers"),
+            ({"z": [0.0] * 10}, "field 'z' must be a list of 9 or 12 numbers"),
+            ({"z": [0.0] * 8 + [float("inf")]}, "field 'z' must be finite"),
+            ({"z": [0.0] * 12}, "z has length 12, but earlier steps use 9"),
+        ],
+        ids=["number", "null", "nested", "strings", "z-width", "infinite", "z-width-changes"],
+    )
+    def test_fault_is_located(self, tmp_path, fields, message):
+        path = tmp_path / "bad.jsonl"
+        write_dataset(path, VALID_RECORD, with_step(1, **fields))
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}:2: step 1: {message}"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=13) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=20,
+)
+MUTATION_PATHS = [
+    (), ("id",), ("label",), ("meta",), ("steps",), ("steps", 0), ("steps", 1, "x"),
+    ("steps", 0, "z"), ("steps", 1, "x", 3), ("steps", 0, "z", 8),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    where=st.sampled_from(MUTATION_PATHS),
+    value=JSON_VALUES,
+    delete=st.booleans(),
+    cut=st.none() | st.integers(0, 200),
+)
+def test_mutated_dataset_line_loads_or_raises_data_format_error(where, value, delete, cut):
+    record = copy.deepcopy(VALID_RECORD)
+    if not where:
+        record = value
+    else:
+        parent = record
+        for key in where[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
+    line = json.dumps(record)[:cut]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.jsonl"
+        path.write_text(json.dumps(VALID_RECORD) + "\n" + line + "\n", encoding="utf-8")
+        try:
+            load_dataset(path)
+        except DataFormatError:
+            pass
+
+
 class TestCheckpoints:
     def test_fusion_round_trip_bit_exact(self, tmp_path):
         model = init_fusion_model("fusion", 6, 9, 7, EVENTS, make_rng(3))
@@ -99,7 +183,7 @@ class TestCheckpoints:
         save_model(model, {}, path)
         loaded, _, _ = load_model(path)
         np.testing.assert_array_equal(loaded.theta, model.theta)
-        assert loaded.lstm_z is None and loaded.W_f is None
+        assert len(loaded.cells) == 1 and loaded.W_f is None
 
     def test_ensemble_round_trip_bit_exact(self, tmp_path):
         rng = make_rng(5)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from maneuverkit.fusion_rnn import (
     param_blocks,
     param_count,
 )
-from maneuverkit.numerics import make_rng, softmax_rows
+from maneuverkit.lstm import lstm_backward, lstm_forward
+from maneuverkit.numerics import make_rng, softmax
 from maneuverkit.training import TrainConfig, gradient_check
 
 from test_lstm import reference_backward, reference_forward
@@ -174,27 +177,78 @@ def reference_pass(m, xs, zs, dlogits):
     reference LSTM unroll and BPTT."""
     H = m.hidden
     if m.arch == "concat":
-        tx = reference_forward(m.lstm_x, np.concatenate([xs, zs], axis=1))
-        probs = softmax_rows(tx["h"] @ m.W_y.T + m.b_y)
-        cells = {"lstm_x": reference_backward(m.lstm_x, tx, dlogits @ m.W_y)[0]}
+        (lstm_x,) = m.cells
+        tx = reference_forward(lstm_x, np.concatenate([xs, zs], axis=1))
+        probs = softmax(tx["h"] @ m.W_y.T + m.b_y)
+        cells = {"lstm_x": reference_backward(lstm_x, tx, dlogits @ m.W_y)[0]}
         head = {"W_y": dlogits.T @ tx["h"], "b_y": dlogits.sum(axis=0)}
     else:
-        tx = reference_forward(m.lstm_x, xs)
-        tz = reference_forward(m.lstm_z, zs)
+        lstm_x, lstm_z = m.cells
+        tx = reference_forward(lstm_x, xs)
+        tz = reference_forward(lstm_z, zs)
         hcat = np.concatenate([tx["h"], tz["h"]], axis=1)
         e = np.tanh(hcat @ m.W_f.T + m.b_f)
-        probs = softmax_rows(e @ m.W_y.T + m.b_y)
+        probs = softmax(e @ m.W_y.T + m.b_y)
         da_f = (dlogits @ m.W_y) * (1.0 - e * e)
         dcat = da_f @ m.W_f
         cells = {
-            "lstm_x": reference_backward(m.lstm_x, tx, dcat[:, :H])[0],
-            "lstm_z": reference_backward(m.lstm_z, tz, dcat[:, H:])[0],
+            "lstm_x": reference_backward(lstm_x, tx, dcat[:, :H])[0],
+            "lstm_z": reference_backward(lstm_z, tz, dcat[:, H:])[0],
         }
         head = {"W_f": da_f.T @ hcat, "b_f": da_f.sum(axis=0),
                 "W_y": dlogits.T @ e, "b_y": dlogits.sum(axis=0)}
     for stream, grads in cells.items():
         head.update({f"{stream}.{name}": g for name, g in grads.items()})
     return probs, np.concatenate([head[name].ravel() for name, _ in param_blocks(m)])
+
+
+def two_branch_forward(m, xs, zs):
+    """The forward pass as it was written before the one readout: a concat
+    branch and a fusion branch, each with its own head.  Returns the
+    probabilities and what two_branch_backward needs."""
+    if m.arch == "concat":
+        (lstm_x,) = m.cells
+        tape_x = lstm_forward(lstm_x, np.concatenate([xs, zs], axis=1))
+        return softmax(tape_x.h @ m.W_y.T + m.b_y), {"tape_x": tape_x}
+    lstm_x, lstm_z = m.cells
+    tape_x = lstm_forward(lstm_x, xs)
+    tape_z = lstm_forward(lstm_z, zs)
+    hcat = np.concatenate([tape_x.h, tape_z.h], axis=1)
+    e = np.tanh(hcat @ m.W_f.T + m.b_f)
+    probs = softmax(e @ m.W_y.T + m.b_y)
+    return probs, {"tape_x": tape_x, "tape_z": tape_z, "hcat": hcat, "e": e}
+
+
+def two_branch_backward(m, cache, dlogits):
+    """The backward pass with its own concat and fusion branches."""
+    g = replace(m, theta=np.zeros_like(m.theta))
+    np.sum(dlogits, axis=0, out=g.b_y)
+    if m.arch == "concat":
+        np.matmul(dlogits.T, cache["tape_x"].h, out=g.W_y)
+        lstm_backward(m.cells[0], cache["tape_x"], dlogits @ m.W_y, g.cells[0])
+        return g.theta
+    np.matmul(dlogits.T, cache["e"], out=g.W_y)
+    da_f = (dlogits @ m.W_y) * (1.0 - cache["e"] * cache["e"])
+    np.matmul(da_f.T, cache["hcat"], out=g.W_f)
+    np.sum(da_f, axis=0, out=g.b_f)
+    dcat = da_f @ m.W_f
+    lstm_backward(m.cells[0], cache["tape_x"], dcat[:, : m.hidden], g.cells[0])
+    lstm_backward(m.cells[1], cache["tape_z"], dcat[:, m.hidden :], g.cells[1])
+    return g.theta
+
+
+@pytest.mark.parametrize("arch", ["fusion", "concat"])
+@pytest.mark.parametrize("hidden", [1, 16, 64])
+def test_one_pass_equals_two_branch_reference(arch, hidden):
+    m = make_model(arch, hidden=hidden, seed=hidden, fusion=hidden + 5)
+    rng = make_rng(70 + hidden)
+    m.theta[...] += rng.uniform(-0.2, 0.2, size=m.theta.shape)
+    xs, zs = random_streams(hidden + 1, 11)
+    dlogits = rng.standard_normal((11, 5))
+    probs, tape = forward(m, xs, zs)
+    ref_probs, cache = two_branch_forward(m, xs, zs)
+    np.testing.assert_array_equal(probs, ref_probs)
+    np.testing.assert_array_equal(backward(m, tape, dlogits), two_branch_backward(m, cache, dlogits))
 
 
 class TestFlatLayout:
@@ -219,8 +273,8 @@ class TestFlatLayout:
     @pytest.mark.parametrize("arch", ["fusion", "concat"])
     def test_every_block_is_a_view_of_theta(self, arch):
         m = make_model(arch)
-        cells = [m.lstm_x] + ([m.lstm_z] if arch == "fusion" else [])
-        stacked = [a for p in cells for a in (p.W, p.U, p.V, p.b)]
+        assert len(m.cells) == (2 if arch == "fusion" else 1)
+        stacked = [a for p in m.cells for a in (p.W, p.U, p.V, p.b)]
         for arr in [a for _, a in param_blocks(m)] + stacked:
             assert np.shares_memory(arr, m.theta)
         c = m.copy()

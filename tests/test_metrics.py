@@ -11,7 +11,6 @@ from maneuverkit.metrics import (
     f1_score,
     macro_precision_recall,
     precision_recall,
-    row_normalized,
     threshold_sweep,
 )
 from maneuverkit.numerics import make_rng
@@ -104,6 +103,14 @@ class CyclingPredictor(SequencePredictor):
     def begin(self):
         self.calls = (self.calls + 1) % len(self.tables)
         return 0
+
+
+def row_normalized(confusion):
+    """Confusion rows divided by their sums (zero rows stay zero)."""
+    sums = confusion.sum(axis=1, keepdims=True)
+    out = np.zeros_like(confusion, dtype=float)
+    np.divide(confusion, sums, out=out, where=sums > 0)
+    return out
 
 
 def confident(label, p=0.9):
@@ -239,6 +246,18 @@ class TestCrossValidate:
             test_ids = all_ids - train_ids
             assert len(test_ids) == 6
             assert train_ids | test_ids == all_ids
+
+    def test_never_committing_folds_count_in_the_confusion(self):
+        # A uniform row never crosses p_th, so F1 is undefined in every fold
+        # and every test sample is predicted straight.
+        data = generate(ScenarioConfig(seed=23), 30)
+        report = cross_validate(
+            data, 3, lambda train, k: ScriptedPredictor([[0.2] * 5]), seed=2, grid=[0.5, 0.7]
+        )
+        assert [(f.f1, f.p_th) for f in report.folds] == [(None, 0.5)] * 3
+        expected = np.zeros((5, 5))
+        expected[EVENTS.index("straight")] = np.bincount([s.label for s in data], minlength=5)
+        np.testing.assert_array_equal(report.confusion, expected)
 
     def test_exact_stderr_formula(self):
         values = [0.8, 0.9, 1.0, 0.7, 0.6]

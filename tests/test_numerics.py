@@ -41,6 +41,10 @@ class TestSoftmax:
             v = rng.uniform(-350.0, 350.0, size=6)
             assert np.all(softmax(v) > 0)
 
+    def test_last_axis_rows_match_single_vectors(self):
+        m = make_rng(3).uniform(-50.0, 50.0, size=(20, 7))
+        np.testing.assert_array_equal(softmax(m), np.array([softmax(row) for row in m]))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             softmax(np.array([]))
