@@ -36,7 +36,7 @@ log-likelihood, so the training log-likelihood trace is non-decreasing.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -144,11 +144,7 @@ class EmConfig:
             raise ValueError("max_iter must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "states": self.states, "variant": self.variant, "max_iter": self.max_iter,
-            "tol": self.tol, "seed": self.seed, "cov_floor": self.cov_floor,
-            "mean_rounds": self.mean_rounds, "w_iters": self.w_iters,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmConfig":
@@ -531,7 +527,7 @@ def _init_model(batch: Padded, config: EmConfig) -> AioHmmModel:
         gamma[k, :L] = g / g.sum(axis=1, keepdims=True)
     xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
     stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.full(B, np.nan))
-    init_cfg = EmConfig(**{**config.to_dict(), "mean_rounds": 1})
+    init_cfg = replace(config, mean_rounds=1)
     model = m_step(batch, stats, blank, init_cfg, diag={})
     model.validate()
     return model

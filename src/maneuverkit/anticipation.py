@@ -14,10 +14,10 @@ false-positive, or missed prediction.  ``run_session`` and the CLI's
 ``anticipate --stream`` both drive it.
 
 ``FusionRnnPredictor`` streams either network arch through the cell inputs
-and the readout of :mod:`~maneuverkit.fusion_rnn`, so it holds no arch
-logic or head arithmetic of its own; ``AioHmmPredictor`` streams the
-per-class model ensemble through the log-space forward step of
-:mod:`~maneuverkit.aiohmm`.
+and the readout of :mod:`~maneuverkit.fusion_rnn` and the lockstep step of
+:mod:`~maneuverkit.lstm`, so it holds no arch logic or head arithmetic of
+its own; ``AioHmmPredictor`` streams the per-class model ensemble through
+the log-space forward step of :mod:`~maneuverkit.aiohmm`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .aiohmm import (
 )
 from .events import straight_index
 from .fusion_rnn import FusionRnnModel, cell_inputs, readout
-from .lstm import lstm_step, zero_state
+from .lstm import input_projections, lstm_step, stack_recurrent
 
 STEP_SECONDS = 0.8
 STICK_SECONDS = 5.0
@@ -64,25 +64,31 @@ class Predictor(Protocol):
 class FusionRnnPredictor:
     """Streams a fusion or concat network one step at a time.
 
-    The state is one recurrent state per cell and carries over between
-    steps, so evaluating the prefix at step t costs one update per cell,
-    not a recomputation from t=1.  Each step feeds the cells through
-    :func:`~maneuverkit.fusion_rnn.cell_inputs` and reads them out through
-    :func:`~maneuverkit.fusion_rnn.readout`, as the batch forward pass does.
+    The constructor takes a snapshot of the model and stacks its cells'
+    recurrent and peephole weights once; later changes to the model's
+    weights are not seen by the predictor.  The state is the cells' (C, H)
+    hidden and memory states and carries over between steps, so evaluating
+    the prefix at step t costs one :func:`~maneuverkit.lstm.lstm_step` for
+    all cells, not a recomputation from t=1.  Each step feeds the cells
+    through :func:`~maneuverkit.fusion_rnn.cell_inputs` and reads them out
+    through :func:`~maneuverkit.fusion_rnn.readout`, as the batch forward
+    pass does.
     """
 
     def __init__(self, model: FusionRnnModel):
-        self.model = model
+        self.model = model.copy()
         self.events = model.events
+        self._recurrent = stack_recurrent(self.model.cells)
 
     def begin(self):
-        return tuple(zero_state(self.model.hidden) for _ in self.model.cells)
+        zeros = np.zeros((len(self.model.cells), self.model.hidden))
+        return zeros, zeros  # (h, c)
 
     def step(self, state, x: np.ndarray, z: np.ndarray):
         m = self.model
-        inputs = cell_inputs(m, x, z)
-        state = tuple(lstm_step(p, u, s)[0] for p, u, s in zip(m.cells, inputs, state))
-        return state, readout(m, [s.h for s in state])[-1]
+        a = input_projections(m.cells, cell_inputs(m, x, z))
+        _, c, _, h = lstm_step(*self._recurrent, a, *state)
+        return (h, c), readout(m, h)[-1]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -118,16 +119,30 @@ def _parse_sample(record: dict, path: Path, lineno: int) -> SequenceSample:
     )
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def numeric_array(value) -> np.ndarray | None:
+    """``value``, a JSON number or a rectangular nested list of them, as a
+    float array; None if it holds anything else.  JSON strings and booleans
+    are not numbers here, although NumPy would convert them."""
+    try:
+        array = np.asarray(value, float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    leaves = value if array.ndim else (value,)
+    for _ in range(array.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    return array if _NUMBER_TYPES.issuperset(map(type, leaves)) else None
+
+
 def parse_vector(value, field: str, sizes: tuple[int, ...]) -> np.ndarray:
     """``value`` as a finite float vector whose length is one of ``sizes``.
 
     A fault raises DataFormatError naming the field; callers prefix it with
     the location (file, line and step, or stream line).
     """
-    try:
-        vector = np.asarray(value, float)
-    except (TypeError, ValueError, OverflowError):
-        vector = None
+    vector = numeric_array(value)
     if vector is None or vector.ndim != 1 or len(vector) not in sizes:
         raise DataFormatError(
             f"field {field!r} must be a list of {' or '.join(map(str, sizes))} numbers"
@@ -198,23 +213,35 @@ def _fusion_to_dict(m: FusionRnnModel) -> dict:
     }
 
 
+def _events(d: dict, path: Path) -> tuple[str, ...]:
+    """A checkpoint's event tuple: known labels, no duplicates, straight last."""
+    try:
+        events = tuple(d["events"])
+        validate_events(events)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataFormatError(f"{path}: bad 'events' entry ({err!r})") from None
+    return events
+
+
 def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
     """Build the network, then copy each named block into its view."""
+    events = _events(d, path)
     try:
         model = FusionRnnModel(
             arch=d["arch"], input_x=d["input_x"], input_z=d["input_z"],
-            hidden=d["hidden"], fusion=d["fusion"], events=tuple(d["events"]),
+            hidden=d["hidden"], fusion=d["fusion"], events=events,
         )
         blocks = d["blocks"]
     except (KeyError, TypeError, ValueError) as err:
         raise DataFormatError(f"{path}: bad fusion network description ({err!r})") from None
+    if not isinstance(blocks, dict):
+        raise DataFormatError(f"{path}: field 'blocks' must be an object")
     for name, view in param_blocks(model):
         if name not in blocks:
             raise DataFormatError(f"{path}: block {name!r} is missing")
-        try:
-            arr = np.asarray(blocks[name], dtype=float)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"{path}: block {name!r} is not an array of numbers") from None
+        arr = numeric_array(blocks[name])
+        if arr is None:
+            raise DataFormatError(f"{path}: block {name!r} is not an array of numbers")
         if arr.shape != view.shape:
             raise DataFormatError(f"{path}: block {name!r} has shape {arr.shape}, expected {view.shape}")
         if not np.all(np.isfinite(arr)):
@@ -247,10 +274,9 @@ def _aiohmm_from_dict(d, path: Path, name: str) -> AioHmmModel:
             raise DataFormatError(f"{where}: field {field!r} is missing")
     arrays = {}
     for field in AIOHMM_ARRAYS:
-        try:
-            arrays[field] = np.asarray(d[field], dtype=float)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"{where}: field {field!r} is not an array of numbers") from None
+        arrays[field] = numeric_array(d[field])
+        if arrays[field] is None:
+            raise DataFormatError(f"{where}: field {field!r} is not an array of numbers")
         if not np.isfinite(arrays[field]).all():
             raise DataFormatError(f"{where}: field {field!r} contains non-finite values")
     model = AioHmmModel(variant=d["variant"], **arrays)
@@ -270,15 +296,10 @@ def _ensemble_to_dict(e: AioHmmEnsemble) -> dict:
 
 
 def _ensemble_from_dict(d: dict, path: Path) -> AioHmmEnsemble:
-    try:
-        events = tuple(d["events"])
-        validate_events(events)
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataFormatError(f"{path}: bad 'events' entry ({err!r})") from None
-    try:
-        prior = np.asarray(d["prior"], dtype=float)
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataFormatError(f"{path}: bad 'prior' entry ({err!r})") from None
+    events = _events(d, path)
+    prior = numeric_array(d.get("prior"))
+    if prior is None:
+        raise DataFormatError(f"{path}: bad 'prior' entry (not an array of numbers)")
     if (prior.shape != (len(events),) or not np.all(np.isfinite(prior)) or np.any(prior < 0)
             or abs(float(prior.sum()) - 1.0) > 1e-9):
         raise DataFormatError(

@@ -10,9 +10,11 @@ readout turns h_t into event probabilities:
 Fusion mode has two cells, ``lstm_x`` over the outside stream x and
 ``lstm_z`` over the inside stream z, and the fusion layer.  Concat mode is
 the single-stream baseline: ``lstm_x`` alone over the per-step
-concatenation [x_t; z_t], read out with no fusion layer.  :func:`cell_inputs`
-and :func:`readout` serve the batch pass over a (T, ·) sequence and the
-streaming step over a (·,) vector alike, so ``arch`` is decided here only.
+concatenation [x_t; z_t], read out with no fusion layer.  The cells run in
+lockstep through the kernels of :mod:`~maneuverkit.lstm`, so their hidden
+states come as (T, C, H) for a sequence and (C, H) for a step, and h_t is
+their reshape.  :func:`cell_inputs` and :func:`readout` serve the batch
+pass and the streaming step alike, so ``arch`` is decided here only.
 
 All parameters live in one contiguous float64 vector ``theta``; every
 parameter array is a reshaped view into it.  The order is lstm_x (W, U, V,
@@ -110,7 +112,7 @@ class FusionRnnModel:
 class FusionTape:
     """Forward-pass cache consumed by :func:`backward`."""
 
-    tapes: list[LstmTape]  # one per cell
+    lstm: LstmTape         # every cell, in lockstep
     hcat: np.ndarray       # (T, cells * hidden)
     e: np.ndarray          # (T, fusion); hcat itself without a fusion layer
     probs: np.ndarray      # (T, K)
@@ -151,10 +153,10 @@ def cell_inputs(m: FusionRnnModel, x: np.ndarray, z: np.ndarray) -> list[np.ndar
     return [x, z]
 
 
-def readout(m: FusionRnnModel, hs: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """(hcat, e, probs) from the cells' hidden states ``hs``, for a (T, ·)
-    sequence or a (·,) step."""
-    hcat = np.concatenate(hs, axis=-1)
+def readout(m: FusionRnnModel, h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(hcat, e, probs) from the cells' hidden states ``h``, (T, C, H) for a
+    sequence or (C, H) for a step."""
+    hcat = h.reshape(*h.shape[:-2], -1)
     e = hcat if m.W_f is None else np.tanh(hcat @ m.W_f.T + m.b_f)
     return hcat, e, softmax(e @ m.W_y.T + m.b_y)
 
@@ -175,9 +177,9 @@ def forward(m: FusionRnnModel, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarr
             f"stream dims ({xs.shape[1]}, {zs.shape[1]}) do not match model "
             f"({m.input_x}, {m.input_z})"
         )
-    tapes = [lstm_forward(p, u) for p, u in zip(m.cells, cell_inputs(m, xs, zs))]
-    hcat, e, probs = readout(m, [tape.h for tape in tapes])
-    return probs, FusionTape(tapes=tapes, hcat=hcat, e=e, probs=probs)
+    lstm = lstm_forward(m.cells, cell_inputs(m, xs, zs))
+    hcat, e, probs = readout(m, lstm.h)
+    return probs, FusionTape(lstm=lstm, hcat=hcat, e=e, probs=probs)
 
 
 def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.ndarray:
@@ -197,10 +199,7 @@ def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.nda
         np.matmul(da_f.T, tape.hcat, out=g.W_f)
         np.sum(da_f, axis=0, out=g.b_f)
         dcat = da_f @ m.W_f
-    # The gradient on the concatenation splits at the cell boundaries.
-    H = m.hidden
-    for c, (p, cell_tape, grads) in enumerate(zip(m.cells, tape.tapes, g.cells)):
-        lstm_backward(p, cell_tape, dcat[:, c * H : (c + 1) * H], grads)
+    lstm_backward(m.cells, tape.lstm, dcat.reshape(tape.lstm.h.shape), g.cells)
     return g.theta
 
 

@@ -1,4 +1,4 @@
-"""A single LSTM cell with diagonal peephole connections, plus BPTT.
+"""Peephole LSTM cells run in lockstep, plus BPTT.
 
 Gate layout per step (sigma is the elementwise logistic, * is elementwise):
 
@@ -13,12 +13,20 @@ The output gate peeks at the updated cell c_t; the input and forget gates
 peek at c_{t-1}.  The peephole weights V_* are diagonal, stored as vectors.
 The initial state is (h_0, c_0) = (0, 0).
 
-The four gates are stored stacked (Appleyard et al. 2016): ``W`` is
-(4H, input) with row blocks W_i, W_f, W_c, W_o; ``U`` is (4H, H) and ``b``
-is (4H,) in the same order; ``V`` is (3H,) holding V_i, V_f, V_o.  A step
-is then one ``W @ x`` and one ``U @ h`` for all gates, and the gate
-activations travel as one (4H,) vector [i; f; g; o].  Laid end to end,
-W, U, V and b are exactly the per-gate blocks W_i .. b_o in that order.
+The four gates of a cell are stored stacked (Appleyard et al. 2016): ``W``
+is (4H, input) with row blocks W_i, W_f, W_c, W_o; ``U`` is (4H, H) and
+``b`` is (4H,) in the same order; ``V`` is (3H,) holding V_i, V_f, V_o.
+Laid end to end, W, U, V and b are exactly the per-gate blocks W_i .. b_o
+in that order.
+
+A network runs C cells of one hidden size H side by side.  Their input
+widths may differ, so each cell's input projection W u + b is computed
+apart, once for a whole sequence, outside the time loop.  The recurrence is
+shared: :func:`lstm_step` advances every cell at once from the recurrent
+weights stacked as (C, 4H, H), the peepholes as (C, 3, H), the projections
+as (C, 4H) and the states as (C, H), with gates laid out (C, 4, H) as
+[i, f, g, o].  The forward unroll and the streaming predictor both call
+it, and BPTT mirrors it over the same axes.
 """
 
 from __future__ import annotations
@@ -67,33 +75,34 @@ def gate_blocks(p: LstmParams) -> list[tuple[str, np.ndarray]]:
     return blocks
 
 
-@dataclass
-class LstmState:
-    """Hidden representation h and memory cell c, both (hidden,)."""
+def stack_recurrent(cells: list[LstmParams]) -> tuple[np.ndarray, np.ndarray]:
+    """The cells' recurrent weights (C, 4H, H) and peepholes (C, 3, H)."""
+    return np.stack([p.U for p in cells]), np.stack([p.V.reshape(3, -1) for p in cells])
 
-    h: np.ndarray
-    c: np.ndarray
+
+def input_projections(cells: list[LstmParams], inputs: list[np.ndarray]) -> np.ndarray:
+    """W u + b of every cell, stacked on the cell axis: (T, C, 4H) for
+    (T, input) sequences, (C, 4H) for (input,) steps."""
+    return np.stack([u @ p.W.T + p.b for p, u in zip(cells, inputs)], axis=-2)
 
 
 @dataclass
 class LstmTape:
     """Per-step activations cached by the forward pass for BPTT.
 
-    All arrays have leading dimension T; ``gates`` holds [i; f; g; o] per
-    step.  ``c_prev``/``h_prev`` are the states entering each step (row 0
-    is the zero initial state).
+    ``inputs`` holds each cell's (T, input) sequence; every other array has
+    leading axes (T, C).  ``gates`` is (T, C, 4, H) with [i, f, g, o] on the
+    third axis.  ``c_prev``/``h_prev`` are the states entering each step
+    (row 0 is the zero initial state).
     """
 
-    xs: np.ndarray
+    inputs: list[np.ndarray]
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
     tanh_c: np.ndarray
     c_prev: np.ndarray
     h_prev: np.ndarray
-
-    def __len__(self) -> int:
-        return self.xs.shape[0]
 
 
 def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator) -> LstmParams:
@@ -114,101 +123,82 @@ def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator
     )
 
 
-def zero_state(hidden_size: int) -> LstmState:
-    return LstmState(h=np.zeros(hidden_size), c=np.zeros(hidden_size))
-
-
-def lstm_cell(p: LstmParams, a: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Activate the stacked pre-activation a = W x + b + U h_prev, (4H,).
-
-    Adds the peepholes and returns (gates [i; f; g; o], c, tanh(c), h).
-    """
-    H = c_prev.shape[0]
+def lstm_step(
+    U: np.ndarray, V: np.ndarray, a: np.ndarray, h: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Advance C cells one step from their input projections ``a`` (C, 4H)
+    and states ``h``, ``c`` (C, H), given ``U`` (C, 4H, H) and ``V``
+    (C, 3, H).  Returns (gates (C, 4, H), c, tanh(c), h)."""
+    C, H = c.shape
+    a = (a + (U @ h[..., None])[..., 0]).reshape(C, 4, H)
     gates = np.empty_like(a)
-    gates[: 2 * H] = sigmoid(a[: 2 * H] + p.V[: 2 * H] * np.tile(c_prev, 2))
-    gates[2 * H : 3 * H] = np.tanh(a[2 * H : 3 * H])
-    i, f, g = gates[:H], gates[H : 2 * H], gates[2 * H : 3 * H]
-    c = f * c_prev + i * g
-    gates[3 * H :] = sigmoid(a[3 * H :] + p.V[2 * H :] * c)
+    gates[:, :2] = sigmoid(a[:, :2] + V[:, :2] * c[:, None])
+    gates[:, 2] = np.tanh(a[:, 2])
+    c = gates[:, 1] * c + gates[:, 0] * gates[:, 2]
+    gates[:, 3] = sigmoid(a[:, 3] + V[:, 2] * c)
     tanh_c = np.tanh(c)
-    return gates, c, tanh_c, gates[3 * H :] * tanh_c
+    return gates, c, tanh_c, gates[:, 3] * tanh_c
 
 
-def lstm_step(p: LstmParams, x: np.ndarray, prev: LstmState) -> tuple[LstmState, dict]:
-    """One cell update; returns the new state and the step's activations."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.input_size,):
-        raise ValueError(f"input has shape {x.shape}, expected {(p.input_size,)}")
-    if prev.h.shape != (p.hidden_size,) or prev.c.shape != (p.hidden_size,):
-        raise ValueError(
-            f"state has shapes h={prev.h.shape} c={prev.c.shape}, expected {(p.hidden_size,)}"
-        )
-    gates, c, _, h = lstm_cell(p, p.W @ x + p.b + p.U @ prev.h, prev.c)
-    H = p.hidden_size
-    cache = {"x": x, "i": gates[:H], "f": gates[H : 2 * H], "g": gates[2 * H : 3 * H],
-             "o": gates[3 * H :], "c": c, "h": h, "c_prev": prev.c, "h_prev": prev.h}
-    return LstmState(h=h, c=c), cache
-
-
-def lstm_forward(p: LstmParams, xs: np.ndarray) -> LstmTape:
-    """Unroll the cell over a (T, input) sequence from the zero state."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[0] == 0:
-        raise ValueError(f"expected a nonempty (T, input) sequence, got shape {xs.shape}")
-    if xs.shape[1] != p.input_size:
-        raise ValueError(f"sequence has input size {xs.shape[1]}, params expect {p.input_size}")
-    T, H = xs.shape[0], p.hidden_size
-
-    A = xs @ p.W.T + p.b  # input projections for the whole sequence at once
-    gates = np.empty((T, 4 * H))
+def lstm_forward(cells: list[LstmParams], inputs: list[np.ndarray]) -> LstmTape:
+    """Unroll the cells in lockstep over their (T, input) sequences from the
+    zero state."""
+    A = input_projections(cells, inputs)
+    T, C, H = A.shape[0], len(cells), cells[0].hidden_size
+    if T == 0:
+        raise ValueError("empty sequences are rejected")
+    U, V = stack_recurrent(cells)
+    gates = np.empty((T, C, 4, H))
     # Row t of c/h is the state entering step t; row t + 1 the state it makes.
-    c = np.zeros((T + 1, H))
-    h = np.zeros((T + 1, H))
-    tanh_c = np.empty((T, H))
+    c = np.zeros((T + 1, C, H))
+    h = np.zeros((T + 1, C, H))
+    tanh_c = np.empty((T, C, H))
     for t in range(T):
-        gates[t], c[t + 1], tanh_c[t], h[t + 1] = lstm_cell(p, A[t] + p.U @ h[t], c[t])
-    return LstmTape(xs=xs, gates=gates, c=c[1:], h=h[1:], tanh_c=tanh_c,
+        gates[t], c[t + 1], tanh_c[t], h[t + 1] = lstm_step(U, V, A[t], h[t], c[t])
+    return LstmTape(inputs=inputs, gates=gates, c=c[1:], h=h[1:], tanh_c=tanh_c,
                     c_prev=c[:-1], h_prev=h[:-1])
 
 
-def lstm_backward(p: LstmParams, tape: LstmTape, dh: np.ndarray, grads: LstmParams) -> np.ndarray:
-    """Reverse-mode gradients of sum_t dh_t . h_t.
+def lstm_backward(
+    cells: list[LstmParams], tape: LstmTape, dh: np.ndarray, grads: list[LstmParams]
+) -> None:
+    """Reverse-mode gradients of sum_t dh_t . h_t, for ``dh`` (T, C, H).
 
-    Writes the parameter gradients into ``grads`` (same shapes as ``p``;
-    typically views of a flat gradient vector) and returns the (T, input)
-    per-step input gradients.  ``dh`` is the (T, hidden) upstream gradient
-    on each hidden state.
+    Writes each cell's parameter gradients into the matching entry of
+    ``grads`` (same shapes as the cell; typically views of a flat gradient
+    vector).
     """
-    dh = np.asarray(dh, dtype=float)
-    T, H = len(tape), p.hidden_size
-    if dh.shape != (T, H):
-        raise ValueError(f"dh has shape {dh.shape}, expected {(T, H)}")
-
-    V_i, V_f, V_o = p.V[:H], p.V[H : 2 * H], p.V[2 * H :]
-    UT = p.U.T
-    da = np.empty((T, 4 * H))  # gradients on the pre-activations [i; f; g; o]
-    dh_next = np.zeros(H)   # gradient flowing into h_t from step t+1
-    dc_next = np.zeros(H)   # gradient flowing into c_t from step t+1
+    if dh.shape != tape.h.shape:
+        raise ValueError(f"dh has shape {dh.shape}, expected {tape.h.shape}")
+    T, C, H = dh.shape
+    U, V = stack_recurrent(cells)
+    UT = U.transpose(0, 2, 1)
+    da = np.empty((C, T, 4, H))  # gradients on the pre-activations, cell-major
+    dh_next = np.zeros((C, H))   # gradient flowing into h_t from step t+1
+    dc_next = np.zeros((C, H))   # gradient flowing into c_t from step t+1
     for t in range(T - 1, -1, -1):
         dht = dh[t] + dh_next
-        gt = tape.gates[t]
-        i, f, g, o = gt[:H], gt[H : 2 * H], gt[2 * H : 3 * H], gt[3 * H :]
+        i, f, g, o = tape.gates[t].transpose(1, 0, 2)
         tc = tape.tanh_c[t]
         dao = dht * tc * o * (1.0 - o)
         # c_t feeds h_t through tanh, the future through dc_next, and the
         # output gate through its peephole.
-        dct = dht * o * (1.0 - tc * tc) + dc_next + V_o * dao
-        dat = da[t]
-        dat[:H] = dct * g * i * (1.0 - i)
-        dat[H : 2 * H] = dct * tape.c_prev[t] * f * (1.0 - f)
-        dat[2 * H : 3 * H] = dct * i * (1.0 - g * g)
-        dat[3 * H :] = dao
-        dh_next = UT @ dat
-        dc_next = dct * f + V_i * dat[:H] + V_f * dat[H : 2 * H]
+        dct = dht * o * (1.0 - tc * tc) + dc_next + V[:, 2] * dao
+        dat = da[:, t]
+        dat[:, 0] = dct * g * i * (1.0 - i)
+        dat[:, 1] = dct * tape.c_prev[t] * f * (1.0 - f)
+        dat[:, 2] = dct * i * (1.0 - g * g)
+        dat[:, 3] = dao
+        dh_next = (UT @ dat.reshape(C, 4 * H, 1))[..., 0]
+        dc_next = dct * f + V[:, 0] * dat[:, 0] + V[:, 1] * dat[:, 1]
 
-    np.matmul(da.T, tape.xs, out=grads.W)
-    np.matmul(da.T, tape.h_prev, out=grads.U)
-    np.sum(da[:, : 2 * H] * np.tile(tape.c_prev, 2), axis=0, out=grads.V[: 2 * H])
-    np.sum(da[:, 3 * H :] * tape.c, axis=0, out=grads.V[2 * H :])
-    np.sum(da, axis=0, out=grads.b)
-    return da @ p.W
+    # Each cell's gradients come from contiguous (T, ·) operands: a strided
+    # one can round the matmuls differently, and then a cell run in lockstep
+    # would not match the same cell run alone bit for bit.
+    for k, (u, grad) in enumerate(zip(tape.inputs, grads)):
+        dak = da[k].reshape(T, 4 * H)
+        np.matmul(dak.T, u, out=grad.W)
+        np.matmul(dak.T, np.ascontiguousarray(tape.h_prev[:, k]), out=grad.U)
+        np.sum(da[k, :, :2] * tape.c_prev[:, k, None], axis=0, out=grad.V[: 2 * H].reshape(2, H))
+        np.sum(da[k, :, 3] * tape.c[:, k], axis=0, out=grad.V[2 * H :])
+        np.sum(dak, axis=0, out=grad.b)

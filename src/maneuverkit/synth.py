@@ -80,20 +80,6 @@ class ScenarioConfig:
         if STRAIGHT not in self.events:
             raise ValueError("the event set must include straight driving")
 
-    def to_dict(self) -> dict:
-        return {
-            "events": list(self.events),
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "lead_min": self.lead_min,
-            "lead_max": self.lead_max,
-            "cue_strength": self.cue_strength,
-            "noise_sigma": self.noise_sigma,
-            "inside_nuisance": self.inside_nuisance,
-            "outside_nuisance": self.outside_nuisance,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         d = dict(d)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,17 +55,7 @@ class TrainConfig:
             raise ValueError("augmentation_factor must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "loss_mode": self.loss_mode,
-            "time_scale": self.time_scale,
-            "learning_rate": self.learning_rate,
-            "rmsprop_decay": self.rmsprop_decay,
-            "rmsprop_epsilon": self.rmsprop_epsilon,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "augmentation_factor": self.augmentation_factor,
-            "prob_floor": self.prob_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -14,12 +14,12 @@ import numpy as np
 from maneuverkit import aiohmm, anticipation, cli, fusion_rnn, metrics, synth, training
 from maneuverkit.dataio import load_dataset, load_model, save_dataset, save_model
 from maneuverkit.events import EVENTS
-from maneuverkit.lstm import LstmState, init_lstm_params, lstm_step, zero_state
+from maneuverkit.lstm import init_lstm_params
 from maneuverkit.numerics import make_rng
 
 from test_aiohmm import enumeration_loglik, random_model
 from test_anticipation import MANEUVER_ROW, UNIFORM_ROW, ScriptedPredictor, dummy_streams
-from test_lstm import reference_step, zero_params
+from test_lstm import cell_step, reference_step, zero_params
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -56,20 +56,20 @@ def test_criterion_01_gradient_correctness():
 def test_criterion_02_lstm_forward_exactness():
     rng = make_rng(7)
     p = init_lstm_params(3, 4, rng)
-    prev = LstmState(h=rng.standard_normal(4) * 0.5, c=rng.standard_normal(4) * 0.5)
+    h0, c0 = rng.standard_normal(4) * 0.5, rng.standard_normal(4) * 0.5
     x = rng.standard_normal(3)
-    state, _ = lstm_step(p, x, prev)
-    h_ref, c_ref = reference_step(p, x, prev)
-    transcription_err = max(np.max(np.abs(state.h - h_ref)), np.max(np.abs(state.c - c_ref)))
+    _, h, c = cell_step(p, x, h0, c0)  # lstm_step at C = 1
+    h_ref, c_ref = reference_step(p, x, h0, c0)
+    transcription_err = max(np.max(np.abs(h - h_ref)), np.max(np.abs(c - c_ref)))
 
     pz = zero_params(3, 4)
-    zstate, zcache = lstm_step(pz, rng.standard_normal(3), zero_state(4))
+    (zi, zf, _, zo), zh, zc = cell_step(pz, rng.standard_normal(3), np.zeros(4), np.zeros(4))
     forced = (
-        np.allclose(zcache["i"], 0.5, atol=0)
-        and np.allclose(zcache["f"], 0.5, atol=0)
-        and np.allclose(zcache["o"], 0.5, atol=0)
-        and np.all(zstate.h == 0.0)
-        and np.all(zstate.c == 0.0)
+        np.allclose(zi, 0.5, atol=0)
+        and np.allclose(zf, 0.5, atol=0)
+        and np.allclose(zo, 0.5, atol=0)
+        and np.all(zh == 0.0)
+        and np.all(zc == 0.0)
     )
     ok = transcription_err <= 1e-12 and forced
     report(2, ok, f"transcription error {transcription_err:.2e}, forced zero-case {'ok' if forced else 'bad'}")

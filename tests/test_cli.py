@@ -238,6 +238,8 @@ class TestStreamRecords:
             (json.dumps({"x": STEP["x"], "z": [0.1] * 8}), "field 'z' must be a list of 9 numbers"),
             (json.dumps({"x": STEP["x"][:5], "z": STEP["z"]}), "field 'x' must be a list of 6 numbers"),
             (json.dumps({"x": ["a"] * 6, "z": STEP["z"]}), "field 'x' must be a list of 6 numbers"),
+            (json.dumps({"x": ["1.5"] * 6, "z": STEP["z"]}), "field 'x' must be a list of 6 numbers"),
+            (json.dumps({"x": STEP["x"], "z": [True] + STEP["z"][1:]}), "field 'z' must be a list of 9 numbers"),
             ("{not json", "not a JSON record"),
             ("[1, 2]", "expected a JSON object"),
             (json.dumps({**STEP, "onset": "bogus"}), "field 'onset' is 'bogus'"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import AioHmmEnsemble
 from maneuverkit.dataio import (
+    AIOHMM_ARRAYS,
     DataFormatError,
     load_dataset,
     load_frames,
@@ -17,8 +18,8 @@ from maneuverkit.dataio import (
     save_dataset,
     save_model,
 )
-from maneuverkit.events import EVENTS
-from maneuverkit.fusion_rnn import init_fusion_model, param_blocks, param_count
+from maneuverkit.events import EVENTS, validate_events
+from maneuverkit.fusion_rnn import FusionRnnModel, init_fusion_model, param_blocks, param_count
 from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, generate
 
@@ -114,11 +115,15 @@ class TestDatasetStepFaults:
             ({"x": None}, "field 'x' must be a list of 6 numbers"),
             ({"x": [[1]] * 6}, "field 'x' must be a list of 6 numbers"),
             ({"x": ["a"] * 6}, "field 'x' must be a list of 6 numbers"),
+            ({"x": ["1.5"] * 6}, "field 'x' must be a list of 6 numbers"),
+            ({"z": [True] * 9}, "field 'z' must be a list of 9 or 12 numbers"),
+            ({"x": [0.5] * 5 + [False]}, "field 'x' must be a list of 6 numbers"),
             ({"z": [0.0] * 10}, "field 'z' must be a list of 9 or 12 numbers"),
             ({"z": [0.0] * 8 + [float("inf")]}, "field 'z' must be finite"),
             ({"z": [0.0] * 12}, "z has length 12, but earlier steps use 9"),
         ],
-        ids=["number", "null", "nested", "strings", "z-width", "infinite", "z-width-changes"],
+        ids=["number", "null", "nested", "strings", "numeric-strings", "booleans",
+             "boolean-among-numbers", "z-width", "infinite", "z-width-changes"],
     )
     def test_fault_is_located(self, tmp_path, fields, message):
         path = tmp_path / "bad.jsonl"
@@ -139,6 +144,22 @@ MUTATION_PATHS = [
 ]
 
 
+def mutated(doc, where, value, delete):
+    """A deep copy of ``doc`` with the entry at path ``where`` deleted or
+    replaced by ``value``; the empty path replaces the whole document."""
+    if not where:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    return doc
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     where=st.sampled_from(MUTATION_PATHS),
@@ -147,18 +168,7 @@ MUTATION_PATHS = [
     cut=st.none() | st.integers(0, 200),
 )
 def test_mutated_dataset_line_loads_or_raises_data_format_error(where, value, delete, cut):
-    record = copy.deepcopy(VALID_RECORD)
-    if not where:
-        record = value
-    else:
-        parent = record
-        for key in where[:-1]:
-            parent = parent[key]
-        if delete:
-            del parent[where[-1]]
-        else:
-            parent[where[-1]] = value
-    line = json.dumps(record)[:cut]
+    line = json.dumps(mutated(VALID_RECORD, where, value, delete))[:cut]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.jsonl"
         path.write_text(json.dumps(VALID_RECORD) + "\n" + line + "\n", encoding="utf-8")
@@ -268,6 +278,30 @@ def edited_checkpoint(tmp_path, edit) -> Path:
 
 
 class TestCheckpointBlockErrors:
+    def test_numeric_strings_name_file_and_block(self, tmp_path):
+        path = edited_checkpoint(tmp_path, lambda b: b.update(b_y=[str(v) for v in b["b_y"]]))
+        with pytest.raises(DataFormatError, match=r"edited\.json: block 'b_y' is not an array of numbers"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("events", ["left_lane", "left_lane", "left_turn", "right_turn", "straight"],
+             r"bad 'events' entry .*duplicate event labels"),
+            ("events", ["left_lane", "right_lane", "u_turn", "right_turn", "straight"],
+             r"bad 'events' entry .*unknown event labels"),
+            ("blocks", 5, r"field 'blocks' must be an object"),
+        ],
+        ids=["duplicate-events", "unknown-events", "blocks-not-an-object"],
+    )
+    def test_bad_description_names_the_file(self, tmp_path, field, value, message):
+        doc = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
+        doc["params"][field] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
+            load_model(path)
+
     def test_missing_block_names_file_and_block(self, tmp_path):
         path = edited_checkpoint(tmp_path, lambda b: b.pop("lstm_z.V_f"))
         with pytest.raises(DataFormatError, match=r"edited\.json: block 'lstm_z\.V_f' is missing"):
@@ -327,7 +361,9 @@ class TestAioHmmCheckpointErrors:
         with pytest.raises(DataFormatError, match=r"edited\.json: model 'straight': field 'sigma' is missing"):
             load_model(path)
 
-    @pytest.mark.parametrize("value", ["abc", [[1.0, 2.0], [3.0]], {"x": 1}])
+    @pytest.mark.parametrize(
+        "value", ["abc", [[1.0, 2.0], [3.0]], {"x": 1}, [[["0.5"] * 2] * 2] * 2, [[[True] * 2] * 2] * 2]
+    )
     def test_non_numeric_field_names_file_class_and_field(self, tmp_path, hmm_doc, value):
         path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"]["left_lane"].update(w=value))
         with pytest.raises(
@@ -359,6 +395,7 @@ class TestAioHmmCheckpointErrors:
             (lambda p: p.update(events=7), r"bad 'events' entry \(TypeError"),
             (lambda p: p.update(events=[]), r"bad 'events' entry .*must be the last"),
             (lambda p: p.update(prior=["a", "b", "c"]), r"bad 'prior' entry"),
+            (lambda p: p.update(prior=["0.25", "0.25", "0.5"]), r"bad 'prior' entry"),
             (lambda p: p.update(prior=[0.5, 0.5]), r"'prior' must be a distribution over the 3 events"),
             (lambda p: p.update(prior=[0.5, float("nan"), 0.5]), r"'prior' must be a distribution"),
             (lambda p: p.update(models=[]), r"'models' must be an object keyed by event"),
@@ -366,7 +403,8 @@ class TestAioHmmCheckpointErrors:
             (lambda p: p["models"].update(right_lane=[1, 2]), r"model 'right_lane' must be an object"),
         ],
         ids=["no-events", "straight-not-last", "events-not-a-list", "no-event", "prior-not-numbers",
-             "prior-misshaped", "prior-nan", "models-not-an-object", "model-missing", "model-not-an-object"],
+             "prior-numeric-strings", "prior-misshaped", "prior-nan", "models-not-an-object",
+             "model-missing", "model-not-an-object"],
     )
     def test_bad_ensemble_entry_names_file(self, tmp_path, hmm_doc, edit, message):
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
@@ -385,6 +423,68 @@ class TestAioHmmCheckpointErrors:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"m\.json: "):
             load_model(path)
+
+
+FUSION_DOC = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
+FUSION_PATHS = [
+    (), ("format_version",), ("kind",), ("config",), ("params",), ("params", "arch"),
+    ("params", "input_x"), ("params", "input_z"), ("params", "hidden"), ("params", "fusion"),
+    ("params", "events"), ("params", "events", 2), ("params", "events", 4), ("params", "blocks"),
+    ("params", "blocks", "lstm_x.W_i"), ("params", "blocks", "lstm_x.W_i", 1, 3),
+    ("params", "blocks", "lstm_z.V_o"), ("params", "blocks", "lstm_z.V_o", 0),
+    ("params", "blocks", "W_f", 1), ("params", "blocks", "b_y"), ("params", "blocks", "b_y", 4),
+]
+HMM_MODEL = ("params", "models", "right_lane")
+HMM_PATHS = [
+    (), ("kind",), ("params",), ("params", "events"), ("params", "events", 1), ("params", "events", 2),
+    ("params", "prior"), ("params", "prior", 0), ("params", "models"), ("params", "models", "straight"),
+    HMM_MODEL + ("variant",), HMM_MODEL + ("mu",), HMM_MODEL + ("mu", 1), HMM_MODEL + ("a", 0, 1),
+    HMM_MODEL + ("b",), HMM_MODEL + ("b", 1, 2), HMM_MODEL + ("sigma",), HMM_MODEL + ("sigma", 1),
+    HMM_MODEL + ("sigma", 0, 2, 2), HMM_MODEL + ("w",), HMM_MODEL + ("w", 1, 0), HMM_MODEL + ("pi",),
+    HMM_MODEL + ("pi", 1),
+]
+# Declared network sizes get only small values: a huge one would allocate
+# its parameter vector before any block is read.
+SIZE_FIELDS = ("input_x", "input_z", "hidden", "fusion")
+SMALL_SIZES = st.integers(-2, 10) | st.sampled_from([None, True, 2.0, "2", [2]])
+
+
+@st.composite
+def checkpoint_mutations(draw, paths):
+    where = draw(st.sampled_from(paths))
+    sizes = bool(where) and where[-1] in SIZE_FIELDS
+    return where, draw(SMALL_SIZES if sizes else JSON_VALUES), draw(st.booleans())
+
+
+def load_mutated_checkpoint(doc):
+    """Load ``doc`` as a checkpoint file.  It must raise DataFormatError or
+    give finite float64 parameters over a valid event tuple."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            model, _, _ = load_model(path)
+        except DataFormatError:
+            return
+    if isinstance(model, FusionRnnModel):
+        arrays = [model.theta]
+    else:
+        arrays = [model.prior] + [getattr(m, f) for m in model.models.values() for f in AIOHMM_ARRAYS]
+    for arr in arrays:
+        assert arr.dtype == np.float64 and np.all(np.isfinite(arr))
+    validate_events(model.events)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=checkpoint_mutations(FUSION_PATHS))
+def test_mutated_fusion_checkpoint_loads_or_raises_data_format_error(mutation):
+    load_mutated_checkpoint(mutated(FUSION_DOC, *mutation))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=checkpoint_mutations(HMM_PATHS))
+def test_mutated_aiohmm_checkpoint_loads_or_raises_data_format_error(hmm_doc, mutation):
+    load_mutated_checkpoint(mutated(hmm_doc, *mutation))
 
 
 def test_train_config_round_trips_through_checkpoint(tmp_path):

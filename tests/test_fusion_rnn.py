@@ -180,7 +180,7 @@ def reference_pass(m, xs, zs, dlogits):
         (lstm_x,) = m.cells
         tx = reference_forward(lstm_x, np.concatenate([xs, zs], axis=1))
         probs = softmax(tx["h"] @ m.W_y.T + m.b_y)
-        cells = {"lstm_x": reference_backward(lstm_x, tx, dlogits @ m.W_y)[0]}
+        cells = {"lstm_x": reference_backward(lstm_x, tx, dlogits @ m.W_y)}
         head = {"W_y": dlogits.T @ tx["h"], "b_y": dlogits.sum(axis=0)}
     else:
         lstm_x, lstm_z = m.cells
@@ -192,8 +192,8 @@ def reference_pass(m, xs, zs, dlogits):
         da_f = (dlogits @ m.W_y) * (1.0 - e * e)
         dcat = da_f @ m.W_f
         cells = {
-            "lstm_x": reference_backward(lstm_x, tx, dcat[:, :H])[0],
-            "lstm_z": reference_backward(lstm_z, tz, dcat[:, H:])[0],
+            "lstm_x": reference_backward(lstm_x, tx, dcat[:, :H]),
+            "lstm_z": reference_backward(lstm_z, tz, dcat[:, H:]),
         }
         head = {"W_f": da_f.T @ hcat, "b_f": da_f.sum(axis=0),
                 "W_y": dlogits.T @ e, "b_y": dlogits.sum(axis=0)}
@@ -204,16 +204,17 @@ def reference_pass(m, xs, zs, dlogits):
 
 def two_branch_forward(m, xs, zs):
     """The forward pass as it was written before the one readout: a concat
-    branch and a fusion branch, each with its own head.  Returns the
-    probabilities and what two_branch_backward needs."""
+    branch and a fusion branch, each with its own head, and each cell
+    unrolled alone.  Returns the probabilities and what two_branch_backward
+    needs."""
     if m.arch == "concat":
         (lstm_x,) = m.cells
-        tape_x = lstm_forward(lstm_x, np.concatenate([xs, zs], axis=1))
-        return softmax(tape_x.h @ m.W_y.T + m.b_y), {"tape_x": tape_x}
+        tape_x = lstm_forward([lstm_x], [np.concatenate([xs, zs], axis=1)])
+        return softmax(tape_x.h[:, 0] @ m.W_y.T + m.b_y), {"tape_x": tape_x}
     lstm_x, lstm_z = m.cells
-    tape_x = lstm_forward(lstm_x, xs)
-    tape_z = lstm_forward(lstm_z, zs)
-    hcat = np.concatenate([tape_x.h, tape_z.h], axis=1)
+    tape_x = lstm_forward([lstm_x], [xs])
+    tape_z = lstm_forward([lstm_z], [zs])
+    hcat = np.concatenate([tape_x.h[:, 0], tape_z.h[:, 0]], axis=1)
     e = np.tanh(hcat @ m.W_f.T + m.b_f)
     probs = softmax(e @ m.W_y.T + m.b_y)
     return probs, {"tape_x": tape_x, "tape_z": tape_z, "hcat": hcat, "e": e}
@@ -224,16 +225,16 @@ def two_branch_backward(m, cache, dlogits):
     g = replace(m, theta=np.zeros_like(m.theta))
     np.sum(dlogits, axis=0, out=g.b_y)
     if m.arch == "concat":
-        np.matmul(dlogits.T, cache["tape_x"].h, out=g.W_y)
-        lstm_backward(m.cells[0], cache["tape_x"], dlogits @ m.W_y, g.cells[0])
+        np.matmul(dlogits.T, cache["tape_x"].h[:, 0], out=g.W_y)
+        lstm_backward(m.cells[:1], cache["tape_x"], (dlogits @ m.W_y)[:, None], g.cells[:1])
         return g.theta
     np.matmul(dlogits.T, cache["e"], out=g.W_y)
     da_f = (dlogits @ m.W_y) * (1.0 - cache["e"] * cache["e"])
     np.matmul(da_f.T, cache["hcat"], out=g.W_f)
     np.sum(da_f, axis=0, out=g.b_f)
     dcat = da_f @ m.W_f
-    lstm_backward(m.cells[0], cache["tape_x"], dcat[:, : m.hidden], g.cells[0])
-    lstm_backward(m.cells[1], cache["tape_z"], dcat[:, m.hidden :], g.cells[1])
+    lstm_backward(m.cells[:1], cache["tape_x"], dcat[:, None, : m.hidden], g.cells[:1])
+    lstm_backward(m.cells[1:], cache["tape_z"], dcat[:, None, m.hidden :], g.cells[1:])
     return g.theta
 
 

@@ -3,14 +3,14 @@ import pytest
 
 from maneuverkit.lstm import (
     LstmParams,
-    LstmState,
     gate_blocks,
     init_lstm_params,
+    input_projections,
     lstm_backward,
     lstm_forward,
     lstm_step,
     sigmoid,
-    zero_state,
+    stack_recurrent,
 )
 from maneuverkit.numerics import finite_diff_grad, make_rng
 
@@ -23,7 +23,19 @@ def zero_params(input_size: int, hidden: int) -> LstmParams:
     return p
 
 
-def reference_step(p: LstmParams, x, prev):
+def cell_step(p: LstmParams, x, h, c):
+    """One step of a lone cell through the lockstep kernel (C = 1); returns
+    (gates (4, H) as [i, f, g, o], h, c)."""
+    gates, c, _, h = lstm_step(*stack_recurrent([p]), input_projections([p], [x]), h[None], c[None])
+    return gates[0], h[0], c[0]
+
+
+def unroll(p: LstmParams, xs: np.ndarray):
+    """The lockstep unroll of a lone cell; tape arrays have a cell axis of 1."""
+    return lstm_forward([p], [xs])
+
+
+def reference_step(p: LstmParams, x, h_prev, c_prev):
     """Straight-line transcription of the cell equations, written without
     reuse of the library's step code: every gate spelled out with loops.
     Gate k of i, f, c, o sits at rows k, H + k, 2H + k, 3H + k of the
@@ -36,27 +48,27 @@ def reference_step(p: LstmParams, x, prev):
     c = np.empty(H)
     h = np.empty(H)
     for k in range(H):
-        ai = p.b[k] + p.V[k] * prev.c[k]
-        af = p.b[H + k] + p.V[H + k] * prev.c[k]
+        ai = p.b[k] + p.V[k] * c_prev[k]
+        af = p.b[H + k] + p.V[H + k] * c_prev[k]
         ag = p.b[2 * H + k]
         for d in range(p.input_size):
             ai += p.W[k, d] * x[d]
             af += p.W[H + k, d] * x[d]
             ag += p.W[2 * H + k, d] * x[d]
         for d in range(H):
-            ai += p.U[k, d] * prev.h[d]
-            af += p.U[H + k, d] * prev.h[d]
-            ag += p.U[2 * H + k, d] * prev.h[d]
+            ai += p.U[k, d] * h_prev[d]
+            af += p.U[H + k, d] * h_prev[d]
+            ag += p.U[2 * H + k, d] * h_prev[d]
         i[k] = 1.0 / (1.0 + np.exp(-ai))
         f[k] = 1.0 / (1.0 + np.exp(-af))
         g[k] = np.tanh(ag)
-        c[k] = f[k] * prev.c[k] + i[k] * g[k]
+        c[k] = f[k] * c_prev[k] + i[k] * g[k]
     for k in range(H):
         ao = p.b[3 * H + k] + p.V[2 * H + k] * c[k]
         for d in range(p.input_size):
             ao += p.W[3 * H + k, d] * x[d]
         for d in range(H):
-            ao += p.U[3 * H + k, d] * prev.h[d]
+            ao += p.U[3 * H + k, d] * h_prev[d]
         o[k] = 1.0 / (1.0 + np.exp(-ao))
         h[k] = o[k] * np.tanh(c[k])
     return h, c
@@ -90,8 +102,8 @@ def reference_forward(p: LstmParams, xs: np.ndarray) -> dict:
     return tape
 
 
-def reference_backward(p: LstmParams, tape: dict, dh: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Per-gate BPTT of sum_t dh_t . h_t: returns ({W_i: ..., b_o: ...}, dx)."""
+def reference_backward(p: LstmParams, tape: dict, dh: np.ndarray) -> dict:
+    """Per-gate BPTT of sum_t dh_t . h_t: returns {W_i: ..., b_o: ...}."""
     G = dict(gate_blocks(p))
     T, H = dh.shape
     da = {gate: np.empty((T, H)) for gate in "ifco"}
@@ -117,50 +129,50 @@ def reference_backward(p: LstmParams, tape: dict, dh: np.ndarray) -> tuple[dict,
     grads["V_i"] = np.sum(da["i"] * tape["c_prev"], axis=0)
     grads["V_f"] = np.sum(da["f"] * tape["c_prev"], axis=0)
     grads["V_o"] = np.sum(da["o"] * tape["c"], axis=0)
-    dx = sum(da[gate] @ G[f"W_{gate}"] for gate in "ifco")
-    return grads, dx
+    return grads
 
 
-def run_backward(p: LstmParams, tape, dh) -> tuple[LstmParams, np.ndarray]:
+def run_backward(p: LstmParams, tape, dh) -> LstmParams:
+    """The lockstep BPTT of a lone cell, for dh (T, H)."""
     grads = LstmParams(*(np.zeros_like(a) for a in (p.W, p.U, p.V, p.b)))
-    dx = lstm_backward(p, tape, dh, grads)
-    return grads, dx
+    lstm_backward([p], tape, dh[:, None], [grads])
+    return grads
 
 
 class TestStep:
     def test_zero_params_zero_state(self):
         p = zero_params(3, 4)
-        state, cache = lstm_step(p, np.array([0.7, -1.2, 0.4]), zero_state(4))
-        np.testing.assert_allclose(cache["i"], 0.5)
-        np.testing.assert_allclose(cache["f"], 0.5)
-        np.testing.assert_allclose(cache["o"], 0.5)
-        np.testing.assert_array_equal(state.c, np.zeros(4))
-        np.testing.assert_array_equal(state.h, np.zeros(4))
+        gates, h, c = cell_step(p, np.array([0.7, -1.2, 0.4]), np.zeros(4), np.zeros(4))
+        i, f, _, o = gates
+        np.testing.assert_allclose(i, 0.5)
+        np.testing.assert_allclose(f, 0.5)
+        np.testing.assert_allclose(o, 0.5)
+        np.testing.assert_array_equal(c, np.zeros(4))
+        np.testing.assert_array_equal(h, np.zeros(4))
 
     def test_zero_params_nonzero_cell(self):
         p = zero_params(3, 4)
         c0 = np.array([1.0, -0.5, 2.0, 0.0])
-        prev = LstmState(h=np.array([0.3, 0.1, -0.2, 0.9]), c=c0)
-        state, _ = lstm_step(p, np.zeros(3), prev)
-        np.testing.assert_allclose(state.c, 0.5 * c0, atol=1e-15)
-        np.testing.assert_allclose(state.h, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
+        _, h, c = cell_step(p, np.zeros(3), np.array([0.3, 0.1, -0.2, 0.9]), c0)
+        np.testing.assert_allclose(c, 0.5 * c0, atol=1e-15)
+        np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c0), atol=1e-15)
 
     def test_matches_straight_line_transcription(self):
         rng = make_rng(7)
         p = init_lstm_params(3, 4, rng)
-        prev = LstmState(h=rng.standard_normal(4) * 0.5, c=rng.standard_normal(4) * 0.5)
+        h0, c0 = rng.standard_normal(4) * 0.5, rng.standard_normal(4) * 0.5
         x = rng.standard_normal(3)
-        state, _ = lstm_step(p, x, prev)
-        h_ref, c_ref = reference_step(p, x, prev)
-        np.testing.assert_allclose(state.h, h_ref, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(state.c, c_ref, atol=1e-12, rtol=0)
+        _, h, c = cell_step(p, x, h0, c0)
+        h_ref, c_ref = reference_step(p, x, h0, c0)
+        np.testing.assert_allclose(h, h_ref, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(c, c_ref, atol=1e-12, rtol=0)
 
     def test_dimension_mismatch_rejected(self):
         p = zero_params(3, 4)
         with pytest.raises(ValueError):
-            lstm_step(p, np.zeros(2), zero_state(4))
+            cell_step(p, np.zeros(2), np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError):
-            lstm_step(p, np.zeros(3), zero_state(5))
+            cell_step(p, np.zeros(3), np.zeros(5), np.zeros(5))
 
 
 class TestForward:
@@ -168,42 +180,42 @@ class TestForward:
         rng = make_rng(3)
         p = init_lstm_params(2, 3, rng)
         x = rng.standard_normal((1, 2))
-        tape = lstm_forward(p, x)
-        direct, _ = lstm_step(p, x[0], zero_state(3))
-        np.testing.assert_array_equal(tape.h[0], direct.h)
-        np.testing.assert_array_equal(tape.c[0], direct.c)
+        tape = unroll(p, x)
+        _, h, c = cell_step(p, x[0], np.zeros(3), np.zeros(3))
+        np.testing.assert_array_equal(tape.h[0, 0], h)
+        np.testing.assert_array_equal(tape.c[0, 0], c)
 
     def test_zero_params_all_zero_hidden(self):
         p = zero_params(2, 3)
-        tape = lstm_forward(p, make_rng(1).standard_normal((6, 2)))
-        np.testing.assert_array_equal(tape.h, np.zeros((6, 3)))
+        tape = unroll(p, make_rng(1).standard_normal((6, 2)))
+        np.testing.assert_array_equal(tape.h, np.zeros((6, 1, 3)))
 
     def test_constant_input_converges(self):
         rng = make_rng(5)
         p = init_lstm_params(2, 4, rng)
         xs = np.tile(np.array([0.4, -0.3]), (201, 1))
-        h = lstm_forward(p, xs).h
+        h = unroll(p, xs).h[:, 0]
         early = np.max(np.abs(h[5] - h[4]))
         late = np.max(np.abs(h[200] - h[199]))
         assert late < early
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            lstm_forward(zero_params(2, 3), np.zeros((0, 2)))
+            unroll(zero_params(2, 3), np.zeros((0, 2)))
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = make_rng(9)
         p = init_lstm_params(3, 5, rng)
-        tape = lstm_forward(p, rng.standard_normal((20, 3)))
-        i, f, _, o = np.split(tape.gates, 4, axis=1)
-        for arr in (i, f, o):
+        tape = unroll(p, rng.standard_normal((20, 3)))
+        for k in (0, 1, 3):  # i, f, o
+            arr = tape.gates[:, :, k]
             assert np.all(arr > 0.0) and np.all(arr < 1.0)
 
     def test_cell_update_reproducible_from_cached_gates(self):
         rng = make_rng(13)
         p = init_lstm_params(3, 5, rng)
-        tape = lstm_forward(p, rng.standard_normal((12, 3)))
-        i, f, g, _ = np.split(tape.gates, 4, axis=1)
+        tape = unroll(p, rng.standard_normal((12, 3)))
+        i, f, g = (tape.gates[:, :, k] for k in range(3))
         rebuilt = f * tape.c_prev + i * g
         np.testing.assert_array_equal(rebuilt, tape.c)
 
@@ -212,13 +224,12 @@ class TestForward:
         p = init_lstm_params(3, 4, rng)
         xs = rng.standard_normal((7, 3))
         dh = rng.standard_normal((7, 4))
-        t1 = lstm_forward(p, xs)
-        t2 = lstm_forward(p, xs)
+        t1 = unroll(p, xs)
+        t2 = unroll(p, xs)
         np.testing.assert_array_equal(t1.h, t2.h)
         np.testing.assert_array_equal(t1.c, t2.c)
-        g1, dx1 = run_backward(p, t1, dh)
-        g2, dx2 = run_backward(p, t2, dh)
-        np.testing.assert_array_equal(dx1, dx2)
+        g1 = run_backward(p, t1, dh)
+        g2 = run_backward(p, t2, dh)
         for name in vars(g1):
             np.testing.assert_array_equal(getattr(g1, name), getattr(g2, name))
 
@@ -245,12 +256,10 @@ def bptt_error(seed: int, T: int, hidden: int, input_size: int = 3) -> float:
     def objective(flat: np.ndarray) -> float:
         work = LstmParams(*(a.copy() for a in (p.W, p.U, p.V, p.b)))
         unflatten_into(work, flat)
-        tape = lstm_forward(work, xs)
-        return float(np.sum(dh * tape.h))
+        return float(np.sum(dh * unroll(work, xs).h[:, 0]))
 
     numeric = finite_diff_grad(objective, flatten(p), 1e-5)
-    tape = lstm_forward(p, xs)
-    grads, _ = run_backward(p, tape, dh)
+    grads = run_backward(p, unroll(p, xs), dh)
     analytic = flatten(grads)
 
     worst = 0.0
@@ -270,11 +279,10 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = make_rng(2)
         p = init_lstm_params(2, 3, rng)
-        tape = lstm_forward(p, rng.standard_normal((4, 2)))
-        grads, dx = run_backward(p, tape, np.zeros((4, 3)))
+        tape = unroll(p, rng.standard_normal((4, 2)))
+        grads = run_backward(p, tape, np.zeros((4, 3)))
         for name in vars(grads):
             np.testing.assert_array_equal(getattr(grads, name), 0.0)
-        np.testing.assert_array_equal(dx, 0.0)
 
     def test_single_step_matches_finite_differences(self):
         assert bptt_error(seed=1, T=1, hidden=4) <= 1e-6
@@ -292,29 +300,14 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         rng = make_rng(2)
         p = init_lstm_params(2, 3, rng)
-        tape = lstm_forward(p, rng.standard_normal((4, 2)))
+        tape = unroll(p, rng.standard_normal((4, 2)))
         with pytest.raises(ValueError):
             run_backward(p, tape, np.zeros((5, 3)))
 
-    def test_input_gradients_match_finite_differences(self):
-        rng = make_rng(17)
-        p = init_lstm_params(3, 4, rng)
-        xs = rng.standard_normal((5, 3))
-        dh = rng.standard_normal((5, 4))
-
-        def objective(flat_xs: np.ndarray) -> float:
-            tape = lstm_forward(p, flat_xs.reshape(5, 3))
-            return float(np.sum(dh * tape.h))
-
-        numeric = finite_diff_grad(objective, xs.ravel(), 1e-5).reshape(5, 3)
-        tape = lstm_forward(p, xs)
-        _, dx = run_backward(p, tape, dh)
-        np.testing.assert_allclose(dx, numeric, atol=1e-7)
-
 
 class TestStackedMatchesPerGate:
-    """The gate-stacked kernels against the per-gate reference unroll, at
-    the stream widths of fusion mode (6, 9) and concat mode (15)."""
+    """The gate-stacked lockstep kernels against the per-gate reference
+    unroll, at the stream widths of fusion mode (6, 9) and concat mode (15)."""
 
     @pytest.mark.parametrize("hidden", [1, 16, 64])
     @pytest.mark.parametrize("input_size", [6, 9, 15])
@@ -324,29 +317,48 @@ class TestStackedMatchesPerGate:
         p.b[...] = rng.uniform(-0.5, 0.5, size=p.b.shape)
         xs = rng.standard_normal((9, input_size))
         dh = rng.standard_normal((9, hidden))
-        tape = lstm_forward(p, xs)
+        tape = unroll(p, xs)
         ref = reference_forward(p, xs)
-        ref_gates = np.hstack([ref[key] for key in ("i", "f", "g", "o")])
-        np.testing.assert_allclose(tape.gates, ref_gates, rtol=0, atol=1e-12)
+        ref_gates = np.stack([ref[key] for key in ("i", "f", "g", "o")], axis=1)
+        np.testing.assert_allclose(tape.gates[:, 0], ref_gates, rtol=0, atol=1e-12)
         for key in ("c", "h", "tanh_c", "c_prev", "h_prev"):
-            np.testing.assert_allclose(getattr(tape, key), ref[key], rtol=0, atol=1e-12)
-        grads, dx = run_backward(p, tape, dh)
-        ref_grads, ref_dx = reference_backward(p, ref, dh)
+            np.testing.assert_allclose(getattr(tape, key)[:, 0], ref[key], rtol=0, atol=1e-12)
+        grads = run_backward(p, tape, dh)
+        ref_grads = reference_backward(p, ref, dh)
         for name, arr in gate_blocks(grads):
             np.testing.assert_allclose(arr, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
-        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("hidden", [1, 16, 64])
     def test_streamed_steps_match_the_unroll(self, hidden):
         rng = make_rng(400 + hidden)
         p = init_lstm_params(6, hidden, rng)
         xs = rng.standard_normal((9, 6))
-        tape = lstm_forward(p, xs)
-        state = zero_state(hidden)
+        tape = unroll(p, xs)
+        h, c = np.zeros(hidden), np.zeros(hidden)
         for t in range(9):
-            state, _ = lstm_step(p, xs[t], state)
-            np.testing.assert_allclose(state.h, tape.h[t], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state.c, tape.c[t], rtol=0, atol=1e-12)
+            _, h, c = cell_step(p, xs[t], h, c)
+            np.testing.assert_allclose(h, tape.h[t, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c, tape.c[t, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hidden", [1, 16, 64])
+    def test_cells_in_lockstep_equal_each_cell_alone(self, hidden):
+        rng = make_rng(500 + hidden)
+        cells = [init_lstm_params(d, hidden, rng) for d in (6, 9)]
+        for p in cells:
+            p.b[...] = rng.uniform(-0.5, 0.5, size=p.b.shape)
+        xs = [rng.standard_normal((9, d)) for d in (6, 9)]
+        dh = rng.standard_normal((9, 2, hidden))
+        tape = lstm_forward(cells, xs)
+        grads = [LstmParams(*(np.zeros_like(a) for a in (p.W, p.U, p.V, p.b))) for p in cells]
+        lstm_backward(cells, tape, dh, grads)
+        for k, p in enumerate(cells):
+            alone = unroll(p, xs[k])
+            for key in ("gates", "c", "h", "tanh_c"):
+                np.testing.assert_array_equal(getattr(tape, key)[:, k], getattr(alone, key)[:, 0])
+            for name in vars(p):
+                np.testing.assert_array_equal(
+                    getattr(grads[k], name), getattr(run_backward(p, alone, dh[:, k]), name)
+                )
 
     def test_init_draws_in_per_gate_order(self):
         p = init_lstm_params(3, 4, make_rng(8))
