@@ -19,8 +19,10 @@ of a class's sequences: one emission call and one log-softmax cover every
 step, and the (B, S) recursion runs over the batch, so no step can
 underflow.  Past its own end each sequence gets log emission 0 and the log
 of the identity transition matrix, which leaves its real steps exactly as
-a pass over that sequence alone.  The streaming predictor advances its
-forward vectors with the same :func:`log_forward_step` and
+a pass over that sequence alone.  :func:`log_forward` is that forward
+recursion over any leading axes: the E-step and the predictor's batched
+trajectories both run it, and the streaming predictor advances its forward
+vectors with its one-step update :func:`log_forward_step` and the same
 :func:`log_transitions`.
 
 The M-step solves the coupled mean parameters by alternating exact
@@ -37,11 +39,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import make_rng, softmax
+from .numerics import Padded, as_block, make_rng, pad_sequences, softmax
 
 log = logging.getLogger(__name__)
 
@@ -157,32 +158,6 @@ class EmConfig:
 # ---------------------------------------------------------------------------
 
 
-class Padded(NamedTuple):
-    """A class's sequences stacked along a leading batch axis, as
-    :func:`forward_backward` and :func:`m_step` take them; both ignore
-    whatever lies past each sequence's end."""
-
-    xs: np.ndarray       # (B, T, dx)
-    zs: np.ndarray       # (B, T, dz)
-    lengths: np.ndarray  # (B,) steps per sequence, 1..T
-
-
-def pad_sequences(sequences: list[tuple[np.ndarray, np.ndarray]]) -> Padded:
-    """Stack (xs, zs) pairs of any lengths into one zero-padded batch."""
-    pairs = [(np.asarray(xs, dtype=float), np.asarray(zs, dtype=float)) for xs, zs in sequences]
-    for xs, zs in pairs:
-        if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0] or xs.shape[0] == 0:
-            raise ValueError(f"need equal-length nonempty streams, got {xs.shape} and {zs.shape}")
-    lengths = np.array([xs.shape[0] for xs, _ in pairs])
-    B, T = len(pairs), int(lengths.max())
-    xs_pad = np.zeros((B, T, pairs[0][0].shape[1]))
-    zs_pad = np.zeros((B, T, pairs[0][1].shape[1]))
-    for k, (xs, zs) in enumerate(pairs):
-        xs_pad[k, : xs.shape[0]] = xs
-        zs_pad[k, : zs.shape[0]] = zs
-    return Padded(xs_pad, zs_pad, lengths)
-
-
 def transition_inputs(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
     """Effective transition features: x_t, or a constant bias for 'hmm'."""
     if m.variant == VARIANT_HMM:
@@ -217,6 +192,19 @@ def log_forward_step(
     (..., S), log transitions (..., S, S) from source (axis -2) to successor
     (axis -1), and the successors' log emissions (..., S)."""
     return np.logaddexp.reduce(log_alpha[..., :, None] + log_a, axis=-2) + logb
+
+
+def log_forward(log_pi: np.ndarray, log_a: np.ndarray, logb: np.ndarray) -> np.ndarray:
+    """Log alphas (..., T, S) of the forward recursion over any leading
+    axes, from log initial probabilities that broadcast against (..., S),
+    log transitions (..., T-1, S, S) whose entry t - 1 leads into step t,
+    and log emissions (..., T, S).  The log-sum-exp of the alphas at step t
+    is the log-likelihood of the prefix that ends there."""
+    la = np.empty(logb.shape)
+    la[..., 0, :] = log_pi + logb[..., 0, :]
+    for t in range(1, logb.shape[-2]):
+        la[..., t, :] = log_forward_step(la[..., t - 1, :], log_a[..., t - 1, :, :], logb[..., t, :])
+    return la
 
 
 def shifted_observations(zs: np.ndarray) -> np.ndarray:
@@ -281,24 +269,15 @@ def forward_backward(
     (every sequence runs the full T when omitted).
 
     The pass runs in log space over the whole batch at once, with the
-    forward update of :func:`log_forward_step` and its mirror backward, so
+    forward recursion of :func:`log_forward` and its mirror backward, so
     no step can underflow for finite inputs.  Past its own end a sequence
     gets log emission 0 and the log of the identity transition matrix,
     which carries its forward and backward vectors through unchanged: every
     real step, and the log-likelihood, is what a pass over that sequence
     alone computes.
     """
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    single = xs.ndim == 2
-    if single:
-        xs, zs = xs[None], zs[None]
-    if xs.ndim != 3 or zs.ndim != 3 or xs.shape[:2] != zs.shape[:2] or 0 in xs.shape[:2]:
-        raise ValueError(f"need equal-length nonempty streams, got {xs.shape} and {zs.shape}")
+    (xs, zs, lengths), single = as_block(xs, zs, lengths)
     B, T, S = xs.shape[0], xs.shape[1], m.states
-    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
-    if lengths.shape != (B,) or lengths.min() < 1 or lengths.max() > T:
-        raise ValueError(f"need one length in [1, {T}] per sequence, got {lengths!r}")
     live = np.arange(T) < lengths[:, None]                               # (B, T)
 
     logb = emission_logprobs(
@@ -313,10 +292,7 @@ def forward_backward(
         log_a[~live[:, 1:]] = np.log(np.eye(S))
         log_pi = np.log(m.pi)
 
-    la = np.empty((B, T, S))
-    la[:, 0] = log_pi + logb[:, 0]
-    for t in range(1, T):  # log_a[:, t - 1] leads into step t
-        la[:, t] = log_forward_step(la[:, t - 1], log_a[:, t - 1], logb[:, t])
+    la = log_forward(log_pi, log_a, logb)
     lb = np.empty((B, T, S))
     lb[:, T - 1] = 0.0
     for t in range(T - 2, -1, -1):  # the same update along reversed transitions

@@ -13,11 +13,24 @@ whichever comes first, and scores each commitment/onset as a true, false,
 false-positive, or missed prediction.  ``run_session`` and the CLI's
 ``anticipate --stream`` both drive it.
 
+A predictor gives probabilities two ways: ``step`` advances one stream by
+one step, for ``anticipate --stream``, and ``trajectory`` returns every
+step's row for a zero-padded block of whole sequences at once, for
+evaluation.  :func:`trajectory` is the entry point for both shapes: one
+(T, ·) sequence gives (T, K), and a (B, T, ·) block with per-sequence
+lengths gives (B, T, K), whose rows past a sequence's end are padding.
+
 ``FusionRnnPredictor`` streams either network arch through the cell inputs
 and the readout of :mod:`~maneuverkit.fusion_rnn` and the lockstep step of
 :mod:`~maneuverkit.lstm`, so it holds no arch logic or head arithmetic of
-its own; ``AioHmmPredictor`` streams the per-class model ensemble through
-the log-space forward step of :mod:`~maneuverkit.aiohmm`.
+its own, and runs a block as one batched ``fusion_rnn.forward``.
+``AioHmmPredictor`` streams the per-class model ensemble through the
+log-space forward step of :mod:`~maneuverkit.aiohmm`, and runs a block
+through one emission call and, per class group, one
+:func:`~maneuverkit.aiohmm.log_forward` recursion.  Both block paths
+match :func:`stepwise_trajectory`, the per-step reference, to within
+rounding; predictors that can only step (``WindowedPredictor``) take it
+as their ``trajectory``.
 """
 
 from __future__ import annotations
@@ -36,13 +49,16 @@ from .aiohmm import (
     AioHmmModel,
     emission_factors,
     emission_logprobs,
+    log_forward,
     log_forward_step,
     log_transitions,
     posterior_from_logliks,
+    shifted_observations,
 )
 from .events import straight_index
-from .fusion_rnn import FusionRnnModel, cell_inputs, readout
+from .fusion_rnn import FusionRnnModel, cell_inputs, forward, readout
 from .lstm import input_projections, lstm_step, stack_recurrent
+from .numerics import as_block
 
 STEP_SECONDS = 0.8
 STICK_SECONDS = 5.0
@@ -52,13 +68,31 @@ _BIAS = np.ones((1, 1))  # the constant transition input row of the hmm variant
 
 
 class Predictor(Protocol):
-    """Incremental per-step probability source over a fixed event tuple."""
+    """Per-step probability source over a fixed event tuple: ``begin`` and
+    ``step`` stream one sequence, and ``trajectory`` scores a checked
+    (B, T, ·) block with its lengths, as :func:`trajectory` describes."""
 
     events: tuple[str, ...]
 
     def begin(self) -> Any: ...
 
     def step(self, state: Any, x: np.ndarray, z: np.ndarray) -> tuple[Any, np.ndarray]: ...
+
+    def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray: ...
+
+
+def stepwise_trajectory(
+    predictor: Predictor, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The per-step reference for ``Predictor.trajectory``: each sequence of
+    the block is streamed through ``begin``/``step`` over its own length,
+    in block order.  Rows past a sequence's end stay zero."""
+    out = np.zeros(xs.shape[:2] + (len(predictor.events),))
+    for b, n in enumerate(lengths):
+        state = predictor.begin()
+        for t in range(n):
+            state, out[b, t] = predictor.step(state, xs[b, t], zs[b, t])
+    return out
 
 
 class FusionRnnPredictor:
@@ -71,8 +105,8 @@ class FusionRnnPredictor:
     the prefix at step t costs one :func:`~maneuverkit.lstm.lstm_step` for
     all cells, not a recomputation from t=1.  Each step feeds the cells
     through :func:`~maneuverkit.fusion_rnn.cell_inputs` and reads them out
-    through :func:`~maneuverkit.fusion_rnn.readout`, as the batch forward
-    pass does.
+    through :func:`~maneuverkit.fusion_rnn.readout`, as the forward pass
+    does; a block's trajectory is one batched forward pass.
     """
 
     def __init__(self, model: FusionRnnModel):
@@ -89,6 +123,9 @@ class FusionRnnPredictor:
         a = input_projections(m.cells, cell_inputs(m, x, z))
         _, c, _, h = lstm_step(*self._recurrent, a, *state)
         return (h, c), readout(m, h)[-1]
+
+    def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        return forward(self.model, xs, zs)[0]  # causal: the padding never reaches real rows
 
 
 @dataclass(frozen=True)
@@ -119,6 +156,11 @@ class AioHmmPredictor:
     log-likelihoods plus the log prior.  Working in log space keeps the
     filter finite even for classes whose model assigns essentially no
     density to the observed prefix.
+
+    A block's trajectory is one emission call over its B*T rows, then per
+    group one ``log_transitions`` over every step and one
+    :func:`~maneuverkit.aiohmm.log_forward` over the (Kg, B) chains; the
+    prefix log-likelihood at step t is the log-sum-exp of the alphas at t.
     """
 
     def __init__(self, ensemble: AioHmmEnsemble):
@@ -173,6 +215,25 @@ class AioHmmPredictor:
             alphas.append(log_alpha)
         return (alphas, z), posterior_from_logliks(logliks, self.prior)
 
+    def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        # Padding steps get finite emissions and transitions too, and only
+        # feed rows past their own sequence's end.
+        B, T = xs.shape[:2]
+        logb = emission_logprobs(
+            self._emission, xs.reshape(B * T, -1), zs.reshape(B * T, -1),
+            z_prev=shifted_observations(zs).reshape(B * T, -1), factors=self._factors,
+        ).reshape(B, T, -1)
+        logliks = np.empty((B, T, len(self.events)))
+        for group in self._groups:
+            K, S = group.log_pi.shape
+            R = B * (T - 1)  # transition rows: every step after the first
+            xe = np.ones((R, 1)) if group.bias else xs[:, 1:].reshape(R, xs.shape[2])
+            log_a = log_transitions(group.w, xe).reshape(K, S, S, B, T - 1).transpose(0, 3, 4, 1, 2)
+            lb = logb[..., group.rows].reshape(B, T, K, S).transpose(2, 0, 1, 3)
+            la = log_forward(group.log_pi[:, None], log_a, lb)  # (K, B, T, S)
+            logliks[..., group.classes] = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)
+        return posterior_from_logliks(logliks, self.prior)
+
 
 class WindowedPredictor:
     """Restrict a predictor to the most recent ``window`` steps.
@@ -198,6 +259,8 @@ class WindowedPredictor:
             inner, probs = self.base.step(inner, bx, bz)
         return buf, probs
 
+    trajectory = stepwise_trajectory
+
 
 @dataclass
 class AnticipationResult:
@@ -213,20 +276,16 @@ class AnticipationResult:
         return self.time_to_maneuver_steps * STEP_SECONDS
 
 
-def trajectory(predictor: Predictor, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Per-step probabilities (T, K) over the growing prefix."""
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    if xs.shape[0] != zs.shape[0]:
-        raise ValueError(f"stream length mismatch: {xs.shape[0]} vs {zs.shape[0]}")
-    if xs.shape[0] == 0:
-        raise ValueError("empty streams are rejected")
-    state = predictor.begin()
-    rows = []
-    for t in range(xs.shape[0]):
-        state, probs = predictor.step(state, xs[t], zs[t])
-        rows.append(probs)
-    return np.asarray(rows)
+def trajectory(
+    predictor: Predictor, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-step probabilities over the growing prefix: (T, K) for one
+    (T, ·) sequence, or (B, T, K) for a zero-padded (B, T, ·) block whose
+    sequences run ``lengths`` steps each (all T when omitted).  Rows past a
+    sequence's end are padding."""
+    block, single = as_block(xs, zs, lengths)
+    out = predictor.trajectory(*block)
+    return out[0] if single else out
 
 
 def check_threshold(p_th: float) -> float:
@@ -244,17 +303,22 @@ def _crossings(probs: np.ndarray, straight: int, p_th: float) -> tuple[np.ndarra
     return best, (best != straight) & (probs.max(axis=-1) > p_th)
 
 
-def commit_step(traj: np.ndarray, straight: int, p_th: float) -> tuple[int | None, int | None]:
-    """First step whose argmax is a maneuver with probability > p_th.
+def first_commits(probs: np.ndarray, straight: int, p_th: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per (..., T, K) trajectory, with any leading axes: the 1-based first
+    step whose argmax is a maneuver with probability > p_th (0 if none), and
+    the argmax at that step.  The inequality is strict, so p_th = 1.0 never
+    commits."""
+    best, hit = _crossings(probs, straight, check_threshold(p_th))
+    first = hit.argmax(axis=-1)
+    event = np.take_along_axis(best, first[..., None], axis=-1)[..., 0]
+    return np.where(hit.any(axis=-1), first + 1, 0), event
 
-    Returns (1-based step, event index) or (None, None).  The inequality is
-    strict, so p_th = 1.0 never commits.
-    """
-    best, hit = _crossings(traj, straight, check_threshold(p_th))
-    hits = np.flatnonzero(hit)
-    if hits.size == 0:
-        return None, None
-    return int(hits[0]) + 1, int(best[hits[0]])
+
+def commit_step(traj: np.ndarray, straight: int, p_th: float) -> tuple[int | None, int | None]:
+    """:func:`first_commits` of one (T, K) trajectory: (1-based step, event
+    index), or (None, None) if it never commits."""
+    step, event = first_commits(traj, straight, p_th)
+    return (None, None) if step == 0 else (int(step), int(event))
 
 
 def anticipate(
@@ -348,13 +412,11 @@ def run_session(
     """Score a timeline with known event onsets under the stick rule.
 
     ``onsets`` is a list of (1-based step, event index), strictly increasing
-    in step.  The outcomes are those of :class:`CommitTracker`, in the
-    order they close.
+    in step.  The outcomes are those of :class:`CommitTracker` fed the
+    timeline's trajectory, in the order they close.
     """
     tracker = CommitTracker(predictor.events, p_th)
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    T = xs.shape[0]
+    T = len(xs)
     steps = [s for s, _ in onsets]
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("onsets must be strictly increasing; overlapping onsets are rejected")
@@ -362,10 +424,7 @@ def run_session(
         raise ValueError("onset steps must lie within the timeline")
     onset_at = dict(onsets)
 
-    state = predictor.begin()
-    outcomes = []
-    for t in range(1, T + 1):
-        state, probs = predictor.step(state, xs[t - 1], zs[t - 1])
-        outcomes.append(tracker.step(t, probs, onset_at.get(t))[1])
+    outcomes = [tracker.step(t, probs, onset_at.get(t))[1]
+                for t, probs in enumerate(trajectory(predictor, xs, zs), 1)]
     outcomes.append(tracker.close())
     return [e for e in outcomes if e is not None]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .aiohmm import AioHmmEnsemble, AioHmmModel
 from .events import EVENTS, validate_events
-from .fusion_rnn import FusionRnnModel, param_blocks
+from .fusion_rnn import ARCH_CONCAT, ARCH_FUSION, CELL_NAMES, FusionRnnModel, param_blocks
 from .synth import SequenceSample
 
 FORMAT_VERSION = 1
@@ -223,27 +223,65 @@ def _events(d: dict, path: Path) -> tuple[str, ...]:
     return events
 
 
+SIZE_FIELDS = ("input_x", "input_z", "hidden", "fusion")
+
+
 def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
-    """Build the network, then copy each named block into its view."""
+    """Check the declared sizes against the blocks that carry them, build
+    the network, then copy each named block into its view.
+
+    The sizes are checked before the model allocates its parameter vector:
+    once the first recurrent and bias blocks of ``lstm_x``, each cell's
+    first input block and the fusion layer's blocks match them, that vector
+    is no larger than a small multiple of the numbers the file holds.
+    """
     events = _events(d, path)
     try:
-        model = FusionRnnModel(
-            arch=d["arch"], input_x=d["input_x"], input_z=d["input_z"],
-            hidden=d["hidden"], fusion=d["fusion"], events=events,
-        )
-        blocks = d["blocks"]
-    except (KeyError, TypeError, ValueError) as err:
+        arch, blocks = d["arch"], d["blocks"]
+        sizes = {name: d[name] for name in SIZE_FIELDS}
+    except (KeyError, TypeError) as err:
         raise DataFormatError(f"{path}: bad fusion network description ({err!r})") from None
     if not isinstance(blocks, dict):
         raise DataFormatError(f"{path}: field 'blocks' must be an object")
+    if arch not in (ARCH_FUSION, ARCH_CONCAT):
+        raise DataFormatError(f"{path}: unknown arch {arch!r}")
+    for name, value in sizes.items():
+        least = 0 if name == "fusion" else 1  # a concat model declares fusion 0
+        if type(value) is not int or value < least:
+            raise DataFormatError(
+                f"{path}: field {name!r} must be an integer of at least {least}, got {value!r}"
+            )
+
+    arrays: dict[str, np.ndarray] = {}
+
+    def block(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name not in arrays:
+            if name not in blocks:
+                raise DataFormatError(f"{path}: block {name!r} is missing")
+            arrays[name] = numeric_array(blocks[name])
+            if arrays[name] is None:
+                raise DataFormatError(f"{path}: block {name!r} is not an array of numbers")
+        if arrays[name].shape != shape:
+            raise DataFormatError(
+                f"{path}: block {name!r} has shape {arrays[name].shape}, expected {shape}"
+            )
+        return arrays[name]
+
+    H, fused = sizes["hidden"], arch == ARCH_FUSION
+    widths = [sizes["input_x"], sizes["input_z"]] if fused else [sizes["input_x"] + sizes["input_z"]]
+    block("lstm_x.b_i", (H,))
+    block("lstm_x.U_i", (H, H))
+    for cell, width in zip(CELL_NAMES, widths):
+        block(f"{cell}.W_i", (H, width))
+    if fused:
+        block("b_f", (sizes["fusion"],))
+        block("W_f", (sizes["fusion"], len(widths) * H))
+    try:
+        model = FusionRnnModel(arch=arch, events=events, **sizes)
+    except ValueError as err:
+        raise DataFormatError(f"{path}: bad fusion network description ({err!r})") from None
     for name, view in param_blocks(model):
-        if name not in blocks:
-            raise DataFormatError(f"{path}: block {name!r} is missing")
-        arr = numeric_array(blocks[name])
-        if arr is None:
-            raise DataFormatError(f"{path}: block {name!r} is not an array of numbers")
-        if arr.shape != view.shape:
-            raise DataFormatError(f"{path}: block {name!r} has shape {arr.shape}, expected {view.shape}")
+        arr = block(name, view.shape)
         if not np.all(np.isfinite(arr)):
             raise DataFormatError(f"{path}: block {name!r} contains non-finite values")
         view[...] = arr

@@ -13,8 +13,11 @@ the single-stream baseline: ``lstm_x`` alone over the per-step
 concatenation [x_t; z_t], read out with no fusion layer.  The cells run in
 lockstep through the kernels of :mod:`~maneuverkit.lstm`, so their hidden
 states come as (T, C, H) for a sequence and (C, H) for a step, and h_t is
-their reshape.  :func:`cell_inputs` and :func:`readout` serve the batch
+their reshape.  :func:`cell_inputs` and :func:`readout` serve the forward
 pass and the streaming step alike, so ``arch`` is decided here only.
+:func:`forward` also takes a zero-padded batch of (B, T, ·) streams and
+runs it through one time-major kernel call; the pass is causal, so the
+padding after a sequence's end never changes its real steps.
 
 All parameters live in one contiguous float64 vector ``theta``; every
 parameter array is a reshaped view into it.  The order is lstm_x (W, U, V,
@@ -76,6 +79,8 @@ class FusionRnnModel:
         fused = self.arch == ARCH_FUSION
         if fused and self.fusion < 1:
             raise ValueError(f"fusion width must be positive, got {self.fusion}")
+        if not fused and self.fusion != 0:
+            raise ValueError(f"a concat model has no fusion layer: fusion must be 0, got {self.fusion!r}")
         sizes = [self.input_x, self.input_z] if fused else [self.input_x + self.input_z]
         width = len(sizes) * self.hidden
         shapes = [s for d in sizes for s in lstm_shapes(d, self.hidden)]
@@ -110,7 +115,8 @@ class FusionRnnModel:
 
 @dataclass
 class FusionTape:
-    """Forward-pass cache consumed by :func:`backward`."""
+    """Forward-pass cache consumed by :func:`backward`.  A batch's tape is
+    time-major: every (T, ·) array below is (T, B, ·)."""
 
     lstm: LstmTape         # every cell, in lockstep
     hcat: np.ndarray       # (T, cells * hidden)
@@ -147,7 +153,8 @@ def init_fusion_model(
 
 def cell_inputs(m: FusionRnnModel, x: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
     """What each cell of ``m`` reads: x and z apart, or [x; z] joined along
-    the last axis, for a (T, ·) sequence or a (·,) step."""
+    the last axis, for a (T, ·) sequence, a (T, B, ·) batch or a (·,)
+    step."""
     if m.arch == ARCH_CONCAT:
         return [np.concatenate([x, z], axis=-1)]
     return [x, z]
@@ -155,36 +162,41 @@ def cell_inputs(m: FusionRnnModel, x: np.ndarray, z: np.ndarray) -> list[np.ndar
 
 def readout(m: FusionRnnModel, h: np.ndarray) -> tuple[np.ndarray, ...]:
     """(hcat, e, probs) from the cells' hidden states ``h``, (T, C, H) for a
-    sequence or (C, H) for a step."""
+    sequence, (T, B, C, H) for a batch or (C, H) for a step."""
     hcat = h.reshape(*h.shape[:-2], -1)
     e = hcat if m.W_f is None else np.tanh(hcat @ m.W_f.T + m.b_f)
     return hcat, e, softmax(e @ m.W_y.T + m.b_y)
 
 
 def forward(m: FusionRnnModel, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, FusionTape]:
-    """Per-step event probabilities (T, K) for paired streams.
+    """Per-step event probabilities (T, K) for paired (T, ·) streams, or
+    (B, T, K) for a zero-padded batch of (B, T, ·) streams, whose rows past
+    a sequence's end are padding.
 
-    The forward pass is pure: identical arguments give bit-identical output.
+    The forward pass is pure: identical arguments give bit-identical output,
+    and each sequence of a batch gets the rows it would get alone to within
+    rounding.
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
-    if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0]:
+    if xs.ndim not in (2, 3) or zs.ndim != xs.ndim or xs.shape[:-1] != zs.shape[:-1]:
         raise ValueError(f"stream length mismatch: xs {xs.shape} vs zs {zs.shape}")
-    if xs.shape[0] == 0:
+    if 0 in xs.shape[:-1]:
         raise ValueError("empty sequences are rejected")
-    if xs.shape[1] != m.input_x or zs.shape[1] != m.input_z:
+    if xs.shape[-1] != m.input_x or zs.shape[-1] != m.input_z:
         raise ValueError(
-            f"stream dims ({xs.shape[1]}, {zs.shape[1]}) do not match model "
+            f"stream dims ({xs.shape[-1]}, {zs.shape[-1]}) do not match model "
             f"({m.input_x}, {m.input_z})"
         )
-    lstm = lstm_forward(m.cells, cell_inputs(m, xs, zs))
+    # Time-major for the kernel; both swaps are no-ops for a single sequence.
+    lstm = lstm_forward(m.cells, cell_inputs(m, xs.swapaxes(0, -2), zs.swapaxes(0, -2)))
     hcat, e, probs = readout(m, lstm.h)
-    return probs, FusionTape(lstm=lstm, hcat=hcat, e=e, probs=probs)
+    return probs.swapaxes(0, -2), FusionTape(lstm=lstm, hcat=hcat, e=e, probs=probs)
 
 
 def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.ndarray:
     """Exact gradient, laid out like ``m.theta``, given per-step gradients
-    on the pre-softmax logits."""
+    on the pre-softmax logits of one sequence's tape."""
     dlogits = np.asarray(dlogits, dtype=float)
     T = tape.probs.shape[0]
     if dlogits.shape != (T, m.k):

@@ -27,6 +27,14 @@ weights stacked as (C, 4H, H), the peepholes as (C, 3, H), the projections
 as (C, 4H) and the states as (C, H), with gates laid out (C, 4, H) as
 [i, f, g, o].  The forward unroll and the streaming predictor both call
 it, and BPTT mirrors it over the same axes.
+
+Sequences are time-major: (T, input) for one sequence, or (T, B, input)
+for a zero-padded batch of B sequences run side by side.  A batch axis
+sits in front of the cell axis everywhere, so a step's projections and
+states are (B, C, ·), and each sequence of a batch gets the states it
+would get alone, to within rounding.  The pass is causal: padding after a
+sequence's end never reaches its real steps.  Calls without a batch axis
+run exactly the single-sequence arithmetic.  BPTT takes one sequence.
 """
 
 from __future__ import annotations
@@ -82,7 +90,8 @@ def stack_recurrent(cells: list[LstmParams]) -> tuple[np.ndarray, np.ndarray]:
 
 def input_projections(cells: list[LstmParams], inputs: list[np.ndarray]) -> np.ndarray:
     """W u + b of every cell, stacked on the cell axis: (T, C, 4H) for
-    (T, input) sequences, (C, 4H) for (input,) steps."""
+    (T, input) sequences, (C, 4H) for (input,) steps, and (..., C, 4H) for
+    inputs with any other leading axes."""
     return np.stack([u @ p.W.T + p.b for p, u in zip(cells, inputs)], axis=-2)
 
 
@@ -91,9 +100,10 @@ class LstmTape:
     """Per-step activations cached by the forward pass for BPTT.
 
     ``inputs`` holds each cell's (T, input) sequence; every other array has
-    leading axes (T, C).  ``gates`` is (T, C, 4, H) with [i, f, g, o] on the
-    third axis.  ``c_prev``/``h_prev`` are the states entering each step
-    (row 0 is the zero initial state).
+    leading axes (T, C), or (T, B, C) for a batch.  ``gates`` is
+    (T, C, 4, H) with [i, f, g, o] on the axis after the cells.
+    ``c_prev``/``h_prev`` are the states entering each step (row 0 is the
+    zero initial state).
     """
 
     inputs: list[np.ndarray]
@@ -128,31 +138,32 @@ def lstm_step(
 ) -> tuple[np.ndarray, ...]:
     """Advance C cells one step from their input projections ``a`` (C, 4H)
     and states ``h``, ``c`` (C, H), given ``U`` (C, 4H, H) and ``V``
-    (C, 3, H).  Returns (gates (C, 4, H), c, tanh(c), h)."""
-    C, H = c.shape
-    a = (a + (U @ h[..., None])[..., 0]).reshape(C, 4, H)
+    (C, 3, H).  Returns (gates (C, 4, H), c, tanh(c), h).  Any leading axes
+    of ``a``, ``h`` and ``c`` are a batch, and the outputs gain them too."""
+    a = (a + (U @ h[..., None])[..., 0]).reshape(c.shape[:-1] + (4, -1))
     gates = np.empty_like(a)
-    gates[:, :2] = sigmoid(a[:, :2] + V[:, :2] * c[:, None])
-    gates[:, 2] = np.tanh(a[:, 2])
-    c = gates[:, 1] * c + gates[:, 0] * gates[:, 2]
-    gates[:, 3] = sigmoid(a[:, 3] + V[:, 2] * c)
+    gates[..., :2, :] = sigmoid(a[..., :2, :] + V[:, :2] * c[..., None, :])
+    gates[..., 2, :] = np.tanh(a[..., 2, :])
+    c = gates[..., 1, :] * c + gates[..., 0, :] * gates[..., 2, :]
+    gates[..., 3, :] = sigmoid(a[..., 3, :] + V[:, 2] * c)
     tanh_c = np.tanh(c)
-    return gates, c, tanh_c, gates[:, 3] * tanh_c
+    return gates, c, tanh_c, gates[..., 3, :] * tanh_c
 
 
 def lstm_forward(cells: list[LstmParams], inputs: list[np.ndarray]) -> LstmTape:
-    """Unroll the cells in lockstep over their (T, input) sequences from the
-    zero state."""
+    """Unroll the cells in lockstep over their (T, input) sequences, or
+    (T, B, input) batches, from the zero state."""
     A = input_projections(cells, inputs)
-    T, C, H = A.shape[0], len(cells), cells[0].hidden_size
+    T, H = A.shape[0], cells[0].hidden_size
     if T == 0:
         raise ValueError("empty sequences are rejected")
     U, V = stack_recurrent(cells)
-    gates = np.empty((T, C, 4, H))
+    state = A.shape[1:-1] + (H,)  # (C, H), or (B, C, H) for a batch
+    gates = np.empty((T, *state[:-1], 4, H))
     # Row t of c/h is the state entering step t; row t + 1 the state it makes.
-    c = np.zeros((T + 1, C, H))
-    h = np.zeros((T + 1, C, H))
-    tanh_c = np.empty((T, C, H))
+    c = np.zeros((T + 1, *state))
+    h = np.zeros((T + 1, *state))
+    tanh_c = np.empty((T, *state))
     for t in range(T):
         gates[t], c[t + 1], tanh_c[t], h[t + 1] = lstm_step(U, V, A[t], h[t], c[t])
     return LstmTape(inputs=inputs, gates=gates, c=c[1:], h=h[1:], tanh_c=tanh_c,

@@ -10,6 +10,13 @@ default, not a claim).
 
 Undefined ratios (zero denominators) surface as None, never as silent
 zeros: a sweep that silently zeroed empty cells would distort the argmax.
+
+A threshold sweep computes its trajectories in blocks of ``SWEEP_BLOCK``
+held-out sequences: each block is zero-padded and goes through one
+batched ``trajectory`` call, so the padded arrays stay a fixed size
+however large the dataset.  ``evaluate_dataset`` runs ``anticipate`` per
+sample, each a whole-sequence pass; both score through
+:func:`score_outcomes`.
 """
 
 from __future__ import annotations
@@ -19,12 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anticipation import Predictor, anticipate, check_threshold, commit_step, trajectory
+from .anticipation import Predictor, anticipate, check_threshold, first_commits, trajectory
 from .events import straight_index
+from .numerics import pad_sequences
 from .synth import SequenceSample, split_folds
 from .training import map_label_to_model
 
 log = logging.getLogger(__name__)
+
+SWEEP_BLOCK = 32  # held-out sequences per padded trajectory call of a sweep
 
 
 @dataclass
@@ -182,22 +192,29 @@ def threshold_sweep(
 ) -> SweepResult:
     """Evaluate every threshold in the grid and flag the best-F1 point.
 
-    Trajectories are computed once per sample; each threshold only replays
-    the commitment rule.  Ties on F1 go to the lowest threshold.
+    Trajectories are computed once per sample, one padded block of
+    ``SWEEP_BLOCK`` samples per ``trajectory`` call; each threshold only
+    replays the commitment rule over every block at once, where a first
+    crossing in a sequence's padding is no commitment.  Ties on F1 go to
+    the lowest threshold.
     """
     if len(grid) == 0:
         raise ValueError("threshold grid must be nonempty")
     for g in grid:
         check_threshold(g)
-    trajs = [trajectory(predictor, s.xs, s.zs) for s in dataset]
+    blocks = []
+    for lo in range(0, len(dataset), SWEEP_BLOCK):
+        xs, zs, lengths = pad_sequences([(s.xs, s.zs) for s in dataset[lo : lo + SWEEP_BLOCK]])
+        blocks.append((trajectory(predictor, xs, zs, lengths), lengths.tolist()))
     actuals = [map_label_to_model(s.label, predictor.events) for s in dataset]
     straight = straight_index(predictor.events)
     points = []
     for g in grid:
         decisions = []
-        for traj in trajs:
-            t_pred, maneuver = commit_step(traj, straight, g)
-            decisions.append((straight, None) if t_pred is None else (maneuver, traj.shape[0] - t_pred))
+        for probs, lengths in blocks:
+            steps, maneuvers = first_commits(probs, straight, g)
+            decisions += [(m, n - t) if 0 < t <= n else (straight, None)
+                          for t, m, n in zip(steps.tolist(), maneuvers.tolist(), lengths)]
         ev = score_outcomes(predictor.events, decisions, actuals)
         points.append(
             SweepPoint(p_th=g, precision=ev.precision, recall=ev.recall, f1=ev.f1,

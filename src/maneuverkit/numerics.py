@@ -10,7 +10,7 @@ experiment can be replayed exactly from the seed recorded in its checkpoint.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,3 +71,48 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         return v.copy()
     return v / norm
+
+
+class Padded(NamedTuple):
+    """Sequences stacked along a leading batch axis and zero-padded to the
+    longest; whatever lies past a sequence's end is padding."""
+
+    xs: np.ndarray       # (B, T, dx)
+    zs: np.ndarray       # (B, T, dz)
+    lengths: np.ndarray  # (B,) steps per sequence, 1..T
+
+
+def pad_sequences(sequences: list[tuple[np.ndarray, np.ndarray]]) -> Padded:
+    """Stack (xs, zs) pairs of any lengths into one zero-padded batch."""
+    pairs = [(np.asarray(xs, dtype=float), np.asarray(zs, dtype=float)) for xs, zs in sequences]
+    for xs, zs in pairs:
+        if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0] or xs.shape[0] == 0:
+            raise ValueError(f"need equal-length nonempty streams, got {xs.shape} and {zs.shape}")
+    lengths = np.array([xs.shape[0] for xs, _ in pairs])
+    B, T = len(pairs), int(lengths.max())
+    xs_pad = np.zeros((B, T, pairs[0][0].shape[1]))
+    zs_pad = np.zeros((B, T, pairs[0][1].shape[1]))
+    for k, (xs, zs) in enumerate(pairs):
+        xs_pad[k, : xs.shape[0]] = xs
+        zs_pad[k, : zs.shape[0]] = zs
+    return Padded(xs_pad, zs_pad, lengths)
+
+
+def as_block(
+    xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray | None = None
+) -> tuple[Padded, bool]:
+    """Paired streams as a checked padded block, and whether they were one
+    (T, ·) sequence, which becomes a block of one.  A (B, T, ·) block keeps
+    its per-sequence ``lengths``, all T when omitted."""
+    xs = np.asarray(xs, dtype=float)
+    zs = np.asarray(zs, dtype=float)
+    single = xs.ndim == 2
+    if single:
+        xs, zs = xs[None], zs[None]
+    if xs.ndim != 3 or zs.ndim != 3 or xs.shape[:2] != zs.shape[:2] or 0 in xs.shape[:2]:
+        raise ValueError(f"need equal-length nonempty streams, got {xs.shape} and {zs.shape}")
+    B, T = xs.shape[:2]
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (B,) or lengths.min() < 1 or lengths.max() > T:
+        raise ValueError(f"need one length in [1, {T}] per sequence, got {lengths!r}")
+    return Padded(xs, zs, lengths), single

@@ -5,10 +5,11 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import (
+    VARIANTS,
     AioHmmEnsemble,
     emission_logprobs,
     infer_maneuver,
@@ -22,12 +23,13 @@ from maneuverkit.anticipation import (
     anticipate,
     commit_step,
     run_session,
+    stepwise_trajectory,
     trajectory,
 )
 from maneuverkit.cli import _stream_loop
 from maneuverkit.events import EVENTS, events_for_setting
 from maneuverkit.fusion_rnn import forward, init_fusion_model
-from maneuverkit.numerics import make_rng
+from maneuverkit.numerics import make_rng, pad_sequences
 
 from test_aiohmm import random_model
 
@@ -70,6 +72,8 @@ class ScriptedPredictor:
 
     def step(self, state, x, z):
         return state + 1, self.rows[state % len(self.rows)]
+
+    trajectory = stepwise_trajectory
 
 
 def dummy_streams(T):
@@ -369,3 +373,90 @@ class TestPredictors:
             lo = max(0, t + 1 - window)
             ref, _ = forward(model, xs[lo : t + 1], zs[lo : t + 1])
             np.testing.assert_allclose(stream[t], ref[-1], atol=1e-12)
+
+
+def random_block(rng, lengths, dx, dz):
+    """A zero-padded block of standard-normal streams of the given lengths."""
+    return pad_sequences([(rng.standard_normal((n, dx)), rng.standard_normal((n, dz))) for n in lengths])
+
+
+def assert_block_matches_stepwise(predictor, block):
+    """The batched trajectory of ``block`` equals the per-step reference on
+    every real row, and its one-sequence form equals each row of it."""
+    batched = trajectory(predictor, *block)
+    reference = stepwise_trajectory(predictor, *block)
+    assert batched.shape == reference.shape
+    for k, n in enumerate(block.lengths):
+        np.testing.assert_allclose(batched[k, :n], reference[k, :n], rtol=0, atol=1e-12)
+        single = trajectory(predictor, block.xs[k, :n], block.zs[k, :n])
+        np.testing.assert_allclose(single, reference[k, :n], rtol=0, atol=1e-12)
+
+
+# Mixed lengths, with T = 1 and a block of one sequence among the draws.
+BLOCK_LENGTHS = st.lists(st.integers(1, 10), min_size=1, max_size=6)
+
+
+class TestBatchedTrajectory:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arch=st.sampled_from(["fusion", "concat"]),
+        hidden=st.integers(1, 16),
+        lengths=BLOCK_LENGTHS,
+        scale=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(arch="fusion", hidden=3, lengths=[1], scale=1.0, seed=0)
+    @example(arch="concat", hidden=3, lengths=[1, 10, 1, 4], scale=3.0, seed=1)
+    def test_network_block_matches_stepwise(self, arch, hidden, lengths, scale, seed):
+        # Weights scaled up to 3x drive the gates into saturation.
+        model = init_fusion_model(arch, 6, 9, hidden, EVENTS, make_rng(seed))
+        model.theta[...] *= scale
+        block = random_block(make_rng(seed + 1), lengths, 6, 9)
+        assert_block_matches_stepwise(FusionRnnPredictor(model), block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 3), st.sampled_from(VARIANTS)), min_size=5, max_size=5),
+        lengths=BLOCK_LENGTHS,
+        sparse_pi=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(shapes=[(2, "aio"), (3, "io"), (2, "hmm"), (3, "aio"), (1, "hmm")], lengths=[1],
+             sparse_pi=True, seed=0)
+    @example(shapes=[(3, "aio")] * 5, lengths=[7, 1, 10], sparse_pi=False, seed=1)
+    def test_aiohmm_block_matches_stepwise(self, shapes, lengths, sparse_pi, seed):
+        # Mixed variants and state counts give several class groups.
+        rng = make_rng(seed)
+        models = {name: random_model(rng, S, 3, 4, variant=v) for name, (S, v) in zip(EVENTS, shapes)}
+        if sparse_pi:  # log pi = -inf on all but the last state
+            S = models[EVENTS[0]].states
+            models[EVENTS[0]].pi = np.eye(S)[-1]
+        prior = rng.uniform(0.5, 1.0, len(EVENTS))
+        ens = AioHmmEnsemble(events=EVENTS, models=models, prior=prior / prior.sum())
+        assert_block_matches_stepwise(AioHmmPredictor(ens), random_block(rng, lengths, 4, 3))
+
+    def test_windowed_predictor_steps_each_sequence_over_its_length(self):
+        model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(9))
+        predictor = WindowedPredictor(FusionRnnPredictor(model), 3)
+        block = random_block(make_rng(10), [5, 2, 7], 6, 9)
+        batched = trajectory(predictor, *block)
+        for k, n in enumerate(block.lengths):
+            alone = trajectory(predictor, block.xs[k, :n], block.zs[k, :n])
+            np.testing.assert_array_equal(batched[k, :n], alone)
+            assert not batched[k, n:].any()
+
+    @pytest.mark.parametrize(
+        "xs, zs, lengths, message",
+        [
+            (np.zeros((2, 3, 6)), np.zeros((2, 4, 9)), None, "need equal-length nonempty streams"),
+            (np.zeros((2, 3, 6)), np.zeros((3, 9)), None, "need equal-length nonempty streams"),
+            (np.zeros((0, 3, 6)), np.zeros((0, 3, 9)), None, "need equal-length nonempty streams"),
+            (np.zeros((2, 3, 6)), np.zeros((2, 3, 9)), [3], r"one length in \[1, 3\]"),
+            (np.zeros((2, 3, 6)), np.zeros((2, 3, 9)), [0, 3], r"one length in \[1, 3\]"),
+            (np.zeros((2, 3, 6)), np.zeros((2, 3, 9)), [2, 4], r"one length in \[1, 3\]"),
+        ],
+        ids=["steps", "ranks", "no-sequences", "lengths-shape", "zero-length", "too-long"],
+    )
+    def test_bad_blocks_rejected(self, xs, zs, lengths, message):
+        with pytest.raises(ValueError, match=message):
+            trajectory(ScriptedPredictor([UNIFORM_ROW]), xs, zs, lengths)

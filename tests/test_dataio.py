@@ -284,22 +284,49 @@ class TestCheckpointBlockErrors:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "name, field, value, message",
         [
-            ("events", ["left_lane", "left_lane", "left_turn", "right_turn", "straight"],
+            ("fusion_h2", "events", ["left_lane", "left_lane", "left_turn", "right_turn", "straight"],
              r"bad 'events' entry .*duplicate event labels"),
-            ("events", ["left_lane", "right_lane", "u_turn", "right_turn", "straight"],
+            ("fusion_h2", "events", ["left_lane", "right_lane", "u_turn", "right_turn", "straight"],
              r"bad 'events' entry .*unknown event labels"),
-            ("blocks", 5, r"field 'blocks' must be an object"),
+            ("fusion_h2", "blocks", 5, r"field 'blocks' must be an object"),
+            ("fusion_h2", "arch", "lstm", r"unknown arch 'lstm'"),
+            ("concat_h2", "fusion", "abc", r"field 'fusion' must be an integer of at least 0, got 'abc'"),
+            ("concat_h2", "fusion", 3, r"bad fusion network description .*fusion must be 0, got 3"),
+            ("fusion_h2", "hidden", True, r"field 'hidden' must be an integer of at least 1, got True"),
+            ("fusion_h2", "hidden", 0, r"field 'hidden' must be an integer of at least 1, got 0"),
+            ("fusion_h2", "hidden", 10**8,
+             r"block 'lstm_x\.b_i' has shape \(2,\), expected \(100000000,\)"),
+            ("fusion_h2", "input_z", 10**12,
+             r"block 'lstm_z\.W_i' has shape \(2, 9\), expected \(2, 1000000000000\)"),
+            ("fusion_h2", "fusion", 10**8, r"block 'b_f' has shape \(2,\), expected \(100000000,\)"),
         ],
-        ids=["duplicate-events", "unknown-events", "blocks-not-an-object"],
+        ids=["duplicate-events", "unknown-events", "blocks-not-an-object", "unknown-arch",
+             "concat-fusion", "concat-fusion-width", "bool-hidden", "zero-hidden", "huge-hidden",
+             "huge-input", "huge-fusion"],
     )
-    def test_bad_description_names_the_file(self, tmp_path, field, value, message):
-        doc = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
+    def test_bad_description_names_the_file(self, tmp_path, name, field, value, message):
+        doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
         doc["params"][field] = value
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
+            load_model(path)
+
+    def test_huge_hidden_with_a_matching_bias_block_is_refused_before_allocation(self, tmp_path):
+        # The declared size agrees with lstm_x.b_i, so only the (H, H)
+        # recurrent block stands between it and a terabyte parameter vector.
+        H = 200_000
+        doc = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
+        doc["params"]["hidden"] = H
+        doc["params"]["blocks"]["lstm_x.b_i"] = [0.0] * H
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(
+            DataFormatError,
+            match=r"edited\.json: block 'lstm_x\.U_i' has shape \(2, 2\), expected \(200000, 200000\)",
+        ):
             load_model(path)
 
     def test_missing_block_names_file_and_block(self, tmp_path):
@@ -443,17 +470,19 @@ HMM_PATHS = [
     HMM_MODEL + ("sigma", 0, 2, 2), HMM_MODEL + ("w",), HMM_MODEL + ("w", 1, 0), HMM_MODEL + ("pi",),
     HMM_MODEL + ("pi", 1),
 ]
-# Declared network sizes get only small values: a huge one would allocate
-# its parameter vector before any block is read.
+# Declared network sizes get small values, values of the wrong type, and huge
+# values whose parameter vector would not fit in memory.
 SIZE_FIELDS = ("input_x", "input_z", "hidden", "fusion")
-SMALL_SIZES = st.integers(-2, 10) | st.sampled_from([None, True, 2.0, "2", [2]])
+SIZES = st.integers(-2, 10) | st.sampled_from(
+    [None, True, 2.0, "2", [2], 10**8, 10**12, 1e8, 1e12, -(10**12)]
+)
 
 
 @st.composite
 def checkpoint_mutations(draw, paths):
     where = draw(st.sampled_from(paths))
     sizes = bool(where) and where[-1] in SIZE_FIELDS
-    return where, draw(SMALL_SIZES if sizes else JSON_VALUES), draw(st.booleans())
+    return where, draw(SIZES if sizes else JSON_VALUES), draw(st.booleans())
 
 
 def load_mutated_checkpoint(doc):

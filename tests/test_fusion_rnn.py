@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maneuverkit.fusion_rnn import (
+    FusionRnnModel,
     backward,
     forward,
     init_fusion_model,
@@ -63,6 +64,15 @@ class TestForward:
         xs, zs = random_streams(3, 6)
         with pytest.raises(ValueError):
             forward(make_model(), xs[:5], zs)
+
+    def test_batch_shapes_checked(self):
+        xs, zs = random_streams(3, 6)
+        with pytest.raises(ValueError, match="stream length mismatch"):
+            forward(make_model(), np.stack([xs, xs]), np.stack([zs, zs])[:, :5])
+        with pytest.raises(ValueError, match="stream length mismatch"):
+            forward(make_model(), np.stack([xs, xs]), zs)
+        with pytest.raises(ValueError, match="empty"):
+            forward(make_model(), np.zeros((0, 6, 6)), np.zeros((0, 6, 9)))
 
     def test_forward_is_pure(self):
         xs, zs = random_streams(5, 7)
@@ -129,6 +139,11 @@ class TestParamCount:
         with pytest.raises(ValueError, match=f"fusion width must be positive, got {fusion}"):
             init_fusion_model("fusion", 6, 9, 4, EVENTS5, rng, fusion=fusion)
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("fusion", [3, -1, "abc"])
+    def test_concat_model_rejects_a_fusion_width(self, fusion):
+        with pytest.raises(ValueError, match="fusion must be 0"):
+            FusionRnnModel(arch="concat", input_x=6, input_z=9, hidden=4, fusion=fusion, events=EVENTS5)
 
     def test_default_architecture_count_is_documented(self):
         # hidden 64 per stream, fusion width 64, |x|=6, |z|=9, K=5

@@ -360,6 +360,27 @@ class TestStackedMatchesPerGate:
                     getattr(grads[k], name), getattr(run_backward(p, alone, dh[:, k]), name)
                 )
 
+    @pytest.mark.parametrize("hidden", [1, 16])
+    def test_batch_equals_each_sequence_alone(self, hidden):
+        # A time-major (T, B, ·) batch of zero-padded sequences: each one's
+        # real steps match its own unroll; the padding after its end does
+        # not reach them.
+        rng = make_rng(600 + hidden)
+        cells = [init_lstm_params(d, hidden, rng) for d in (6, 9)]
+        lengths = [4, 1, 7]
+        seqs = [[rng.standard_normal((n, d)) for d in (6, 9)] for n in lengths]
+        batch = [np.zeros((7, len(lengths), d)) for d in (6, 9)]
+        for b, (n, seq) in enumerate(zip(lengths, seqs)):
+            for padded, u in zip(batch, seq):
+                padded[:n, b] = u
+        tape = lstm_forward(cells, batch)
+        assert tape.gates.shape == (7, 3, 2, 4, hidden)
+        for b, (n, seq) in enumerate(zip(lengths, seqs)):
+            alone = lstm_forward(cells, seq)
+            for key in ("gates", "c", "h", "tanh_c", "c_prev", "h_prev"):
+                np.testing.assert_allclose(getattr(tape, key)[:n, b], getattr(alone, key),
+                                           rtol=0, atol=1e-12, err_msg=key)
+
     def test_init_draws_in_per_gate_order(self):
         p = init_lstm_params(3, 4, make_rng(8))
         rng = make_rng(8)

@@ -3,18 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maneuverkit.events import EVENTS
+from maneuverkit.aiohmm import AioHmmEnsemble, EmConfig, fit_em
+from maneuverkit.anticipation import AioHmmPredictor, FusionRnnPredictor, commit_step, stepwise_trajectory
+from maneuverkit.events import EVENTS, straight_index
+from maneuverkit.fusion_rnn import init_fusion_model
 from maneuverkit.metrics import (
+    SWEEP_BLOCK,
     OutcomeCounts,
+    SweepPoint,
     cross_validate,
     evaluate_dataset,
     f1_score,
     macro_precision_recall,
     precision_recall,
+    score_outcomes,
     threshold_sweep,
 )
 from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, SequenceSample, generate
+from maneuverkit.training import map_label_to_model
 
 from test_anticipation import ScriptedPredictor
 
@@ -95,6 +102,8 @@ class SequencePredictor:
 
     def step(self, state, x, z):
         return state + 1, self.tables[self.calls][state]
+
+    trajectory = stepwise_trajectory
 
 
 class CyclingPredictor(SequencePredictor):
@@ -216,6 +225,44 @@ class TestThresholdSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             threshold_sweep(ScriptedPredictor([[0.2] * 5]), [], [])
+
+    @pytest.mark.parametrize("family", ["aiohmm", "fusion", "concat"])
+    def test_blocked_sweep_equals_stepwise_scoring(self, family):
+        # More samples than two blocks hold, of mixed lengths, with weak cues
+        # so that the thresholds commit differently.
+        weak = {"cue_strength": 1.0, "noise_sigma": 0.5}
+        dataset = generate(ScenarioConfig(seed=5, **weak), 2 * SWEEP_BLOCK + 7)
+        if family == "aiohmm":
+            train = generate(ScenarioConfig(seed=6, **weak), 100)
+            config = EmConfig(states=2, max_iter=3, seed=1)
+            models = {e: fit_em([(s.xs, s.zs) for s in train if s.label == k], config)[0]
+                      for k, e in enumerate(EVENTS)}
+            predictor = AioHmmPredictor(AioHmmEnsemble(events=EVENTS, models=models))
+        else:
+            model = init_fusion_model(family, 6, 9, 4, EVENTS, make_rng(7))
+            model.theta[...] *= 3.0
+            predictor = FusionRnnPredictor(model)
+        grid = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        points = threshold_sweep(predictor, dataset, grid).points
+        assert points == stepwise_sweep_points(predictor, dataset, grid)
+        assert len({(p.precision, p.recall) for p in points}) > 1
+
+
+def stepwise_sweep_points(predictor, dataset, grid):
+    """Sweep points scored from each sample's per-step trajectory with the
+    one-sequence commit rule."""
+    straight = straight_index(predictor.events)
+    actuals = [map_label_to_model(s.label, predictor.events) for s in dataset]
+    trajs = [stepwise_trajectory(predictor, s.xs[None], s.zs[None], [s.length])[0] for s in dataset]
+    points = []
+    for g in grid:
+        decisions = []
+        for traj in trajs:
+            t_pred, maneuver = commit_step(traj, straight, g)
+            decisions.append((straight, None) if t_pred is None else (maneuver, len(traj) - t_pred))
+        ev = score_outcomes(predictor.events, decisions, actuals)
+        points.append(SweepPoint(g, ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps))
+    return points
 
 
 class TestCrossValidate:
