@@ -312,8 +312,15 @@ def forward_backward(
 
 
 def sequence_loglik(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> float:
-    """log P(z_1..z_T | x_1..x_T) via the forward pass."""
-    return forward_backward(m, xs, zs).loglik
+    """log P(z_1..z_T | x_1..x_T): the log-sum-exp of the last alphas of
+    the forward recursion, the half of :func:`forward_backward` it needs."""
+    with np.errstate(divide="ignore"):  # zero pi entries give log 0 = -inf
+        log_pi = np.log(m.pi)
+    la = log_forward(log_pi, log_transition_matrices(m, xs[1:]), emission_logprobs(m, xs, zs))
+    loglik = np.logaddexp.reduce(la[-1])
+    if not np.isfinite(loglik):
+        raise FloatingPointError("log-space forward pass degenerated")
+    return float(loglik)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ probability vector over events at every step.  The anticipation walk takes
 the argmax at each step and commits to the first non-straight event whose
 probability strictly exceeds the threshold; otherwise it concludes straight
 driving.  Ties in the argmax resolve to the lowest event index.
+:func:`first_commits` applies this rule to any stack of trajectories, where
+a crossing in a sequence's padding is no commitment, and :func:`anticipate`
+walks one sequence or a padded block from one ``trajectory`` pass.
 
 ``CommitTracker`` applies the same rule to a long timeline with known event
 onsets, one step at a time: after committing, it sticks with its prediction
@@ -303,12 +306,17 @@ def _crossings(probs: np.ndarray, straight: int, p_th: float) -> tuple[np.ndarra
     return best, (best != straight) & (probs.max(axis=-1) > p_th)
 
 
-def first_commits(probs: np.ndarray, straight: int, p_th: float) -> tuple[np.ndarray, np.ndarray]:
+def first_commits(
+    probs: np.ndarray, straight: int, p_th: float, lengths: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per (..., T, K) trajectory, with any leading axes: the 1-based first
     step whose argmax is a maneuver with probability > p_th (0 if none), and
-    the argmax at that step.  The inequality is strict, so p_th = 1.0 never
-    commits."""
+    the argmax at that step.  With ``lengths``, one per trajectory, a
+    crossing at or past a trajectory's end lies in its padding and is no
+    commitment.  The inequality is strict, so p_th = 1.0 never commits."""
     best, hit = _crossings(probs, straight, check_threshold(p_th))
+    if lengths is not None:
+        hit &= np.arange(hit.shape[-1]) < np.asarray(lengths)[..., None]
     first = hit.argmax(axis=-1)
     event = np.take_along_axis(best, first[..., None], axis=-1)[..., 0]
     return np.where(hit.any(axis=-1), first + 1, 0), event
@@ -322,18 +330,26 @@ def commit_step(traj: np.ndarray, straight: int, p_th: float) -> tuple[int | Non
 
 
 def anticipate(
-    predictor: Predictor, xs: np.ndarray, zs: np.ndarray, p_th: float
-) -> AnticipationResult:
-    """Run the threshold walk over one sequence."""
-    traj = trajectory(predictor, xs, zs)
+    predictor: Predictor, xs: np.ndarray, zs: np.ndarray, p_th: float,
+    lengths: np.ndarray | None = None,
+) -> AnticipationResult | list[AnticipationResult]:
+    """Run the threshold walk over the shapes :func:`trajectory` takes: one
+    result for a (T, ·) sequence, or a list of one result per sequence of a
+    zero-padded (B, T, ·) block, each with its trajectory cut to its
+    sequence's length.  The block makes one ``trajectory`` pass and one
+    :func:`first_commits` replay."""
+    (xs, zs, lengths), single = as_block(xs, zs, lengths)
+    probs = predictor.trajectory(xs, zs, lengths)
     straight = straight_index(predictor.events)
-    t_pred, maneuver = commit_step(traj, straight, p_th)
-    return AnticipationResult(
-        maneuver=straight if t_pred is None else maneuver,
-        t_pred=t_pred,
-        time_to_maneuver_steps=None if t_pred is None else traj.shape[0] - t_pred,
-        trajectory=traj,
-    )
+    steps, events = first_commits(probs, straight, p_th, lengths)
+    results = [
+        AnticipationResult(
+            maneuver=e if t else straight, t_pred=t or None,
+            time_to_maneuver_steps=n - t if t else None, trajectory=traj[:n],
+        )
+        for traj, t, e, n in zip(probs, steps.tolist(), events.tolist(), lengths.tolist())
+    ]
+    return results[0] if single else results
 
 
 @dataclass

@@ -238,20 +238,13 @@ def cmd_anticipate(args) -> int:
     if not args.data:
         raise ValueError("anticipate needs --data unless --stream is given")
     dataset = _load_model_data(args.model, sizes, args.data)
-    for sample in dataset:
-        result = anticipation.anticipate(predictor, sample.xs, sample.zs, args.pth)
-        print(
-            json.dumps(
-                {
-                    "id": sample.id,
-                    "predicted": predictor.events[result.maneuver],
-                    "actual": EVENTS[sample.label],
-                    "t_pred": result.t_pred,
-                    "ttm_steps": result.time_to_maneuver_steps,
-                    "ttm_seconds": result.time_to_maneuver_seconds,
-                }
-            )
-        )
+    for sample, result in zip(dataset, metrics.anticipate_dataset(predictor, dataset, args.pth)):
+        print(json.dumps({
+            "id": sample.id, "predicted": predictor.events[result.maneuver],
+            "actual": EVENTS[sample.label], "t_pred": result.t_pred,
+            "ttm_steps": result.time_to_maneuver_steps,
+            "ttm_seconds": result.time_to_maneuver_seconds,
+        }))
     return 0
 
 

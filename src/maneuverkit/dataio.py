@@ -357,7 +357,7 @@ def _ensemble_from_dict(d: dict, path: Path) -> AioHmmEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# Reports and frame records
+# Reports
 # ---------------------------------------------------------------------------
 
 
@@ -375,33 +375,3 @@ def load_report(path: str | Path) -> dict:
         raise DataFormatError(f"{path}: a report must be a JSON object")
     return doc
 
-
-def load_frames(path: str | Path):
-    """Read per-frame motion records (JSONL) for the feature pipeline.
-
-    Each line: {"matches": [[dx, dy], ...], "center": [dx, dy],
-    "pose": [yaw, pitch, roll]?}.
-    """
-    from .features import FrameMotion
-
-    path = Path(path)
-    frames = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err})") from None
-            matches = [tuple(map(float, mv)) for mv in record.get("matches", [])]
-            center = tuple(map(float, record.get("center", (0.0, 0.0))))
-            pose = record.get("pose")
-            frames.append(
-                FrameMotion(
-                    matches=matches, center_motion=center,
-                    pose=tuple(map(float, pose)) if pose is not None else None,
-                )
-            )
-    return frames

@@ -11,30 +11,33 @@ default, not a claim).
 Undefined ratios (zero denominators) surface as None, never as silent
 zeros: a sweep that silently zeroed empty cells would distort the argmax.
 
-A threshold sweep computes its trajectories in blocks of ``SWEEP_BLOCK``
-held-out sequences: each block is zero-padded and goes through one
-batched ``trajectory`` call, so the padded arrays stay a fixed size
-however large the dataset.  ``evaluate_dataset`` runs ``anticipate`` per
-sample, each a whole-sequence pass; both score through
-:func:`score_outcomes`.
+Every evaluation walks the dataset in the zero-padded blocks of
+``SWEEP_BLOCK`` held-out sequences that :func:`padded_blocks` yields, so the
+padded arrays stay a fixed size however large the dataset.
+``evaluate_dataset`` makes one ``anticipate`` call per block, and a
+threshold sweep one ``trajectory`` call per block, whose commitments it
+replays at every threshold; both score through :func:`score_outcomes`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .anticipation import Predictor, anticipate, check_threshold, first_commits, trajectory
+from .anticipation import (
+    AnticipationResult, Predictor, anticipate, check_threshold, first_commits, trajectory,
+)
 from .events import straight_index
-from .numerics import pad_sequences
+from .numerics import Padded, pad_sequences
 from .synth import SequenceSample, split_folds
 from .training import map_label_to_model
 
 log = logging.getLogger(__name__)
 
-SWEEP_BLOCK = 32  # held-out sequences per padded trajectory call of a sweep
+SWEEP_BLOCK = 32  # held-out sequences per padded trajectory call
 
 
 @dataclass
@@ -156,73 +159,31 @@ def score_outcomes(
     return DatasetEval(events=events, counts=counts, confusion=confusion, ttm_steps=ttm)
 
 
+def padded_blocks(dataset: list[SequenceSample]) -> Iterator[Padded]:
+    """The dataset's (xs, zs) streams in order, as zero-padded blocks of up
+    to ``SWEEP_BLOCK`` samples."""
+    for lo in range(0, len(dataset), SWEEP_BLOCK):
+        yield pad_sequences([(s.xs, s.zs) for s in dataset[lo : lo + SWEEP_BLOCK]])
+
+
+def anticipate_dataset(
+    predictor: Predictor, dataset: list[SequenceSample], p_th: float
+) -> list[AnticipationResult]:
+    """The anticipation walk's result for every sample, in dataset order,
+    from one ``anticipate`` call per padded block."""
+    return [r for xs, zs, lengths in padded_blocks(dataset)
+            for r in anticipate(predictor, xs, zs, p_th, lengths)]
+
+
 def evaluate_dataset(
     predictor: Predictor, dataset: list[SequenceSample], p_th: float
 ) -> DatasetEval:
     """Run the anticipation walk on every sample and score the outcomes."""
-    results = [anticipate(predictor, s.xs, s.zs, p_th) for s in dataset]
     return score_outcomes(
         predictor.events,
-        [(r.maneuver, r.time_to_maneuver_steps) for r in results],
+        [(r.maneuver, r.time_to_maneuver_steps) for r in anticipate_dataset(predictor, dataset, p_th)],
         [map_label_to_model(s.label, predictor.events) for s in dataset],
     )
-
-
-@dataclass
-class SweepPoint:
-    p_th: float
-    precision: float | None
-    recall: float | None
-    f1: float | None
-    mean_ttm_steps: float | None
-
-
-@dataclass
-class SweepResult:
-    points: list[SweepPoint]
-    best_index: int | None
-
-    @property
-    def best(self) -> SweepPoint | None:
-        return None if self.best_index is None else self.points[self.best_index]
-
-
-def threshold_sweep(
-    predictor: Predictor, dataset: list[SequenceSample], grid: list[float]
-) -> SweepResult:
-    """Evaluate every threshold in the grid and flag the best-F1 point.
-
-    Trajectories are computed once per sample, one padded block of
-    ``SWEEP_BLOCK`` samples per ``trajectory`` call; each threshold only
-    replays the commitment rule over every block at once, where a first
-    crossing in a sequence's padding is no commitment.  Ties on F1 go to
-    the lowest threshold.
-    """
-    if len(grid) == 0:
-        raise ValueError("threshold grid must be nonempty")
-    for g in grid:
-        check_threshold(g)
-    blocks = []
-    for lo in range(0, len(dataset), SWEEP_BLOCK):
-        xs, zs, lengths = pad_sequences([(s.xs, s.zs) for s in dataset[lo : lo + SWEEP_BLOCK]])
-        blocks.append((trajectory(predictor, xs, zs, lengths), lengths.tolist()))
-    actuals = [map_label_to_model(s.label, predictor.events) for s in dataset]
-    straight = straight_index(predictor.events)
-    points = []
-    for g in grid:
-        decisions = []
-        for probs, lengths in blocks:
-            steps, maneuvers = first_commits(probs, straight, g)
-            decisions += [(m, n - t) if 0 < t <= n else (straight, None)
-                          for t, m, n in zip(steps.tolist(), maneuvers.tolist(), lengths)]
-        ev = score_outcomes(predictor.events, decisions, actuals)
-        points.append(
-            SweepPoint(p_th=g, precision=ev.precision, recall=ev.recall, f1=ev.f1,
-                       mean_ttm_steps=ev.mean_ttm_steps)
-        )
-    defined = [i for i, p in enumerate(points) if p.f1 is not None]
-    best = max(defined, key=lambda i: points[i].f1) if defined else None
-    return SweepResult(points=points, best_index=best)
 
 
 @dataclass
@@ -232,6 +193,46 @@ class FoldScore:
     f1: float | None
     mean_ttm_steps: float | None
     p_th: float
+
+
+@dataclass
+class SweepResult:
+    points: list[FoldScore]
+    best_index: int | None
+
+    @property
+    def best(self) -> FoldScore | None:
+        return None if self.best_index is None else self.points[self.best_index]
+
+
+def threshold_sweep(
+    predictor: Predictor, dataset: list[SequenceSample], grid: list[float]
+) -> SweepResult:
+    """Evaluate every threshold in the grid and flag the best-F1 point.
+
+    Trajectories are computed once per sample, one padded block per
+    ``trajectory`` call; each threshold only replays the commitment rule
+    over every block at once.  Ties on F1 go to the lowest threshold.
+    """
+    if len(grid) == 0:
+        raise ValueError("threshold grid must be nonempty")
+    for g in grid:
+        check_threshold(g)
+    blocks = [(trajectory(predictor, *block), block.lengths) for block in padded_blocks(dataset)]
+    actuals = [map_label_to_model(s.label, predictor.events) for s in dataset]
+    straight = straight_index(predictor.events)
+    points = []
+    for g in grid:
+        decisions = []
+        for probs, lengths in blocks:
+            steps, maneuvers = first_commits(probs, straight, g, lengths)
+            decisions += [(m, n - t) if t else (straight, None)
+                          for t, m, n in zip(steps.tolist(), maneuvers.tolist(), lengths.tolist())]
+        ev = score_outcomes(predictor.events, decisions, actuals)
+        points.append(FoldScore(ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps, g))
+    defined = [i for i, p in enumerate(points) if p.f1 is not None]
+    best = max(defined, key=lambda i: points[i].f1) if defined else None
+    return SweepResult(points=points, best_index=best)
 
 
 @dataclass

@@ -446,6 +446,18 @@ class TestForwardBackward:
             ref = enumeration_loglik(m, xs, zs)
             assert abs(stats.loglik - ref) <= 1e-9 * abs(ref)
 
+    @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
+    def test_sequence_loglik_is_the_forward_half(self, variant):
+        rng = make_rng(9)
+        for S in (1, 2, 3):
+            for T in (1, 2, 5, 12):
+                m = random_model(rng, S, 2, 3, variant=variant)
+                xs, zs = rng.standard_normal((T, 3)), rng.standard_normal((T, 2))
+                assert sequence_loglik(m, xs, zs) == forward_backward(m, xs, zs).loglik
+        zs[-1, 0] = np.nan
+        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+            sequence_loglik(m, xs, zs)
+
     def test_posteriors_normalized(self):
         rng = make_rng(7)
         m = random_model(rng, 3, 2, 2)

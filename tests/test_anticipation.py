@@ -22,6 +22,7 @@ from maneuverkit.anticipation import (
     WindowedPredictor,
     anticipate,
     commit_step,
+    first_commits,
     run_session,
     stepwise_trajectory,
     trajectory,
@@ -111,6 +112,14 @@ class TestCommitRule:
         result = anticipate(ScriptedPredictor([MANEUVER_ROW]), xs, zs, 0.6)
         assert result.t_pred is None  # 0.6 > 0.6 is false
 
+    def test_crossing_only_in_padding_is_no_commitment(self):
+        straight = EVENTS.index("straight")
+        probs = np.array([[UNIFORM_ROW, UNIFORM_ROW, MANEUVER_ROW],
+                          [UNIFORM_ROW, MANEUVER_ROW, MANEUVER_ROW]])
+        assert first_commits(probs, straight, 0.5)[0].tolist() == [3, 2]
+        steps, events = first_commits(probs, straight, 0.5, lengths=np.array([2, 2]))
+        assert steps.tolist() == [0, 2] and events[1] == 1
+
     def test_argmax_ties_take_lowest_index(self):
         row = [0.4, 0.4, 0.1, 0.05, 0.05]
         t, maneuver = commit_step(np.array([row]), EVENTS.index("straight"), 0.3)
@@ -160,6 +169,41 @@ def reference_commit_step(traj, straight, p_th):
 # threshold come up often.
 TENTHS = st.integers(0, 10).map(lambda i: i / 10)
 THRESHOLDS = st.sampled_from([0.1, 0.3, 0.5, 0.6, 0.9, 1.0])
+
+
+class RowFeaturePredictor:
+    """Reads each step's probability row from its x features, and fills a
+    block's padding with a certain maneuver, which crosses every threshold
+    below 1."""
+
+    events = EVENTS
+
+    def trajectory(self, xs, zs, lengths):
+        out = xs.copy()
+        out[np.arange(xs.shape[1]) >= lengths[:, None]] = np.eye(len(EVENTS))[1]
+        return out
+
+
+class TestBlockAnticipation:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tables=st.lists(st.integers(1, 10).flatmap(lambda T: st.lists(
+            st.lists(TENTHS, min_size=5, max_size=5), min_size=T, max_size=T)), min_size=1, max_size=6),
+        p_th=THRESHOLDS,
+    )
+    @example(tables=[[[0.2] * 5], [[0.2] * 5] * 4], p_th=0.5)  # crossings in padding only
+    @example(tables=[[[0.0, 1.0, 0.0, 0.0, 0.0]] * 3, [[0.2] * 5]], p_th=1.0)
+    def test_block_results_equal_per_sequence_results(self, tables, p_th):
+        predictor = RowFeaturePredictor()
+        block = pad_sequences([(np.array(t), np.zeros((len(t), 9))) for t in tables])
+        results = anticipate(predictor, *block[:2], p_th, block.lengths)
+        assert len(results) == len(tables)
+        for table, result in zip(tables, results):
+            alone = anticipate(predictor, np.array(table), np.zeros((len(table), 9)), p_th)
+            assert (result.maneuver, result.t_pred, result.time_to_maneuver_steps) == (
+                alone.maneuver, alone.t_pred, alone.time_to_maneuver_steps
+            )
+            np.testing.assert_array_equal(result.trajectory, alone.trajectory)
 
 
 @st.composite

@@ -13,7 +13,6 @@ from maneuverkit.dataio import (
     AIOHMM_ARRAYS,
     DataFormatError,
     load_dataset,
-    load_frames,
     load_model,
     save_dataset,
     save_model,
@@ -544,15 +543,3 @@ def test_em_config_from_checkpoint_with_retired_step_size():
     em = EmConfig(states=4, variant="io", max_iter=12, seed=8)
     assert EmConfig.from_dict({**em.to_dict(), "w_step": 1e-2}) == em
 
-
-def test_frame_records_round_trip(tmp_path):
-    path = tmp_path / "frames.jsonl"
-    lines = [
-        {"matches": [[1.0, 0.5], [-2.5, 0.0]], "center": [0.5, 0.5]},
-        {"matches": [], "center": [0, 0], "pose": [0.1, 0.0, -0.1]},
-    ]
-    path.write_text("\n".join(json.dumps(l) for l in lines) + "\n", encoding="utf-8")
-    frames = load_frames(path)
-    assert len(frames) == 2
-    assert frames[0].matches == [(1.0, 0.5), (-2.5, 0.0)]
-    assert frames[1].pose == (0.1, 0.0, -0.1)

@@ -9,8 +9,8 @@ from maneuverkit.events import EVENTS, straight_index
 from maneuverkit.fusion_rnn import init_fusion_model
 from maneuverkit.metrics import (
     SWEEP_BLOCK,
+    FoldScore,
     OutcomeCounts,
-    SweepPoint,
     cross_validate,
     evaluate_dataset,
     f1_score,
@@ -244,25 +244,34 @@ class TestThresholdSweep:
             predictor = FusionRnnPredictor(model)
         grid = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         points = threshold_sweep(predictor, dataset, grid).points
-        assert points == stepwise_sweep_points(predictor, dataset, grid)
+        references = stepwise_evals(predictor, dataset, grid)
+        assert points == stepwise_sweep_points(references, grid)
         assert len({(p.precision, p.recall) for p in points}) > 1
+        for g, reference in zip(grid, references):
+            ev = evaluate_dataset(predictor, dataset, g)
+            assert (ev.counts, ev.ttm_steps) == (reference.counts, reference.ttm_steps)
+            np.testing.assert_array_equal(ev.confusion, reference.confusion)
 
 
-def stepwise_sweep_points(predictor, dataset, grid):
-    """Sweep points scored from each sample's per-step trajectory with the
-    one-sequence commit rule."""
+def stepwise_evals(predictor, dataset, grid):
+    """The evaluation at each threshold, scored from each sample's per-step
+    trajectory with the one-sequence commit rule."""
     straight = straight_index(predictor.events)
     actuals = [map_label_to_model(s.label, predictor.events) for s in dataset]
     trajs = [stepwise_trajectory(predictor, s.xs[None], s.zs[None], [s.length])[0] for s in dataset]
-    points = []
+    evals = []
     for g in grid:
         decisions = []
         for traj in trajs:
             t_pred, maneuver = commit_step(traj, straight, g)
             decisions.append((straight, None) if t_pred is None else (maneuver, len(traj) - t_pred))
-        ev = score_outcomes(predictor.events, decisions, actuals)
-        points.append(SweepPoint(g, ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps))
-    return points
+        evals.append(score_outcomes(predictor.events, decisions, actuals))
+    return evals
+
+
+def stepwise_sweep_points(evals, grid):
+    """The sweep points of :func:`stepwise_evals`."""
+    return [FoldScore(ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps, g) for g, ev in zip(grid, evals)]
 
 
 class TestCrossValidate:
