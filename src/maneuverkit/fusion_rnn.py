@@ -55,7 +55,9 @@ class FusionRnnModel:
 
     ``theta=None`` allocates a zero vector.  ``cells`` holds ``lstm_x`` and
     ``lstm_z`` in fusion mode and ``lstm_x`` alone, over input_x + input_z
-    inputs, in concat mode, where ``W_f`` and ``b_f`` are None.
+    inputs, in concat mode, where ``W_f`` and ``b_f`` are None.  ``layout``
+    records each array's (slice of theta, shape) in storage order, once;
+    :meth:`views` lays any vector of that layout out the same way.
     """
 
     arch: str
@@ -70,6 +72,7 @@ class FusionRnnModel:
     b_f: np.ndarray | None = field(init=False, repr=False)
     W_y: np.ndarray = field(init=False, repr=False)
     b_y: np.ndarray = field(init=False, repr=False)
+    layout: list[tuple[slice, tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.arch not in (ARCH_FUSION, ARCH_CONCAT):
@@ -87,7 +90,11 @@ class FusionRnnModel:
         if fused:
             shapes += [(self.fusion, width), (self.fusion,)]
         shapes += [(self.k, self.fusion if fused else width), (self.k,)]
-        size = sum(math.prod(s) for s in shapes)
+        self.layout, size = [], 0
+        for shape in shapes:
+            n = math.prod(shape)
+            self.layout.append((slice(size, size + n), shape))
+            size += n
         if self.theta is None:
             self.theta = np.zeros(size)
         theta = self.theta
@@ -96,14 +103,16 @@ class FusionRnnModel:
                 f"theta must be a contiguous float64 vector of {size} entries, got "
                 f"{theta.dtype} {theta.shape}"
             )
-        views, offset = [], 0
-        for shape in shapes:
-            n = math.prod(shape)
-            views.append(theta[offset : offset + n].reshape(shape))
-            offset += n
-        self.cells = [LstmParams(*views[4 * c : 4 * c + 4]) for c in range(len(sizes))]
-        self.W_f, self.b_f = views[-4:-2] if fused else (None, None)
-        self.W_y, self.b_y = views[-2:]
+        self.cells, self.W_f, self.b_f, self.W_y, self.b_y = self.views(theta)
+
+    def views(self, vec: np.ndarray) -> tuple:
+        """(cells, W_f, b_f, W_y, b_y) as reshaped views of ``vec``, a vector
+        laid out like ``theta``; W_f and b_f are None in concat mode."""
+        arrays = [vec[block].reshape(shape) for block, shape in self.layout]
+        fused = self.arch == ARCH_FUSION
+        cells = [LstmParams(*arrays[4 * c : 4 * c + 4]) for c in range(2 if fused else 1)]
+        W_f, b_f = arrays[-4:-2] if fused else (None, None)
+        return cells, W_f, b_f, arrays[-2], arrays[-1]
 
     @property
     def k(self) -> int:
@@ -201,18 +210,19 @@ def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.nda
     T = tape.probs.shape[0]
     if dlogits.shape != (T, m.k):
         raise ValueError(f"dlogits has shape {dlogits.shape}, expected {(T, m.k)}")
-    g = replace(m, theta=np.zeros_like(m.theta))  # views of the gradient vector
+    grad = np.zeros_like(m.theta)
+    cells, W_f, b_f, W_y, b_y = m.views(grad)
 
-    np.sum(dlogits, axis=0, out=g.b_y)
-    np.matmul(dlogits.T, tape.e, out=g.W_y)
+    np.sum(dlogits, axis=0, out=b_y)
+    np.matmul(dlogits.T, tape.e, out=W_y)
     dcat = dlogits @ m.W_y
     if m.W_f is not None:
         da_f = dcat * (1.0 - tape.e * tape.e)
-        np.matmul(da_f.T, tape.hcat, out=g.W_f)
-        np.sum(da_f, axis=0, out=g.b_f)
+        np.matmul(da_f.T, tape.hcat, out=W_f)
+        np.sum(da_f, axis=0, out=b_f)
         dcat = da_f @ m.W_f
-    lstm_backward(m.cells, tape.lstm, dcat.reshape(tape.lstm.h.shape), g.cells)
-    return g.theta
+    lstm_backward(tape.lstm, dcat.reshape(tape.lstm.h.shape), cells)
+    return grad
 
 
 def param_blocks(m: FusionRnnModel) -> list[tuple[str, np.ndarray]]:

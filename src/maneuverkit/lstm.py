@@ -28,6 +28,12 @@ as (C, 4H) and the states as (C, H), with gates laid out (C, 4, H) as
 [i, f, g, o].  The forward unroll and the streaming predictor both call
 it, and BPTT mirrors it over the same axes.
 
+BPTT takes the stacked U and V from the tape and builds every factor that
+depends on the tape alone once per sequence, before its reverse loop.  Its
+gradients stay bit-identical to the step by step form because only exact
+elementwise operations (multiply, add, subtract) moved, and every product
+keeps its reference order, left to right.
+
 Sequences are time-major: (T, input) for one sequence, or (T, B, input)
 for a zero-padded batch of B sequences run side by side.  A batch axis
 sits in front of the cell axis everywhere, so a step's projections and
@@ -99,7 +105,8 @@ def input_projections(cells: list[LstmParams], inputs: list[np.ndarray]) -> np.n
 class LstmTape:
     """Per-step activations cached by the forward pass for BPTT.
 
-    ``inputs`` holds each cell's (T, input) sequence; every other array has
+    ``inputs`` holds each cell's (T, input) sequence and ``U``/``V`` the
+    stacked recurrent weights the unroll ran with; every other array has
     leading axes (T, C), or (T, B, C) for a batch.  ``gates`` is
     (T, C, 4, H) with [i, f, g, o] on the axis after the cells.
     ``c_prev``/``h_prev`` are the states entering each step (row 0 is the
@@ -107,6 +114,8 @@ class LstmTape:
     """
 
     inputs: list[np.ndarray]
+    U: np.ndarray
+    V: np.ndarray
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
@@ -166,42 +175,60 @@ def lstm_forward(cells: list[LstmParams], inputs: list[np.ndarray]) -> LstmTape:
     tanh_c = np.empty((T, *state))
     for t in range(T):
         gates[t], c[t + 1], tanh_c[t], h[t + 1] = lstm_step(U, V, A[t], h[t], c[t])
-    return LstmTape(inputs=inputs, gates=gates, c=c[1:], h=h[1:], tanh_c=tanh_c,
+    return LstmTape(inputs=inputs, U=U, V=V, gates=gates, c=c[1:], h=h[1:], tanh_c=tanh_c,
                     c_prev=c[:-1], h_prev=h[:-1])
 
 
-def lstm_backward(
-    cells: list[LstmParams], tape: LstmTape, dh: np.ndarray, grads: list[LstmParams]
-) -> None:
+def lstm_backward(tape: LstmTape, dh: np.ndarray, grads: list[LstmParams]) -> None:
     """Reverse-mode gradients of sum_t dh_t . h_t, for ``dh`` (T, C, H).
 
     Writes each cell's parameter gradients into the matching entry of
     ``grads`` (same shapes as the cell; typically views of a flat gradient
     vector).
+
+    Before the reverse loop, once per sequence over (T, C, ·): 1 - o,
+    1 - tanh^2 c, and the i/f/g factors stacked (T, C, 3, H) as
+    [g, c_prev, i], [i, f, 1 - g^2] and [1 - i, 1 - f, 1].  The loop keeps
+    the recurrence only.  The gradients equal, bit for bit, forming
+    ``dct * g * i * (1 - i)``, ``dct * c_prev * f * (1 - f)`` and
+    ``dct * i * (1 - g^2)`` step by step: only exact operations moved, each
+    product keeps its left-to-right order, and the g row's third factor is
+    exactly 1.
     """
     if dh.shape != tape.h.shape:
         raise ValueError(f"dh has shape {dh.shape}, expected {tape.h.shape}")
     T, C, H = dh.shape
-    U, V = stack_recurrent(cells)
-    UT = U.transpose(0, 2, 1)
+    gates = tape.gates
+    i, f, g, o = (gates[:, :, k] for k in range(4))
+    one_minus_o = 1.0 - o
+    dtanh = 1.0 - tape.tanh_c * tape.tanh_c
+    first = np.stack((g, tape.c_prev, i), axis=2)
+    second = np.empty((T, C, 3, H))
+    second[:, :, :2] = gates[:, :, :2]
+    second[:, :, 2] = 1.0 - g * g
+    third = np.ones((T, C, 3, H))
+    np.subtract(1.0, gates[:, :, :2], out=third[:, :, :2])
+    UT = tape.U.transpose(0, 2, 1)
+    V_i, V_f, V_o = tape.V.transpose(1, 0, 2)
     da = np.empty((C, T, 4, H))  # gradients on the pre-activations, cell-major
     dh_next = np.zeros((C, H))   # gradient flowing into h_t from step t+1
     dc_next = np.zeros((C, H))   # gradient flowing into c_t from step t+1
     for t in range(T - 1, -1, -1):
         dht = dh[t] + dh_next
-        i, f, g, o = tape.gates[t].transpose(1, 0, 2)
-        tc = tape.tanh_c[t]
-        dao = dht * tc * o * (1.0 - o)
+        dat = da[:, t]
+        dao = dat[:, 3]
+        np.multiply(dht, tape.tanh_c[t], out=dao)
+        dao *= o[t]
+        dao *= one_minus_o[t]
         # c_t feeds h_t through tanh, the future through dc_next, and the
         # output gate through its peephole.
-        dct = dht * o * (1.0 - tc * tc) + dc_next + V[:, 2] * dao
-        dat = da[:, t]
-        dat[:, 0] = dct * g * i * (1.0 - i)
-        dat[:, 1] = dct * tape.c_prev[t] * f * (1.0 - f)
-        dat[:, 2] = dct * i * (1.0 - g * g)
-        dat[:, 3] = dao
+        dct = dht * o[t] * dtanh[t] + dc_next + V_o * dao
+        dai_f_g = dat[:, :3]
+        np.multiply(dct[:, None], first[t], out=dai_f_g)
+        dai_f_g *= second[t]
+        dai_f_g *= third[t]
         dh_next = (UT @ dat.reshape(C, 4 * H, 1))[..., 0]
-        dc_next = dct * f + V[:, 0] * dat[:, 0] + V[:, 1] * dat[:, 1]
+        dc_next = dct * f[t] + V_i * dat[:, 0] + V_f * dat[:, 1]
 
     # Each cell's gradients come from contiguous (T, ·) operands: a strided
     # one can round the matmuls differently, and then a cell run in lockstep
@@ -210,6 +237,6 @@ def lstm_backward(
         dak = da[k].reshape(T, 4 * H)
         np.matmul(dak.T, u, out=grad.W)
         np.matmul(dak.T, np.ascontiguousarray(tape.h_prev[:, k]), out=grad.U)
-        np.sum(da[k, :, :2] * tape.c_prev[:, k, None], axis=0, out=grad.V[: 2 * H].reshape(2, H))
-        np.sum(da[k, :, 3] * tape.c[:, k], axis=0, out=grad.V[2 * H :])
-        np.sum(dak, axis=0, out=grad.b)
+        (da[k, :, :2] * tape.c_prev[:, k, None]).sum(axis=0, out=grad.V[: 2 * H].reshape(2, H))
+        (da[k, :, 3] * tape.c[:, k]).sum(axis=0, out=grad.V[2 * H :])
+        dak.sum(axis=0, out=grad.b)

@@ -81,6 +81,16 @@ def loss_weights(T: int, mode: str, time_scale: float = 1.0) -> np.ndarray:
     return np.exp(-time_scale * (T - t))
 
 
+def _checked_trajectory(probs: np.ndarray, target: int) -> np.ndarray:
+    """``probs`` as a float (T, K) array with T >= 1 and 0 <= target < K."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2 or probs.shape[0] == 0:
+        raise ValueError(f"expected a (T, K) trajectory, got shape {probs.shape}")
+    if not 0 <= target < probs.shape[1]:
+        raise ValueError(f"target index {target} out of range for K={probs.shape[1]}")
+    return probs
+
+
 def anticipation_loss(
     probs: np.ndarray,
     target: int,
@@ -89,11 +99,7 @@ def anticipation_loss(
     prob_floor: float = 1e-12,
 ) -> float:
     """sum_t -w_t log(y_t[target]) with the probabilities floored."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 2 or probs.shape[0] == 0:
-        raise ValueError(f"expected a (T, K) trajectory, got shape {probs.shape}")
-    if not 0 <= target < probs.shape[1]:
-        raise ValueError(f"target index {target} out of range for K={probs.shape[1]}")
+    probs = _checked_trajectory(probs, target)
     w = loss_weights(probs.shape[0], mode, time_scale)
     p = np.maximum(probs[:, target], prob_floor)
     return float(np.sum(-w * np.log(p)))
@@ -112,9 +118,8 @@ def loss_logit_grads(
     gradient (the floored loss is locally constant there), keeping the
     analytic gradient consistent with finite differences of the loss.
     """
-    probs = np.asarray(probs, dtype=float)
-    T, K = probs.shape
-    w = loss_weights(T, mode, time_scale)
+    probs = _checked_trajectory(probs, target)
+    w = loss_weights(probs.shape[0], mode, time_scale)
     grads = probs.copy()
     grads[:, target] -= 1.0
     grads *= w[:, None]
@@ -127,6 +132,39 @@ def loss_logit_grads(
 # ---------------------------------------------------------------------------
 
 
+def rmsprop_apply(
+    param: np.ndarray,
+    grad: np.ndarray,
+    acc: np.ndarray,
+    learning_rate: float,
+    decay: float,
+    epsilon: float,
+) -> None:
+    """One RMSprop step on a single array, overwriting ``param`` and ``acc``.
+
+    acc <- decay*acc + (1-decay)*grad^2;  p <- p - lr*grad/(sqrt(acc)+eps)
+
+    Each operation rounds as the expressions above do, left to right.  A
+    shape mismatch or a non-finite gradient raises before anything is
+    written.
+    """
+    if param.shape != grad.shape or param.shape != acc.shape:
+        raise ValueError(
+            f"shape mismatch: param {param.shape}, grad {grad.shape}, acc {acc.shape}"
+        )
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite gradient; step rejected")
+    scratch = (1.0 - decay) * grad
+    scratch *= grad
+    acc *= decay
+    acc += scratch
+    np.sqrt(acc, out=scratch)
+    scratch += epsilon
+    step = learning_rate * grad
+    step /= scratch
+    param -= step
+
+
 def rmsprop_update(
     param: np.ndarray,
     grad: np.ndarray,
@@ -135,18 +173,9 @@ def rmsprop_update(
     decay: float,
     epsilon: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One RMSprop step on a single array; returns (new_param, new_acc).
-
-    acc <- decay*acc + (1-decay)*grad^2;  p <- p - lr*grad/(sqrt(acc)+eps)
-    """
-    if param.shape != grad.shape or param.shape != acc.shape:
-        raise ValueError(
-            f"shape mismatch: param {param.shape}, grad {grad.shape}, acc {acc.shape}"
-        )
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite gradient; step rejected")
-    new_acc = decay * acc + (1.0 - decay) * grad * grad
-    new_param = param - learning_rate * grad / (np.sqrt(new_acc) + epsilon)
+    """:func:`rmsprop_apply` on copies; returns (new_param, new_acc)."""
+    new_param, new_acc = param.copy(), acc.copy()
+    rmsprop_apply(new_param, grad, new_acc, learning_rate, decay, epsilon)
     return new_param, new_acc
 
 
@@ -158,12 +187,11 @@ class RmsProp:
         self.acc = np.zeros_like(model.theta)
 
     def step(self, model: FusionRnnModel, grad: np.ndarray) -> None:
-        """Apply one update from a gradient laid out like ``model.theta``."""
+        """Apply one update from a gradient laid out like ``model.theta``;
+        a rejected gradient leaves ``model.theta`` and ``acc`` untouched."""
         cfg = self.config
-        model.theta[...], self.acc = rmsprop_update(
-            model.theta, grad, self.acc,
-            cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_epsilon,
-        )
+        rmsprop_apply(model.theta, grad, self.acc,
+                      cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_epsilon)
 
 
 # ---------------------------------------------------------------------------

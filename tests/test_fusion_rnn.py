@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maneuverkit.fusion_rnn import (
     FusionRnnModel,
@@ -15,7 +17,7 @@ from maneuverkit.lstm import lstm_backward, lstm_forward
 from maneuverkit.numerics import make_rng, softmax
 from maneuverkit.training import TrainConfig, gradient_check
 
-from test_lstm import reference_backward, reference_forward
+from test_lstm import lockstep_backward_reference, reference_backward, reference_forward
 
 EVENTS5 = ("left_lane", "right_lane", "left_turn", "right_turn", "straight")
 
@@ -241,16 +243,56 @@ def two_branch_backward(m, cache, dlogits):
     np.sum(dlogits, axis=0, out=g.b_y)
     if m.arch == "concat":
         np.matmul(dlogits.T, cache["tape_x"].h[:, 0], out=g.W_y)
-        lstm_backward(m.cells[:1], cache["tape_x"], (dlogits @ m.W_y)[:, None], g.cells[:1])
+        lstm_backward(cache["tape_x"], (dlogits @ m.W_y)[:, None], g.cells[:1])
         return g.theta
     np.matmul(dlogits.T, cache["e"], out=g.W_y)
     da_f = (dlogits @ m.W_y) * (1.0 - cache["e"] * cache["e"])
     np.matmul(da_f.T, cache["hcat"], out=g.W_f)
     np.sum(da_f, axis=0, out=g.b_f)
     dcat = da_f @ m.W_f
-    lstm_backward(m.cells[:1], cache["tape_x"], dcat[:, None, : m.hidden], g.cells[:1])
-    lstm_backward(m.cells[1:], cache["tape_z"], dcat[:, None, m.hidden :], g.cells[1:])
+    lstm_backward(cache["tape_x"], dcat[:, None, : m.hidden], g.cells[:1])
+    lstm_backward(cache["tape_z"], dcat[:, None, m.hidden :], g.cells[1:])
     return g.theta
+
+
+def rebuilt_model_backward(m, tape, dlogits):
+    """The backward pass through a whole model rebuilt on a zero gradient
+    vector, with the per-step reference BPTT: what :func:`backward` must
+    equal bit for bit."""
+    g = replace(m, theta=np.zeros_like(m.theta))
+    np.sum(dlogits, axis=0, out=g.b_y)
+    np.matmul(dlogits.T, tape.e, out=g.W_y)
+    dcat = dlogits @ m.W_y
+    if m.W_f is not None:
+        da_f = dcat * (1.0 - tape.e * tape.e)
+        np.matmul(da_f.T, tape.hcat, out=g.W_f)
+        np.sum(da_f, axis=0, out=g.b_f)
+        dcat = da_f @ m.W_f
+    lockstep_backward_reference(m.cells, tape.lstm, dcat.reshape(tape.lstm.h.shape), g.cells)
+    return g.theta
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arch=st.sampled_from(["fusion", "concat"]),
+    hidden=st.integers(1, 16),
+    T=st.integers(1, 12),
+    scale=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_backward_equals_rebuilt_model_reference(arch, hidden, T, scale, seed):
+    rng = make_rng(seed)
+    m = init_fusion_model(arch, 6, 9, hidden, EVENTS5, rng)
+    m.theta[...] = scale * (m.theta + rng.uniform(-0.2, 0.2, size=m.theta.shape))
+    xs, zs = rng.standard_normal((T, 6)), rng.standard_normal((T, 9))
+    dlogits = rng.standard_normal((T, 5))
+    _, tape = forward(m, xs, zs)
+    got, want = backward(m, tape, dlogits), rebuilt_model_backward(m, tape, dlogits)
+    offset = 0
+    for name, arr in param_blocks(m):
+        block = slice(offset, offset + arr.size)
+        np.testing.assert_array_equal(got[block], want[block], err_msg=name)
+        offset += arr.size
 
 
 @pytest.mark.parametrize("arch", ["fusion", "concat"])

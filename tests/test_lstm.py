@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maneuverkit.lstm import (
     LstmParams,
@@ -132,10 +134,45 @@ def reference_backward(p: LstmParams, tape: dict, dh: np.ndarray) -> dict:
     return grads
 
 
+def lockstep_backward_reference(cells: list[LstmParams], tape, dh: np.ndarray, grads: list[LstmParams]) -> None:
+    """The lockstep BPTT with every gate product formed inside the reverse
+    loop, step by step, and the recurrent weights stacked from the cells:
+    the reference that the hoisted ``lstm_backward`` must match bit for bit."""
+    T, C, H = dh.shape
+    U, V = stack_recurrent(cells)
+    UT = U.transpose(0, 2, 1)
+    da = np.empty((C, T, 4, H))  # gradients on the pre-activations, cell-major
+    dh_next = np.zeros((C, H))   # gradient flowing into h_t from step t+1
+    dc_next = np.zeros((C, H))   # gradient flowing into c_t from step t+1
+    for t in range(T - 1, -1, -1):
+        dht = dh[t] + dh_next
+        i, f, g, o = tape.gates[t].transpose(1, 0, 2)
+        tc = tape.tanh_c[t]
+        dao = dht * tc * o * (1.0 - o)
+        # c_t feeds h_t through tanh, the future through dc_next, and the
+        # output gate through its peephole.
+        dct = dht * o * (1.0 - tc * tc) + dc_next + V[:, 2] * dao
+        dat = da[:, t]
+        dat[:, 0] = dct * g * i * (1.0 - i)
+        dat[:, 1] = dct * tape.c_prev[t] * f * (1.0 - f)
+        dat[:, 2] = dct * i * (1.0 - g * g)
+        dat[:, 3] = dao
+        dh_next = (UT @ dat.reshape(C, 4 * H, 1))[..., 0]
+        dc_next = dct * f + V[:, 0] * dat[:, 0] + V[:, 1] * dat[:, 1]
+
+    for k, (u, grad) in enumerate(zip(tape.inputs, grads)):
+        dak = da[k].reshape(T, 4 * H)
+        np.matmul(dak.T, u, out=grad.W)
+        np.matmul(dak.T, np.ascontiguousarray(tape.h_prev[:, k]), out=grad.U)
+        np.sum(da[k, :, :2] * tape.c_prev[:, k, None], axis=0, out=grad.V[: 2 * H].reshape(2, H))
+        np.sum(da[k, :, 3] * tape.c[:, k], axis=0, out=grad.V[2 * H :])
+        np.sum(dak, axis=0, out=grad.b)
+
+
 def run_backward(p: LstmParams, tape, dh) -> LstmParams:
     """The lockstep BPTT of a lone cell, for dh (T, H)."""
     grads = LstmParams(*(np.zeros_like(a) for a in (p.W, p.U, p.V, p.b)))
-    lstm_backward([p], tape, dh[:, None], [grads])
+    lstm_backward(tape, dh[:, None], [grads])
     return grads
 
 
@@ -350,7 +387,7 @@ class TestStackedMatchesPerGate:
         dh = rng.standard_normal((9, 2, hidden))
         tape = lstm_forward(cells, xs)
         grads = [LstmParams(*(np.zeros_like(a) for a in (p.W, p.U, p.V, p.b))) for p in cells]
-        lstm_backward(cells, tape, dh, grads)
+        lstm_backward(tape, dh, grads)
         for k, p in enumerate(cells):
             alone = unroll(p, xs[k])
             for key in ("gates", "c", "h", "tanh_c"):
@@ -390,3 +427,35 @@ class TestStackedMatchesPerGate:
         np.testing.assert_array_equal(flatten(p)[: sum(d.size for d in draws)],
                                       np.concatenate([d.ravel() for d in draws]))
         np.testing.assert_array_equal(p.b, 0.0)
+
+
+class TestHoistedBackward:
+    """``lstm_backward`` builds its tape-only factors before the reverse loop;
+    every gradient block must equal the per-step reference bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.sampled_from([6, 9, 15]), min_size=1, max_size=2),
+        hidden=st.integers(1, 16),
+        T=st.integers(1, 12),
+        scale=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_step_reference(self, widths, hidden, T, scale, seed):
+        rng = make_rng(seed)
+        cells = [init_lstm_params(d, hidden, rng) for d in widths]
+        for p in cells:
+            # Scaled weights and biases push the gates towards saturation.
+            for arr in (p.W, p.U, p.V):
+                arr *= scale
+            p.b[...] = rng.uniform(-scale, scale, size=p.b.shape)
+        tape = lstm_forward(cells, [rng.standard_normal((T, d)) for d in widths])
+        dh = rng.standard_normal((T, len(widths), hidden))
+        zeros = lambda: [LstmParams(*(np.zeros_like(a) for a in (p.W, p.U, p.V, p.b))) for p in cells]
+        grads, ref = zeros(), zeros()
+        lstm_backward(tape, dh, grads)
+        lockstep_backward_reference(cells, tape, dh, ref)
+        for k, (got, want) in enumerate(zip(grads, ref)):
+            for name in ("W", "U", "V", "b"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                              err_msg=f"cell {k} {name}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maneuverkit.events import EVENTS
-from maneuverkit.fusion_rnn import init_fusion_model, param_blocks
+from maneuverkit.fusion_rnn import forward, init_fusion_model, param_blocks
 from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, SequenceSample, generate
 from maneuverkit.training import (
@@ -15,10 +15,14 @@ from maneuverkit.training import (
     anticipation_loss,
     augment,
     gradient_check,
+    loss_logit_grads,
     loss_weights,
+    map_label_to_model,
     rmsprop_update,
     train,
 )
+
+from test_fusion_rnn import rebuilt_model_backward
 
 
 class TestLoss:
@@ -60,6 +64,17 @@ class TestLoss:
         with pytest.raises(ValueError):
             anticipation_loss(np.full((2, 3), 1 / 3), 3, LOSS_UNIFORM)
 
+    @pytest.mark.parametrize("fn", [anticipation_loss, loss_logit_grads])
+    @pytest.mark.parametrize("probs, target, match", [
+        (np.full((2, 3), 1 / 3), -1, "target index -1 out of range for K=3"),
+        (np.full((2, 3), 1 / 3), 3, "target index 3 out of range for K=3"),
+        (np.full(3, 1 / 3), 0, r"expected a \(T, K\) trajectory, got shape \(3,\)"),
+        (np.zeros((0, 3)), 0, r"expected a \(T, K\) trajectory, got shape \(0, 3\)"),
+    ])
+    def test_loss_and_gradient_check_inputs_alike(self, fn, probs, target, match):
+        with pytest.raises(ValueError, match=match):
+            fn(probs, target)
+
 
 class TestRmsProp:
     def test_zero_gradient_leaves_params(self):
@@ -78,6 +93,34 @@ class TestRmsProp:
     def test_non_finite_gradient_rejected(self):
         with pytest.raises(FloatingPointError):
             rmsprop_update(np.zeros(1), np.array([np.nan]), np.zeros(1), 0.1, 0.9, 1e-8)
+
+    def test_update_rounds_as_the_two_line_formula(self):
+        rng = make_rng(4)
+        for scale in (1e-6, 1.0, 1e3):
+            p, g = rng.standard_normal(500), scale * rng.standard_normal(500)
+            acc = np.abs(rng.standard_normal(500)) * scale
+            acc[:50] = 0.0
+            g[:10] = 0.0
+            for lr, decay, eps in ((1e-4, 0.9, 1e-8), (2e-3, 0.95, 1e-6)):
+                want_acc = decay * acc + (1.0 - decay) * g * g
+                want_p = p - lr * g / (np.sqrt(want_acc) + eps)
+                new_p, new_acc = rmsprop_update(p, g, acc, lr, decay, eps)
+                np.testing.assert_array_equal(new_acc, want_acc)
+                np.testing.assert_array_equal(new_p, want_p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_step_writes_nothing(self, bad):
+        rng = make_rng(5)
+        model = init_fusion_model("fusion", 6, 9, 5, EVENTS, rng)
+        opt = RmsProp(model, TrainConfig(learning_rate=1e-2))
+        opt.step(model, rng.standard_normal(model.theta.shape))
+        theta, acc = model.theta.copy(), opt.acc.copy()
+        grad = rng.standard_normal(model.theta.shape)
+        grad[-1] = bad
+        with pytest.raises(FloatingPointError):
+            opt.step(model, grad)
+        np.testing.assert_array_equal(model.theta, theta)
+        np.testing.assert_array_equal(opt.acc, acc)
 
     @pytest.mark.parametrize("arch", ["fusion", "concat"])
     def test_flat_step_equals_per_block_updates(self, arch):
@@ -203,6 +246,45 @@ class TestGradientCheck:
         zs = rng.standard_normal((6, 9))
         report = gradient_check(model, xs, zs, 1, TrainConfig(loss_mode=LOSS_UNIFORM))
         assert report.passed, report.block_errors
+
+
+def replayed_training(dataset, model, config):
+    """Per-sample RMSprop written out from the forward pass, the two loss
+    functions, the rebuilt-model reference backward and the functional
+    update: (theta, epoch_losses) that ``train`` must reproduce bit for bit."""
+    theta = model.theta.copy()
+    work = model.copy()
+    acc = np.zeros_like(theta)
+    rng = make_rng(config.seed)
+    losses = []
+    for _ in range(config.epochs):
+        total = 0.0
+        for idx in rng.permutation(len(dataset)):
+            sample = dataset[int(idx)]
+            target = map_label_to_model(sample.label, model.events)
+            work.theta[...] = theta
+            probs, tape = forward(work, sample.xs, sample.zs)
+            args = (target, config.loss_mode, config.time_scale, config.prob_floor)
+            loss = anticipation_loss(probs, *args)
+            grad = rebuilt_model_backward(work, tape, loss_logit_grads(probs, *args))
+            theta, acc = rmsprop_update(theta, grad, acc, config.learning_rate,
+                                        config.rmsprop_decay, config.rmsprop_epsilon)
+            total += loss
+        losses.append(total / len(dataset))
+    return theta, losses
+
+
+@pytest.mark.parametrize("arch", ["fusion", "concat"])
+@pytest.mark.parametrize("loss_mode", [LOSS_EXPONENTIAL, LOSS_UNIFORM])
+def test_train_replays_the_reference_loop_bit_for_bit(arch, loss_mode):
+    data = generate(ScenarioConfig(seed=6), 16)
+    model = init_fusion_model(arch, 6, 9, 7, EVENTS, make_rng(4))
+    config = TrainConfig(loss_mode=loss_mode, epochs=2, learning_rate=1e-2, seed=9)
+    report = train(data, model, config)
+    theta, losses = replayed_training(data, model, config)
+    assert not report.aborted
+    np.testing.assert_array_equal(report.model.theta, theta)
+    assert report.epoch_losses == losses
 
 
 def test_generated_data_trains_end_to_end():
