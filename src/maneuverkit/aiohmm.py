@@ -30,7 +30,12 @@ weighted least squares, updates each covariance from posterior-weighted
 residuals (eigenvalue-floored), refits the initial distribution from the
 t=1 posteriors, and improves the transition weights by Boehning's
 fixed-Hessian lower-bound ascent for multinomial logistic regression
-(Boehning 1992).
+(Boehning 1992).  The alternating solve is factored once per M-step: one
+R-only QR of every state's weighted [design | z | 1] stack and one small
+SVD of each design block give every round's mean and minimum-norm
+coupling solve, for all states in lockstep, without touching the data
+rows again.  The ascent lays its posteriors out once and repeats only
+the softmax and two matrix products per step.
 Every piece either maximizes or never decreases the expected complete-data
 log-likelihood, so the training log-likelihood trace is non-decreasing.
 """
@@ -143,6 +148,15 @@ class EmConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+        # written as "not (ok)", so NaN fails them too
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be a non-negative number, got {self.tol!r}")
+        if not self.cov_floor > 0.0:
+            raise ValueError(f"cov_floor must be positive, got {self.cov_floor!r}")
+        if self.mean_rounds < 1:
+            raise ValueError(f"mean_rounds must be at least 1, got {self.mean_rounds!r}")
+        if self.w_iters < 0:
+            raise ValueError(f"w_iters must be non-negative, got {self.w_iters!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -174,14 +188,21 @@ def log_transition_matrices(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
     return log_transitions(m.w, transition_inputs(m, xs)).transpose(2, 0, 1)
 
 
-def log_transitions(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
-    """(..., S, S, R) log-softmax of the logits w_i . xe_r for weights
-    (..., S, S, dt) with any leading axes, every source state i and input
-    row r of xe (R, dt), from one product of the flattened weights with
-    xe.T.  Rows run along the last axis, so the softmax over successors
-    (axis -2) reduces whole contiguous rows instead of length-S runs."""
+def _shifted_logits(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
+    """(..., S, S, R) logits w_i . xe_r less their maximum over successors
+    (axis -2), for weights (..., S, S, dt) with any leading axes, every
+    source state i and input row r of xe (R, dt), from one product of the
+    flattened weights with xe.T.  Rows run along the last axis, so the
+    reductions over successors take whole contiguous rows instead of
+    length-S runs."""
     logits = (w.reshape(-1, w.shape[-1]) @ xe.T).reshape(w.shape[:-1] + (-1,))
-    shifted = logits - logits.max(axis=-2, keepdims=True)
+    return logits - logits.max(axis=-2, keepdims=True)
+
+
+def log_transitions(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
+    """(..., S, S, R) log-softmax over successors of the logits of
+    :func:`_shifted_logits`."""
+    shifted = _shifted_logits(w, xe)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-2, keepdims=True))
 
 
@@ -338,59 +359,86 @@ def _floor_covariance(sigma: np.ndarray, floor: float, diag: dict) -> np.ndarray
     return (vecs * np.maximum(vals, floor)) @ vecs.T
 
 
+def _min_norm_solver(R: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solve of each state's design block.
+
+    R: (S, K, c) triangular factors of the weighted [design | z | 1] stacks
+    of ``rows`` rows, whose first p columns are the design.  Returns the
+    (S, p, c - p) maps that take the coefficients of a right-hand side
+    spanned by the remaining columns to the minimum-norm solution, and (S,)
+    flags for rank-deficient designs.  Singular values up to lstsq's own
+    cutoff, eps max(rows, p) s_max, count as zero.
+    """
+    U, s, Vt = np.linalg.svd(R[:, :, :p], full_matrices=False)
+    kept = s > np.finfo(float).eps * max(rows, p) * s[:, :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    solver = Vt.transpose(0, 2, 1) @ (inv_s[:, :, None] * (U.transpose(0, 2, 1) @ R[:, :, p:]))
+    return solver, kept.sum(axis=1) < p
+
+
 def _update_mean_params(
-    m: AioHmmModel, i: int, Z: np.ndarray, X: np.ndarray, Zprev: np.ndarray,
-    g: np.ndarray, config: EmConfig, diag: dict,
+    m: AioHmmModel, states: np.ndarray, Z: np.ndarray, X: np.ndarray, Zprev: np.ndarray,
+    G: np.ndarray, config: EmConfig, diag: dict,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating exact WLS for (mu_i, a_i, b_i) on concatenated data.
+    """Alternating exact WLS for (mu_i, a_i, b_i) on concatenated data,
+    for the ``states`` (index array) with posteriors G (N, len(states)),
+    all in lockstep.
 
     Holding (a, b) fixed, the optimal mu has the closed form
     sum(g s z) / sum(g s^2) with s = 1 + a.x + b.z_prev; holding mu fixed,
-    (a, b) are a gamma-weighted least-squares fit.  Each solve can only
-    improve the expected complete-data log-likelihood.
+    (a, b) are a gamma-weighted least-squares fit of beta / alpha - 1 with
+    beta = z . Sigma^-1 mu and alpha = mu . Sigma^-1 mu.  Each solve can
+    only improve the expected complete-data log-likelihood.
+
+    The weighted design never changes across rounds, and every round's
+    right-hand side sqrt(g) (beta / alpha - 1) = sqrt(g) [z | 1] c with
+    c = [Sigma^-1 mu / alpha; -1] lies in the span of fixed columns.  So
+    one R-only QR of sqrt(g) [design | z | 1] per state carries everything:
+    with A = QR, sqrt(g) s = Q R v for v = [a; b; 0; 1], so mu comes from
+    R v and the columns of R under z, and the least-squares fit is the
+    minimum-norm solve of R's design block against R's [z | 1] block times
+    c, formed once per M-step from one small SVD (:func:`_min_norm_solver`).
+    Lane flags constant within a sequence and near-collinear speeds make
+    the design rank-deficient or nearly so; the minimum-norm solution, not
+    the normal equations, keeps every round from lowering the expected
+    log-likelihood.
     """
-    mu, a, b = m.mu[i].copy(), m.a[i].copy(), m.b[i].copy()
+    S, dz = len(states), Z.shape[1]
+    # The design's columns are a prefix of [x | z_prev], as its coefficients are of [a | b].
+    design = ([X] if m.variant != VARIANT_HMM else []) + ([Zprev] if m.variant == VARIANT_AIO else [])
+    A = np.concatenate(design + [Z, np.ones((Z.shape[0], 1))], axis=1)
+    p = A.shape[1] - dz - 1
+    ab = np.concatenate([m.a, m.b], axis=1)[states]
     # With a single state the scale couplings are redundant with mu itself,
-    # so they stay pinned at zero and the update degenerates to a weighted mean.
-    fit_a = m.variant != VARIANT_HMM and m.states > 1
-    fit_b = m.variant == VARIANT_AIO and m.states > 1
-    sigma_inv = np.linalg.inv(m.sigma[i])
+    # so they stay pinned and the update degenerates to a weighted mean.
+    fit = m.states > 1 and p > 0
+    R = np.linalg.qr(np.sqrt(G.T)[:, :, None] * A, mode="r")          # (S, K, p + dz + 1)
+    v = np.zeros((S, A.shape[1]))
+    v[:, :p] = ab[:, :p]
+    v[:, -1] = 1.0
+    mu = m.mu[states].copy()
+    active = np.ones(S, dtype=bool)
+    if fit:
+        solver, deficient = _min_norm_solver(R, p, Z.shape[0])
+        sigma_inv = np.linalg.inv(m.sigma[states])
 
     for _ in range(config.mean_rounds):
-        s = 1.0 + X @ a + Zprev @ b
-        denom = float(np.sum(g * s * s))
-        if denom > 1e-12:
-            mu = (g * s) @ Z / denom
-        if not (fit_a or fit_b):
+        root_gs = np.einsum("skc,sc->sk", R, v)                        # sqrt(g) s, rotated
+        denom = np.einsum("sk,sk->s", root_gs, root_gs)
+        moved = active & (denom > 1e-12)
+        mu[moved] = np.einsum("sk,skd->sd", root_gs[moved], R[moved, :, p : p + dz]) / denom[moved, None]
+        if not fit:
             break
-        alpha = float(mu @ sigma_inv @ mu)
-        if alpha <= 1e-12:
+        h = np.einsum("sde,se->sd", sigma_inv, mu)
+        alpha = np.einsum("sd,sd->s", mu, h)
+        active &= alpha > 1e-12
+        if not active.any():
             break
-        beta = Z @ (sigma_inv @ mu)
-        cols = []
-        if fit_a:
-            cols.append(X)
-        if fit_b:
-            cols.append(Zprev)
-        R = np.concatenate(cols, axis=1)
-        # Lane flags constant within a sequence and near-collinear speeds make
-        # the design rank-deficient or nearly so.  Solving its normal
-        # equations squares that conditioning and returns a theta that can
-        # lower the expected log-likelihood; the minimum-norm least-squares
-        # solution of the weighted design does not.
-        root_g = np.sqrt(g)
-        theta, _, rank, _ = np.linalg.lstsq(
-            R * root_g[:, None], root_g * (beta / alpha - 1.0), rcond=None
-        )
-        if rank < R.shape[1]:
-            diag["ridge"] = diag.get("ridge", 0) + 1
-        offset = 0
-        if fit_a:
-            a = theta[offset : offset + X.shape[1]]
-            offset += X.shape[1]
-        if fit_b:
-            b = theta[offset:]
-    return mu, a, b
+        c = np.concatenate([h[active] / alpha[active, None], -np.ones((int(active.sum()), 1))], axis=1)
+        v[active, :p] = np.einsum("spc,sc->sp", solver[active], c)
+        diag["ridge"] = diag.get("ridge", 0) + int(np.sum(deficient & active))
+    ab[:, :p] = v[:, :p]
+    return mu, ab[:, : m.dim_x], ab[:, m.dim_x :]
 
 
 def _transition_gradient(
@@ -402,12 +450,15 @@ def _transition_gradient(
     Xi: (R, S, S) matching transition posteriors; n: their visit counts
     Xi.sum(axis=2), when the caller already has them.  The logits are one
     (S*S, dt) @ (dt, R) product and the gradient one (S*S, R) @ (R, dt)
-    product.
+    product.  The arithmetic runs in the (S, S, R) layout, so Xi and n
+    that are transposed views of (S, S, R) and (S, R) arrays cost no copy.
     """
     S, R = w.shape[0], Xe.shape[0]
     if n is None:
         n = Xi.sum(axis=2)
-    coeff = Xi.transpose(1, 2, 0) - n.T[:, None, :] * np.exp(log_transitions(w, Xe))
+    probs = np.exp(_shifted_logits(w, Xe))
+    probs /= probs.sum(axis=1, keepdims=True)
+    coeff = Xi.transpose(1, 2, 0) - n.T[:, None, :] * probs
     return (coeff.reshape(S * S, R) @ Xe).reshape(w.shape)
 
 
@@ -421,16 +472,19 @@ def _update_transitions(
     -1/2 (I - 11^T/S) (x) M_i.  The gradient's rows sum to zero, so the bound's
     maximizer is w_i + 2 G_i M_i^-1, a step that never lowers the term.  A
     ridge on M_i keeps it invertible; a larger M_i is still a valid bound.
-    All source states step together.
+    All source states step together, on posteriors and visit counts laid
+    out once in the gradient's (S, S, R) order.
     """
     w = w.copy()
     if Xe.shape[0] == 0:
         return w
-    n = Xi.sum(axis=2)
-    M = np.einsum("ri,rk,rl->ikl", n, Xe, Xe)                       # (S, dt, dt)
+    xi = np.ascontiguousarray(Xi.transpose(1, 2, 0))                   # (S, S, R)
+    n = xi.sum(axis=1)                                                  # (S, R)
+    M = np.einsum("ir,rk,rl->ikl", n, Xe, Xe)                           # (S, dt, dt)
     dt = M.shape[1]
     ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
     step = 2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt))
+    Xi, n = xi.transpose(2, 0, 1), n.T  # the gradient's (R, S, S) and (R, S) views of that layout
     for _ in range(config.w_iters):
         w += _transition_gradient(w, Xe, Xi, n) @ step
     return w
@@ -452,7 +506,6 @@ def m_step(
     """
     if diag is None:
         diag = {}
-    S = m.states
     xs, zs, lengths = batch
     live = np.arange(xs.shape[1]) < lengths[:, None]
     X, Z, Zprev = xs[live], zs[live], shifted_observations(zs)[live]
@@ -461,17 +514,18 @@ def m_step(
     Xi = stats.xi[live[:, 1:]]
 
     new = m.copy()
-    for i in range(S):
-        g = G[:, i]
-        weight = float(g.sum())
-        if weight <= 1e-12:
-            log.warning("state %d received no posterior mass; left unchanged", i)
-            continue
-        mu, a, b = _update_mean_params(m, i, Z, X, Zprev, g, config, diag)
-        s = 1.0 + X @ a + Zprev @ b
+    weights = G.sum(axis=0)
+    for i in np.flatnonzero(weights <= 1e-12):
+        log.warning("state %d received no posterior mass; left unchanged", i)
+    states = np.flatnonzero(weights > 1e-12)
+    new.mu[states], new.a[states], new.b[states] = _update_mean_params(
+        m, states, Z, X, Zprev, G[:, states], config, diag
+    )
+    for i in states:
+        g, mu = G[:, i], new.mu[i]
+        s = 1.0 + X @ new.a[i] + Zprev @ new.b[i]
         resid = Z - s[:, None] * mu
-        cov = (resid * g[:, None]).T @ resid / weight
-        new.mu[i], new.a[i], new.b[i] = mu, a, b
+        cov = (resid * g[:, None]).T @ resid / weights[i]
         new.sigma[i] = _floor_covariance(cov, config.cov_floor, diag)
 
     new.w = _update_transitions(m.w, Xe, Xi, config)

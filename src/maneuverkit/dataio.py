@@ -51,8 +51,9 @@ def save_dataset(dataset: list[SequenceSample], path: str | Path) -> None:
                 "id": s.id,
                 "label": EVENTS[s.label],
                 "steps": [
-                    {"x": list(map(float, x)), "z": list(map(float, z))}
-                    for x, z in zip(s.xs, s.zs)
+                    {"x": x, "z": z}
+                    for x, z in zip(np.asarray(s.xs, dtype=float).tolist(),
+                                    np.asarray(s.zs, dtype=float).tolist())
                 ],
             }
             if s.meta:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from maneuverkit.aiohmm import (
     EmConfig,
     Padded,
     PosteriorStats,
+    _floor_covariance,
     _transition_gradient,
     _update_transitions,
     emission_factors,
@@ -276,6 +278,135 @@ def transition_problems(draw):
     Xi[rng.uniform(size=(R, S)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
     w = rng.standard_normal((S, S, Xe.shape[1])) * draw(st.sampled_from([0.0, 0.1, 1.0]))
     return w, Xe, Xi
+
+
+def lstsq_update_mean_params(m, i, Z, X, Zprev, g, config, diag):
+    """The per-state alternating solve that the factored one replaced,
+    verbatim: every round rebuilds the weighted design and runs lstsq."""
+    mu, a, b = m.mu[i].copy(), m.a[i].copy(), m.b[i].copy()
+    # With a single state the scale couplings are redundant with mu itself,
+    # so they stay pinned at zero and the update degenerates to a weighted mean.
+    fit_a = m.variant != "hmm" and m.states > 1
+    fit_b = m.variant == "aio" and m.states > 1
+    sigma_inv = np.linalg.inv(m.sigma[i])
+
+    for _ in range(config.mean_rounds):
+        s = 1.0 + X @ a + Zprev @ b
+        denom = float(np.sum(g * s * s))
+        if denom > 1e-12:
+            mu = (g * s) @ Z / denom
+        if not (fit_a or fit_b):
+            break
+        alpha = float(mu @ sigma_inv @ mu)
+        if alpha <= 1e-12:
+            break
+        beta = Z @ (sigma_inv @ mu)
+        cols = []
+        if fit_a:
+            cols.append(X)
+        if fit_b:
+            cols.append(Zprev)
+        R = np.concatenate(cols, axis=1)
+        # Lane flags constant within a sequence and near-collinear speeds make
+        # the design rank-deficient or nearly so.  Solving its normal
+        # equations squares that conditioning and returns a theta that can
+        # lower the expected log-likelihood; the minimum-norm least-squares
+        # solution of the weighted design does not.
+        root_g = np.sqrt(g)
+        theta, _, rank, _ = np.linalg.lstsq(
+            R * root_g[:, None], root_g * (beta / alpha - 1.0), rcond=None
+        )
+        if rank < R.shape[1]:
+            diag["ridge"] = diag.get("ridge", 0) + 1
+        offset = 0
+        if fit_a:
+            a = theta[offset : offset + X.shape[1]]
+            offset += X.shape[1]
+        if fit_b:
+            b = theta[offset:]
+    return mu, a, b
+
+
+def live_rows(batch, stats):
+    """(X, Z, Zprev, G) over every sequence's real steps."""
+    xs, zs, lengths = batch
+    live = np.arange(xs.shape[1]) < lengths[:, None]
+    return xs[live], zs[live], shifted_observations(zs)[live], stats.gamma[live]
+
+
+def lstsq_mean_step(batch, stats, m, config, diag):
+    """The model with the mean parameters and covariances of an M-step that
+    runs lstsq_update_mean_params state by state."""
+    X, Z, Zprev, G = live_rows(batch, stats)
+    new = m.copy()
+    for i in range(m.states):
+        g = G[:, i]
+        weight = float(g.sum())
+        if weight <= 1e-12:
+            continue
+        mu, a, b = lstsq_update_mean_params(m, i, Z, X, Zprev, g, config, diag)
+        s = 1.0 + X @ a + Zprev @ b
+        resid = Z - s[:, None] * mu
+        cov = (resid * g[:, None]).T @ resid / weight
+        new.mu[i], new.a[i], new.b[i] = mu, a, b
+        new.sigma[i] = _floor_covariance(cov, config.cov_floor, diag)
+    return new
+
+
+def expected_emission_loglik(m, batch, stats):
+    """The emission part of the expected complete-data log-likelihood,
+    sum_t sum_i gamma_ti log N(z_t; s_ti mu_i, Sigma_i)."""
+    X, Z, Zprev, G = live_rows(batch, stats)
+    return float(np.sum(G * emission_logprobs(m, X, Z, z_prev=Zprev)))
+
+
+@st.composite
+def mean_problems(draw):
+    """(batch, stats, model) for one M-step, with the designs the factored
+    mean solve must get right: duplicated and constant columns, fewer rows
+    than [design | z | 1] columns, length-1 sequences, a state with no
+    posterior mass, and all-zero observations for every state or for one
+    state alone, whose solve stops while the others go on."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    variant = draw(st.sampled_from(["aio", "io", "hmm"]))
+    S, dz = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(["normal", "const", "duplicate", "binary"]),
+                          min_size=1, max_size=4))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    data = draw(st.sampled_from(["normal", "offset", "duplicate", "zero", "zero-state"]))
+    seqs = []
+    for L in lengths:
+        cols = []
+        for kind in kinds:
+            if kind == "const":
+                cols.append(np.full(L, float(rng.choice([0.0, 1.0, -3.0]))))
+            elif kind == "duplicate" and cols:
+                cols.append(cols[-1].copy())
+            elif kind == "binary":
+                cols.append(np.full(L, float(rng.integers(0, 2))))  # a lane flag
+            else:
+                cols.append(rng.standard_normal(L))
+        zs = rng.standard_normal((L, dz))
+        if data == "offset":
+            zs = zs * 0.5 + 40.0
+        elif data == "duplicate":
+            zs[:, -1] = zs[:, 0]
+        elif data == "zero" or (data == "zero-state" and not seqs):
+            zs[:] = 0.0
+        seqs.append((np.stack(cols, axis=1), zs))
+    batch = pad_sequences(seqs)
+    m = random_model(rng, S, dz, len(kinds), variant=variant)
+    gamma = rng.uniform(0.05, 1.0, batch.zs.shape[:2] + (S,))
+    if data == "zero-state" and S > 1:
+        gamma[1:, :, 0] = 0.0  # state 0 sees only the all-zero first sequence
+    elif S > 1 and draw(st.booleans()):
+        gamma[..., int(rng.integers(0, S))] = 0.0
+    gamma /= gamma.sum(axis=2, keepdims=True)
+    gamma[np.arange(gamma.shape[1]) >= batch.lengths[:, None]] = 0.0
+    xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
+    stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.zeros(len(seqs)))
+    config = EmConfig(states=S, variant=variant, mean_rounds=draw(st.integers(1, 3)))
+    return batch, stats, m, config
 
 
 def transition_row(m, i, x):
@@ -574,6 +705,50 @@ class TestMStep:
         for name in ("mu", "a", "b", "sigma", "w", "pi"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
+    @settings(max_examples=300, deadline=None)
+    @given(mean_problems())
+    def test_factored_mean_solve_matches_per_state_lstsq(self, problem):
+        # Raw (a, b) may differ along the design's null space; mu, the
+        # scales, the covariances and the expected log-likelihood may not.
+        batch, stats, m, config = problem
+        diag, ref_diag = {}, {}
+        got = m_step(batch, stats, m, config, diag)
+        ref = lstsq_mean_step(batch, stats, m, config, ref_diag)
+        assert diag.get("ridge", 0) == ref_diag.get("ridge", 0)
+        X, Z, Zprev, _ = live_rows(batch, stats)
+        size = 1.0 + np.abs(Z).max()
+        np.testing.assert_allclose(got.mu, ref.mu, rtol=1e-9, atol=1e-9 * size)
+        scales = [emission_scales(new, X, Zprev) for new in (got, ref)]
+        np.testing.assert_allclose(scales[0], scales[1], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(got.sigma, ref.sigma, rtol=1e-9, atol=1e-9 * np.abs(ref.sigma).max())
+        # The objective the mean solve maximizes: the old covariances.  A new
+        # covariance floored at cond ~1e9 carries ~1e-7 relative rounding in
+        # its small eigenvalues on either path, which is not the solve's.
+        ecll = [expected_emission_loglik(replace(new, sigma=m.sigma), batch, stats) for new in (got, ref)]
+        assert abs(ecll[0] - ecll[1]) <= 1e-9 * (1.0 + abs(ecll[1]))
+
+    @pytest.mark.parametrize("gap, deficient", [(1e-11, False), (0.0, True)])
+    def test_rank_cut_is_the_lstsq_cut(self, gap, deficient):
+        # A column 1e-11 off its neighbour keeps the design full rank under
+        # lstsq's cutoff, eps max(N, p) s_max (about 1e-14 here); an exact
+        # duplicate does not.  Counts only: at that conditioning the two
+        # solves need not agree to 1e-9.
+        rng = make_rng(16)
+        seqs = []
+        for _ in range(4):
+            x = rng.standard_normal(12)
+            xs = np.stack([x, x + gap * rng.standard_normal(12), rng.standard_normal(12)], axis=1)
+            seqs.append((xs, rng.standard_normal((12, 2))))
+        batch = pad_sequences(seqs)
+        m = random_model(rng, 2, 2, 3, variant="io")
+        stats = forward_backward(m, *batch)
+        config = EmConfig(states=2, variant="io")
+        diag, ref_diag = {}, {}
+        m_step(batch, stats, m, config, diag)
+        lstsq_mean_step(batch, stats, m, config, ref_diag)
+        expected = 2 * config.mean_rounds if deficient else 0
+        assert diag.get("ridge", 0) == ref_diag.get("ridge", 0) == expected
+
     def test_covariance_floor_enforced(self):
         rng = make_rng(10)
         m = random_model(rng, 2, 2, 2)
@@ -659,6 +834,27 @@ class TestFitEm:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             fit_em([], EmConfig())
+
+    # mean_rounds=0 used to return means that never moved, cov_floor=0 to
+    # surface as "sigma[0] is not positive definite", tol=nan to run silently
+    # to max_iter
+    @pytest.mark.parametrize("field, value", [
+        ("mean_rounds", 0), ("w_iters", -1), ("cov_floor", 0.0), ("cov_floor", -1e-6),
+        ("cov_floor", float("nan")), ("tol", -1e-6), ("tol", float("nan")),
+    ])
+    def test_bad_setting_rejected_by_name(self, field, value):
+        rng = make_rng(14)
+        seqs = [(rng.standard_normal((6, 2)), rng.standard_normal((6, 2))) for _ in range(3)]
+        with pytest.raises(ValueError, match=f"^{field} "):
+            fit_em(seqs, EmConfig(states=2, max_iter=3, **{field: value}))
+
+    def test_smallest_settings_accepted(self):
+        rng = make_rng(15)
+        seqs = [(rng.standard_normal((6, 2)), rng.standard_normal((6, 2))) for _ in range(3)]
+        config = EmConfig(states=2, max_iter=3, tol=0.0, mean_rounds=1, w_iters=0)
+        model, trace = fit_em(seqs, config)
+        np.testing.assert_array_equal(model.w, 0.0)  # no ascent step from the blank start
+        assert len(trace) == 3
 
 
 class TestVariantNesting:

@@ -46,6 +46,24 @@ class TestDatasetRoundTrip:
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_writer_bytes_equal_per_step_float_writer(self, tmp_path):
+        # the per-step writer that whole-array tolist() replaced; float32
+        # and integer streams must still come out as JSON floats
+        data = generate(ScenarioConfig(seed=2), 12)
+        data[0].xs = data[0].xs.astype(np.float32)
+        data[1].zs = np.rint(data[1].zs).astype(np.int64)
+        path = tmp_path / "d.jsonl"
+        save_dataset(data, path)
+        lines = []
+        for s in data:
+            record = {"id": s.id, "label": EVENTS[s.label],
+                      "steps": [{"x": list(map(float, x)), "z": list(map(float, z))}
+                                for x, z in zip(s.xs, s.zs)]}
+            if s.meta:
+                record["meta"] = s.meta
+            lines.append(json.dumps(record, allow_nan=False) + "\n")
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
+
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
