@@ -27,14 +27,14 @@ vectors with its one-step update :func:`log_forward_step` and the same
 
 The M-step solves the coupled mean parameters by alternating exact
 weighted least squares, updates each covariance from posterior-weighted
-residuals (eigenvalue-floored), refits the initial distribution from the
-t=1 posteriors, and improves the transition weights by Boehning's
-fixed-Hessian lower-bound ascent for multinomial logistic regression
-(Boehning 1992).  The alternating solve is factored once per M-step: one
-R-only QR of every state's weighted [design | z | 1] stack and one small
-SVD of each design block give every round's mean and minimum-norm
-coupling solve, for all states in lockstep, without touching the data
-rows again.  The ascent lays its posteriors out once and repeats only
+residuals (eigenvalues floored at ``COV_FLOOR``), refits the initial
+distribution from the t=1 posteriors, and improves the transition weights
+by ``BOUND_STEPS`` steps of Boehning's fixed-Hessian lower-bound ascent for
+multinomial logistic regression (Boehning 1992).  The alternating solve
+is factored once per M-step: one R-only QR of every state's weighted
+[design | z | 1] stack and one small SVD of each design block give every
+round's mean and minimum-norm coupling solve, for all states in lockstep,
+without touching the data rows again.  The ascent lays its posteriors out once and repeats only
 the softmax and two matrix products per step.
 Every piece either maximizes or never decreases the expected complete-data
 log-likelihood, so the training log-likelihood trace is non-decreasing.
@@ -57,6 +57,9 @@ VARIANT_HMM = "hmm"
 VARIANTS = (VARIANT_AIO, VARIANT_IO, VARIANT_HMM)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+COV_FLOOR = 1e-6   # smallest allowed covariance eigenvalue
+BOUND_STEPS = 25   # bound-ascent steps on the transition weights per M-step
 
 
 @dataclass
@@ -137,9 +140,7 @@ class EmConfig:
     max_iter: int = 50
     tol: float = 1e-6              # relative loglik improvement
     seed: int = 0
-    cov_floor: float = 1e-6        # smallest allowed covariance eigenvalue
     mean_rounds: int = 3           # alternating WLS rounds for (mu, a, b)
-    w_iters: int = 25              # bound-ascent steps on the transition weights
 
     def validate(self) -> None:
         if self.states < 1:
@@ -148,23 +149,14 @@ class EmConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        # written as "not (ok)", so NaN fails them too
+        # written as "not (ok)", so NaN fails it too
         if not self.tol >= 0.0:
             raise ValueError(f"tol must be a non-negative number, got {self.tol!r}")
-        if not self.cov_floor > 0.0:
-            raise ValueError(f"cov_floor must be positive, got {self.cov_floor!r}")
         if self.mean_rounds < 1:
             raise ValueError(f"mean_rounds must be at least 1, got {self.mean_rounds!r}")
-        if self.w_iters < 0:
-            raise ValueError(f"w_iters must be non-negative, got {self.w_iters!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmConfig":
-        # Older checkpoints still record the retired gradient step size.
-        return cls(**{k: v for k, v in d.items() if k != "w_step"})
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +229,9 @@ def shifted_observations(zs: np.ndarray) -> np.ndarray:
 
 
 def emission_scales(m: AioHmmModel, xs: np.ndarray, z_prev: np.ndarray) -> np.ndarray:
-    """(T, S) mean scale factors 1 + a_i.x_t + b_i.z_{t-1} per state."""
-    s = 1.0 + xs @ m.a.T
-    if m.variant == VARIANT_AIO:
-        s = s + z_prev @ m.b.T
-    return s
+    """(T, S) mean scale factors 1 + a_i.x_t + b_i.z_{t-1} per state; the
+    pinned zeros of the io and hmm variants add exact zeros."""
+    return 1.0 + xs @ m.a.T + z_prev @ m.b.T
 
 
 def emission_factors(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,9 +453,10 @@ def _transition_gradient(
 
 
 def _update_transitions(
-    w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray, config: EmConfig
+    w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray, steps: int
 ) -> np.ndarray:
-    """Boehning lower-bound ascent on the expected transition term.
+    """``steps`` steps of Boehning lower-bound ascent on the expected
+    transition term.
 
     For source state i with visit counts n_r = sum_j Xi[r, i, j] and
     M_i = sum_r n_r x_r x_r^T, the Hessian of its term is bounded below by
@@ -485,7 +476,7 @@ def _update_transitions(
     ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
     step = 2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt))
     Xi, n = xi.transpose(2, 0, 1), n.T  # the gradient's (R, S, S) and (R, S) views of that layout
-    for _ in range(config.w_iters):
+    for _ in range(steps):
         w += _transition_gradient(w, Xe, Xi, n) @ step
     return w
 
@@ -526,9 +517,9 @@ def m_step(
         s = 1.0 + X @ new.a[i] + Zprev @ new.b[i]
         resid = Z - s[:, None] * mu
         cov = (resid * g[:, None]).T @ resid / weights[i]
-        new.sigma[i] = _floor_covariance(cov, config.cov_floor, diag)
+        new.sigma[i] = _floor_covariance(cov, COV_FLOOR, diag)
 
-    new.w = _update_transitions(m.w, Xe, Xi, config)
+    new.w = _update_transitions(m.w, Xe, Xi, BOUND_STEPS)
     pi = stats.gamma[:, 0].sum(axis=0)
     new.pi = pi / pi.sum()
     return new
@@ -662,9 +653,7 @@ def sample_sequence(
         if t > 0:
             log_row = log_transition_matrices(m, xs[t : t + 1])[0, h]
             h = int(rng.choice(m.states, p=np.exp(log_row)))
-        scale = 1.0 + float(m.a[h] @ xs[t])
-        if m.variant == VARIANT_AIO:
-            scale += float(m.b[h] @ z_prev)
+        scale = 1.0 + float(m.a[h] @ xs[t]) + float(m.b[h] @ z_prev)
         mean = scale * m.mu[h]
         zs[t] = mean + chols[h] @ rng.standard_normal(m.dim_z)
         z_prev = zs[t]

@@ -47,7 +47,6 @@ import numpy as np
 from .aiohmm import (
     VARIANT_AIO,
     VARIANT_HMM,
-    VARIANT_IO,
     AioHmmEnsemble,
     AioHmmModel,
     emission_factors,
@@ -174,8 +173,7 @@ class AioHmmPredictor:
         a = np.concatenate([m.a for m in models])
         n = mu.shape[0]
         self._emission = AioHmmModel(
-            variant=VARIANT_AIO if any(m.variant == VARIANT_AIO for m in models) else VARIANT_IO,
-            mu=mu, a=a, b=np.concatenate([m.b for m in models]),
+            variant=VARIANT_AIO, mu=mu, a=a, b=np.concatenate([m.b for m in models]),
             sigma=np.concatenate([m.sigma for m in models]),
             w=np.zeros((n, n, a.shape[1])), pi=np.full(n, 1.0 / n),  # transitions unused
         )
@@ -320,13 +318,6 @@ def first_commits(
     first = hit.argmax(axis=-1)
     event = np.take_along_axis(best, first[..., None], axis=-1)[..., 0]
     return np.where(hit.any(axis=-1), first + 1, 0), event
-
-
-def commit_step(traj: np.ndarray, straight: int, p_th: float) -> tuple[int | None, int | None]:
-    """:func:`first_commits` of one (T, K) trajectory: (1-based step, event
-    index), or (None, None) if it never commits."""
-    step, event = first_commits(traj, straight, p_th)
-    return (None, None) if step == 0 else (int(step), int(event))
 
 
 def anticipate(

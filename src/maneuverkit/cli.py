@@ -68,15 +68,25 @@ def _grid(text: str) -> list[float]:
 
 def cmd_synth(args) -> int:
     _log_config("synth", args)
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    overrides.setdefault("seed", args.seed)
-    config = synth.ScenarioConfig.from_dict(overrides)
-    dataset = synth.generate(config, args.n)
+    dataset = synth.generate(_scenario_config(args.config, args.seed), args.n)
     dataio.save_dataset(dataset, args.out)
     log.info("wrote %d samples to %s", len(dataset), args.out)
     return 0
+
+
+def _scenario_config(path: str | None, seed: int) -> synth.ScenarioConfig:
+    """The defaults, overridden by the JSON object of ScenarioConfig fields
+    in the file at ``path`` when given; ``seed`` unless the file sets one.
+    A bad file raises a DataFormatError that names it and the field."""
+    if path is None:
+        return synth.ScenarioConfig(seed=seed)
+    try:
+        overrides = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(overrides, dict):
+            overrides = {"seed": seed, **overrides}
+        return synth.ScenarioConfig.from_dict(overrides)
+    except ValueError as err:
+        raise dataio.DataFormatError(f"{path}: {err}") from None
 
 
 def train_model(args, dataset, seed: int):
@@ -113,6 +123,7 @@ def train_model(args, dataset, seed: int):
         loss_mode=loss_mode, time_scale=args.loss_scale, learning_rate=args.lr,
         epochs=args.epochs, seed=seed, augmentation_factor=args.augment_factor,
     )
+    config.validate()
     if config.augmentation_factor > 1.0:
         dataset = training.augment(dataset, config.augmentation_factor, seed)
     model = fusion_rnn.init_fusion_model(

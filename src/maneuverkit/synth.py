@@ -17,7 +17,9 @@ label-independent and nothing can beat chance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -67,25 +69,44 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("t_min", "t_max", "lead_min", "lead_max", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 0):
+                raise ValueError(f"field {name!r} must be a non-negative integer, got {value!r}")
+        # written as "not (ok)", so NaN fails them too
+        for name in ("cue_strength", "noise_sigma", "inside_nuisance", "outside_nuisance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, Real) and 0.0 <= value < math.inf):
+                raise ValueError(f"field {name!r} must be a finite non-negative number, got {value!r}")
         if not 2 <= self.t_min <= self.t_max:
             raise ValueError("need 2 <= t_min <= t_max")
         if not 1 <= self.lead_min <= self.lead_max:
             raise ValueError("need 1 <= lead_min <= lead_max")
         if self.lead_max >= self.t_min:
             raise ValueError("lead times must stay below the shortest sequence")
-        if self.noise_sigma < 0 or self.cue_strength < 0:
-            raise ValueError("noise_sigma and cue_strength must be nonnegative")
-        if not set(self.events) <= set(EVENTS):
+        if not all(isinstance(e, str) for e in self.events) or not set(self.events) <= set(EVENTS):
             raise ValueError(f"unknown events in {self.events!r}")
         if STRAIGHT not in self.events:
             raise ValueError("the event set must include straight driving")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        """A checked config from a JSON object of field overrides; the
+        ValueError for a bad one names the field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object of ScenarioConfig fields, got {type(d).__name__}")
+        names = [f.name for f in fields(cls)]
+        for key in d:
+            if key not in names:
+                raise ValueError(f"unknown field {key!r}; the fields are {names}")
         d = dict(d)
         if "events" in d:
+            if not isinstance(d["events"], list):
+                raise ValueError(f"field 'events' must be a list of event names, got {d['events']!r}")
             d["events"] = tuple(d["events"])
-        return cls(**d)
+        config = cls(**d)
+        config.validate()
+        return config
 
 
 @dataclass

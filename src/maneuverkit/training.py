@@ -6,13 +6,16 @@ exp(-lam * (T - t)), so mistakes made with the full context in view cost
 e^0 = 1 while mistakes made early, when little context exists, cost
 exponentially less.  ``uniform`` mode weights every step 1.
 
-Updates are per-sample RMSprop; sample order is reshuffled each epoch by a
-seeded generator, so a (seed, config) pair replays bit-identically.
+Updates are per-sample RMSprop with decay ``RMSPROP_DECAY`` and epsilon
+``RMSPROP_EPSILON``; sample order is reshuffled each epoch by a seeded
+generator, so a (seed, config) pair replays bit-identically.  The loss
+floors each target probability at ``PROB_FLOOR``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -27,40 +30,35 @@ log = logging.getLogger(__name__)
 LOSS_EXPONENTIAL = "exponential"
 LOSS_UNIFORM = "uniform"
 
+RMSPROP_DECAY = 0.9
+RMSPROP_EPSILON = 1e-8
+PROB_FLOOR = 1e-12  # smallest target probability the loss takes the log of
+
 
 @dataclass
 class TrainConfig:
     loss_mode: str = LOSS_EXPONENTIAL
     time_scale: float = 1.0          # lam in exp(-lam*(T-t)); 1.0 is the literal form
     learning_rate: float = 1e-4
-    rmsprop_decay: float = 0.9
-    rmsprop_epsilon: float = 1e-8
     epochs: int = 10
     seed: int = 0
     augmentation_factor: float = 1.0
-    prob_floor: float = 1e-12
 
     def validate(self) -> None:
         if self.loss_mode not in (LOSS_EXPONENTIAL, LOSS_UNIFORM):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.rmsprop_decay < 1.0:
-            raise ValueError("rmsprop_decay must lie in (0, 1)")
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.augmentation_factor < 1.0:
-            raise ValueError("augmentation_factor must be >= 1")
+        # written as "not (ok)", so NaN fails them too
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        if not 0.0 < self.time_scale < math.inf:
+            raise ValueError(f"time_scale must be positive and finite, got {self.time_scale!r}")
+        if not self.epochs >= 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs!r}")
+        if not 1.0 <= self.augmentation_factor < math.inf:
+            raise ValueError(f"augmentation_factor must be finite and >= 1, got {self.augmentation_factor!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        # Older checkpoints still record the retired gradient clip (always null).
-        return cls(**{k: v for k, v in d.items() if k != "grad_clip"})
 
 
 @dataclass
@@ -96,12 +94,11 @@ def anticipation_loss(
     target: int,
     mode: str = LOSS_EXPONENTIAL,
     time_scale: float = 1.0,
-    prob_floor: float = 1e-12,
 ) -> float:
     """sum_t -w_t log(y_t[target]) with the probabilities floored."""
     probs = _checked_trajectory(probs, target)
     w = loss_weights(probs.shape[0], mode, time_scale)
-    p = np.maximum(probs[:, target], prob_floor)
+    p = np.maximum(probs[:, target], PROB_FLOOR)
     return float(np.sum(-w * np.log(p)))
 
 
@@ -110,7 +107,6 @@ def loss_logit_grads(
     target: int,
     mode: str = LOSS_EXPONENTIAL,
     time_scale: float = 1.0,
-    prob_floor: float = 1e-12,
 ) -> np.ndarray:
     """Gradient of anticipation_loss w.r.t. the pre-softmax logits, (T, K).
 
@@ -123,7 +119,7 @@ def loss_logit_grads(
     grads = probs.copy()
     grads[:, target] -= 1.0
     grads *= w[:, None]
-    grads[probs[:, target] < prob_floor] = 0.0
+    grads[probs[:, target] < PROB_FLOOR] = 0.0
     return grads
 
 
@@ -165,20 +161,6 @@ def rmsprop_apply(
     param -= step
 
 
-def rmsprop_update(
-    param: np.ndarray,
-    grad: np.ndarray,
-    acc: np.ndarray,
-    learning_rate: float,
-    decay: float,
-    epsilon: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rmsprop_apply` on copies; returns (new_param, new_acc)."""
-    new_param, new_acc = param.copy(), acc.copy()
-    rmsprop_apply(new_param, grad, new_acc, learning_rate, decay, epsilon)
-    return new_param, new_acc
-
-
 class RmsProp:
     """RMSprop over a FusionRnnModel's parameter vector (in place)."""
 
@@ -189,9 +171,8 @@ class RmsProp:
     def step(self, model: FusionRnnModel, grad: np.ndarray) -> None:
         """Apply one update from a gradient laid out like ``model.theta``;
         a rejected gradient leaves ``model.theta`` and ``acc`` untouched."""
-        cfg = self.config
         rmsprop_apply(model.theta, grad, self.acc,
-                      cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_epsilon)
+                      self.config.learning_rate, RMSPROP_DECAY, RMSPROP_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +251,14 @@ def train(dataset: list, model: FusionRnnModel, config: TrainConfig) -> TrainRep
         for idx in order:
             sample = dataset[int(idx)]
             probs, tape = fusion_rnn.forward(model, sample.xs, sample.zs)
-            loss = anticipation_loss(
-                probs, targets[int(idx)], config.loss_mode,
-                config.time_scale, config.prob_floor,
-            )
+            loss = anticipation_loss(probs, targets[int(idx)], config.loss_mode, config.time_scale)
             if not np.isfinite(loss):
                 log.error("non-finite loss at epoch %d on sample %s; aborting", epoch, sample.id)
                 return TrainReport(
                     model=last_good, epoch_losses=epoch_losses,
                     wall_time=time.monotonic() - start, aborted=True,
                 )
-            dlogits = loss_logit_grads(
-                probs, targets[int(idx)], config.loss_mode,
-                config.time_scale, config.prob_floor,
-            )
+            dlogits = loss_logit_grads(probs, targets[int(idx)], config.loss_mode, config.time_scale)
             grads = fusion_rnn.backward(model, tape, dlogits)
             try:
                 optimizer.step(model, grads)
@@ -360,13 +335,13 @@ def gradient_check(
     def objective(theta: np.ndarray) -> float:
         work.theta[...] = theta
         probs, _ = fusion_rnn.forward(work, xs, zs)
-        return anticipation_loss(probs, target, config.loss_mode, config.time_scale, config.prob_floor)
+        return anticipation_loss(probs, target, config.loss_mode, config.time_scale)
 
     numeric = finite_diff_grad(objective, model.theta, eps)
     work.theta[...] = model.theta
 
     probs, tape = fusion_rnn.forward(work, xs, zs)
-    dlogits = loss_logit_grads(probs, target, config.loss_mode, config.time_scale, config.prob_floor)
+    dlogits = loss_logit_grads(probs, target, config.loss_mode, config.time_scale)
     analytic = fusion_rnn.backward(work, tape, dlogits)
 
     errors: dict[str, float] = {}

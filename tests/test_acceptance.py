@@ -18,7 +18,7 @@ from maneuverkit.lstm import init_lstm_params
 from maneuverkit.numerics import make_rng
 
 from test_aiohmm import enumeration_loglik, random_model
-from test_anticipation import MANEUVER_ROW, UNIFORM_ROW, ScriptedPredictor, dummy_streams
+from test_anticipation import MANEUVER_ROW, UNIFORM_ROW, ScriptedPredictor, commit_step, dummy_streams
 from test_lstm import cell_step, reference_step, zero_params
 
 
@@ -273,7 +273,7 @@ def test_criterion_08_protocol_exactness():
         traj /= traj.sum(axis=1, keepdims=True)
         commit_steps = []
         for p_th in (0.25, 0.5, 0.75, 0.95):
-            t, _ = anticipation.commit_step(traj, straight, p_th)
+            t, _ = commit_step(traj, straight, p_th)
             commit_steps.append(math.inf if t is None else t)
         monotone &= all(a <= b for a, b in zip(commit_steps, commit_steps[1:]))
     checks.append(monotone)

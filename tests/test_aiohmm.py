@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from maneuverkit import synth
 from maneuverkit.aiohmm import (
     AioHmmModel,
+    BOUND_STEPS,
+    COV_FLOOR,
     EmConfig,
     Padded,
     PosteriorStats,
@@ -349,7 +351,7 @@ def lstsq_mean_step(batch, stats, m, config, diag):
         resid = Z - s[:, None] * mu
         cov = (resid * g[:, None]).T @ resid / weight
         new.mu[i], new.a[i], new.b[i] = mu, a, b
-        new.sigma[i] = _floor_covariance(cov, config.cov_floor, diag)
+        new.sigma[i] = _floor_covariance(cov, COV_FLOOR, diag)
     return new
 
 
@@ -453,7 +455,7 @@ class TestTransitions:
     def test_bound_step_never_lowers_any_state(self, problem):
         w, Xe, Xi = problem
         before = transition_objectives(w, Xe, Xi)
-        after = transition_objectives(_update_transitions(w, Xe, Xi, EmConfig(w_iters=1)), Xe, Xi)
+        after = transition_objectives(_update_transitions(w, Xe, Xi, 1), Xe, Xi)
         # each log-probability carries rounding relative to its logits,
         # which are at most |w_i|_1 max|x| in size
         logits = 1.0 + np.abs(w).sum(axis=(1, 2)) * np.abs(Xe).max()
@@ -472,8 +474,8 @@ class TestTransitions:
     def test_bound_ascent_reaches_backtracking_objective(self):
         # the fixed-step ascent halved on these speed features near 40
         w, Xe, Xi = synthetic_transition_problem(1, 120, "left_lane")
-        bound = transition_objectives(_update_transitions(w, Xe, Xi, EmConfig()), Xe, Xi)
-        old_w = backtracking_ascent(w, Xe, Xi, EmConfig().w_iters)
+        bound = transition_objectives(_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
+        old_w = backtracking_ascent(w, Xe, Xi, BOUND_STEPS)
         old = transition_objectives(old_w, Xe, Xi)
         assert np.all(bound >= old)
         assert np.all(bound > transition_objectives(w, Xe, Xi))
@@ -498,9 +500,8 @@ class TestTransitions:
         ref_grad = einsum_transition_gradient(w, Xe, Xi)
         grad = _transition_gradient(w, Xe, Xi)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * (1.0 + np.abs(ref_grad).max())
-        iters = EmConfig().w_iters
-        got = transition_objectives(_update_transitions(w, Xe, Xi, EmConfig()), Xe, Xi)
-        ref = transition_objectives(einsum_update_transitions(w, Xe, Xi, iters), Xe, Xi)
+        got = transition_objectives(_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
+        ref = transition_objectives(einsum_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
         assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 
@@ -835,12 +836,10 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em([], EmConfig())
 
-    # mean_rounds=0 used to return means that never moved, cov_floor=0 to
-    # surface as "sigma[0] is not positive definite", tol=nan to run silently
-    # to max_iter
+    # mean_rounds=0 used to return means that never moved, tol=nan to run
+    # silently to max_iter
     @pytest.mark.parametrize("field, value", [
-        ("mean_rounds", 0), ("w_iters", -1), ("cov_floor", 0.0), ("cov_floor", -1e-6),
-        ("cov_floor", float("nan")), ("tol", -1e-6), ("tol", float("nan")),
+        ("mean_rounds", 0), ("tol", -1e-6), ("tol", float("nan")),
     ])
     def test_bad_setting_rejected_by_name(self, field, value):
         rng = make_rng(14)
@@ -851,9 +850,8 @@ class TestFitEm:
     def test_smallest_settings_accepted(self):
         rng = make_rng(15)
         seqs = [(rng.standard_normal((6, 2)), rng.standard_normal((6, 2))) for _ in range(3)]
-        config = EmConfig(states=2, max_iter=3, tol=0.0, mean_rounds=1, w_iters=0)
+        config = EmConfig(states=2, max_iter=3, tol=0.0, mean_rounds=1)
         model, trace = fit_em(seqs, config)
-        np.testing.assert_array_equal(model.w, 0.0)  # no ascent step from the blank start
         assert len(trace) == 3
 
 

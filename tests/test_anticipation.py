@@ -21,7 +21,6 @@ from maneuverkit.anticipation import (
     FusionRnnPredictor,
     WindowedPredictor,
     anticipate,
-    commit_step,
     first_commits,
     run_session,
     stepwise_trajectory,
@@ -154,6 +153,13 @@ class TestCommitRule:
                     # raising the threshold never commits earlier
                     assert t is None or t >= previous[1]
                 previous = (p_th, t)
+
+
+def commit_step(traj, straight, p_th):
+    """:func:`first_commits` of one (T, K) trajectory: (1-based step, event
+    index), or (None, None) if it never commits."""
+    step, event = first_commits(traj, straight, p_th)
+    return (None, None) if step == 0 else (int(step), int(event))
 
 
 def reference_commit_step(traj, straight, p_th):

@@ -10,7 +10,7 @@ import pytest
 from maneuverkit import training
 from maneuverkit.cli import main
 from maneuverkit.dataio import load_dataset, load_model, save_dataset
-from maneuverkit.synth import split_folds
+from maneuverkit.synth import ScenarioConfig, generate, split_folds
 
 
 def run(argv, capsys):
@@ -119,6 +119,49 @@ class TestValidation:
         assert main(argv) == 1
         assert f"fusion width must be positive, got {width}" in caplog.text
         assert not (tmp_path / "m.json").exists()
+
+    # each used to train a full pass and then stop with "training diverged",
+    # or, for the augmentation factor, to fail at save
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning_rate must be positive and finite, got nan"),
+        ("--lr", "inf", "learning_rate must be positive and finite, got inf"),
+        ("--loss-scale", "nan", "time_scale must be positive and finite, got nan"),
+        ("--augment-factor", "nan", "augmentation_factor must be finite and >= 1, got nan"),
+    ])
+    def test_non_finite_training_setting_is_rejected_before_training(
+        self, tmp_path, caplog, monkeypatch, flag, value, message
+    ):
+        d = tmp_path / "d.jsonl"
+        assert main(["synth", "--n", "20", "--seed", "0", "--out", str(d)]) == 0
+        monkeypatch.setattr(training.fusion_rnn, "forward", lambda *a: pytest.fail("trained"))
+        assert main(["train", "--data", str(d), "--arch", "frnn-el", "--hidden", "4",
+                     "--epochs", "1", flag, value, "--out", str(tmp_path / "m.json")]) == 1
+        assert message in caplog.text
+        assert not (tmp_path / "m.json").exists()
+
+    # each used to end in a traceback, or, for t_max, to be silently accepted
+    @pytest.mark.parametrize("overrides, message", [
+        ({"bogus": 1}, "unknown field 'bogus'"),
+        ({"t_min": "six"}, "field 't_min' must be a non-negative integer, got 'six'"),
+        ([1, 2], "expected a JSON object of ScenarioConfig fields, got list"),
+        ({"seed": "x"}, "field 'seed' must be a non-negative integer, got 'x'"),
+        ({"t_max": 10.5}, "field 't_max' must be a non-negative integer, got 10.5"),
+    ])
+    def test_bad_synth_config_is_a_located_error(self, tmp_path, caplog, overrides, message):
+        cfg, d = tmp_path / "cfg.json", tmp_path / "d.jsonl"
+        cfg.write_text(json.dumps(overrides), encoding="utf-8")
+        assert main(["synth", "--n", "5", "--config", str(cfg), "--out", str(d)]) == 1
+        assert f"{cfg}: {message}" in caplog.text
+        assert not d.exists()
+
+    def test_synth_config_overrides_the_defaults(self, tmp_path):
+        cfg, d = tmp_path / "cfg.json", tmp_path / "d.jsonl"
+        cfg.write_text(json.dumps({"noise_sigma": 0.2, "t_max": 10}), encoding="utf-8")
+        assert main(["synth", "--n", "30", "--seed", "4", "--config", str(cfg), "--out", str(d)]) == 0
+        want = generate(ScenarioConfig(seed=4, noise_sigma=0.2, t_max=10), 30)
+        for got, ref in zip(load_dataset(d), want, strict=True):
+            np.testing.assert_array_equal(got.zs, ref.zs)
+            np.testing.assert_array_equal(got.xs, ref.xs)
 
 
 class TestReports:

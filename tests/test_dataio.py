@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import AioHmmEnsemble
+from maneuverkit.anticipation import AioHmmPredictor
 from maneuverkit.dataio import (
     AIOHMM_ARRAYS,
+    KIND_AIOHMM,
     DataFormatError,
     load_dataset,
     load_model,
@@ -270,8 +272,9 @@ class TestCheckpoints:
 
 
 class TestParentCheckpoints:
-    """Checkpoints written before the parameters moved into one flat vector
-    (hidden 2, one epoch on `synth --n 20 --seed 4`)."""
+    """Checkpoints written by earlier versions: the fusion ones before the
+    parameters moved into one flat vector (hidden 2, one epoch on
+    `synth --n 20 --seed 4`)."""
 
     @pytest.mark.parametrize("name, total", [("fusion_h2", 205), ("concat_h2", 165)])
     def test_load_and_resave_byte_identically(self, tmp_path, name, total):
@@ -284,6 +287,23 @@ class TestParentCheckpoints:
         assert [name for name, _ in param_blocks(model)] == list(blocks)
         assert counts.pop("total") == total
         assert counts == {name: np.asarray(value).size for name, value in blocks.items()}
+
+    def test_aiohmm_checkpoint_loads_resaves_and_streams(self, tmp_path):
+        """An AIO-HMM ensemble written while the EM settings were still
+        config fields (2 states, 3 EM iterations on `synth --n 60 --seed 1`);
+        its `em` meta still records `cov_floor` and `w_iters`."""
+        src = DATA / "aiohmm_s2.json"
+        ensemble, kind, config = load_model(src)
+        assert kind == KIND_AIOHMM and config["em"]["w_iters"] == 25
+        save_model(ensemble, config, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == src.read_bytes()
+        predictor = AioHmmPredictor(ensemble)
+        for sample in generate(ScenarioConfig(seed=3), 6):
+            state = predictor.begin()
+            for t in range(sample.length):
+                state, row = predictor.step(state, sample.xs[t], sample.zs[t])
+                want = ensemble.posterior(sample.xs[: t + 1], sample.zs[: t + 1])
+                np.testing.assert_allclose(row, want, rtol=0, atol=1e-10)
 
 
 def edited_checkpoint(tmp_path, edit) -> Path:
@@ -539,25 +559,8 @@ def test_train_config_round_trips_through_checkpoint(tmp_path):
 
     model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(1))
     cfg = TrainConfig(loss_mode="uniform", time_scale=0.5, learning_rate=3e-4, epochs=7, seed=42)
+    em = EmConfig(states=4, variant="io", max_iter=12, seed=8)
     path = tmp_path / "m.json"
-    save_model(model, {"train": cfg.to_dict()}, path)
+    save_model(model, {"train": cfg.to_dict(), "em": em.to_dict()}, path)
     _, _, loaded = load_model(path)
-    assert TrainConfig.from_dict(loaded["train"]) == cfg
-
-    em = EmConfig(states=4, variant="io", max_iter=12, seed=8)
-    assert EmConfig.from_dict(em.to_dict()) == em
-
-
-def test_train_config_from_checkpoint_with_retired_gradient_clip():
-    from maneuverkit.training import TrainConfig
-
-    cfg = TrainConfig(epochs=3, seed=5)
-    assert TrainConfig.from_dict({**cfg.to_dict(), "grad_clip": None}) == cfg
-
-
-def test_em_config_from_checkpoint_with_retired_step_size():
-    from maneuverkit.aiohmm import EmConfig
-
-    em = EmConfig(states=4, variant="io", max_iter=12, seed=8)
-    assert EmConfig.from_dict({**em.to_dict(), "w_step": 1e-2}) == em
-
+    assert loaded == {"train": cfg.to_dict(), "em": em.to_dict()}

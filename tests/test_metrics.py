@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import AioHmmEnsemble, EmConfig, fit_em
-from maneuverkit.anticipation import AioHmmPredictor, FusionRnnPredictor, commit_step, stepwise_trajectory
+from maneuverkit.anticipation import AioHmmPredictor, FusionRnnPredictor, stepwise_trajectory
 from maneuverkit.events import EVENTS, straight_index
 from maneuverkit.fusion_rnn import init_fusion_model
 from maneuverkit.metrics import (
@@ -23,7 +23,7 @@ from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, SequenceSample, generate
 from maneuverkit.training import map_label_to_model
 
-from test_anticipation import ScriptedPredictor
+from test_anticipation import ScriptedPredictor, commit_step
 
 
 class TestPrecisionRecall:

@@ -84,6 +84,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             ScenarioConfig(events=("left_lane",)).validate()
 
+    # noise_sigma=nan used to generate noiseless data, cue_strength=nan to
+    # fail at write, outside_nuisance=-1 inside NumPy's normal draw
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", float("nan")), ("cue_strength", float("nan")), ("outside_nuisance", -1.0),
+        ("inside_nuisance", float("inf")), ("noise_sigma", True), ("t_min", 6.0), ("seed", -1),
+    ])
+    def test_bad_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            generate(ScenarioConfig(**{field: value}), 5)
+
     def test_class_mix_matches_weights(self):
         data = generate(ScenarioConfig(seed=8), 700)
         from collections import Counter

@@ -10,6 +10,8 @@ from maneuverkit.synth import ScenarioConfig, SequenceSample, generate
 from maneuverkit.training import (
     LOSS_EXPONENTIAL,
     LOSS_UNIFORM,
+    RMSPROP_DECAY,
+    RMSPROP_EPSILON,
     RmsProp,
     TrainConfig,
     anticipation_loss,
@@ -18,11 +20,19 @@ from maneuverkit.training import (
     loss_logit_grads,
     loss_weights,
     map_label_to_model,
-    rmsprop_update,
+    rmsprop_apply,
     train,
 )
 
 from test_fusion_rnn import rebuilt_model_backward
+
+
+def rmsprop_update(param, grad, acc, learning_rate, decay, epsilon):
+    """The functional reference of ``rmsprop_apply``: the step on copies,
+    returning (new_param, new_acc)."""
+    new_param, new_acc = param.copy(), acc.copy()
+    rmsprop_apply(new_param, grad, new_acc, learning_rate, decay, epsilon)
+    return new_param, new_acc
 
 
 class TestLoss:
@@ -57,7 +67,7 @@ class TestLoss:
     def test_floor_keeps_loss_finite(self):
         probs = np.zeros((4, 3))
         probs[:, 0] = 1.0
-        loss = anticipation_loss(probs, 2, LOSS_EXPONENTIAL, prob_floor=1e-12)
+        loss = anticipation_loss(probs, 2, LOSS_EXPONENTIAL)
         assert np.isfinite(loss)
 
     def test_target_out_of_range_rejected(self):
@@ -138,7 +148,7 @@ class TestRmsProp:
                 g = grad[offset : offset + arr.size].reshape(arr.shape)
                 offset += arr.size
                 arr[...], acc[name] = rmsprop_update(
-                    arr, g, acc[name], cfg.learning_rate, cfg.rmsprop_decay, cfg.rmsprop_epsilon
+                    arr, g, acc[name], cfg.learning_rate, RMSPROP_DECAY, RMSPROP_EPSILON
                 )
         np.testing.assert_array_equal(model.theta, ref.theta)
         np.testing.assert_array_equal(opt.acc, np.concatenate([a.ravel() for a in acc.values()]))
@@ -214,6 +224,16 @@ class TestTrain:
         r2 = train(data, model, cfg)
         np.testing.assert_array_equal(r1.model.theta, r2.model.theta)
 
+    # a NaN or infinite rate or scale used to train a full pass, then abort
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+        ("time_scale", float("nan")), ("time_scale", -1.0), ("augmentation_factor", float("nan")),
+        ("augmentation_factor", float("inf")), ("augmentation_factor", 0.5), ("epochs", -1),
+    ])
+    def test_bad_setting_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value}).validate()
+
     def test_empty_dataset_rejected(self):
         model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(5))
         with pytest.raises(ValueError):
@@ -264,11 +284,11 @@ def replayed_training(dataset, model, config):
             target = map_label_to_model(sample.label, model.events)
             work.theta[...] = theta
             probs, tape = forward(work, sample.xs, sample.zs)
-            args = (target, config.loss_mode, config.time_scale, config.prob_floor)
+            args = (target, config.loss_mode, config.time_scale)
             loss = anticipation_loss(probs, *args)
             grad = rebuilt_model_backward(work, tape, loss_logit_grads(probs, *args))
             theta, acc = rmsprop_update(theta, grad, acc, config.learning_rate,
-                                        config.rmsprop_decay, config.rmsprop_epsilon)
+                                        RMSPROP_DECAY, RMSPROP_EPSILON)
             total += loss
         losses.append(total / len(dataset))
     return theta, losses
