@@ -15,15 +15,15 @@ additionally pins a_i = 0 and replaces the transition input by a constant
 bias coordinate, making transitions input-independent.
 
 The E-step is one log-space forward-backward pass over a zero-padded batch
-of a class's sequences: one emission call and one log-softmax cover every
-step, and the (B, S) recursion runs over the batch, so no step can
-underflow.  Past its own end each sequence gets log emission 0 and the log
-of the identity transition matrix, which leaves its real steps exactly as
-a pass over that sequence alone.  :func:`log_forward` is that forward
-recursion over any leading axes: the E-step and the predictor's batched
-trajectories both run it, and the streaming predictor advances its forward
-vectors with its one-step update :func:`log_forward_step` and the same
-:func:`log_transitions`.
+of a class's sequences: one emission call over the real steps and one
+log-softmax cover every step, and the (B, S) recursion runs over the
+batch, so no step can underflow.  Past its own end each sequence gets log
+emission 0 and the log of the identity transition matrix, which leaves its
+real steps exactly as a pass over that sequence alone.  :func:`log_forward`
+is that forward recursion over any leading axes: the E-step and the
+predictor's batched trajectories both run it, and the streaming predictor
+advances its forward vectors with its one-step update
+:func:`log_forward_step` and the same :func:`log_transitions`.
 
 The M-step solves the coupled mean parameters by alternating exact
 weighted least squares, updates each covariance from posterior-weighted
@@ -32,10 +32,12 @@ distribution from the t=1 posteriors, and improves the transition weights
 by ``BOUND_STEPS`` steps of Boehning's fixed-Hessian lower-bound ascent for
 multinomial logistic regression (Boehning 1992).  The alternating solve
 is factored once per M-step: one R-only QR of every state's weighted
-[design | z | 1] stack and one small SVD of each design block give every
-round's mean and minimum-norm coupling solve, for all states in lockstep,
-without touching the data rows again.  The ascent lays its posteriors out once and repeats only
-the softmax and two matrix products per step.
+[design | z | 1] stack and one small SVD of each p x p design triangle
+give every round's mean and minimum-norm coupling solve, for all states
+in lockstep, without touching the data rows again; the same R gives the
+residual scatter of every covariance, which one batched ``eigh`` floors.
+The ascent scales its inputs by the bound's fixed steps once, so each
+step is one softmax and one product.
 Every piece either maximizes or never decreases the expected complete-data
 log-likelihood, so the training log-likelihood trace is non-decreasing.
 """
@@ -115,10 +117,7 @@ class AioHmmModel:
                 raise ValueError(f"sigma[{i}] is not positive definite") from None
 
     def copy(self) -> "AioHmmModel":
-        return AioHmmModel(
-            variant=self.variant, mu=self.mu.copy(), a=self.a.copy(), b=self.b.copy(),
-            sigma=self.sigma.copy(), w=self.w.copy(), pi=self.pi.copy(),
-        )
+        return replace(self, **{k: getattr(self, k).copy() for k in ("mu", "a", "b", "sigma", "w", "pi")})
 
 
 @dataclass
@@ -291,13 +290,9 @@ def forward_backward(
     B, T, S = xs.shape[0], xs.shape[1], m.states
     live = np.arange(T) < lengths[:, None]                               # (B, T)
 
-    logb = emission_logprobs(
-        m, xs.reshape(B * T, -1), zs.reshape(B * T, -1),
-        z_prev=shifted_observations(zs).reshape(B * T, -1),
-    ).reshape(B, T, S)
-    logb[~live] = 0.0
-    xe = transition_inputs(m, xs[:, 1:])
-    xe = xe.reshape(B * (T - 1), xe.shape[2])
+    logb = np.zeros((B, T, S))
+    logb[live] = emission_logprobs(m, xs[live], zs[live], z_prev=shifted_observations(zs)[live])
+    xe = transition_inputs(m, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
     log_a = log_transitions(m.w, xe).transpose(2, 0, 1).reshape(B, T - 1, S, S)
     with np.errstate(divide="ignore"):  # log 0 = -inf: off the identity's diagonal, zero pi entries
         log_a[~live[:, 1:]] = np.log(np.eye(S))
@@ -340,13 +335,12 @@ def sequence_loglik(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> float:
 
 
 def _floor_covariance(sigma: np.ndarray, floor: float, diag: dict) -> np.ndarray:
-    """Symmetrize and clip eigenvalues from below."""
-    sym = 0.5 * (sigma + sigma.T)
-    vals, vecs = np.linalg.eigh(sym)
-    if float(vals.min()) < floor:
-        diag["floored"] = diag.get("floored", 0) + 1
-        log.debug("covariance eigenvalue %.3g floored to %.3g", float(vals.min()), floor)
-    return (vecs * np.maximum(vals, floor)) @ vecs.T
+    """Symmetrize a covariance, or a stack of them along leading axes, and
+    clip its eigenvalues from below, all through one batched ``eigh``;
+    ``diag["floored"]`` counts the matrices that needed the clip."""
+    vals, vecs = np.linalg.eigh(0.5 * (sigma + np.swapaxes(sigma, -1, -2)))
+    diag["floored"] = diag.get("floored", 0) + int(np.count_nonzero(vals.min(axis=-1) < floor))
+    return (vecs * np.maximum(vals, floor)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def _min_norm_solver(R: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -357,22 +351,25 @@ def _min_norm_solver(R: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.n
     (S, p, c - p) maps that take the coefficients of a right-hand side
     spanned by the remaining columns to the minimum-norm solution, and (S,)
     flags for rank-deficient designs.  Singular values up to lstsq's own
-    cutoff, eps max(rows, p) s_max, count as zero.
+    cutoff, eps max(rows, p) s_max, count as zero.  R is upper triangular,
+    so its design block is zero below row p and the solve needs only the
+    top p rows: one SVD of the p x p triangle.
     """
-    U, s, Vt = np.linalg.svd(R[:, :, :p], full_matrices=False)
+    U, s, Vt = np.linalg.svd(R[:, :p, :p], full_matrices=False)
     kept = s > np.finfo(float).eps * max(rows, p) * s[:, :1]
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-    solver = Vt.transpose(0, 2, 1) @ (inv_s[:, :, None] * (U.transpose(0, 2, 1) @ R[:, :, p:]))
+    solver = Vt.transpose(0, 2, 1) @ (inv_s[:, :, None] * (U.transpose(0, 2, 1) @ R[:, :p, p:]))
     return solver, kept.sum(axis=1) < p
 
 
 def _update_mean_params(
     m: AioHmmModel, states: np.ndarray, Z: np.ndarray, X: np.ndarray, Zprev: np.ndarray,
     G: np.ndarray, config: EmConfig, diag: dict,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Alternating exact WLS for (mu_i, a_i, b_i) on concatenated data,
     for the ``states`` (index array) with posteriors G (N, len(states)),
-    all in lockstep.
+    all in lockstep.  Returns mu, a, b and each state's weighted residual
+    scatter sum(g r r^T), r = z - s mu, under the new parameters.
 
     Holding (a, b) fixed, the optimal mu has the closed form
     sum(g s z) / sum(g s^2) with s = 1 + a.x + b.z_prev; holding mu fixed,
@@ -391,7 +388,10 @@ def _update_mean_params(
     Lane flags constant within a sequence and near-collinear speeds make
     the design rank-deficient or nearly so; the minimum-norm solution, not
     the normal equations, keeps every round from lowering the expected
-    log-likelihood.
+    log-likelihood.  Every round computes every state's update and keeps
+    it only where that state's solve is still live, so the rounds index
+    no subsets.  The scatter comes from R as well: sqrt(g) r =
+    Q (R_z - (R v) mu^T), and Q's columns are orthonormal.
     """
     S, dz = len(states), Z.shape[1]
     # The design's columns are a prefix of [x | z_prev], as its coefficients are of [a | b].
@@ -403,6 +403,7 @@ def _update_mean_params(
     # so they stay pinned and the update degenerates to a weighted mean.
     fit = m.states > 1 and p > 0
     R = np.linalg.qr(np.sqrt(G.T)[:, :, None] * A, mode="r")          # (S, K, p + dz + 1)
+    Rz = np.ascontiguousarray(R[:, :, p : p + dz])
     v = np.zeros((S, A.shape[1]))
     v[:, :p] = ab[:, :p]
     v[:, -1] = 1.0
@@ -411,12 +412,13 @@ def _update_mean_params(
     if fit:
         solver, deficient = _min_norm_solver(R, p, Z.shape[0])
         sigma_inv = np.linalg.inv(m.sigma[states])
+        c = np.full((S, dz + 1), -1.0)                                 # [Sigma^-1 mu / alpha; -1]
 
     for _ in range(config.mean_rounds):
         root_gs = np.einsum("skc,sc->sk", R, v)                        # sqrt(g) s, rotated
         denom = np.einsum("sk,sk->s", root_gs, root_gs)
-        moved = active & (denom > 1e-12)
-        mu[moved] = np.einsum("sk,skd->sd", root_gs[moved], R[moved, :, p : p + dz]) / denom[moved, None]
+        np.divide(np.einsum("sk,skd->sd", np.ascontiguousarray(root_gs), Rz), denom[:, None],
+                  out=mu, where=(active & (denom > 1e-12))[:, None])
         if not fit:
             break
         h = np.einsum("sde,se->sd", sigma_inv, mu)
@@ -424,32 +426,12 @@ def _update_mean_params(
         active &= alpha > 1e-12
         if not active.any():
             break
-        c = np.concatenate([h[active] / alpha[active, None], -np.ones((int(active.sum()), 1))], axis=1)
-        v[active, :p] = np.einsum("spc,sc->sp", solver[active], c)
+        np.divide(h, alpha[:, None], out=c[:, :dz], where=active[:, None])
+        v[:, :p] = np.where(active[:, None], np.einsum("spc,sc->sp", solver, c), v[:, :p])
         diag["ridge"] = diag.get("ridge", 0) + int(np.sum(deficient & active))
     ab[:, :p] = v[:, :p]
-    return mu, ab[:, : m.dim_x], ab[:, m.dim_x :]
-
-
-def _transition_gradient(
-    w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray, n: np.ndarray | None = None
-) -> np.ndarray:
-    """(S, S, dt) gradient of the expected transition log-likelihood in w.
-
-    Xe: (R, dt) transition inputs for every within-sequence step t >= 2;
-    Xi: (R, S, S) matching transition posteriors; n: their visit counts
-    Xi.sum(axis=2), when the caller already has them.  The logits are one
-    (S*S, dt) @ (dt, R) product and the gradient one (S*S, R) @ (R, dt)
-    product.  The arithmetic runs in the (S, S, R) layout, so Xi and n
-    that are transposed views of (S, S, R) and (S, R) arrays cost no copy.
-    """
-    S, R = w.shape[0], Xe.shape[0]
-    if n is None:
-        n = Xi.sum(axis=2)
-    probs = np.exp(_shifted_logits(w, Xe))
-    probs /= probs.sum(axis=1, keepdims=True)
-    coeff = Xi.transpose(1, 2, 0) - n.T[:, None, :] * probs
-    return (coeff.reshape(S * S, R) @ Xe).reshape(w.shape)
+    resid = Rz - np.einsum("skc,sc->sk", R, v)[:, :, None] * mu[:, None, :]
+    return mu, ab[:, : m.dim_x], ab[:, m.dim_x :], resid.transpose(0, 2, 1) @ resid
 
 
 def _update_transitions(
@@ -458,26 +440,35 @@ def _update_transitions(
     """``steps`` steps of Boehning lower-bound ascent on the expected
     transition term.
 
-    For source state i with visit counts n_r = sum_j Xi[r, i, j] and
-    M_i = sum_r n_r x_r x_r^T, the Hessian of its term is bounded below by
-    -1/2 (I - 11^T/S) (x) M_i.  The gradient's rows sum to zero, so the bound's
-    maximizer is w_i + 2 G_i M_i^-1, a step that never lowers the term.  A
-    ridge on M_i keeps it invertible; a larger M_i is still a valid bound.
-    All source states step together, on posteriors and visit counts laid
-    out once in the gradient's (S, S, R) order.
+    Xe: (R, dt) transition inputs for every within-sequence step t >= 2;
+    Xi: (R, S, S) matching transition posteriors.  For source state i with
+    visit counts n_r = sum_j Xi[r, i, j] and M_i = sum_r n_r x_r x_r^T, the
+    Hessian of its term is bounded below by -1/2 (I - 11^T/S) (x) M_i.  The
+    gradient G_i = sum_r (Xi[r, i] - n_r p_ir) x_r^T has rows that sum to
+    zero, so the bound's maximizer is w_i + G_i step_i with step_i =
+    2 M_i^-1, a step that never lowers the term.  A ridge on M_i keeps it
+    invertible; a larger M_i is still a valid bound.
+
+    The inputs are scaled by the steps once per call: with X_i = Xe step_i,
+    Y_i = n * X_i and D0_i = Xi[:, i]^T X_i, each step's move G_i step_i is
+    D0_i - P_i Y_i for the (S, R) successor probabilities P_i, so a step is
+    one softmax and one product for all source states together.
     """
     w = w.copy()
     if Xe.shape[0] == 0:
         return w
-    xi = np.ascontiguousarray(Xi.transpose(1, 2, 0))                   # (S, S, R)
+    xi = Xi.transpose(1, 2, 0)                                          # (S, S, R)
     n = xi.sum(axis=1)                                                  # (S, R)
-    M = np.einsum("ir,rk,rl->ikl", n, Xe, Xe)                           # (S, dt, dt)
+    M = (n[:, None, :] * Xe.T) @ Xe                                     # (S, dt, dt)
     dt = M.shape[1]
     ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
-    step = 2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt))
-    Xi, n = xi.transpose(2, 0, 1), n.T  # the gradient's (R, S, S) and (R, S) views of that layout
+    scaled = Xe @ (2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt)))  # (S, R, dt)
+    D0 = xi @ scaled                                                    # (S, S, dt)
+    Y = n[:, :, None] * scaled                                          # (S, R, dt)
     for _ in range(steps):
-        w += _transition_gradient(w, Xe, Xi, n) @ step
+        p = np.exp(_shifted_logits(w, Xe))
+        p /= p.sum(axis=1, keepdims=True)
+        w += D0 - p @ Y
     return w
 
 
@@ -509,15 +500,10 @@ def m_step(
     for i in np.flatnonzero(weights <= 1e-12):
         log.warning("state %d received no posterior mass; left unchanged", i)
     states = np.flatnonzero(weights > 1e-12)
-    new.mu[states], new.a[states], new.b[states] = _update_mean_params(
+    new.mu[states], new.a[states], new.b[states], scatter = _update_mean_params(
         m, states, Z, X, Zprev, G[:, states], config, diag
     )
-    for i in states:
-        g, mu = G[:, i], new.mu[i]
-        s = 1.0 + X @ new.a[i] + Zprev @ new.b[i]
-        resid = Z - s[:, None] * mu
-        cov = (resid * g[:, None]).T @ resid / weights[i]
-        new.sigma[i] = _floor_covariance(cov, COV_FLOOR, diag)
+    new.sigma[states] = _floor_covariance(scatter / weights[states, None, None], COV_FLOOR, diag)
 
     new.w = _update_transitions(m.w, Xe, Xi, BOUND_STEPS)
     pi = stats.gamma[:, 0].sum(axis=0)
@@ -549,14 +535,12 @@ def _init_model(batch: Padded, config: EmConfig) -> AioHmmModel:
         sigma=np.stack([np.eye(dz)] * S), w=np.zeros((S, S, dt)),
         pi=np.full(S, 1.0 / S),
     )
+    g = rng.uniform(0.2, 1.0, size=(int(batch.lengths.sum()), S))  # sequence by sequence
     gamma = np.zeros((B, T, S))
-    for k, L in enumerate(batch.lengths):
-        g = rng.uniform(0.2, 1.0, size=(L, S))
-        gamma[k, :L] = g / g.sum(axis=1, keepdims=True)
+    gamma[np.arange(T) < batch.lengths[:, None]] = g / g.sum(axis=1, keepdims=True)
     xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
     stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.full(B, np.nan))
-    init_cfg = replace(config, mean_rounds=1)
-    model = m_step(batch, stats, blank, init_cfg, diag={})
+    model = m_step(batch, stats, blank, replace(config, mean_rounds=1), diag={})
     model.validate()
     return model
 

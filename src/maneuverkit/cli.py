@@ -34,6 +34,9 @@ HMM_ARCHS = {
     "iohmm": aiohmm.VARIANT_IO,
     "hmm": aiohmm.VARIANT_HMM,
 }
+NETWORK_FLAGS = {"hidden": 64, "fusion_width": None, "epochs": 10, "lr": 1e-4, "loss_scale": 1.0,
+                 "augment_factor": 1.0}  # the training flags only the networks read, at their defaults
+HMM_FLAGS = {"states": 3, "em_iters": 30}  # and those only the latent-state archs read
 
 
 def _resolve_data(path: str) -> Path:
@@ -96,7 +99,12 @@ def train_model(args, dataset, seed: int):
 
     Returns (model, checkpoint meta, training curve rows, aborted).  A
     diverged network comes back with its last finite state and aborted set.
+    A flag of the other family of archs off its default is an error.
     """
+    for name, default in (NETWORK_FLAGS if args.arch in HMM_ARCHS else HMM_FLAGS).items():
+        if getattr(args, name) != default:  # NaN too
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --arch {args.arch}, "
+                             f"got {getattr(args, name)!r}")
     events = events_for_setting(args.setting)
     if args.arch in HMM_ARCHS:
         config = aiohmm.EmConfig(
@@ -490,16 +498,17 @@ def _num(v) -> str:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", required=True, choices=sorted(list(RNN_ARCHS) + list(HMM_ARCHS)))
-    p.add_argument("--hidden", type=int, default=64, help="LSTM hidden size per stream")
-    p.add_argument("--fusion-width", type=int, default=None, help="fusion layer width (default: hidden)")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--loss-scale", type=float, default=1.0, help="time scale of the exponential loss weights")
-    p.add_argument("--augment-factor", type=float, default=1.0)
+    p.add_argument("--hidden", type=int, help="LSTM hidden size per stream")
+    p.add_argument("--fusion-width", type=int, help="fusion layer width (default: hidden)")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--loss-scale", type=float, help="time scale of the exponential loss weights")
+    p.add_argument("--augment-factor", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--setting", choices=("all", "lane", "turn"), default="all")
-    p.add_argument("--states", type=int, default=3, help="latent states for the HMM-family archs")
-    p.add_argument("--em-iters", type=int, default=30)
+    p.add_argument("--states", type=int, help="latent states for the HMM-family archs")
+    p.add_argument("--em-iters", type=int)
+    p.set_defaults(**NETWORK_FLAGS, **HMM_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,6 +33,7 @@ LOSS_UNIFORM = "uniform"
 RMSPROP_DECAY = 0.9
 RMSPROP_EPSILON = 1e-8
 PROB_FLOOR = 1e-12  # smallest target probability the loss takes the log of
+MAX_AUGMENTED_SAMPLES = 1_000_000  # about 1.1 GB at the synthetic data's 1080 bytes per sample
 
 
 @dataclass
@@ -185,14 +186,18 @@ def augment(dataset: list, factor: float, seed: int) -> list:
 
     Each added sample is (x_i..x_j, z_i..z_j) of a uniformly chosen source
     sequence with 1 <= i < j <= T (so length >= 2), carrying the source
-    label.  Originals are always retained, in order, at the front.
+    label.  Originals are always retained, in order, at the front.  A
+    target above ``MAX_AUGMENTED_SAMPLES`` is refused before any draw.
     """
     from .synth import SequenceSample  # local import to avoid a cycle
 
-    if factor < 1.0:
-        raise ValueError(f"augmentation factor must be >= 1, got {factor}")
+    if not 1.0 <= factor < math.inf:
+        raise ValueError(f"augmentation factor must be finite and >= 1, got {factor}")
     n = len(dataset)
-    target = int(np.ceil(factor * n))
+    target = math.ceil(factor * n)
+    if target > MAX_AUGMENTED_SAMPLES:
+        raise ValueError(f"augmentation factor {factor:g} would grow {n} samples to {target}, "
+                         f"more than the {MAX_AUGMENTED_SAMPLES} allowed")
     if target <= n:
         return list(dataset)
     for s in dataset:

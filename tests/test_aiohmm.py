@@ -17,15 +17,21 @@ from maneuverkit.aiohmm import (
     Padded,
     PosteriorStats,
     _floor_covariance,
-    _transition_gradient,
+    _init_model,
+    _min_norm_solver,
+    _shifted_logits,
+    _update_mean_params,
     _update_transitions,
     emission_factors,
     emission_logprobs,
     emission_scales,
     fit_em,
+    transition_inputs,
     forward_backward,
     infer_maneuver,
     log_transition_matrices,
+    log_forward,
+    log_forward_step,
     log_transitions,
     m_step,
     pad_sequences,
@@ -199,6 +205,47 @@ def saturated_chain_model():
     return m
 
 
+def _transition_gradient(
+    w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray, n: np.ndarray | None = None
+) -> np.ndarray:
+    """(S, S, dt) gradient of the expected transition log-likelihood in w.
+
+    Xe: (R, dt) transition inputs for every within-sequence step t >= 2;
+    Xi: (R, S, S) matching transition posteriors; n: their visit counts
+    Xi.sum(axis=2), when the caller already has them.  The logits are one
+    (S*S, dt) @ (dt, R) product and the gradient one (S*S, R) @ (R, dt)
+    product.  The arithmetic runs in the (S, S, R) layout, so Xi and n
+    that are transposed views of (S, S, R) and (S, R) arrays cost no copy.
+    """
+    S, R = w.shape[0], Xe.shape[0]
+    if n is None:
+        n = Xi.sum(axis=2)
+    probs = np.exp(_shifted_logits(w, Xe))
+    probs /= probs.sum(axis=1, keepdims=True)
+    coeff = Xi.transpose(1, 2, 0) - n.T[:, None, :] * probs
+    return (coeff.reshape(S * S, R) @ Xe).reshape(w.shape)
+
+
+def gradient_update_transitions(
+    w: np.ndarray, Xe: np.ndarray, Xi: np.ndarray, steps: int
+) -> np.ndarray:
+    """The bound ascent that forms each step's gradient, as it was before
+    the inputs were scaled by the steps once, verbatim."""
+    w = w.copy()
+    if Xe.shape[0] == 0:
+        return w
+    xi = np.ascontiguousarray(Xi.transpose(1, 2, 0))                   # (S, S, R)
+    n = xi.sum(axis=1)                                                  # (S, R)
+    M = np.einsum("ir,rk,rl->ikl", n, Xe, Xe)                           # (S, dt, dt)
+    dt = M.shape[1]
+    ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
+    step = 2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt))
+    Xi, n = xi.transpose(2, 0, 1), n.T  # the gradient's (R, S, S) and (R, S) views of that layout
+    for _ in range(steps):
+        w += _transition_gradient(w, Xe, Xi, n) @ step
+    return w
+
+
 def einsum_transition_gradient(w, Xe, Xi):
     """The einsum gradient that the two matmul products replaced."""
     logits = np.einsum("ijk,tk->tij", w, Xe)
@@ -280,6 +327,124 @@ def transition_problems(draw):
     Xi[rng.uniform(size=(R, S)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
     w = rng.standard_normal((S, S, Xe.shape[1])) * draw(st.sampled_from([0.0, 0.1, 1.0]))
     return w, Xe, Xi
+
+
+def padded_emission_forward_backward(m, xs, zs, lengths):
+    """The E-step that scored every padded row's emission and then zeroed
+    the rows past each end, verbatim, on a padded (B, T, d) batch."""
+    B, T, S = xs.shape[0], xs.shape[1], m.states
+    live = np.arange(T) < lengths[:, None]                               # (B, T)
+
+    logb = emission_logprobs(
+        m, xs.reshape(B * T, -1), zs.reshape(B * T, -1),
+        z_prev=shifted_observations(zs).reshape(B * T, -1),
+    ).reshape(B, T, S)
+    logb[~live] = 0.0
+    xe = transition_inputs(m, xs[:, 1:])
+    xe = xe.reshape(B * (T - 1), xe.shape[2])
+    log_a = log_transitions(m.w, xe).transpose(2, 0, 1).reshape(B, T - 1, S, S)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: off the identity's diagonal, zero pi entries
+        log_a[~live[:, 1:]] = np.log(np.eye(S))
+        log_pi = np.log(m.pi)
+
+    la = log_forward(log_pi, log_a, logb)
+    lb = np.empty((B, T, S))
+    lb[:, T - 1] = 0.0
+    for t in range(T - 2, -1, -1):  # the same update along reversed transitions
+        lb[:, t] = log_forward_step(logb[:, t + 1] + lb[:, t + 1], log_a[:, t].swapaxes(1, 2), 0.0)
+
+    loglik = np.logaddexp.reduce(la[:, T - 1], axis=-1)
+    if not np.all(np.isfinite(loglik)):
+        raise FloatingPointError("log-space forward pass degenerated")
+    gamma = np.exp(la + lb - loglik[:, None, None])
+    gamma[~live] = 0.0
+    xi = np.exp(la[:, :-1, :, None] + log_a + (logb[:, 1:] + lb[:, 1:])[:, :, None, :]
+                - loglik[:, None, None, None])
+    xi[~live[:, 1:]] = 0.0
+    return PosteriorStats(gamma=gamma, xi=xi, loglik=loglik)
+
+
+def kp_min_norm_solver(R, p, rows):
+    """The minimum-norm maps from the SVD of R's whole (K, p) design
+    block, verbatim."""
+    U, s, Vt = np.linalg.svd(R[:, :, :p], full_matrices=False)
+    kept = s > np.finfo(float).eps * max(rows, p) * s[:, :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    solver = Vt.transpose(0, 2, 1) @ (inv_s[:, :, None] * (U.transpose(0, 2, 1) @ R[:, :, p:]))
+    return solver, kept.sum(axis=1) < p
+
+
+def masked_update_mean_params(m, states, Z, X, Zprev, G, config, diag):
+    """The mean rounds that updated the live states through boolean
+    indexing, verbatim; returns (mu, a, b)."""
+    S, dz = len(states), Z.shape[1]
+    design = ([X] if m.variant != "hmm" else []) + ([Zprev] if m.variant == "aio" else [])
+    A = np.concatenate(design + [Z, np.ones((Z.shape[0], 1))], axis=1)
+    p = A.shape[1] - dz - 1
+    ab = np.concatenate([m.a, m.b], axis=1)[states]
+    fit = m.states > 1 and p > 0
+    R = np.linalg.qr(np.sqrt(G.T)[:, :, None] * A, mode="r")          # (S, K, p + dz + 1)
+    v = np.zeros((S, A.shape[1]))
+    v[:, :p] = ab[:, :p]
+    v[:, -1] = 1.0
+    mu = m.mu[states].copy()
+    active = np.ones(S, dtype=bool)
+    if fit:
+        solver, deficient = _min_norm_solver(R, p, Z.shape[0])
+        sigma_inv = np.linalg.inv(m.sigma[states])
+
+    for _ in range(config.mean_rounds):
+        root_gs = np.einsum("skc,sc->sk", R, v)                        # sqrt(g) s, rotated
+        denom = np.einsum("sk,sk->s", root_gs, root_gs)
+        moved = active & (denom > 1e-12)
+        mu[moved] = np.einsum("sk,skd->sd", root_gs[moved], R[moved, :, p : p + dz]) / denom[moved, None]
+        if not fit:
+            break
+        h = np.einsum("sde,se->sd", sigma_inv, mu)
+        alpha = np.einsum("sd,sd->s", mu, h)
+        active &= alpha > 1e-12
+        if not active.any():
+            break
+        c = np.concatenate([h[active] / alpha[active, None], -np.ones((int(active.sum()), 1))], axis=1)
+        v[active, :p] = np.einsum("spc,sc->sp", solver[active], c)
+        diag["ridge"] = diag.get("ridge", 0) + int(np.sum(deficient & active))
+    ab[:, :p] = v[:, :p]
+    return mu, ab[:, : m.dim_x], ab[:, m.dim_x :]
+
+
+def weighted_triangle(m, X, Z, Zprev, G):
+    """R of every state's weighted [design | z | 1] stack, and p, as the
+    mean solve factors it."""
+    design = ([X] if m.variant != "hmm" else []) + ([Zprev] if m.variant == "aio" else [])
+    A = np.concatenate(design + [Z, np.ones((Z.shape[0], 1))], axis=1)
+    return np.linalg.qr(np.sqrt(G.T)[:, :, None] * A, mode="r"), A.shape[1] - Z.shape[1] - 1
+
+
+def loop_init_model(batch, config):
+    """The initialization that drew each sequence's responsibilities in its
+    own call, verbatim."""
+    rng = make_rng(config.seed)
+    S = config.states
+    B, T, dx = batch.xs.shape
+    dz = batch.zs.shape[2]
+    dt = dx if config.variant != "hmm" else 1
+
+    blank = AioHmmModel(
+        variant=config.variant,
+        mu=np.zeros((S, dz)), a=np.zeros((S, dx)), b=np.zeros((S, dz)),
+        sigma=np.stack([np.eye(dz)] * S), w=np.zeros((S, S, dt)),
+        pi=np.full(S, 1.0 / S),
+    )
+    gamma = np.zeros((B, T, S))
+    for k, L in enumerate(batch.lengths):
+        g = rng.uniform(0.2, 1.0, size=(L, S))
+        gamma[k, :L] = g / g.sum(axis=1, keepdims=True)
+    xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
+    stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.full(B, np.nan))
+    init_cfg = replace(config, mean_rounds=1)
+    model = m_step(batch, stats, blank, init_cfg, diag={})
+    model.validate()
+    return model
 
 
 def lstsq_update_mean_params(m, i, Z, X, Zprev, g, config, diag):
@@ -504,6 +669,32 @@ class TestTransitions:
         ref = transition_objectives(einsum_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
         assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(transition_problems())
+    def test_scaled_ascent_reaches_gradient_ascent_objective(self, problem):
+        # Scaling the inputs by the steps before the products, not the
+        # gradient after them, moves each step's rounding by about eps
+        # cond(M_i), which the ridge lets reach 1e10 and more on the
+        # constant, binary and collinear columns.  The parent's own einsum
+        # and matmul ascents differ by as much on these problems.
+        w, Xe, Xi = problem
+        got = transition_objectives(_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
+        ref = transition_objectives(gradient_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
+        M = np.einsum("ri,rk,rl->ikl", Xi.sum(axis=2), Xe, Xe)
+        dt = M.shape[1]
+        ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
+        cond = np.linalg.cond(M + ridge[:, None, None] * np.eye(dt))
+        assert np.all(np.abs(got - ref) <= (1e-12 + 4.0 * np.finfo(float).eps * cond) * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "data_seed, n, label", [(1, 120, "left_lane"), (1, 240, "left_turn"), (42, 600, "straight")]
+    )
+    def test_scaled_ascent_reaches_gradient_ascent_objective_on_synthetic_classes(self, data_seed, n, label):
+        w, Xe, Xi = synthetic_transition_problem(data_seed, n, label)
+        got = transition_objectives(_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
+        ref = transition_objectives(gradient_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
 
 class TestEmission:
     @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
@@ -661,6 +852,36 @@ class TestForwardBackward:
             xs[k, : len(x)], zs[k, : len(z)] = x, z
         assert_batch_matches_reference(m, seqs, forward_backward(m, xs, zs, lengths))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from(["aio", "io", "hmm"]),
+           st.lists(st.integers(1, 12), min_size=1, max_size=8), st.integers(0, 3),
+           st.sampled_from([0.0, 1e3, np.nan]))
+    @example(seed=3, S=3, variant="aio", lengths=[1], extra=0, fill=0.0)
+    @example(seed=4, S=2, variant="aio", lengths=[1], extra=2, fill=np.nan)
+    @example(seed=5, S=3, variant="io", lengths=[7], extra=0, fill=1e3)
+    def test_live_row_emissions_match_padded_emissions(self, seed, S, variant, lengths, extra, fill):
+        # Not bit for bit: LAPACK's solve and BLAS's gemm round a row
+        # differently with the number of rows beside it (one live row in
+        # four padded ones differs in the last bit), so each form is one
+        # rounding of the per-sequence pass.
+        rng = make_rng(seed)
+        dz, dx = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        m = random_model(rng, S, dz, dx, variant=variant, scale=float(rng.uniform(0.1, 1.0)))
+        width = max(lengths) + extra
+        xs, zs = rng.standard_normal((2, len(lengths), width, max(dx, dz))) * fill
+        xs, zs = xs[:, :, :dx].copy(), zs[:, :, :dz].copy()
+        for k, T in enumerate(lengths):
+            xs[k, :T], zs[k, :T] = rng.standard_normal((T, dx)), rng.standard_normal((T, dz)) * 2.0
+        lengths = np.array(lengths)
+        got = forward_backward(m, xs, zs, lengths)
+        with np.errstate(invalid="ignore"):  # the padded form scores NaN padding too
+            ref = padded_emission_forward_backward(m, xs, zs, lengths)
+        np.testing.assert_allclose(got.gamma, ref.gamma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.xi, ref.xi, rtol=0, atol=1e-12)
+        assert np.all(np.abs(got.loglik - ref.loglik) <= 1e-12 * (1.0 + np.abs(ref.loglik)))
+        live = np.arange(xs.shape[1]) < lengths[:, None]
+        assert not np.any(got.gamma[~live]) and not np.any(got.xi[~live[:, 1:]])
+
     def test_bad_lengths_rejected(self):
         m = random_model(make_rng(8), 2, 2, 2)
         xs = np.zeros((3, 4, 2))
@@ -727,6 +948,86 @@ class TestMStep:
         # its small eigenvalues on either path, which is not the solve's.
         ecll = [expected_emission_loglik(replace(new, sigma=m.sigma), batch, stats) for new in (got, ref)]
         assert abs(ecll[0] - ecll[1]) <= 1e-9 * (1.0 + abs(ecll[1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mean_problems())
+    def test_mean_rounds_match_masked_rounds_bit_for_bit(self, problem):
+        # every state, those without posterior mass too
+        batch, stats, m, config = problem
+        X, Z, Zprev, G = live_rows(batch, stats)
+        states = np.arange(m.states)
+        diag, ref_diag = {}, {}
+        got = _update_mean_params(m, states, Z, X, Zprev, G, config, diag)
+        ref = masked_update_mean_params(m, states, Z, X, Zprev, G, config, ref_diag)
+        for g, r in zip(got[:3], ref):
+            np.testing.assert_array_equal(g, r)
+        assert diag == ref_diag
+
+    def test_mean_rounds_match_masked_rounds_on_stopped_states(self):
+        # state 0 has no posterior mass, so its mean never moves; state 1
+        # sees only zero observations, so its mean goes to 0 and alpha
+        # with it, which stops its coupling solve while state 2's goes on
+        rng = make_rng(23)
+        seqs = [(rng.standard_normal((L, 3)), rng.standard_normal((L, 2))) for L in (6, 1, 9, 4)]
+        seqs[0] = (seqs[0][0], np.zeros((6, 2)))
+        batch = pad_sequences(seqs)
+        m = random_model(rng, 3, 2, 3)
+        gamma = np.zeros(batch.zs.shape[:2] + (3,))
+        gamma[0, :6, 1] = 1.0
+        gamma[1:, :, 2] = 1.0
+        gamma[np.arange(gamma.shape[1]) >= batch.lengths[:, None]] = 0.0
+        stats = PosteriorStats(gamma=gamma, xi=gamma[:, :-1, :, None] * gamma[:, 1:, None, :],
+                               loglik=np.zeros(4))
+        X, Z, Zprev, G = live_rows(batch, stats)
+        config = EmConfig(states=3, mean_rounds=3)
+        diag, ref_diag = {}, {}
+        got = _update_mean_params(m, np.arange(3), Z, X, Zprev, G, config, diag)
+        ref = masked_update_mean_params(m, np.arange(3), Z, X, Zprev, G, config, ref_diag)
+        for g, r in zip(got[:3], ref):
+            np.testing.assert_array_equal(g, r)
+        assert diag == ref_diag
+        np.testing.assert_array_equal(got[0][0], m.mu[0])
+        np.testing.assert_array_equal(got[0][1], 0.0)
+        assert np.all(got[0][2] != m.mu[2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(mean_problems())
+    def test_scatter_from_r_matches_residual_form(self, problem):
+        batch, stats, m, config = problem
+        X, Z, Zprev, G = live_rows(batch, stats)
+        states = np.flatnonzero(G.sum(axis=0) > 1e-12)
+        mu, a, b, scatter = _update_mean_params(m, states, Z, X, Zprev, G[:, states], config, {})
+        for k, i in enumerate(states):
+            fitted = (1.0 + X @ a[k] + Zprev @ b[k])[:, None] * mu[k]
+            resid = Z - fitted
+            ref = (resid * G[:, i, None]).T @ resid
+            # a scatter that is all rounding is measured against its terms'
+            raw = np.finfo(float).eps * float(G[:, i] @ np.sum(Z * Z + fitted * fitted, axis=1))
+            assert np.abs(scatter[k] - ref).max() <= 1e-9 * (np.abs(ref).max() + raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mean_problems())
+    def test_triangle_solver_matches_whole_block_solver(self, problem):
+        batch, stats, m, _ = problem
+        X, Z, Zprev, G = live_rows(batch, stats)
+        R, p = weighted_triangle(m, X, Z, Zprev, G)
+        got, flags = _min_norm_solver(R, p, Z.shape[0])
+        ref, ref_flags = kp_min_norm_solver(R, p, Z.shape[0])
+        np.testing.assert_array_equal(flags, ref_flags)
+        for k in range(m.states):
+            assert np.abs(got[k] - ref[k]).max(initial=0.0) <= 1e-9 * np.abs(ref[k]).max(initial=0.0)
+
+    def test_stacked_floor_matches_each_matrix_floored_alone(self):
+        rng = make_rng(24)
+        A = rng.standard_normal((4, 3, 2))
+        stack = A @ A.transpose(0, 2, 1)  # rank 2 of 3: eigenvalue 0, floored
+        stack[1] += np.eye(3)             # full rank: left alone
+        diag, each_diag = {}, {}
+        got = _floor_covariance(stack, COV_FLOOR, diag)
+        for k in range(4):
+            np.testing.assert_allclose(got[k], _floor_covariance(stack[k], COV_FLOOR, each_diag),
+                                       rtol=0, atol=1e-14)
+        assert diag == each_diag == {"floored": 3}
 
     @pytest.mark.parametrize("gap, deficient", [(1e-11, False), (0.0, True)])
     def test_rank_cut_is_the_lstsq_cut(self, gap, deficient):
@@ -831,6 +1132,17 @@ class TestFitEm:
             warnings.simplefilter("error")
             _, trace = fit_em(seqs, EmConfig(states=3, max_iter=10, seed=2))
         assert np.all(np.isfinite(trace))
+
+    @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
+    def test_one_draw_initialization_matches_per_sequence_draws(self, variant):
+        rng = make_rng(25)
+        for lengths, S, seed in (([1], 2, 0), ([5, 1, 9], 3, 4), ([12] * 3, 1, 7), ([3, 8, 2, 1, 6, 4], 3, 11)):
+            seqs = [(rng.standard_normal((L, 3)), rng.standard_normal((L, 2))) for L in lengths]
+            batch = pad_sequences(seqs)
+            config = EmConfig(states=S, variant=variant, seed=seed)
+            got, ref = _init_model(batch, config), loop_init_model(batch, config)
+            for name in ("mu", "a", "b", "sigma", "w", "pi"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

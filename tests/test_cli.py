@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maneuverkit import training
-from maneuverkit.cli import main
+from maneuverkit import aiohmm, training
+from maneuverkit.cli import build_parser, main, train_model
 from maneuverkit.dataio import load_dataset, load_model, save_dataset
 from maneuverkit.synth import ScenarioConfig, generate, split_folds
 
@@ -138,6 +138,40 @@ class TestValidation:
                      "--epochs", "1", flag, value, "--out", str(tmp_path / "m.json")]) == 1
         assert message in caplog.text
         assert not (tmp_path / "m.json").exists()
+
+    # each used to be ignored: the latent-state archs read no network flag,
+    # and the networks no EM flag
+    @pytest.mark.parametrize("arch, flag, value", [
+        ("aiohmm", "--hidden", "8"),
+        ("iohmm", "--fusion-width", "4"),
+        ("hmm", "--epochs", "2"),
+        ("aiohmm", "--lr", "1e-2"),
+        ("aiohmm", "--loss-scale", "2"),
+        ("aiohmm", "--augment-factor", "nan"),
+        ("frnn-el", "--states", "2"),
+        ("srnn", "--em-iters", "5"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "xval"])
+    def test_flag_of_the_other_arch_family_is_rejected(
+        self, tmp_path, caplog, monkeypatch, command, arch, flag, value
+    ):
+        d, out = tmp_path / "d.jsonl", tmp_path / "out.json"
+        assert main(["synth", "--n", "20", "--seed", "0", "--out", str(d)]) == 0
+        monkeypatch.setattr(training, "train", lambda *a: pytest.fail("trained"))
+        monkeypatch.setattr(aiohmm, "fit_em", lambda *a: pytest.fail("fitted"))
+        argv = [command, "--data", str(d), "--arch", arch, flag, value, "--out", str(out)]
+        assert main(argv + (["--folds", "2"] if command == "xval" else [])) == 1
+        assert f"{flag} does not apply to --arch {arch}, got" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arch, flags", [
+        ("aiohmm", ["--hidden", "64", "--lr", "1e-4", "--augment-factor", "1"]),
+        ("frnn-el", ["--states", "3", "--em-iters", "30"]),
+    ])
+    def test_flag_at_its_default_is_accepted(self, arch, flags):
+        args = build_parser().parse_args(["train", "--data", "-", "--out", "-", "--arch", arch, *flags])
+        with pytest.raises(ValueError, match="no samples"):  # past the flag check
+            train_model(args, [], 0)
 
     # each used to end in a traceback, or, for t_max, to be silently accepted
     @pytest.mark.parametrize("overrides, message", [

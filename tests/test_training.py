@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maneuverkit import training
 from maneuverkit.events import EVENTS
 from maneuverkit.fusion_rnn import forward, init_fusion_model, param_blocks
 from maneuverkit.numerics import make_rng
@@ -197,9 +198,25 @@ class TestAugmentation:
         out = augment(data, 2.0, seed=2)
         assert out[: len(data)] == data
 
-    def test_bad_factor_rejected(self):
-        with pytest.raises(ValueError):
-            augment(toy_dataset(), 0.5, seed=0)
+    @pytest.mark.parametrize("factor", [0.5, math.nan, math.inf])
+    def test_bad_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            augment(toy_dataset(), factor, seed=0)
+
+    # used to append samples until the process was killed
+    def test_factor_beyond_the_sample_bound_is_refused_before_any_draw(self, monkeypatch):
+        data = toy_dataset(n=20)
+        monkeypatch.setattr(training, "make_rng", lambda seed: pytest.fail("drew a sample"))
+        with pytest.raises(ValueError, match=r"factor 1e\+12 would grow 20 samples to 20000000000000, "
+                                             r"more than the 1000000 allowed"):
+            augment(data, 1e12, seed=0)
+
+    def test_sample_bound_is_inclusive(self, monkeypatch):
+        data = toy_dataset(n=20)
+        monkeypatch.setattr(training, "MAX_AUGMENTED_SAMPLES", 30)
+        assert len(augment(data, 1.5, seed=0)) == 30
+        with pytest.raises(ValueError, match="to 31, more than the 30 allowed"):
+            augment(data, 1.55, seed=0)
 
 
 class TestTrain:
