@@ -590,6 +590,19 @@ def posterior_from_logliks(logliks: np.ndarray, prior: np.ndarray) -> np.ndarray
     return softmax(np.asarray(logliks, dtype=float) + np.log(prior))
 
 
+def class_prior(prior: np.ndarray | None, n: int) -> np.ndarray:
+    """``prior`` as a float array over n event classes, uniform when None.
+    Anything but n finite, non-negative numbers summing to 1 raises
+    ValueError."""
+    if prior is None:
+        return np.full(n, 1.0 / n)
+    prior = np.array(prior, dtype=float)
+    if (prior.shape != (n,) or not np.isfinite(prior).all() or (prior < 0.0).any()
+            or abs(float(prior.sum()) - 1.0) > 1e-9):
+        raise ValueError(f"'prior' must be a distribution over the {n} events")
+    return prior
+
+
 def infer_maneuver(
     models: list[AioHmmModel],
     xs: np.ndarray,
@@ -603,13 +616,8 @@ def infer_maneuver(
     """
     if len(models) < 2:
         raise ValueError("need at least two candidate models")
-    if prior is None:
-        prior = np.full(len(models), 1.0 / len(models))
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (len(models),) or abs(float(prior.sum()) - 1.0) > 1e-9:
-        raise ValueError("prior must be a distribution over the models")
     logliks = np.array([sequence_loglik(m, xs, zs) for m in models])
-    return posterior_from_logliks(logliks, prior)
+    return posterior_from_logliks(logliks, class_prior(prior, len(models)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,18 +654,35 @@ def sample_sequence(
 
 @dataclass
 class AioHmmEnsemble:
-    """One fitted model per event class plus the class prior."""
+    """One fitted model per event class plus the class prior.
+
+    The constructor checks what an ensemble is, once, and raises ValueError
+    naming the first rule broken:
+    - the prior is a finite, non-negative float array over the events that
+      sums to 1 (:func:`class_prior`; uniform when omitted);
+    - ``models`` holds exactly one model per event and none under any
+      other key;
+    - every class shares one (x, z) size, one variant and one state count,
+      so the predictor stacks them as one (K, S) filter.
+    """
 
     events: tuple[str, ...]
     models: dict[str, AioHmmModel]
     prior: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.prior is None:
-            self.prior = np.full(len(self.events), 1.0 / len(self.events))
+        self.prior = class_prior(self.prior, len(self.events))
         missing = [e for e in self.events if e not in self.models]
         if missing:
-            raise ValueError(f"missing models for events {missing!r}")
+            raise ValueError(f"'models' has no model for events {missing!r}")
+        stray = [key for key in self.models if key not in self.events]
+        if stray:
+            raise ValueError(f"'models' has models for keys outside the events {stray!r}")
+        for what, shape in (("(x, z) sizes", lambda m: (m.dim_x, m.dim_z)),
+                            ("variants", lambda m: m.variant), ("state counts", lambda m: m.states)):
+            values = {shape(m) for m in self.models.values()}
+            if len(values) > 1:
+                raise ValueError(f"models disagree on their {what} {sorted(values)}")
 
     def posterior(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         return infer_maneuver([self.models[e] for e in self.events], xs, zs, self.prior)

@@ -28,9 +28,9 @@ and the readout of :mod:`~maneuverkit.fusion_rnn` and the lockstep step of
 :mod:`~maneuverkit.lstm`, so it holds no arch logic or head arithmetic of
 its own, and runs a block as one batched ``fusion_rnn.forward``.
 ``AioHmmPredictor`` streams the per-class model ensemble through the
-log-space forward step of :mod:`~maneuverkit.aiohmm`, and runs a block
-through one emission call and, per class group, one
-:func:`~maneuverkit.aiohmm.log_forward` recursion.  Both block paths
+log-space forward step of :mod:`~maneuverkit.aiohmm`, with all classes
+stacked into one filter, and runs a block through one emission call and
+one :func:`~maneuverkit.aiohmm.log_forward` recursion.  Both block paths
 match :func:`stepwise_trajectory`, the per-step reference, to within
 rounding; predictors that can only step (``WindowedPredictor``) take it
 as their ``trajectory``.
@@ -130,28 +130,17 @@ class FusionRnnPredictor:
         return forward(self.model, xs, zs)[0]  # causal: the padding never reaches real rows
 
 
-@dataclass(frozen=True)
-class _ClassGroup:
-    """Classes of an ensemble that share a state count and a transition input."""
-
-    classes: np.ndarray     # (Kg,) positions in the event tuple
-    rows: np.ndarray        # (Kg * S,) their states in the stacked emission model
-    bias: bool              # transitions driven by a constant (the hmm variant)
-    w: np.ndarray           # (Kg, S, S, dt) transition weights
-    log_pi: np.ndarray      # (Kg, S) log initial probabilities
-
-
 class AioHmmPredictor:
     """Streams the per-class model ensemble as one stacked log-space filter.
 
     The constructor takes a snapshot of the ensemble's parameters: every
     class's states become one K*S-state emission model whose Cholesky
-    factors are computed once, and the transition weights and log initial
-    probabilities of classes sharing a state count and a transition input
-    are stacked into (K, S, S, dt) and (K, S) arrays.  Later changes to the
-    ensemble's models are not seen by the predictor.
+    factors are computed once, and the K classes' transition weights and
+    log initial probabilities are stacked into (K, S, S, dt) and (K, S)
+    arrays, which the ensemble's one variant and one state count allow.
+    Later changes to the ensemble's models are not seen by the predictor.
 
-    A step is one emission call for all classes, then per group one
+    A step is one emission call for all classes, one
     :func:`~maneuverkit.aiohmm.log_transitions` over the stacked weights and
     one :func:`~maneuverkit.aiohmm.log_forward_step`, the kernels of the EM
     forward pass; the class posterior is the shifted softmax of the prefix
@@ -159,9 +148,9 @@ class AioHmmPredictor:
     filter finite even for classes whose model assigns essentially no
     density to the observed prefix.
 
-    A block's trajectory is one emission call over its B*T rows, then per
-    group one ``log_transitions`` over every step and one
-    :func:`~maneuverkit.aiohmm.log_forward` over the (Kg, B) chains; the
+    A block's trajectory is one emission call over its B*T rows, one
+    ``log_transitions`` over every step and one
+    :func:`~maneuverkit.aiohmm.log_forward` over the (K, B) chains; the
     prefix log-likelihood at step t is the log-sum-exp of the alphas at t.
     """
 
@@ -178,23 +167,13 @@ class AioHmmPredictor:
             w=np.zeros((n, n, a.shape[1])), pi=np.full(n, 1.0 / n),  # transitions unused
         )
         self._factors = emission_factors(self._emission.sigma)
-
-        offsets = np.cumsum([0] + [m.states for m in models])
-        members: dict[tuple[int, bool], list[int]] = {}
-        for k, m in enumerate(models):
-            members.setdefault((m.states, m.variant == VARIANT_HMM), []).append(k)
-        self._groups = []
-        for (_, bias), ks in members.items():
-            with np.errstate(divide="ignore"):  # pi entries may be exactly zero
-                log_pi = np.log(np.stack([models[k].pi for k in ks]))
-            self._groups.append(_ClassGroup(
-                classes=np.array(ks),
-                rows=np.concatenate([np.arange(offsets[k], offsets[k + 1]) for k in ks]),
-                bias=bias, w=np.stack([models[k].w for k in ks]), log_pi=log_pi,
-            ))
+        self._bias = models[0].variant == VARIANT_HMM  # transitions driven by a constant
+        self._w = np.stack([m.w for m in models])  # (K, S, S, dt)
+        with np.errstate(divide="ignore"):  # pi entries may be exactly zero
+            self._log_pi = np.log(np.stack([m.pi for m in models]))  # (K, S)
 
     def begin(self):
-        return None  # after a step: (per-group (Kg, S) log alphas, z)
+        return None  # after a step: ((K, S) log alphas, z)
 
     def step(self, state, x: np.ndarray, z: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -202,37 +181,29 @@ class AioHmmPredictor:
         z_prev = np.zeros_like(z) if state is None else state[1]
         logb = emission_logprobs(
             self._emission, x[None, :], z[None, :], z_prev=z_prev[None, :], factors=self._factors
-        )[0]
-        logliks = np.empty(len(self.events))
-        alphas = []
-        for g, group in enumerate(self._groups):
-            lb = logb[group.rows].reshape(group.log_pi.shape)
-            if state is None:
-                log_alpha = group.log_pi + lb
-            else:
-                log_a = log_transitions(group.w, _BIAS if group.bias else x[None, :])[..., 0]
-                log_alpha = log_forward_step(state[0][g], log_a, lb)
-            logliks[group.classes] = np.logaddexp.reduce(log_alpha, axis=1)
-            alphas.append(log_alpha)
-        return (alphas, z), posterior_from_logliks(logliks, self.prior)
+        )[0].reshape(self._log_pi.shape)
+        if state is None:
+            log_alpha = self._log_pi + logb
+        else:
+            log_a = log_transitions(self._w, _BIAS if self._bias else x[None, :])[..., 0]
+            log_alpha = log_forward_step(state[0], log_a, logb)
+        logliks = np.logaddexp.reduce(log_alpha, axis=1)
+        return (log_alpha, z), posterior_from_logliks(logliks, self.prior)
 
     def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         # Padding steps get finite emissions and transitions too, and only
         # feed rows past their own sequence's end.
         B, T = xs.shape[:2]
+        K, S = self._log_pi.shape
         logb = emission_logprobs(
             self._emission, xs.reshape(B * T, -1), zs.reshape(B * T, -1),
             z_prev=shifted_observations(zs).reshape(B * T, -1), factors=self._factors,
-        ).reshape(B, T, -1)
-        logliks = np.empty((B, T, len(self.events)))
-        for group in self._groups:
-            K, S = group.log_pi.shape
-            R = B * (T - 1)  # transition rows: every step after the first
-            xe = np.ones((R, 1)) if group.bias else xs[:, 1:].reshape(R, xs.shape[2])
-            log_a = log_transitions(group.w, xe).reshape(K, S, S, B, T - 1).transpose(0, 3, 4, 1, 2)
-            lb = logb[..., group.rows].reshape(B, T, K, S).transpose(2, 0, 1, 3)
-            la = log_forward(group.log_pi[:, None], log_a, lb)  # (K, B, T, S)
-            logliks[..., group.classes] = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)
+        ).reshape(B, T, K, S).transpose(2, 0, 1, 3)
+        R = B * (T - 1)  # transition rows: every step after the first
+        xe = np.ones((R, 1)) if self._bias else xs[:, 1:].reshape(R, xs.shape[2])
+        log_a = log_transitions(self._w, xe).reshape(K, S, S, B, T - 1).transpose(0, 3, 4, 1, 2)
+        la = log_forward(self._log_pi[:, None], log_a, logb)  # (K, B, T, S)
+        logliks = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)
         return posterior_from_logliks(logliks, self.prior)
 
 

@@ -339,22 +339,14 @@ def _ensemble_from_dict(d: dict, path: Path) -> AioHmmEnsemble:
     prior = numeric_array(d.get("prior"))
     if prior is None:
         raise DataFormatError(f"{path}: bad 'prior' entry (not an array of numbers)")
-    if (prior.shape != (len(events),) or not np.all(np.isfinite(prior)) or np.any(prior < 0)
-            or abs(float(prior.sum()) - 1.0) > 1e-9):
-        raise DataFormatError(
-            f"{path}: 'prior' must be a distribution over the {len(events)} events"
-        )
     entries = d.get("models")
     if not isinstance(entries, dict):
         raise DataFormatError(f"{path}: 'models' must be an object keyed by event")
-    missing = [e for e in events if e not in entries]
-    if missing:
-        raise DataFormatError(f"{path}: 'models' has no model for events {missing!r}")
     models = {name: _aiohmm_from_dict(md, path, name) for name, md in entries.items()}
-    sizes = {(m.dim_x, m.dim_z) for m in models.values()}
-    if len(sizes) > 1:
-        raise DataFormatError(f"{path}: models disagree on their (x, z) sizes {sorted(sizes)}")
-    return AioHmmEnsemble(events=events, models=models, prior=prior)
+    try:
+        return AioHmmEnsemble(events=events, models=models, prior=prior)
+    except ValueError as err:  # the ensemble's own rules
+        raise DataFormatError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

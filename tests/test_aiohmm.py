@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from maneuverkit import synth
 from maneuverkit.aiohmm import (
+    AioHmmEnsemble,
     AioHmmModel,
     BOUND_STEPS,
     COV_FLOOR,
@@ -1216,3 +1217,20 @@ class TestInference:
         m = random_model(rng, 2, 2, 2)
         with pytest.raises(ValueError):
             infer_maneuver([m], np.zeros((3, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "prior",
+        [[0.5, 0.5, 0.5, 0.5, -1.0], [2.0, -1.0, 0.0, 0.0, 0.0], [0.2] * 4, [0.2] * 4 + [float("nan")],
+         [0.1] * 5],
+        ids=["negative-sum-above-one", "negative-sum-one", "too-short", "nan", "sum-below-one"],
+    )
+    def test_prior_that_is_no_distribution_rejected(self, prior):
+        # One check for both consumers: a negative entry would stream NaN
+        # probabilities out of either.
+        rng = make_rng(19)
+        models = dict(zip(EVENTS, (random_model(rng, 2, 2, 2) for _ in EVENTS)))
+        message = r"'prior' must be a distribution over the 5 events"
+        with pytest.raises(ValueError, match=message):
+            infer_maneuver(list(models.values()), np.zeros((3, 2)), np.zeros((3, 2)), prior)
+        with pytest.raises(ValueError, match=message):
+            AioHmmEnsemble(events=EVENTS, models=models, prior=prior)

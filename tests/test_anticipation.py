@@ -26,7 +26,8 @@ from maneuverkit.anticipation import (
     stepwise_trajectory,
     trajectory,
 )
-from maneuverkit.cli import _stream_loop
+from maneuverkit.cli import _stream_loop, main
+from maneuverkit.dataio import AIOHMM_ARRAYS, DataFormatError, load_model, save_model
 from maneuverkit.events import EVENTS, events_for_setting
 from maneuverkit.fusion_rnn import forward, init_fusion_model
 from maneuverkit.numerics import make_rng, pad_sequences
@@ -388,15 +389,43 @@ class TestPredictors:
             stream = trajectory(AioHmmPredictor(ens), xs, zs)
             np.testing.assert_allclose(stream, per_class_filter(ens, xs, zs), rtol=0, atol=1e-12)
 
-    def test_stacked_aiohmm_groups_mixed_ensembles(self):
+    @pytest.mark.parametrize("states, variant, message", [
+        (3, "aio", r"models disagree on their state counts \[2, 3\]"),
+        (2, "io", r"models disagree on their variants \['aio', 'io'\]"),
+    ], ids=["states", "variant"])
+    def test_mixed_ensembles_rejected(self, tmp_path, monkeypatch, capsys, caplog, states, variant, message):
+        # One 2-state aio ensemble with one class of another state count or
+        # variant: the constructor refuses it, and a checkpoint holding it
+        # fails to load with the file named, through the loader and through
+        # the command line.
         rng = make_rng(7)
-        shapes = [(2, "aio"), (3, "io"), (2, "hmm"), (3, "aio"), (1, "hmm")]
-        models = {name: random_model(rng, S, 3, 4, variant=v) for name, (S, v) in zip(EVENTS, shapes)}
-        models[EVENTS[1]].pi = np.array([0.0, 0.5, 0.5])
+        models = {name: random_model(rng, 2, 9, 6) for name in EVENTS}
         ens = AioHmmEnsemble(events=EVENTS, models=models)
-        xs, zs = rng.standard_normal((15, 4)), rng.standard_normal((15, 3))
-        stream = trajectory(AioHmmPredictor(ens), xs, zs)
-        np.testing.assert_allclose(stream, per_class_filter(ens, xs, zs), rtol=0, atol=1e-12)
+        odd = random_model(rng, states, 9, 6, variant)
+        with pytest.raises(ValueError, match=message):
+            AioHmmEnsemble(events=EVENTS, models={**models, EVENTS[1]: odd})
+
+        path = tmp_path / "mixed.json"
+        save_model(ens, {}, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["params"]["models"][EVENTS[1]] = {
+            "variant": odd.variant, **{k: getattr(odd, k).tolist() for k in AIOHMM_ARRAYS}
+        }
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"mixed\.json: " + message):
+            load_model(path)
+
+        data = tmp_path / "d.jsonl"
+        assert main(["synth", "--n", "5", "--seed", "1", "--out", str(data)]) == 0
+        steps = json.loads(data.read_text(encoding="utf-8").splitlines()[0])["steps"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(json.dumps(s) + "\n" for s in steps)))
+        capsys.readouterr()
+        for argv in (["anticipate", "--stream"], ["eval", "--data", str(data)]):
+            caplog.clear()
+            assert main([*argv, "--model", str(path), "--pth", "0.8"]) == 1
+            assert capsys.readouterr().out == ""
+            assert "mixed.json: models disagree on their" in caplog.text
+            assert "Traceback" not in caplog.text
 
     def test_stacked_aiohmm_finite_when_a_class_gives_no_density(self):
         rng = make_rng(8)
@@ -466,21 +495,20 @@ class TestBatchedTrajectory:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        shapes=st.lists(st.tuples(st.integers(1, 3), st.sampled_from(VARIANTS)), min_size=5, max_size=5),
+        states=st.integers(1, 3),
+        variant=st.sampled_from(VARIANTS),
         lengths=BLOCK_LENGTHS,
         sparse_pi=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    @example(shapes=[(2, "aio"), (3, "io"), (2, "hmm"), (3, "aio"), (1, "hmm")], lengths=[1],
-             sparse_pi=True, seed=0)
-    @example(shapes=[(3, "aio")] * 5, lengths=[7, 1, 10], sparse_pi=False, seed=1)
-    def test_aiohmm_block_matches_stepwise(self, shapes, lengths, sparse_pi, seed):
-        # Mixed variants and state counts give several class groups.
+    @example(states=1, variant="hmm", lengths=[1], sparse_pi=True, seed=0)
+    @example(states=3, variant="aio", lengths=[7, 1, 10], sparse_pi=True, seed=1)
+    def test_aiohmm_block_matches_stepwise(self, states, variant, lengths, sparse_pi, seed):
+        # One (S, variant) per ensemble, as the ensemble requires.
         rng = make_rng(seed)
-        models = {name: random_model(rng, S, 3, 4, variant=v) for name, (S, v) in zip(EVENTS, shapes)}
+        models = {name: random_model(rng, states, 3, 4, variant=variant) for name in EVENTS}
         if sparse_pi:  # log pi = -inf on all but the last state
-            S = models[EVENTS[0]].states
-            models[EVENTS[0]].pi = np.eye(S)[-1]
+            models[EVENTS[0]].pi = np.eye(states)[-1]
         prior = rng.uniform(0.5, 1.0, len(EVENTS))
         ens = AioHmmEnsemble(events=EVENTS, models=models, prior=prior / prior.sum())
         assert_block_matches_stepwise(AioHmmPredictor(ens), random_block(rng, lengths, 4, 3))

@@ -229,6 +229,13 @@ class TestCheckpoints:
                     getattr(loaded.models[name], field), getattr(ens.models[name], field)
                 )
 
+    def test_ensemble_with_a_list_prior_saves(self, tmp_path):
+        rng = make_rng(6)
+        models = {name: random_model(rng, 2, 9, 6) for name in EVENTS}
+        path = tmp_path / "e.json"
+        save_model(AioHmmEnsemble(events=EVENTS, models=models, prior=[0.2] * 5), {}, path)
+        np.testing.assert_array_equal(load_model(path)[0].prior, np.full(5, 0.2))
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"format_version": 99, "kind": "fusion_rnn"}), encoding="utf-8")
@@ -465,10 +472,13 @@ class TestAioHmmCheckpointErrors:
             (lambda p: p.update(models=[]), r"'models' must be an object keyed by event"),
             (lambda p: p["models"].pop("right_lane"), r"'models' has no model for events \['right_lane'\]"),
             (lambda p: p["models"].update(right_lane=[1, 2]), r"model 'right_lane' must be an object"),
+            (lambda p: p["models"].update(bogus=p["models"]["straight"]),
+             r"'models' has models for keys outside the events \['bogus'\]"),
+            (lambda p: p.update(prior=[1.5, -0.5, 0.0]), r"'prior' must be a distribution over the 3 events"),
         ],
         ids=["no-events", "straight-not-last", "events-not-a-list", "no-event", "prior-not-numbers",
              "prior-numeric-strings", "prior-misshaped", "prior-nan", "models-not-an-object",
-             "model-missing", "model-not-an-object"],
+             "model-missing", "model-not-an-object", "stray-model-key", "prior-negative"],
     )
     def test_bad_ensemble_entry_names_file(self, tmp_path, hmm_doc, edit, message):
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
