@@ -581,13 +581,14 @@ def fit_em(
     return model, trace
 
 
-def posterior_from_logliks(logliks: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Normalize per-model log-likelihoods into a class posterior.
+def posterior_from_logliks(logliks: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
+    """Normalize per-model log-likelihoods and the log class prior into a
+    class posterior; a class of log prior -inf gets exactly 0.
 
     Max-shifted, so the result (and its argmax in particular) is invariant
     under adding a constant to every log-likelihood.
     """
-    return softmax(np.asarray(logliks, dtype=float) + np.log(prior))
+    return softmax(np.asarray(logliks, dtype=float) + log_prior)
 
 
 def class_prior(prior: np.ndarray | None, n: int) -> np.ndarray:
@@ -617,7 +618,9 @@ def infer_maneuver(
     if len(models) < 2:
         raise ValueError("need at least two candidate models")
     logliks = np.array([sequence_loglik(m, xs, zs) for m in models])
-    return posterior_from_logliks(logliks, class_prior(prior, len(models)))
+    with np.errstate(divide="ignore"):  # a class of prior 0 gets log 0 = -inf
+        log_prior = np.log(class_prior(prior, len(models)))
+    return posterior_from_logliks(logliks, log_prior)
 
 
 # ---------------------------------------------------------------------------

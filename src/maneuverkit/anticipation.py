@@ -26,7 +26,8 @@ lengths gives (B, T, K), whose rows past a sequence's end are padding.
 ``FusionRnnPredictor`` streams either network arch through the cell inputs
 and the readout of :mod:`~maneuverkit.fusion_rnn` and the lockstep step of
 :mod:`~maneuverkit.lstm`, so it holds no arch logic or head arithmetic of
-its own, and runs a block as one batched ``fusion_rnn.forward``.
+its own.  It runs a block through the same step over a cell-major
+(C, B, H) state, keeping only the hidden states, and reads them out once.
 ``AioHmmPredictor`` streams the per-class model ensemble through the
 log-space forward step of :mod:`~maneuverkit.aiohmm`, with all classes
 stacked into one filter, and runs a block through one emission call and
@@ -58,7 +59,7 @@ from .aiohmm import (
     shifted_observations,
 )
 from .events import straight_index
-from .fusion_rnn import FusionRnnModel, cell_inputs, forward, readout
+from .fusion_rnn import FusionRnnModel, cell_inputs, readout
 from .lstm import input_projections, lstm_step, stack_recurrent
 from .numerics import as_block
 
@@ -108,7 +109,9 @@ class FusionRnnPredictor:
     all cells, not a recomputation from t=1.  Each step feeds the cells
     through :func:`~maneuverkit.fusion_rnn.cell_inputs` and reads them out
     through :func:`~maneuverkit.fusion_rnn.readout`, as the forward pass
-    does; a block's trajectory is one batched forward pass.
+    does.  A block's trajectory runs the same step over (C, B, H) states,
+    projecting each step's (B, ·) rows, keeps only the hidden states and
+    reads them out once; padding never reaches a real row.
     """
 
     def __init__(self, model: FusionRnnModel):
@@ -127,7 +130,15 @@ class FusionRnnPredictor:
         return (h, c), readout(m, h)[-1]
 
     def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        return forward(self.model, xs, zs)[0]  # causal: the padding never reaches real rows
+        m = self.model
+        B, T = xs.shape[:2]
+        h = c = np.zeros((len(m.cells), B, m.hidden))
+        hs = np.empty((T,) + h.shape)  # (T, C, B, H)
+        for t in range(T):
+            a = input_projections(m.cells, cell_inputs(m, xs[:, t], zs[:, t]))
+            _, c, _, h = lstm_step(*self._recurrent, a, h, c)
+            hs[t] = h
+        return readout(m, hs.transpose(2, 0, 1, 3))[-1]
 
 
 class AioHmmPredictor:
@@ -148,7 +159,7 @@ class AioHmmPredictor:
     filter finite even for classes whose model assigns essentially no
     density to the observed prefix.
 
-    A block's trajectory is one emission call over its B*T rows, one
+    A block's trajectory is one emission call over its real rows, one
     ``log_transitions`` over every step and one
     :func:`~maneuverkit.aiohmm.log_forward` over the (K, B) chains; the
     prefix log-likelihood at step t is the log-sum-exp of the alphas at t.
@@ -156,7 +167,6 @@ class AioHmmPredictor:
 
     def __init__(self, ensemble: AioHmmEnsemble):
         self.events = ensemble.events
-        self.prior = np.array(ensemble.prior, dtype=float)
         models = [ensemble.models[e] for e in self.events]
         mu = np.concatenate([m.mu for m in models])
         a = np.concatenate([m.a for m in models])
@@ -169,8 +179,9 @@ class AioHmmPredictor:
         self._factors = emission_factors(self._emission.sigma)
         self._bias = models[0].variant == VARIANT_HMM  # transitions driven by a constant
         self._w = np.stack([m.w for m in models])  # (K, S, S, dt)
-        with np.errstate(divide="ignore"):  # pi entries may be exactly zero
+        with np.errstate(divide="ignore"):  # pi and prior entries may be exactly zero
             self._log_pi = np.log(np.stack([m.pi for m in models]))  # (K, S)
+            self._log_prior = np.log(ensemble.prior)
 
     def begin(self):
         return None  # after a step: ((K, S) log alphas, z)
@@ -188,23 +199,24 @@ class AioHmmPredictor:
             log_a = log_transitions(self._w, _BIAS if self._bias else x[None, :])[..., 0]
             log_alpha = log_forward_step(state[0], log_a, logb)
         logliks = np.logaddexp.reduce(log_alpha, axis=1)
-        return (log_alpha, z), posterior_from_logliks(logliks, self.prior)
+        return (log_alpha, z), posterior_from_logliks(logliks, self._log_prior)
 
     def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        # Padding steps get finite emissions and transitions too, and only
+        # Padding steps get log emission 0 and finite transitions, and only
         # feed rows past their own sequence's end.
         B, T = xs.shape[:2]
         K, S = self._log_pi.shape
-        logb = emission_logprobs(
-            self._emission, xs.reshape(B * T, -1), zs.reshape(B * T, -1),
-            z_prev=shifted_observations(zs).reshape(B * T, -1), factors=self._factors,
-        ).reshape(B, T, K, S).transpose(2, 0, 1, 3)
+        live = np.arange(T) < lengths[:, None]  # (B, T)
+        logb = np.zeros((B, T, K * S))
+        logb[live] = emission_logprobs(self._emission, xs[live], zs[live],
+                                       z_prev=shifted_observations(zs)[live], factors=self._factors)
+        logb = logb.reshape(B, T, K, S).transpose(2, 0, 1, 3)
         R = B * (T - 1)  # transition rows: every step after the first
         xe = np.ones((R, 1)) if self._bias else xs[:, 1:].reshape(R, xs.shape[2])
         log_a = log_transitions(self._w, xe).reshape(K, S, S, B, T - 1).transpose(0, 3, 4, 1, 2)
         la = log_forward(self._log_pi[:, None], log_a, logb)  # (K, B, T, S)
         logliks = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)
-        return posterior_from_logliks(logliks, self.prior)
+        return posterior_from_logliks(logliks, self._log_prior)
 
 
 class WindowedPredictor:

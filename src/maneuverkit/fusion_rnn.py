@@ -14,10 +14,10 @@ concatenation [x_t; z_t], read out with no fusion layer.  The cells run in
 lockstep through the kernels of :mod:`~maneuverkit.lstm`, so their hidden
 states come as (T, C, H) for a sequence and (C, H) for a step, and h_t is
 their reshape.  :func:`cell_inputs` and :func:`readout` serve the forward
-pass and the streaming step alike, so ``arch`` is decided here only.
-:func:`forward` also takes a zero-padded batch of (B, T, ·) streams and
-runs it through one time-major kernel call; the pass is causal, so the
-padding after a sequence's end never changes its real steps.
+pass, the streaming step and the predictor's block trajectory alike, so
+``arch`` is decided here only.  :func:`forward` takes one (T, ·) sequence;
+blocks of sequences are stepped cell-major by
+:class:`~maneuverkit.anticipation.FusionRnnPredictor`, with no tape.
 
 All parameters live in one contiguous float64 vector ``theta``; every
 parameter array is a reshaped view into it.  The order is lstm_x (W, U, V,
@@ -124,8 +124,7 @@ class FusionRnnModel:
 
 @dataclass
 class FusionTape:
-    """Forward-pass cache consumed by :func:`backward`.  A batch's tape is
-    time-major: every (T, ·) array below is (T, B, ·)."""
+    """Forward-pass cache of one sequence, consumed by :func:`backward`."""
 
     lstm: LstmTape         # every cell, in lockstep
     hcat: np.ndarray       # (T, cells * hidden)
@@ -162,45 +161,42 @@ def init_fusion_model(
 
 def cell_inputs(m: FusionRnnModel, x: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
     """What each cell of ``m`` reads: x and z apart, or [x; z] joined along
-    the last axis, for a (T, ·) sequence, a (T, B, ·) batch or a (·,)
-    step."""
+    the last axis, for streams with any leading axes."""
     if m.arch == ARCH_CONCAT:
         return [np.concatenate([x, z], axis=-1)]
     return [x, z]
 
 
 def readout(m: FusionRnnModel, h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(hcat, e, probs) from the cells' hidden states ``h``, (T, C, H) for a
-    sequence, (T, B, C, H) for a batch or (C, H) for a step."""
+    """(hcat, e, probs) from the cells' hidden states ``h`` (..., C, H):
+    (T, C, H) for a sequence or (C, H) for a step, with any leading axes."""
     hcat = h.reshape(*h.shape[:-2], -1)
     e = hcat if m.W_f is None else np.tanh(hcat @ m.W_f.T + m.b_f)
     return hcat, e, softmax(e @ m.W_y.T + m.b_y)
 
 
 def forward(m: FusionRnnModel, xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, FusionTape]:
-    """Per-step event probabilities (T, K) for paired (T, ·) streams, or
-    (B, T, K) for a zero-padded batch of (B, T, ·) streams, whose rows past
-    a sequence's end are padding.
+    """Per-step event probabilities (T, K) for one sequence of paired
+    (T, ·) streams, and its tape.
 
-    The forward pass is pure: identical arguments give bit-identical output,
-    and each sequence of a batch gets the rows it would get alone to within
-    rounding.
+    The forward pass is pure: identical arguments give bit-identical output.
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
-    if xs.ndim not in (2, 3) or zs.ndim != xs.ndim or xs.shape[:-1] != zs.shape[:-1]:
+    if xs.ndim != 2 or zs.ndim != 2:
+        raise ValueError(f"forward takes one (T, ·) sequence, got xs {xs.shape} and zs {zs.shape}")
+    if xs.shape[0] != zs.shape[0]:
         raise ValueError(f"stream length mismatch: xs {xs.shape} vs zs {zs.shape}")
-    if 0 in xs.shape[:-1]:
+    if xs.shape[0] == 0:
         raise ValueError("empty sequences are rejected")
-    if xs.shape[-1] != m.input_x or zs.shape[-1] != m.input_z:
+    if xs.shape[1] != m.input_x or zs.shape[1] != m.input_z:
         raise ValueError(
-            f"stream dims ({xs.shape[-1]}, {zs.shape[-1]}) do not match model "
+            f"stream dims ({xs.shape[1]}, {zs.shape[1]}) do not match model "
             f"({m.input_x}, {m.input_z})"
         )
-    # Time-major for the kernel; both swaps are no-ops for a single sequence.
-    lstm = lstm_forward(m.cells, cell_inputs(m, xs.swapaxes(0, -2), zs.swapaxes(0, -2)))
+    lstm = lstm_forward(m.cells, cell_inputs(m, xs, zs))
     hcat, e, probs = readout(m, lstm.h)
-    return probs.swapaxes(0, -2), FusionTape(lstm=lstm, hcat=hcat, e=e, probs=probs)
+    return probs, FusionTape(lstm=lstm, hcat=hcat, e=e, probs=probs)
 
 
 def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.ndarray:

@@ -21,26 +21,21 @@ in that order.
 
 A network runs C cells of one hidden size H side by side.  Their input
 widths may differ, so each cell's input projection W u + b is computed
-apart, once for a whole sequence, outside the time loop.  The recurrence is
-shared: :func:`lstm_step` advances every cell at once from the recurrent
-weights stacked as (C, 4H, H), the peepholes as (C, 3, H), the projections
-as (C, 4H) and the states as (C, H), with gates laid out (C, 4, H) as
-[i, f, g, o].  The forward unroll and the streaming predictor both call
-it, and BPTT mirrors it over the same axes.
+apart, outside the recurrence, and stacked on a leading cell axis.
+:func:`lstm_step` advances every cell at once from the recurrent weights
+stacked as (C, 4H, H) and the peepholes as (C, 3, H).  Its states are
+cell-major, (C, H) for one sequence or (C, B, H) for B sequences stepped
+together, so its recurrent product is one (B, H) @ (H, 4H) product per
+cell, with B = 1 for one sequence.  :func:`lstm_forward` and the streaming
+predictor step one sequence, the predictor's block trajectory B at once;
+BPTT mirrors the step over the same axes.
 
 BPTT takes the stacked U and V from the tape and builds every factor that
 depends on the tape alone once per sequence, before its reverse loop.  Its
 gradients stay bit-identical to the step by step form because only exact
 elementwise operations (multiply, add, subtract) moved, and every product
-keeps its reference order, left to right.
-
-Sequences are time-major: (T, input) for one sequence, or (T, B, input)
-for a zero-padded batch of B sequences run side by side.  A batch axis
-sits in front of the cell axis everywhere, so a step's projections and
-states are (B, C, ·), and each sequence of a batch gets the states it
-would get alone, to within rounding.  The pass is causal: padding after a
-sequence's end never reaches its real steps.  Calls without a batch axis
-run exactly the single-sequence arithmetic.  BPTT takes one sequence.
+keeps its reference order, left to right.  The unroll and BPTT take one
+time-major (T, input) sequence per cell.
 """
 
 from __future__ import annotations
@@ -95,10 +90,10 @@ def stack_recurrent(cells: list[LstmParams]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def input_projections(cells: list[LstmParams], inputs: list[np.ndarray]) -> np.ndarray:
-    """W u + b of every cell, stacked on the cell axis: (T, C, 4H) for
-    (T, input) sequences, (C, 4H) for (input,) steps, and (..., C, 4H) for
-    inputs with any other leading axes."""
-    return np.stack([u @ p.W.T + p.b for p, u in zip(cells, inputs)], axis=-2)
+    """W u + b of every cell, stacked on a leading cell axis: (C, T, 4H)
+    for (T, input) sequences, (C, 4H) for (input,) steps, and (C, ..., 4H)
+    for inputs with any leading axes."""
+    return np.stack([u @ p.W.T + p.b for p, u in zip(cells, inputs)])
 
 
 @dataclass
@@ -107,8 +102,8 @@ class LstmTape:
 
     ``inputs`` holds each cell's (T, input) sequence and ``U``/``V`` the
     stacked recurrent weights the unroll ran with; every other array has
-    leading axes (T, C), or (T, B, C) for a batch.  ``gates`` is
-    (T, C, 4, H) with [i, f, g, o] on the axis after the cells.
+    leading axes (T, C).  ``gates`` is (T, C, 4, H) with [i, f, g, o] on
+    the axis after the cells.
     ``c_prev``/``h_prev`` are the states entering each step (row 0 is the
     zero initial state).
     """
@@ -147,34 +142,38 @@ def lstm_step(
 ) -> tuple[np.ndarray, ...]:
     """Advance C cells one step from their input projections ``a`` (C, 4H)
     and states ``h``, ``c`` (C, H), given ``U`` (C, 4H, H) and ``V``
-    (C, 3, H).  Returns (gates (C, 4, H), c, tanh(c), h).  Any leading axes
-    of ``a``, ``h`` and ``c`` are a batch, and the outputs gain them too."""
-    a = (a + (U @ h[..., None])[..., 0]).reshape(c.shape[:-1] + (4, -1))
+    (C, 3, H).  Returns (gates (C, 4, H), c, tanh(c), h).  B sequences step
+    together as ``a`` (C, B, 4H) and states (C, B, H), and the outputs gain
+    the B axis after the cells too."""
+    C, H = c.shape[0], c.shape[-1]
+    a = a + (h.reshape(C, -1, H) @ U.transpose(0, 2, 1)).reshape(a.shape)
+    a = a.reshape(a.shape[:-1] + (4, H))
+    if c.ndim == 3:  # the peepholes broadcast over the B axis
+        V = V[:, None]
     gates = np.empty_like(a)
-    gates[..., :2, :] = sigmoid(a[..., :2, :] + V[:, :2] * c[..., None, :])
+    gates[..., :2, :] = sigmoid(a[..., :2, :] + V[..., :2, :] * c[..., None, :])
     gates[..., 2, :] = np.tanh(a[..., 2, :])
     c = gates[..., 1, :] * c + gates[..., 0, :] * gates[..., 2, :]
-    gates[..., 3, :] = sigmoid(a[..., 3, :] + V[:, 2] * c)
+    gates[..., 3, :] = sigmoid(a[..., 3, :] + V[..., 2, :] * c)
     tanh_c = np.tanh(c)
     return gates, c, tanh_c, gates[..., 3, :] * tanh_c
 
 
 def lstm_forward(cells: list[LstmParams], inputs: list[np.ndarray]) -> LstmTape:
-    """Unroll the cells in lockstep over their (T, input) sequences, or
-    (T, B, input) batches, from the zero state."""
-    A = input_projections(cells, inputs)
-    T, H = A.shape[0], cells[0].hidden_size
+    """Unroll the cells in lockstep over their (T, input) sequences from
+    the zero state."""
+    A = input_projections(cells, inputs)  # (C, T, 4H)
+    C, T, H = A.shape[0], A.shape[1], cells[0].hidden_size
     if T == 0:
         raise ValueError("empty sequences are rejected")
     U, V = stack_recurrent(cells)
-    state = A.shape[1:-1] + (H,)  # (C, H), or (B, C, H) for a batch
-    gates = np.empty((T, *state[:-1], 4, H))
+    gates = np.empty((T, C, 4, H))
     # Row t of c/h is the state entering step t; row t + 1 the state it makes.
-    c = np.zeros((T + 1, *state))
-    h = np.zeros((T + 1, *state))
-    tanh_c = np.empty((T, *state))
+    c = np.zeros((T + 1, C, H))
+    h = np.zeros((T + 1, C, H))
+    tanh_c = np.empty((T, C, H))
     for t in range(T):
-        gates[t], c[t + 1], tanh_c[t], h[t + 1] = lstm_step(U, V, A[t], h[t], c[t])
+        gates[t], c[t + 1], tanh_c[t], h[t + 1] = lstm_step(U, V, A[:, t], h[t], c[t])
     return LstmTape(inputs=inputs, U=U, V=V, gates=gates, c=c[1:], h=h[1:], tanh_c=tanh_c,
                     c_prev=c[:-1], h_prev=h[:-1])
 

@@ -1191,7 +1191,7 @@ class TestVariantNesting:
 
 class TestInference:
     def test_two_model_posterior(self):
-        post = posterior_from_logliks(np.array([-10.0, -12.0]), np.array([0.5, 0.5]))
+        post = posterior_from_logliks(np.array([-10.0, -12.0]), np.log([0.5, 0.5]))
         np.testing.assert_allclose(post, [0.88079708, 0.11920292], atol=1e-6)
 
     def test_identical_models_give_uniform(self):
@@ -1203,12 +1203,12 @@ class TestInference:
 
     def test_argmax_shift_invariant(self):
         rng = make_rng(17)
-        prior = np.full(4, 0.25)
+        log_prior = np.log(np.full(4, 0.25))
         for _ in range(25):
             logliks = rng.uniform(-500, 0, size=4)
             c = rng.uniform(-1000, 1000)
-            a = posterior_from_logliks(logliks, prior)
-            b = posterior_from_logliks(logliks + c, prior)
+            a = posterior_from_logliks(logliks, log_prior)
+            b = posterior_from_logliks(logliks + c, log_prior)
             assert int(np.argmax(a)) == int(np.argmax(b))
             np.testing.assert_allclose(a, b, atol=1e-12)
 

@@ -30,6 +30,7 @@ from maneuverkit.cli import _stream_loop, main
 from maneuverkit.dataio import AIOHMM_ARRAYS, DataFormatError, load_model, save_model
 from maneuverkit.events import EVENTS, events_for_setting
 from maneuverkit.fusion_rnn import forward, init_fusion_model
+from maneuverkit.metrics import SWEEP_BLOCK
 from maneuverkit.numerics import make_rng, pad_sequences
 
 from test_aiohmm import random_model
@@ -57,7 +58,7 @@ def per_class_filter(ensemble, xs, zs):
                 log_a = logits - hi - np.log(np.exp(logits - hi).sum(axis=1, keepdims=True))
                 alphas[k] = np.logaddexp.reduce(alphas[k][:, None] + log_a, axis=0) + logb
             logliks.append(np.logaddexp.reduce(alphas[k]))
-        rows.append(posterior_from_logliks(np.array(logliks), ensemble.prior))
+        rows.append(posterior_from_logliks(np.array(logliks), np.log(ensemble.prior)))
     return np.array(rows)
 
 
@@ -473,6 +474,7 @@ def assert_block_matches_stepwise(predictor, block):
 
 # Mixed lengths, with T = 1 and a block of one sequence among the draws.
 BLOCK_LENGTHS = st.lists(st.integers(1, 10), min_size=1, max_size=6)
+FULL_BLOCK_LENGTHS = [6 + (5 * k) % 7 for k in range(SWEEP_BLOCK)]  # 6..12
 
 
 class TestBatchedTrajectory:
@@ -486,6 +488,9 @@ class TestBatchedTrajectory:
     )
     @example(arch="fusion", hidden=3, lengths=[1], scale=1.0, seed=0)
     @example(arch="concat", hidden=3, lengths=[1, 10, 1, 4], scale=3.0, seed=1)
+    # A full sweep block, at the cross-validation width and the CLI default.
+    @example(arch="fusion", hidden=32, lengths=FULL_BLOCK_LENGTHS, scale=1.0, seed=2)
+    @example(arch="fusion", hidden=64, lengths=FULL_BLOCK_LENGTHS, scale=1.0, seed=3)
     def test_network_block_matches_stepwise(self, arch, hidden, lengths, scale, seed):
         # Weights scaled up to 3x drive the gates into saturation.
         model = init_fusion_model(arch, 6, 9, hidden, EVENTS, make_rng(seed))
@@ -513,6 +518,27 @@ class TestBatchedTrajectory:
         ens = AioHmmEnsemble(events=EVENTS, models=models, prior=prior / prior.sum())
         assert_block_matches_stepwise(AioHmmPredictor(ens), random_block(rng, lengths, 4, 3))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=st.integers(1, 3),
+        variant=st.sampled_from(VARIANTS),
+        lengths=BLOCK_LENGTHS,
+        seed=st.integers(0, 2**16),
+    )
+    @example(states=2, variant="aio", lengths=[1], seed=0)
+    @example(states=2, variant="aio", lengths=[1, 6, 1], seed=1)
+    def test_aiohmm_block_scores_real_rows_as_the_all_rows_form(self, states, variant, lengths, seed):
+        # A block's padding gets no emissions; with every row counted as
+        # real, all of them are scored, and the real rows come out the same.
+        rng = make_rng(seed)
+        models = {name: random_model(rng, states, 3, 4, variant=variant) for name in EVENTS}
+        predictor = AioHmmPredictor(AioHmmEnsemble(events=EVENTS, models=models))
+        xs, zs, lengths = random_block(rng, lengths, 4, 3)
+        real = predictor.trajectory(xs, zs, lengths)
+        all_rows = predictor.trajectory(xs, zs, np.full(len(lengths), xs.shape[1]))
+        for k, n in enumerate(lengths):
+            np.testing.assert_array_equal(real[k, :n], all_rows[k, :n])
+
     def test_windowed_predictor_steps_each_sequence_over_its_length(self):
         model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(9))
         predictor = WindowedPredictor(FusionRnnPredictor(model), 3)
@@ -538,3 +564,26 @@ class TestBatchedTrajectory:
     def test_bad_blocks_rejected(self, xs, zs, lengths, message):
         with pytest.raises(ValueError, match=message):
             trajectory(ScriptedPredictor([UNIFORM_ROW]), xs, zs, lengths)
+
+
+class TestZeroClassPrior:
+    """A class of prior 0 gets probability exactly 0 and is never committed
+    to, and taking its log warns nowhere."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_prior_classes_never_win(self):
+        rng = make_rng(31)
+        models = {name: random_model(rng, 2, 3, 4) for name in EVENTS}
+        prior = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
+        ens = AioHmmEnsemble(events=EVENTS, models=models, prior=prior)
+        predictor = AioHmmPredictor(ens)
+        block = random_block(rng, [6, 1, 4], 4, 3)
+        for probs in (trajectory(predictor, *block), stepwise_trajectory(predictor, *block)):
+            np.testing.assert_array_equal(probs[..., 2:], 0.0)
+        single = trajectory(predictor, block.xs[0], block.zs[0])
+        np.testing.assert_array_equal(single[:, 2:], 0.0)
+        posterior = infer_maneuver([models[e] for e in EVENTS], block.xs[0], block.zs[0], prior)
+        np.testing.assert_array_equal(posterior[2:], 0.0)
+        np.testing.assert_allclose(posterior, single[-1], rtol=0, atol=1e-10)
+        for result in anticipate(predictor, block.xs, block.zs, 0.2, block.lengths):
+            assert result.maneuver in (0, 1, EVENTS.index("straight"))

@@ -301,6 +301,32 @@ def stream(model, lines, monkeypatch, capsys):
     return code, [json.loads(line) for line in out.splitlines()]
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_class_prior_streams_and_evaluates_without_warnings(
+    hmm_checkpoint, tmp_path, monkeypatch, capsys
+):
+    # A valid checkpoint whose last three classes have prior 0: they get
+    # probability exactly 0, are never committed to, and nothing warns.
+    doc = json.loads(hmm_checkpoint.read_text())
+    doc["params"]["prior"] = [0.5, 0.5, 0.0, 0.0, 0.0]
+    model = tmp_path / "zero_prior.json"
+    model.write_text(json.dumps(doc))
+    data = hmm_checkpoint.parent / "d.jsonl"
+    steps = [json.dumps(step) for step in json.loads(data.read_text().splitlines()[0])["steps"]]
+    code, records = stream(model, steps, monkeypatch, capsys)
+    assert code == 0 and len(records) == len(steps)
+    zeroed = doc["params"]["events"][2:]
+    for record in records:
+        assert all(record["probs"][e] == 0.0 for e in zeroed)
+        assert record.get("commit", {}).get("event") not in zeroed
+    report = tmp_path / "report.json"
+    code, _ = run(["eval", "--model", str(model), "--data", str(data), "--pth", "0.5",
+                   "--out", str(report)], capsys)
+    assert code == 0
+    confusion = np.array(json.loads(report.read_text())["confusion"])  # rows = predicted
+    assert not confusion[2:].any()
+
+
 class TestStreamRecords:
     def test_known_onset_is_accepted(self, hmm_checkpoint, monkeypatch, capsys):
         lines = [json.dumps(STEP), json.dumps({**STEP, "onset": "left_turn"})]

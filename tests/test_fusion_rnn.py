@@ -67,14 +67,15 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(make_model(), xs[:5], zs)
 
-    def test_batch_shapes_checked(self):
+    def test_batch_input_rejected(self):
+        # Blocks of sequences go through the predictor; forward takes one.
         xs, zs = random_streams(3, 6)
-        with pytest.raises(ValueError, match="stream length mismatch"):
-            forward(make_model(), np.stack([xs, xs]), np.stack([zs, zs])[:, :5])
-        with pytest.raises(ValueError, match="stream length mismatch"):
+        with pytest.raises(ValueError, match=r"forward takes one \(T, ·\) sequence"):
+            forward(make_model(), np.stack([xs, xs]), np.stack([zs, zs]))
+        with pytest.raises(ValueError, match=r"forward takes one \(T, ·\) sequence"):
             forward(make_model(), np.stack([xs, xs]), zs)
         with pytest.raises(ValueError, match="empty"):
-            forward(make_model(), np.zeros((0, 6, 6)), np.zeros((0, 6, 9)))
+            forward(make_model(), np.zeros((0, 6)), np.zeros((0, 9)))
 
     def test_forward_is_pure(self):
         xs, zs = random_streams(5, 7)

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maneuverkit.anticipation import FusionRnnPredictor
+from maneuverkit.events import EVENTS
+from maneuverkit.fusion_rnn import cell_inputs, init_fusion_model, readout
 from maneuverkit.lstm import (
     LstmParams,
     gate_blocks,
@@ -167,6 +170,35 @@ def lockstep_backward_reference(cells: list[LstmParams], tape, dh: np.ndarray, g
         np.sum(da[k, :, :2] * tape.c_prev[:, k, None], axis=0, out=grad.V[: 2 * H].reshape(2, H))
         np.sum(da[k, :, 3] * tape.c[:, k], axis=0, out=grad.V[2 * H :])
         np.sum(dak, axis=0, out=grad.b)
+
+
+def matvec_step(U, V, a, h, c):
+    """The lockstep step as one matrix-vector product per cell: the
+    kernel's earlier form, which the cell-major step must match bit for bit
+    on one sequence's (C, ·) projections and states."""
+    a = (a + (U @ h[..., None])[..., 0]).reshape(c.shape[:-1] + (4, -1))
+    gates = np.empty_like(a)
+    gates[..., :2, :] = sigmoid(a[..., :2, :] + V[:, :2] * c[..., None, :])
+    gates[..., 2, :] = np.tanh(a[..., 2, :])
+    c = gates[..., 1, :] * c + gates[..., 0, :] * gates[..., 2, :]
+    gates[..., 3, :] = sigmoid(a[..., 3, :] + V[:, 2] * c)
+    tanh_c = np.tanh(c)
+    return gates, c, tanh_c, gates[..., 3, :] * tanh_c
+
+
+def matvec_forward(cells: list[LstmParams], inputs: list[np.ndarray]) -> dict:
+    """The lockstep unroll through :func:`matvec_step`, with the projections
+    stacked time-major (T, C, 4H): the tape the training pass must equal."""
+    A = np.stack([u @ p.W.T + p.b for p, u in zip(cells, inputs)], axis=-2)
+    T, C, H = A.shape[0], A.shape[1], cells[0].hidden_size
+    U, V = stack_recurrent(cells)
+    tape = {"gates": np.empty((T, C, 4, H)), "c": np.zeros((T + 1, C, H)),
+            "h": np.zeros((T + 1, C, H)), "tanh_c": np.empty((T, C, H))}
+    for t in range(T):
+        tape["gates"][t], tape["c"][t + 1], tape["tanh_c"][t], tape["h"][t + 1] = matvec_step(
+            U, V, A[t], tape["h"][t], tape["c"][t])
+    tape["c"], tape["h"] = tape["c"][1:], tape["h"][1:]
+    return tape
 
 
 def run_backward(p: LstmParams, tape, dh) -> LstmParams:
@@ -398,25 +430,31 @@ class TestStackedMatchesPerGate:
                 )
 
     @pytest.mark.parametrize("hidden", [1, 16])
-    def test_batch_equals_each_sequence_alone(self, hidden):
-        # A time-major (T, B, ·) batch of zero-padded sequences: each one's
-        # real steps match its own unroll; the padding after its end does
-        # not reach them.
+    def test_cell_major_block_equals_each_sequence_alone(self, hidden):
+        # Zero-padded sequences stepped together over (C, B, ·) states: each
+        # one's real steps match its own unroll; the padding after its end
+        # does not reach them.
         rng = make_rng(600 + hidden)
         cells = [init_lstm_params(d, hidden, rng) for d in (6, 9)]
         lengths = [4, 1, 7]
         seqs = [[rng.standard_normal((n, d)) for d in (6, 9)] for n in lengths]
-        batch = [np.zeros((7, len(lengths), d)) for d in (6, 9)]
+        block = [np.zeros((len(lengths), 7, d)) for d in (6, 9)]
         for b, (n, seq) in enumerate(zip(lengths, seqs)):
-            for padded, u in zip(batch, seq):
-                padded[:n, b] = u
-        tape = lstm_forward(cells, batch)
-        assert tape.gates.shape == (7, 3, 2, 4, hidden)
+            for padded, u in zip(block, seq):
+                padded[b, :n] = u
+        U, V = stack_recurrent(cells)
+        h = c = np.zeros((2, len(lengths), hidden))
+        steps = []
+        for t in range(7):
+            gates, c, tanh_c, h = lstm_step(U, V, input_projections(cells, [u[:, t] for u in block]), h, c)
+            assert gates.shape == (2, 3, 4, hidden)
+            steps.append({"gates": gates, "c": c, "tanh_c": tanh_c, "h": h})
         for b, (n, seq) in enumerate(zip(lengths, seqs)):
             alone = lstm_forward(cells, seq)
-            for key in ("gates", "c", "h", "tanh_c", "c_prev", "h_prev"):
-                np.testing.assert_allclose(getattr(tape, key)[:n, b], getattr(alone, key),
-                                           rtol=0, atol=1e-12, err_msg=key)
+            for t in range(n):
+                for key, got in steps[t].items():
+                    np.testing.assert_allclose(got[:, b], getattr(alone, key)[t],
+                                               rtol=0, atol=1e-12, err_msg=key)
 
     def test_init_draws_in_per_gate_order(self):
         p = init_lstm_params(3, 4, make_rng(8))
@@ -459,3 +497,45 @@ class TestHoistedBackward:
             for name in ("W", "U", "V", "b"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                               err_msg=f"cell {k} {name}")
+
+
+class TestCellMajorStep:
+    """The cell-major step, on one sequence, against :func:`matvec_step`:
+    every bit of the step, the training tape and the streamed predictor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arch=st.sampled_from(["fusion", "concat"]),
+        hidden=st.integers(1, 64),
+        T=st.integers(1, 8),
+        scale=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_matvec_reference(self, arch, hidden, T, scale, seed):
+        rng = make_rng(seed)
+        model = init_fusion_model(arch, 6, 9, hidden, EVENTS, rng)
+        model.theta[...] *= scale  # scaled weights drive the gates into saturation
+        xs, zs = rng.standard_normal((T, 6)), rng.standard_normal((T, 9))
+        cells, inputs = model.cells, cell_inputs(model, xs, zs)
+        U, V = stack_recurrent(cells)
+        C = len(cells)
+
+        a = input_projections(cells, [u[0] for u in inputs])
+        h, c = rng.standard_normal((C, hidden)), rng.standard_normal((C, hidden))
+        for got, want in zip(lstm_step(U, V, a, h, c), matvec_step(U, V, a, h, c)):
+            np.testing.assert_array_equal(got, want)
+
+        tape, ref = lstm_forward(cells, inputs), matvec_forward(cells, inputs)
+        for key, want in ref.items():
+            np.testing.assert_array_equal(getattr(tape, key), want, err_msg=key)
+
+        # The streamed step projects each step's inputs on their own.
+        predictor = FusionRnnPredictor(model)
+        state = predictor.begin()
+        h = c = np.zeros((C, hidden))
+        for t in range(T):
+            state, probs = predictor.step(state, xs[t], zs[t])
+            _, c, _, h = matvec_step(U, V, input_projections(cells, [u[t] for u in inputs]), h, c)
+            np.testing.assert_array_equal(state[0], h)
+            np.testing.assert_array_equal(state[1], c)
+            np.testing.assert_array_equal(probs, readout(model, h)[-1])

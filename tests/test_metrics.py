@@ -226,8 +226,13 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(ScriptedPredictor([[0.2] * 5]), [], [])
 
-    @pytest.mark.parametrize("family", ["aiohmm", "fusion", "concat"])
-    def test_blocked_sweep_equals_stepwise_scoring(self, family):
+    @pytest.mark.parametrize("family, hidden", [
+        pytest.param("aiohmm", None, id="aiohmm"),
+        pytest.param("fusion", 4, id="fusion"),
+        pytest.param("concat", 4, id="concat"),
+        pytest.param("fusion", 32, id="fusion-hidden32"),
+    ])
+    def test_blocked_sweep_equals_stepwise_scoring(self, family, hidden):
         # More samples than two blocks hold, of mixed lengths, with weak cues
         # so that the thresholds commit differently.
         weak = {"cue_strength": 1.0, "noise_sigma": 0.5}
@@ -239,7 +244,7 @@ class TestThresholdSweep:
                       for k, e in enumerate(EVENTS)}
             predictor = AioHmmPredictor(AioHmmEnsemble(events=EVENTS, models=models))
         else:
-            model = init_fusion_model(family, 6, 9, 4, EVENTS, make_rng(7))
+            model = init_fusion_model(family, 6, 9, hidden, EVENTS, make_rng(7))
             model.theta[...] *= 3.0
             predictor = FusionRnnPredictor(model)
         grid = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
