@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -274,8 +275,10 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
     key marking the start of one of the predictor's events.  A step record
     carries a "commit" entry exactly when ``anticipation.CommitTracker``, the
     stick rule of session scoring, commits at that step.  The first
-    malformed record ends the stream with a ValueError that names its
-    1-based input line.
+    malformed record, or the first step whose probabilities are not finite
+    (a finite but extreme record can overflow the model, and every later
+    step would carry the NaN), ends the stream with a ValueError that names
+    its 1-based input line.
     """
     tracker = anticipation.CommitTracker(predictor.events, p_th)
     state = predictor.begin()
@@ -287,10 +290,13 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
         x, z, onset = _parse_step(line, lineno, sizes, predictor.events)
         t += 1
         state, probs = predictor.step(state, x, z)
-        out = {"t": t, "probs": {e: float(p) for e, p in zip(predictor.events, probs)}}
+        values = probs.tolist()
+        if not all(map(math.isfinite, values)):  # cheaper than np.isfinite here
+            raise ValueError(f"stdin line {lineno}: the step's probabilities are not finite")
+        out = {"t": t, "probs": dict(zip(predictor.events, values))}
         commit, _ = tracker.step(t, probs, onset)
         if commit is not None:
-            out["commit"] = {"event": predictor.events[commit], "p": float(probs[commit])}
+            out["commit"] = {"event": predictor.events[commit], "p": values[commit]}
         print(json.dumps(out), flush=True)
     return 0
 

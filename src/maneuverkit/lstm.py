@@ -30,12 +30,14 @@ cell, with B = 1 for one sequence.  :func:`lstm_forward` and the streaming
 predictor step one sequence, the predictor's block trajectory B at once;
 BPTT mirrors the step over the same axes.
 
-BPTT takes the stacked U and V from the tape and builds every factor that
-depends on the tape alone once per sequence, before its reverse loop.  Its
-gradients stay bit-identical to the step by step form because only exact
-elementwise operations (multiply, add, subtract) moved, and every product
-keeps its reference order, left to right.  The unroll and BPTT take one
-time-major (T, input) sequence per cell.
+BPTT takes the stacked U and V from the tape and groups every factor that
+depends on the tape and V alone once per sequence, before its reverse loop,
+so each reverse step makes six elementwise operations and one matmul.  Its
+gradients are exact to that grouped per-step form and within 1e-12 of the
+step by step and per-gate forms, which associate the same products
+differently.  The factors are elementwise over the cell axis, so cells run
+in lockstep still equal each cell run alone, bit for bit.  The unroll and
+BPTT take one time-major (T, input) sequence per cell.
 """
 
 from __future__ import annotations
@@ -185,49 +187,48 @@ def lstm_backward(tape: LstmTape, dh: np.ndarray, grads: list[LstmParams]) -> No
     ``grads`` (same shapes as the cell; typically views of a flat gradient
     vector).
 
-    Before the reverse loop, once per sequence over (T, C, ·): 1 - o,
-    1 - tanh^2 c, and the i/f/g factors stacked (T, C, 3, H) as
-    [g, c_prev, i], [i, f, 1 - g^2] and [1 - i, 1 - f, 1].  The loop keeps
-    the recurrence only.  The gradients equal, bit for bit, forming
-    ``dct * g * i * (1 - i)``, ``dct * c_prev * f * (1 - f)`` and
-    ``dct * i * (1 - g^2)`` step by step: only exact operations moved, each
-    product keeps its left-to-right order, and the g row's third factor is
-    exactly 1.
+    Before the reverse loop, every factor fixed by the tape and V alone is
+    grouped once per sequence over (T, C, ·):
+
+        k_o   = tanh c * o * (1 - o)
+        k_c   = o * (1 - tanh^2 c) + V_o * k_o
+        k_ifg = [g * i * (1 - i), c_prev * f * (1 - f), i * (1 - g^2)]
+        k_cc  = f + V_i * k_ifg[i] + V_f * k_ifg[f]
+
+    so each reverse step keeps the recurrence only: six elementwise
+    operations and the one recurrent matmul.  The gradients are exact to
+    this grouped form and within 1e-12 of the step by step form, which
+    multiplies the same factors in a different association.  Every factor
+    is elementwise over the cell axis, so cells run in lockstep still equal
+    each cell run alone, bit for bit.
     """
     if dh.shape != tape.h.shape:
         raise ValueError(f"dh has shape {dh.shape}, expected {tape.h.shape}")
     T, C, H = dh.shape
-    gates = tape.gates
-    i, f, g, o = (gates[:, :, k] for k in range(4))
-    one_minus_o = 1.0 - o
-    dtanh = 1.0 - tape.tanh_c * tape.tanh_c
-    first = np.stack((g, tape.c_prev, i), axis=2)
-    second = np.empty((T, C, 3, H))
-    second[:, :, :2] = gates[:, :, :2]
-    second[:, :, 2] = 1.0 - g * g
-    third = np.ones((T, C, 3, H))
-    np.subtract(1.0, gates[:, :, :2], out=third[:, :, :2])
-    UT = tape.U.transpose(0, 2, 1)
+    i, f, g, o = (tape.gates[:, :, k] for k in range(4))
     V_i, V_f, V_o = tape.V.transpose(1, 0, 2)
+    k_o = tape.tanh_c * o * (1.0 - o)
+    k_c = o * (1.0 - tape.tanh_c * tape.tanh_c) + V_o * k_o
+    k_ifg = np.empty((T, C, 3, H))
+    k_ifg[:, :, 0] = g * i * (1.0 - i)
+    k_ifg[:, :, 1] = tape.c_prev * f * (1.0 - f)
+    k_ifg[:, :, 2] = i * (1.0 - g * g)
+    k_cc = f + V_i * k_ifg[:, :, 0] + V_f * k_ifg[:, :, 1]
+    UT = tape.U.transpose(0, 2, 1)
     da = np.empty((C, T, 4, H))  # gradients on the pre-activations, cell-major
     dh_next = np.zeros((C, H))   # gradient flowing into h_t from step t+1
     dc_next = np.zeros((C, H))   # gradient flowing into c_t from step t+1
     for t in range(T - 1, -1, -1):
         dht = dh[t] + dh_next
         dat = da[:, t]
-        dao = dat[:, 3]
-        np.multiply(dht, tape.tanh_c[t], out=dao)
-        dao *= o[t]
-        dao *= one_minus_o[t]
+        np.multiply(dht, k_o[t], out=dat[:, 3])
         # c_t feeds h_t through tanh, the future through dc_next, and the
-        # output gate through its peephole.
-        dct = dht * o[t] * dtanh[t] + dc_next + V_o * dao
-        dai_f_g = dat[:, :3]
-        np.multiply(dct[:, None], first[t], out=dai_f_g)
-        dai_f_g *= second[t]
-        dai_f_g *= third[t]
+        # output gate through its peephole (folded into k_c).
+        dct = dht * k_c[t]
+        dct += dc_next
+        np.multiply(dct[:, None], k_ifg[t], out=dat[:, :3])
         dh_next = (UT @ dat.reshape(C, 4 * H, 1))[..., 0]
-        dc_next = dct * f[t] + V_i * dat[:, 0] + V_f * dat[:, 1]
+        dc_next = dct * k_cc[t]
 
     # Each cell's gradients come from contiguous (T, ·) operands: a strided
     # one can round the matmuls differently, and then a cell run in lockstep

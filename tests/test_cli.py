@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from maneuverkit import aiohmm, training
+from maneuverkit.anticipation import FusionRnnPredictor
 from maneuverkit.cli import build_parser, main, train_model
 from maneuverkit.dataio import load_dataset, load_model, save_dataset
 from maneuverkit.synth import ScenarioConfig, generate, split_folds
@@ -295,6 +296,14 @@ def hmm_checkpoint(tmp_path_factory):
     return m
 
 
+# A finite second record large enough to overflow a model's arithmetic.
+EXTREME_STREAM = [
+    json.dumps(STEP),
+    json.dumps({"x": [1e308, -1e308, 0, 1e308, 1e308, -1e308], "z": STEP["z"]}),
+    json.dumps({"x": [0, 1, 0, 44, 46, 43], "z": [0.2] * 9}),
+]
+
+
 def stream(model, lines, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
     code, out = run(["anticipate", "--model", str(model), "--pth", "0.99", "--stream"], capsys)
@@ -374,6 +383,32 @@ class TestStreamRecords:
         assert code == 1
         assert [r["t"] for r in records] == [1]
         assert "stdin line 2: field 'z' must be finite" in caplog.text
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_overflowing_record_stops_an_aiohmm_stream(self, monkeypatch, capsys, caplog):
+        # The record is finite, so it parses, but it overflows the emission
+        # densities: the stream stops at its line instead of printing NaN.
+        m = Path(__file__).parent / "data" / "aiohmm_s2.json"
+        code, before = stream(m, [json.dumps(STEP)], monkeypatch, capsys)
+        assert code == 0
+        code, records = stream(m, EXTREME_STREAM, monkeypatch, capsys)
+        assert code == 1
+        assert records == before
+        assert "stdin line 2: the step's probabilities are not finite" in caplog.text
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_overflowing_record_streams_through_a_fusion_checkpoint(self, monkeypatch, capsys):
+        m = Path(__file__).parent / "data" / "fusion_h2.json"
+        code, records = stream(m, EXTREME_STREAM, monkeypatch, capsys)
+        assert code == 0
+        model, _, _ = load_model(m)
+        predictor = FusionRnnPredictor(model)
+        state = predictor.begin()
+        for t, (line, record) in enumerate(zip(EXTREME_STREAM, records), 1):
+            step = json.loads(line)
+            state, probs = predictor.step(state, np.array(step["x"], float), np.array(step["z"], float))
+            assert record == {"t": t, "probs": dict(zip(predictor.events, probs.tolist()))}
+        assert len(records) == len(EXTREME_STREAM)
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -138,9 +138,49 @@ def reference_backward(p: LstmParams, tape: dict, dh: np.ndarray) -> dict:
 
 
 def lockstep_backward_reference(cells: list[LstmParams], tape, dh: np.ndarray, grads: list[LstmParams]) -> None:
+    """The lockstep BPTT with the grouped factors k_o, k_c, k_ifg and k_cc
+    formed inside the reverse loop, step by step, and the recurrent weights
+    stacked from the cells: the reference that ``lstm_backward``, which
+    forms them once per sequence, must match bit for bit."""
+    T, C, H = dh.shape
+    U, V = stack_recurrent(cells)
+    UT = U.transpose(0, 2, 1)
+    da = np.empty((C, T, 4, H))  # gradients on the pre-activations, cell-major
+    dh_next = np.zeros((C, H))   # gradient flowing into h_t from step t+1
+    dc_next = np.zeros((C, H))   # gradient flowing into c_t from step t+1
+    for t in range(T - 1, -1, -1):
+        i, f, g, o = tape.gates[t].transpose(1, 0, 2)
+        tc = tape.tanh_c[t]
+        k_o = tc * o * (1.0 - o)
+        k_c = o * (1.0 - tc * tc) + V[:, 2] * k_o
+        k_i = g * i * (1.0 - i)
+        k_f = tape.c_prev[t] * f * (1.0 - f)
+        k_g = i * (1.0 - g * g)
+        k_cc = f + V[:, 0] * k_i + V[:, 1] * k_f
+        dht = dh[t] + dh_next
+        dct = dht * k_c + dc_next
+        dat = da[:, t]
+        dat[:, 0] = dct * k_i
+        dat[:, 1] = dct * k_f
+        dat[:, 2] = dct * k_g
+        dat[:, 3] = dht * k_o
+        dh_next = (UT @ dat.reshape(C, 4 * H, 1))[..., 0]
+        dc_next = dct * k_cc
+
+    for k, (u, grad) in enumerate(zip(tape.inputs, grads)):
+        dak = da[k].reshape(T, 4 * H)
+        np.matmul(dak.T, u, out=grad.W)
+        np.matmul(dak.T, np.ascontiguousarray(tape.h_prev[:, k]), out=grad.U)
+        np.sum(da[k, :, :2] * tape.c_prev[:, k, None], axis=0, out=grad.V[: 2 * H].reshape(2, H))
+        np.sum(da[k, :, 3] * tape.c[:, k], axis=0, out=grad.V[2 * H :])
+        np.sum(dak, axis=0, out=grad.b)
+
+
+def parent_backward_reference(cells: list[LstmParams], tape, dh: np.ndarray, grads: list[LstmParams]) -> None:
     """The lockstep BPTT with every gate product formed inside the reverse
-    loop, step by step, and the recurrent weights stacked from the cells:
-    the reference that the hoisted ``lstm_backward`` must match bit for bit."""
+    loop in the step by step association, and the recurrent weights stacked
+    from the cells: the earlier kernel's form, which ``lstm_backward`` must
+    match within 1e-12."""
     T, C, H = dh.shape
     U, V = stack_recurrent(cells)
     UT = U.transpose(0, 2, 1)
@@ -467,9 +507,28 @@ class TestStackedMatchesPerGate:
         np.testing.assert_array_equal(p.b, 0.0)
 
 
+def saturated_backward_case(widths, hidden, T, scale, seed):
+    """Cells with weights scaled by ``scale`` and biases drawn from
+    [-scale, scale], which push the gates towards saturation; returns
+    (cells, tape, dh, gradients from ``lstm_backward``, zeroed gradients)."""
+    rng = make_rng(seed)
+    cells = [init_lstm_params(d, hidden, rng) for d in widths]
+    for p in cells:
+        for arr in (p.W, p.U, p.V):
+            arr *= scale
+        p.b[...] = rng.uniform(-scale, scale, size=p.b.shape)
+    tape = lstm_forward(cells, [rng.standard_normal((T, d)) for d in widths])
+    dh = rng.standard_normal((T, len(widths), hidden))
+    zeros = lambda: [LstmParams(*(np.zeros_like(a) for a in (p.W, p.U, p.V, p.b))) for p in cells]
+    grads = zeros()
+    lstm_backward(tape, dh, grads)
+    return cells, tape, dh, grads, zeros()
+
+
 class TestHoistedBackward:
-    """``lstm_backward`` builds its tape-only factors before the reverse loop;
-    every gradient block must equal the per-step reference bit for bit."""
+    """``lstm_backward`` groups its tape-only factors before the reverse loop:
+    every gradient block must equal the same grouping formed step by step
+    bit for bit, and the earlier step by step association within 1e-12."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -480,23 +539,28 @@ class TestHoistedBackward:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_per_step_reference(self, widths, hidden, T, scale, seed):
-        rng = make_rng(seed)
-        cells = [init_lstm_params(d, hidden, rng) for d in widths]
-        for p in cells:
-            # Scaled weights and biases push the gates towards saturation.
-            for arr in (p.W, p.U, p.V):
-                arr *= scale
-            p.b[...] = rng.uniform(-scale, scale, size=p.b.shape)
-        tape = lstm_forward(cells, [rng.standard_normal((T, d)) for d in widths])
-        dh = rng.standard_normal((T, len(widths), hidden))
-        zeros = lambda: [LstmParams(*(np.zeros_like(a) for a in (p.W, p.U, p.V, p.b))) for p in cells]
-        grads, ref = zeros(), zeros()
-        lstm_backward(tape, dh, grads)
+        cells, tape, dh, grads, ref = saturated_backward_case(widths, hidden, T, scale, seed)
         lockstep_backward_reference(cells, tape, dh, ref)
         for k, (got, want) in enumerate(zip(grads, ref)):
             for name in ("W", "U", "V", "b"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                               err_msg=f"cell {k} {name}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.sampled_from([6, 9, 15]), min_size=1, max_size=2),
+        hidden=st.integers(1, 64),
+        T=st.integers(1, 12),
+        scale=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_within_1e12_of_the_step_by_step_association(self, widths, hidden, T, scale, seed):
+        cells, tape, dh, grads, ref = saturated_backward_case(widths, hidden, T, scale, seed)
+        parent_backward_reference(cells, tape, dh, ref)
+        for k, (got, want) in enumerate(zip(grads, ref)):
+            for name in ("W", "U", "V", "b"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12,
+                                           err_msg=f"cell {k} {name}")
 
 
 class TestCellMajorStep:
