@@ -13,7 +13,6 @@ from .anticipation import (
     AioHmmPredictor,
     AnticipationResult,
     FusionRnnPredictor,
-    WindowedPredictor,
     anticipate,
     run_session,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "ScenarioConfig",
     "SequenceSample",
     "TrainConfig",
-    "WindowedPredictor",
     "anticipate",
     "anticipation_loss",
     "augment",

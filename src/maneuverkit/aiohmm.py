@@ -462,7 +462,11 @@ def _update_transitions(
     M = (n[:, None, :] * Xe.T) @ Xe                                     # (S, dt, dt)
     dt = M.shape[1]
     ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
-    scaled = Xe @ (2.0 * np.linalg.inv(M + ridge[:, None, None] * np.eye(dt)))  # (S, R, dt)
+    # M_i is symmetric, so X_i = (step_i Xe^T)^T.  Where the ridge alone keeps
+    # M_i invertible, Xe times the explicit inverse rounds the step along Xe's
+    # own rows by eps cond(M_i); the solve keeps it to a few eps.
+    Mr = M + ridge[:, None, None] * np.eye(dt)
+    scaled = np.linalg.solve(Mr, 2.0 * Xe.T[None]).transpose(0, 2, 1)  # (S, R, dt)
     D0 = xi @ scaled                                                    # (S, S, dt)
     Y = n[:, :, None] * scaled                                          # (S, R, dt)
     for _ in range(steps):

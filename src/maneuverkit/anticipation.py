@@ -32,9 +32,7 @@ its own.  It runs a block through the same step over a cell-major
 log-space forward step of :mod:`~maneuverkit.aiohmm`, with all classes
 stacked into one filter, and runs a block through one emission call and
 one :func:`~maneuverkit.aiohmm.log_forward` recursion.  Both block paths
-match :func:`stepwise_trajectory`, the per-step reference, to within
-rounding; predictors that can only step (``WindowedPredictor``) take it
-as their ``trajectory``.
+match streaming each sequence through ``step`` to within rounding.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ import numpy as np
 
 from .aiohmm import (
     VARIANT_AIO,
-    VARIANT_HMM,
     AioHmmEnsemble,
     AioHmmModel,
     emission_factors,
@@ -57,6 +54,7 @@ from .aiohmm import (
     log_transitions,
     posterior_from_logliks,
     shifted_observations,
+    transition_inputs,
 )
 from .events import straight_index
 from .fusion_rnn import FusionRnnModel, cell_inputs, readout
@@ -66,8 +64,6 @@ from .numerics import as_block
 STEP_SECONDS = 0.8
 STICK_SECONDS = 5.0
 STICK_STEPS = math.ceil(STICK_SECONDS / STEP_SECONDS)  # 7
-
-_BIAS = np.ones((1, 1))  # the constant transition input row of the hmm variant
 
 
 class Predictor(Protocol):
@@ -82,20 +78,6 @@ class Predictor(Protocol):
     def step(self, state: Any, x: np.ndarray, z: np.ndarray) -> tuple[Any, np.ndarray]: ...
 
     def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray: ...
-
-
-def stepwise_trajectory(
-    predictor: Predictor, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """The per-step reference for ``Predictor.trajectory``: each sequence of
-    the block is streamed through ``begin``/``step`` over its own length,
-    in block order.  Rows past a sequence's end stay zero."""
-    out = np.zeros(xs.shape[:2] + (len(predictor.events),))
-    for b, n in enumerate(lengths):
-        state = predictor.begin()
-        for t in range(n):
-            state, out[b, t] = predictor.step(state, xs[b, t], zs[b, t])
-    return out
 
 
 class FusionRnnPredictor:
@@ -177,7 +159,7 @@ class AioHmmPredictor:
             w=np.zeros((n, n, a.shape[1])), pi=np.full(n, 1.0 / n),  # transitions unused
         )
         self._factors = emission_factors(self._emission.sigma)
-        self._bias = models[0].variant == VARIANT_HMM  # transitions driven by a constant
+        self._member = models[0]  # all share one variant, which sets the transition inputs
         self._w = np.stack([m.w for m in models])  # (K, S, S, dt)
         with np.errstate(divide="ignore"):  # pi and prior entries may be exactly zero
             self._log_pi = np.log(np.stack([m.pi for m in models]))  # (K, S)
@@ -196,7 +178,7 @@ class AioHmmPredictor:
         if state is None:
             log_alpha = self._log_pi + logb
         else:
-            log_a = log_transitions(self._w, _BIAS if self._bias else x[None, :])[..., 0]
+            log_a = log_transitions(self._w, transition_inputs(self._member, x[None, :]))[..., 0]
             log_alpha = log_forward_step(state[0], log_a, logb)
         logliks = np.logaddexp.reduce(log_alpha, axis=1)
         return (log_alpha, z), posterior_from_logliks(logliks, self._log_prior)
@@ -212,38 +194,11 @@ class AioHmmPredictor:
                                        z_prev=shifted_observations(zs)[live], factors=self._factors)
         logb = logb.reshape(B, T, K, S).transpose(2, 0, 1, 3)
         R = B * (T - 1)  # transition rows: every step after the first
-        xe = np.ones((R, 1)) if self._bias else xs[:, 1:].reshape(R, xs.shape[2])
+        xe = transition_inputs(self._member, xs[:, 1:].reshape(R, xs.shape[2]))
         log_a = log_transitions(self._w, xe).reshape(K, S, S, B, T - 1).transpose(0, 3, 4, 1, 2)
         la = log_forward(self._log_pi[:, None], log_a, logb)  # (K, B, T, S)
         logliks = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)
         return posterior_from_logliks(logliks, self._log_prior)
-
-
-class WindowedPredictor:
-    """Restrict a predictor to the most recent ``window`` steps.
-
-    The full prefix is the default elsewhere; this wrapper recomputes from
-    the window start each step for callers that want a bounded context.
-    """
-
-    def __init__(self, base: Predictor, window: int):
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.base = base
-        self.window = window
-        self.events = base.events
-
-    def begin(self):
-        return []  # buffered (x, z) pairs
-
-    def step(self, state, x, z):
-        buf = (state + [(np.asarray(x, float), np.asarray(z, float))])[-self.window :]
-        inner = self.base.begin()
-        for bx, bz in buf:
-            inner, probs = self.base.step(inner, bx, bz)
-        return buf, probs
-
-    trajectory = stepwise_trajectory
 
 
 @dataclass

@@ -182,20 +182,16 @@ def _predictor(model) -> anticipation.Predictor:
     return anticipation.AioHmmPredictor(model)
 
 
-def _load_predictor(
-    path: str, window: int | None = None
-) -> tuple[anticipation.Predictor, tuple[int, int]]:
-    """The checkpoint's predictor and its (x, z) input sizes."""
+def _load_predictor(path: str) -> tuple[anticipation.Predictor, tuple[int, int]]:
+    """The checkpoint's predictor, over the full prefix of its streams, and
+    its (x, z) input sizes."""
     model, kind, _config = dataio.load_model(path)
     if kind == dataio.KIND_FUSION:
         sizes = (model.input_x, model.input_z)
     else:
         first = model.models[model.events[0]]
         sizes = (first.dim_x, first.dim_z)
-    pred = _predictor(model)
-    if window is not None:
-        pred = anticipation.WindowedPredictor(pred, window)
-    return pred, sizes
+    return _predictor(model), sizes
 
 
 def _load_model_data(model_path: str, sizes: tuple[int, int], data_path: str) -> list:
@@ -213,23 +209,18 @@ def _load_model_data(model_path: str, sizes: tuple[int, int], data_path: str) ->
     return dataset
 
 
-def _eval_report_dict(ev: metrics.DatasetEval, p_th: float, which: str) -> dict:
-    out = {
+def _eval_report_dict(ev: metrics.DatasetEval, p_th: float) -> dict:
+    macro_pr, macro_re = ev.macro_scores()
+    return {
         "kind": "eval",
         "events": list(ev.events),
         "p_th": p_th,
         "counts": {"tp": ev.counts.tp, "fp": ev.counts.fp, "fpp": ev.counts.fpp, "mp": ev.counts.mp},
         "ttm_steps": ev.mean_ttm_steps,
         "confusion": ev.confusion.tolist(),
+        "session": {"precision": ev.precision, "recall": ev.recall, "f1": ev.f1},
+        "macro": {"precision": macro_pr, "recall": macro_re, "f1": metrics.f1_score(macro_pr, macro_re)},
     }
-    if which in ("session", "both"):
-        out["session"] = {"precision": ev.precision, "recall": ev.recall, "f1": ev.f1}
-    if which in ("macro", "both"):
-        macro_pr, macro_re = ev.macro_scores()
-        out["macro"] = {
-            "precision": macro_pr, "recall": macro_re, "f1": metrics.f1_score(macro_pr, macro_re)
-        }
-    return out
 
 
 def cmd_eval(args) -> int:
@@ -237,7 +228,7 @@ def cmd_eval(args) -> int:
     predictor, sizes = _load_predictor(args.model)
     dataset = _load_model_data(args.model, sizes, args.data)
     ev = metrics.evaluate_dataset(predictor, dataset, args.pth)
-    _emit_report(_eval_report_dict(ev, args.pth, args.metrics), args.out)
+    _emit_report(_eval_report_dict(ev, args.pth), args.out)
     return 0
 
 
@@ -252,7 +243,7 @@ def _emit_report(doc: dict, out: str | None) -> None:
 
 def cmd_anticipate(args) -> int:
     _log_config("anticipate", args)
-    predictor, sizes = _load_predictor(args.model, args.window_steps)
+    predictor, sizes = _load_predictor(args.model)
     if args.stream:
         return _stream_loop(predictor, args.pth, sizes)
     if not args.data:
@@ -278,26 +269,28 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
     malformed record, or the first step whose probabilities are not finite
     (a finite but extreme record can overflow the model, and every later
     step would carry the NaN), ends the stream with a ValueError that names
-    its 1-based input line.
+    its 1-based input line.  That check is the guard against overflow, so
+    NumPy's overflow and invalid-value warnings are off for the whole stream.
     """
     tracker = anticipation.CommitTracker(predictor.events, p_th)
     state = predictor.begin()
     t = 0
-    for lineno, line in enumerate(sys.stdin, 1):
-        line = line.strip()
-        if not line:
-            continue
-        x, z, onset = _parse_step(line, lineno, sizes, predictor.events)
-        t += 1
-        state, probs = predictor.step(state, x, z)
-        values = probs.tolist()
-        if not all(map(math.isfinite, values)):  # cheaper than np.isfinite here
-            raise ValueError(f"stdin line {lineno}: the step's probabilities are not finite")
-        out = {"t": t, "probs": dict(zip(predictor.events, values))}
-        commit, _ = tracker.step(t, probs, onset)
-        if commit is not None:
-            out["commit"] = {"event": predictor.events[commit], "p": values[commit]}
-        print(json.dumps(out), flush=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lineno, line in enumerate(sys.stdin, 1):
+            line = line.strip()
+            if not line:
+                continue
+            x, z, onset = _parse_step(line, lineno, sizes, predictor.events)
+            t += 1
+            state, probs = predictor.step(state, x, z)
+            values = probs.tolist()
+            if not all(map(math.isfinite, values)):  # cheaper than np.isfinite here
+                raise ValueError(f"stdin line {lineno}: the step's probabilities are not finite")
+            out = {"t": t, "probs": dict(zip(predictor.events, values))}
+            commit, _ = tracker.step(t, probs, onset)
+            if commit is not None:
+                out["commit"] = {"event": predictor.events[commit], "p": values[commit]}
+            print(json.dumps(out), flush=True)
     return 0
 
 
@@ -539,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--pth", type=float, default=0.7)
-    p.add_argument("--metrics", choices=("session", "macro", "both"), default="both")
     p.add_argument("--out", help="write a JSON report")
     p.set_defaults(func=cmd_eval)
 
@@ -548,8 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pth", type=float, default=0.7)
     p.add_argument("--data", help="dataset file (one decision per sample)")
     p.add_argument("--stream", action="store_true", help="read step records from stdin")
-    p.add_argument("--window-steps", type=int, default=None,
-                   help="restrict context to the most recent N steps (default: full prefix)")
     p.set_defaults(func=cmd_anticipate)
 
     p = sub.add_parser("sweep", help="sweep the prediction threshold")

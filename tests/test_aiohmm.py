@@ -247,6 +247,21 @@ def gradient_update_transitions(
     return w
 
 
+def one_row_update_transitions(w, x, xi, steps):
+    """The bound ascent on a single transition input x, in closed form: M_i
+    = n_i x x^T has x as an eigenvector, so each step moves w_i by the
+    gradient (xi_i - n_i p_i) x^T times 2 / (n_i |x|^2 + ridge_i)."""
+    w = w.copy()
+    n, xx = xi.sum(axis=1), x @ x
+    rate = 2.0 / (n * xx + 1e-10 * (1.0 + n * xx / x.size))
+    for _ in range(steps):
+        logits = w @ x                                                  # (S, S)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        w += rate[:, None, None] * (xi - n[:, None] * p)[:, :, None] * x
+    return w
+
+
 def einsum_transition_gradient(w, Xe, Xi):
     """The einsum gradient that the two matmul products replaced."""
     logits = np.einsum("ijk,tk->tij", w, Xe)
@@ -694,6 +709,21 @@ class TestTransitions:
         w, Xe, Xi = synthetic_transition_problem(data_seed, n, label)
         got = transition_objectives(_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
         ref = transition_objectives(gradient_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ridge_only_step_reaches_one_row_objective(self, seed):
+        # One row near 40 makes M_i rank one, invertible only by its ridge:
+        # cond(M_i) ~ 1e10, where multiplying by the explicit inverse moved
+        # the step along x by ~1e-6 and the objective reached by up to ~1e-4.
+        rng = make_rng(seed)
+        S = int(rng.integers(2, 4))
+        x = np.concatenate([40.0 + rng.standard_normal(3), rng.uniform(0.0, 1.0, 1)])
+        Xi = (rng.uniform(0.0, 1.0, (S, S)) * rng.uniform(0.0, 1.0, (S, 1)))[None]
+        w = rng.standard_normal((S, S, x.size))
+        got = transition_objectives(_update_transitions(w, x[None], Xi, BOUND_STEPS), x[None], Xi)
+        ref = transition_objectives(one_row_update_transitions(w, x, Xi[0], BOUND_STEPS), x[None], Xi)
         assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
 

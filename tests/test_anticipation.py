@@ -19,11 +19,10 @@ from maneuverkit.anticipation import (
     STICK_STEPS,
     AioHmmPredictor,
     FusionRnnPredictor,
-    WindowedPredictor,
+    Predictor,
     anticipate,
     first_commits,
     run_session,
-    stepwise_trajectory,
     trajectory,
 )
 from maneuverkit.cli import _stream_loop, main
@@ -34,6 +33,20 @@ from maneuverkit.metrics import SWEEP_BLOCK
 from maneuverkit.numerics import make_rng, pad_sequences
 
 from test_aiohmm import random_model
+
+
+def stepwise_trajectory(
+    predictor: Predictor, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The per-step reference for ``Predictor.trajectory``: each sequence of
+    the block is streamed through ``begin``/``step`` over its own length,
+    in block order.  Rows past a sequence's end stay zero."""
+    out = np.zeros(xs.shape[:2] + (len(predictor.events),))
+    for b, n in enumerate(lengths):
+        state = predictor.begin()
+        for t in range(n):
+            state, out[b, t] = predictor.step(state, xs[b, t], zs[b, t])
+    return out
 
 
 def per_class_filter(ensemble, xs, zs):
@@ -442,18 +455,6 @@ class TestPredictors:
         assert np.all(stream[:, 0] < 1e-300)
         np.testing.assert_allclose(stream, per_class_filter(ens, xs, zs), rtol=0, atol=1e-12)
 
-    def test_windowed_predictor_limits_context(self):
-        rng = make_rng(4)
-        model = init_fusion_model("fusion", 6, 9, 5, EVENTS, make_rng(5))
-        xs = rng.standard_normal((9, 6))
-        zs = rng.standard_normal((9, 9))
-        window = 3
-        stream = trajectory(WindowedPredictor(FusionRnnPredictor(model), window), xs, zs)
-        for t in range(9):
-            lo = max(0, t + 1 - window)
-            ref, _ = forward(model, xs[lo : t + 1], zs[lo : t + 1])
-            np.testing.assert_allclose(stream[t], ref[-1], atol=1e-12)
-
 
 def random_block(rng, lengths, dx, dz):
     """A zero-padded block of standard-normal streams of the given lengths."""
@@ -538,16 +539,6 @@ class TestBatchedTrajectory:
         all_rows = predictor.trajectory(xs, zs, np.full(len(lengths), xs.shape[1]))
         for k, n in enumerate(lengths):
             np.testing.assert_array_equal(real[k, :n], all_rows[k, :n])
-
-    def test_windowed_predictor_steps_each_sequence_over_its_length(self):
-        model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(9))
-        predictor = WindowedPredictor(FusionRnnPredictor(model), 3)
-        block = random_block(make_rng(10), [5, 2, 7], 6, 9)
-        batched = trajectory(predictor, *block)
-        for k, n in enumerate(block.lengths):
-            alone = trajectory(predictor, block.xs[k, :n], block.zs[k, :n])
-            np.testing.assert_array_equal(batched[k, :n], alone)
-            assert not batched[k, n:].any()
 
     @pytest.mark.parametrize(
         "xs, zs, lengths, message",

@@ -384,10 +384,11 @@ class TestStreamRecords:
         assert [r["t"] for r in records] == [1]
         assert "stdin line 2: field 'z' must be finite" in caplog.text
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_record_stops_an_aiohmm_stream(self, monkeypatch, capsys, caplog):
         # The record is finite, so it parses, but it overflows the emission
         # densities: the stream stops at its line instead of printing NaN.
+        # The finiteness check is the guard, so the overflow warns nowhere.
         m = Path(__file__).parent / "data" / "aiohmm_s2.json"
         code, before = stream(m, [json.dumps(STEP)], monkeypatch, capsys)
         assert code == 0
@@ -396,7 +397,7 @@ class TestStreamRecords:
         assert records == before
         assert "stdin line 2: the step's probabilities are not finite" in caplog.text
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_record_streams_through_a_fusion_checkpoint(self, monkeypatch, capsys):
         m = Path(__file__).parent / "data" / "fusion_h2.json"
         code, records = stream(m, EXTREME_STREAM, monkeypatch, capsys)
@@ -406,7 +407,8 @@ class TestStreamRecords:
         state = predictor.begin()
         for t, (line, record) in enumerate(zip(EXTREME_STREAM, records), 1):
             step = json.loads(line)
-            state, probs = predictor.step(state, np.array(step["x"], float), np.array(step["z"], float))
+            with np.errstate(over="ignore"):  # the saturating gates, as in the stream
+                state, probs = predictor.step(state, np.array(step["x"], float), np.array(step["z"], float))
             assert record == {"t": t, "probs": dict(zip(predictor.events, probs.tolist()))}
         assert len(records) == len(EXTREME_STREAM)
 
@@ -499,11 +501,10 @@ def fusion_run(tmp_path_factory):
 class TestReportText:
     @pytest.mark.parametrize("command", [
         ["eval", "--pth", "0.4"],
-        ["eval", "--metrics", "session"],
         ["sweep", "--grid", "0.3,0.5,0.9"],
         ["xval", "--arch", "frnn-el", "--hidden", "4", "--epochs", "1", "--folds", "2",
          "--grid", "0.3,0.6"],
-    ], ids=["eval", "eval-session", "sweep", "xval"])
+    ], ids=["eval", "sweep", "xval"])
     def test_stdout_is_the_report_rendering(self, fusion_run, tmp_path, capsys, command):
         d, m = fusion_run
         r = tmp_path / "r.json"
@@ -514,8 +515,26 @@ class TestReportText:
         assert code == 0
         assert printed == rendered
         assert printed.startswith("  p_th=" if command[0] == "sweep" else ("evaluation", "cross-validation"))
-        if "session" in command:
-            assert "session:" in printed and "macro:" not in printed
+        if command[0] == "eval":
+            assert "  session: " in printed and "  macro: " in printed
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_saved_eval_report_with_only_a_session_section_renders(self, tmp_path, capsys, fmt):
+        # Eval reports saved before every report carried both sections may
+        # hold only the session scores.
+        doc = {"kind": "eval", "events": ["left_lane", "straight"], "p_th": 0.7,
+               "counts": {"tp": 1, "fp": 0, "fpp": 1, "mp": 0}, "ttm_steps": 2.0,
+               "confusion": [[1, 1], [0, 3]],
+               "session": {"precision": 0.5, "recall": 1.0, "f1": 2 / 3}}
+        r = tmp_path / "r.json"
+        r.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(["report", "--in", str(r), "--format", fmt], capsys)
+        assert code == 0
+        if fmt == "text":
+            assert "  session: precision=0.5 recall=1 f1=0.666667" in out
+        else:
+            assert "session_precision,0.5\nsession_recall,1\nsession_f1,0.666667\n" in out
+        assert "macro" not in out
 
     def test_confusion_header_is_aligned_with_its_columns(self, tmp_path, capsys):
         events = ["left_lane", "right_lane", "left_turn", "right_turn", "straight"]
