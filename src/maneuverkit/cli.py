@@ -35,9 +35,9 @@ HMM_ARCHS = {
     "iohmm": aiohmm.VARIANT_IO,
     "hmm": aiohmm.VARIANT_HMM,
 }
-NETWORK_FLAGS = {"hidden": 64, "fusion_width": None, "epochs": 10, "lr": 1e-4, "loss_scale": 1.0,
-                 "augment_factor": 1.0}  # the training flags only the networks read, at their defaults
-HMM_FLAGS = {"states": 3, "em_iters": 30}  # and those only the latent-state archs read
+NETWORK_FLAGS = {"hidden": 64, "epochs": 10, "lr": 1e-4, "augment_factor": 1.0}  # read by the networks only
+HMM_FLAGS = {"states": 3, "em_iters": 30}  # and by the latent-state archs only, each at its default
+GRADCHECK_HIDDEN = 6  # hidden size of the network gradcheck draws
 
 
 def _resolve_data(path: str) -> Path:
@@ -128,20 +128,15 @@ def train_model(args, dataset, seed: int):
     dataset = [s for s in dataset if EVENTS[s.label] in events]
     if not dataset:
         raise ValueError(f"dataset has no samples for the {args.setting!r} events {list(events)}")
-    config = training.TrainConfig(
-        loss_mode=loss_mode, time_scale=args.loss_scale, learning_rate=args.lr,
-        epochs=args.epochs, seed=seed, augmentation_factor=args.augment_factor,
-    )
+    config = training.TrainConfig(loss_mode=loss_mode, learning_rate=args.lr, epochs=args.epochs,
+                                  seed=seed, augmentation_factor=args.augment_factor)
     config.validate()
     if config.augmentation_factor > 1.0:
         dataset = training.augment(dataset, config.augmentation_factor, seed)
-    model = fusion_rnn.init_fusion_model(
-        arch, dataset[0].xs.shape[1], dataset[0].zs.shape[1], args.hidden,
-        events, make_rng(seed), fusion=args.fusion_width,
-    )
+    model = fusion_rnn.init_fusion_model(arch, dataset[0].xs.shape[1], dataset[0].zs.shape[1],
+                                         args.hidden, events, make_rng(seed))
     report = training.train(dataset, model, config)
-    meta = {"arch": args.arch, "setting": args.setting, "train": config.to_dict(),
-            "hidden": args.hidden, "fusion_width": args.fusion_width}
+    meta = {"arch": args.arch, "setting": args.setting, "train": config.to_dict(), "hidden": args.hidden}
     curve = [("epoch", "mean_loss")] + list(enumerate(report.epoch_losses))
     return report.model, meta, curve, report.aborted
 
@@ -374,12 +369,12 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"gradcheck applies to the network archs, not {args.arch!r}")
     arch, loss_mode = RNN_ARCHS[args.arch]
     rng = make_rng(args.seed)
-    model = fusion_rnn.init_fusion_model(arch, 6, 9, args.hidden, EVENTS, rng)
+    model = fusion_rnn.init_fusion_model(arch, 6, 9, GRADCHECK_HIDDEN, EVENTS, rng)
     xs = rng.standard_normal((args.steps, 6))
     zs = rng.standard_normal((args.steps, 9))
     target = int(rng.integers(0, len(EVENTS)))
     config = training.TrainConfig(loss_mode=loss_mode, seed=args.seed)
-    report = training.gradient_check(model, xs, zs, target, config, eps=args.eps, tol=args.tol)
+    report = training.gradient_check(model, xs, zs, target, config, tol=args.tol)
     for name, err in sorted(report.block_errors.items()):
         print(f"{name:>14}  {err:.3e}")
     status = "PASS" if report.passed else "FAIL"
@@ -498,10 +493,8 @@ def _num(v) -> str:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", required=True, choices=sorted(list(RNN_ARCHS) + list(HMM_ARCHS)))
     p.add_argument("--hidden", type=int, help="LSTM hidden size per stream")
-    p.add_argument("--fusion-width", type=int, help="fusion layer width (default: hidden)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--loss-scale", type=float, help="time scale of the exponential loss weights")
     p.add_argument("--augment-factor", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--setting", choices=("all", "lane", "turn"), default="all")
@@ -561,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--hidden", type=int, default=6)
     p.add_argument("--steps", type=int, default=6)
     p.set_defaults(func=cmd_gradcheck)
 

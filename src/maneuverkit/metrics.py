@@ -16,7 +16,8 @@ Every evaluation walks the dataset in the zero-padded blocks of
 padded arrays stay a fixed size however large the dataset.
 ``evaluate_dataset`` makes one ``anticipate`` call per block, and a
 threshold sweep one ``trajectory`` call per block, whose commitments it
-replays at every threshold; both score through :func:`score_outcomes`.
+replays at every threshold; both score through :func:`score_outcomes` and
+stop at the first sample whose probabilities are not finite.
 """
 
 from __future__ import annotations
@@ -166,13 +167,27 @@ def padded_blocks(dataset: list[SequenceSample]) -> Iterator[Padded]:
         yield pad_sequences([(s.xs, s.zs) for s in dataset[lo : lo + SWEEP_BLOCK]])
 
 
+def check_finite(samples: list[SequenceSample], trajectories: list[np.ndarray]) -> None:
+    """Raise a ValueError naming the first sample, and its 1-based step, whose
+    real (T, K) rows are not finite (a finite but extreme record can overflow
+    a model).  This check is the guard, so the walks that call it ignore
+    NumPy's overflow and invalid-value warnings."""
+    if trajectories and not np.isfinite(np.concatenate(trajectories)).all():
+        i = next(i for i, probs in enumerate(trajectories) if not np.isfinite(probs).all())
+        step = int(np.isfinite(trajectories[i]).all(axis=1).argmin()) + 1
+        raise ValueError(f"sample {samples[i].id!r} step {step}: the probabilities are not finite")
+
+
 def anticipate_dataset(
     predictor: Predictor, dataset: list[SequenceSample], p_th: float
 ) -> list[AnticipationResult]:
     """The anticipation walk's result for every sample, in dataset order,
     from one ``anticipate`` call per padded block."""
-    return [r for xs, zs, lengths in padded_blocks(dataset)
-            for r in anticipate(predictor, xs, zs, p_th, lengths)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [r for xs, zs, lengths in padded_blocks(dataset)
+                   for r in anticipate(predictor, xs, zs, p_th, lengths)]
+    check_finite(dataset, [r.trajectory for r in results])
+    return results
 
 
 def evaluate_dataset(
@@ -218,7 +233,9 @@ def threshold_sweep(
         raise ValueError("threshold grid must be nonempty")
     for g in grid:
         check_threshold(g)
-    blocks = [(trajectory(predictor, *block), block.lengths) for block in padded_blocks(dataset)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [(trajectory(predictor, *block), block.lengths) for block in padded_blocks(dataset)]
+    check_finite(dataset, [p[:n] for probs, lengths in blocks for p, n in zip(probs, lengths.tolist())])
     actuals = [map_label_to_model(s.label, predictor.events) for s in dataset]
     straight = straight_index(predictor.events)
     points = []

@@ -2,9 +2,9 @@
 
 Every step of a training sequence carries the same target: the event that
 happens at the end.  The per-step cross-entropy is weighted by
-exp(-lam * (T - t)), so mistakes made with the full context in view cost
-e^0 = 1 while mistakes made early, when little context exists, cost
-exponentially less.  ``uniform`` mode weights every step 1.
+exp(-(T - t)), so mistakes made with the full context in view cost e^0 = 1
+while mistakes made early, when little context exists, cost exponentially
+less.  ``uniform`` mode weights every step 1.
 
 Updates are per-sample RMSprop with decay ``RMSPROP_DECAY`` and epsilon
 ``RMSPROP_EPSILON``; sample order is reshuffled each epoch by a seeded
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ MAX_AUGMENTED_SAMPLES = 1_000_000  # about 1.1 GB at the synthetic data's 1080 b
 @dataclass
 class TrainConfig:
     loss_mode: str = LOSS_EXPONENTIAL
-    time_scale: float = 1.0          # lam in exp(-lam*(T-t)); 1.0 is the literal form
     learning_rate: float = 1e-4
     epochs: int = 10
     seed: int = 0
@@ -51,8 +49,6 @@ class TrainConfig:
         # written as "not (ok)", so NaN fails them too
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
-        if not 0.0 < self.time_scale < math.inf:
-            raise ValueError(f"time_scale must be positive and finite, got {self.time_scale!r}")
         if not self.epochs >= 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs!r}")
         if not 1.0 <= self.augmentation_factor < math.inf:
@@ -66,18 +62,18 @@ class TrainConfig:
 class TrainReport:
     model: FusionRnnModel
     epoch_losses: list[float]
-    wall_time: float
     aborted: bool = False
 
 
-def loss_weights(T: int, mode: str, time_scale: float = 1.0) -> np.ndarray:
-    """Per-step weights; monotone increasing, exactly 1 at t = T."""
+def loss_weights(T: int, mode: str) -> np.ndarray:
+    """Per-step weights exp(-(T - t)) for t = 1..T, or all 1 in ``uniform``
+    mode; monotone increasing, exactly 1 at t = T."""
     if T < 1:
         raise ValueError("empty trajectories have no loss")
     if mode == LOSS_UNIFORM:
         return np.ones(T)
     t = np.arange(1, T + 1, dtype=float)
-    return np.exp(-time_scale * (T - t))
+    return np.exp(-(T - t))
 
 
 def _checked_trajectory(probs: np.ndarray, target: int) -> np.ndarray:
@@ -90,25 +86,15 @@ def _checked_trajectory(probs: np.ndarray, target: int) -> np.ndarray:
     return probs
 
 
-def anticipation_loss(
-    probs: np.ndarray,
-    target: int,
-    mode: str = LOSS_EXPONENTIAL,
-    time_scale: float = 1.0,
-) -> float:
+def anticipation_loss(probs: np.ndarray, target: int, mode: str = LOSS_EXPONENTIAL) -> float:
     """sum_t -w_t log(y_t[target]) with the probabilities floored."""
     probs = _checked_trajectory(probs, target)
-    w = loss_weights(probs.shape[0], mode, time_scale)
+    w = loss_weights(probs.shape[0], mode)
     p = np.maximum(probs[:, target], PROB_FLOOR)
     return float(np.sum(-w * np.log(p)))
 
 
-def loss_logit_grads(
-    probs: np.ndarray,
-    target: int,
-    mode: str = LOSS_EXPONENTIAL,
-    time_scale: float = 1.0,
-) -> np.ndarray:
+def loss_logit_grads(probs: np.ndarray, target: int, mode: str = LOSS_EXPONENTIAL) -> np.ndarray:
     """Gradient of anticipation_loss w.r.t. the pre-softmax logits, (T, K).
 
     Steps whose target probability sits below the floor contribute zero
@@ -116,7 +102,7 @@ def loss_logit_grads(
     analytic gradient consistent with finite differences of the loss.
     """
     probs = _checked_trajectory(probs, target)
-    w = loss_weights(probs.shape[0], mode, time_scale)
+    w = loss_weights(probs.shape[0], mode)
     grads = probs.copy()
     grads[:, target] -= 1.0
     grads *= w[:, None]
@@ -233,51 +219,41 @@ def train(dataset: list, model: FusionRnnModel, config: TrainConfig) -> TrainRep
     """Train a copy of ``model`` on the dataset; the argument is untouched.
 
     Samples carry canonical label indices; they are mapped onto the model's
-    own event tuple.  A non-finite loss or gradient aborts training and the
-    report carries the last finite-loss model.
+    own event tuple.  Each epoch takes one RMSprop step per sample, in a
+    freshly shuffled order.  A non-finite loss, or a gradient that
+    ``RmsProp.step`` rejects, aborts training: the report then carries the
+    model as it stood after the last complete epoch, and the losses of the
+    complete epochs.
     """
     config.validate()
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
     model = model.copy()
-    if config.epochs == 0:
-        return TrainReport(model=model, epoch_losses=[], wall_time=0.0)
-
     targets = [map_label_to_model(s.label, model.events) for s in dataset]
     rng = make_rng(config.seed)
     optimizer = RmsProp(model, config)
-    start = time.monotonic()
     epoch_losses: list[float] = []
     last_good = model.copy()
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(dataset))
         total = 0.0
-        for idx in order:
-            sample = dataset[int(idx)]
+        for idx in rng.permutation(len(dataset)):
+            sample, target = dataset[int(idx)], targets[int(idx)]
             probs, tape = fusion_rnn.forward(model, sample.xs, sample.zs)
-            loss = anticipation_loss(probs, targets[int(idx)], config.loss_mode, config.time_scale)
-            if not np.isfinite(loss):
-                log.error("non-finite loss at epoch %d on sample %s; aborting", epoch, sample.id)
-                return TrainReport(
-                    model=last_good, epoch_losses=epoch_losses,
-                    wall_time=time.monotonic() - start, aborted=True,
-                )
-            dlogits = loss_logit_grads(probs, targets[int(idx)], config.loss_mode, config.time_scale)
-            grads = fusion_rnn.backward(model, tape, dlogits)
+            loss = anticipation_loss(probs, target, config.loss_mode)
             try:
-                optimizer.step(model, grads)
+                if not np.isfinite(loss):
+                    raise FloatingPointError("non-finite loss")
+                dlogits = loss_logit_grads(probs, target, config.loss_mode)
+                optimizer.step(model, fusion_rnn.backward(model, tape, dlogits))
             except FloatingPointError as err:
                 log.error("epoch %d sample %s: %s; aborting", epoch, sample.id, err)
-                return TrainReport(
-                    model=last_good, epoch_losses=epoch_losses,
-                    wall_time=time.monotonic() - start, aborted=True,
-                )
+                return TrainReport(model=last_good, epoch_losses=epoch_losses, aborted=True)
             total += loss
         epoch_losses.append(total / len(dataset))
         last_good = model.copy()
 
-    return TrainReport(model=model, epoch_losses=epoch_losses, wall_time=time.monotonic() - start)
+    return TrainReport(model=model, epoch_losses=epoch_losses)
 
 
 def map_label_to_model(canonical_label: int, model_events: tuple[str, ...]) -> int:
@@ -340,13 +316,13 @@ def gradient_check(
     def objective(theta: np.ndarray) -> float:
         work.theta[...] = theta
         probs, _ = fusion_rnn.forward(work, xs, zs)
-        return anticipation_loss(probs, target, config.loss_mode, config.time_scale)
+        return anticipation_loss(probs, target, config.loss_mode)
 
     numeric = finite_diff_grad(objective, model.theta, eps)
     work.theta[...] = model.theta
 
     probs, tape = fusion_rnn.forward(work, xs, zs)
-    dlogits = loss_logit_grads(probs, target, config.loss_mode, config.time_scale)
+    dlogits = loss_logit_grads(probs, target, config.loss_mode)
     analytic = fusion_rnn.backward(work, tape, dlogits)
 
     errors: dict[str, float] = {}

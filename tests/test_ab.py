@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -83,3 +84,66 @@ def test_summarize_reads_every_end_to_end_metric():
     assert out["a_ms"]["unit"] == "ms" and out["a_ms"]["change"]["runs"] == [1.0, 1.1]
     assert out["a_ms"]["verdict"] == "gain"
     assert out["rate"]["wins"] == 0 and out["rate"]["verdict"] == "regression"
+
+
+def comparison(correct, attempted, failed):
+    """The run fields of a comparison, per side from (base, change) lists."""
+    return {key: dict(zip(("base", "change"), value)) for key, value in
+            (("correct", correct), ("attempted", attempted), ("failed", failed))}
+
+
+class TestBroken:
+    def test_clean_runs_pass(self):
+        assert ab.broken(comparison(([True] * 3, [True] * 3), ([100] * 3, [100] * 3),
+                                    ([0] * 3, [0] * 3))) == []
+
+    def test_an_incorrect_run_is_named(self):
+        reasons = ab.broken(comparison(([True, True], [True, False]), ([10, 10], [10, 10]),
+                                       ([0, 0], [0, 0])))
+        assert reasons == ["change run(s) [1] report correct: false"]
+        reasons = ab.broken(comparison(([False, True], [True, True]), ([10, 10], [10, 10]),
+                                       ([0, 0], [0, 0])))
+        assert reasons == ["base run(s) [0] report correct: false"]
+
+    def test_a_larger_failed_share_is_reported(self):
+        # 2 of 200 against 1 of 200
+        reasons = ab.broken(comparison(([True] * 2, [True] * 2), ([100, 100], [100, 100]),
+                                       ([1, 0], [1, 1])))
+        assert reasons == ["the change fails 0.01 of its operations, the base 0.005"]
+
+    def test_the_share_not_the_count_decides(self):
+        # the change fails more operations, but of more attempted: 2/400 < 2/200
+        assert ab.broken(comparison(([True] * 2, [True] * 2), ([100, 100], [200, 200]),
+                                    ([1, 1], [1, 1]))) == []
+        # fewer failures than the base passes
+        assert ab.broken(comparison(([True] * 2, [True] * 2), ([100, 100], [100, 100]),
+                                    ([2, 0], [1, 0]))) == []
+
+
+def test_main_exits_1_after_writing_a_broken_comparison(tmp_path, monkeypatch, capsys):
+    spec = {"command": ["bench"], "run_seconds": 1,
+            "end_to_end": [{"name": "a_ms", "unit": "ms", "better": "lower", "bound": 0.25}]}
+    record = {key: 0 for key in ab.HOST_FIELDS + ab.RUN_FIELDS}
+
+    def fake_run(tree, command, workload, seed, seconds):
+        ok = tree.name == "base"
+        return {"record": record, "result": {"correct": ok, "attempted": 10, "failed": 0 if ok else 3,
+                                             "metrics": {"a_ms": {"value": 1.0}}}}
+
+    def fake_export(rev, into):
+        into.mkdir(parents=True)
+        (into / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        return {"commit": rev}
+
+    monkeypatch.setattr(ab, "run_bench", fake_run)
+    monkeypatch.setattr(ab, "export", fake_export)
+    monkeypatch.setattr(ab.tempfile, "mkdtemp", lambda prefix: str(tmp_path / "work"))
+    out = tmp_path / "bench.json"
+    assert ab.main(["--base", "a", "--change", "b", "--workload", "w", "--pairs", "2",
+                    "--out", str(out)]) == 1
+    doc = json.loads(out.read_text(encoding="utf-8"))["comparisons"][0]
+    assert doc["attempted"] == {"base": [10, 10], "change": [10, 10]}
+    assert doc["failed"] == {"base": [0, 0], "change": [3, 3]}
+    err = capsys.readouterr().err
+    assert "change run(s) [0, 1] report correct: false" in err
+    assert "the change fails 0.3 of its operations, the base 0" in err

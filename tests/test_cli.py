@@ -109,24 +109,11 @@ class TestValidation:
                      "--out", str(tmp_path / "m.json")]) == 1
         assert "dataset has no samples for" in caplog.text
 
-    @pytest.mark.parametrize("width", [0, -2])
-    @pytest.mark.parametrize("command", ["train", "xval"])
-    def test_bad_fusion_width_is_reported(self, tmp_path, caplog, command, width):
-        d = tmp_path / "d.jsonl"
-        assert main(["synth", "--n", "20", "--seed", "0", "--out", str(d)]) == 0
-        argv = [command, "--data", str(d), "--arch", "frnn-el", "--hidden", "4",
-                "--epochs", "1", "--fusion-width", str(width)]
-        argv += ["--out", str(tmp_path / "m.json")] if command == "train" else ["--folds", "2"]
-        assert main(argv) == 1
-        assert f"fusion width must be positive, got {width}" in caplog.text
-        assert not (tmp_path / "m.json").exists()
-
     # each used to train a full pass and then stop with "training diverged",
     # or, for the augmentation factor, to fail at save
     @pytest.mark.parametrize("flag, value, message", [
         ("--lr", "nan", "learning_rate must be positive and finite, got nan"),
         ("--lr", "inf", "learning_rate must be positive and finite, got inf"),
-        ("--loss-scale", "nan", "time_scale must be positive and finite, got nan"),
         ("--augment-factor", "nan", "augmentation_factor must be finite and >= 1, got nan"),
     ])
     def test_non_finite_training_setting_is_rejected_before_training(
@@ -144,10 +131,8 @@ class TestValidation:
     # and the networks no EM flag
     @pytest.mark.parametrize("arch, flag, value", [
         ("aiohmm", "--hidden", "8"),
-        ("iohmm", "--fusion-width", "4"),
         ("hmm", "--epochs", "2"),
         ("aiohmm", "--lr", "1e-2"),
-        ("aiohmm", "--loss-scale", "2"),
         ("aiohmm", "--augment-factor", "nan"),
         ("frnn-el", "--states", "2"),
         ("srnn", "--em-iters", "5"),
@@ -334,6 +319,50 @@ def test_zero_class_prior_streams_and_evaluates_without_warnings(
     assert code == 0
     confusion = np.array(json.loads(report.read_text())["confusion"])  # rows = predicted
     assert not confusion[2:].any()
+
+
+@pytest.fixture(scope="module")
+def extreme_data(tmp_path_factory):
+    """(clean, extreme): a synthetic set, and its copy whose sample 0 holds the
+    overflowing record of ``EXTREME_STREAM`` at step 2."""
+    root = tmp_path_factory.mktemp("extreme")
+    clean, extreme = root / "clean.jsonl", root / "extreme.jsonl"
+    assert main(["synth", "--n", "40", "--seed", "1", "--out", str(clean)]) == 0
+    lines = clean.read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[0])
+    doc["steps"][1]["x"] = json.loads(EXTREME_STREAM[1])["x"]
+    extreme.write_text("".join(line + "\n" for line in [json.dumps(doc)] + lines[1:]), encoding="utf-8")
+    return clean, extreme
+
+
+BLOCK_COMMANDS = [["eval", "--pth", "0.8"], ["sweep"], ["anticipate", "--pth", "0.8"]]
+
+
+class TestOverflowingSample:
+    # used to score the sample as straight driving, exit 0 and warn on stderr
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", BLOCK_COMMANDS, ids=lambda c: c[0])
+    def test_stops_aiohmm_scoring_with_the_sample_named(self, extreme_data, capsys, caplog, command):
+        m = Path(__file__).parent / "data" / "aiohmm_s2.json"
+        code, out = run([command[0], "--model", str(m), "--data", str(extreme_data[1]), *command[1:]],
+                        capsys)
+        assert code == 1
+        assert out == ""
+        assert "sample 'syn-00000' step 2: the probabilities are not finite" in caplog.text
+
+    # The network's saturated gates keep its probabilities finite, so nothing stops or warns;
+    # at p_th 0.8 the record changes no decision, while the sweep's 0.2 point commits on it.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", BLOCK_COMMANDS, ids=lambda c: c[0])
+    def test_runs_through_a_fusion_checkpoint(self, extreme_data, capsys, command):
+        m = Path(__file__).parent / "data" / "fusion_h2.json"
+        (clean_code, clean), (code, out) = [
+            run([command[0], "--model", str(m), "--data", str(d), *command[1:]], capsys)
+            for d in extreme_data
+        ]
+        assert clean_code == code == 0
+        if command[0] != "sweep":
+            assert out == clean
 
 
 class TestStreamRecords:

@@ -568,7 +568,7 @@ def test_train_config_round_trips_through_checkpoint(tmp_path):
     from maneuverkit.training import TrainConfig
 
     model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(1))
-    cfg = TrainConfig(loss_mode="uniform", time_scale=0.5, learning_rate=3e-4, epochs=7, seed=42)
+    cfg = TrainConfig(loss_mode="uniform", learning_rate=3e-4, epochs=7, seed=42)
     em = EmConfig(states=4, variant="io", max_iter=12, seed=8)
     path = tmp_path / "m.json"
     save_model(model, {"train": cfg.to_dict(), "em": em.to_dict()}, path)

@@ -11,6 +11,7 @@ from maneuverkit.metrics import (
     SWEEP_BLOCK,
     FoldScore,
     OutcomeCounts,
+    anticipate_dataset,
     cross_validate,
     evaluate_dataset,
     f1_score,
@@ -126,6 +127,49 @@ def confident(label, p=0.9):
     row = [(1 - p) / 4] * 5
     row[EVENTS.index(label)] = p
     return row
+
+
+class MarkedRowsPredictor:
+    """Uniform block probabilities, NaN at every step whose x[0] is 99 and on
+    every padding row."""
+
+    events = EVENTS
+
+    def trajectory(self, xs, zs, lengths):
+        probs = np.full(xs.shape[:2] + (len(EVENTS),), 0.2)
+        probs[xs[..., 0] == 99] = np.nan
+        probs[np.arange(xs.shape[1]) >= lengths[:, None]] = np.nan
+        return probs
+
+
+BLOCK_WALKS = [
+    pytest.param(lambda p, d: evaluate_dataset(p, d, 0.5), id="evaluate_dataset"),
+    pytest.param(lambda p, d: anticipate_dataset(p, d, 0.5), id="anticipate_dataset"),
+    pytest.param(lambda p, d: threshold_sweep(p, d, [0.5]), id="threshold_sweep"),
+]
+
+
+class TestNonFiniteTrajectory:
+    @staticmethod
+    def dataset(marks=()):
+        """Three blocks of samples of 3 to 7 steps; x[0] is 99 at each (sample, 0-based step)."""
+        samples = [SequenceSample(id=f"s{i}", xs=np.zeros((3 + i % 5, 6)), zs=np.zeros((3 + i % 5, 9)),
+                                  label=EVENTS.index("straight")) for i in range(2 * SWEEP_BLOCK + 3)]
+        for i, t in marks:
+            samples[i].xs[t, 0] = 99
+        return samples
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("walk", BLOCK_WALKS)
+    def test_first_sample_in_dataset_order_is_named(self, walk):
+        data = self.dataset(marks=[(2 * SWEEP_BLOCK + 1, 0), (SWEEP_BLOCK + 7, 4), (SWEEP_BLOCK + 7, 3)])
+        with pytest.raises(ValueError, match=rf"^sample 's{SWEEP_BLOCK + 7}' step 4: "
+                                             r"the probabilities are not finite$"):
+            walk(MarkedRowsPredictor(), data)
+
+    @pytest.mark.parametrize("walk", BLOCK_WALKS)
+    def test_padding_rows_are_not_checked(self, walk):
+        walk(MarkedRowsPredictor(), self.dataset())
 
 
 class TestEvaluateDataset:

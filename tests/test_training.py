@@ -241,11 +241,11 @@ class TestTrain:
         r2 = train(data, model, cfg)
         np.testing.assert_array_equal(r1.model.theta, r2.model.theta)
 
-    # a NaN or infinite rate or scale used to train a full pass, then abort
+    # a NaN or infinite rate or factor used to train a full pass, then abort
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
-        ("time_scale", float("nan")), ("time_scale", -1.0), ("augmentation_factor", float("nan")),
-        ("augmentation_factor", float("inf")), ("augmentation_factor", 0.5), ("epochs", -1),
+        ("augmentation_factor", float("nan")), ("augmentation_factor", float("inf")),
+        ("augmentation_factor", 0.5), ("epochs", -1),
     ])
     def test_bad_setting_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -264,6 +264,35 @@ class TestTrain:
         assert report.aborted
         assert report.epoch_losses == []
         assert report.model is not None
+
+    # NaN probabilities give a non-finite loss, and a NaN gradient is one that RmsProp.step
+    # rejects; either, met in epoch 2, must return the state of the one complete epoch
+    @pytest.mark.parametrize("stage, message", [
+        ("forward", "non-finite loss"),
+        ("backward", "non-finite gradient"),
+    ])
+    def test_abort_in_epoch_two_returns_the_first_epoch(self, monkeypatch, caplog, stage, message):
+        data = toy_dataset(n=6)
+        model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(5))
+        one_epoch = train(data, model, TrainConfig(epochs=1, learning_rate=1e-3, seed=9))
+        real, calls = getattr(training.fusion_rnn, stage), []
+
+        def poisoned(*args):
+            out = real(*args)
+            calls.append(args)
+            if len(calls) <= len(data) + 2:  # the first epoch and two samples of the second
+                return out
+            if stage == "forward":
+                return np.full_like(out[0], np.nan), out[1]
+            return np.full_like(out, np.nan)
+
+        monkeypatch.setattr(training.fusion_rnn, stage, poisoned)
+        report = train(data, model, TrainConfig(epochs=3, learning_rate=1e-3, seed=9))
+        assert report.aborted
+        assert report.epoch_losses == one_epoch.epoch_losses
+        np.testing.assert_array_equal(report.model.theta, one_epoch.model.theta)
+        assert len(calls) == len(data) + 3
+        assert message in caplog.text and "aborting" in caplog.text
 
 
 class TestGradientCheck:
@@ -301,7 +330,7 @@ def replayed_training(dataset, model, config):
             target = map_label_to_model(sample.label, model.events)
             work.theta[...] = theta
             probs, tape = forward(work, sample.xs, sample.zs)
-            args = (target, config.loss_mode, config.time_scale)
+            args = (target, config.loss_mode)
             loss = anticipation_loss(probs, *args)
             grad = rebuilt_model_backward(work, tape, loss_logit_grads(probs, *args))
             theta, acc = rmsprop_update(theta, grad, acc, config.learning_rate,

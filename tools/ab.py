@@ -29,7 +29,11 @@ comparison records both medians and quartiles, the change's win count
 
 The comparison is appended to ``--out`` (a JSON object with a
 ``comparisons`` list), so one file can hold several workloads and a
-base-against-base noise floor.
+base-against-base noise floor.  Each run's ``correct`` flag and its
+``attempted`` and ``failed`` operation counts are recorded too; after
+writing ``--out`` the script exits 1, saying why, if any run reports
+``correct: false`` or the change fails a larger share of its attempted
+operations than the base.
 """
 
 from __future__ import annotations
@@ -103,6 +107,20 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
         out[name] = {"unit": metric["unit"],
                      **compare(values["base"], values["change"], metric["better"], metric["bound"])}
     return out
+
+
+def broken(comparison: dict) -> list[str]:
+    """Why the comparison's runs cannot stand: each side with a run that
+    reports ``correct: false``, and a change that fails a larger share of
+    its attempted operations than the base."""
+    reasons = [f"{side} run(s) {[k for k, ok in enumerate(flags) if not ok]} report correct: false"
+               for side, flags in comparison["correct"].items() if not all(flags)]
+    share = {side: sum(comparison["failed"][side]) / max(sum(comparison["attempted"][side]), 1)
+             for side in ("base", "change")}
+    if share["change"] > share["base"]:
+        reasons.append(f"the change fails {share['change']:.3g} of its operations, "
+                       f"the base {share['base']:.3g}")
+    return reasons
 
 
 def git(*args: str) -> str:
@@ -189,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {side: {key: runs[side][0]["record"][key] for key in HOST_FIELDS}
                  for side in ("base", "change")},
         "correct": {side: [r["result"]["correct"] for r in runs[side]] for side in runs},
+        "attempted": {side: [r["result"]["attempted"] for r in runs[side]] for side in runs},
         "failed": {side: [r["result"]["failed"] for r in runs[side]] for side in runs},
         "runs": {side: [{key: r["record"][key] for key in RUN_FIELDS} for r in runs[side]]
                  for side in runs},
@@ -201,7 +220,10 @@ def main(argv: list[str] | None = None) -> int:
     for name, m in comparison["metrics"].items():
         print(f"{name:16s} {m['base']['median']:10.4g} -> {m['change']['median']:10.4g} "
               f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
-    return 0
+    reasons = broken(comparison)
+    for reason in reasons:
+        print(f"broken run: {reason}", file=sys.stderr)
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":
