@@ -8,7 +8,7 @@ scenario generator, the threshold-based anticipation protocol, and both
 precision/recall accounting schemes round out the toolkit.
 """
 
-from .aiohmm import AioHmmEnsemble, AioHmmModel, EmConfig, fit_em, infer_maneuver
+from .aiohmm import AioHmmEnsemble, AioHmmModel, EmConfig, fit_em
 from .anticipation import (
     AioHmmPredictor,
     AnticipationResult,
@@ -55,7 +55,6 @@ __all__ = [
     "fit_em",
     "generate",
     "gradient_check",
-    "infer_maneuver",
     "init_fusion_model",
     "macro_precision_recall",
     "param_count",

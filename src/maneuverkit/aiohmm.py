@@ -15,15 +15,16 @@ additionally pins a_i = 0 and replaces the transition input by a constant
 bias coordinate, making transitions input-independent.
 
 The E-step is one log-space forward-backward pass over a zero-padded batch
-of a class's sequences: one emission call over the real steps and one
-log-softmax cover every step, and the (B, S) recursion runs over the
-batch, so no step can underflow.  Past its own end each sequence gets log
-emission 0 and the log of the identity transition matrix, which leaves its
-real steps exactly as a pass over that sequence alone.  :func:`log_forward`
-is that forward recursion over any leading axes: the E-step and the
-predictor's batched trajectories both run it, and the streaming predictor
-advances its forward vectors with its one-step update
-:func:`log_forward_step` and the same :func:`log_transitions`.
+of a class's sequences, so no step can underflow.  Its forward half is
+:func:`block_forward`, the one block forward pass: one emission call over
+the real steps and one log-softmax cover every step, and one
+:func:`log_forward` recursion runs over any leading axes of chains.  Past
+its own end each sequence gets log emission 0 and the log of the identity
+transition matrix, which leaves its real steps exactly as a pass over that
+sequence alone.  The predictor's batched trajectories run the same pass
+over all classes stacked, and the streaming predictor advances its forward
+vectors with the one-step update :func:`log_forward_step` and the same
+:func:`log_transitions`.
 
 The M-step solves the coupled mean parameters by alternating exact
 weighted least squares, updates each covariance from posterior-weighted
@@ -271,6 +272,36 @@ def emission_logprobs(
 # ---------------------------------------------------------------------------
 
 
+def block_forward(
+    m: AioHmmModel, w: np.ndarray, log_pi: np.ndarray, xs: np.ndarray, zs: np.ndarray,
+    lengths: np.ndarray, factors: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log forward pass of chains with transition weights ``w`` (..., S, S,
+    dt) and log initial probabilities ``log_pi`` (..., S) over a zero-padded
+    (B, T, ·) block of sequences ``lengths`` long: the log emissions
+    (..., B, T, S), log transitions (..., B, T-1, S, S) and log alphas.
+
+    ``m`` emits for all (...) x S states in one :func:`emission_logprobs`
+    call over the real rows (``factors`` as that call takes them) and its
+    variant sets the transition inputs.  Past its own end a sequence gets
+    log emission 0 and the log of the identity transition matrix, which
+    carries its forward and backward vectors through unchanged: every real
+    step, and the log-likelihood, is what a pass over that sequence alone
+    computes, and each padding row repeats the last real one.
+    """
+    B, T = xs.shape[:2]
+    *lead, S = log_pi.shape
+    live = np.arange(T) < lengths[:, None]                               # (B, T)
+    logb = np.zeros((B, T, m.states))
+    logb[live] = emission_logprobs(m, xs[live], zs[live], z_prev=shifted_observations(zs)[live],
+                                   factors=factors)
+    logb = np.moveaxis(logb.reshape(B, T, *lead, S), (0, 1), (-3, -2))
+    xe = transition_inputs(m, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
+    log_a = np.moveaxis(log_transitions(w, xe).reshape(*lead, S, S, B, T - 1), (-2, -1), (-4, -3))
+    log_a[..., ~live[:, 1:], :, :] = np.where(np.eye(S, dtype=bool), 0.0, -np.inf)
+    return logb, log_a, log_forward(log_pi[..., None, :], log_a, logb)
+
+
 def forward_backward(
     m: AioHmmModel, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray | None = None
 ) -> PosteriorStats:
@@ -278,28 +309,16 @@ def forward_backward(
     sequence or a padded (B, T, d) batch with per-sequence ``lengths``
     (every sequence runs the full T when omitted).
 
-    The pass runs in log space over the whole batch at once, with the
-    forward recursion of :func:`log_forward` and its mirror backward, so
-    no step can underflow for finite inputs.  Past its own end a sequence
-    gets log emission 0 and the log of the identity transition matrix,
-    which carries its forward and backward vectors through unchanged: every
-    real step, and the log-likelihood, is what a pass over that sequence
-    alone computes.
+    The pass runs in log space over the whole batch at once: the forward
+    half is :func:`block_forward`, and the backward half its mirror, so no
+    step can underflow for finite inputs.
     """
     (xs, zs, lengths), single = as_block(xs, zs, lengths)
-    B, T, S = xs.shape[0], xs.shape[1], m.states
+    T = xs.shape[1]
     live = np.arange(T) < lengths[:, None]                               # (B, T)
-
-    logb = np.zeros((B, T, S))
-    logb[live] = emission_logprobs(m, xs[live], zs[live], z_prev=shifted_observations(zs)[live])
-    xe = transition_inputs(m, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
-    log_a = log_transitions(m.w, xe).transpose(2, 0, 1).reshape(B, T - 1, S, S)
-    with np.errstate(divide="ignore"):  # log 0 = -inf: off the identity's diagonal, zero pi entries
-        log_a[~live[:, 1:]] = np.log(np.eye(S))
-        log_pi = np.log(m.pi)
-
-    la = log_forward(log_pi, log_a, logb)
-    lb = np.empty((B, T, S))
+    with np.errstate(divide="ignore"):  # zero pi entries give log 0 = -inf
+        logb, log_a, la = block_forward(m, m.w, np.log(m.pi), xs, zs, lengths)
+    lb = np.empty(la.shape)
     lb[:, T - 1] = 0.0
     for t in range(T - 2, -1, -1):  # the same update along reversed transitions
         lb[:, t] = log_forward_step(logb[:, t + 1] + lb[:, t + 1], log_a[:, t].swapaxes(1, 2), 0.0)
@@ -595,38 +614,6 @@ def posterior_from_logliks(logliks: np.ndarray, log_prior: np.ndarray) -> np.nda
     return softmax(np.asarray(logliks, dtype=float) + log_prior)
 
 
-def class_prior(prior: np.ndarray | None, n: int) -> np.ndarray:
-    """``prior`` as a float array over n event classes, uniform when None.
-    Anything but n finite, non-negative numbers summing to 1 raises
-    ValueError."""
-    if prior is None:
-        return np.full(n, 1.0 / n)
-    prior = np.array(prior, dtype=float)
-    if (prior.shape != (n,) or not np.isfinite(prior).all() or (prior < 0.0).any()
-            or abs(float(prior.sum()) - 1.0) > 1e-9):
-        raise ValueError(f"'prior' must be a distribution over the {n} events")
-    return prior
-
-
-def infer_maneuver(
-    models: list[AioHmmModel],
-    xs: np.ndarray,
-    zs: np.ndarray,
-    prior: np.ndarray | None = None,
-) -> np.ndarray:
-    """Posterior over event classes given one per-class model each.
-
-    Proportional to exp(log-likelihood) times the prior (uniform unless
-    given).
-    """
-    if len(models) < 2:
-        raise ValueError("need at least two candidate models")
-    logliks = np.array([sequence_loglik(m, xs, zs) for m in models])
-    with np.errstate(divide="ignore"):  # a class of prior 0 gets log 0 = -inf
-        log_prior = np.log(class_prior(prior, len(models)))
-    return posterior_from_logliks(logliks, log_prior)
-
-
 # ---------------------------------------------------------------------------
 # Sampling (for recovery experiments and demos)
 # ---------------------------------------------------------------------------
@@ -666,7 +653,7 @@ class AioHmmEnsemble:
     The constructor checks what an ensemble is, once, and raises ValueError
     naming the first rule broken:
     - the prior is a finite, non-negative float array over the events that
-      sums to 1 (:func:`class_prior`; uniform when omitted);
+      sums to 1 (uniform when omitted);
     - ``models`` holds exactly one model per event and none under any
       other key;
     - every class shares one (x, z) size, one variant and one state count,
@@ -678,7 +665,12 @@ class AioHmmEnsemble:
     prior: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.prior = class_prior(self.prior, len(self.events))
+        n = len(self.events)
+        prior = np.full(n, 1.0 / n) if self.prior is None else np.array(self.prior, dtype=float)
+        if (prior.shape != (n,) or not np.isfinite(prior).all() or (prior < 0.0).any()
+                or abs(float(prior.sum()) - 1.0) > 1e-9):
+            raise ValueError(f"'prior' must be a distribution over the {n} events")
+        self.prior = prior
         missing = [e for e in self.events if e not in self.models]
         if missing:
             raise ValueError(f"'models' has no model for events {missing!r}")
@@ -692,4 +684,7 @@ class AioHmmEnsemble:
                 raise ValueError(f"models disagree on their {what} {sorted(values)}")
 
     def posterior(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        return infer_maneuver([self.models[e] for e in self.events], xs, zs, self.prior)
+        """Posterior over the events from each class's :func:`sequence_loglik`."""
+        logliks = np.array([sequence_loglik(self.models[e], xs, zs) for e in self.events])
+        with np.errstate(divide="ignore"):  # a class of prior 0 gets log 0 = -inf
+            return posterior_from_logliks(logliks, np.log(self.prior))

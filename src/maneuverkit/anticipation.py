@@ -30,8 +30,8 @@ its own.  It runs a block through the same step over a cell-major
 (C, B, H) state, keeping only the hidden states, and reads them out once.
 ``AioHmmPredictor`` streams the per-class model ensemble through the
 log-space forward step of :mod:`~maneuverkit.aiohmm`, with all classes
-stacked into one filter, and runs a block through one emission call and
-one :func:`~maneuverkit.aiohmm.log_forward` recursion.  Both block paths
+stacked into one filter, and runs a block through the E-step's own block
+forward pass, :func:`~maneuverkit.aiohmm.block_forward`.  Both block paths
 match streaming each sequence through ``step`` to within rounding.
 """
 
@@ -44,16 +44,14 @@ from typing import Any, Protocol
 import numpy as np
 
 from .aiohmm import (
-    VARIANT_AIO,
     AioHmmEnsemble,
     AioHmmModel,
+    block_forward,
     emission_factors,
     emission_logprobs,
-    log_forward,
     log_forward_step,
     log_transitions,
     posterior_from_logliks,
-    shifted_observations,
     transition_inputs,
 )
 from .events import straight_index
@@ -128,10 +126,11 @@ class AioHmmPredictor:
 
     The constructor takes a snapshot of the ensemble's parameters: every
     class's states become one K*S-state emission model whose Cholesky
-    factors are computed once, and the K classes' transition weights and
-    log initial probabilities are stacked into (K, S, S, dt) and (K, S)
-    arrays, which the ensemble's one variant and one state count allow.
-    Later changes to the ensemble's models are not seen by the predictor.
+    factors are computed once and whose variant, the ensemble's one
+    variant, sets the transition inputs; the K classes' transition weights
+    and log initial probabilities are stacked into (K, S, S, dt) and (K, S)
+    arrays, which the ensemble's one state count allows.  Later changes to
+    the ensemble's models are not seen by the predictor.
 
     A step is one emission call for all classes, one
     :func:`~maneuverkit.aiohmm.log_transitions` over the stacked weights and
@@ -141,10 +140,10 @@ class AioHmmPredictor:
     filter finite even for classes whose model assigns essentially no
     density to the observed prefix.
 
-    A block's trajectory is one emission call over its real rows, one
-    ``log_transitions`` over every step and one
-    :func:`~maneuverkit.aiohmm.log_forward` over the (K, B) chains; the
-    prefix log-likelihood at step t is the log-sum-exp of the alphas at t.
+    A block's trajectory is one :func:`~maneuverkit.aiohmm.block_forward`
+    over the (K, B) chains; the prefix log-likelihood at step t is the
+    log-sum-exp of the alphas at t, and a padding row repeats its
+    sequence's last real one.
     """
 
     def __init__(self, ensemble: AioHmmEnsemble):
@@ -154,12 +153,11 @@ class AioHmmPredictor:
         a = np.concatenate([m.a for m in models])
         n = mu.shape[0]
         self._emission = AioHmmModel(
-            variant=VARIANT_AIO, mu=mu, a=a, b=np.concatenate([m.b for m in models]),
+            variant=models[0].variant, mu=mu, a=a, b=np.concatenate([m.b for m in models]),
             sigma=np.concatenate([m.sigma for m in models]),
             w=np.zeros((n, n, a.shape[1])), pi=np.full(n, 1.0 / n),  # transitions unused
         )
         self._factors = emission_factors(self._emission.sigma)
-        self._member = models[0]  # all share one variant, which sets the transition inputs
         self._w = np.stack([m.w for m in models])  # (K, S, S, dt)
         with np.errstate(divide="ignore"):  # pi and prior entries may be exactly zero
             self._log_pi = np.log(np.stack([m.pi for m in models]))  # (K, S)
@@ -178,26 +176,14 @@ class AioHmmPredictor:
         if state is None:
             log_alpha = self._log_pi + logb
         else:
-            log_a = log_transitions(self._w, transition_inputs(self._member, x[None, :]))[..., 0]
+            log_a = log_transitions(self._w, transition_inputs(self._emission, x[None, :]))[..., 0]
             log_alpha = log_forward_step(state[0], log_a, logb)
         logliks = np.logaddexp.reduce(log_alpha, axis=1)
         return (log_alpha, z), posterior_from_logliks(logliks, self._log_prior)
 
     def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        # Padding steps get log emission 0 and finite transitions, and only
-        # feed rows past their own sequence's end.
-        B, T = xs.shape[:2]
-        K, S = self._log_pi.shape
-        live = np.arange(T) < lengths[:, None]  # (B, T)
-        logb = np.zeros((B, T, K * S))
-        logb[live] = emission_logprobs(self._emission, xs[live], zs[live],
-                                       z_prev=shifted_observations(zs)[live], factors=self._factors)
-        logb = logb.reshape(B, T, K, S).transpose(2, 0, 1, 3)
-        R = B * (T - 1)  # transition rows: every step after the first
-        xe = transition_inputs(self._member, xs[:, 1:].reshape(R, xs.shape[2]))
-        log_a = log_transitions(self._w, xe).reshape(K, S, S, B, T - 1).transpose(0, 3, 4, 1, 2)
-        la = log_forward(self._log_pi[:, None], log_a, logb)  # (K, B, T, S)
-        logliks = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)
+        _, _, la = block_forward(self._emission, self._w, self._log_pi, xs, zs, lengths, self._factors)
+        logliks = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)  # (B, T, K)
         return posterior_from_logliks(logliks, self._log_prior)
 
 

@@ -93,6 +93,7 @@ def _scenario_config(path: str | None, seed: int) -> synth.ScenarioConfig:
         raise dataio.DataFormatError(f"{path}: {err}") from None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_model(args, dataset, seed: int):
     """Train the ``args.arch`` model on ``dataset``; ``seed`` seeds everything
     random: the network's initialization, sample order and augmentation, or
@@ -100,7 +101,8 @@ def train_model(args, dataset, seed: int):
 
     Returns (model, checkpoint meta, training curve rows, aborted).  A
     diverged network comes back with its last finite state and aborted set.
-    A flag of the other family of archs off its default is an error.
+    A flag of the other family of archs off its default is an error, as is
+    an EM fit whose forward pass degenerates; overflow alone warns nowhere.
     """
     for name, default in (NETWORK_FLAGS if args.arch in HMM_ARCHS else HMM_FLAGS).items():
         if getattr(args, name) != default:  # NaN too
@@ -118,7 +120,10 @@ def train_model(args, dataset, seed: int):
             seqs = [(s.xs, s.zs) for s in dataset if s.label == label]
             if not seqs:
                 raise ValueError(f"dataset has no samples for event {name!r}")
-            models[name], trace = aiohmm.fit_em(seqs, config)
+            try:
+                models[name], trace = aiohmm.fit_em(seqs, config)
+            except FloatingPointError as err:
+                raise ValueError(f"fit of event {name!r}: {err}") from None
             curve.extend((name, i, v) for i, v in enumerate(trace))
             log.info("fit %s: %d EM iterations, final loglik %.2f", name, len(trace), trace[-1])
         meta = {"arch": args.arch, "setting": args.setting, "em": config.to_dict()}

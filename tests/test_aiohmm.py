@@ -23,13 +23,13 @@ from maneuverkit.aiohmm import (
     _shifted_logits,
     _update_mean_params,
     _update_transitions,
+    block_forward,
     emission_factors,
     emission_logprobs,
     emission_scales,
     fit_em,
     transition_inputs,
     forward_backward,
-    infer_maneuver,
     log_transition_matrices,
     log_forward,
     log_forward_step,
@@ -913,6 +913,36 @@ class TestForwardBackward:
         live = np.arange(xs.shape[1]) < lengths[:, None]
         assert not np.any(got.gamma[~live]) and not np.any(got.xi[~live[:, 1:]])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 4),
+           st.sampled_from(["aio", "io", "hmm"]), st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    @example(seed=6, S=2, K=3, variant="hmm", lengths=[1])
+    @example(seed=7, S=3, K=2, variant="aio", lengths=[5, 1, 3])
+    def test_block_forward_over_stacked_classes_matches_each_class(self, seed, S, K, variant, lengths):
+        # The predictor's form: K classes' chains along a leading axis, one
+        # model emitting for all K*S states, identity padding past each end.
+        rng = make_rng(seed)
+        dz, dx = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        models = [random_model(rng, S, dz, dx, variant=variant, scale=float(rng.uniform(0.1, 1.0)))
+                  for _ in range(K)]
+        seqs = [(rng.standard_normal((T, dx)), rng.standard_normal((T, dz)) * 2.0) for T in lengths]
+        emitter = AioHmmModel(
+            variant=variant, mu=np.concatenate([m.mu for m in models]),
+            a=np.concatenate([m.a for m in models]), b=np.concatenate([m.b for m in models]),
+            sigma=np.concatenate([m.sigma for m in models]), w=np.zeros((K * S, K * S, 1)),
+            pi=np.full(K * S, 1.0 / (K * S)),
+        )
+        w, log_pi = np.stack([m.w for m in models]), np.log(np.stack([m.pi for m in models]))
+        _, _, la = block_forward(emitter, w, log_pi, *pad_sequences(seqs))
+        assert la.shape == (K, len(seqs), max(lengths), S)
+        for k, m in enumerate(models):
+            for b, (xs, zs) in enumerate(seqs):
+                ref = forward_backward(m, xs, zs).loglik
+                T = len(xs)
+                assert abs(np.logaddexp.reduce(la[k, b, T - 1]) - ref) <= 1e-12 * (1.0 + abs(ref))
+                pad = la[k, b, T:]
+                np.testing.assert_array_equal(pad, np.broadcast_to(la[k, b, T - 1], pad.shape))
+
     def test_bad_lengths_rejected(self):
         m = random_model(make_rng(8), 2, 2, 2)
         xs = np.zeros((3, 4, 2))
@@ -1228,7 +1258,8 @@ class TestInference:
         rng = make_rng(16)
         m = random_model(rng, 2, 2, 2)
         xs, zs = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
-        post = infer_maneuver([m, m.copy(), m.copy()], xs, zs)
+        ens = AioHmmEnsemble(events=EVENTS[:3], models=dict(zip(EVENTS, [m, m.copy(), m.copy()])))
+        post = ens.posterior(xs, zs)
         np.testing.assert_allclose(post, 1 / 3, atol=1e-12)
 
     def test_argmax_shift_invariant(self):
@@ -1242,12 +1273,6 @@ class TestInference:
             assert int(np.argmax(a)) == int(np.argmax(b))
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_fewer_than_two_models_rejected(self):
-        rng = make_rng(18)
-        m = random_model(rng, 2, 2, 2)
-        with pytest.raises(ValueError):
-            infer_maneuver([m], np.zeros((3, 2)), np.zeros((3, 2)))
-
     @pytest.mark.parametrize(
         "prior",
         [[0.5, 0.5, 0.5, 0.5, -1.0], [2.0, -1.0, 0.0, 0.0, 0.0], [0.2] * 4, [0.2] * 4 + [float("nan")],
@@ -1255,12 +1280,9 @@ class TestInference:
         ids=["negative-sum-above-one", "negative-sum-one", "too-short", "nan", "sum-below-one"],
     )
     def test_prior_that_is_no_distribution_rejected(self, prior):
-        # One check for both consumers: a negative entry would stream NaN
-        # probabilities out of either.
+        # A negative entry would stream NaN probabilities.
         rng = make_rng(19)
         models = dict(zip(EVENTS, (random_model(rng, 2, 2, 2) for _ in EVENTS)))
         message = r"'prior' must be a distribution over the 5 events"
-        with pytest.raises(ValueError, match=message):
-            infer_maneuver(list(models.values()), np.zeros((3, 2)), np.zeros((3, 2)), prior)
         with pytest.raises(ValueError, match=message):
             AioHmmEnsemble(events=EVENTS, models=models, prior=prior)

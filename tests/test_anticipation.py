@@ -12,7 +12,6 @@ from maneuverkit.aiohmm import (
     VARIANTS,
     AioHmmEnsemble,
     emission_logprobs,
-    infer_maneuver,
     posterior_from_logliks,
 )
 from maneuverkit.anticipation import (
@@ -386,7 +385,7 @@ class TestPredictors:
         zs = rng.standard_normal((6, 3))
         stream = trajectory(AioHmmPredictor(ens), xs, zs)
         for t in range(1, 7):
-            full = infer_maneuver([models[e] for e in EVENTS], xs[:t], zs[:t])
+            full = ens.posterior(xs[:t], zs[:t])
             np.testing.assert_allclose(stream[t - 1], full, atol=1e-10)
 
     @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
@@ -573,7 +572,7 @@ class TestZeroClassPrior:
             np.testing.assert_array_equal(probs[..., 2:], 0.0)
         single = trajectory(predictor, block.xs[0], block.zs[0])
         np.testing.assert_array_equal(single[:, 2:], 0.0)
-        posterior = infer_maneuver([models[e] for e in EVENTS], block.xs[0], block.zs[0], prior)
+        posterior = ens.posterior(block.xs[0], block.zs[0])
         np.testing.assert_array_equal(posterior[2:], 0.0)
         np.testing.assert_allclose(posterior, single[-1], rtol=0, atol=1e-10)
         for result in anticipate(predictor, block.xs, block.zs, 0.2, block.lengths):

@@ -364,6 +364,31 @@ class TestOverflowingSample:
         if command[0] != "sweep":
             assert out == clean
 
+    # The fit of the class holding the record stops by name, with no traceback
+    # and no NumPy overflow warning.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["train", "--out", "m.json"], ["xval"]], ids=lambda c: c[0])
+    def test_stops_an_aiohmm_fit_with_the_event_named(
+        self, extreme_data, tmp_path, monkeypatch, capsys, caplog, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out = run([command[0], "--data", str(extreme_data[1]), "--arch", "aiohmm", "--states", "2",
+                         "--em-iters", "5", "--seed", "2", *command[1:]], capsys)
+        event = json.loads(extreme_data[1].read_text(encoding="utf-8").splitlines()[0])["label"]
+        assert code == 1
+        assert out == ""
+        assert f"fit of event {event!r}: log-space forward pass degenerated" in caplog.text
+        assert not (tmp_path / "m.json").exists()
+
+    # The network's gates saturate on the record without a warning, and the loss stays finite.
+    @pytest.mark.filterwarnings("error")
+    def test_trains_a_network_through(self, extreme_data, tmp_path, capsys):
+        m = tmp_path / "m.json"
+        code, _ = run(["train", "--data", str(extreme_data[1]), "--arch", "frnn-el", "--hidden", "8",
+                       "--epochs", "2", "--seed", "2", "--out", str(m)], capsys)
+        assert code == 0
+        assert m.exists()
+
 
 class TestStreamRecords:
     def test_known_onset_is_accepted(self, hmm_checkpoint, monkeypatch, capsys):
