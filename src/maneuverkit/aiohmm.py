@@ -26,21 +26,22 @@ over all classes stacked, and the streaming predictor advances its forward
 vectors with the one-step update :func:`log_forward_step` and the same
 :func:`log_transitions`.
 
-The M-step solves the coupled mean parameters by alternating exact
-weighted least squares, updates each covariance from posterior-weighted
-residuals (eigenvalues floored at ``COV_FLOOR``), refits the initial
-distribution from the t=1 posteriors, and improves the transition weights
-by ``BOUND_STEPS`` steps of Boehning's fixed-Hessian lower-bound ascent for
-multinomial logistic regression (Boehning 1992).  The alternating solve
-is factored once per M-step: one R-only QR of every state's weighted
-[design | z | 1] stack and one small SVD of each p x p design triangle
-give every round's mean and minimum-norm coupling solve, for all states
-in lockstep, without touching the data rows again; the same R gives the
-residual scatter of every covariance, which one batched ``eigh`` floors.
-The ascent scales its inputs by the bound's fixed steps once, so each
-step is one softmax and one product.
-Every piece either maximizes or never decreases the expected complete-data
-log-likelihood, so the training log-likelihood trace is non-decreasing.
+The M-step solves the coupled mean parameters by ``MEAN_ROUNDS`` rounds of
+alternating exact weighted least squares, updates each covariance from
+posterior-weighted residuals (eigenvalues floored at ``COV_FLOOR``),
+refits the initial distribution from the t=1 posteriors, and improves the
+transition weights by ``BOUND_STEPS`` steps of Boehning's fixed-Hessian
+lower-bound ascent for multinomial logistic regression (Boehning 1992).
+The alternating solve is factored once per M-step: one R-only QR of every
+state's weighted [design | z | 1] stack and one small SVD of each p x p
+design triangle give every round's mean and minimum-norm coupling solve,
+for all states in lockstep, without touching the data rows again; the same
+R gives the residual scatter of every covariance, which one batched
+``eigh`` floors.  The ascent scales its inputs by the bound's fixed steps
+once, so each step is one softmax and one product.  Every piece either
+maximizes or never decreases the expected complete-data log-likelihood, so
+the training log-likelihood trace is non-decreasing.  An ``EmConfig`` is
+frozen and checks itself once, when made.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 COV_FLOOR = 1e-6   # smallest allowed covariance eigenvalue
 BOUND_STEPS = 25   # bound-ascent steps on the transition weights per M-step
+MEAN_ROUNDS = 3    # alternating WLS rounds for (mu, a, b) per M-step
 
 
 @dataclass
@@ -133,16 +135,15 @@ class PosteriorStats:
     loglik: float | np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmConfig:
     states: int = 3
     variant: str = VARIANT_AIO
     max_iter: int = 50
     tol: float = 1e-6              # relative loglik improvement
     seed: int = 0
-    mean_rounds: int = 3           # alternating WLS rounds for (mu, a, b)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.states < 1:
             raise ValueError("need at least one state")
         if self.variant not in VARIANTS:
@@ -152,8 +153,6 @@ class EmConfig:
         # written as "not (ok)", so NaN fails it too
         if not self.tol >= 0.0:
             raise ValueError(f"tol must be a non-negative number, got {self.tol!r}")
-        if self.mean_rounds < 1:
-            raise ValueError(f"mean_rounds must be at least 1, got {self.mean_rounds!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -383,7 +382,7 @@ def _min_norm_solver(R: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.n
 
 def _update_mean_params(
     m: AioHmmModel, states: np.ndarray, Z: np.ndarray, X: np.ndarray, Zprev: np.ndarray,
-    G: np.ndarray, config: EmConfig, diag: dict,
+    G: np.ndarray, rounds: int, diag: dict,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Alternating exact WLS for (mu_i, a_i, b_i) on concatenated data,
     for the ``states`` (index array) with posteriors G (N, len(states)),
@@ -433,7 +432,7 @@ def _update_mean_params(
         sigma_inv = np.linalg.inv(m.sigma[states])
         c = np.full((S, dz + 1), -1.0)                                 # [Sigma^-1 mu / alpha; -1]
 
-    for _ in range(config.mean_rounds):
+    for _ in range(rounds):
         root_gs = np.einsum("skc,sc->sk", R, v)                        # sqrt(g) s, rotated
         denom = np.einsum("sk,sk->s", root_gs, root_gs)
         np.divide(np.einsum("sk,skd->sd", np.ascontiguousarray(root_gs), Rz), denom[:, None],
@@ -499,11 +498,12 @@ def m_step(
     batch: Padded,
     stats: PosteriorStats,
     m: AioHmmModel,
-    config: EmConfig,
     diag: dict | None = None,
+    rounds: int = MEAN_ROUNDS,
 ) -> AioHmmModel:
     """Maximization step over a padded batch and its ``forward_backward``
-    statistics; only each sequence's real steps count.
+    statistics; only each sequence's real steps count.  The mean solve
+    alternates ``rounds`` times.
 
     ``diag``, when given, accumulates counts of rank-deficient mean solves
     (key ``"ridge"``) and floored covariances so callers can report them
@@ -524,7 +524,7 @@ def m_step(
         log.warning("state %d received no posterior mass; left unchanged", i)
     states = np.flatnonzero(weights > 1e-12)
     new.mu[states], new.a[states], new.b[states], scatter = _update_mean_params(
-        m, states, Z, X, Zprev, G[:, states], config, diag
+        m, states, Z, X, Zprev, G[:, states], rounds, diag
     )
     new.sigma[states] = _floor_covariance(scatter / weights[states, None, None], COV_FLOOR, diag)
 
@@ -563,7 +563,7 @@ def _init_model(batch: Padded, config: EmConfig) -> AioHmmModel:
     gamma[np.arange(T) < batch.lengths[:, None]] = g / g.sum(axis=1, keepdims=True)
     xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
     stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.full(B, np.nan))
-    model = m_step(batch, stats, blank, replace(config, mean_rounds=1), diag={})
+    model = m_step(batch, stats, blank, diag={}, rounds=1)
     model.validate()
     return model
 
@@ -579,7 +579,6 @@ def fit_em(
     batch once; each iteration is one ``forward_backward`` and one
     ``m_step`` over it.
     """
-    config.validate()
     if not sequences:
         raise ValueError("cannot fit a model to an empty dataset")
     batch = pad_sequences(sequences)
@@ -595,23 +594,13 @@ def fit_em(
             prev = trace[-2]
             if abs(total - prev) <= config.tol * max(abs(prev), 1.0):
                 break
-        model = m_step(batch, stats, model, config, diag)
+        model = m_step(batch, stats, model, diag)
     if diag.get("ridge") or diag.get("floored"):
         log.info(
             "EM fit used %d rank-deficient mean solve(s) and floored %d covariance update(s)",
             diag.get("ridge", 0), diag.get("floored", 0),
         )
     return model, trace
-
-
-def posterior_from_logliks(logliks: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
-    """Normalize per-model log-likelihoods and the log class prior into a
-    class posterior; a class of log prior -inf gets exactly 0.
-
-    Max-shifted, so the result (and its argmax in particular) is invariant
-    under adding a constant to every log-likelihood.
-    """
-    return softmax(np.asarray(logliks, dtype=float) + log_prior)
 
 
 # ---------------------------------------------------------------------------
@@ -687,4 +676,4 @@ class AioHmmEnsemble:
         """Posterior over the events from each class's :func:`sequence_loglik`."""
         logliks = np.array([sequence_loglik(self.models[e], xs, zs) for e in self.events])
         with np.errstate(divide="ignore"):  # a class of prior 0 gets log 0 = -inf
-            return posterior_from_logliks(logliks, np.log(self.prior))
+            return softmax(logliks + np.log(self.prior))

@@ -51,13 +51,12 @@ from .aiohmm import (
     emission_logprobs,
     log_forward_step,
     log_transitions,
-    posterior_from_logliks,
     transition_inputs,
 )
 from .events import straight_index
 from .fusion_rnn import FusionRnnModel, cell_inputs, readout
 from .lstm import input_projections, lstm_step, stack_recurrent
-from .numerics import as_block
+from .numerics import as_block, softmax
 
 STEP_SECONDS = 0.8
 STICK_SECONDS = 5.0
@@ -179,12 +178,12 @@ class AioHmmPredictor:
             log_a = log_transitions(self._w, transition_inputs(self._emission, x[None, :]))[..., 0]
             log_alpha = log_forward_step(state[0], log_a, logb)
         logliks = np.logaddexp.reduce(log_alpha, axis=1)
-        return (log_alpha, z), posterior_from_logliks(logliks, self._log_prior)
+        return (log_alpha, z), softmax(logliks + self._log_prior)
 
     def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         _, _, la = block_forward(self._emission, self._w, self._log_pi, xs, zs, lengths, self._factors)
         logliks = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)  # (B, T, K)
-        return posterior_from_logliks(logliks, self._log_prior)
+        return softmax(logliks + self._log_prior)
 
 
 @dataclass

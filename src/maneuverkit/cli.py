@@ -135,7 +135,6 @@ def train_model(args, dataset, seed: int):
         raise ValueError(f"dataset has no samples for the {args.setting!r} events {list(events)}")
     config = training.TrainConfig(loss_mode=loss_mode, learning_rate=args.lr, epochs=args.epochs,
                                   seed=seed, augmentation_factor=args.augment_factor)
-    config.validate()
     if config.augmentation_factor > 1.0:
         dataset = training.augment(dataset, config.augmentation_factor, seed)
     model = fusion_rnn.init_fusion_model(arch, dataset[0].xs.shape[1], dataset[0].zs.shape[1],
@@ -578,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, dataio.DataFormatError, RuntimeError) as err:
+    except (ValueError, OSError, RuntimeError) as err:
         log.error("%s", err)
         return 1
 

@@ -60,19 +60,10 @@ def frame_features(fm: FrameMotion, mode: str = MODE_HISTOGRAM) -> np.ndarray:
     if mode == MODE_HISTOGRAM and fm.pose is not None:
         raise ValueError("frame carries a pose but histogram mode was requested")
 
-    horiz = np.zeros(4)
-    angular = np.zeros(4)
-    for dx, dy in fm.matches:
-        if dx <= -2.0:
-            horiz[0] += 1
-        elif dx <= 0.0:
-            horiz[1] += 1
-        elif dx <= 2.0:
-            horiz[2] += 1
-        else:
-            horiz[3] += 1
-        angle = np.arctan2(dy, dx) % (2.0 * np.pi)
-        angular[min(int(angle // (np.pi / 2.0)), 3)] += 1
+    dx, dy = np.asarray(fm.matches, dtype=float).reshape(len(fm.matches), 2).T
+    horiz = np.bincount(np.searchsorted(HORIZONTAL_EDGES, dx), minlength=4).astype(float)
+    quadrant = np.minimum(np.arctan2(dy, dx) % (2.0 * np.pi) // (np.pi / 2.0), 3).astype(int)
+    angular = np.bincount(quadrant, minlength=4).astype(float)
 
     center = float(np.hypot(*fm.center_motion))
     phi = np.concatenate([horiz, angular, [center]])

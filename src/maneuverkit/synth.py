@@ -12,7 +12,9 @@ Straight samples carry only baseline motion.
 
 With ``noise_sigma = 0`` and the nuisance levels at zero the cue uniquely
 determines the label; with ``cue_strength = 0`` the streams are
-label-independent and nothing can beat chance.
+label-independent and nothing can beat chance.  A ``ScenarioConfig`` is
+frozen and checks itself once, when made: its events are distinct known
+names that include straight driving.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def mirror_pattern(p: np.ndarray) -> np.ndarray:
     return np.concatenate([h, a, p[8:]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     events: tuple[str, ...] = EVENTS
     t_min: int = 6                 # sequence length range, in 0.8 s steps
@@ -68,7 +70,7 @@ class ScenarioConfig:
     outside_nuisance: float = 0.0  # flag flips and speed jitter for the x stream
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("t_min", "t_max", "lead_min", "lead_max", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 0):
@@ -86,6 +88,9 @@ class ScenarioConfig:
             raise ValueError("lead times must stay below the shortest sequence")
         if not all(isinstance(e, str) for e in self.events) or not set(self.events) <= set(EVENTS):
             raise ValueError(f"unknown events in {self.events!r}")
+        repeated = [e for i, e in enumerate(self.events) if e in self.events[:i]]
+        if repeated:
+            raise ValueError(f"field 'events' names {repeated[0]!r} more than once")
         if STRAIGHT not in self.events:
             raise ValueError("the event set must include straight driving")
 
@@ -104,9 +109,7 @@ class ScenarioConfig:
             if not isinstance(d["events"], list):
                 raise ValueError(f"field 'events' must be a list of event names, got {d['events']!r}")
             d["events"] = tuple(d["events"])
-        config = cls(**d)
-        config.validate()
-        return config
+        return cls(**d)
 
 
 @dataclass
@@ -207,7 +210,6 @@ def _outside_stream(
 
 def generate(config: ScenarioConfig, n: int) -> list[SequenceSample]:
     """Produce ``n`` labeled samples; identical configs give identical data."""
-    config.validate()
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = make_rng(config.seed)

@@ -9,7 +9,8 @@ less.  ``uniform`` mode weights every step 1.
 Updates are per-sample RMSprop with decay ``RMSPROP_DECAY`` and epsilon
 ``RMSPROP_EPSILON``; sample order is reshuffled each epoch by a seeded
 generator, so a (seed, config) pair replays bit-identically.  The loss
-floors each target probability at ``PROB_FLOOR``.
+floors each target probability at ``PROB_FLOOR``.  A ``TrainConfig`` is
+frozen and checks itself once, when made.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ PROB_FLOOR = 1e-12  # smallest target probability the loss takes the log of
 MAX_AUGMENTED_SAMPLES = 1_000_000  # about 1.1 GB at the synthetic data's 1080 bytes per sample
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     loss_mode: str = LOSS_EXPONENTIAL
     learning_rate: float = 1e-4
@@ -43,7 +44,7 @@ class TrainConfig:
     seed: int = 0
     augmentation_factor: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.loss_mode not in (LOSS_EXPONENTIAL, LOSS_UNIFORM):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         # written as "not (ok)", so NaN fails them too
@@ -225,7 +226,6 @@ def train(dataset: list, model: FusionRnnModel, config: TrainConfig) -> TrainRep
     model as it stood after the last complete epoch, and the losses of the
     complete epochs.
     """
-    config.validate()
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
     model = model.copy()

@@ -1,7 +1,7 @@
 import itertools
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from maneuverkit.aiohmm import (
     AioHmmModel,
     BOUND_STEPS,
     COV_FLOOR,
+    MEAN_ROUNDS,
     EmConfig,
     Padded,
     PosteriorStats,
@@ -36,13 +37,12 @@ from maneuverkit.aiohmm import (
     log_transitions,
     m_step,
     pad_sequences,
-    posterior_from_logliks,
     sample_sequence,
     sequence_loglik,
     shifted_observations,
 )
 from maneuverkit.events import EVENTS
-from maneuverkit.numerics import finite_diff_grad, make_rng
+from maneuverkit.numerics import finite_diff_grad, make_rng, softmax
 
 
 def random_model(rng, S, dz, dx, variant="aio", scale=0.3):
@@ -390,7 +390,7 @@ def kp_min_norm_solver(R, p, rows):
     return solver, kept.sum(axis=1) < p
 
 
-def masked_update_mean_params(m, states, Z, X, Zprev, G, config, diag):
+def masked_update_mean_params(m, states, Z, X, Zprev, G, rounds, diag):
     """The mean rounds that updated the live states through boolean
     indexing, verbatim; returns (mu, a, b)."""
     S, dz = len(states), Z.shape[1]
@@ -409,7 +409,7 @@ def masked_update_mean_params(m, states, Z, X, Zprev, G, config, diag):
         solver, deficient = _min_norm_solver(R, p, Z.shape[0])
         sigma_inv = np.linalg.inv(m.sigma[states])
 
-    for _ in range(config.mean_rounds):
+    for _ in range(rounds):
         root_gs = np.einsum("skc,sc->sk", R, v)                        # sqrt(g) s, rotated
         denom = np.einsum("sk,sk->s", root_gs, root_gs)
         moved = active & (denom > 1e-12)
@@ -457,13 +457,12 @@ def loop_init_model(batch, config):
         gamma[k, :L] = g / g.sum(axis=1, keepdims=True)
     xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
     stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.full(B, np.nan))
-    init_cfg = replace(config, mean_rounds=1)
-    model = m_step(batch, stats, blank, init_cfg, diag={})
+    model = m_step(batch, stats, blank, diag={}, rounds=1)
     model.validate()
     return model
 
 
-def lstsq_update_mean_params(m, i, Z, X, Zprev, g, config, diag):
+def lstsq_update_mean_params(m, i, Z, X, Zprev, g, rounds, diag):
     """The per-state alternating solve that the factored one replaced,
     verbatim: every round rebuilds the weighted design and runs lstsq."""
     mu, a, b = m.mu[i].copy(), m.a[i].copy(), m.b[i].copy()
@@ -473,7 +472,7 @@ def lstsq_update_mean_params(m, i, Z, X, Zprev, g, config, diag):
     fit_b = m.variant == "aio" and m.states > 1
     sigma_inv = np.linalg.inv(m.sigma[i])
 
-    for _ in range(config.mean_rounds):
+    for _ in range(rounds):
         s = 1.0 + X @ a + Zprev @ b
         denom = float(np.sum(g * s * s))
         if denom > 1e-12:
@@ -517,7 +516,7 @@ def live_rows(batch, stats):
     return xs[live], zs[live], shifted_observations(zs)[live], stats.gamma[live]
 
 
-def lstsq_mean_step(batch, stats, m, config, diag):
+def lstsq_mean_step(batch, stats, m, rounds, diag):
     """The model with the mean parameters and covariances of an M-step that
     runs lstsq_update_mean_params state by state."""
     X, Z, Zprev, G = live_rows(batch, stats)
@@ -527,7 +526,7 @@ def lstsq_mean_step(batch, stats, m, config, diag):
         weight = float(g.sum())
         if weight <= 1e-12:
             continue
-        mu, a, b = lstsq_update_mean_params(m, i, Z, X, Zprev, g, config, diag)
+        mu, a, b = lstsq_update_mean_params(m, i, Z, X, Zprev, g, rounds, diag)
         s = 1.0 + X @ a + Zprev @ b
         resid = Z - s[:, None] * mu
         cov = (resid * g[:, None]).T @ resid / weight
@@ -545,7 +544,7 @@ def expected_emission_loglik(m, batch, stats):
 
 @st.composite
 def mean_problems(draw):
-    """(batch, stats, model) for one M-step, with the designs the factored
+    """(batch, stats, model, mean rounds) for one M-step, with the designs the factored
     mean solve must get right: duplicated and constant columns, fewer rows
     than [design | z | 1] columns, length-1 sequences, a state with no
     posterior mass, and all-zero observations for every state or for one
@@ -588,8 +587,7 @@ def mean_problems(draw):
     gamma[np.arange(gamma.shape[1]) >= batch.lengths[:, None]] = 0.0
     xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
     stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.zeros(len(seqs)))
-    config = EmConfig(states=S, variant=variant, mean_rounds=draw(st.integers(1, 3)))
-    return batch, stats, m, config
+    return batch, stats, m, draw(st.integers(1, 3))
 
 
 def transition_row(m, i, x):
@@ -957,7 +955,7 @@ class TestMStep:
         m = random_model(rng, 2, 2, 2, variant="hmm")
         seqs = [(rng.standard_normal((8, 2)), rng.standard_normal((8, 2))) for _ in range(4)]
         batch = pad_sequences(seqs)
-        new = m_step(batch, forward_backward(m, *batch), m, EmConfig(states=2, variant="hmm"))
+        new = m_step(batch, forward_backward(m, *batch), m)
         Z = np.concatenate([zs for _, zs in seqs])
         G = np.concatenate([forward_backward(m, xs, zs).gamma for xs, zs in seqs])
         for i in range(2):
@@ -972,8 +970,7 @@ class TestMStep:
         seqs = [(rng.standard_normal((T, 2)), rng.standard_normal((T, 2))) for T in (1, 5, 9, 3)]
         batch = pad_sequences(seqs)
         stats = forward_backward(m, *batch)
-        cfg = EmConfig(states=3)
-        expected = m_step(batch, stats, m, cfg)
+        expected = m_step(batch, stats, m)
 
         def with_garbage(a, steps):
             out = rng.uniform(-5.0, 5.0, (a.shape[0], a.shape[1] + 2) + a.shape[2:])
@@ -984,7 +981,7 @@ class TestMStep:
         L = batch.lengths
         noisy = Padded(with_garbage(batch.xs, L), with_garbage(batch.zs, L), L)
         noisy_stats = PosteriorStats(with_garbage(stats.gamma, L), with_garbage(stats.xi, L - 1), stats.loglik)
-        got = m_step(noisy, noisy_stats, m, cfg)
+        got = m_step(noisy, noisy_stats, m)
         for name in ("mu", "a", "b", "sigma", "w", "pi"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
@@ -993,10 +990,10 @@ class TestMStep:
     def test_factored_mean_solve_matches_per_state_lstsq(self, problem):
         # Raw (a, b) may differ along the design's null space; mu, the
         # scales, the covariances and the expected log-likelihood may not.
-        batch, stats, m, config = problem
+        batch, stats, m, rounds = problem
         diag, ref_diag = {}, {}
-        got = m_step(batch, stats, m, config, diag)
-        ref = lstsq_mean_step(batch, stats, m, config, ref_diag)
+        got = m_step(batch, stats, m, diag, rounds)
+        ref = lstsq_mean_step(batch, stats, m, rounds, ref_diag)
         assert diag.get("ridge", 0) == ref_diag.get("ridge", 0)
         X, Z, Zprev, _ = live_rows(batch, stats)
         size = 1.0 + np.abs(Z).max()
@@ -1014,12 +1011,12 @@ class TestMStep:
     @given(mean_problems())
     def test_mean_rounds_match_masked_rounds_bit_for_bit(self, problem):
         # every state, those without posterior mass too
-        batch, stats, m, config = problem
+        batch, stats, m, rounds = problem
         X, Z, Zprev, G = live_rows(batch, stats)
         states = np.arange(m.states)
         diag, ref_diag = {}, {}
-        got = _update_mean_params(m, states, Z, X, Zprev, G, config, diag)
-        ref = masked_update_mean_params(m, states, Z, X, Zprev, G, config, ref_diag)
+        got = _update_mean_params(m, states, Z, X, Zprev, G, rounds, diag)
+        ref = masked_update_mean_params(m, states, Z, X, Zprev, G, rounds, ref_diag)
         for g, r in zip(got[:3], ref):
             np.testing.assert_array_equal(g, r)
         assert diag == ref_diag
@@ -1040,10 +1037,9 @@ class TestMStep:
         stats = PosteriorStats(gamma=gamma, xi=gamma[:, :-1, :, None] * gamma[:, 1:, None, :],
                                loglik=np.zeros(4))
         X, Z, Zprev, G = live_rows(batch, stats)
-        config = EmConfig(states=3, mean_rounds=3)
         diag, ref_diag = {}, {}
-        got = _update_mean_params(m, np.arange(3), Z, X, Zprev, G, config, diag)
-        ref = masked_update_mean_params(m, np.arange(3), Z, X, Zprev, G, config, ref_diag)
+        got = _update_mean_params(m, np.arange(3), Z, X, Zprev, G, 3, diag)
+        ref = masked_update_mean_params(m, np.arange(3), Z, X, Zprev, G, 3, ref_diag)
         for g, r in zip(got[:3], ref):
             np.testing.assert_array_equal(g, r)
         assert diag == ref_diag
@@ -1054,10 +1050,10 @@ class TestMStep:
     @settings(max_examples=300, deadline=None)
     @given(mean_problems())
     def test_scatter_from_r_matches_residual_form(self, problem):
-        batch, stats, m, config = problem
+        batch, stats, m, rounds = problem
         X, Z, Zprev, G = live_rows(batch, stats)
         states = np.flatnonzero(G.sum(axis=0) > 1e-12)
-        mu, a, b, scatter = _update_mean_params(m, states, Z, X, Zprev, G[:, states], config, {})
+        mu, a, b, scatter = _update_mean_params(m, states, Z, X, Zprev, G[:, states], rounds, {})
         for k, i in enumerate(states):
             fitted = (1.0 + X @ a[k] + Zprev @ b[k])[:, None] * mu[k]
             resid = Z - fitted
@@ -1105,11 +1101,10 @@ class TestMStep:
         batch = pad_sequences(seqs)
         m = random_model(rng, 2, 2, 3, variant="io")
         stats = forward_backward(m, *batch)
-        config = EmConfig(states=2, variant="io")
         diag, ref_diag = {}, {}
-        m_step(batch, stats, m, config, diag)
-        lstsq_mean_step(batch, stats, m, config, ref_diag)
-        expected = 2 * config.mean_rounds if deficient else 0
+        m_step(batch, stats, m, diag)
+        lstsq_mean_step(batch, stats, m, MEAN_ROUNDS, ref_diag)
+        expected = 2 * MEAN_ROUNDS if deficient else 0
         assert diag.get("ridge", 0) == ref_diag.get("ridge", 0) == expected
 
     def test_covariance_floor_enforced(self):
@@ -1118,7 +1113,7 @@ class TestMStep:
         # identical observations collapse the residuals
         zs = np.tile(np.array([0.5, -0.25]), (12, 1))
         batch = pad_sequences([(rng.standard_normal((12, 2)), zs.copy()) for _ in range(3)])
-        new = m_step(batch, forward_backward(m, *batch), m, EmConfig(states=2, variant="aio"))
+        new = m_step(batch, forward_backward(m, *batch), m)
         for i in range(2):
             assert np.linalg.eigvalsh(new.sigma[i]).min() >= 1e-6 - 1e-12
 
@@ -1126,12 +1121,11 @@ class TestMStep:
         rng = make_rng(11)
         gen = random_model(rng, 2, 2, 2)
         seqs = [sample_sequence(gen, 15, rng) for _ in range(30)]
-        cfg = EmConfig(states=2, variant="aio", max_iter=1, seed=0)
-        m0, _ = fit_em(seqs, cfg)
+        m0, _ = fit_em(seqs, EmConfig(states=2, variant="aio", max_iter=1, seed=0))
         batch = pad_sequences(seqs)
         stats = forward_backward(m0, *batch)
         before = sum(stats.loglik)
-        m1 = m_step(batch, stats, m0, cfg)
+        m1 = m_step(batch, stats, m0)
         after = sum(forward_backward(m1, xs, zs).loglik for xs, zs in seqs)
         assert after >= before - 1e-8
 
@@ -1209,10 +1203,9 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em([], EmConfig())
 
-    # mean_rounds=0 used to return means that never moved, tol=nan to run
-    # silently to max_iter
+    # tol=nan used to run silently to max_iter
     @pytest.mark.parametrize("field, value", [
-        ("mean_rounds", 0), ("tol", -1e-6), ("tol", float("nan")),
+        ("tol", -1e-6), ("tol", float("nan")),
     ])
     def test_bad_setting_rejected_by_name(self, field, value):
         rng = make_rng(14)
@@ -1223,9 +1216,29 @@ class TestFitEm:
     def test_smallest_settings_accepted(self):
         rng = make_rng(15)
         seqs = [(rng.standard_normal((6, 2)), rng.standard_normal((6, 2))) for _ in range(3)]
-        config = EmConfig(states=2, max_iter=3, tol=0.0, mean_rounds=1)
+        config = EmConfig(states=2, max_iter=3, tol=0.0)
         model, trace = fit_em(seqs, config)
         assert len(trace) == 3
+
+
+class TestEmConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", 0, "need at least one state"), ("variant", "aiohmm", "unknown variant"),
+        ("max_iter", 0, "max_iter must be positive"), ("tol", -1e-6, "tol must be"),
+        ("tol", float("nan"), "tol must be"),
+    ])
+    def test_bad_setting_rejected_when_made(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            EmConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            replace(EmConfig(), **{field: value})
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            EmConfig().states = 0
+
+    def test_checkpoint_block_holds_the_fields(self):
+        assert EmConfig().to_dict() == {"states": 3, "variant": "aio", "max_iter": 50, "tol": 1e-6, "seed": 0}
 
 
 class TestVariantNesting:
@@ -1251,7 +1264,7 @@ class TestVariantNesting:
 
 class TestInference:
     def test_two_model_posterior(self):
-        post = posterior_from_logliks(np.array([-10.0, -12.0]), np.log([0.5, 0.5]))
+        post = softmax(np.array([-10.0, -12.0]) + np.log([0.5, 0.5]))
         np.testing.assert_allclose(post, [0.88079708, 0.11920292], atol=1e-6)
 
     def test_identical_models_give_uniform(self):
@@ -1268,8 +1281,8 @@ class TestInference:
         for _ in range(25):
             logliks = rng.uniform(-500, 0, size=4)
             c = rng.uniform(-1000, 1000)
-            a = posterior_from_logliks(logliks, log_prior)
-            b = posterior_from_logliks(logliks + c, log_prior)
+            a = softmax(logliks + log_prior)
+            b = softmax(logliks + c + log_prior)
             assert int(np.argmax(a)) == int(np.argmax(b))
             np.testing.assert_allclose(a, b, atol=1e-12)
 

@@ -12,7 +12,6 @@ from maneuverkit.aiohmm import (
     VARIANTS,
     AioHmmEnsemble,
     emission_logprobs,
-    posterior_from_logliks,
 )
 from maneuverkit.anticipation import (
     STICK_STEPS,
@@ -29,7 +28,7 @@ from maneuverkit.dataio import AIOHMM_ARRAYS, DataFormatError, load_model, save_
 from maneuverkit.events import EVENTS, events_for_setting
 from maneuverkit.fusion_rnn import forward, init_fusion_model
 from maneuverkit.metrics import SWEEP_BLOCK
-from maneuverkit.numerics import make_rng, pad_sequences
+from maneuverkit.numerics import make_rng, pad_sequences, softmax
 
 from test_aiohmm import random_model
 
@@ -70,7 +69,7 @@ def per_class_filter(ensemble, xs, zs):
                 log_a = logits - hi - np.log(np.exp(logits - hi).sum(axis=1, keepdims=True))
                 alphas[k] = np.logaddexp.reduce(alphas[k][:, None] + log_a, axis=0) + logb
             logliks.append(np.logaddexp.reduce(alphas[k]))
-        rows.append(posterior_from_logliks(np.array(logliks), np.log(ensemble.prior)))
+        rows.append(softmax(np.array(logliks) + np.log(ensemble.prior)))
     return np.array(rows)
 
 

@@ -166,6 +166,7 @@ class TestValidation:
         ([1, 2], "expected a JSON object of ScenarioConfig fields, got list"),
         ({"seed": "x"}, "field 'seed' must be a non-negative integer, got 'x'"),
         ({"t_max": 10.5}, "field 't_max' must be a non-negative integer, got 10.5"),
+        ({"events": ["left_lane", "straight", "straight"]}, "field 'events' names 'straight' more than once"),
     ])
     def test_bad_synth_config_is_a_located_error(self, tmp_path, caplog, overrides, message):
         cfg, d = tmp_path / "cfg.json", tmp_path / "d.jsonl"
@@ -173,6 +174,18 @@ class TestValidation:
         assert main(["synth", "--n", "5", "--config", str(cfg), "--out", str(d)]) == 1
         assert f"{cfg}: {message}" in caplog.text
         assert not d.exists()
+
+    # each used to end in an IsADirectoryError traceback
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n", "5", "--config", "{dir}", "--out", "{dir}/d.jsonl"],
+        ["train", "--data", "{dir}", "--arch", "frnn-el", "--out", "{dir}/m.json"],
+        ["eval", "--model", "{dir}", "--data", "{dir}"],
+        ["report", "--in", "{dir}"],
+        ["synth", "--n", "5", "--out", "{dir}"],
+    ], ids=["synth-config", "train-data", "eval-model", "report-in", "synth-out"])
+    def test_directory_given_for_a_file_is_a_clear_error(self, tmp_path, caplog, argv):
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+        assert f"Is a directory: '{tmp_path}'" in caplog.text
 
     def test_synth_config_overrides_the_defaults(self, tmp_path):
         cfg, d = tmp_path / "cfg.json", tmp_path / "d.jsonl"

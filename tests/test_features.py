@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maneuverkit.features import (
     FrameMotion,
@@ -11,7 +13,40 @@ from maneuverkit.features import (
 from maneuverkit.numerics import make_rng
 
 
+def loop_histograms(matches):
+    """The per-match if-chain that binned motion before the vectorized
+    binning, verbatim: (horizontal, angular) counts."""
+    horiz = np.zeros(4)
+    angular = np.zeros(4)
+    for dx, dy in matches:
+        if dx <= -2.0:
+            horiz[0] += 1
+        elif dx <= 0.0:
+            horiz[1] += 1
+        elif dx <= 2.0:
+            horiz[2] += 1
+        else:
+            horiz[3] += 1
+        angle = np.arctan2(dy, dx) % (2.0 * np.pi)
+        angular[min(int(angle // (np.pi / 2.0)), 3)] += 1
+    return horiz, angular
+
+
+# finite coordinates, with the exact bin edges and both signed zeros drawn often
+coordinates = st.one_of(st.sampled_from([-2.0, 0.0, -0.0, 2.0]), st.floats(-1e6, 1e6))
+
+
 class TestFrameFeatures:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(coordinates, coordinates), max_size=30))
+    @example([(-2.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (2.0, 0.0), (-0.0, 1.0), (1.0, -1e-300)])
+    def test_histograms_match_the_per_match_loop(self, matches):
+        phi = frame_features(FrameMotion(matches=matches))
+        horiz, angular = loop_histograms(matches)
+        assert phi.dtype == horiz.dtype
+        np.testing.assert_array_equal(phi[:4], horiz)
+        np.testing.assert_array_equal(phi[4:8], angular)
+
     def test_positive_small_horizontal_motion(self):
         phi = frame_features(FrameMotion(matches=[(1.5, 0.0)]))
         np.testing.assert_array_equal(phi[:4], [0, 0, 1, 0])

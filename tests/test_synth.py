@@ -1,5 +1,9 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maneuverkit.events import EVENTS, LEFT_LANE, RIGHT_LANE, STRAIGHT
 from maneuverkit.synth import (
@@ -82,7 +86,38 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(ScenarioConfig(seed=0), 0)
         with pytest.raises(ValueError):
-            ScenarioConfig(events=("left_lane",)).validate()
+            ScenarioConfig(events=("left_lane",))
+
+    # each rule, broken on construction and through replace; a repeated
+    # event used to make generate return fewer samples than asked
+    @pytest.mark.parametrize("overrides, message", [
+        ({"t_min": 1}, "need 2 <= t_min <= t_max"),
+        ({"t_max": 5}, "need 2 <= t_min <= t_max"),
+        ({"lead_min": 0}, "need 1 <= lead_min <= lead_max"),
+        ({"lead_max": 6}, "lead times must stay below the shortest sequence"),
+        ({"events": (LEFT_LANE, "bogus", STRAIGHT)}, "unknown events"),
+        ({"events": (LEFT_LANE,)}, "must include straight driving"),
+        ({"events": (LEFT_LANE, STRAIGHT, STRAIGHT)}, "field 'events' names 'straight' more than once"),
+        ({"events": (STRAIGHT, LEFT_LANE, RIGHT_LANE, LEFT_LANE)},
+         "field 'events' names 'left_lane' more than once"),
+    ])
+    def test_broken_rule_rejected_when_made(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**overrides)
+        with pytest.raises(ValueError, match=message):
+            replace(ScenarioConfig(), **overrides)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            ScenarioConfig().events = (STRAIGHT, STRAIGHT)
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=st.lists(st.sampled_from(EVENTS), min_size=1, unique=True).filter(lambda e: STRAIGHT in e),
+           n=st.integers(1, 30))
+    def test_any_order_of_distinct_events_gives_n_samples(self, events, n):
+        data = generate(ScenarioConfig(events=tuple(events)), n)
+        assert len(data) == n
+        assert {EVENTS[s.label] for s in data} <= set(events)
 
     # noise_sigma=nan used to generate noiseless data, cue_strength=nan to
     # fail at write, outside_nuisance=-1 inside NumPy's normal draw
@@ -92,7 +127,9 @@ class TestGenerate:
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"field '{field}' must be"):
-            generate(ScenarioConfig(**{field: value}), 5)
+            ScenarioConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            replace(ScenarioConfig(), **{field: value})
 
     def test_class_mix_matches_weights(self):
         data = generate(ScenarioConfig(seed=8), 700)

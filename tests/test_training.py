@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -249,7 +250,19 @@ class TestTrain:
     ])
     def test_bad_setting_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            replace(TrainConfig(), **{field: value})
+
+    def test_unknown_loss_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown loss mode 'linear'"):
+            TrainConfig(loss_mode="linear")
+        with pytest.raises(ValueError, match="unknown loss mode 'linear'"):
+            replace(TrainConfig(), loss_mode="linear")
+
+    def test_config_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            TrainConfig().learning_rate = float("nan")
 
     def test_empty_dataset_rejected(self):
         model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(5))
