@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -144,6 +145,10 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("states", "max_iter", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"field {name!r} must be an integer, got {value!r}")
         if self.states < 1:
             raise ValueError("need at least one state")
         if self.variant not in VARIANTS:
@@ -170,15 +175,6 @@ def transition_inputs(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def log_transition_matrices(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
-    """(T, S, S) log transition probabilities.
-
-    Computed as log-softmax of the finite logits, so entries never reach
-    -inf even when the probabilities themselves underflow.
-    """
-    return log_transitions(m.w, transition_inputs(m, xs)).transpose(2, 0, 1)
-
-
 def _shifted_logits(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
     """(..., S, S, R) logits w_i . xe_r less their maximum over successors
     (axis -2), for weights (..., S, S, dt) with any leading axes, every
@@ -192,7 +188,9 @@ def _shifted_logits(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
 
 def log_transitions(w: np.ndarray, xe: np.ndarray) -> np.ndarray:
     """(..., S, S, R) log-softmax over successors of the logits of
-    :func:`_shifted_logits`."""
+    :func:`_shifted_logits`: log transition probabilities from the finite
+    logits, so entries never reach -inf even when the probabilities
+    themselves underflow."""
     shifted = _shifted_logits(w, xe)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-2, keepdims=True))
 
@@ -336,12 +334,15 @@ def forward_backward(
 
 
 def sequence_loglik(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> float:
-    """log P(z_1..z_T | x_1..x_T): the log-sum-exp of the last alphas of
-    the forward recursion, the half of :func:`forward_backward` it needs."""
+    """log P(z_1..z_T | x_1..x_T) of one (T, ·) sequence: the log-sum-exp
+    of the last alphas of :func:`block_forward`, the half of
+    :func:`forward_backward` it needs."""
+    (xs, zs, lengths), single = as_block(xs, zs)
+    if not single:
+        raise ValueError(f"sequence_loglik takes one (T, ·) sequence, got xs {xs.shape}")
     with np.errstate(divide="ignore"):  # zero pi entries give log 0 = -inf
-        log_pi = np.log(m.pi)
-    la = log_forward(log_pi, log_transition_matrices(m, xs[1:]), emission_logprobs(m, xs, zs))
-    loglik = np.logaddexp.reduce(la[-1])
+        _, _, la = block_forward(m, m.w, np.log(m.pi), xs, zs, lengths)
+    loglik = np.logaddexp.reduce(la[0, -1])
     if not np.isfinite(loglik):
         raise FloatingPointError("log-space forward pass degenerated")
     return float(loglik)
@@ -352,13 +353,14 @@ def sequence_loglik(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _floor_covariance(sigma: np.ndarray, floor: float, diag: dict) -> np.ndarray:
+def _floor_covariance(sigma: np.ndarray, diag: dict) -> np.ndarray:
     """Symmetrize a covariance, or a stack of them along leading axes, and
-    clip its eigenvalues from below, all through one batched ``eigh``;
-    ``diag["floored"]`` counts the matrices that needed the clip."""
+    clip its eigenvalues from below at ``COV_FLOOR``, all through one
+    batched ``eigh``; ``diag["floored"]`` counts the matrices that needed
+    the clip."""
     vals, vecs = np.linalg.eigh(0.5 * (sigma + np.swapaxes(sigma, -1, -2)))
-    diag["floored"] = diag.get("floored", 0) + int(np.count_nonzero(vals.min(axis=-1) < floor))
-    return (vecs * np.maximum(vals, floor)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    diag["floored"] = diag.get("floored", 0) + int(np.count_nonzero(vals.min(axis=-1) < COV_FLOOR))
+    return (vecs * np.maximum(vals, COV_FLOOR)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def _min_norm_solver(R: np.ndarray, p: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +528,7 @@ def m_step(
     new.mu[states], new.a[states], new.b[states], scatter = _update_mean_params(
         m, states, Z, X, Zprev, G[:, states], rounds, diag
     )
-    new.sigma[states] = _floor_covariance(scatter / weights[states, None, None], COV_FLOOR, diag)
+    new.sigma[states] = _floor_covariance(scatter / weights[states, None, None], diag)
 
     new.w = _update_transitions(m.w, Xe, Xi, BOUND_STEPS)
     pi = stats.gamma[:, 0].sum(axis=0)
@@ -626,7 +628,7 @@ def sample_sequence(
     for t in range(T):
         xs[t] = x_sampler(rng)
         if t > 0:
-            log_row = log_transition_matrices(m, xs[t : t + 1])[0, h]
+            log_row = log_transitions(m.w, transition_inputs(m, xs[t : t + 1]))[h, :, 0]
             h = int(rng.choice(m.states, p=np.exp(log_row)))
         scale = 1.0 + float(m.a[h] @ xs[t]) + float(m.b[h] @ z_prev)
         mean = scale * m.mu[h]

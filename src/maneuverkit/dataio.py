@@ -208,7 +208,7 @@ def _fusion_to_dict(m: FusionRnnModel) -> dict:
         "input_x": m.input_x,
         "input_z": m.input_z,
         "hidden": m.hidden,
-        "fusion": m.fusion,
+        "fusion": _fusion_width(m.arch, m.hidden),
         "events": list(m.events),
         "blocks": {name: arr.tolist() for name, arr in param_blocks(m)},
     }
@@ -224,7 +224,13 @@ def _events(d: dict, path: Path) -> tuple[str, ...]:
     return events
 
 
-SIZE_FIELDS = ("input_x", "input_z", "hidden", "fusion")
+SIZE_FIELDS = ("input_x", "input_z", "hidden")
+
+
+def _fusion_width(arch: str, hidden: int) -> int:
+    """The width a checkpoint's ``fusion`` field records: ``hidden`` for a
+    fusion model, 0 for a concat model, which has no fusion layer."""
+    return hidden if arch == ARCH_FUSION else 0
 
 
 def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
@@ -232,13 +238,14 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
     the network, then copy each named block into its view.
 
     The sizes are checked before the model allocates its parameter vector:
-    once the first recurrent and bias blocks of ``lstm_x``, each cell's
-    first input block and the fusion layer's blocks match them, that vector
-    is no larger than a small multiple of the numbers the file holds.
+    once the first recurrent and bias blocks of ``lstm_x`` and each cell's
+    first input block match them, that vector is no larger than a small
+    multiple of the numbers the file holds.  The ``fusion`` field must be
+    the width :func:`_fusion_width` derives.
     """
     events = _events(d, path)
     try:
-        arch, blocks = d["arch"], d["blocks"]
+        arch, blocks, fusion = d["arch"], d["blocks"], d["fusion"]
         sizes = {name: d[name] for name in SIZE_FIELDS}
     except (KeyError, TypeError) as err:
         raise DataFormatError(f"{path}: bad fusion network description ({err!r})") from None
@@ -247,10 +254,9 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
     if arch not in (ARCH_FUSION, ARCH_CONCAT):
         raise DataFormatError(f"{path}: unknown arch {arch!r}")
     for name, value in sizes.items():
-        least = 0 if name == "fusion" else 1  # a concat model declares fusion 0
-        if type(value) is not int or value < least:
+        if type(value) is not int or value < 1:
             raise DataFormatError(
-                f"{path}: field {name!r} must be an integer of at least {least}, got {value!r}"
+                f"{path}: field {name!r} must be an integer of at least 1, got {value!r}"
             )
 
     arrays: dict[str, np.ndarray] = {}
@@ -274,13 +280,13 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
     block("lstm_x.U_i", (H, H))
     for cell, width in zip(CELL_NAMES, widths):
         block(f"{cell}.W_i", (H, width))
-    if fused:
-        block("b_f", (sizes["fusion"],))
-        block("W_f", (sizes["fusion"], len(widths) * H))
-    try:
-        model = FusionRnnModel(arch=arch, events=events, **sizes)
-    except ValueError as err:
-        raise DataFormatError(f"{path}: bad fusion network description ({err!r})") from None
+    want = _fusion_width(arch, H)
+    if type(fusion) is not int or fusion != want:
+        raise DataFormatError(
+            f"{path}: field 'fusion' must be {want} for a {arch} model of hidden size {H}, "
+            f"got {fusion!r}"
+        )
+    model = FusionRnnModel(arch=arch, events=events, **sizes)
     for name, view in param_blocks(model):
         arr = block(name, view.shape)
         if not np.all(np.isfinite(arr)):

@@ -5,7 +5,8 @@ motion.  Each frame becomes a 9-vector: a 4-bin histogram of horizontal
 motion (pixels), a 4-bin histogram of the motion angle in the image plane,
 and the magnitude of the mean face-center displacement.  With head pose
 available, (yaw, pitch, roll) are appended for a 12-vector.  Frame vectors
-are summed over a 20-frame window (0.8 s at 25 fps) and L2-normalized.
+are summed over windows of ``AGGREGATION_WINDOW`` = 20 frames (0.8 s at
+25 fps) and L2-normalized.
 
 The outside stream is assembled directly: two lane-existence flags, a
 road-artifact proximity flag, and average/maximum/minimum speed over the
@@ -72,14 +73,14 @@ def frame_features(fm: FrameMotion, mode: str = MODE_HISTOGRAM) -> np.ndarray:
     return phi
 
 
-def aggregate_inside(frames: Sequence[np.ndarray], window: int = AGGREGATION_WINDOW) -> np.ndarray:
-    """Sum ``window`` per-frame vectors and L2-normalize the sum.
+def aggregate_inside(frames: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum ``AGGREGATION_WINDOW`` per-frame vectors and L2-normalize the sum.
 
     A run of entirely empty frames yields the zero vector (with a warning)
     rather than a division by zero.
     """
-    if len(frames) != window:
-        raise ValueError(f"expected exactly {window} frames, got {len(frames)}")
+    if len(frames) != AGGREGATION_WINDOW:
+        raise ValueError(f"expected exactly {AGGREGATION_WINDOW} frames, got {len(frames)}")
     total = np.sum(np.asarray(frames, dtype=float), axis=0)
     if not np.any(total):
         log.warning("aggregation window summed to zero; emitting a zero feature")
@@ -87,22 +88,17 @@ def aggregate_inside(frames: Sequence[np.ndarray], window: int = AGGREGATION_WIN
     return l2_normalize(total)
 
 
-def inside_sequence(
-    frames: Sequence[FrameMotion],
-    mode: str = MODE_HISTOGRAM,
-    window: int = AGGREGATION_WINDOW,
-) -> np.ndarray:
+def inside_sequence(frames: Sequence[FrameMotion], mode: str = MODE_HISTOGRAM) -> np.ndarray:
     """Convert a frame stream into aggregated step features, (T, 9 or 12).
 
-    The frame count must be a whole number of windows.
+    The frame count must be a whole number of ``AGGREGATION_WINDOW``-frame
+    windows.
     """
+    window = AGGREGATION_WINDOW
     if len(frames) == 0 or len(frames) % window != 0:
         raise ValueError(f"frame count {len(frames)} is not a positive multiple of {window}")
     phis = [frame_features(fm, mode) for fm in frames]
-    steps = [
-        aggregate_inside(phis[k : k + window], window)
-        for k in range(0, len(phis), window)
-    ]
+    steps = [aggregate_inside(phis[k : k + window]) for k in range(0, len(phis), window)]
     return np.asarray(steps)
 
 

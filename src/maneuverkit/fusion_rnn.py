@@ -8,15 +8,16 @@ readout turns h_t into event probabilities:
     y_t = softmax(W_y e_t + b_y)
 
 Fusion mode has two cells, ``lstm_x`` over the outside stream x and
-``lstm_z`` over the inside stream z, and the fusion layer.  Concat mode is
-the single-stream baseline: ``lstm_x`` alone over the per-step
-concatenation [x_t; z_t], read out with no fusion layer.  The cells run in
-lockstep through the kernels of :mod:`~maneuverkit.lstm`, so their hidden
-states come as (T, C, H) for a sequence and (C, H) for a step, and h_t is
-their reshape.  :func:`cell_inputs` and :func:`readout` serve the forward
-pass, the streaming step and the predictor's block trajectory alike, so
-``arch`` is decided here only.  :func:`forward` takes one (T, ·) sequence;
-blocks of sequences are stepped cell-major by
+``lstm_z`` over the inside stream z, and the fusion layer, as wide as one
+cell's hidden state.  Concat mode is the single-stream baseline:
+``lstm_x`` alone over the per-step concatenation [x_t; z_t], read out with
+no fusion layer.  The cells run in lockstep through the kernels of
+:mod:`~maneuverkit.lstm`, so their hidden states come as (T, C, H) for a
+sequence and (C, H) for a step, and h_t is their reshape.
+:func:`cell_inputs` and :func:`readout` serve the forward pass, the
+streaming step and the predictor's block trajectory alike, so ``arch`` is
+decided here only.  :func:`forward` takes one (T, ·) sequence; blocks of
+sequences are stepped cell-major by
 :class:`~maneuverkit.anticipation.FusionRnnPredictor`, with no tape.
 
 All parameters live in one contiguous float64 vector ``theta``; every
@@ -54,17 +55,17 @@ class FusionRnnModel:
     """Parameters of the full network, as views of ``theta``.
 
     ``theta=None`` allocates a zero vector.  ``cells`` holds ``lstm_x`` and
-    ``lstm_z`` in fusion mode and ``lstm_x`` alone, over input_x + input_z
-    inputs, in concat mode, where ``W_f`` and ``b_f`` are None.  ``layout``
-    records each array's (slice of theta, shape) in storage order, once;
-    :meth:`views` lays any vector of that layout out the same way.
+    ``lstm_z`` in fusion mode, whose fusion layer is ``hidden`` wide, and
+    ``lstm_x`` alone, over input_x + input_z inputs, in concat mode, where
+    ``W_f`` and ``b_f`` are None.  ``layout`` records each array's (slice of
+    theta, shape) in storage order, once; :meth:`views` lays any vector of
+    that layout out the same way.
     """
 
     arch: str
     input_x: int
     input_z: int
     hidden: int
-    fusion: int
     events: tuple[str, ...]
     theta: np.ndarray | None = None
     cells: list[LstmParams] = field(init=False, repr=False)
@@ -79,17 +80,12 @@ class FusionRnnModel:
             raise ValueError(f"unknown arch {self.arch!r}")
         if min(self.input_x, self.input_z, self.hidden, self.k) < 1:
             raise ValueError("all model dimensions must be positive")
-        fused = self.arch == ARCH_FUSION
-        if fused and self.fusion < 1:
-            raise ValueError(f"fusion width must be positive, got {self.fusion}")
-        if not fused and self.fusion != 0:
-            raise ValueError(f"a concat model has no fusion layer: fusion must be 0, got {self.fusion!r}")
+        H, fused = self.hidden, self.arch == ARCH_FUSION
         sizes = [self.input_x, self.input_z] if fused else [self.input_x + self.input_z]
-        width = len(sizes) * self.hidden
-        shapes = [s for d in sizes for s in lstm_shapes(d, self.hidden)]
+        shapes = [s for d in sizes for s in lstm_shapes(d, H)]
         if fused:
-            shapes += [(self.fusion, width), (self.fusion,)]
-        shapes += [(self.k, self.fusion if fused else width), (self.k,)]
+            shapes += [(H, 2 * H), (H,)]
+        shapes += [(self.k, H), (self.k,)]
         self.layout, size = [], 0
         for shape in shapes:
             n = math.prod(shape)
@@ -128,7 +124,7 @@ class FusionTape:
 
     lstm: LstmTape         # every cell, in lockstep
     hcat: np.ndarray       # (T, cells * hidden)
-    e: np.ndarray          # (T, fusion); hcat itself without a fusion layer
+    e: np.ndarray          # (T, hidden); hcat itself without a fusion layer
     probs: np.ndarray      # (T, K)
 
 
@@ -139,16 +135,14 @@ def init_fusion_model(
     hidden: int,
     events: tuple[str, ...],
     rng: np.random.Generator,
-    fusion: int | None = None,
 ) -> FusionRnnModel:
     """Build a model with uniform [-1/sqrt(fan_in), +...] weights and zero
     biases, drawn cell by cell, then W_f, then W_y."""
     if len(events) < 2:
         raise ValueError("need at least two events")
-    fusion = 0 if arch == ARCH_CONCAT else (hidden if fusion is None else fusion)
     # Every size is checked here, before any draw.
     m = FusionRnnModel(arch=arch, input_x=input_x, input_z=input_z, hidden=hidden,
-                       fusion=fusion, events=tuple(events))
+                       events=tuple(events))
     for cell in m.cells:
         drawn = init_lstm_params(cell.input_size, hidden, rng)
         cell.W[...], cell.U[...], cell.V[...] = drawn.W, drawn.U, drawn.V

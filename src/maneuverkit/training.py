@@ -10,7 +10,7 @@ Updates are per-sample RMSprop with decay ``RMSPROP_DECAY`` and epsilon
 ``RMSPROP_EPSILON``; sample order is reshuffled each epoch by a seeded
 generator, so a (seed, config) pair replays bit-identically.  The loss
 floors each target probability at ``PROB_FLOOR``.  A ``TrainConfig`` is
-frozen and checks itself once, when made.
+frozen and checks itself once, when made; its counts must be integers.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -45,6 +46,10 @@ class TrainConfig:
     augmentation_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"field {name!r} must be an integer, got {value!r}")
         if self.loss_mode not in (LOSS_EXPONENTIAL, LOSS_UNIFORM):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         # written as "not (ok)", so NaN fails them too
@@ -71,6 +76,8 @@ def loss_weights(T: int, mode: str) -> np.ndarray:
     mode; monotone increasing, exactly 1 at t = T."""
     if T < 1:
         raise ValueError("empty trajectories have no loss")
+    if mode not in (LOSS_EXPONENTIAL, LOSS_UNIFORM):
+        raise ValueError(f"unknown loss mode {mode!r}")
     if mode == LOSS_UNIFORM:
         return np.ones(T)
     t = np.arange(1, T + 1, dtype=float)
@@ -116,21 +123,14 @@ def loss_logit_grads(probs: np.ndarray, target: int, mode: str = LOSS_EXPONENTIA
 # ---------------------------------------------------------------------------
 
 
-def rmsprop_apply(
-    param: np.ndarray,
-    grad: np.ndarray,
-    acc: np.ndarray,
-    learning_rate: float,
-    decay: float,
-    epsilon: float,
-) -> None:
+def rmsprop_apply(param: np.ndarray, grad: np.ndarray, acc: np.ndarray, learning_rate: float) -> None:
     """One RMSprop step on a single array, overwriting ``param`` and ``acc``.
 
     acc <- decay*acc + (1-decay)*grad^2;  p <- p - lr*grad/(sqrt(acc)+eps)
 
-    Each operation rounds as the expressions above do, left to right.  A
-    shape mismatch or a non-finite gradient raises before anything is
-    written.
+    with decay ``RMSPROP_DECAY`` and eps ``RMSPROP_EPSILON``.  Each
+    operation rounds as the expressions above do, left to right.  A shape
+    mismatch or a non-finite gradient raises before anything is written.
     """
     if param.shape != grad.shape or param.shape != acc.shape:
         raise ValueError(
@@ -138,12 +138,12 @@ def rmsprop_apply(
         )
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient; step rejected")
-    scratch = (1.0 - decay) * grad
+    scratch = (1.0 - RMSPROP_DECAY) * grad
     scratch *= grad
-    acc *= decay
+    acc *= RMSPROP_DECAY
     acc += scratch
     np.sqrt(acc, out=scratch)
-    scratch += epsilon
+    scratch += RMSPROP_EPSILON
     step = learning_rate * grad
     step /= scratch
     param -= step
@@ -159,8 +159,7 @@ class RmsProp:
     def step(self, model: FusionRnnModel, grad: np.ndarray) -> None:
         """Apply one update from a gradient laid out like ``model.theta``;
         a rejected gradient leaves ``model.theta`` and ``acc`` untouched."""
-        rmsprop_apply(model.theta, grad, self.acc,
-                      self.config.learning_rate, RMSPROP_DECAY, RMSPROP_EPSILON)
+        rmsprop_apply(model.theta, grad, self.acc, self.config.learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +306,10 @@ def gradient_check(
     zs: np.ndarray,
     target: int,
     config: TrainConfig,
-    eps: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
-    """Compare analytic gradients of the training loss to central differences."""
+    """Compare analytic gradients of the training loss to central
+    differences of step ``numerics.FD_EPS``."""
     work = model.copy()
 
     def objective(theta: np.ndarray) -> float:
@@ -318,7 +317,7 @@ def gradient_check(
         probs, _ = fusion_rnn.forward(work, xs, zs)
         return anticipation_loss(probs, target, config.loss_mode)
 
-    numeric = finite_diff_grad(objective, model.theta, eps)
+    numeric = finite_diff_grad(objective, model.theta)
     work.theta[...] = model.theta
 
     probs, tape = fusion_rnn.forward(work, xs, zs)

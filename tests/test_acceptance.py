@@ -42,8 +42,7 @@ def test_criterion_01_gradient_correctness():
         for loss_mode in (training.LOSS_EXPONENTIAL, training.LOSS_UNIFORM):
             model = fusion_rnn.init_fusion_model("fusion", 6, 9, hidden, EVENTS, make_rng(seed))
             check = training.gradient_check(
-                model, xs, zs, target, training.TrainConfig(loss_mode=loss_mode),
-                eps=1e-5, tol=1e-4,
+                model, xs, zs, target, training.TrainConfig(loss_mode=loss_mode), tol=1e-4
             )
             worst = max(worst, check.block_errors[check.worst_block])
     elapsed = time.monotonic() - start

@@ -13,7 +13,6 @@ from maneuverkit.aiohmm import (
     AioHmmEnsemble,
     AioHmmModel,
     BOUND_STEPS,
-    COV_FLOOR,
     MEAN_ROUNDS,
     EmConfig,
     Padded,
@@ -31,7 +30,6 @@ from maneuverkit.aiohmm import (
     fit_em,
     transition_inputs,
     forward_backward,
-    log_transition_matrices,
     log_forward,
     log_forward_step,
     log_transitions,
@@ -531,7 +529,7 @@ def lstsq_mean_step(batch, stats, m, rounds, diag):
         resid = Z - s[:, None] * mu
         cov = (resid * g[:, None]).T @ resid / weight
         new.mu[i], new.a[i], new.b[i] = mu, a, b
-        new.sigma[i] = _floor_covariance(cov, COV_FLOOR, diag)
+        new.sigma[i] = _floor_covariance(cov, diag)
     return new
 
 
@@ -592,7 +590,7 @@ def mean_problems(draw):
 
 def transition_row(m, i, x):
     """Distribution over successor states when leaving state i under x."""
-    return np.exp(log_transition_matrices(m, np.asarray(x, dtype=float)[None, :])[0, i])
+    return np.exp(log_transitions(m.w, transition_inputs(m, np.asarray(x, dtype=float)[None, :]))[i, :, 0])
 
 
 class TestTransitions:
@@ -809,6 +807,13 @@ class TestForwardBackward:
         zs[-1, 0] = np.nan
         with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
             sequence_loglik(m, xs, zs)
+
+    @pytest.mark.parametrize("xs_len, zs_len", [(0, 0), (5, 4)], ids=["empty", "length-mismatch"])
+    def test_sequence_loglik_rejects_unequal_or_empty_streams(self, xs_len, zs_len):
+        m = random_model(make_rng(10), 2, 2, 3)
+        rng = make_rng(11)
+        with pytest.raises(ValueError, match="need equal-length nonempty streams"):
+            sequence_loglik(m, rng.standard_normal((xs_len, 3)), rng.standard_normal((zs_len, 2)))
 
     def test_posteriors_normalized(self):
         rng = make_rng(7)
@@ -1080,9 +1085,9 @@ class TestMStep:
         stack = A @ A.transpose(0, 2, 1)  # rank 2 of 3: eigenvalue 0, floored
         stack[1] += np.eye(3)             # full rank: left alone
         diag, each_diag = {}, {}
-        got = _floor_covariance(stack, COV_FLOOR, diag)
+        got = _floor_covariance(stack, diag)
         for k in range(4):
-            np.testing.assert_allclose(got[k], _floor_covariance(stack[k], COV_FLOOR, each_diag),
+            np.testing.assert_allclose(got[k], _floor_covariance(stack[k], each_diag),
                                        rtol=0, atol=1e-14)
         assert diag == each_diag == {"floored": 3}
 
@@ -1232,6 +1237,19 @@ class TestEmConfig:
             EmConfig(**{field: value})
         with pytest.raises(ValueError, match=message):
             replace(EmConfig(), **{field: value})
+
+    # states=2.5 used to fail inside _init_model with a bare TypeError
+    @pytest.mark.parametrize("field", ["states", "max_iter", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_non_integer_count_rejected_by_name(self, field, value):
+        message = f"^field '{field}' must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            EmConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            replace(EmConfig(), **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert EmConfig(states=np.int64(2), max_iter=np.int64(3), seed=np.int64(4)).states == 2
 
     def test_frozen(self):
         with pytest.raises(FrozenInstanceError):

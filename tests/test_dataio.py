@@ -336,19 +336,22 @@ class TestCheckpointBlockErrors:
              r"bad 'events' entry .*unknown event labels"),
             ("fusion_h2", "blocks", 5, r"field 'blocks' must be an object"),
             ("fusion_h2", "arch", "lstm", r"unknown arch 'lstm'"),
-            ("concat_h2", "fusion", "abc", r"field 'fusion' must be an integer of at least 0, got 'abc'"),
-            ("concat_h2", "fusion", 3, r"bad fusion network description .*fusion must be 0, got 3"),
+            ("concat_h2", "fusion", "abc",
+             r"field 'fusion' must be 0 for a concat model of hidden size 2, got 'abc'"),
+            ("concat_h2", "fusion", 3, r"field 'fusion' must be 0 for a concat model of hidden size 2, got 3"),
             ("fusion_h2", "hidden", True, r"field 'hidden' must be an integer of at least 1, got True"),
             ("fusion_h2", "hidden", 0, r"field 'hidden' must be an integer of at least 1, got 0"),
             ("fusion_h2", "hidden", 10**8,
              r"block 'lstm_x\.b_i' has shape \(2,\), expected \(100000000,\)"),
             ("fusion_h2", "input_z", 10**12,
              r"block 'lstm_z\.W_i' has shape \(2, 9\), expected \(2, 1000000000000\)"),
-            ("fusion_h2", "fusion", 10**8, r"block 'b_f' has shape \(2,\), expected \(100000000,\)"),
+            ("fusion_h2", "fusion", 10**8,
+             r"field 'fusion' must be 2 for a fusion model of hidden size 2, got 100000000"),
+            ("concat_h2", "fusion", False, r"field 'fusion' must be 0 for a concat model of hidden size 2, got False"),
         ],
         ids=["duplicate-events", "unknown-events", "blocks-not-an-object", "unknown-arch",
              "concat-fusion", "concat-fusion-width", "bool-hidden", "zero-hidden", "huge-hidden",
-             "huge-input", "huge-fusion"],
+             "huge-input", "huge-fusion", "bool-fusion"],
     )
     def test_bad_description_names_the_file(self, tmp_path, name, field, value, message):
         doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maneuverkit.fusion_rnn import (
-    FusionRnnModel,
     backward,
     forward,
     init_fusion_model,
@@ -22,8 +21,8 @@ from test_lstm import lockstep_backward_reference, reference_backward, reference
 EVENTS5 = ("left_lane", "right_lane", "left_turn", "right_turn", "straight")
 
 
-def make_model(arch="fusion", hidden=6, seed=3, fusion=None):
-    return init_fusion_model(arch, 6, 9, hidden, EVENTS5, make_rng(seed), fusion=fusion)
+def make_model(arch="fusion", hidden=6, seed=3):
+    return init_fusion_model(arch, 6, 9, hidden, EVENTS5, make_rng(seed))
 
 
 def zeroed(model):
@@ -117,7 +116,7 @@ class TestBackward:
 
 class TestParamCount:
     def test_hand_counted_minimal_model(self):
-        m = init_fusion_model("fusion", 1, 1, 1, EVENTS5, make_rng(0), fusion=1)
+        m = init_fusion_model("fusion", 1, 1, 1, EVENTS5, make_rng(0))
         counts = param_count(m)
         # per LSTM: 4 W (1x1) + 4 U (1x1) + 3 V + 4 b = 15; two streams = 30
         # fusion: W_f 1x2 + b_f 1 = 3; output: W_y 5x1 + b_y 5 = 10
@@ -134,19 +133,6 @@ class TestParamCount:
     def test_zero_size_model_rejected(self):
         with pytest.raises(ValueError):
             init_fusion_model("fusion", 6, 9, 0, EVENTS5, make_rng(0))
-
-    @pytest.mark.parametrize("fusion", [0, -2])
-    def test_bad_fusion_width_rejected_before_any_draw(self, fusion):
-        rng = make_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"fusion width must be positive, got {fusion}"):
-            init_fusion_model("fusion", 6, 9, 4, EVENTS5, rng, fusion=fusion)
-        assert rng.bit_generator.state == before
-
-    @pytest.mark.parametrize("fusion", [3, -1, "abc"])
-    def test_concat_model_rejects_a_fusion_width(self, fusion):
-        with pytest.raises(ValueError, match="fusion must be 0"):
-            FusionRnnModel(arch="concat", input_x=6, input_z=9, hidden=4, fusion=fusion, events=EVENTS5)
 
     def test_default_architecture_count_is_documented(self):
         # hidden 64 per stream, fusion width 64, |x|=6, |z|=9, K=5
@@ -299,7 +285,7 @@ def test_backward_equals_rebuilt_model_reference(arch, hidden, T, scale, seed):
 @pytest.mark.parametrize("arch", ["fusion", "concat"])
 @pytest.mark.parametrize("hidden", [1, 16, 64])
 def test_one_pass_equals_two_branch_reference(arch, hidden):
-    m = make_model(arch, hidden=hidden, seed=hidden, fusion=hidden + 5)
+    m = make_model(arch, hidden=hidden, seed=hidden)
     rng = make_rng(70 + hidden)
     m.theta[...] += rng.uniform(-0.2, 0.2, size=m.theta.shape)
     xs, zs = random_streams(hidden + 1, 11)
@@ -346,5 +332,5 @@ class TestFlatLayout:
     def test_wrong_theta_size_rejected(self):
         m = make_model()
         with pytest.raises(ValueError, match="theta"):
-            type(m)(arch="fusion", input_x=6, input_z=9, hidden=6, fusion=6,
+            type(m)(arch="fusion", input_x=6, input_z=9, hidden=6,
                     events=EVENTS5, theta=m.theta[:-1].copy())

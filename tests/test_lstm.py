@@ -367,7 +367,7 @@ def bptt_error(seed: int, T: int, hidden: int, input_size: int = 3) -> float:
         unflatten_into(work, flat)
         return float(np.sum(dh * unroll(work, xs).h[:, 0]))
 
-    numeric = finite_diff_grad(objective, flatten(p), 1e-5)
+    numeric = finite_diff_grad(objective, flatten(p))
     grads = run_backward(p, unroll(p, xs), dh)
     analytic = flatten(grads)
 

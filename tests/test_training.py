@@ -29,11 +29,11 @@ from maneuverkit.training import (
 from test_fusion_rnn import rebuilt_model_backward
 
 
-def rmsprop_update(param, grad, acc, learning_rate, decay, epsilon):
+def rmsprop_update(param, grad, acc, learning_rate):
     """The functional reference of ``rmsprop_apply``: the step on copies,
     returning (new_param, new_acc)."""
     new_param, new_acc = param.copy(), acc.copy()
-    rmsprop_apply(new_param, grad, new_acc, learning_rate, decay, epsilon)
+    rmsprop_apply(new_param, grad, new_acc, learning_rate)
     return new_param, new_acc
 
 
@@ -72,6 +72,12 @@ class TestLoss:
         loss = anticipation_loss(probs, 2, LOSS_EXPONENTIAL)
         assert np.isfinite(loss)
 
+    @pytest.mark.parametrize("fn", [loss_weights, anticipation_loss, loss_logit_grads])
+    def test_unknown_loss_mode_rejected(self, fn):
+        args = (3,) if fn is loss_weights else (np.full((3, 2), 0.5), 0)
+        with pytest.raises(ValueError, match="^unknown loss mode 'bogus'$"):
+            fn(*args, "bogus")
+
     def test_target_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             anticipation_loss(np.full((2, 3), 1 / 3), 3, LOSS_UNIFORM)
@@ -91,20 +97,20 @@ class TestLoss:
 class TestRmsProp:
     def test_zero_gradient_leaves_params(self):
         p, acc = np.array([1.0, -2.0]), np.array([0.5, 0.5])
-        new_p, new_acc = rmsprop_update(p, np.zeros(2), acc, 0.1, 0.9, 1e-8)
+        new_p, new_acc = rmsprop_update(p, np.zeros(2), acc, 0.1)
         np.testing.assert_array_equal(new_p, p)
         np.testing.assert_allclose(new_acc, 0.45)
 
     def test_first_scalar_step(self):
         p, acc = np.array([0.0]), np.array([0.0])
-        new_p, new_acc = rmsprop_update(p, np.array([1.0]), acc, 0.1, 0.9, 1e-8)
+        new_p, new_acc = rmsprop_update(p, np.array([1.0]), acc, 0.1)
         expected = -0.1 * 1.0 / (math.sqrt(0.1) + 1e-8)
         assert abs(new_p[0] - expected) < 1e-15
         assert abs(new_acc[0] - 0.1) < 1e-15
 
     def test_non_finite_gradient_rejected(self):
         with pytest.raises(FloatingPointError):
-            rmsprop_update(np.zeros(1), np.array([np.nan]), np.zeros(1), 0.1, 0.9, 1e-8)
+            rmsprop_update(np.zeros(1), np.array([np.nan]), np.zeros(1), 0.1)
 
     def test_update_rounds_as_the_two_line_formula(self):
         rng = make_rng(4)
@@ -113,10 +119,10 @@ class TestRmsProp:
             acc = np.abs(rng.standard_normal(500)) * scale
             acc[:50] = 0.0
             g[:10] = 0.0
-            for lr, decay, eps in ((1e-4, 0.9, 1e-8), (2e-3, 0.95, 1e-6)):
-                want_acc = decay * acc + (1.0 - decay) * g * g
-                want_p = p - lr * g / (np.sqrt(want_acc) + eps)
-                new_p, new_acc = rmsprop_update(p, g, acc, lr, decay, eps)
+            for lr in (1e-4, 2e-3):
+                want_acc = RMSPROP_DECAY * acc + (1.0 - RMSPROP_DECAY) * g * g
+                want_p = p - lr * g / (np.sqrt(want_acc) + RMSPROP_EPSILON)
+                new_p, new_acc = rmsprop_update(p, g, acc, lr)
                 np.testing.assert_array_equal(new_acc, want_acc)
                 np.testing.assert_array_equal(new_p, want_p)
 
@@ -149,9 +155,7 @@ class TestRmsProp:
             for name, arr in param_blocks(ref):
                 g = grad[offset : offset + arr.size].reshape(arr.shape)
                 offset += arr.size
-                arr[...], acc[name] = rmsprop_update(
-                    arr, g, acc[name], cfg.learning_rate, RMSPROP_DECAY, RMSPROP_EPSILON
-                )
+                arr[...], acc[name] = rmsprop_update(arr, g, acc[name], cfg.learning_rate)
         np.testing.assert_array_equal(model.theta, ref.theta)
         np.testing.assert_array_equal(opt.acc, np.concatenate([a.ravel() for a in acc.values()]))
 
@@ -260,6 +264,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="unknown loss mode 'linear'"):
             replace(TrainConfig(), loss_mode="linear")
 
+    # a float count used to fail later with a bare TypeError
+    @pytest.mark.parametrize("field", ["epochs", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_non_integer_count_rejected_by_name(self, field, value):
+        message = f"^field '{field}' must be an integer, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            replace(TrainConfig(), **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert TrainConfig(epochs=np.int64(3), seed=np.int64(4)).epochs == 3
+
     def test_config_is_frozen(self):
         with pytest.raises(FrozenInstanceError):
             TrainConfig().learning_rate = float("nan")
@@ -346,8 +363,7 @@ def replayed_training(dataset, model, config):
             args = (target, config.loss_mode)
             loss = anticipation_loss(probs, *args)
             grad = rebuilt_model_backward(work, tape, loss_logit_grads(probs, *args))
-            theta, acc = rmsprop_update(theta, grad, acc, config.learning_rate,
-                                        RMSPROP_DECAY, RMSPROP_EPSILON)
+            theta, acc = rmsprop_update(theta, grad, acc, config.learning_rate)
             total += loss
         losses.append(total / len(dataset))
     return theta, losses
