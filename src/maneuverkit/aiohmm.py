@@ -149,6 +149,8 @@ class EmConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+        if self.seed < 0:  # a seed the generator would refuse only later, without the name
+            raise ValueError(f"field 'seed' must be a non-negative integer, got {self.seed!r}")
         if self.states < 1:
             raise ValueError("need at least one state")
         if self.variant not in VARIANTS:

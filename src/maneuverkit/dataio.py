@@ -7,19 +7,23 @@ Datasets are one JSON object per line:
 
 Checkpoints are a single versioned JSON document:
 
-    {"format_version": 1, "kind": "fusion_rnn" | "aio_hmm",
+    {"format_version": 2, "kind": "fusion_rnn" | "aio_hmm",
      "config": {...}, "params": {...}}
 
-Floats are serialized through Python's shortest-round-trip repr, so a saved
-number parses back to the identical 64-bit value and save/load round trips
-are bit-exact.  NaN or Inf anywhere in a model is a save-time error.
+Sizes, events and config stay plain JSON.  Every parameter array (each
+fusion block, each AIO-HMM field and the ensemble prior) is stored as
+``{"shape": [...], "float64": "<base64>"}``: standard base64, without
+newlines, of the array's little-endian IEEE-754 doubles in C order.  The
+bytes are the doubles themselves, so save/load round trips are bit-exact.
+NaN or Inf anywhere in a model is a save-time error, and a load-time one.
+A checkpoint of any other ``format_version`` is refused.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +33,7 @@ from .events import EVENTS, validate_events
 from .fusion_rnn import ARCH_CONCAT, ARCH_FUSION, CELL_NAMES, FusionRnnModel, param_blocks
 from .synth import SequenceSample
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 KIND_FUSION = "fusion_rnn"
 KIND_AIOHMM = "aio_hmm"
 
@@ -123,28 +127,21 @@ def _parse_sample(record: dict, path: Path, lineno: int) -> SequenceSample:
 _NUMBER_TYPES = {int, float}
 
 
-def numeric_array(value) -> np.ndarray | None:
-    """``value``, a JSON number or a rectangular nested list of them, as a
-    float array; None if it holds anything else.  JSON strings and booleans
-    are not numbers here, although NumPy would convert them."""
-    try:
-        array = np.asarray(value, float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    leaves = value if array.ndim else (value,)
-    for _ in range(array.ndim - 1):
-        leaves = chain.from_iterable(leaves)
-    return array if _NUMBER_TYPES.issuperset(map(type, leaves)) else None
-
-
 def parse_vector(value, field: str, sizes: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a finite float vector whose length is one of ``sizes``.
+    """``value``, a JSON list of numbers, as a finite float vector whose
+    length is one of ``sizes``.  JSON strings and booleans are not numbers
+    here, although NumPy would convert them.
 
     A fault raises DataFormatError naming the field; callers prefix it with
     the location (file, line and step, or stream line).
     """
-    vector = numeric_array(value)
-    if vector is None or vector.ndim != 1 or len(vector) not in sizes:
+    vector = None
+    if isinstance(value, list) and len(value) in sizes and _NUMBER_TYPES.issuperset(map(type, value)):
+        try:
+            vector = np.array(value, float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if vector is None:
         raise DataFormatError(
             f"field {field!r} must be a list of {' or '.join(map(str, sizes))} numbers"
         )
@@ -156,6 +153,33 @@ def parse_vector(value, field: str, sizes: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
+
+
+def encode_array(array) -> dict:
+    """``array`` as a checkpoint entry: its shape, and its little-endian
+    float64 values in C order as one standard base64 string."""
+    array = np.asarray(array, "<f8")
+    return {"shape": list(array.shape), "float64": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def decode_array(value) -> np.ndarray | None:
+    """The writable float64 array that an :func:`encode_array` entry holds;
+    None if ``value`` is anything else.  The payload's byte count must equal
+    8 times the product of the shape's non-negative integer entries before
+    anything is reshaped, so a huge declared shape allocates nothing."""
+    if not isinstance(value, dict) or value.keys() != {"shape", "float64"}:
+        return None
+    shape, payload = value["shape"], value["float64"]
+    if not (isinstance(shape, list) and isinstance(payload, str)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        return None
+    try:
+        raw = base64.b64decode(payload, validate=True)
+        if len(raw) != 8 * math.prod(shape):
+            return None
+        return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    except ValueError:  # not base64, or more axes or elements than NumPy holds
+        return None
 
 
 def _check_finite_tree(name: str, value) -> None:
@@ -187,7 +211,10 @@ def load_model(path: str | Path):
         raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format_version {version!r}")
+        raise DataFormatError(
+            f"{path}: checkpoint format_version {version!r} cannot be read; this build reads "
+            f"format_version {FORMAT_VERSION} only, so retrain the model to write one"
+        )
     kind = doc.get("kind")
     config = doc.get("config", {})
     if kind not in (KIND_FUSION, KIND_AIOHMM):
@@ -210,7 +237,7 @@ def _fusion_to_dict(m: FusionRnnModel) -> dict:
         "hidden": m.hidden,
         "fusion": _fusion_width(m.arch, m.hidden),
         "events": list(m.events),
-        "blocks": {name: arr.tolist() for name, arr in param_blocks(m)},
+        "blocks": {name: encode_array(arr) for name, arr in param_blocks(m)},
     }
 
 
@@ -265,7 +292,7 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
         if name not in arrays:
             if name not in blocks:
                 raise DataFormatError(f"{path}: block {name!r} is missing")
-            arrays[name] = numeric_array(blocks[name])
+            arrays[name] = decode_array(blocks[name])
             if arrays[name] is None:
                 raise DataFormatError(f"{path}: block {name!r} is not an array of numbers")
         if arrays[name].shape != shape:
@@ -301,11 +328,7 @@ AIOHMM_ARRAYS = ("mu", "a", "b", "sigma", "w", "pi")
 def _aiohmm_to_dict(m: AioHmmModel) -> dict:
     for name in AIOHMM_ARRAYS:
         _check_finite_tree(name, getattr(m, name))
-    return {
-        "variant": m.variant,
-        "mu": m.mu.tolist(), "a": m.a.tolist(), "b": m.b.tolist(),
-        "sigma": m.sigma.tolist(), "w": m.w.tolist(), "pi": m.pi.tolist(),
-    }
+    return {"variant": m.variant, **{name: encode_array(getattr(m, name)) for name in AIOHMM_ARRAYS}}
 
 
 def _aiohmm_from_dict(d, path: Path, name: str) -> AioHmmModel:
@@ -319,7 +342,7 @@ def _aiohmm_from_dict(d, path: Path, name: str) -> AioHmmModel:
             raise DataFormatError(f"{where}: field {field!r} is missing")
     arrays = {}
     for field in AIOHMM_ARRAYS:
-        arrays[field] = numeric_array(d[field])
+        arrays[field] = decode_array(d[field])
         if arrays[field] is None:
             raise DataFormatError(f"{where}: field {field!r} is not an array of numbers")
         if not np.isfinite(arrays[field]).all():
@@ -335,14 +358,14 @@ def _aiohmm_from_dict(d, path: Path, name: str) -> AioHmmModel:
 def _ensemble_to_dict(e: AioHmmEnsemble) -> dict:
     return {
         "events": list(e.events),
-        "prior": e.prior.tolist(),
+        "prior": encode_array(e.prior),
         "models": {name: _aiohmm_to_dict(m) for name, m in e.models.items()},
     }
 
 
 def _ensemble_from_dict(d: dict, path: Path) -> AioHmmEnsemble:
     events = _events(d, path)
-    prior = numeric_array(d.get("prior"))
+    prior = decode_array(d.get("prior"))
     if prior is None:
         raise DataFormatError(f"{path}: bad 'prior' entry (not an array of numbers)")
     entries = d.get("models")

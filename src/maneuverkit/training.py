@@ -50,6 +50,8 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+        if self.seed < 0:  # a seed the generator would refuse only later, without the name
+            raise ValueError(f"field 'seed' must be a non-negative integer, got {self.seed!r}")
         if self.loss_mode not in (LOSS_EXPONENTIAL, LOSS_UNIFORM):
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         # written as "not (ok)", so NaN fails them too

@@ -1248,6 +1248,15 @@ class TestEmConfig:
         with pytest.raises(ValueError, match=message):
             replace(EmConfig(), **{field: value})
 
+    # used to be accepted, then refused by NumPy's generator without the field's name
+    @pytest.mark.parametrize("seed", [-1, -(2**64)])
+    def test_negative_seed_rejected_by_name(self, seed):
+        message = f"^field 'seed' must be a non-negative integer, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            EmConfig(seed=seed)
+        with pytest.raises(ValueError, match=message):
+            replace(EmConfig(), seed=seed)
+
     def test_numpy_integer_counts_accepted(self):
         assert EmConfig(states=np.int64(2), max_iter=np.int64(3), seed=np.int64(4)).states == 2
 

@@ -24,7 +24,7 @@ from maneuverkit.anticipation import (
     trajectory,
 )
 from maneuverkit.cli import _stream_loop, main
-from maneuverkit.dataio import AIOHMM_ARRAYS, DataFormatError, load_model, save_model
+from maneuverkit.dataio import AIOHMM_ARRAYS, DataFormatError, encode_array, load_model, save_model
 from maneuverkit.events import EVENTS, events_for_setting
 from maneuverkit.fusion_rnn import forward, init_fusion_model
 from maneuverkit.metrics import SWEEP_BLOCK
@@ -421,7 +421,7 @@ class TestPredictors:
         save_model(ens, {}, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["params"]["models"][EVENTS[1]] = {
-            "variant": odd.variant, **{k: getattr(odd, k).tolist() for k in AIOHMM_ARRAYS}
+            "variant": odd.variant, **{k: encode_array(getattr(odd, k)) for k in AIOHMM_ARRAYS}
         }
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"mixed\.json: " + message):

@@ -10,8 +10,10 @@ import pytest
 from maneuverkit import aiohmm, training
 from maneuverkit.anticipation import FusionRnnPredictor
 from maneuverkit.cli import build_parser, main, train_model
-from maneuverkit.dataio import load_dataset, load_model, save_dataset
+from maneuverkit.dataio import encode_array, load_dataset, load_model, save_dataset
 from maneuverkit.synth import ScenarioConfig, generate, split_folds
+
+from test_dataio import set_entry
 
 
 def run(argv, capsys):
@@ -126,6 +128,15 @@ class TestValidation:
                      "--epochs", "1", flag, value, "--out", str(tmp_path / "m.json")]) == 1
         assert message in caplog.text
         assert not (tmp_path / "m.json").exists()
+
+    # each used to exit 1 with NumPy's bare "expected non-negative integer"
+    @pytest.mark.parametrize("arch", ["frnn-el", "aiohmm"])
+    def test_negative_seed_is_rejected_by_name(self, tmp_path, caplog, arch):
+        d, m = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert main(["synth", "--n", "20", "--seed", "0", "--out", str(d)]) == 0
+        assert main(["train", "--data", str(d), "--arch", arch, "--seed", "-1", "--out", str(m)]) == 1
+        assert "field 'seed' must be a non-negative integer, got -1" in caplog.text
+        assert not m.exists()
 
     # each used to be ignored: the latent-state archs read no network flag,
     # and the networks no EM flag
@@ -315,7 +326,7 @@ def test_zero_class_prior_streams_and_evaluates_without_warnings(
     # A valid checkpoint whose last three classes have prior 0: they get
     # probability exactly 0, are never committed to, and nothing warns.
     doc = json.loads(hmm_checkpoint.read_text())
-    doc["params"]["prior"] = [0.5, 0.5, 0.0, 0.0, 0.0]
+    doc["params"]["prior"] = encode_array([0.5, 0.5, 0.0, 0.0, 0.0])
     model = tmp_path / "zero_prior.json"
     model.write_text(json.dumps(doc))
     data = hmm_checkpoint.parent / "d.jsonl"
@@ -483,11 +494,12 @@ class TestStreamRecords:
         "edit, message",
         [
             (lambda b: b.pop("lstm_z.V_f"), "block 'lstm_z.V_f' is missing"),
-            (lambda b: b.update({"lstm_x.U_c": [[0.5]]}),
+            (lambda b: b.update({"lstm_x.U_c": encode_array([[0.5]])}),
              "block 'lstm_x.U_c' has shape (1, 1), expected (2, 2)"),
-            (lambda b: b["b_y"].__setitem__(0, float("nan")), "block 'b_y' contains non-finite values"),
+            (lambda b: set_entry(b, "b_y", (0,), float("nan")), "block 'b_y' contains non-finite values"),
+            (lambda b: b["b_y"].update(float64=b["b_y"]["float64"][:-4]), "block 'b_y' is not an array of numbers"),
         ],
-        ids=["missing", "misshaped", "nan"],
+        ids=["missing", "misshaped", "nan", "cut-payload"],
     )
     def test_bad_checkpoint_block_stops_with_located_error(
         self, tmp_path, monkeypatch, capsys, caplog, edit, message
@@ -504,7 +516,7 @@ class TestStreamRecords:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda m: m["mu"][0].__setitem__(0, float("nan")),
+            (lambda m: set_entry(m, "mu", (0, 0), float("nan")),
              "model 'left_turn': field 'mu' contains non-finite values"),
             (lambda m: m.pop("sigma"), "model 'left_turn': field 'sigma' is missing"),
         ],

@@ -1,19 +1,27 @@
+import base64
 import copy
+import hashlib
 import json
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import AioHmmEnsemble
 from maneuverkit.anticipation import AioHmmPredictor
 from maneuverkit.dataio import (
     AIOHMM_ARRAYS,
+    FORMAT_VERSION,
     KIND_AIOHMM,
     DataFormatError,
+    decode_array,
+    encode_array,
     load_dataset,
     load_model,
     save_dataset,
@@ -242,10 +250,23 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="format_version"):
             load_model(path)
 
+    # used to say only "unsupported format_version 1"
+    def test_format_1_refused_with_the_reason(self, tmp_path):
+        path = tmp_path / "old.json"
+        doc = {"format_version": 1, "kind": "aio_hmm", "config": {},
+               "params": {"events": ["straight"], "prior": [1.0], "models": {}}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            f"{path}: checkpoint format_version 1 cannot be read; this build reads "
+            "format_version 2 only, so retrain the model to write one"
+        )
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(
-            json.dumps({"format_version": 1, "kind": "boosted_trees", "params": {}}),
+            json.dumps({"format_version": FORMAT_VERSION, "kind": "boosted_trees", "params": {}}),
             encoding="utf-8",
         )
         with pytest.raises(DataFormatError, match="kind"):
@@ -278,22 +299,105 @@ class TestCheckpoints:
         np.testing.assert_array_equal(before, after)
 
 
+def parameter_sha256(model) -> str:
+    """SHA-256 of a model's parameters as little-endian float64 bytes: a
+    fusion network's blocks in order, or an ensemble's prior, then each
+    event's AIO-HMM fields."""
+    if isinstance(model, FusionRnnModel):
+        arrays = [arr for _, arr in param_blocks(model)]
+    else:
+        arrays = [model.prior] + [getattr(model.models[e], f) for e in model.events for f in AIOHMM_ARRAYS]
+    return hashlib.sha256(b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)).hexdigest()
+
+
+# Computed from the format-1 files these fixtures were converted from, as the
+# format-1 loader read them: the conversion changed no parameter bit.
+PARAMETER_SHA256 = {
+    "fusion_h2": "01b1ae164e34a12344809f75e9da196195e0cae287a5b8275d95004364db3d6e",
+    "concat_h2": "66f713c9e07a5f104ce536e0d05db072faaf7bc2e472981c7ba9017b57d57558",
+    "aiohmm_s2": "6d604057e073a69d3b5f2c8a617262bdbe52bb649424b2899fc16475ce2c1ad9",
+}
+
+
+ENCODED_EDGES = np.array([-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7e308, -1.7e308, np.nextafter(1.0, 2.0)])
+
+
+class TestArrayEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(array=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                            elements=st.floats(width=64) | st.sampled_from(ENCODED_EDGES.tolist())))
+    @example(array=ENCODED_EDGES)
+    @example(array=np.array(-0.0))
+    @example(array=np.zeros((2, 0, 3)))
+    def test_round_trip_is_bit_exact_and_writable(self, array):
+        entry = json.loads(json.dumps(encode_array(array)))
+        assert entry["shape"] == list(array.shape) and "\n" not in entry["float64"]
+        back = decode_array(entry)
+        assert back.dtype == np.float64 and back.dtype.isnative and back.flags.writeable
+        assert back.shape == array.shape and back.tobytes() == array.tobytes()
+
+    def test_payload_is_little_endian_doubles_in_c_order(self):
+        array = np.arange(6.0).reshape(2, 3).T
+        entry = encode_array(array)
+        raw = b"".join(struct.pack("<d", v) for v in [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
+        assert entry == {"shape": [3, 2], "float64": base64.b64encode(raw).decode("ascii")}
+
+    GOOD = encode_array(np.arange(4.0).reshape(2, 2))
+
+    @pytest.mark.parametrize("entry", [
+        {"shape": [2, 2], "float64": base64.b64encode(bytes(31)).decode("ascii")},
+        {"shape": [2, 2], "float64": base64.b64encode(bytes(33)).decode("ascii")},
+        {"shape": [2, 2], "float64": GOOD["float64"][:-4]},
+        {"shape": [2, 2], "float64": GOOD["float64"][:20] + "*" + GOOD["float64"][21:]},
+        {"shape": [2, 2], "float64": GOOD["float64"][:20] + "\n" + GOOD["float64"][20:]},
+        {"shape": [2, 2], "float64": GOOD["float64"], "dtype": "float64"},
+        {"shape": [2, 2]},
+        {"float64": GOOD["float64"]},
+        {"shape": [4, True], "float64": GOOD["float64"]},
+        {"shape": [-4, -1], "float64": GOOD["float64"]},
+        {"shape": [-2, -2], "float64": GOOD["float64"]},
+        {"shape": [2, 2.0], "float64": GOOD["float64"]},
+        {"shape": 4, "float64": GOOD["float64"]},
+        {"shape": [2, 2], "float64": [GOOD["float64"]]},
+        [[0.0, 1.0], [2.0, 3.0]],
+        None,
+    ], ids=["byte-short", "byte-long", "cut-4-characters", "non-base64-character", "newline", "extra-key",
+            "no-payload", "no-shape", "bool-dimension", "negative-dimension", "negative-pair", "float-dimension",
+            "shape-not-a-list", "payload-not-a-string", "format-1-list", "null"])
+    # The product of each bad shape is 4, as many doubles as the payload holds.
+    def test_malformed_entry_refused(self, entry):
+        assert decode_array(entry) is None
+
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 2**62, 4], [0, 2**63], [0, 2**40, 2**40], [0] * 65])
+    def test_overflowing_shape_refused_without_allocating(self, shape):
+        tracemalloc.start()
+        try:
+            assert decode_array({"shape": shape, "float64": base64.b64encode(bytes(8)).decode("ascii")}) is None
+            assert decode_array({"shape": shape, "float64": ""}) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestParentCheckpoints:
-    """Checkpoints written by earlier versions: the fusion ones before the
-    parameters moved into one flat vector (hidden 2, one epoch on
-    `synth --n 20 --seed 4`)."""
+    """Checkpoints written by earlier versions and converted to format 2 by
+    loading each with the format-1 loader and saving it again: the fusion
+    ones from before the parameters moved into one flat vector (hidden 2,
+    one epoch on `synth --n 20 --seed 4`)."""
 
     @pytest.mark.parametrize("name, total", [("fusion_h2", 205), ("concat_h2", 165)])
     def test_load_and_resave_byte_identically(self, tmp_path, name, total):
         src = DATA / f"{name}.json"
         model, kind, config = load_model(src)
+        assert parameter_sha256(model) == PARAMETER_SHA256[name]
         save_model(model, config, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == src.read_bytes()
         blocks = json.loads(src.read_text(encoding="utf-8"))["params"]["blocks"]
         counts = param_count(model)
         assert [name for name, _ in param_blocks(model)] == list(blocks)
         assert counts.pop("total") == total
-        assert counts == {name: np.asarray(value).size for name, value in blocks.items()}
+        assert counts == {name: decode_array(value).size for name, value in blocks.items()}
 
     def test_aiohmm_checkpoint_loads_resaves_and_streams(self, tmp_path):
         """An AIO-HMM ensemble written while the EM settings were still
@@ -302,6 +406,7 @@ class TestParentCheckpoints:
         src = DATA / "aiohmm_s2.json"
         ensemble, kind, config = load_model(src)
         assert kind == KIND_AIOHMM and config["em"]["w_iters"] == 25
+        assert parameter_sha256(ensemble) == PARAMETER_SHA256["aiohmm_s2"]
         save_model(ensemble, config, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == src.read_bytes()
         predictor = AioHmmPredictor(ensemble)
@@ -311,6 +416,13 @@ class TestParentCheckpoints:
                 state, row = predictor.step(state, sample.xs[t], sample.zs[t])
                 want = ensemble.posterior(sample.xs[: t + 1], sample.zs[: t + 1])
                 np.testing.assert_allclose(row, want, rtol=0, atol=1e-10)
+
+
+def set_entry(entries: dict, name: str, index: tuple, value: float) -> None:
+    """Set one value of the encoded array ``entries[name]``."""
+    array = decode_array(entries[name])
+    array[index] = value
+    entries[name] = encode_array(array)
 
 
 def edited_checkpoint(tmp_path, edit) -> Path:
@@ -323,7 +435,7 @@ def edited_checkpoint(tmp_path, edit) -> Path:
 
 class TestCheckpointBlockErrors:
     def test_numeric_strings_name_file_and_block(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda b: b.update(b_y=[str(v) for v in b["b_y"]]))
+        path = edited_checkpoint(tmp_path, lambda b: b.update(b_y=[str(v) for v in decode_array(b["b_y"]).tolist()]))
         with pytest.raises(DataFormatError, match=r"edited\.json: block 'b_y' is not an array of numbers"):
             load_model(path)
 
@@ -367,7 +479,7 @@ class TestCheckpointBlockErrors:
         H = 200_000
         doc = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
         doc["params"]["hidden"] = H
-        doc["params"]["blocks"]["lstm_x.b_i"] = [0.0] * H
+        doc["params"]["blocks"]["lstm_x.b_i"] = encode_array(np.zeros(H))
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(
@@ -382,16 +494,23 @@ class TestCheckpointBlockErrors:
             load_model(path)
 
     def test_misshaped_block_names_file_and_block(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda b: b.update({"lstm_x.U_c": [[0.5]]}))
+        path = edited_checkpoint(tmp_path, lambda b: b.update({"lstm_x.U_c": encode_array([[0.5]])}))
         with pytest.raises(
             DataFormatError,
             match=r"edited\.json: block 'lstm_x\.U_c' has shape \(1, 1\), expected \(2, 2\)",
         ):
             load_model(path)
 
-    def test_non_finite_block_names_file_and_block(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda b: b["W_y"][0].__setitem__(1, float("nan")))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_block_names_file_and_block(self, tmp_path, value):
+        path = edited_checkpoint(tmp_path, lambda b: set_entry(b, "W_y", (0, 1), value))
         with pytest.raises(DataFormatError, match=r"edited\.json: block 'W_y' contains non-finite"):
+            load_model(path)
+
+    # a block whose base64 payload was cut by 4 characters, i.e. 3 bytes
+    def test_short_payload_names_file_and_block(self, tmp_path):
+        path = edited_checkpoint(tmp_path, lambda b: b["lstm_x.W_i"].update(float64=b["lstm_x.W_i"]["float64"][:-4]))
+        with pytest.raises(DataFormatError, match=r"edited\.json: block 'lstm_x\.W_i' is not an array of numbers"):
             load_model(path)
 
 
@@ -423,7 +542,7 @@ class TestAioHmmCheckpointErrors:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_field_names_file_class_and_field(self, tmp_path, hmm_doc, value):
         path = edited_hmm_checkpoint(
-            tmp_path, hmm_doc, lambda p: p["models"]["right_lane"]["mu"][1].__setitem__(2, value)
+            tmp_path, hmm_doc, lambda p: set_entry(p["models"]["right_lane"], "mu", (1, 2), value)
         )
         with pytest.raises(
             DataFormatError, match=r"edited\.json: model 'right_lane': field 'mu' contains non-finite"
@@ -436,7 +555,8 @@ class TestAioHmmCheckpointErrors:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "value", ["abc", [[1.0, 2.0], [3.0]], {"x": 1}, [[["0.5"] * 2] * 2] * 2, [[[True] * 2] * 2] * 2]
+        "value", ["abc", [[1.0, 2.0], [3.0]], {"x": 1}, [[["0.5"] * 2] * 2] * 2, [[[True] * 2] * 2] * 2,
+                  [[0.5, 0.5], [0.5, 0.5]], {"shape": [2, 2], "float64": encode_array(np.ones(3))["float64"]}]
     )
     def test_non_numeric_field_names_file_class_and_field(self, tmp_path, hmm_doc, value):
         path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"]["left_lane"].update(w=value))
@@ -448,11 +568,11 @@ class TestAioHmmCheckpointErrors:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("sigma", np.zeros((1, 1, 1)).tolist(), r"sigma has shape \(1, 1, 1\), expected \(2, 3, 3\)"),
-            ("b", [[0.0, 0.0, 0.0]], r"b has shape \(1, 3\), expected \(2, 3\)"),
-            ("mu", [1.0, 2.0], r"mu and a must be 2-D"),
-            ("pi", [1.5, -0.5], r"pi must be a distribution"),
-            ("sigma", (-np.ones((2, 3, 3))).tolist(), r"sigma\[0\] is not positive definite"),
+            ("sigma", encode_array(np.zeros((1, 1, 1))), r"sigma has shape \(1, 1, 1\), expected \(2, 3, 3\)"),
+            ("b", encode_array([[0.0, 0.0, 0.0]]), r"b has shape \(1, 3\), expected \(2, 3\)"),
+            ("mu", encode_array([1.0, 2.0]), r"mu and a must be 2-D"),
+            ("pi", encode_array([1.5, -0.5]), r"pi must be a distribution"),
+            ("sigma", encode_array(-np.ones((2, 3, 3))), r"sigma\[0\] is not positive definite"),
             ("variant", "lstm", r"unknown variant 'lstm'"),
         ],
     )
@@ -470,17 +590,19 @@ class TestAioHmmCheckpointErrors:
             (lambda p: p.update(events=[]), r"bad 'events' entry .*must be the last"),
             (lambda p: p.update(prior=["a", "b", "c"]), r"bad 'prior' entry"),
             (lambda p: p.update(prior=["0.25", "0.25", "0.5"]), r"bad 'prior' entry"),
-            (lambda p: p.update(prior=[0.5, 0.5]), r"'prior' must be a distribution over the 3 events"),
-            (lambda p: p.update(prior=[0.5, float("nan"), 0.5]), r"'prior' must be a distribution"),
+            (lambda p: p.update(prior=[0.25, 0.25, 0.5]), r"bad 'prior' entry"),
+            (lambda p: p.update(prior=encode_array([0.5, 0.5])), r"'prior' must be a distribution over the 3 events"),
+            (lambda p: p.update(prior=encode_array([0.5, float("nan"), 0.5])), r"'prior' must be a distribution"),
             (lambda p: p.update(models=[]), r"'models' must be an object keyed by event"),
             (lambda p: p["models"].pop("right_lane"), r"'models' has no model for events \['right_lane'\]"),
             (lambda p: p["models"].update(right_lane=[1, 2]), r"model 'right_lane' must be an object"),
             (lambda p: p["models"].update(bogus=p["models"]["straight"]),
              r"'models' has models for keys outside the events \['bogus'\]"),
-            (lambda p: p.update(prior=[1.5, -0.5, 0.0]), r"'prior' must be a distribution over the 3 events"),
+            (lambda p: p.update(prior=encode_array([1.5, -0.5, 0.0])),
+             r"'prior' must be a distribution over the 3 events"),
         ],
         ids=["no-events", "straight-not-last", "events-not-a-list", "no-event", "prior-not-numbers",
-             "prior-numeric-strings", "prior-misshaped", "prior-nan", "models-not-an-object",
+             "prior-numeric-strings", "prior-as-a-list", "prior-misshaped", "prior-nan", "models-not-an-object",
              "model-missing", "model-not-an-object", "stray-model-key", "prior-negative"],
     )
     def test_bad_ensemble_entry_names_file(self, tmp_path, hmm_doc, edit, message):
@@ -489,12 +611,12 @@ class TestAioHmmCheckpointErrors:
 
     def test_models_with_different_sizes_rejected(self, tmp_path, hmm_doc):
         other = random_model(make_rng(31), 2, 4, 2)
-        entry = {"variant": "aio", **{k: getattr(other, k).tolist() for k in ("mu", "a", "b", "sigma", "w", "pi")}}
+        entry = {"variant": "aio", **{k: encode_array(getattr(other, k)) for k in AIOHMM_ARRAYS}}
         path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"].update(straight=entry))
         with pytest.raises(DataFormatError, match=r"edited\.json: models disagree on their \(x, z\) sizes"):
             load_model(path)
 
-    @pytest.mark.parametrize("doc", [[1, 2], {"format_version": 1, "kind": "aio_hmm"}])
+    @pytest.mark.parametrize("doc", [[1, 2], {"format_version": FORMAT_VERSION, "kind": "aio_hmm"}])
     def test_document_without_params_rejected(self, tmp_path, doc):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -507,32 +629,46 @@ FUSION_PATHS = [
     (), ("format_version",), ("kind",), ("config",), ("params",), ("params", "arch"),
     ("params", "input_x"), ("params", "input_z"), ("params", "hidden"), ("params", "fusion"),
     ("params", "events"), ("params", "events", 2), ("params", "events", 4), ("params", "blocks"),
-    ("params", "blocks", "lstm_x.W_i"), ("params", "blocks", "lstm_x.W_i", 1, 3),
-    ("params", "blocks", "lstm_z.V_o"), ("params", "blocks", "lstm_z.V_o", 0),
-    ("params", "blocks", "W_f", 1), ("params", "blocks", "b_y"), ("params", "blocks", "b_y", 4),
+    ("params", "blocks", "lstm_x.W_i"), ("params", "blocks", "lstm_x.W_i", "shape", 1),
+    ("params", "blocks", "lstm_x.W_i", "float64"), ("params", "blocks", "lstm_z.V_o"),
+    ("params", "blocks", "lstm_z.V_o", "shape"), ("params", "blocks", "W_f", "float64"),
+    ("params", "blocks", "b_y"), ("params", "blocks", "b_y", "shape", 0), ("params", "blocks", "b_y", "float64"),
 ]
 HMM_MODEL = ("params", "models", "right_lane")
 HMM_PATHS = [
     (), ("kind",), ("params",), ("params", "events"), ("params", "events", 1), ("params", "events", 2),
-    ("params", "prior"), ("params", "prior", 0), ("params", "models"), ("params", "models", "straight"),
-    HMM_MODEL + ("variant",), HMM_MODEL + ("mu",), HMM_MODEL + ("mu", 1), HMM_MODEL + ("a", 0, 1),
-    HMM_MODEL + ("b",), HMM_MODEL + ("b", 1, 2), HMM_MODEL + ("sigma",), HMM_MODEL + ("sigma", 1),
-    HMM_MODEL + ("sigma", 0, 2, 2), HMM_MODEL + ("w",), HMM_MODEL + ("w", 1, 0), HMM_MODEL + ("pi",),
-    HMM_MODEL + ("pi", 1),
+    ("params", "prior"), ("params", "prior", "shape"), ("params", "prior", "float64"), ("params", "models"),
+    ("params", "models", "straight"), HMM_MODEL + ("variant",), HMM_MODEL + ("mu",), HMM_MODEL + ("mu", "shape", 1),
+    HMM_MODEL + ("a", "float64"), HMM_MODEL + ("b",), HMM_MODEL + ("b", "shape"), HMM_MODEL + ("sigma",),
+    HMM_MODEL + ("sigma", "float64"), HMM_MODEL + ("sigma", "shape", 2), HMM_MODEL + ("w",),
+    HMM_MODEL + ("w", "float64"), HMM_MODEL + ("pi",), HMM_MODEL + ("pi", "float64"),
 ]
-# Declared network sizes get small values, values of the wrong type, and huge
-# values whose parameter vector would not fit in memory.
+# Declared network sizes and array shape entries get small values, values of
+# the wrong type, and huge values whose parameter vector would not fit in
+# memory.  Payloads are base64 of whole doubles, any bits and any count, so
+# some match their shape and hold NaN, Inf, subnormal or huge values.
 SIZE_FIELDS = ("input_x", "input_z", "hidden", "fusion")
 SIZES = st.integers(-2, 10) | st.sampled_from(
     [None, True, 2.0, "2", [2], 10**8, 10**12, 1e8, 1e12, -(10**12)]
+)
+PAYLOADS = st.integers(0, 16).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n)).map(
+    lambda raw: base64.b64encode(raw).decode("ascii")
 )
 
 
 @st.composite
 def checkpoint_mutations(draw, paths):
     where = draw(st.sampled_from(paths))
-    sizes = bool(where) and where[-1] in SIZE_FIELDS
-    return where, draw(SIZES if sizes else JSON_VALUES), draw(st.booleans())
+    key = where[-1] if where else None
+    if key in SIZE_FIELDS or "shape" in where[-2:-1]:
+        values = SIZES
+    elif key == "shape":
+        values = st.lists(SIZES, max_size=3) | JSON_VALUES
+    elif key == "float64":
+        values = PAYLOADS | JSON_VALUES
+    else:
+        values = JSON_VALUES
+    return where, draw(values), draw(st.booleans())
 
 
 def load_mutated_checkpoint(doc):

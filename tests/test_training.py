@@ -274,6 +274,15 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             replace(TrainConfig(), **{field: value})
 
+    # used to be accepted, then refused by NumPy's generator without the field's name
+    @pytest.mark.parametrize("seed", [-1, -(2**64)])
+    def test_negative_seed_rejected_by_name(self, seed):
+        message = f"^field 'seed' must be a non-negative integer, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(seed=seed)
+        with pytest.raises(ValueError, match=message):
+            replace(TrainConfig(), seed=seed)
+
     def test_numpy_integer_counts_accepted(self):
         assert TrainConfig(epochs=np.int64(3), seed=np.int64(4)).epochs == 3
 
