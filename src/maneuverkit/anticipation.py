@@ -219,27 +219,35 @@ def check_threshold(p_th: float) -> float:
     return p_th
 
 
-def _crossings(probs: np.ndarray, straight: int, p_th: float) -> tuple[np.ndarray, np.ndarray]:
+def _crossings(
+    probs: np.ndarray, straight: int, p_th: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Per probability row (last axis): the argmax event, and whether it is a
-    maneuver whose probability strictly exceeds p_th.  Ties in the argmax go
-    to the lowest event index."""
+    maneuver whose probability strictly exceeds p_th, which broadcasts
+    against the rows.  Ties in the argmax go to the lowest event index."""
     best = probs.argmax(axis=-1)
     return best, (best != straight) & (probs.max(axis=-1) > p_th)
 
 
 def first_commits(
-    probs: np.ndarray, straight: int, p_th: float, lengths: np.ndarray | None = None
+    probs: np.ndarray, straight: int, p_th: float | list[float], lengths: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per (..., T, K) trajectory, with any leading axes: the 1-based first
     step whose argmax is a maneuver with probability > p_th (0 if none), and
     the argmax at that step.  With ``lengths``, one per trajectory, a
     crossing at or past a trajectory's end lies in its padding and is no
-    commitment.  The inequality is strict, so p_th = 1.0 never commits."""
-    best, hit = _crossings(probs, straight, check_threshold(p_th))
+    commitment.  The inequality is strict, so p_th = 1.0 never commits.
+
+    ``p_th`` may also be a grid of thresholds, whose axis then leads both
+    results: every threshold is replayed from one argmax and max per row."""
+    grid = np.asarray(p_th, dtype=float)
+    for g in grid.ravel().tolist():
+        check_threshold(g)
+    best, hit = _crossings(probs, straight, grid.reshape(grid.shape + (1,) * (probs.ndim - 1)))
     if lengths is not None:
         hit &= np.arange(hit.shape[-1]) < np.asarray(lengths)[..., None]
     first = hit.argmax(axis=-1)
-    event = np.take_along_axis(best, first[..., None], axis=-1)[..., 0]
+    event = np.take_along_axis(np.broadcast_to(best, hit.shape), first[..., None], axis=-1)[..., 0]
     return np.where(hit.any(axis=-1), first + 1, 0), event
 
 

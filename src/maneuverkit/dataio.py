@@ -162,24 +162,39 @@ def encode_array(array) -> dict:
     return {"shape": list(array.shape), "float64": base64.b64encode(array.tobytes()).decode("ascii")}
 
 
-def decode_array(value) -> np.ndarray | None:
-    """The writable float64 array that an :func:`encode_array` entry holds;
-    None if ``value`` is anything else.  The payload's byte count must equal
-    8 times the product of the shape's non-negative integer entries before
-    anything is reshaped, so a huge declared shape allocates nothing."""
-    if not isinstance(value, dict) or value.keys() != {"shape", "float64"}:
-        return None
+def _json_type(value) -> str:
+    return {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+            type(None): "null"}.get(type(value), "a number")
+
+
+def decode_array(value) -> np.ndarray:
+    """The writable float64 array that an :func:`encode_array` entry holds.
+    Anything else raises a ValueError that says why.  The payload's byte
+    count must equal 8 times the product of the shape's non-negative integer
+    entries before anything is reshaped, so a huge declared shape allocates
+    nothing."""
+    if not isinstance(value, dict):
+        raise ValueError(f"entry is {_json_type(value)}, not an object with keys 'float64' and 'shape'")
+    if value.keys() != {"shape", "float64"}:
+        raise ValueError(f"entry has keys {sorted(value)}, expected ['float64', 'shape']")
     shape, payload = value["shape"], value["float64"]
-    if not (isinstance(shape, list) and isinstance(payload, str)
-            and all(type(n) is int and n >= 0 for n in shape)):
-        return None
+    if not isinstance(shape, list):
+        raise ValueError(f"shape is {_json_type(shape)}, not an array")
+    for n in shape:
+        if type(n) is not int or n < 0:
+            raise ValueError(f"shape entry {n!r} is not a non-negative integer")
+    if not isinstance(payload, str):
+        raise ValueError(f"payload is {_json_type(payload)}, not a base64 string")
     try:
         raw = base64.b64decode(payload, validate=True)
-        if len(raw) != 8 * math.prod(shape):
-            return None
+    except ValueError as err:
+        raise ValueError(f"payload is not strict base64 ({err})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"payload holds {len(raw)} bytes; shape {shape} needs {8 * math.prod(shape)}")
+    try:
         return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
-    except ValueError:  # not base64, or more axes or elements than NumPy holds
-        return None
+    except ValueError as err:  # more axes or elements than NumPy holds
+        raise ValueError(f"shape {shape} is not one NumPy holds ({err})") from None
 
 
 def _check_finite_tree(name: str, value) -> None:
@@ -292,9 +307,10 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
         if name not in arrays:
             if name not in blocks:
                 raise DataFormatError(f"{path}: block {name!r} is missing")
-            arrays[name] = decode_array(blocks[name])
-            if arrays[name] is None:
-                raise DataFormatError(f"{path}: block {name!r} is not an array of numbers")
+            try:
+                arrays[name] = decode_array(blocks[name])
+            except ValueError as err:
+                raise DataFormatError(f"{path}: block {name!r} is not an array of numbers ({err})") from None
         if arrays[name].shape != shape:
             raise DataFormatError(
                 f"{path}: block {name!r} has shape {arrays[name].shape}, expected {shape}"
@@ -342,9 +358,10 @@ def _aiohmm_from_dict(d, path: Path, name: str) -> AioHmmModel:
             raise DataFormatError(f"{where}: field {field!r} is missing")
     arrays = {}
     for field in AIOHMM_ARRAYS:
-        arrays[field] = decode_array(d[field])
-        if arrays[field] is None:
-            raise DataFormatError(f"{where}: field {field!r} is not an array of numbers")
+        try:
+            arrays[field] = decode_array(d[field])
+        except ValueError as err:
+            raise DataFormatError(f"{where}: field {field!r} is not an array of numbers ({err})") from None
         if not np.isfinite(arrays[field]).all():
             raise DataFormatError(f"{where}: field {field!r} contains non-finite values")
     model = AioHmmModel(variant=d["variant"], **arrays)
@@ -365,9 +382,10 @@ def _ensemble_to_dict(e: AioHmmEnsemble) -> dict:
 
 def _ensemble_from_dict(d: dict, path: Path) -> AioHmmEnsemble:
     events = _events(d, path)
-    prior = decode_array(d.get("prior"))
-    if prior is None:
-        raise DataFormatError(f"{path}: bad 'prior' entry (not an array of numbers)")
+    try:
+        prior = decode_array(d.get("prior"))
+    except ValueError as err:
+        raise DataFormatError(f"{path}: bad 'prior' entry (not an array of numbers: {err})") from None
     entries = d.get("models")
     if not isinstance(entries, dict):
         raise DataFormatError(f"{path}: 'models' must be an object keyed by event")

@@ -11,13 +11,15 @@ default, not a claim).
 Undefined ratios (zero denominators) surface as None, never as silent
 zeros: a sweep that silently zeroed empty cells would distort the argmax.
 
-Every evaluation walks the dataset in the zero-padded blocks of
-``SWEEP_BLOCK`` held-out sequences that :func:`padded_blocks` yields, so the
-padded arrays stay a fixed size however large the dataset.
-``evaluate_dataset`` makes one ``anticipate`` call per block, and a
-threshold sweep one ``trajectory`` call per block, whose commitments it
-replays at every threshold; both score through :func:`score_outcomes` and
-stop at the first sample whose probabilities are not finite.
+Every evaluation walks the dataset in length order, in the zero-padded
+blocks of ``SWEEP_BLOCK`` held-out sequences that :func:`padded_blocks`
+yields, so a block pads little and the padded arrays stay a fixed size
+however large the dataset.  ``evaluate_dataset`` makes one ``anticipate``
+call per block, and a threshold sweep one ``trajectory`` call per block,
+whose commitments it replays at every threshold of the grid at once.  Both
+put their results back in dataset order, then stop at the first sample in
+that order whose probabilities are not finite, and score through
+:func:`score_outcomes`.
 """
 
 from __future__ import annotations
@@ -131,40 +133,35 @@ class DatasetEval:
 
 
 def score_outcomes(
-    events: tuple[str, ...],
-    decisions: list[tuple[int, int | None]],
-    actuals: list[int],
+    events: tuple[str, ...], predicted: np.ndarray, actual: np.ndarray, ttm_steps: np.ndarray
 ) -> DatasetEval:
     """Score one decision per sample against its actual event index.
 
-    A decision is (predicted event index, time-to-maneuver steps or None),
-    with straight as the prediction when nothing was committed to.
+    A decision is the predicted event index, straight when nothing was
+    committed to, and the time-to-maneuver steps of a commitment (read only
+    where the prediction is a true one).
     """
+    predicted, actual, ttm_steps = (np.asarray(a, dtype=int) for a in (predicted, actual, ttm_steps))
     K = len(events)
     straight = straight_index(events)
-    counts = OutcomeCounts()
-    confusion = np.zeros((K, K))
-    ttm: list[int] = []
-    for (predicted, ttm_steps), actual in zip(decisions, actuals):
-        confusion[predicted, actual] += 1
-        if actual != straight:
-            if predicted == actual:
-                counts.tp += 1
-                ttm.append(ttm_steps)
-            elif predicted != straight:
-                counts.fp += 1
-            else:
-                counts.mp += 1
-        elif predicted != straight:
-            counts.fpp += 1
-    return DatasetEval(events=events, counts=counts, confusion=confusion, ttm_steps=ttm)
+    maneuver, guessed = actual != straight, predicted != straight
+    true = maneuver & (predicted == actual)
+    counts = OutcomeCounts(
+        tp=int(true.sum()), fp=int((maneuver & guessed & ~true).sum()),
+        fpp=int((~maneuver & guessed).sum()), mp=int((maneuver & ~guessed).sum()),
+    )
+    confusion = np.bincount(predicted * K + actual, minlength=K * K).reshape(K, K).astype(float)
+    return DatasetEval(events=events, counts=counts, confusion=confusion, ttm_steps=ttm_steps[true].tolist())
 
 
-def padded_blocks(dataset: list[SequenceSample]) -> Iterator[Padded]:
-    """The dataset's (xs, zs) streams in order, as zero-padded blocks of up
-    to ``SWEEP_BLOCK`` samples."""
-    for lo in range(0, len(dataset), SWEEP_BLOCK):
-        yield pad_sequences([(s.xs, s.zs) for s in dataset[lo : lo + SWEEP_BLOCK]])
+def padded_blocks(dataset: list[SequenceSample]) -> Iterator[tuple[np.ndarray, Padded]]:
+    """The dataset's (xs, zs) streams in length order, as zero-padded blocks
+    of up to ``SWEEP_BLOCK`` samples, each with its samples' dataset indices.
+    The sort is stable, so samples of one length keep dataset order."""
+    order = np.argsort([s.length for s in dataset], kind="stable")
+    for lo in range(0, len(order), SWEEP_BLOCK):
+        index = order[lo : lo + SWEEP_BLOCK]
+        yield index, pad_sequences([(dataset[i].xs, dataset[i].zs) for i in index])
 
 
 def check_finite(samples: list[SequenceSample], trajectories: list[np.ndarray]) -> None:
@@ -183,21 +180,29 @@ def anticipate_dataset(
 ) -> list[AnticipationResult]:
     """The anticipation walk's result for every sample, in dataset order,
     from one ``anticipate`` call per padded block."""
+    results = [None] * len(dataset)
     with np.errstate(over="ignore", invalid="ignore"):
-        results = [r for xs, zs, lengths in padded_blocks(dataset)
-                   for r in anticipate(predictor, xs, zs, p_th, lengths)]
+        for index, (xs, zs, lengths) in padded_blocks(dataset):
+            for i, r in zip(index.tolist(), anticipate(predictor, xs, zs, p_th, lengths)):
+                results[i] = r
     check_finite(dataset, [r.trajectory for r in results])
     return results
+
+
+def actual_events(predictor: Predictor, dataset: list[SequenceSample]) -> np.ndarray:
+    """Each sample's label as an index into the predictor's events."""
+    return np.array([map_label_to_model(s.label, predictor.events) for s in dataset], dtype=int)
 
 
 def evaluate_dataset(
     predictor: Predictor, dataset: list[SequenceSample], p_th: float
 ) -> DatasetEval:
     """Run the anticipation walk on every sample and score the outcomes."""
+    results = anticipate_dataset(predictor, dataset, p_th)
     return score_outcomes(
-        predictor.events,
-        [(r.maneuver, r.time_to_maneuver_steps) for r in anticipate_dataset(predictor, dataset, p_th)],
-        [map_label_to_model(s.label, predictor.events) for s in dataset],
+        predictor.events, np.array([r.maneuver for r in results], dtype=int),
+        actual_events(predictor, dataset),
+        np.array([r.time_to_maneuver_steps or 0 for r in results], dtype=int),
     )
 
 
@@ -226,26 +231,29 @@ def threshold_sweep(
     """Evaluate every threshold in the grid and flag the best-F1 point.
 
     Trajectories are computed once per sample, one padded block per
-    ``trajectory`` call; each threshold only replays the commitment rule
-    over every block at once.  Ties on F1 go to the lowest threshold.
+    ``trajectory`` call; one :func:`first_commits` call per block replays
+    the commitment rule at every threshold of the grid.  Ties on F1 go to
+    the lowest threshold.
     """
     if len(grid) == 0:
         raise ValueError("threshold grid must be nonempty")
     for g in grid:
         check_threshold(g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = [(trajectory(predictor, *block), block.lengths) for block in padded_blocks(dataset)]
-    check_finite(dataset, [p[:n] for probs, lengths in blocks for p, n in zip(probs, lengths.tolist())])
-    actuals = [map_label_to_model(s.label, predictor.events) for s in dataset]
     straight = straight_index(predictor.events)
+    rows = [None] * len(dataset)
+    steps, predicted = (np.zeros((len(grid), len(dataset)), dtype=int) for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, block in padded_blocks(dataset):
+            probs = trajectory(predictor, *block)
+            steps[:, index], predicted[:, index] = first_commits(probs, straight, grid, block.lengths)
+            for i, p, n in zip(index.tolist(), probs, block.lengths.tolist()):
+                rows[i] = p[:n]
+    check_finite(dataset, rows)
+    actual = actual_events(predictor, dataset)
+    lengths = np.array([s.length for s in dataset], dtype=int)
     points = []
-    for g in grid:
-        decisions = []
-        for probs, lengths in blocks:
-            steps, maneuvers = first_commits(probs, straight, g, lengths)
-            decisions += [(m, n - t) if t else (straight, None)
-                          for t, m, n in zip(steps.tolist(), maneuvers.tolist(), lengths.tolist())]
-        ev = score_outcomes(predictor.events, decisions, actuals)
+    for g, t, m in zip(grid, steps, predicted):
+        ev = score_outcomes(predictor.events, np.where(t > 0, m, straight), actual, lengths - t)
         points.append(FoldScore(ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps, g))
     defined = [i for i, p in enumerate(points) if p.f1 is not None]
     best = max(defined, key=lambda i: points[i].f1) if defined else None

@@ -226,6 +226,43 @@ class TestBlockAnticipation:
 
 
 @st.composite
+def replay_problems(draw):
+    """(B, T, K) tenths probabilities, one length per row (None: every row
+    runs T steps), and a grid of thresholds that repeats and includes 1.0."""
+    B, T = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    probs = np.array(draw(st.lists(st.lists(st.lists(TENTHS, min_size=5, max_size=5), min_size=T, max_size=T),
+                                   min_size=B, max_size=B)))
+    lengths = draw(st.none() | st.lists(st.integers(1, T), min_size=B, max_size=B).map(np.array))
+    grid = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.6, 0.9, 1.0]), min_size=1, max_size=8))
+    return probs, lengths, grid
+
+
+class TestGridReplay:
+    @settings(max_examples=200, deadline=None)
+    @given(replay_problems())
+    @example(problem=(np.array([[[0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.0, 0.4]]]), None, [0.5, 0.6, 1.0]))
+    @example(problem=(np.array([[[0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0]]]), np.array([1]), [1.0, 0.9]))
+    def test_grid_equals_one_call_per_threshold(self, problem):
+        """Rows exactly at a threshold, argmax ties and p_th = 1.0 come up
+        often on tenths."""
+        probs, lengths, grid = problem
+        straight = EVENTS.index("straight")
+        steps, events = first_commits(probs, straight, grid, lengths)
+        assert steps.shape == events.shape == (len(grid), probs.shape[0])
+        for g, s, e in zip(grid, steps, events):
+            one_s, one_e = first_commits(probs, straight, g, lengths)
+            np.testing.assert_array_equal(s, one_s)
+            np.testing.assert_array_equal(e, one_e)
+        single_s, single_e = first_commits(probs[0], straight, grid)
+        for g, s, e in zip(grid, single_s.tolist(), single_e.tolist()):
+            assert commit_step(probs[0], straight, g) == ((None, None) if s == 0 else (s, e))
+
+    def test_bad_threshold_in_grid_rejected(self):
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            first_commits(np.full((2, 5), 0.2), EVENTS.index("straight"), [0.5, 0.0])
+
+
+@st.composite
 def timelines(draw):
     """(events, (T, K) table, strictly increasing onsets, p_th)."""
     events = draw(st.sampled_from([events_for_setting(s) for s in ("all", "lane", "turn")]))

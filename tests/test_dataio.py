@@ -344,36 +344,44 @@ class TestArrayEncoding:
 
     GOOD = encode_array(np.arange(4.0).reshape(2, 2))
 
-    @pytest.mark.parametrize("entry", [
-        {"shape": [2, 2], "float64": base64.b64encode(bytes(31)).decode("ascii")},
-        {"shape": [2, 2], "float64": base64.b64encode(bytes(33)).decode("ascii")},
-        {"shape": [2, 2], "float64": GOOD["float64"][:-4]},
-        {"shape": [2, 2], "float64": GOOD["float64"][:20] + "*" + GOOD["float64"][21:]},
-        {"shape": [2, 2], "float64": GOOD["float64"][:20] + "\n" + GOOD["float64"][20:]},
-        {"shape": [2, 2], "float64": GOOD["float64"], "dtype": "float64"},
-        {"shape": [2, 2]},
-        {"float64": GOOD["float64"]},
-        {"shape": [4, True], "float64": GOOD["float64"]},
-        {"shape": [-4, -1], "float64": GOOD["float64"]},
-        {"shape": [-2, -2], "float64": GOOD["float64"]},
-        {"shape": [2, 2.0], "float64": GOOD["float64"]},
-        {"shape": 4, "float64": GOOD["float64"]},
-        {"shape": [2, 2], "float64": [GOOD["float64"]]},
-        [[0.0, 1.0], [2.0, 3.0]],
-        None,
+    @pytest.mark.parametrize("entry, reason", [
+        ({"shape": [2, 2], "float64": base64.b64encode(bytes(31)).decode("ascii")},
+         r"payload holds 31 bytes; shape \[2, 2\] needs 32"),
+        ({"shape": [2, 2], "float64": base64.b64encode(bytes(33)).decode("ascii")},
+         r"payload holds 33 bytes; shape \[2, 2\] needs 32"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:-4]}, r"payload holds 30 bytes; shape \[2, 2\] needs 32"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "*" + GOOD["float64"][21:]},
+         r"payload is not strict base64 \(.+\)"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "\n" + GOOD["float64"][20:]},
+         r"payload is not strict base64 \(.+\)"),
+        ({"shape": [2, 2], "float64": GOOD["float64"], "dtype": "float64"},
+         r"entry has keys \['dtype', 'float64', 'shape'\], expected \['float64', 'shape'\]"),
+        ({"shape": [2, 2]}, r"entry has keys \['shape'\], expected \['float64', 'shape'\]"),
+        ({"float64": GOOD["float64"]}, r"entry has keys \['float64'\], expected \['float64', 'shape'\]"),
+        ({"shape": [4, True], "float64": GOOD["float64"]}, r"shape entry True is not a non-negative integer"),
+        ({"shape": [-4, -1], "float64": GOOD["float64"]}, r"shape entry -4 is not a non-negative integer"),
+        ({"shape": [-2, -2], "float64": GOOD["float64"]}, r"shape entry -2 is not a non-negative integer"),
+        ({"shape": [2, 2.0], "float64": GOOD["float64"]}, r"shape entry 2\.0 is not a non-negative integer"),
+        ({"shape": 4, "float64": GOOD["float64"]}, r"shape is a number, not an array"),
+        ({"shape": [2, 2], "float64": [GOOD["float64"]]}, r"payload is an array, not a base64 string"),
+        ([[0.0, 1.0], [2.0, 3.0]], r"entry is an array, not an object with keys 'float64' and 'shape'"),
+        (None, r"entry is null, not an object with keys 'float64' and 'shape'"),
     ], ids=["byte-short", "byte-long", "cut-4-characters", "non-base64-character", "newline", "extra-key",
             "no-payload", "no-shape", "bool-dimension", "negative-dimension", "negative-pair", "float-dimension",
             "shape-not-a-list", "payload-not-a-string", "format-1-list", "null"])
     # The product of each bad shape is 4, as many doubles as the payload holds.
-    def test_malformed_entry_refused(self, entry):
-        assert decode_array(entry) is None
+    def test_malformed_entry_refused(self, entry, reason):
+        with pytest.raises(ValueError, match=rf"^{reason}$"):
+            decode_array(entry)
 
     @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 2**62, 4], [0, 2**63], [0, 2**40, 2**40], [0] * 65])
     def test_overflowing_shape_refused_without_allocating(self, shape):
         tracemalloc.start()
         try:
-            assert decode_array({"shape": shape, "float64": base64.b64encode(bytes(8)).decode("ascii")}) is None
-            assert decode_array({"shape": shape, "float64": ""}) is None
+            for payload in (base64.b64encode(bytes(8)).decode("ascii"), ""):
+                with pytest.raises(ValueError, match=r"^payload holds \d+ bytes; shape .* needs \d+$"
+                                                     r"|^shape .* is not one NumPy holds \(.+\)$"):
+                    decode_array({"shape": shape, "float64": payload})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -510,7 +518,8 @@ class TestCheckpointBlockErrors:
     # a block whose base64 payload was cut by 4 characters, i.e. 3 bytes
     def test_short_payload_names_file_and_block(self, tmp_path):
         path = edited_checkpoint(tmp_path, lambda b: b["lstm_x.W_i"].update(float64=b["lstm_x.W_i"]["float64"][:-4]))
-        with pytest.raises(DataFormatError, match=r"edited\.json: block 'lstm_x\.W_i' is not an array of numbers"):
+        with pytest.raises(DataFormatError, match=r"edited\.json: block 'lstm_x\.W_i' is not an array of numbers "
+                                                  r"\(payload holds 93 bytes; shape \[2, 6\] needs 96\)$"):
             load_model(path)
 
 
@@ -547,6 +556,18 @@ class TestAioHmmCheckpointErrors:
         with pytest.raises(
             DataFormatError, match=r"edited\.json: model 'right_lane': field 'mu' contains non-finite"
         ):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["models"]["left_lane"]["w"].update(shape=[2, 2, -2]),
+         r"model 'left_lane': field 'w' is not an array of numbers \(shape entry -2 is not a non-negative integer\)"),
+        (lambda p: p.update(prior=[0.25, 0.25, 0.5]),
+         r"bad 'prior' entry \(not an array of numbers: "
+         r"entry is an array, not an object with keys 'float64' and 'shape'\)"),
+    ], ids=["field", "prior"])
+    def test_refused_array_gives_the_reason(self, tmp_path, hmm_doc, edit, message):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, edit)
+        with pytest.raises(DataFormatError, match=r"edited\.json: " + message + "$"):
             load_model(path)
 
     def test_missing_field_names_file_class_and_field(self, tmp_path, hmm_doc):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from maneuverkit.metrics import (
     evaluate_dataset,
     f1_score,
     macro_precision_recall,
+    padded_blocks,
     precision_recall,
     score_outcomes,
     threshold_sweep,
@@ -76,43 +79,33 @@ class TestMacroScores:
 
 
 def scripted_dataset(rows_by_label):
-    """One sample per (label, scripted trajectory) pair."""
+    """One sample per (label, scripted trajectory) pair; every x row of
+    sample i starts with i, which names its table."""
     samples, predictor_rows = [], []
     for i, (label, rows) in enumerate(rows_by_label):
         T = len(rows)
-        samples.append(
-            SequenceSample(
-                id=f"s{i}", xs=np.zeros((T, 6)), zs=np.zeros((T, 9)), label=EVENTS.index(label)
-            )
-        )
+        xs = np.zeros((T, 6))
+        xs[:, 0] = i
+        samples.append(SequenceSample(id=f"s{i}", xs=xs, zs=np.zeros((T, 9)), label=EVENTS.index(label)))
         predictor_rows.append(rows)
     return samples, predictor_rows
 
 
 class SequencePredictor:
-    """Scripted per-sample trajectories, advanced per evaluate() call order."""
+    """Scripted per-sample trajectories, each read from the table that its
+    sample's x features name, so the order of the walk does not matter."""
 
     def __init__(self, tables):
         self.tables = [np.asarray(t, float) for t in tables]
         self.events = EVENTS
-        self.calls = -1
 
     def begin(self):
-        self.calls += 1
         return 0
 
     def step(self, state, x, z):
-        return state + 1, self.tables[self.calls][state]
+        return state + 1, self.tables[int(x[0])][state]
 
     trajectory = stepwise_trajectory
-
-
-class CyclingPredictor(SequencePredictor):
-    """Scripted trajectories that start over after the last sample."""
-
-    def begin(self):
-        self.calls = (self.calls + 1) % len(self.tables)
-        return 0
 
 
 def row_normalized(confusion):
@@ -243,7 +236,7 @@ class TestThresholdSweep:
         samples, tables = scripted_dataset(plan)
 
         grid = [0.3, 0.5, 0.7]
-        sweep = threshold_sweep(CyclingPredictor(tables), samples, grid)
+        sweep = threshold_sweep(SequencePredictor(tables), samples, grid)
         for p in sweep.points:
             assert p.f1 == pytest.approx(1.0)
 
@@ -259,9 +252,9 @@ class TestThresholdSweep:
             plan.append((data.draw(st.sampled_from(EVENTS)), table))
         samples, tables = scripted_dataset(plan)
         grid = [0.1, 0.3, 0.5, 0.6, 0.9, 1.0]
-        sweep = threshold_sweep(CyclingPredictor(tables), samples, grid)
+        sweep = threshold_sweep(SequencePredictor(tables), samples, grid)
         for point in sweep.points:
-            ev = evaluate_dataset(CyclingPredictor(tables), samples, point.p_th)
+            ev = evaluate_dataset(SequencePredictor(tables), samples, point.p_th)
             assert (point.precision, point.recall, point.f1, point.mean_ttm_steps) == (
                 ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps
             )
@@ -302,6 +295,77 @@ class TestThresholdSweep:
             np.testing.assert_array_equal(ev.confusion, reference.confusion)
 
 
+@functools.lru_cache(maxsize=None)
+def small_predictor(family):
+    """A fusion net with sharpened random weights, or a 2-state AIO-HMM
+    ensemble fitted for 3 EM iterations, so the grid's thresholds commit
+    differently."""
+    if family == "aiohmm":
+        train = generate(ScenarioConfig(seed=6, **WEAK), 100)
+        config = EmConfig(states=2, max_iter=3, seed=1)
+        models = {e: fit_em([(s.xs, s.zs) for s in train if s.label == k], config)[0]
+                  for k, e in enumerate(EVENTS)}
+        return AioHmmPredictor(AioHmmEnsemble(events=EVENTS, models=models))
+    model = init_fusion_model("fusion", 6, 9, 4, EVENTS, make_rng(7))
+    model.theta[...] *= 3.0
+    return FusionRnnPredictor(model)
+
+
+WEAK = {"cue_strength": 1.0, "noise_sigma": 0.5}
+POOL = generate(ScenarioConfig(seed=5, **WEAK), 12)
+
+
+@st.composite
+def permuted_datasets(draw):
+    """(dataset, permutation): up to one block and a half of samples, each a
+    pool sample cut to a drawn length of at least 1 step."""
+    samples = []
+    for i in range(draw(st.integers(1, SWEEP_BLOCK + 16))):
+        source = POOL[draw(st.integers(0, len(POOL) - 1))]
+        T = draw(st.integers(1, source.length))
+        samples.append(SequenceSample(id=f"s{i}", xs=source.xs[:T], zs=source.zs[:T], label=source.label))
+    return samples, draw(st.permutations(range(len(samples))))
+
+
+SWEEP_GRID = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+
+class TestDatasetOrder:
+    @pytest.mark.parametrize("family", ["fusion", "aiohmm"])
+    @settings(max_examples=50, deadline=None)
+    @given(problem=permuted_datasets())
+    def test_scores_do_not_depend_on_dataset_order(self, family, problem):
+        dataset, order = problem
+        shuffled = [dataset[i] for i in order]
+        predictor = small_predictor(family)
+        sweep, shuffled_sweep = (threshold_sweep(predictor, d, SWEEP_GRID) for d in (dataset, shuffled))
+        assert (sweep.points, sweep.best_index) == (shuffled_sweep.points, shuffled_sweep.best_index)
+        ev, shuffled_ev = (evaluate_dataset(predictor, d, 0.5) for d in (dataset, shuffled))
+        assert (ev.counts, ev.mean_ttm_steps) == (shuffled_ev.counts, shuffled_ev.mean_ttm_steps)
+        np.testing.assert_array_equal(ev.confusion, shuffled_ev.confusion)
+        results = anticipate_dataset(predictor, dataset, 0.5)
+        for i, r in zip(order, anticipate_dataset(predictor, shuffled, 0.5)):
+            assert (r.maneuver, r.t_pred, r.time_to_maneuver_steps) == (
+                results[i].maneuver, results[i].t_pred, results[i].time_to_maneuver_steps)
+            np.testing.assert_allclose(r.trajectory, results[i].trajectory, rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 6), max_size=3 * SWEEP_BLOCK))
+    def test_blocks_cover_every_sample_once_in_length_order(self, lengths):
+        dataset = [SequenceSample(id=f"s{i}", xs=np.full((T, 6), float(i)), zs=np.zeros((T, 9)), label=0)
+                   for i, T in enumerate(lengths)]
+        blocks = list(padded_blocks(dataset))
+        walked = np.concatenate([index for index, _ in blocks]) if blocks else np.zeros(0, int)
+        assert sorted(walked.tolist()) == list(range(len(dataset)))
+        assert [(lengths[i], i) for i in walked] == sorted((T, i) for i, T in enumerate(lengths))
+        for index, (xs, zs, block_lengths) in blocks:
+            assert 1 <= len(index) <= SWEEP_BLOCK
+            assert block_lengths.tolist() == [lengths[i] for i in index]
+            assert xs.shape[1] == max(block_lengths)
+            for i, x, n in zip(index, xs, block_lengths):
+                np.testing.assert_array_equal(x[:n], dataset[i].xs)
+
+
 def stepwise_evals(predictor, dataset, grid):
     """The evaluation at each threshold, scored from each sample's per-step
     trajectory with the one-sequence commit rule."""
@@ -310,11 +374,12 @@ def stepwise_evals(predictor, dataset, grid):
     trajs = [stepwise_trajectory(predictor, s.xs[None], s.zs[None], [s.length])[0] for s in dataset]
     evals = []
     for g in grid:
-        decisions = []
+        predicted, ttm = [], []
         for traj in trajs:
             t_pred, maneuver = commit_step(traj, straight, g)
-            decisions.append((straight, None) if t_pred is None else (maneuver, len(traj) - t_pred))
-        evals.append(score_outcomes(predictor.events, decisions, actuals))
+            predicted.append(straight if t_pred is None else maneuver)
+            ttm.append(0 if t_pred is None else len(traj) - t_pred)
+        evals.append(score_outcomes(predictor.events, predicted, actuals, ttm))
     return evals
 
 
