@@ -46,7 +46,7 @@ posed = [
     )
     for k in range(40)
 ]
-steps = inside_sequence(posed, mode="head_pose")
+steps = inside_sequence(posed)
 print(f"\ninside_sequence with pose: shape {steps.shape} (12-d steps)")
 print("  pose block of step 0:", steps[0, 9:].round(4))
 

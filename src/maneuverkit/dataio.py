@@ -7,16 +7,20 @@ Datasets are one JSON object per line:
 
 Checkpoints are a single versioned JSON document:
 
-    {"format_version": 2, "kind": "fusion_rnn" | "aio_hmm",
+    {"format_version": 3, "kind": "fusion_rnn" | "aio_hmm",
      "config": {...}, "params": {...}}
 
-Sizes, events and config stay plain JSON.  Every parameter array (each
-fusion block, each AIO-HMM field and the ensemble prior) is stored as
-``{"shape": [...], "float64": "<base64>"}``: standard base64, without
-newlines, of the array's little-endian IEEE-754 doubles in C order.  The
-bytes are the doubles themselves, so save/load round trips are bit-exact.
-NaN or Inf anywhere in a model is a save-time error, and a load-time one.
-A checkpoint of any other ``format_version`` is refused.
+Sizes, events and config stay plain JSON.  Every parameter array (a
+fusion network's one parameter vector ``theta``, each AIO-HMM field and the
+ensemble prior) is stored as ``{"shape": [...], "float64": "<base64>"}``:
+standard base64, without newlines, of the array's little-endian IEEE-754
+doubles in C order.  The bytes are the doubles themselves, so save/load
+round trips are bit-exact.  A fusion network's ``params`` hold ``arch``,
+``input_x``, ``input_z``, ``hidden``, ``events`` and ``theta``, whose order
+is the layout of :class:`~maneuverkit.fusion_rnn.FusionRnnModel` (the order
+of :func:`~maneuverkit.fusion_rnn.param_blocks`).  NaN or Inf anywhere in a
+model is a save-time error, and a load-time one.  A checkpoint of any other
+``format_version`` is refused.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ import numpy as np
 
 from .aiohmm import AioHmmEnsemble, AioHmmModel
 from .events import EVENTS, validate_events
-from .fusion_rnn import ARCH_CONCAT, ARCH_FUSION, CELL_NAMES, FusionRnnModel, param_blocks
+from .fusion_rnn import ARCH_CONCAT, ARCH_FUSION, FusionRnnModel
 from .synth import SequenceSample
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 KIND_FUSION = "fusion_rnn"
 KIND_AIOHMM = "aio_hmm"
 
@@ -197,10 +201,9 @@ def decode_array(value) -> np.ndarray:
         raise ValueError(f"shape {shape} is not one NumPy holds ({err})") from None
 
 
-def _check_finite_tree(name: str, value) -> None:
-    if isinstance(value, np.ndarray):
-        if not np.all(np.isfinite(value)):
-            raise DataFormatError(f"refusing to save non-finite parameters in {name}")
+def _check_finite(name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise DataFormatError(f"refusing to save non-finite parameters in {name}")
 
 
 def save_model(model, config: dict, path: str | Path) -> None:
@@ -243,16 +246,14 @@ def load_model(path: str | Path):
 
 
 def _fusion_to_dict(m: FusionRnnModel) -> dict:
-    for name, arr in param_blocks(m):
-        _check_finite_tree(name, arr)
+    _check_finite("theta", m.theta)
     return {
         "arch": m.arch,
         "input_x": m.input_x,
         "input_z": m.input_z,
         "hidden": m.hidden,
-        "fusion": _fusion_width(m.arch, m.hidden),
         "events": list(m.events),
-        "blocks": {name: encode_array(arr) for name, arr in param_blocks(m)},
+        "theta": encode_array(m.theta),
     }
 
 
@@ -269,30 +270,19 @@ def _events(d: dict, path: Path) -> tuple[str, ...]:
 SIZE_FIELDS = ("input_x", "input_z", "hidden")
 
 
-def _fusion_width(arch: str, hidden: int) -> int:
-    """The width a checkpoint's ``fusion`` field records: ``hidden`` for a
-    fusion model, 0 for a concat model, which has no fusion layer."""
-    return hidden if arch == ARCH_FUSION else 0
-
-
 def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
-    """Check the declared sizes against the blocks that carry them, build
-    the network, then copy each named block into its view.
+    """Build the network around the decoded ``theta``.
 
-    The sizes are checked before the model allocates its parameter vector:
-    once the first recurrent and bias blocks of ``lstm_x`` and each cell's
-    first input block match them, that vector is no larger than a small
-    multiple of the numbers the file holds.  The ``fusion`` field must be
-    the width :func:`_fusion_width` derives.
+    :func:`decode_array` bounds ``theta`` by the bytes the file holds, and
+    the model checks its length against the layout of the declared sizes
+    before it allocates anything, so a huge declared size costs nothing.
     """
     events = _events(d, path)
     try:
-        arch, blocks, fusion = d["arch"], d["blocks"], d["fusion"]
+        arch, entry = d["arch"], d["theta"]
         sizes = {name: d[name] for name in SIZE_FIELDS}
     except (KeyError, TypeError) as err:
         raise DataFormatError(f"{path}: bad fusion network description ({err!r})") from None
-    if not isinstance(blocks, dict):
-        raise DataFormatError(f"{path}: field 'blocks' must be an object")
     if arch not in (ARCH_FUSION, ARCH_CONCAT):
         raise DataFormatError(f"{path}: unknown arch {arch!r}")
     for name, value in sizes.items():
@@ -300,42 +290,16 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
             raise DataFormatError(
                 f"{path}: field {name!r} must be an integer of at least 1, got {value!r}"
             )
-
-    arrays: dict[str, np.ndarray] = {}
-
-    def block(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in arrays:
-            if name not in blocks:
-                raise DataFormatError(f"{path}: block {name!r} is missing")
-            try:
-                arrays[name] = decode_array(blocks[name])
-            except ValueError as err:
-                raise DataFormatError(f"{path}: block {name!r} is not an array of numbers ({err})") from None
-        if arrays[name].shape != shape:
-            raise DataFormatError(
-                f"{path}: block {name!r} has shape {arrays[name].shape}, expected {shape}"
-            )
-        return arrays[name]
-
-    H, fused = sizes["hidden"], arch == ARCH_FUSION
-    widths = [sizes["input_x"], sizes["input_z"]] if fused else [sizes["input_x"] + sizes["input_z"]]
-    block("lstm_x.b_i", (H,))
-    block("lstm_x.U_i", (H, H))
-    for cell, width in zip(CELL_NAMES, widths):
-        block(f"{cell}.W_i", (H, width))
-    want = _fusion_width(arch, H)
-    if type(fusion) is not int or fusion != want:
-        raise DataFormatError(
-            f"{path}: field 'fusion' must be {want} for a {arch} model of hidden size {H}, "
-            f"got {fusion!r}"
-        )
-    model = FusionRnnModel(arch=arch, events=events, **sizes)
-    for name, view in param_blocks(model):
-        arr = block(name, view.shape)
-        if not np.all(np.isfinite(arr)):
-            raise DataFormatError(f"{path}: block {name!r} contains non-finite values")
-        view[...] = arr
-    return model
+    try:
+        theta = decode_array(entry)
+    except ValueError as err:
+        raise DataFormatError(f"{path}: field 'theta' is not an array of numbers ({err})") from None
+    if not np.isfinite(theta).all():
+        raise DataFormatError(f"{path}: field 'theta' contains non-finite values")
+    try:
+        return FusionRnnModel(arch=arch, events=events, theta=theta, **sizes)
+    except ValueError as err:  # theta's length is not the one the sizes lay out
+        raise DataFormatError(f"{path}: field 'theta' does not fit the declared sizes ({err})") from None
 
 
 AIOHMM_ARRAYS = ("mu", "a", "b", "sigma", "w", "pi")
@@ -343,7 +307,7 @@ AIOHMM_ARRAYS = ("mu", "a", "b", "sigma", "w", "pi")
 
 def _aiohmm_to_dict(m: AioHmmModel) -> dict:
     for name in AIOHMM_ARRAYS:
-        _check_finite_tree(name, getattr(m, name))
+        _check_finite(name, getattr(m, name))
     return {"variant": m.variant, **{name: encode_array(getattr(m, name)) for name in AIOHMM_ARRAYS}}
 
 

@@ -41,6 +41,15 @@ def straight_index(events: tuple[str, ...]) -> int:
     return events.index(STRAIGHT)
 
 
+def map_label_to_model(canonical_label: int, model_events: tuple[str, ...]) -> int:
+    """Translate a canonical label index into a model's event index."""
+    name = EVENTS[canonical_label]
+    try:
+        return model_events.index(name)
+    except ValueError:
+        raise ValueError(f"label {name!r} not among model events {model_events!r}") from None
+
+
 def validate_events(events: tuple[str, ...]) -> None:
     """Check an event tuple: known labels, no duplicates, straight last."""
     unknown = [e for e in events if e not in EVENTS]

@@ -29,10 +29,6 @@ from .numerics import l2_normalize
 
 log = logging.getLogger(__name__)
 
-MODE_HISTOGRAM = "histogram"     # 9-d
-MODE_HEAD_POSE = "head_pose"     # 12-d
-
-FRAME_FEATURE_DIM = {MODE_HISTOGRAM: 9, MODE_HEAD_POSE: 12}
 AGGREGATION_WINDOW = 20          # frames per step, 0.8 s at 25 fps
 
 HORIZONTAL_EDGES = (-2.0, 0.0, 2.0)
@@ -52,15 +48,8 @@ class FrameMotion:
     pose: tuple[float, float, float] | None = None
 
 
-def frame_features(fm: FrameMotion, mode: str = MODE_HISTOGRAM) -> np.ndarray:
-    """Per-frame feature vector phi, length 9 or 12 depending on mode."""
-    if mode not in FRAME_FEATURE_DIM:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_HEAD_POSE and fm.pose is None:
-        raise ValueError("head-pose mode requested but the frame has no pose")
-    if mode == MODE_HISTOGRAM and fm.pose is not None:
-        raise ValueError("frame carries a pose but histogram mode was requested")
-
+def frame_features(fm: FrameMotion) -> np.ndarray:
+    """Per-frame feature vector phi: 9 values, or 12 when the frame has a pose."""
     dx, dy = np.asarray(fm.matches, dtype=float).reshape(len(fm.matches), 2).T
     horiz = np.bincount(np.searchsorted(HORIZONTAL_EDGES, dx), minlength=4).astype(float)
     quadrant = np.minimum(np.arctan2(dy, dx) % (2.0 * np.pi) // (np.pi / 2.0), 3).astype(int)
@@ -68,7 +57,7 @@ def frame_features(fm: FrameMotion, mode: str = MODE_HISTOGRAM) -> np.ndarray:
 
     center = float(np.hypot(*fm.center_motion))
     phi = np.concatenate([horiz, angular, [center]])
-    if mode == MODE_HEAD_POSE:
+    if fm.pose is not None:
         phi = np.concatenate([phi, np.asarray(fm.pose, dtype=float)])
     return phi
 
@@ -88,16 +77,24 @@ def aggregate_inside(frames: Sequence[np.ndarray]) -> np.ndarray:
     return l2_normalize(total)
 
 
-def inside_sequence(frames: Sequence[FrameMotion], mode: str = MODE_HISTOGRAM) -> np.ndarray:
-    """Convert a frame stream into aggregated step features, (T, 9 or 12).
+def inside_sequence(frames: Sequence[FrameMotion]) -> np.ndarray:
+    """Convert a frame stream into aggregated step features: (T, 12) when
+    its frames have a pose, else (T, 9).
 
     The frame count must be a whole number of ``AGGREGATION_WINDOW``-frame
-    windows.
+    windows, and either every frame has a pose or none does.
     """
     window = AGGREGATION_WINDOW
     if len(frames) == 0 or len(frames) % window != 0:
         raise ValueError(f"frame count {len(frames)} is not a positive multiple of {window}")
-    phis = [frame_features(fm, mode) for fm in frames]
+    posed = frames[0].pose is not None
+    mixed = next((k for k, fm in enumerate(frames) if (fm.pose is not None) != posed), None)
+    if mixed is not None:
+        raise ValueError(
+            f"frame {mixed} {'lacks' if posed else 'has'} a pose, unlike frame 0; a stream "
+            "must give every frame a pose or none"
+        )
+    phis = [frame_features(fm) for fm in frames]
     steps = [aggregate_inside(phis[k : k + window]) for k in range(0, len(phis), window)]
     return np.asarray(steps)
 

@@ -23,8 +23,8 @@ sequences are stepped cell-major by
 All parameters live in one contiguous float64 vector ``theta``; every
 parameter array is a reshaped view into it.  The order is lstm_x (W, U, V,
 b), lstm_z (W, U, V, b), W_f, b_f, W_y, b_y, which is also the order of the
-per-gate blocks that :func:`param_blocks` names and checkpoints store.
-Gradients are flat vectors with the same layout.
+per-gate blocks that :func:`param_blocks` names.  Checkpoints store
+``theta`` itself, and gradients are flat vectors with the same layout.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def backward(m: FusionRnnModel, tape: FusionTape, dlogits: np.ndarray) -> np.nda
 
 def param_blocks(m: FusionRnnModel) -> list[tuple[str, np.ndarray]]:
     """Named per-gate parameter views of ``m.theta``, in storage order
-    (used by serialization and the gradient checker)."""
+    (used by the gradient checker and :func:`param_count`)."""
     blocks = [(f"{stream}.{name}", arr)
               for stream, cell in zip(CELL_NAMES, m.cells) for name, arr in gate_blocks(cell)]
     for name in ("W_f", "b_f", "W_y", "b_y"):

@@ -33,10 +33,9 @@ import numpy as np
 from .anticipation import (
     AnticipationResult, Predictor, anticipate, check_threshold, first_commits, trajectory,
 )
-from .events import straight_index
+from .events import map_label_to_model, straight_index
 from .numerics import Padded, pad_sequences
 from .synth import SequenceSample, split_folds
-from .training import map_label_to_model
 
 log = logging.getLogger(__name__)
 
@@ -179,7 +178,9 @@ def anticipate_dataset(
     predictor: Predictor, dataset: list[SequenceSample], p_th: float
 ) -> list[AnticipationResult]:
     """The anticipation walk's result for every sample, in dataset order,
-    from one ``anticipate`` call per padded block."""
+    from one ``anticipate`` call per padded block.  ``p_th`` is checked
+    before the walk, so an empty dataset refuses a bad one too."""
+    check_threshold(p_th)
     results = [None] * len(dataset)
     with np.errstate(over="ignore", invalid="ignore"):
         for index, (xs, zs, lengths) in padded_blocks(dataset):

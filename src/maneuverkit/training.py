@@ -23,6 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from . import fusion_rnn
+from .events import map_label_to_model
 from .fusion_rnn import FusionRnnModel
 from .numerics import finite_diff_grad, make_rng
 
@@ -255,17 +256,6 @@ def train(dataset: list, model: FusionRnnModel, config: TrainConfig) -> TrainRep
         last_good = model.copy()
 
     return TrainReport(model=model, epoch_losses=epoch_losses)
-
-
-def map_label_to_model(canonical_label: int, model_events: tuple[str, ...]) -> int:
-    """Translate a canonical label index into a model's event index."""
-    from .events import EVENTS
-
-    name = EVENTS[canonical_label]
-    try:
-        return model_events.index(name)
-    except ValueError:
-        raise ValueError(f"label {name!r} not among model events {model_events!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,24 @@ class TestValidation:
         code = main(["eval", "--model", str(d), "--data", str(d)])
         assert code == 1
 
+    # used to exit 0 on an empty dataset, and to fail on nan only when writing the report
+    @pytest.mark.parametrize("pth", ["0", "5", "nan"])
+    @pytest.mark.parametrize("n", [0, 5], ids=["empty", "nonempty"])
+    @pytest.mark.parametrize("command", [["eval", "--out", "r.json"], ["anticipate"]], ids=lambda c: c[0])
+    def test_bad_threshold_is_refused_before_the_walk(
+        self, tmp_path, monkeypatch, capsys, caplog, command, n, pth
+    ):
+        monkeypatch.chdir(tmp_path)
+        d = tmp_path / "d.jsonl"
+        save_dataset(generate(ScenarioConfig(seed=0), 5)[:n], d)
+        m = Path(__file__).parent / "data" / "fusion_h2.json"
+        code, out = run([command[0], "--model", str(m), "--data", str(d), "--pth", pth, *command[1:]], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"threshold must lie in (0, 1], got {float(pth)}" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_data_file_is_reported(self, tmp_path):
         code = main(
             ["train", "--data", str(tmp_path / "nope.jsonl"), "--arch", "frnn-el",
@@ -493,19 +511,21 @@ class TestStreamRecords:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda b: b.pop("lstm_z.V_f"), "block 'lstm_z.V_f' is missing"),
-            (lambda b: b.update({"lstm_x.U_c": encode_array([[0.5]])}),
-             "block 'lstm_x.U_c' has shape (1, 1), expected (2, 2)"),
-            (lambda b: set_entry(b, "b_y", (0,), float("nan")), "block 'b_y' contains non-finite values"),
-            (lambda b: b["b_y"].update(float64=b["b_y"]["float64"][:-4]), "block 'b_y' is not an array of numbers"),
+            (lambda p: p.pop("theta"), "bad fusion network description (KeyError('theta'))"),
+            (lambda p: p.update(theta=encode_array([[0.5]])),
+             "field 'theta' does not fit the declared sizes (theta must be a contiguous float64 vector "
+             "of 205 entries, got float64 (1, 1))"),
+            (lambda p: set_entry(p, "theta", (204,), float("nan")), "field 'theta' contains non-finite values"),
+            (lambda p: p["theta"].update(float64=p["theta"]["float64"][:-4]),
+             "field 'theta' is not an array of numbers"),
         ],
         ids=["missing", "misshaped", "nan", "cut-payload"],
     )
-    def test_bad_checkpoint_block_stops_with_located_error(
+    def test_bad_fusion_checkpoint_stops_with_located_error(
         self, tmp_path, monkeypatch, capsys, caplog, edit, message
     ):
         doc = json.loads((Path(__file__).parent / "data" / "fusion_h2.json").read_text(encoding="utf-8"))
-        edit(doc["params"]["blocks"])
+        edit(doc["params"])
         m = tmp_path / "edited.json"
         m.write_text(json.dumps(doc), encoding="utf-8")
         code, records = stream(m, [json.dumps(STEP)], monkeypatch, capsys)

@@ -28,7 +28,7 @@ from maneuverkit.dataio import (
     save_model,
 )
 from maneuverkit.events import EVENTS, validate_events
-from maneuverkit.fusion_rnn import FusionRnnModel, init_fusion_model, param_blocks, param_count
+from maneuverkit.fusion_rnn import FusionRnnModel, init_fusion_model, param_count
 from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, generate
 
@@ -260,7 +260,21 @@ class TestCheckpoints:
             load_model(path)
         assert str(err.value) == (
             f"{path}: checkpoint format_version 1 cannot be read; this build reads "
-            "format_version 2 only, so retrain the model to write one"
+            "format_version 3 only, so retrain the model to write one"
+        )
+
+    # format 2 stored a fusion network's theta as per-gate blocks
+    @pytest.mark.parametrize("name", ["fusion_h2", "aiohmm_s2"])
+    def test_format_2_refused_with_the_reason(self, tmp_path, name):
+        doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+        doc["format_version"] = 2
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            f"{path}: checkpoint format_version 2 cannot be read; this build reads "
+            "format_version 3 only, so retrain the model to write one"
         )
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -301,17 +315,17 @@ class TestCheckpoints:
 
 def parameter_sha256(model) -> str:
     """SHA-256 of a model's parameters as little-endian float64 bytes: a
-    fusion network's blocks in order, or an ensemble's prior, then each
-    event's AIO-HMM fields."""
+    fusion network's theta, or an ensemble's prior, then each event's
+    AIO-HMM fields."""
     if isinstance(model, FusionRnnModel):
-        arrays = [arr for _, arr in param_blocks(model)]
+        arrays = [model.theta]
     else:
         arrays = [model.prior] + [getattr(model.models[e], f) for e in model.events for f in AIOHMM_ARRAYS]
     return hashlib.sha256(b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)).hexdigest()
 
 
 # Computed from the format-1 files these fixtures were converted from, as the
-# format-1 loader read them: the conversion changed no parameter bit.
+# format-1 loader read them: neither conversion changed a parameter bit.
 PARAMETER_SHA256 = {
     "fusion_h2": "01b1ae164e34a12344809f75e9da196195e0cae287a5b8275d95004364db3d6e",
     "concat_h2": "66f713c9e07a5f104ce536e0d05db072faaf7bc2e472981c7ba9017b57d57558",
@@ -389,10 +403,11 @@ class TestArrayEncoding:
 
 
 class TestParentCheckpoints:
-    """Checkpoints written by earlier versions and converted to format 2 by
-    loading each with the format-1 loader and saving it again: the fusion
-    ones from before the parameters moved into one flat vector (hidden 2,
-    one epoch on `synth --n 20 --seed 4`)."""
+    """Checkpoints written by earlier versions, converted to format 2 by
+    loading each with the format-1 loader and saving it again, then to
+    format 3 by joining each fusion network's per-gate blocks, in order,
+    into its theta: the fusion ones from before the parameters moved into
+    one flat vector (hidden 2, one epoch on `synth --n 20 --seed 4`)."""
 
     @pytest.mark.parametrize("name, total", [("fusion_h2", 205), ("concat_h2", 165)])
     def test_load_and_resave_byte_identically(self, tmp_path, name, total):
@@ -401,11 +416,8 @@ class TestParentCheckpoints:
         assert parameter_sha256(model) == PARAMETER_SHA256[name]
         save_model(model, config, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == src.read_bytes()
-        blocks = json.loads(src.read_text(encoding="utf-8"))["params"]["blocks"]
-        counts = param_count(model)
-        assert [name for name, _ in param_blocks(model)] == list(blocks)
-        assert counts.pop("total") == total
-        assert counts == {name: decode_array(value).size for name, value in blocks.items()}
+        theta = decode_array(json.loads(src.read_text(encoding="utf-8"))["params"]["theta"])
+        assert param_count(model)["total"] == total == theta.size
 
     def test_aiohmm_checkpoint_loads_resaves_and_streams(self, tmp_path):
         """An AIO-HMM ensemble written while the EM settings were still
@@ -433,18 +445,22 @@ def set_entry(entries: dict, name: str, index: tuple, value: float) -> None:
     entries[name] = encode_array(array)
 
 
-def edited_checkpoint(tmp_path, edit) -> Path:
-    doc = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
-    edit(doc["params"]["blocks"])
+def edited_checkpoint(tmp_path, edit, name="fusion_h2") -> Path:
+    doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+    edit(doc["params"])
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
-class TestCheckpointBlockErrors:
-    def test_numeric_strings_name_file_and_block(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda b: b.update(b_y=[str(v) for v in decode_array(b["b_y"]).tolist()]))
-        with pytest.raises(DataFormatError, match=r"edited\.json: block 'b_y' is not an array of numbers"):
+def theta_of(params: dict) -> np.ndarray:
+    return decode_array(params["theta"])
+
+
+class TestFusionCheckpointErrors:
+    def test_numeric_strings_name_file_and_field(self, tmp_path):
+        path = edited_checkpoint(tmp_path, lambda p: p.update(theta=[str(v) for v in theta_of(p).tolist()]))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -454,72 +470,77 @@ class TestCheckpointBlockErrors:
              r"bad 'events' entry .*duplicate event labels"),
             ("fusion_h2", "events", ["left_lane", "right_lane", "u_turn", "right_turn", "straight"],
              r"bad 'events' entry .*unknown event labels"),
-            ("fusion_h2", "blocks", 5, r"field 'blocks' must be an object"),
+            ("fusion_h2", "theta", 5, r"field 'theta' is not an array of numbers "
+                                      r"\(entry is a number, not an object with keys 'float64' and 'shape'\)"),
             ("fusion_h2", "arch", "lstm", r"unknown arch 'lstm'"),
-            ("concat_h2", "fusion", "abc",
-             r"field 'fusion' must be 0 for a concat model of hidden size 2, got 'abc'"),
-            ("concat_h2", "fusion", 3, r"field 'fusion' must be 0 for a concat model of hidden size 2, got 3"),
+            ("concat_h2", "hidden", "abc", r"field 'hidden' must be an integer of at least 1, got 'abc'"),
             ("fusion_h2", "hidden", True, r"field 'hidden' must be an integer of at least 1, got True"),
             ("fusion_h2", "hidden", 0, r"field 'hidden' must be an integer of at least 1, got 0"),
-            ("fusion_h2", "hidden", 10**8,
-             r"block 'lstm_x\.b_i' has shape \(2,\), expected \(100000000,\)"),
-            ("fusion_h2", "input_z", 10**12,
-             r"block 'lstm_z\.W_i' has shape \(2, 9\), expected \(2, 1000000000000\)"),
-            ("fusion_h2", "fusion", 10**8,
-             r"field 'fusion' must be 2 for a fusion model of hidden size 2, got 100000000"),
-            ("concat_h2", "fusion", False, r"field 'fusion' must be 0 for a concat model of hidden size 2, got False"),
+            ("fusion_h2", "hidden", 10**8, r"field 'theta' does not fit the declared sizes \(theta must be a "
+                                           r"contiguous float64 vector of 100000008000000005 entries, "
+                                           r"got float64 \(205,\)\)"),
+            ("fusion_h2", "input_z", 10**12, r"field 'theta' does not fit the declared sizes \(theta must be a "
+                                             r"contiguous float64 vector of 8000000000133 entries, "
+                                             r"got float64 \(205,\)\)"),
+            ("concat_h2", "input_x", False, r"field 'input_x' must be an integer of at least 1, got False"),
         ],
-        ids=["duplicate-events", "unknown-events", "blocks-not-an-object", "unknown-arch",
-             "concat-fusion", "concat-fusion-width", "bool-hidden", "zero-hidden", "huge-hidden",
-             "huge-input", "huge-fusion", "bool-fusion"],
+        ids=["duplicate-events", "unknown-events", "theta-not-an-object", "unknown-arch",
+             "concat-string-hidden", "bool-hidden", "zero-hidden", "huge-hidden", "huge-input", "bool-input"],
     )
     def test_bad_description_names_the_file(self, tmp_path, name, field, value, message):
-        doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
-        doc["params"][field] = value
-        path = tmp_path / "edited.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path = edited_checkpoint(tmp_path, lambda p: p.update({field: value}), name)
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
             load_model(path)
 
-    def test_huge_hidden_with_a_matching_bias_block_is_refused_before_allocation(self, tmp_path):
-        # The declared size agrees with lstm_x.b_i, so only the (H, H)
-        # recurrent block stands between it and a terabyte parameter vector.
-        H = 200_000
-        doc = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
-        doc["params"]["hidden"] = H
-        doc["params"]["blocks"]["lstm_x.b_i"] = encode_array(np.zeros(H))
-        path = tmp_path / "edited.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(
-            DataFormatError,
-            match=r"edited\.json: block 'lstm_x\.U_i' has shape \(2, 2\), expected \(200000, 200000\)",
-        ):
+    # A declared size whose parameter vector would not fit in memory is
+    # refused by the length check on the small theta, which allocates nothing.
+    @pytest.mark.parametrize("field, value, want", [
+        ("hidden", 10**8, 40000007200000005), ("input_z", 10**12, 8000000000093), ("hidden", 3, 257),
+        ("arch", "fusion", 205),
+    ], ids=["huge-hidden", "huge-input", "hidden-plus-one", "wrong-arch"])
+    def test_declared_sizes_refused_before_allocation(self, tmp_path, field, value, want):
+        path = edited_checkpoint(tmp_path, lambda p: p.update({field: value}), "concat_h2")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' does not fit the declared sizes "
+                                                      rf"\(theta must be a contiguous float64 vector of {want} "
+                                                      r"entries, got float64 \(165,\)\)$"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_missing_theta_names_file_and_field(self, tmp_path):
+        path = edited_checkpoint(tmp_path, lambda p: p.pop("theta"))
+        with pytest.raises(DataFormatError, match=r"edited\.json: bad fusion network description \(KeyError\('theta'\)\)$"):
             load_model(path)
 
-    def test_missing_block_names_file_and_block(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda b: b.pop("lstm_z.V_f"))
-        with pytest.raises(DataFormatError, match=r"edited\.json: block 'lstm_z\.V_f' is missing"):
-            load_model(path)
-
-    def test_misshaped_block_names_file_and_block(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda b: b.update({"lstm_x.U_c": encode_array([[0.5]])}))
+    @pytest.mark.parametrize("reshape, got", [
+        (lambda t: t.reshape(41, 5), r"\(41, 5\)"),
+        (lambda t: t[:-1], r"\(204,\)"),
+        (lambda t: np.append(t, 0.5), r"\(206,\)"),
+    ], ids=["2-d", "one-short", "one-long"])
+    def test_misshaped_theta_names_file_field_and_both_counts(self, tmp_path, reshape, got):
+        path = edited_checkpoint(tmp_path, lambda p: p.update(theta=encode_array(reshape(theta_of(p)))))
         with pytest.raises(
             DataFormatError,
-            match=r"edited\.json: block 'lstm_x\.U_c' has shape \(1, 1\), expected \(2, 2\)",
+            match=r"edited\.json: field 'theta' does not fit the declared sizes "
+                  r"\(theta must be a contiguous float64 vector of 205 entries, got float64 " + got + r"\)$",
         ):
             load_model(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_block_names_file_and_block(self, tmp_path, value):
-        path = edited_checkpoint(tmp_path, lambda b: set_entry(b, "W_y", (0, 1), value))
-        with pytest.raises(DataFormatError, match=r"edited\.json: block 'W_y' contains non-finite"):
+    def test_non_finite_theta_names_file_and_field(self, tmp_path, value):
+        path = edited_checkpoint(tmp_path, lambda p: set_entry(p, "theta", (203,), value))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
             load_model(path)
 
-    # a block whose base64 payload was cut by 4 characters, i.e. 3 bytes
-    def test_short_payload_names_file_and_block(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda b: b["lstm_x.W_i"].update(float64=b["lstm_x.W_i"]["float64"][:-4]))
-        with pytest.raises(DataFormatError, match=r"edited\.json: block 'lstm_x\.W_i' is not an array of numbers "
-                                                  r"\(payload holds 93 bytes; shape \[2, 6\] needs 96\)$"):
+    # theta's base64 payload cut by 4 characters, i.e. 2 bytes and a padding character
+    def test_short_payload_names_file_and_field(self, tmp_path):
+        path = edited_checkpoint(tmp_path, lambda p: p["theta"].update(float64=p["theta"]["float64"][:-4]))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers "
+                                                  r"\(payload holds 1638 bytes; shape \[205\] needs 1640\)$"):
             load_model(path)
 
 
@@ -648,12 +669,9 @@ class TestAioHmmCheckpointErrors:
 FUSION_DOC = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
 FUSION_PATHS = [
     (), ("format_version",), ("kind",), ("config",), ("params",), ("params", "arch"),
-    ("params", "input_x"), ("params", "input_z"), ("params", "hidden"), ("params", "fusion"),
-    ("params", "events"), ("params", "events", 2), ("params", "events", 4), ("params", "blocks"),
-    ("params", "blocks", "lstm_x.W_i"), ("params", "blocks", "lstm_x.W_i", "shape", 1),
-    ("params", "blocks", "lstm_x.W_i", "float64"), ("params", "blocks", "lstm_z.V_o"),
-    ("params", "blocks", "lstm_z.V_o", "shape"), ("params", "blocks", "W_f", "float64"),
-    ("params", "blocks", "b_y"), ("params", "blocks", "b_y", "shape", 0), ("params", "blocks", "b_y", "float64"),
+    ("params", "input_x"), ("params", "input_z"), ("params", "hidden"),
+    ("params", "events"), ("params", "events", 2), ("params", "events", 4), ("params", "theta"),
+    ("params", "theta", "shape"), ("params", "theta", "shape", 0), ("params", "theta", "float64"),
 ]
 HMM_MODEL = ("params", "models", "right_lane")
 HMM_PATHS = [
@@ -668,7 +686,7 @@ HMM_PATHS = [
 # the wrong type, and huge values whose parameter vector would not fit in
 # memory.  Payloads are base64 of whole doubles, any bits and any count, so
 # some match their shape and hold NaN, Inf, subnormal or huge values.
-SIZE_FIELDS = ("input_x", "input_z", "hidden", "fusion")
+SIZE_FIELDS = ("input_x", "input_z", "hidden")
 SIZES = st.integers(-2, 10) | st.sampled_from(
     [None, True, 2.0, "2", [2], 10**8, 10**12, 1e8, 1e12, -(10**12)]
 )

@@ -83,23 +83,17 @@ class TestFrameFeatures:
         phi = frame_features(FrameMotion(matches=[], center_motion=(3.0, 4.0)))
         assert phi[8] == 5.0
 
-    def test_head_pose_mode_appends_pose(self):
+    def test_a_pose_is_appended(self):
         fm = FrameMotion(matches=[(1.0, 0.0)], pose=(0.1, -0.2, 0.05))
-        phi = frame_features(fm, mode="head_pose")
+        phi = frame_features(fm)
         assert phi.shape == (12,)
         np.testing.assert_array_equal(phi[9:], [0.1, -0.2, 0.05])
-
-    def test_pose_mode_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            frame_features(FrameMotion(matches=[]), mode="head_pose")
-        with pytest.raises(ValueError):
-            frame_features(FrameMotion(matches=[], pose=(0, 0, 0)), mode="histogram")
 
     def test_pose_never_perturbs_histograms(self):
         rng = make_rng(1)
         matches = [tuple(rng.normal(0, 3, 2)) for _ in range(10)]
         plain = frame_features(FrameMotion(matches=matches))
-        posed = frame_features(FrameMotion(matches=matches, pose=(0.3, 0.1, -0.2)), mode="head_pose")
+        posed = frame_features(FrameMotion(matches=matches, pose=(0.3, 0.1, -0.2)))
         np.testing.assert_array_equal(posed[:9], plain)
 
 
@@ -144,11 +138,23 @@ class TestInsideSequence:
         with pytest.raises(ValueError):
             inside_sequence(frames)
 
-    def test_produces_one_step_per_window(self):
-        frames = [FrameMotion(matches=[(1.0, 0.5)])] * 40
+    @pytest.mark.parametrize("pose, width", [(None, 9), ((0.1, -0.2, 0.05), 12)], ids=["unposed", "posed"])
+    def test_produces_one_step_per_window(self, pose, width):
+        frames = [FrameMotion(matches=[(1.0, 0.5)], pose=pose)] * 40
         steps = inside_sequence(frames)
-        assert steps.shape == (2, 9)
+        assert steps.shape == (2, width)
         np.testing.assert_allclose(np.linalg.norm(steps, axis=1), 1.0, atol=1e-12)
+
+    # replaces the two checks that a frame's pose matched a requested mode
+    @pytest.mark.parametrize("first_posed, message", [
+        (True, r"^frame 23 lacks a pose, unlike frame 0; a stream must give every frame a pose or none$"),
+        (False, r"^frame 23 has a pose, unlike frame 0; a stream must give every frame a pose or none$"),
+    ], ids=["posed-then-unposed", "unposed-then-posed"])
+    def test_mixed_stream_refused_at_the_first_differing_frame(self, first_posed, message):
+        plain, posed = FrameMotion(matches=[(1.0, 0.5)]), FrameMotion(matches=[(1.0, 0.5)], pose=(0, 0, 0))
+        first, other = (posed, plain) if first_posed else (plain, posed)
+        with pytest.raises(ValueError, match=message):
+            inside_sequence([first] * 23 + [other] + [first, other] * 8)
 
 
 class TestOutsideFeatures:

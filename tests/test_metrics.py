@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import AioHmmEnsemble, EmConfig, fit_em
 from maneuverkit.anticipation import AioHmmPredictor, FusionRnnPredictor
-from maneuverkit.events import EVENTS, straight_index
+from maneuverkit.events import EVENTS, map_label_to_model, straight_index
 from maneuverkit.fusion_rnn import init_fusion_model
 from maneuverkit.metrics import (
     SWEEP_BLOCK,
@@ -25,7 +25,6 @@ from maneuverkit.metrics import (
 )
 from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, SequenceSample, generate
-from maneuverkit.training import map_label_to_model
 
 from test_anticipation import ScriptedPredictor, commit_step, stepwise_trajectory
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from maneuverkit import training
-from maneuverkit.events import EVENTS
+from maneuverkit.events import EVENTS, map_label_to_model
 from maneuverkit.fusion_rnn import forward, init_fusion_model, param_blocks
 from maneuverkit.numerics import make_rng
 from maneuverkit.synth import ScenarioConfig, SequenceSample, generate
@@ -21,7 +21,6 @@ from maneuverkit.training import (
     gradient_check,
     loss_logit_grads,
     loss_weights,
-    map_label_to_model,
     rmsprop_apply,
     train,
 )
