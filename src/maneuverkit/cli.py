@@ -245,8 +245,6 @@ def cmd_anticipate(args) -> int:
     predictor, sizes = _load_predictor(args.model)
     if args.stream:
         return _stream_loop(predictor, args.pth, sizes)
-    if not args.data:
-        raise ValueError("anticipate needs --data unless --stream is given")
     dataset = _load_model_data(args.model, sizes, args.data)
     for sample, result in zip(dataset, metrics.anticipate_dataset(predictor, dataset, args.pth)):
         print(json.dumps({
@@ -507,65 +505,93 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(**NETWORK_FLAGS, **HMM_FLAGS)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="maneuverkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic scenario dataset")
+def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON file of ScenarioConfig overrides")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--curve-out", help="CSV of the training loss / loglik curve")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--pth", type=float, default=0.7)
     p.add_argument("--out", help="write a JSON report")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("anticipate", help="run streaming anticipation")
+
+def _anticipate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--pth", type=float, default=0.7)
-    p.add_argument("--data", help="dataset file (one decision per sample)")
-    p.add_argument("--stream", action="store_true", help="read step records from stdin")
-    p.set_defaults(func=cmd_anticipate)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="dataset file (one decision per sample)")
+    source.add_argument("--stream", action="store_true", help="read step records from stdin")
 
-    p = sub.add_parser("sweep", help="sweep the prediction threshold")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--grid", type=_grid, default=[round(0.1 * i, 2) for i in range(2, 10)])
     p.add_argument("--out", help="write a JSON report")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("xval", help="k-fold cross-validated evaluation")
+
+def _xval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--grid", type=_grid, default=[round(0.1 * i, 2) for i in range(2, 10)])
     p.add_argument("--out", help="write a JSON report")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_xval)
 
-    p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
+
+def _gradcheck_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--arch", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--steps", type=int, default=6)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("report", help="render a saved JSON report")
+
+def _report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("csv", "text"), default="text")
-    p.set_defaults(func=cmd_report)
 
+
+COMMANDS = {  # name: (help, handler, argument builder), in the order --help lists them
+    "synth": ("generate a synthetic scenario dataset", cmd_synth, _synth_args),
+    "train": ("train a model and write a checkpoint", cmd_train, _train_args),
+    "eval": ("evaluate a checkpoint on a dataset", cmd_eval, _eval_args),
+    "anticipate": ("run streaming anticipation", cmd_anticipate, _anticipate_args),
+    "sweep": ("sweep the prediction threshold", cmd_sweep, _sweep_args),
+    "xval": ("k-fold cross-validated evaluation", cmd_xval, _xval_args),
+    "gradcheck": ("verify analytic gradients against finite differences", cmd_gradcheck, _gradcheck_args),
+    "report": ("render a saved JSON report", cmd_report, _report_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the name of a command, only that
+    command's subparser is built, since a run uses one; given None or any
+    other word, all of them, for ``--help`` and the usage errors, so every
+    help and error text reads as the full parser writes it.
+
+    With one subparser built, the metavar keeps the top-level usage line
+    naming every command.  With all of them built argparse derives the same
+    line itself, and its missing- and unknown-command errors name the
+    argument ``command``, as a metavar would not."""
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    parser = argparse.ArgumentParser(prog="maneuverkit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        help_text, func, add_args = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -573,8 +599,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as err:

@@ -7,25 +7,27 @@ Datasets are one JSON object per line:
 
 Checkpoints are a single versioned JSON document:
 
-    {"format_version": 3, "kind": "fusion_rnn" | "aio_hmm",
+    {"format_version": 4, "kind": "fusion_rnn" | "aio_hmm",
      "config": {...}, "params": {...}}
 
 Sizes, events and config stay plain JSON.  Every parameter array (a
 fusion network's one parameter vector ``theta``, each AIO-HMM field and the
-ensemble prior) is stored as ``{"shape": [...], "float64": "<base64>"}``:
-standard base64, without newlines, of the array's little-endian IEEE-754
-doubles in C order.  The bytes are the doubles themselves, so save/load
-round trips are bit-exact.  A fusion network's ``params`` hold ``arch``,
-``input_x``, ``input_z``, ``hidden``, ``events`` and ``theta``, whose order
-is the layout of :class:`~maneuverkit.fusion_rnn.FusionRnnModel` (the order
-of :func:`~maneuverkit.fusion_rnn.param_blocks`).  NaN or Inf anywhere in a
+ensemble prior) is stored as ``{"shape": [...], "float64": "<hex>"}``: the
+array's little-endian IEEE-754 doubles in C order, two lowercase hex digits
+per byte, without whitespace.  The bytes are the doubles themselves, so
+save/load round trips are bit-exact; hex takes 1.5 times the characters of
+base64 but decodes several times faster.  A fusion network's ``params``
+hold ``arch``, ``input_x``, ``input_z``, ``hidden``, ``events`` and
+``theta``, whose order is the layout of
+:class:`~maneuverkit.fusion_rnn.FusionRnnModel` (the order of
+:func:`~maneuverkit.fusion_rnn.param_blocks`).  NaN or Inf anywhere in a
 model is a save-time error, and a load-time one.  A checkpoint of any other
 ``format_version`` is refused.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import math
 from pathlib import Path
@@ -37,7 +39,7 @@ from .events import EVENTS, validate_events
 from .fusion_rnn import ARCH_CONCAT, ARCH_FUSION, FusionRnnModel
 from .synth import SequenceSample
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 KIND_FUSION = "fusion_rnn"
 KIND_AIOHMM = "aio_hmm"
 
@@ -161,9 +163,9 @@ def parse_vector(value, field: str, sizes: tuple[int, ...]) -> np.ndarray:
 
 def encode_array(array) -> dict:
     """``array`` as a checkpoint entry: its shape, and its little-endian
-    float64 values in C order as one standard base64 string."""
+    float64 values in C order as one lowercase hex string."""
     array = np.asarray(array, "<f8")
-    return {"shape": list(array.shape), "float64": base64.b64encode(array.tobytes()).decode("ascii")}
+    return {"shape": list(array.shape), "float64": array.tobytes().hex()}
 
 
 def _json_type(value) -> str:
@@ -188,11 +190,11 @@ def decode_array(value) -> np.ndarray:
         if type(n) is not int or n < 0:
             raise ValueError(f"shape entry {n!r} is not a non-negative integer")
     if not isinstance(payload, str):
-        raise ValueError(f"payload is {_json_type(payload)}, not a base64 string")
+        raise ValueError(f"payload is {_json_type(payload)}, not a hex string")
     try:
-        raw = base64.b64decode(payload, validate=True)
+        raw = binascii.unhexlify(payload)  # refuses whitespace, an odd length and non-hex digits
     except ValueError as err:
-        raise ValueError(f"payload is not strict base64 ({err})") from None
+        raise ValueError(f"payload is not hex ({err})") from None
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"payload holds {len(raw)} bytes; shape {shape} needs {8 * math.prod(shape)}")
     try:

@@ -9,7 +9,7 @@ import pytest
 
 from maneuverkit import aiohmm, training
 from maneuverkit.anticipation import FusionRnnPredictor
-from maneuverkit.cli import build_parser, main, train_model
+from maneuverkit.cli import COMMANDS, build_parser, main, train_model
 from maneuverkit.dataio import encode_array, load_dataset, load_model, save_dataset
 from maneuverkit.synth import ScenarioConfig, generate, split_folds
 
@@ -224,6 +224,127 @@ class TestValidation:
         for got, ref in zip(load_dataset(d), want, strict=True):
             np.testing.assert_array_equal(got.zs, ref.zs)
             np.testing.assert_array_equal(got.xs, ref.xs)
+
+    # giving both used to exit 0, streaming stdin and ignoring --data
+    @pytest.mark.parametrize("flags, message", [
+        (["--data", "d.jsonl", "--stream"], "argument --stream: not allowed with argument --data"),
+        ([], "one of the arguments --data --stream is required"),
+    ], ids=["both", "neither"])
+    def test_anticipate_takes_exactly_one_of_data_and_stream(self, monkeypatch, capsys, flags, message):
+        loaded = []
+        monkeypatch.setattr("maneuverkit.dataio.load_model", lambda *args: loaded.append(args))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(STEP) + "\n"))
+        with pytest.raises(SystemExit) as exit_:
+            main(["anticipate", "--model", str(Path(__file__).parent / "data" / "fusion_h2.json"), *flags])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert captured.err.endswith(f"maneuverkit anticipate: error: {message}\n")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert loaded == []
+
+
+COMMAND_LIST = "{synth,train,eval,anticipate,sweep,xval,gradcheck,report}"
+# command: (a valid argv, one that lacks a required flag, one with a bad value:
+# a choice where the command has one, else a value of the wrong type)
+PARSER_CASES = {
+    "synth": (["--n", "5", "--seed", "3", "--out", "d.jsonl"], ["--out", "d.jsonl"],
+              ["--n", "five", "--out", "d.jsonl"]),
+    "train": (["--data", "d.jsonl", "--out", "m.json", "--arch", "srnn", "--hidden", "8"],
+              ["--data", "d.jsonl", "--arch", "srnn"], ["--data", "d.jsonl", "--out", "m.json", "--arch", "lstm"]),
+    "eval": (["--model", "m.json", "--data", "d.jsonl", "--pth", "0.8", "--out", "r.json"], ["--model", "m.json"],
+             ["--model", "m.json", "--data", "d.jsonl", "--pth", "high"]),
+    "anticipate": (["--model", "m.json", "--stream", "--pth", "0.9"], ["--stream"],
+                   ["--model", "m.json", "--data", "d.jsonl", "--pth", "x"]),
+    "sweep": (["--model", "m.json", "--data", "d.jsonl", "--grid", "0.5,0.9"], ["--data", "d.jsonl"],
+              ["--model", "m.json", "--data", "d.jsonl", "--grid", "a,b"]),
+    "xval": (["--data", "d.jsonl", "--arch", "aiohmm", "--states", "2", "--setting", "lane"], ["--arch", "aiohmm"],
+             ["--data", "d.jsonl", "--arch", "aiohmm", "--setting", "highway"]),
+    "gradcheck": (["--arch", "frnn-el", "--steps", "3"], ["--seed", "1"], ["--arch", "srnn", "--tol", "tiny"]),
+    "report": (["--in", "r.json", "--format", "csv"], ["--format", "csv"], ["--in", "r.json", "--format", "xml"]),
+}
+
+
+def words(text: str) -> str:
+    """``text`` with each run of whitespace made one space, so that a usage
+    line reads the same however the terminal width wrapped it."""
+    return " ".join(text.split())
+
+
+def parse(parser, argv, capsys):
+    """(namespace or None, exit status or None, stdout, stderr) of parsing ``argv``."""
+    try:
+        args, status = parser.parse_args(argv), None
+    except SystemExit as exit_:
+        args, status = None, exit_.code
+    captured = capsys.readouterr()
+    return args, status, captured.out, captured.err
+
+
+class TestOneParser:
+    """A run builds only its command's parser; it must parse, help and
+    refuse exactly as the parser of all eight commands does."""
+
+    def test_cases_cover_every_command(self):
+        assert list(PARSER_CASES) == list(COMMANDS)
+        assert COMMAND_LIST == "{" + ",".join(COMMANDS) + "}"
+
+    @pytest.mark.parametrize("command", list(PARSER_CASES))
+    def test_valid_argv_gives_an_equal_namespace(self, command, capsys):
+        argv = [command, *PARSER_CASES[command][0]]
+        one = parse(build_parser(command), argv, capsys)
+        assert one == parse(build_parser(), argv, capsys)
+        assert one[0] is not None and one[0].command == command and one[2:] == ("", "")
+
+    @pytest.mark.parametrize("case", ["help", "missing-flag", "unknown-flag", "bad-value"])
+    @pytest.mark.parametrize("command", list(PARSER_CASES))
+    def test_help_and_refusals_are_the_full_parsers(self, command, case, capsys):
+        valid, missing, bad = PARSER_CASES[command]
+        argv = {"help": ["--help"], "missing-flag": missing, "unknown-flag": [*valid, "--bogus"],
+                "bad-value": bad}[case]
+        one = parse(build_parser(command), [command, *argv], capsys)
+        assert one == parse(build_parser(), [command, *argv], capsys)
+        if case == "help":
+            assert one[1] == 0 and one[2].startswith(f"usage: maneuverkit {command} [-h]") and one[3] == ""
+        else:
+            assert one[1] == 2 and one[2] == "" and "error: " in one[3]
+        if case == "unknown-flag":  # refused by the top-level parser, under its usage line
+            assert words(one[3]) == (f"usage: maneuverkit [-h] {COMMAND_LIST} ... "
+                                     "maneuverkit: error: unrecognized arguments: --bogus")
+
+    @pytest.mark.parametrize("argv, status", [(["--help"], 0), ([], 2), (["bogus"], 2), (["-h", "eval"], 0)],
+                             ids=["help", "no-command", "unknown-command", "help-before-command"])
+    def test_top_level_lists_every_command(self, argv, status, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == status
+        text = captured.out if status == 0 else captured.err
+        assert words(text).startswith(f"usage: maneuverkit [-h] {COMMAND_LIST} ... ")
+        if status == 0:
+            for name, (help_text, _, _) in COMMANDS.items():
+                assert f" {name} {help_text} " in words(text)
+        elif argv:
+            assert "error: argument command: invalid choice: 'bogus' (choose from" in text
+            assert all(f"'{name}'" in text for name in COMMANDS)
+        else:
+            assert text.endswith("error: the following arguments are required: command\n")
+
+    @pytest.mark.parametrize("from_sys_argv", [False, True])
+    def test_main_builds_only_the_commands_parser(self, monkeypatch, from_sys_argv):
+        built = []
+
+        def recording(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr("maneuverkit.cli.build_parser", recording)
+        argv = ["gradcheck", "--arch", "aiohmm"]
+        if from_sys_argv:
+            monkeypatch.setattr("sys.argv", ["maneuverkit", *argv])
+        assert main(None if from_sys_argv else argv) == 1  # refused after parsing
+        assert built == ["gradcheck"]
+        with pytest.raises(SystemExit):  # that parser knows no other command
+            build_parser("gradcheck").parse_args(["eval", "--model", "m.json", "--data", "d.jsonl"])
 
 
 class TestReports:

@@ -1,4 +1,3 @@
-import base64
 import copy
 import hashlib
 import json
@@ -260,21 +259,23 @@ class TestCheckpoints:
             load_model(path)
         assert str(err.value) == (
             f"{path}: checkpoint format_version 1 cannot be read; this build reads "
-            "format_version 3 only, so retrain the model to write one"
+            "format_version 4 only, so retrain the model to write one"
         )
 
-    # format 2 stored a fusion network's theta as per-gate blocks
+    # format 2 stored a fusion network's theta as per-gate blocks, and
+    # format 3 stored every parameter payload as base64
+    @pytest.mark.parametrize("version", [2, 3])
     @pytest.mark.parametrize("name", ["fusion_h2", "aiohmm_s2"])
-    def test_format_2_refused_with_the_reason(self, tmp_path, name):
+    def test_older_format_refused_with_the_reason(self, tmp_path, name, version):
         doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
-        doc["format_version"] = 2
+        doc["format_version"] = version
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataFormatError) as err:
             load_model(path)
         assert str(err.value) == (
-            f"{path}: checkpoint format_version 2 cannot be read; this build reads "
-            "format_version 3 only, so retrain the model to write one"
+            f"{path}: checkpoint format_version {version} cannot be read; this build reads "
+            "format_version 4 only, so retrain the model to write one"
         )
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -345,7 +346,8 @@ class TestArrayEncoding:
     @example(array=np.zeros((2, 0, 3)))
     def test_round_trip_is_bit_exact_and_writable(self, array):
         entry = json.loads(json.dumps(encode_array(array)))
-        assert entry["shape"] == list(array.shape) and "\n" not in entry["float64"]
+        assert entry["shape"] == list(array.shape)
+        assert len(entry["float64"]) == 16 * array.size and set(entry["float64"]) <= set("0123456789abcdef")
         back = decode_array(entry)
         assert back.dtype == np.float64 and back.dtype.isnative and back.flags.writeable
         assert back.shape == array.shape and back.tobytes() == array.tobytes()
@@ -354,20 +356,25 @@ class TestArrayEncoding:
         array = np.arange(6.0).reshape(2, 3).T
         entry = encode_array(array)
         raw = b"".join(struct.pack("<d", v) for v in [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
-        assert entry == {"shape": [3, 2], "float64": base64.b64encode(raw).decode("ascii")}
+        assert entry == {"shape": [3, 2], "float64": raw.hex()}
 
     GOOD = encode_array(np.arange(4.0).reshape(2, 2))
 
     @pytest.mark.parametrize("entry, reason", [
-        ({"shape": [2, 2], "float64": base64.b64encode(bytes(31)).decode("ascii")},
-         r"payload holds 31 bytes; shape \[2, 2\] needs 32"),
-        ({"shape": [2, 2], "float64": base64.b64encode(bytes(33)).decode("ascii")},
-         r"payload holds 33 bytes; shape \[2, 2\] needs 32"),
+        ({"shape": [2, 2], "float64": bytes(31).hex()}, r"payload holds 31 bytes; shape \[2, 2\] needs 32"),
+        ({"shape": [2, 2], "float64": bytes(33).hex()}, r"payload holds 33 bytes; shape \[2, 2\] needs 32"),
         ({"shape": [2, 2], "float64": GOOD["float64"][:-4]}, r"payload holds 30 bytes; shape \[2, 2\] needs 32"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "*" + GOOD["float64"][21:]},
-         r"payload is not strict base64 \(.+\)"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "\n" + GOOD["float64"][20:]},
-         r"payload is not strict base64 \(.+\)"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:-1]}, r"payload is not hex \(Odd-length string\)"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "g" + GOOD["float64"][21:]},
+         r"payload is not hex \(Non-hexadecimal digit found\)"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "  " + GOOD["float64"][22:]},
+         r"payload is not hex \(Non-hexadecimal digit found\)"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "\n" + GOOD["float64"][21:]},
+         r"payload is not hex \(Non-hexadecimal digit found\)"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + " " + GOOD["float64"][20:]},
+         r"payload is not hex \(Odd-length string\)"),
+        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "\u00e9" + GOOD["float64"][21:]},
+         r"payload is not hex \(string argument should contain only ASCII characters\)"),
         ({"shape": [2, 2], "float64": GOOD["float64"], "dtype": "float64"},
          r"entry has keys \['dtype', 'float64', 'shape'\], expected \['float64', 'shape'\]"),
         ({"shape": [2, 2]}, r"entry has keys \['shape'\], expected \['float64', 'shape'\]"),
@@ -377,10 +384,11 @@ class TestArrayEncoding:
         ({"shape": [-2, -2], "float64": GOOD["float64"]}, r"shape entry -2 is not a non-negative integer"),
         ({"shape": [2, 2.0], "float64": GOOD["float64"]}, r"shape entry 2\.0 is not a non-negative integer"),
         ({"shape": 4, "float64": GOOD["float64"]}, r"shape is a number, not an array"),
-        ({"shape": [2, 2], "float64": [GOOD["float64"]]}, r"payload is an array, not a base64 string"),
+        ({"shape": [2, 2], "float64": [GOOD["float64"]]}, r"payload is an array, not a hex string"),
         ([[0.0, 1.0], [2.0, 3.0]], r"entry is an array, not an object with keys 'float64' and 'shape'"),
         (None, r"entry is null, not an object with keys 'float64' and 'shape'"),
-    ], ids=["byte-short", "byte-long", "cut-4-characters", "non-base64-character", "newline", "extra-key",
+    ], ids=["byte-short", "byte-long", "cut-4-characters", "odd-length", "non-hex-digit", "embedded-spaces",
+            "embedded-newline", "inserted-space", "non-ascii", "extra-key",
             "no-payload", "no-shape", "bool-dimension", "negative-dimension", "negative-pair", "float-dimension",
             "shape-not-a-list", "payload-not-a-string", "format-1-list", "null"])
     # The product of each bad shape is 4, as many doubles as the payload holds.
@@ -392,7 +400,7 @@ class TestArrayEncoding:
     def test_overflowing_shape_refused_without_allocating(self, shape):
         tracemalloc.start()
         try:
-            for payload in (base64.b64encode(bytes(8)).decode("ascii"), ""):
+            for payload in (bytes(8).hex(), ""):
                 with pytest.raises(ValueError, match=r"^payload holds \d+ bytes; shape .* needs \d+$"
                                                      r"|^shape .* is not one NumPy holds \(.+\)$"):
                     decode_array({"shape": shape, "float64": payload})
@@ -406,8 +414,9 @@ class TestParentCheckpoints:
     """Checkpoints written by earlier versions, converted to format 2 by
     loading each with the format-1 loader and saving it again, then to
     format 3 by joining each fusion network's per-gate blocks, in order,
-    into its theta: the fusion ones from before the parameters moved into
-    one flat vector (hidden 2, one epoch on `synth --n 20 --seed 4`)."""
+    into its theta, then to format 4 by writing each base64 payload's bytes
+    as hex: the fusion ones from before the parameters moved into one flat
+    vector (hidden 2, one epoch on `synth --n 20 --seed 4`)."""
 
     @pytest.mark.parametrize("name, total", [("fusion_h2", 205), ("concat_h2", 165)])
     def test_load_and_resave_byte_identically(self, tmp_path, name, total):
@@ -536,7 +545,7 @@ class TestFusionCheckpointErrors:
         with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
             load_model(path)
 
-    # theta's base64 payload cut by 4 characters, i.e. 2 bytes and a padding character
+    # theta's hex payload cut by 4 characters, i.e. 2 bytes
     def test_short_payload_names_file_and_field(self, tmp_path):
         path = edited_checkpoint(tmp_path, lambda p: p["theta"].update(float64=p["theta"]["float64"][:-4]))
         with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers "
@@ -684,14 +693,14 @@ HMM_PATHS = [
 ]
 # Declared network sizes and array shape entries get small values, values of
 # the wrong type, and huge values whose parameter vector would not fit in
-# memory.  Payloads are base64 of whole doubles, any bits and any count, so
+# memory.  Payloads are hex of whole doubles, any bits and any count, so
 # some match their shape and hold NaN, Inf, subnormal or huge values.
 SIZE_FIELDS = ("input_x", "input_z", "hidden")
 SIZES = st.integers(-2, 10) | st.sampled_from(
     [None, True, 2.0, "2", [2], 10**8, 10**12, 1e8, 1e12, -(10**12)]
 )
 PAYLOADS = st.integers(0, 16).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n)).map(
-    lambda raw: base64.b64encode(raw).decode("ascii")
+    lambda raw: raw.hex()
 )
 
 
