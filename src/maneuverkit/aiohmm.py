@@ -114,11 +114,14 @@ class AioHmmModel:
             raise ValueError(f"variant {self.variant!r} requires b = 0")
         if self.variant == VARIANT_HMM and np.any(self.a):
             raise ValueError("variant 'hmm' requires a = 0")
-        for i in range(S):
-            try:
-                np.linalg.cholesky(self.sigma[i])
-            except np.linalg.LinAlgError:
-                raise ValueError(f"sigma[{i}] is not positive definite") from None
+        try:
+            np.linalg.cholesky(self.sigma)  # one batched check; the loop below only names the culprit
+        except np.linalg.LinAlgError:
+            for i in range(S):
+                try:
+                    np.linalg.cholesky(self.sigma[i])
+                except np.linalg.LinAlgError:
+                    raise ValueError(f"sigma[{i}] is not positive definite") from None
 
     def copy(self) -> "AioHmmModel":
         return replace(self, **{k: getattr(self, k).copy() for k in ("mu", "a", "b", "sigma", "w", "pi")})
@@ -234,11 +237,13 @@ def emission_scales(m: AioHmmModel, xs: np.ndarray, z_prev: np.ndarray) -> np.nd
 
 
 def emission_factors(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors (S, dz, dz) and log-determinants (S,) of a
-    covariance stack, in the form :func:`emission_logprobs` takes them."""
+    """Inverse Cholesky factors L_i^-1 (S, dz, dz), where Sigma_i = L_i L_i^T,
+    and log-determinants (S,) of a covariance stack, in the form
+    :func:`emission_logprobs` takes them: one batched ``cholesky``, then one
+    batched ``inv``."""
     chol = np.linalg.cholesky(sigma)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return chol, logdet
+    return np.linalg.inv(chol), logdet
 
 
 def emission_logprobs(
@@ -250,16 +255,18 @@ def emission_logprobs(
 ) -> np.ndarray:
     """(T, S) log emission densities for a whole sequence.
 
-    All states go through one batched factorization and one batched solve.
-    ``factors`` are ``emission_factors(m.sigma)`` when the caller keeps them
-    across calls; every stage matches a per-state loop bit for bit.
+    All states' residuals r are whitened, y = L^-1 r, by one batched matmul
+    with the inverse factors of :func:`emission_factors`.  ``factors`` are
+    ``emission_factors(m.sigma)`` when the caller keeps them across calls;
+    every stage matches a per-state loop of the same whitened math bit for
+    bit.
     """
     if z_prev is None:
         z_prev = shifted_observations(zs)
-    chol, logdet = emission_factors(m.sigma) if factors is None else factors
+    inv_chol, logdet = emission_factors(m.sigma) if factors is None else factors
     scales = emission_scales(m, xs, z_prev)
     resid = zs[None, :, :] - scales.T[:, :, None] * m.mu[:, None, :]    # (S, T, dz)
-    y = np.linalg.solve(chol, resid.transpose(0, 2, 1))                 # (S, dz, T)
+    y = inv_chol @ resid.transpose(0, 2, 1)                             # (S, dz, T)
     quad = np.sum(y * y, axis=1)                                        # (S, T)
     out = np.empty((zs.shape[0], m.states))
     out[:] = (-0.5 * ((m.dim_z * LOG_2PI + logdet)[:, None] + quad)).T

@@ -124,8 +124,8 @@ class AioHmmPredictor:
     """Streams the per-class model ensemble as one stacked log-space filter.
 
     The constructor takes a snapshot of the ensemble's parameters: every
-    class's states become one K*S-state emission model whose Cholesky
-    factors are computed once and whose variant, the ensemble's one
+    class's states become one K*S-state emission model whose inverse
+    Cholesky factors are computed once and whose variant, the ensemble's one
     variant, sets the transition inputs; the K classes' transition weights
     and log initial probabilities are stacked into (K, S, S, dt) and (K, S)
     arrays, which the ensemble's one state count allows.  Later changes to

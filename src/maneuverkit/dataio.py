@@ -76,24 +76,40 @@ def load_dataset(path: str | Path) -> list[SequenceSample]:
     path = Path(path)
     samples: list[SequenceSample] = []
     z_dim: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err})") from None
-            samples.append(_parse_sample(record, path, lineno))
-            z_now = samples[-1].zs.shape[1]
-            if z_dim is None:
-                z_dim = z_now
-            elif z_now != z_dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: z has length {z_now}, but earlier lines use {z_dim}"
-                )
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err})") from None
+                samples.append(_parse_sample(record, path, lineno))
+                z_now = samples[-1].zs.shape[1]
+                if z_dim is None:
+                    z_dim = z_now
+                elif z_now != z_dim:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: z has length {z_now}, but earlier lines use {z_dim}"
+                    )
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
     return samples
+
+
+def _not_utf8(path: Path, err: UnicodeDecodeError) -> DataFormatError:
+    """The error for a JSONL file that is not UTF-8 text, naming its first
+    line that does not decode.  The text reader decodes ahead in chunks, so
+    ``err`` does not say which line it was reading; ``bytes.splitlines``
+    breaks lines where the text reader does."""
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as line_err:
+            return DataFormatError(f"{path}:{lineno}: not UTF-8 text ({line_err})")
+    return DataFormatError(f"{path}: not UTF-8 text ({err})")
 
 
 def _parse_sample(record: dict, path: Path, lineno: int) -> SequenceSample:
@@ -203,6 +219,17 @@ def decode_array(value) -> np.ndarray:
         raise ValueError(f"shape {shape} is not one NumPy holds ({err})") from None
 
 
+def _read_json(path: Path):
+    """The JSON document in ``path``; a file that is not UTF-8 text or not
+    JSON raises DataFormatError naming it."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path}: not UTF-8 text ({err})") from None
+    except json.JSONDecodeError as err:
+        raise DataFormatError(f"{path}: malformed JSON ({err})") from None
+
+
 def _check_finite(name: str, array: np.ndarray) -> None:
     if not np.isfinite(array).all():
         raise DataFormatError(f"refusing to save non-finite parameters in {name}")
@@ -223,10 +250,7 @@ def save_model(model, config: dict, path: str | Path) -> None:
 def load_model(path: str | Path):
     """Read a checkpoint; returns (model, kind, config)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DataFormatError(f"{path}: malformed JSON ({err})") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
     version = doc.get("format_version")
@@ -373,10 +397,7 @@ def save_report(report: dict, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> dict:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DataFormatError(f"{path}: malformed JSON ({err})") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: a report must be a JSON object")
     return doc

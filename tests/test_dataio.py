@@ -23,6 +23,7 @@ from maneuverkit.dataio import (
     encode_array,
     load_dataset,
     load_model,
+    load_report,
     save_dataset,
     save_model,
 )
@@ -112,6 +113,16 @@ class TestDatasetRoundTrip:
         rec = {"id": "a", "label": "straight", "steps": [{"x": [0] * 6, "z": ["NaN"] + [0] * 8}]}
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
+            load_dataset(path)
+
+    def test_non_utf8_line_is_named(self, tmp_path):
+        # the reader decodes ahead in chunks, so the fault surfaces before
+        # line 3 is read; the error must still name line 3 (blank line 2 counts)
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps(VALID_RECORD).encode("utf-8")
+        path.write_bytes(good + b"\n\n" + good.replace(b'"a"', b'"a\xff"') + b"\n" + good + b"\n")
+        with pytest.raises(DataFormatError, match=r"^\S*bad\.jsonl:3: not UTF-8 text \('utf-8' codec "
+                                                  r"can't decode byte 0xff in position \d+"):
             load_dataset(path)
 
 
@@ -242,6 +253,14 @@ class TestCheckpoints:
         path = tmp_path / "e.json"
         save_model(AioHmmEnsemble(events=EVENTS, models=models, prior=[0.2] * 5), {}, path)
         np.testing.assert_array_equal(load_model(path)[0].prior, np.full(5, 0.2))
+
+    @pytest.mark.parametrize("load", [load_model, load_report])
+    def test_non_utf8_file_is_named(self, tmp_path, load):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"format_version": 4, "kind": "\xff"}\n')
+        with pytest.raises(DataFormatError, match=r"^\S*m\.json: not UTF-8 text \('utf-8' codec "
+                                                  r"can't decode byte 0xff in position 31"):
+            load(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -665,6 +684,18 @@ class TestAioHmmCheckpointErrors:
         entry = {"variant": "aio", **{k: encode_array(getattr(other, k)) for k in AIOHMM_ARRAYS}}
         path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"].update(straight=entry))
         with pytest.raises(DataFormatError, match=r"edited\.json: models disagree on their \(x, z\) sizes"):
+            load_model(path)
+
+    def test_only_bad_covariance_is_named(self, tmp_path):
+        # the batched check fails for the whole stack; the message must still
+        # name the one state whose covariance is not positive definite
+        rng = make_rng(32)
+        models = {e: random_model(rng, 4, 3, 2) for e in EVENTS}
+        models["left_turn"].sigma[2] = np.diag([1.0, -1.0, 1.0])
+        path = tmp_path / "m.json"
+        save_model(AioHmmEnsemble(events=EVENTS, models=models), {}, path)
+        with pytest.raises(DataFormatError,
+                           match=r"m\.json: model 'left_turn': sigma\[2\] is not positive definite$"):
             load_model(path)
 
     @pytest.mark.parametrize("doc", [[1, 2], {"format_version": FORMAT_VERSION, "kind": "aio_hmm"}])
