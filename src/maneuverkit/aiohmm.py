@@ -68,13 +68,21 @@ BOUND_STEPS = 25   # bound-ascent steps on the transition weights per M-step
 MEAN_ROUNDS = 3    # alternating WLS rounds for (mu, a, b) per M-step
 
 
+def param_shapes(variant: str, states: int, dim_x: int, dim_z: int) -> dict[str, tuple[int, ...]]:
+    """Each :class:`AioHmmModel` array's shape, in storage order: mu (S, dz),
+    a (S, dx), b (S, dz), sigma (S, dz, dz), transition weights w (S, S, dt)
+    and initial pi (S,), where ``dt`` is dx for the aio/io variants and 1 (a
+    bias) for the hmm variant.  An unknown variant raises ValueError."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    S, dt = states, (dim_x if variant != VARIANT_HMM else 1)
+    return {"mu": (S, dim_z), "a": (S, dim_x), "b": (S, dim_z), "sigma": (S, dim_z, dim_z),
+            "w": (S, S, dt), "pi": (S,)}
+
+
 @dataclass
 class AioHmmModel:
-    """Per-state parameters: mu (S, dz), a (S, dx), b (S, dz),
-    sigma (S, dz, dz), transition weights w (S, S, dt), initial pi (S,).
-
-    ``dt`` is dx for the aio/io variants and 1 (a bias) for the hmm variant.
-    """
+    """Per-state parameters, shaped as :func:`param_shapes` lays them out."""
 
     variant: str
     mu: np.ndarray
@@ -96,19 +104,16 @@ class AioHmmModel:
     def dim_x(self) -> int:
         return self.a.shape[1]
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return param_shapes(self.variant, self.states, self.dim_x, self.dim_z)
+
     def validate(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.mu.ndim != 2 or self.a.ndim != 2:
             raise ValueError(f"mu and a must be 2-D, got shapes {self.mu.shape} and {self.a.shape}")
-        S, dz, dx = self.states, self.dim_z, self.dim_x
-        dt = dx if self.variant != VARIANT_HMM else 1
-        shapes = {"a": (S, dx), "b": (S, dz), "sigma": (S, dz, dz), "w": (S, S, dt)}
-        for name, shape in shapes.items():
+        for name, shape in self.shapes().items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-        if (self.pi.shape != (S,) or (self.pi < 0.0).any()
-                or abs(float(self.pi.sum()) - 1.0) > 1e-9):
+        if (self.pi < 0.0).any() or abs(float(self.pi.sum()) - 1.0) > 1e-9:
             raise ValueError("pi must be a distribution over states")
         if self.variant in (VARIANT_IO, VARIANT_HMM) and np.any(self.b):
             raise ValueError(f"variant {self.variant!r} requires b = 0")
@@ -117,14 +122,14 @@ class AioHmmModel:
         try:
             np.linalg.cholesky(self.sigma)  # one batched check; the loop below only names the culprit
         except np.linalg.LinAlgError:
-            for i in range(S):
+            for i in range(self.states):
                 try:
                     np.linalg.cholesky(self.sigma[i])
                 except np.linalg.LinAlgError:
                     raise ValueError(f"sigma[{i}] is not positive definite") from None
 
     def copy(self) -> "AioHmmModel":
-        return replace(self, **{k: getattr(self, k).copy() for k in ("mu", "a", "b", "sigma", "w", "pi")})
+        return replace(self, **{k: getattr(self, k).copy() for k in self.shapes()})
 
 
 @dataclass
@@ -561,14 +566,11 @@ def _init_model(batch: Padded, config: EmConfig) -> AioHmmModel:
     S = config.states
     B, T, dx = batch.xs.shape
     dz = batch.zs.shape[2]
-    dt = dx if config.variant != VARIANT_HMM else 1
 
-    blank = AioHmmModel(
-        variant=config.variant,
-        mu=np.zeros((S, dz)), a=np.zeros((S, dx)), b=np.zeros((S, dz)),
-        sigma=np.stack([np.eye(dz)] * S), w=np.zeros((S, S, dt)),
-        pi=np.full(S, 1.0 / S),
-    )
+    shapes = param_shapes(config.variant, S, dx, dz)
+    blank = AioHmmModel(variant=config.variant, **{k: np.zeros(shape) for k, shape in shapes.items()})
+    blank.sigma[:] = np.eye(dz)
+    blank.pi[:] = 1.0 / S
     g = rng.uniform(0.2, 1.0, size=(int(batch.lengths.sum()), S))  # sequence by sequence
     gamma = np.zeros((B, T, S))
     gamma[np.arange(T) < batch.lengths[:, None]] = g / g.sum(axis=1, keepdims=True)

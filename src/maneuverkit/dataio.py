@@ -7,20 +7,25 @@ Datasets are one JSON object per line:
 
 Checkpoints are a single versioned JSON document:
 
-    {"format_version": 4, "kind": "fusion_rnn" | "aio_hmm",
+    {"format_version": 5, "kind": "fusion_rnn" | "aio_hmm",
      "config": {...}, "params": {...}}
 
-Sizes, events and config stay plain JSON.  Every parameter array (a
-fusion network's one parameter vector ``theta``, each AIO-HMM field and the
-ensemble prior) is stored as ``{"shape": [...], "float64": "<hex>"}``: the
-array's little-endian IEEE-754 doubles in C order, two lowercase hex digits
-per byte, without whitespace.  The bytes are the doubles themselves, so
-save/load round trips are bit-exact; hex takes 1.5 times the characters of
-base64 but decodes several times faster.  A fusion network's ``params``
-hold ``arch``, ``input_x``, ``input_z``, ``hidden``, ``events`` and
-``theta``, whose order is the layout of
-:class:`~maneuverkit.fusion_rnn.FusionRnnModel` (the order of
-:func:`~maneuverkit.fusion_rnn.param_blocks`).  NaN or Inf anywhere in a
+Sizes, events and config stay plain JSON.  A model's parameters are one
+vector ``theta``, stored as ``{"shape": [n], "float64": "<hex>"}``: its
+little-endian IEEE-754 doubles, two lowercase hex digits per byte, without
+whitespace.  The bytes are the doubles themselves, so save/load round trips
+are bit-exact; hex takes 1.5 times the characters of base64 but decodes
+several times faster.  A fusion network's ``params`` hold ``arch``,
+``input_x``, ``input_z``, ``hidden``, ``events`` and ``theta``, whose order
+is the layout of :class:`~maneuverkit.fusion_rnn.FusionRnnModel` (the order
+of :func:`~maneuverkit.fusion_rnn.param_blocks`).  An AIO-HMM ensemble's
+hold ``variant``, ``states``, ``input_x``, ``input_z``, ``events`` and
+``theta``: the class prior (one value per event), then, for each event in
+``events`` order, its ``mu``, ``a``, ``b``, ``sigma``, ``w`` and ``pi``, each
+in C order with the shapes of :func:`~maneuverkit.aiohmm.param_shapes`.
+Every class shares the one variant and the declared sizes, as the ensemble
+requires.  A ``theta`` whose length is not the one the declared sizes lay
+out is refused before anything is allocated.  NaN or Inf anywhere in a
 model is a save-time error, and a load-time one.  A checkpoint of any other
 ``format_version`` is refused.
 """
@@ -34,12 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .aiohmm import AioHmmEnsemble, AioHmmModel
+from .aiohmm import AioHmmEnsemble, AioHmmModel, param_shapes
 from .events import EVENTS, validate_events
 from .fusion_rnn import ARCH_CONCAT, ARCH_FUSION, FusionRnnModel
 from .synth import SequenceSample
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 KIND_FUSION = "fusion_rnn"
 KIND_AIOHMM = "aio_hmm"
 
@@ -230,19 +235,23 @@ def _read_json(path: Path):
         raise DataFormatError(f"{path}: malformed JSON ({err})") from None
 
 
-def _check_finite(name: str, array: np.ndarray) -> None:
-    if not np.isfinite(array).all():
-        raise DataFormatError(f"refusing to save non-finite parameters in {name}")
-
-
 def save_model(model, config: dict, path: str | Path) -> None:
     """Write a fusion network or an AIO-HMM ensemble checkpoint."""
     if isinstance(model, FusionRnnModel):
-        kind, params = KIND_FUSION, _fusion_to_dict(model)
-    elif isinstance(model, AioHmmEnsemble):
-        kind, params = KIND_AIOHMM, _ensemble_to_dict(model)
+        kind, theta = KIND_FUSION, model.theta
+        params = {"arch": model.arch, "input_x": model.input_x, "input_z": model.input_z,
+                  "hidden": model.hidden}
+    elif isinstance(model, AioHmmEnsemble):  # every class shares the first one's variant and sizes
+        first = model.models[model.events[0]]
+        kind, params = KIND_AIOHMM, {"variant": first.variant, "states": first.states,
+                                     "input_x": first.dim_x, "input_z": first.dim_z}
+        theta = np.concatenate([model.prior] + [getattr(model.models[event], name).ravel()
+                                                for event in model.events for name in first.shapes()])
     else:
         raise TypeError(f"cannot checkpoint object of type {type(model).__name__}")
+    if not np.isfinite(theta).all():
+        raise DataFormatError("refusing to save non-finite parameters in theta")
+    params.update(events=list(model.events), theta=encode_array(theta))
     doc = {"format_version": FORMAT_VERSION, "kind": kind, "config": config, "params": params}
     Path(path).write_text(json.dumps(doc, allow_nan=False, indent=1) + "\n", encoding="utf-8")
 
@@ -271,46 +280,24 @@ def load_model(path: str | Path):
     return _ensemble_from_dict(params, path), kind, config
 
 
-def _fusion_to_dict(m: FusionRnnModel) -> dict:
-    _check_finite("theta", m.theta)
-    return {
-        "arch": m.arch,
-        "input_x": m.input_x,
-        "input_z": m.input_z,
-        "hidden": m.hidden,
-        "events": list(m.events),
-        "theta": encode_array(m.theta),
-    }
+def _read_params(d: dict, path: Path, what: str, size_fields: tuple[str, ...]):
+    """A checkpoint's events, its declared sizes ``size_fields`` (each an
+    integer of at least 1) by name, and its finite ``theta``.
 
-
-def _events(d: dict, path: Path) -> tuple[str, ...]:
-    """A checkpoint's event tuple: known labels, no duplicates, straight last."""
+    :func:`decode_array` bounds ``theta`` by the bytes the file holds, and
+    each caller checks its length against the layout of the declared sizes
+    before it allocates anything, so a huge declared size costs nothing.
+    """
     try:
         events = tuple(d["events"])
         validate_events(events)
     except (KeyError, TypeError, ValueError) as err:
         raise DataFormatError(f"{path}: bad 'events' entry ({err!r})") from None
-    return events
-
-
-SIZE_FIELDS = ("input_x", "input_z", "hidden")
-
-
-def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
-    """Build the network around the decoded ``theta``.
-
-    :func:`decode_array` bounds ``theta`` by the bytes the file holds, and
-    the model checks its length against the layout of the declared sizes
-    before it allocates anything, so a huge declared size costs nothing.
-    """
-    events = _events(d, path)
     try:
-        arch, entry = d["arch"], d["theta"]
-        sizes = {name: d[name] for name in SIZE_FIELDS}
-    except (KeyError, TypeError) as err:
-        raise DataFormatError(f"{path}: bad fusion network description ({err!r})") from None
-    if arch not in (ARCH_FUSION, ARCH_CONCAT):
-        raise DataFormatError(f"{path}: unknown arch {arch!r}")
+        entry = d["theta"]
+        sizes = {name: d[name] for name in size_fields}
+    except KeyError as err:
+        raise DataFormatError(f"{path}: bad {what} description ({err!r})") from None
     for name, value in sizes.items():
         if type(value) is not int or value < 1:
             raise DataFormatError(
@@ -322,67 +309,47 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
         raise DataFormatError(f"{path}: field 'theta' is not an array of numbers ({err})") from None
     if not np.isfinite(theta).all():
         raise DataFormatError(f"{path}: field 'theta' contains non-finite values")
+    return events, sizes, theta
+
+
+def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
+    """Build the network around ``theta``; the model checks its length."""
+    events, sizes, theta = _read_params(d, path, "fusion network", ("input_x", "input_z", "hidden"))
+    arch = d.get("arch")
+    if arch not in (ARCH_FUSION, ARCH_CONCAT):
+        raise DataFormatError(f"{path}: unknown arch {arch!r}")
     try:
         return FusionRnnModel(arch=arch, events=events, theta=theta, **sizes)
     except ValueError as err:  # theta's length is not the one the sizes lay out
         raise DataFormatError(f"{path}: field 'theta' does not fit the declared sizes ({err})") from None
 
 
-AIOHMM_ARRAYS = ("mu", "a", "b", "sigma", "w", "pi")
-
-
-def _aiohmm_to_dict(m: AioHmmModel) -> dict:
-    for name in AIOHMM_ARRAYS:
-        _check_finite(name, getattr(m, name))
-    return {"variant": m.variant, **{name: encode_array(getattr(m, name)) for name in AIOHMM_ARRAYS}}
-
-
-def _aiohmm_from_dict(d, path: Path, name: str) -> AioHmmModel:
-    """Build one event class's model; every fault names the file, the class
-    and the field."""
-    where = f"{path}: model {name!r}"
-    if not isinstance(d, dict):
-        raise DataFormatError(f"{where} must be an object")
-    for field in ("variant", *AIOHMM_ARRAYS):
-        if field not in d:
-            raise DataFormatError(f"{where}: field {field!r} is missing")
-    arrays = {}
-    for field in AIOHMM_ARRAYS:
-        try:
-            arrays[field] = decode_array(d[field])
-        except ValueError as err:
-            raise DataFormatError(f"{where}: field {field!r} is not an array of numbers ({err})") from None
-        if not np.isfinite(arrays[field]).all():
-            raise DataFormatError(f"{where}: field {field!r} contains non-finite values")
-    model = AioHmmModel(variant=d["variant"], **arrays)
-    try:
-        model.validate()
-    except ValueError as err:
-        raise DataFormatError(f"{where}: {err}") from None
-    return model
-
-
-def _ensemble_to_dict(e: AioHmmEnsemble) -> dict:
-    return {
-        "events": list(e.events),
-        "prior": encode_array(e.prior),
-        "models": {name: _aiohmm_to_dict(m) for name, m in e.models.items()},
-    }
-
-
 def _ensemble_from_dict(d: dict, path: Path) -> AioHmmEnsemble:
-    events = _events(d, path)
+    """Cut ``theta`` into the prior and each class's arrays, as views, once
+    its length fits the declared sizes; a fault in a class names it."""
+    events, sizes, theta = _read_params(d, path, "AIO-HMM ensemble", ("states", "input_x", "input_z"))
+    variant = d.get("variant")
     try:
-        prior = decode_array(d.get("prior"))
+        shapes = param_shapes(variant, sizes["states"], sizes["input_x"], sizes["input_z"])
     except ValueError as err:
-        raise DataFormatError(f"{path}: bad 'prior' entry (not an array of numbers: {err})") from None
-    entries = d.get("models")
-    if not isinstance(entries, dict):
-        raise DataFormatError(f"{path}: 'models' must be an object keyed by event")
-    models = {name: _aiohmm_from_dict(md, path, name) for name, md in entries.items()}
+        raise DataFormatError(f"{path}: {err}") from None
+    counts = [math.prod(shape) for shape in shapes.values()]
+    need = len(events) * (1 + sum(counts))
+    if theta.shape != (need,):
+        raise DataFormatError(f"{path}: field 'theta' does not fit the declared sizes (theta must be "
+                              f"a vector of {need} entries, got shape {theta.shape})")
+    blocks = iter(np.split(theta, np.cumsum([len(events)] + counts * len(events))[:-1]))
+    prior, models = next(blocks), {}
+    for event in events:
+        model = AioHmmModel(variant, **{name: next(blocks).reshape(shape) for name, shape in shapes.items()})
+        try:
+            model.validate()
+        except ValueError as err:
+            raise DataFormatError(f"{path}: model {event!r}: {err}") from None
+        models[event] = model
     try:
         return AioHmmEnsemble(events=events, models=models, prior=prior)
-    except ValueError as err:  # the ensemble's own rules
+    except ValueError as err:  # the prior is not a distribution over the events
         raise DataFormatError(f"{path}: {err}") from None
 
 

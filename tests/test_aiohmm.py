@@ -1353,3 +1353,17 @@ class TestInference:
         message = r"'prior' must be a distribution over the 5 events"
         with pytest.raises(ValueError, match=message):
             AioHmmEnsemble(events=EVENTS, models=models, prior=prior)
+
+    # A checkpoint can no longer name its classes, so these rules guard only
+    # ensembles built in code.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda models: models.pop("right_lane"), r"'models' has no model for events \['right_lane'\]"),
+        (lambda models: models.update(bogus=models["straight"]),
+         r"'models' has models for keys outside the events \['bogus'\]"),
+    ], ids=["model-missing", "stray-model-key"])
+    def test_models_not_keyed_by_the_events_rejected(self, edit, message):
+        rng = make_rng(20)
+        models = dict(zip(EVENTS, (random_model(rng, 2, 2, 2) for _ in EVENTS)))
+        edit(models)
+        with pytest.raises(ValueError, match=message):
+            AioHmmEnsemble(events=EVENTS, models=models)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 
@@ -24,7 +25,7 @@ from maneuverkit.anticipation import (
     trajectory,
 )
 from maneuverkit.cli import _stream_loop, main
-from maneuverkit.dataio import AIOHMM_ARRAYS, DataFormatError, encode_array, load_model, save_model
+from maneuverkit.dataio import DataFormatError, load_model, save_model
 from maneuverkit.events import EVENTS, events_for_setting
 from maneuverkit.fusion_rnn import forward, init_fusion_model
 from maneuverkit.metrics import SWEEP_BLOCK
@@ -438,15 +439,19 @@ class TestPredictors:
             stream = trajectory(AioHmmPredictor(ens), xs, zs)
             np.testing.assert_allclose(stream, per_class_filter(ens, xs, zs), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("states, variant, message", [
-        (3, "aio", r"models disagree on their state counts \[2, 3\]"),
-        (2, "io", r"models disagree on their variants \['aio', 'io'\]"),
+    @pytest.mark.parametrize("states, variant, message, declared, refusal", [
+        (3, "aio", r"models disagree on their state counts \[2, 3\]", {"states": 3},
+         r"field 'theta' does not fit the declared sizes "
+         r"\(theta must be a vector of 1865 entries, got shape \(1185,\)\)"),
+        (2, "io", r"models disagree on their variants \['aio', 'io'\]", {"variant": "io"},
+         r"model 'left_lane': variant 'io' requires b = 0"),
     ], ids=["states", "variant"])
-    def test_mixed_ensembles_rejected(self, tmp_path, monkeypatch, capsys, caplog, states, variant, message):
+    def test_mixed_ensembles_rejected(self, tmp_path, monkeypatch, capsys, caplog, states, variant, message,
+                                      declared, refusal):
         # One 2-state aio ensemble with one class of another state count or
-        # variant: the constructor refuses it, and a checkpoint holding it
-        # fails to load with the file named, through the loader and through
-        # the command line.
+        # variant: the constructor refuses it.  A checkpoint declares one state
+        # count and variant for every class, so one declaring another fails to
+        # load with the file named, through the loader and the command line.
         rng = make_rng(7)
         models = {name: random_model(rng, 2, 9, 6) for name in EVENTS}
         ens = AioHmmEnsemble(events=EVENTS, models=models)
@@ -457,11 +462,9 @@ class TestPredictors:
         path = tmp_path / "mixed.json"
         save_model(ens, {}, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["params"]["models"][EVENTS[1]] = {
-            "variant": odd.variant, **{k: encode_array(getattr(odd, k)) for k in AIOHMM_ARRAYS}
-        }
+        doc["params"].update(declared)
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataFormatError, match=r"mixed\.json: " + message):
+        with pytest.raises(DataFormatError, match=r"mixed\.json: " + refusal + "$"):
             load_model(path)
 
         data = tmp_path / "d.jsonl"
@@ -473,7 +476,7 @@ class TestPredictors:
             caplog.clear()
             assert main([*argv, "--model", str(path), "--pth", "0.8"]) == 1
             assert capsys.readouterr().out == ""
-            assert "mixed.json: models disagree on their" in caplog.text
+            assert re.search(re.escape(f"{path}: ") + refusal, caplog.text)
             assert "Traceback" not in caplog.text
 
     def test_stacked_aiohmm_finite_when_a_class_gives_no_density(self):

@@ -13,7 +13,7 @@ from maneuverkit.cli import COMMANDS, build_parser, main, train_model
 from maneuverkit.dataio import encode_array, load_dataset, load_model, save_dataset
 from maneuverkit.synth import ScenarioConfig, generate, split_folds
 
-from test_dataio import set_entry
+from test_dataio import set_entry, theta_edit
 
 
 def run(argv, capsys):
@@ -465,7 +465,7 @@ def test_zero_class_prior_streams_and_evaluates_without_warnings(
     # A valid checkpoint whose last three classes have prior 0: they get
     # probability exactly 0, are never committed to, and nothing warns.
     doc = json.loads(hmm_checkpoint.read_text())
-    doc["params"]["prior"] = encode_array([0.5, 0.5, 0.0, 0.0, 0.0])
+    theta_edit(None, "prior", [0.5, 0.5, 0.0, 0.0, 0.0])(doc["params"])
     model = tmp_path / "zero_prior.json"
     model.write_text(json.dumps(doc))
     data = hmm_checkpoint.parent / "d.jsonl"
@@ -657,17 +657,19 @@ class TestStreamRecords:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda m: set_entry(m, "mu", (0, 0), float("nan")),
-             "model 'left_turn': field 'mu' contains non-finite values"),
-            (lambda m: m.pop("sigma"), "model 'left_turn': field 'sigma' is missing"),
+            (theta_edit("left_turn", "mu", np.full((2, 9), np.nan)), "field 'theta' contains non-finite values"),
+            (theta_edit("left_turn", "sigma", -np.ones((2, 9, 9))),
+             "model 'left_turn': sigma[0] is not positive definite"),
+            (lambda p: p.pop("theta"), "bad AIO-HMM ensemble description (KeyError('theta'))"),
+            (lambda p: p.update(states=3), "field 'theta' does not fit the declared sizes"),
         ],
-        ids=["nan", "missing"],
+        ids=["nan", "sigma", "missing", "states-plus-one"],
     )
     def test_bad_hmm_checkpoint_stops_with_located_error(
         self, hmm_checkpoint, tmp_path, monkeypatch, capsys, caplog, edit, message
     ):
         doc = json.loads(hmm_checkpoint.read_text(encoding="utf-8"))
-        edit(doc["params"]["models"]["left_turn"])
+        edit(doc["params"])
         m = tmp_path / "edited.json"
         m.write_text(json.dumps(doc), encoding="utf-8")
         code, records = stream(m, [json.dumps(STEP)], monkeypatch, capsys)

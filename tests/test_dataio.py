@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import struct
 import tempfile
 import tracemalloc
@@ -12,10 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
-from maneuverkit.aiohmm import AioHmmEnsemble
+from maneuverkit.aiohmm import VARIANTS, AioHmmEnsemble, param_shapes
 from maneuverkit.anticipation import AioHmmPredictor
 from maneuverkit.dataio import (
-    AIOHMM_ARRAYS,
     FORMAT_VERSION,
     KIND_AIOHMM,
     DataFormatError,
@@ -35,6 +35,7 @@ from maneuverkit.synth import ScenarioConfig, generate
 from test_aiohmm import random_model
 
 DATA = Path(__file__).parent / "data"
+AIOHMM_FIELDS = tuple(param_shapes("aio", 1, 1, 1))  # mu, a, b, sigma, w, pi
 
 
 class TestDatasetRoundTrip:
@@ -242,10 +243,24 @@ class TestCheckpoints:
         loaded, kind, _ = load_model(path)
         assert kind == "aio_hmm"
         for name in EVENTS:
-            for field in ("mu", "a", "b", "sigma", "w", "pi"):
+            for field in AIOHMM_FIELDS:
                 np.testing.assert_array_equal(
                     getattr(loaded.models[name], field), getattr(ens.models[name], field)
                 )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ensemble_theta_is_the_prior_then_each_class_in_event_order(self, tmp_path, variant):
+        rng = make_rng(7)
+        events = ("right_turn", "left_lane", "straight")
+        models = {name: random_model(rng, 3, 4, 2, variant) for name in reversed(events)}
+        prior = np.array([0.5, 0.3, 0.2])
+        path = tmp_path / "e.json"
+        save_model(AioHmmEnsemble(events=events, models=models, prior=prior), {}, path)
+        params = json.loads(path.read_text(encoding="utf-8"))["params"]
+        want = np.concatenate([prior] + [getattr(models[e], f).ravel() for e in events for f in AIOHMM_FIELDS])
+        assert list(params) == ["variant", "states", "input_x", "input_z", "events", "theta"]
+        assert params["variant"] == variant and (params["states"], params["input_x"], params["input_z"]) == (3, 2, 4)
+        assert params["events"] == list(events) and params["theta"] == encode_array(want)
 
     def test_ensemble_with_a_list_prior_saves(self, tmp_path):
         rng = make_rng(6)
@@ -278,12 +293,13 @@ class TestCheckpoints:
             load_model(path)
         assert str(err.value) == (
             f"{path}: checkpoint format_version 1 cannot be read; this build reads "
-            "format_version 4 only, so retrain the model to write one"
+            "format_version 5 only, so retrain the model to write one"
         )
 
-    # format 2 stored a fusion network's theta as per-gate blocks, and
-    # format 3 stored every parameter payload as base64
-    @pytest.mark.parametrize("version", [2, 3])
+    # format 2 stored a fusion network's theta as per-gate blocks, format 3
+    # stored every parameter payload as base64, and format 4 stored each
+    # AIO-HMM class as its own object of six arrays
+    @pytest.mark.parametrize("version", [2, 3, 4])
     @pytest.mark.parametrize("name", ["fusion_h2", "aiohmm_s2"])
     def test_older_format_refused_with_the_reason(self, tmp_path, name, version):
         doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
@@ -294,7 +310,7 @@ class TestCheckpoints:
             load_model(path)
         assert str(err.value) == (
             f"{path}: checkpoint format_version {version} cannot be read; this build reads "
-            "format_version 4 only, so retrain the model to write one"
+            "format_version 5 only, so retrain the model to write one"
         )
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -340,7 +356,7 @@ def parameter_sha256(model) -> str:
     if isinstance(model, FusionRnnModel):
         arrays = [model.theta]
     else:
-        arrays = [model.prior] + [getattr(model.models[e], f) for e in model.events for f in AIOHMM_ARRAYS]
+        arrays = [model.prior] + [getattr(model.models[e], f) for e in model.events for f in AIOHMM_FIELDS]
     return hashlib.sha256(b"".join(np.asarray(a, "<f8").tobytes() for a in arrays)).hexdigest()
 
 
@@ -434,8 +450,10 @@ class TestParentCheckpoints:
     loading each with the format-1 loader and saving it again, then to
     format 3 by joining each fusion network's per-gate blocks, in order,
     into its theta, then to format 4 by writing each base64 payload's bytes
-    as hex: the fusion ones from before the parameters moved into one flat
-    vector (hidden 2, one epoch on `synth --n 20 --seed 4`)."""
+    as hex, then to format 5 by joining an AIO-HMM ensemble's prior and each
+    class's arrays, in order, into its theta: the fusion ones from before
+    the parameters moved into one flat vector (hidden 2, one epoch on
+    `synth --n 20 --seed 4`)."""
 
     @pytest.mark.parametrize("name, total", [("fusion_h2", 205), ("concat_h2", 165)])
     def test_load_and_resave_byte_identically(self, tmp_path, name, total):
@@ -572,13 +590,15 @@ class TestFusionCheckpointErrors:
             load_model(path)
 
 
+HMM_EVENTS = ("left_lane", "right_lane", "straight")
+
+
 @pytest.fixture(scope="module")
 def hmm_doc(tmp_path_factory):
     """A saved three-class AIO-HMM ensemble (2 states, dx = 2, dz = 3) as
-    parsed JSON."""
+    parsed JSON; its theta holds 3 + 3 * 44 = 135 values."""
     rng = make_rng(30)
-    events = ("left_lane", "right_lane", "straight")
-    ensemble = AioHmmEnsemble(events=events, models={e: random_model(rng, 2, 3, 2) for e in events})
+    ensemble = AioHmmEnsemble(events=HMM_EVENTS, models={e: random_model(rng, 2, 3, 2) for e in HMM_EVENTS})
     path = tmp_path_factory.mktemp("hmm") / "hmm.json"
     save_model(ensemble, {}, path)
     return json.loads(path.read_text(encoding="utf-8"))
@@ -592,98 +612,143 @@ def edited_hmm_checkpoint(tmp_path, doc, edit) -> Path:
     return path
 
 
+def theta_edit(event, field, value):
+    """An edit of an AIO-HMM checkpoint's params that sets ``field`` of
+    ``event``'s class (``"prior"`` for the prior) to ``value`` inside
+    ``theta``, in the layout of the declared sizes."""
+    def edit(params):
+        events = params["events"]
+        shapes = param_shapes(params["variant"], params["states"], params["input_x"], params["input_z"])
+        counts = [math.prod(shape) for shape in shapes.values()]
+        start, count = 0, len(events)
+        if field != "prior":
+            i = AIOHMM_FIELDS.index(field)
+            start, count = len(events) + events.index(event) * sum(counts) + sum(counts[:i]), counts[i]
+        theta = decode_array(params["theta"])
+        theta[start : start + count] = np.ravel(value)
+        params["theta"] = encode_array(theta)
+    return edit
+
+
 class TestAioHmmCheckpointErrors:
     def test_unedited_checkpoint_loads(self, tmp_path, hmm_doc):
         ensemble, kind, _ = load_model(edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: None))
-        assert kind == "aio_hmm" and ensemble.events == ("left_lane", "right_lane", "straight")
+        assert kind == "aio_hmm" and ensemble.events == HMM_EVENTS
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_field_names_file_class_and_field(self, tmp_path, hmm_doc, value):
-        path = edited_hmm_checkpoint(
-            tmp_path, hmm_doc, lambda p: set_entry(p["models"]["right_lane"], "mu", (1, 2), value)
-        )
-        with pytest.raises(
-            DataFormatError, match=r"edited\.json: model 'right_lane': field 'mu' contains non-finite"
-        ):
+    def test_non_finite_theta_names_file_and_field(self, tmp_path, hmm_doc, value):
+        mu = np.ones((2, 3))
+        mu[1, 2] = value
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, theta_edit("right_lane", "mu", mu))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
             load_model(path)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda p: p["models"]["left_lane"]["w"].update(shape=[2, 2, -2]),
-         r"model 'left_lane': field 'w' is not an array of numbers \(shape entry -2 is not a non-negative integer\)"),
-        (lambda p: p.update(prior=[0.25, 0.25, 0.5]),
-         r"bad 'prior' entry \(not an array of numbers: "
-         r"entry is an array, not an object with keys 'float64' and 'shape'\)"),
-    ], ids=["field", "prior"])
-    def test_refused_array_gives_the_reason(self, tmp_path, hmm_doc, edit, message):
+        (lambda p: p["theta"].update(shape=[-135]), r"shape entry -135 is not a non-negative integer"),
+        (lambda p: p.update(theta=decode_array(p["theta"]).tolist()),
+         r"entry is an array, not an object with keys 'float64' and 'shape'"),
+        (lambda p: p["theta"].update(float64=p["theta"]["float64"][:-4]),
+         r"payload holds 1078 bytes; shape \[135\] needs 1080"),
+    ], ids=["negative-shape", "number-list", "cut-payload"])
+    def test_refused_theta_gives_the_reason(self, tmp_path, hmm_doc, edit, message):
         path = edited_hmm_checkpoint(tmp_path, hmm_doc, edit)
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers \("
+                                                  + message + r"\)$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, message", [
+        ("theta", r"bad AIO-HMM ensemble description \(KeyError\('theta'\)\)"),
+        ("states", r"bad AIO-HMM ensemble description \(KeyError\('states'\)\)"),
+        ("input_z", r"bad AIO-HMM ensemble description \(KeyError\('input_z'\)\)"),
+        ("variant", r"unknown variant None"),
+        ("events", r"bad 'events' entry \(KeyError\('events'\)\)"),
+    ])
+    def test_missing_field_names_file_and_field(self, tmp_path, hmm_doc, field, message):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.pop(field))
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message + "$"):
             load_model(path)
 
-    def test_missing_field_names_file_class_and_field(self, tmp_path, hmm_doc):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"]["straight"].pop("sigma"))
-        with pytest.raises(DataFormatError, match=r"edited\.json: model 'straight': field 'sigma' is missing"):
+    @pytest.mark.parametrize(
+        "value", ["abc", [[1.0, 2.0], [3.0]], {"x": 1}, [["0.5"] * 2] * 2, [[True] * 2] * 2,
+                  {"shape": [135], "float64": encode_array(np.ones(3))["float64"]}]
+    )
+    def test_non_numeric_theta_names_file_and_field(self, tmp_path, hmm_doc, value):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.update(theta=value))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers"):
             load_model(path)
 
-    @pytest.mark.parametrize(
-        "value", ["abc", [[1.0, 2.0], [3.0]], {"x": 1}, [[["0.5"] * 2] * 2] * 2, [[[True] * 2] * 2] * 2,
-                  [[0.5, 0.5], [0.5, 0.5]], {"shape": [2, 2], "float64": encode_array(np.ones(3))["float64"]}]
-    )
-    def test_non_numeric_field_names_file_class_and_field(self, tmp_path, hmm_doc, value):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"]["left_lane"].update(w=value))
-        with pytest.raises(
-            DataFormatError, match=r"edited\.json: model 'left_lane': field 'w' is not an array of numbers"
-        ):
+    @pytest.mark.parametrize("field, value", [
+        ("states", "2"), ("states", True), ("states", 0), ("input_x", 2.0), ("input_z", -3), ("input_z", None),
+    ])
+    def test_bad_size_names_file_and_field(self, tmp_path, hmm_doc, field, value):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.update({field: value}))
+        with pytest.raises(DataFormatError, match=rf"edited\.json: field '{field}' must be an integer of at "
+                                                  rf"least 1, got {value!r}$"):
             load_model(path)
 
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("sigma", encode_array(np.zeros((1, 1, 1))), r"sigma has shape \(1, 1, 1\), expected \(2, 3, 3\)"),
-            ("b", encode_array([[0.0, 0.0, 0.0]]), r"b has shape \(1, 3\), expected \(2, 3\)"),
-            ("mu", encode_array([1.0, 2.0]), r"mu and a must be 2-D"),
-            ("pi", encode_array([1.5, -0.5]), r"pi must be a distribution"),
-            ("sigma", encode_array(-np.ones((2, 3, 3))), r"sigma\[0\] is not positive definite"),
-            ("variant", "lstm", r"unknown variant 'lstm'"),
-        ],
-    )
-    def test_invalid_field_names_file_and_class(self, tmp_path, hmm_doc, field, value, message):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"]["straight"].update({field: value}))
-        with pytest.raises(DataFormatError, match=r"edited\.json: model 'straight': " + message):
+    # A declared size whose arrays would not fit in memory is refused by the
+    # length check on the small theta, which allocates nothing; so is one size
+    # more, or a variant of another transition width.
+    @pytest.mark.parametrize("field, value, want", [
+        ("states", 10**8, 60000005400000003), ("input_z", 10**12, 6000000000012000000000045),
+        ("input_x", 10**6, 18000099), ("states", 3, 219), ("input_z", 4, 189), ("variant", "hmm", 123),
+    ], ids=["huge-states", "huge-input-z", "huge-input-x", "states-plus-one", "input-z-plus-one", "hmm-variant"])
+    def test_declared_sizes_refused_before_allocation(self, tmp_path, hmm_doc, field, value, want):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.update({field: value}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' does not fit the declared sizes "
+                                                      rf"\(theta must be a vector of {want} entries, got shape "
+                                                      r"\(135,\)\)$"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("edit, message", [
+        (theta_edit("straight", "sigma", -np.ones((2, 3, 3))),
+         r"model 'straight': sigma\[0\] is not positive definite"),
+        (theta_edit("right_lane", "pi", [1.5, -0.5]), r"model 'right_lane': pi must be a distribution over states"),
+        (lambda p: p.update(variant="io"), r"model 'left_lane': variant 'io' requires b = 0"),
+        (lambda p: p.update(variant="lstm"), r"unknown variant 'lstm'"),
+        (lambda p: p.update(variant=["aio"]), r"unknown variant \['aio'\]"),
+    ], ids=["sigma", "pi", "io-variant", "unknown-variant", "variant-not-a-string"])
+    def test_invalid_class_names_file_and_event(self, tmp_path, hmm_doc, edit, message):
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, edit)
+        with pytest.raises(DataFormatError, match=r"edited\.json: " + message + "$"):
             load_model(path)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p.pop("events"), r"bad 'events' entry \(KeyError"),
-            (lambda p: p.update(events=["straight", "left_lane"]), r"bad 'events' entry .*must be the last"),
+            (lambda p: p.update(events=["straight", "left_lane", "right_lane"]),
+             r"bad 'events' entry .*must be the last"),
             (lambda p: p.update(events=7), r"bad 'events' entry \(TypeError"),
             (lambda p: p.update(events=[]), r"bad 'events' entry .*must be the last"),
-            (lambda p: p.update(prior=["a", "b", "c"]), r"bad 'prior' entry"),
-            (lambda p: p.update(prior=["0.25", "0.25", "0.5"]), r"bad 'prior' entry"),
-            (lambda p: p.update(prior=[0.25, 0.25, 0.5]), r"bad 'prior' entry"),
-            (lambda p: p.update(prior=encode_array([0.5, 0.5])), r"'prior' must be a distribution over the 3 events"),
-            (lambda p: p.update(prior=encode_array([0.5, float("nan"), 0.5])), r"'prior' must be a distribution"),
-            (lambda p: p.update(models=[]), r"'models' must be an object keyed by event"),
-            (lambda p: p["models"].pop("right_lane"), r"'models' has no model for events \['right_lane'\]"),
-            (lambda p: p["models"].update(right_lane=[1, 2]), r"model 'right_lane' must be an object"),
-            (lambda p: p["models"].update(bogus=p["models"]["straight"]),
-             r"'models' has models for keys outside the events \['bogus'\]"),
-            (lambda p: p.update(prior=encode_array([1.5, -0.5, 0.0])),
-             r"'prior' must be a distribution over the 3 events"),
+            (lambda p: p.update(events=["left_lane", "left_lane", "straight"]),
+             r"bad 'events' entry .*duplicate event labels"),
+            (lambda p: p.update(events=["left_lane", "straight"]),
+             r"field 'theta' does not fit the declared sizes \(theta must be a vector of 90 entries"),
+            (theta_edit(None, "prior", [0.5, 0.5, 0.5]), r"'prior' must be a distribution over the 3 events$"),
+            (theta_edit(None, "prior", [1.5, -0.5, 0.0]), r"'prior' must be a distribution over the 3 events$"),
         ],
-        ids=["no-events", "straight-not-last", "events-not-a-list", "no-event", "prior-not-numbers",
-             "prior-numeric-strings", "prior-as-a-list", "prior-misshaped", "prior-nan", "models-not-an-object",
-             "model-missing", "model-not-an-object", "stray-model-key", "prior-negative"],
+        ids=["straight-not-last", "events-not-a-list", "no-event", "duplicate-event", "event-dropped",
+             "prior-sum", "prior-negative"],
     )
     def test_bad_ensemble_entry_names_file(self, tmp_path, hmm_doc, edit, message):
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
             load_model(edited_hmm_checkpoint(tmp_path, hmm_doc, edit))
 
     def test_models_with_different_sizes_rejected(self, tmp_path, hmm_doc):
-        other = random_model(make_rng(31), 2, 4, 2)
-        entry = {"variant": "aio", **{k: encode_array(getattr(other, k)) for k in AIOHMM_ARRAYS}}
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p["models"].update(straight=entry))
-        with pytest.raises(DataFormatError, match=r"edited\.json: models disagree on their \(x, z\) sizes"):
+        # An ensemble built in code refuses a class of another z size; a
+        # checkpoint can only declare one, so one that does not fit is refused.
+        rng = make_rng(31)
+        models = {e: random_model(rng, 2, 3, 2) for e in HMM_EVENTS}
+        with pytest.raises(ValueError, match=r"models disagree on their \(x, z\) sizes \[\(2, 3\), \(2, 4\)\]"):
+            AioHmmEnsemble(events=HMM_EVENTS, models={**models, "straight": random_model(rng, 2, 4, 2)})
+        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.update(input_z=4))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' does not fit the declared sizes"):
             load_model(path)
 
     def test_only_bad_covariance_is_named(self, tmp_path):
@@ -713,20 +778,19 @@ FUSION_PATHS = [
     ("params", "events"), ("params", "events", 2), ("params", "events", 4), ("params", "theta"),
     ("params", "theta", "shape"), ("params", "theta", "shape", 0), ("params", "theta", "float64"),
 ]
-HMM_MODEL = ("params", "models", "right_lane")
 HMM_PATHS = [
     (), ("kind",), ("params",), ("params", "events"), ("params", "events", 1), ("params", "events", 2),
-    ("params", "prior"), ("params", "prior", "shape"), ("params", "prior", "float64"), ("params", "models"),
-    ("params", "models", "straight"), HMM_MODEL + ("variant",), HMM_MODEL + ("mu",), HMM_MODEL + ("mu", "shape", 1),
-    HMM_MODEL + ("a", "float64"), HMM_MODEL + ("b",), HMM_MODEL + ("b", "shape"), HMM_MODEL + ("sigma",),
-    HMM_MODEL + ("sigma", "float64"), HMM_MODEL + ("sigma", "shape", 2), HMM_MODEL + ("w",),
-    HMM_MODEL + ("w", "float64"), HMM_MODEL + ("pi",), HMM_MODEL + ("pi", "float64"),
+    ("params", "variant"), ("params", "states"), ("params", "input_x"), ("params", "input_z"),
+    ("params", "theta"), ("params", "theta", "shape"), ("params", "theta", "shape", 0),
+    ("params", "theta", "float64"),
 ]
-# Declared network sizes and array shape entries get small values, values of
-# the wrong type, and huge values whose parameter vector would not fit in
-# memory.  Payloads are hex of whole doubles, any bits and any count, so
-# some match their shape and hold NaN, Inf, subnormal or huge values.
-SIZE_FIELDS = ("input_x", "input_z", "hidden")
+# Declared sizes and array shape entries get small values, values of the
+# wrong type, and huge values whose parameters would not fit in memory.
+# Payloads are hex of whole doubles, any bits and any count, so some match
+# their shape and hold NaN, Inf, subnormal or huge values; or the file's own
+# payload with a run of its doubles overwritten, so that the per-class checks
+# see covariances, initial distributions and priors of any value.
+SIZE_FIELDS = ("input_x", "input_z", "hidden", "states")
 SIZES = st.integers(-2, 10) | st.sampled_from(
     [None, True, 2.0, "2", [2], 10**8, 10**12, 1e8, 1e12, -(10**12)]
 )
@@ -735,8 +799,17 @@ PAYLOADS = st.integers(0, 16).flatmap(lambda n: st.binary(min_size=8 * n, max_si
 )
 
 
+def overwritten(payload: str):
+    """Strategy: the hex ``payload`` with a run of its doubles overwritten
+    by one of PAYLOADS, its length kept."""
+    n = len(payload) // 16
+    return st.tuples(st.integers(0, n - 1), PAYLOADS).map(
+        lambda cut: (payload[: 16 * cut[0]] + cut[1] + payload[16 * cut[0] + len(cut[1]):])[: 16 * n]
+    )
+
+
 @st.composite
-def checkpoint_mutations(draw, paths):
+def checkpoint_mutations(draw, doc, paths):
     where = draw(st.sampled_from(paths))
     key = where[-1] if where else None
     if key in SIZE_FIELDS or "shape" in where[-2:-1]:
@@ -744,7 +817,9 @@ def checkpoint_mutations(draw, paths):
     elif key == "shape":
         values = st.lists(SIZES, max_size=3) | JSON_VALUES
     elif key == "float64":
-        values = PAYLOADS | JSON_VALUES
+        values = overwritten(doc["params"]["theta"]["float64"]) | PAYLOADS | JSON_VALUES
+    elif key == "variant":
+        values = st.sampled_from(VARIANTS) | JSON_VALUES
     else:
         values = JSON_VALUES
     return where, draw(values), draw(st.booleans())
@@ -763,22 +838,22 @@ def load_mutated_checkpoint(doc):
     if isinstance(model, FusionRnnModel):
         arrays = [model.theta]
     else:
-        arrays = [model.prior] + [getattr(m, f) for m in model.models.values() for f in AIOHMM_ARRAYS]
+        arrays = [model.prior] + [getattr(m, f) for m in model.models.values() for f in AIOHMM_FIELDS]
     for arr in arrays:
         assert arr.dtype == np.float64 and np.all(np.isfinite(arr))
     validate_events(model.events)
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutation=checkpoint_mutations(FUSION_PATHS))
+@given(mutation=checkpoint_mutations(FUSION_DOC, FUSION_PATHS))
 def test_mutated_fusion_checkpoint_loads_or_raises_data_format_error(mutation):
     load_mutated_checkpoint(mutated(FUSION_DOC, *mutation))
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutation=checkpoint_mutations(HMM_PATHS))
-def test_mutated_aiohmm_checkpoint_loads_or_raises_data_format_error(hmm_doc, mutation):
-    load_mutated_checkpoint(mutated(hmm_doc, *mutation))
+@given(data=st.data())
+def test_mutated_aiohmm_checkpoint_loads_or_raises_data_format_error(hmm_doc, data):
+    load_mutated_checkpoint(mutated(hmm_doc, *data.draw(checkpoint_mutations(hmm_doc, HMM_PATHS))))
 
 
 def test_train_config_round_trips_through_checkpoint(tmp_path):
