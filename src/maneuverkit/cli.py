@@ -38,6 +38,7 @@ HMM_ARCHS = {
 NETWORK_FLAGS = {"hidden": 64, "epochs": 10, "lr": 1e-4, "augment_factor": 1.0}  # read by the networks only
 HMM_FLAGS = {"states": 3, "em_iters": 30}  # and by the latent-state archs only, each at its default
 GRADCHECK_HIDDEN = 6  # hidden size of the network gradcheck draws
+DEFAULT_GRID = tuple(round(0.1 * i, 2) for i in range(2, 10))  # the thresholds sweep and xval try
 
 
 def _resolve_data(path: str) -> Path:
@@ -537,14 +538,14 @@ def _anticipate_args(p: argparse.ArgumentParser) -> None:
 def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--grid", type=_grid, default=[round(0.1 * i, 2) for i in range(2, 10)])
+    p.add_argument("--grid", type=_grid, default=DEFAULT_GRID)
     p.add_argument("--out", help="write a JSON report")
 
 
 def _xval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--grid", type=_grid, default=[round(0.1 * i, 2) for i in range(2, 10)])
+    p.add_argument("--grid", type=_grid, default=DEFAULT_GRID)
     p.add_argument("--out", help="write a JSON report")
     _add_train_flags(p)
 

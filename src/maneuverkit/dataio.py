@@ -1,38 +1,40 @@
-"""On-disk formats: JSONL datasets, JSON model checkpoints, JSON reports.
+"""On-disk formats: JSONL datasets, model checkpoints, JSON reports.
 
 Datasets are one JSON object per line:
 
     {"id": "...", "label": "left_lane", "steps": [{"x": [6 numbers],
      "z": [9 or 12 numbers]}, ...], "meta": {...}}
 
-Checkpoints are a single versioned JSON document:
+Checkpoints are one line of JSON, the header, then the parameters' raw
+bytes:
 
-    {"format_version": 5, "kind": "fusion_rnn" | "aio_hmm",
-     "config": {...}, "params": {...}}
+    {"format_version": 6, "kind": "fusion_rnn" | "aio_hmm", "config": {...}, "params": {...}}
+    <8 * len(theta) bytes>
 
-Sizes, events and config stay plain JSON.  A model's parameters are one
-vector ``theta``, stored as ``{"shape": [n], "float64": "<hex>"}``: its
-little-endian IEEE-754 doubles, two lowercase hex digits per byte, without
-whitespace.  The bytes are the doubles themselves, so save/load round trips
-are bit-exact; hex takes 1.5 times the characters of base64 but decodes
-several times faster.  A fusion network's ``params`` hold ``arch``,
-``input_x``, ``input_z``, ``hidden``, ``events`` and ``theta``, whose order
-is the layout of :class:`~maneuverkit.fusion_rnn.FusionRnnModel` (the order
-of :func:`~maneuverkit.fusion_rnn.param_blocks`).  An AIO-HMM ensemble's
-hold ``variant``, ``states``, ``input_x``, ``input_z``, ``events`` and
-``theta``: the class prior (one value per event), then, for each event in
+The header is ASCII without a newline, so ``head -n 1`` shows the sizes,
+events and config.  A model's parameters are one vector ``theta``, written
+after the header as little-endian IEEE-754 doubles in C order: the bytes are
+the doubles themselves, so save/load round trips are bit-exact.  A fusion
+network's ``params`` hold ``arch``, ``input_x``, ``input_z``, ``hidden`` and
+``events``; its ``theta`` runs in the layout of
+:class:`~maneuverkit.fusion_rnn.FusionRnnModel` (the order of
+:func:`~maneuverkit.fusion_rnn.param_blocks`).  An AIO-HMM ensemble's hold
+``variant``, ``states``, ``input_x``, ``input_z`` and ``events``; its
+``theta`` is the class prior (one value per event), then, for each event in
 ``events`` order, its ``mu``, ``a``, ``b``, ``sigma``, ``w`` and ``pi``, each
 in C order with the shapes of :func:`~maneuverkit.aiohmm.param_shapes`.
 Every class shares the one variant and the declared sizes, as the ensemble
-requires.  A ``theta`` whose length is not the one the declared sizes lay
-out is refused before anything is allocated.  NaN or Inf anywhere in a
-model is a save-time error, and a load-time one.  A checkpoint of any other
-``format_version`` is refused.
+requires.  A header key the loader does not read is refused.  A payload
+that is not a whole number of doubles is refused, and so is a ``theta``
+whose length is not the one the declared sizes lay out, before anything is
+allocated.  NaN or Inf anywhere in a model is a save-time error, and a
+load-time one.  A checkpoint of any other ``format_version``, including
+every older file (a single indented JSON document), is refused with a
+message to retrain.
 """
 
 from __future__ import annotations
 
-import binascii
 import json
 import math
 from pathlib import Path
@@ -44,7 +46,7 @@ from .events import EVENTS, validate_events
 from .fusion_rnn import ARCH_CONCAT, ARCH_FUSION, FusionRnnModel
 from .synth import SequenceSample
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 KIND_FUSION = "fusion_rnn"
 KIND_AIOHMM = "aio_hmm"
 
@@ -182,48 +184,6 @@ def parse_vector(value, field: str, sizes: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def encode_array(array) -> dict:
-    """``array`` as a checkpoint entry: its shape, and its little-endian
-    float64 values in C order as one lowercase hex string."""
-    array = np.asarray(array, "<f8")
-    return {"shape": list(array.shape), "float64": array.tobytes().hex()}
-
-
-def _json_type(value) -> str:
-    return {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-            type(None): "null"}.get(type(value), "a number")
-
-
-def decode_array(value) -> np.ndarray:
-    """The writable float64 array that an :func:`encode_array` entry holds.
-    Anything else raises a ValueError that says why.  The payload's byte
-    count must equal 8 times the product of the shape's non-negative integer
-    entries before anything is reshaped, so a huge declared shape allocates
-    nothing."""
-    if not isinstance(value, dict):
-        raise ValueError(f"entry is {_json_type(value)}, not an object with keys 'float64' and 'shape'")
-    if value.keys() != {"shape", "float64"}:
-        raise ValueError(f"entry has keys {sorted(value)}, expected ['float64', 'shape']")
-    shape, payload = value["shape"], value["float64"]
-    if not isinstance(shape, list):
-        raise ValueError(f"shape is {_json_type(shape)}, not an array")
-    for n in shape:
-        if type(n) is not int or n < 0:
-            raise ValueError(f"shape entry {n!r} is not a non-negative integer")
-    if not isinstance(payload, str):
-        raise ValueError(f"payload is {_json_type(payload)}, not a hex string")
-    try:
-        raw = binascii.unhexlify(payload)  # refuses whitespace, an odd length and non-hex digits
-    except ValueError as err:
-        raise ValueError(f"payload is not hex ({err})") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"payload holds {len(raw)} bytes; shape {shape} needs {8 * math.prod(shape)}")
-    try:
-        return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
-    except ValueError as err:  # more axes or elements than NumPy holds
-        raise ValueError(f"shape {shape} is not one NumPy holds ({err})") from None
-
-
 def _read_json(path: Path):
     """The JSON document in ``path``; a file that is not UTF-8 text or not
     JSON raises DataFormatError naming it."""
@@ -233,6 +193,13 @@ def _read_json(path: Path):
         raise DataFormatError(f"{path}: not UTF-8 text ({err})") from None
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{path}: malformed JSON ({err})") from None
+
+
+HEADER_FIELDS = {"format_version", "kind", "config", "params"}
+PARAM_FIELDS = {
+    KIND_FUSION: {"arch", "input_x", "input_z", "hidden", "events"},
+    KIND_AIOHMM: {"variant", "states", "input_x", "input_z", "events"},
+}
 
 
 def save_model(model, config: dict, path: str | Path) -> None:
@@ -251,42 +218,55 @@ def save_model(model, config: dict, path: str | Path) -> None:
         raise TypeError(f"cannot checkpoint object of type {type(model).__name__}")
     if not np.isfinite(theta).all():
         raise DataFormatError("refusing to save non-finite parameters in theta")
-    params.update(events=list(model.events), theta=encode_array(theta))
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, "config": config, "params": params}
-    Path(path).write_text(json.dumps(doc, allow_nan=False, indent=1) + "\n", encoding="utf-8")
+    params["events"] = list(model.events)
+    header = {"format_version": FORMAT_VERSION, "kind": kind, "config": config, "params": params}
+    Path(path).write_bytes(json.dumps(header, allow_nan=False).encode("ascii") + b"\n"
+                           + np.asarray(theta, "<f8").tobytes())
 
 
 def load_model(path: str | Path):
     """Read a checkpoint; returns (model, kind, config)."""
     path = Path(path)
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: a checkpoint must be a JSON object")
-    version = doc.get("format_version")
+    line, _, payload = path.read_bytes().partition(b"\n")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path}: not UTF-8 text ({err})") from None
+    except json.JSONDecodeError:  # an older checkpoint's first line, "{", or no checkpoint at all
+        header = None
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise DataFormatError(
             f"{path}: checkpoint format_version {version!r} cannot be read; this build reads "
             f"format_version {FORMAT_VERSION} only, so retrain the model to write one"
         )
-    kind = doc.get("kind")
-    config = doc.get("config", {})
+    _refuse_unexpected(header, HEADER_FIELDS, path)
+    kind = header.get("kind")
     if kind not in (KIND_FUSION, KIND_AIOHMM):
         raise DataFormatError(f"{path}: unknown checkpoint kind {kind!r}")
-    params = doc.get("params")
+    params = header.get("params")
     if not isinstance(params, dict):
         raise DataFormatError(f"{path}: field 'params' must be an object")
-    if kind == KIND_FUSION:
-        return _fusion_from_dict(params, path), kind, config
-    return _ensemble_from_dict(params, path), kind, config
+    _refuse_unexpected(params, PARAM_FIELDS[kind], path)
+    build = _fusion_from_dict if kind == KIND_FUSION else _ensemble_from_dict
+    return build(params, payload, path), kind, header.get("config", {})
 
 
-def _read_params(d: dict, path: Path, what: str, size_fields: tuple[str, ...]):
+def _refuse_unexpected(d: dict, fields: set, path: Path) -> None:
+    """Refuse a key the loader would not read, so a stray field cannot pass."""
+    unexpected = sorted(d.keys() - fields)
+    if unexpected:
+        raise DataFormatError(f"{path}: unexpected field {unexpected[0]!r}")
+
+
+def _read_params(d: dict, payload: bytes, path: Path, what: str, size_fields: tuple[str, ...]):
     """A checkpoint's events, its declared sizes ``size_fields`` (each an
-    integer of at least 1) by name, and its finite ``theta``.
+    integer of at least 1) by name, and its finite ``theta``, read from the
+    raw little-endian doubles of ``payload``.
 
-    :func:`decode_array` bounds ``theta`` by the bytes the file holds, and
-    each caller checks its length against the layout of the declared sizes
-    before it allocates anything, so a huge declared size costs nothing.
+    ``theta`` is bounded by the bytes the file holds, and each caller checks
+    its length against the layout of the declared sizes before it allocates
+    anything, so a huge declared size costs nothing.
     """
     try:
         events = tuple(d["events"])
@@ -294,7 +274,6 @@ def _read_params(d: dict, path: Path, what: str, size_fields: tuple[str, ...]):
     except (KeyError, TypeError, ValueError) as err:
         raise DataFormatError(f"{path}: bad 'events' entry ({err!r})") from None
     try:
-        entry = d["theta"]
         sizes = {name: d[name] for name in size_fields}
     except KeyError as err:
         raise DataFormatError(f"{path}: bad {what} description ({err!r})") from None
@@ -303,18 +282,18 @@ def _read_params(d: dict, path: Path, what: str, size_fields: tuple[str, ...]):
             raise DataFormatError(
                 f"{path}: field {name!r} must be an integer of at least 1, got {value!r}"
             )
-    try:
-        theta = decode_array(entry)
-    except ValueError as err:
-        raise DataFormatError(f"{path}: field 'theta' is not an array of numbers ({err})") from None
+    if len(payload) % 8:
+        raise DataFormatError(f"{path}: field 'theta' is not a whole number of doubles "
+                              f"(the payload holds {len(payload)} bytes)")
+    theta = np.frombuffer(payload, "<f8").astype(np.float64)  # a writable native copy
     if not np.isfinite(theta).all():
         raise DataFormatError(f"{path}: field 'theta' contains non-finite values")
     return events, sizes, theta
 
 
-def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
+def _fusion_from_dict(d: dict, payload: bytes, path: Path) -> FusionRnnModel:
     """Build the network around ``theta``; the model checks its length."""
-    events, sizes, theta = _read_params(d, path, "fusion network", ("input_x", "input_z", "hidden"))
+    events, sizes, theta = _read_params(d, payload, path, "fusion network", ("input_x", "input_z", "hidden"))
     arch = d.get("arch")
     if arch not in (ARCH_FUSION, ARCH_CONCAT):
         raise DataFormatError(f"{path}: unknown arch {arch!r}")
@@ -324,10 +303,10 @@ def _fusion_from_dict(d: dict, path: Path) -> FusionRnnModel:
         raise DataFormatError(f"{path}: field 'theta' does not fit the declared sizes ({err})") from None
 
 
-def _ensemble_from_dict(d: dict, path: Path) -> AioHmmEnsemble:
+def _ensemble_from_dict(d: dict, payload: bytes, path: Path) -> AioHmmEnsemble:
     """Cut ``theta`` into the prior and each class's arrays, as views, once
     its length fits the declared sizes; a fault in a class names it."""
-    events, sizes, theta = _read_params(d, path, "AIO-HMM ensemble", ("states", "input_x", "input_z"))
+    events, sizes, theta = _read_params(d, payload, path, "AIO-HMM ensemble", ("states", "input_x", "input_z"))
     variant = d.get("variant")
     try:
         shapes = param_shapes(variant, sizes["states"], sizes["input_x"], sizes["input_z"])

@@ -32,6 +32,7 @@ from maneuverkit.metrics import SWEEP_BLOCK
 from maneuverkit.numerics import make_rng, pad_sequences, softmax
 
 from test_aiohmm import random_model
+from test_dataio import read_checkpoint, write_checkpoint
 
 
 def stepwise_trajectory(
@@ -461,9 +462,9 @@ class TestPredictors:
 
         path = tmp_path / "mixed.json"
         save_model(ens, {}, path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["params"].update(declared)
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        header, theta = read_checkpoint(path)
+        header["params"].update(declared)
+        write_checkpoint(path, header, theta)
         with pytest.raises(DataFormatError, match=r"mixed\.json: " + refusal + "$"):
             load_model(path)
 

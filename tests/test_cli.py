@@ -10,10 +10,12 @@ import pytest
 from maneuverkit import aiohmm, training
 from maneuverkit.anticipation import FusionRnnPredictor
 from maneuverkit.cli import COMMANDS, build_parser, main, train_model
-from maneuverkit.dataio import encode_array, load_dataset, load_model, save_dataset
+from maneuverkit.dataio import load_dataset, load_model, save_dataset
 from maneuverkit.synth import ScenarioConfig, generate, split_folds
 
-from test_dataio import set_entry, theta_edit
+from test_dataio import (
+    cut_payload, edited_checkpoint, read_checkpoint, theta_edit, theta_set, write_checkpoint, write_edited,
+)
 
 
 def run(argv, capsys):
@@ -464,15 +466,15 @@ def test_zero_class_prior_streams_and_evaluates_without_warnings(
 ):
     # A valid checkpoint whose last three classes have prior 0: they get
     # probability exactly 0, are never committed to, and nothing warns.
-    doc = json.loads(hmm_checkpoint.read_text())
-    theta_edit(None, "prior", [0.5, 0.5, 0.0, 0.0, 0.0])(doc["params"])
+    header, theta = read_checkpoint(hmm_checkpoint)
+    theta_edit(None, "prior", [0.5, 0.5, 0.0, 0.0, 0.0])(header["params"], theta)
     model = tmp_path / "zero_prior.json"
-    model.write_text(json.dumps(doc))
+    write_checkpoint(model, header, theta)
     data = hmm_checkpoint.parent / "d.jsonl"
     steps = [json.dumps(step) for step in json.loads(data.read_text().splitlines()[0])["steps"]]
     code, records = stream(model, steps, monkeypatch, capsys)
     assert code == 0 and len(records) == len(steps)
-    zeroed = doc["params"]["events"][2:]
+    zeroed = header["params"]["events"][2:]
     for record in records:
         assert all(record["probs"][e] == 0.0 for e in zeroed)
         assert record.get("commit", {}).get("event") not in zeroed
@@ -632,23 +634,21 @@ class TestStreamRecords:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p.pop("theta"), "bad fusion network description (KeyError('theta'))"),
-            (lambda p: p.update(theta=encode_array([[0.5]])),
+            (lambda p, t: t[:0], "field 'theta' does not fit the declared sizes (theta must be a contiguous "
+                                 "float64 vector of 205 entries, got float64 (0,))"),
+            (lambda p, t: t[:1],
              "field 'theta' does not fit the declared sizes (theta must be a contiguous float64 vector "
-             "of 205 entries, got float64 (1, 1))"),
-            (lambda p: set_entry(p, "theta", (204,), float("nan")), "field 'theta' contains non-finite values"),
-            (lambda p: p["theta"].update(float64=p["theta"]["float64"][:-4]),
-             "field 'theta' is not an array of numbers"),
+             "of 205 entries, got float64 (1,))"),
+            (theta_set(204, float("nan")), "field 'theta' contains non-finite values"),
+            (cut_payload(2), "field 'theta' is not a whole number of doubles (the payload holds 1638 bytes)"),
+            (lambda p, t: p.update(theta=[0.5]), "unexpected field 'theta'"),
         ],
-        ids=["missing", "misshaped", "nan", "cut-payload"],
+        ids=["empty-payload", "misshaped", "nan", "cut-payload", "theta-in-header"],
     )
     def test_bad_fusion_checkpoint_stops_with_located_error(
         self, tmp_path, monkeypatch, capsys, caplog, edit, message
     ):
-        doc = json.loads((Path(__file__).parent / "data" / "fusion_h2.json").read_text(encoding="utf-8"))
-        edit(doc["params"])
-        m = tmp_path / "edited.json"
-        m.write_text(json.dumps(doc), encoding="utf-8")
+        m = edited_checkpoint(tmp_path, edit)
         code, records = stream(m, [json.dumps(STEP)], monkeypatch, capsys)
         assert code == 1
         assert records == []
@@ -660,18 +660,16 @@ class TestStreamRecords:
             (theta_edit("left_turn", "mu", np.full((2, 9), np.nan)), "field 'theta' contains non-finite values"),
             (theta_edit("left_turn", "sigma", -np.ones((2, 9, 9))),
              "model 'left_turn': sigma[0] is not positive definite"),
-            (lambda p: p.pop("theta"), "bad AIO-HMM ensemble description (KeyError('theta'))"),
-            (lambda p: p.update(states=3), "field 'theta' does not fit the declared sizes"),
+            (lambda p, t: t[:0], "field 'theta' does not fit the declared sizes"),
+            (lambda p, t: p.update(states=3), "field 'theta' does not fit the declared sizes"),
+            (lambda p, t: p.update(prior=[0.5, 0.5, 0.0, 0.0, 0.0]), "unexpected field 'prior'"),
         ],
-        ids=["nan", "sigma", "missing", "states-plus-one"],
+        ids=["nan", "sigma", "empty-payload", "states-plus-one", "prior-in-header"],
     )
     def test_bad_hmm_checkpoint_stops_with_located_error(
         self, hmm_checkpoint, tmp_path, monkeypatch, capsys, caplog, edit, message
     ):
-        doc = json.loads(hmm_checkpoint.read_text(encoding="utf-8"))
-        edit(doc["params"])
-        m = tmp_path / "edited.json"
-        m.write_text(json.dumps(doc), encoding="utf-8")
+        m = write_edited(tmp_path, *read_checkpoint(hmm_checkpoint), edit)
         code, records = stream(m, [json.dumps(STEP)], monkeypatch, capsys)
         assert code == 1
         assert records == []

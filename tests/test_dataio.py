@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis.extra import numpy as hnp
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maneuverkit.aiohmm import VARIANTS, AioHmmEnsemble, param_shapes
@@ -19,8 +18,6 @@ from maneuverkit.dataio import (
     FORMAT_VERSION,
     KIND_AIOHMM,
     DataFormatError,
-    decode_array,
-    encode_array,
     load_dataset,
     load_model,
     load_report,
@@ -216,6 +213,25 @@ def test_mutated_dataset_line_loads_or_raises_data_format_error(where, value, de
             pass
 
 
+def read_checkpoint(path) -> tuple[dict, np.ndarray]:
+    """A checkpoint file's parsed header line and its payload as a writable
+    float64 ``theta``."""
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    return json.loads(line), np.frombuffer(payload, "<f8").copy()
+
+
+def write_checkpoint(path, header, theta) -> None:
+    """Write ``header`` as one JSON line, then ``theta`` as little-endian
+    doubles; ``theta`` may also be the raw payload bytes, whole doubles or not."""
+    payload = theta if isinstance(theta, bytes) else np.asarray(theta, "<f8").tobytes()
+    Path(path).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+
+
+def retrain_message(path, version) -> str:
+    return (f"{path}: checkpoint format_version {version!r} cannot be read; this build reads "
+            "format_version 6 only, so retrain the model to write one")
+
+
 class TestCheckpoints:
     def test_fusion_round_trip_bit_exact(self, tmp_path):
         model = init_fusion_model("fusion", 6, 9, 7, EVENTS, make_rng(3))
@@ -248,6 +264,25 @@ class TestCheckpoints:
                     getattr(loaded.models[name], field), getattr(ens.models[name], field)
                 )
 
+    @pytest.mark.parametrize("name, params", [
+        ("fusion_h2", ["arch", "input_x", "input_z", "hidden", "events"]),
+        ("aiohmm_s2", ["variant", "states", "input_x", "input_z", "events"]),
+    ], ids=["fusion", "aiohmm"])
+    def test_file_is_one_ascii_header_line_then_theta_bytes(self, tmp_path, name, params):
+        model, _, config = load_model(DATA / f"{name}.json")
+        path = tmp_path / "m.json"
+        save_model(model, config, path)
+        line, newline, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(line.decode("ascii"))
+        assert newline == b"\n" and list(header) == ["format_version", "kind", "config", "params"]
+        assert header["format_version"] == FORMAT_VERSION == 6 and list(header["params"]) == params
+        theta = model.theta if isinstance(model, FusionRnnModel) else np.concatenate(
+            [model.prior] + [getattr(model.models[e], f).ravel() for e in model.events for f in AIOHMM_FIELDS])
+        assert payload == theta.astype("<f8").tobytes() and len(payload) == 8 * len(theta)
+        loaded, _, _ = load_model(path)
+        arrays = [loaded.theta] if isinstance(loaded, FusionRnnModel) else [loaded.prior]
+        assert all(a.dtype == np.float64 and a.dtype.isnative and a.flags.writeable for a in arrays)
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_ensemble_theta_is_the_prior_then_each_class_in_event_order(self, tmp_path, variant):
         rng = make_rng(7)
@@ -256,11 +291,12 @@ class TestCheckpoints:
         prior = np.array([0.5, 0.3, 0.2])
         path = tmp_path / "e.json"
         save_model(AioHmmEnsemble(events=events, models=models, prior=prior), {}, path)
-        params = json.loads(path.read_text(encoding="utf-8"))["params"]
+        header, theta = read_checkpoint(path)
+        params = header["params"]
         want = np.concatenate([prior] + [getattr(models[e], f).ravel() for e in events for f in AIOHMM_FIELDS])
-        assert list(params) == ["variant", "states", "input_x", "input_z", "events", "theta"]
+        assert list(params) == ["variant", "states", "input_x", "input_z", "events"]
         assert params["variant"] == variant and (params["states"], params["input_x"], params["input_z"]) == (3, 2, 4)
-        assert params["events"] == list(events) and params["theta"] == encode_array(want)
+        assert params["events"] == list(events) and theta.tobytes() == want.tobytes()
 
     def test_ensemble_with_a_list_prior_saves(self, tmp_path):
         rng = make_rng(6)
@@ -291,27 +327,46 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataFormatError) as err:
             load_model(path)
-        assert str(err.value) == (
-            f"{path}: checkpoint format_version 1 cannot be read; this build reads "
-            "format_version 5 only, so retrain the model to write one"
-        )
+        assert str(err.value) == retrain_message(path, 1)
 
     # format 2 stored a fusion network's theta as per-gate blocks, format 3
-    # stored every parameter payload as base64, and format 4 stored each
-    # AIO-HMM class as its own object of six arrays
-    @pytest.mark.parametrize("version", [2, 3, 4])
+    # stored every parameter payload as base64, format 4 stored each AIO-HMM
+    # class as its own object of six arrays, and format 5 stored theta as hex
+    # inside the JSON document
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("name", ["fusion_h2", "aiohmm_s2"])
     def test_older_format_refused_with_the_reason(self, tmp_path, name, version):
-        doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
-        doc["format_version"] = version
+        header, theta = read_checkpoint(DATA / f"{name}.json")
+        header["format_version"] = version
         path = tmp_path / "old.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        write_checkpoint(path, header, theta)
         with pytest.raises(DataFormatError) as err:
             load_model(path)
-        assert str(err.value) == (
-            f"{path}: checkpoint format_version {version} cannot be read; this build reads "
-            "format_version 5 only, so retrain the model to write one"
-        )
+        assert str(err.value) == retrain_message(path, version)
+
+    # A format-5 file is one indented JSON document, so its first line is "{";
+    # so is any file whose first line is not a JSON object.
+    @pytest.mark.parametrize("content", [
+        (DATA / "format5_fusion_h2.json").read_bytes(), b"{\n", b"[1, 2]\n", b'"fusion_rnn"\n', b"null", b"",
+    ], ids=["format-5-fixture", "open-brace", "array", "string", "null", "empty"])
+    def test_first_line_not_a_json_object_refused_with_the_reason(self, tmp_path, content):
+        path = tmp_path / "old.json"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == retrain_message(path, None)
+
+    @pytest.mark.parametrize("where", [("params", "prior"), ("params", "theta"), ("prior",), ("theta",)],
+                             ids=["params-prior", "params-theta", "top-prior", "top-theta"])
+    @pytest.mark.parametrize("name", ["fusion_h2", "aiohmm_s2"])
+    def test_unexpected_field_refused(self, tmp_path, name, where):
+        header, theta = read_checkpoint(DATA / f"{name}.json")
+        (header["params"] if where[0] == "params" else header)[where[-1]] = [0.5, 0.5, 0.0, 0.0, 0.0]
+        path = tmp_path / "stray.json"
+        write_checkpoint(path, header, theta)
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: unexpected field {where[-1]!r}"
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -349,6 +404,22 @@ class TestCheckpoints:
         np.testing.assert_array_equal(before, after)
 
 
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7e308, -1.7e308, float(np.nextafter(1.0, 2.0))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_DOUBLES),
+                       min_size=165, max_size=165))
+def test_any_finite_theta_round_trips_bit_exactly(values):
+    # 165 entries: a concat network of hidden size 2 over (6, 9) inputs
+    model = FusionRnnModel(arch="concat", events=EVENTS, input_x=6, input_z=9, hidden=2, theta=np.array(values))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        save_model(model, {}, path)
+        loaded, _, _ = load_model(path)
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+
+
 def parameter_sha256(model) -> str:
     """SHA-256 of a model's parameters as little-endian float64 bytes: a
     fusion network's theta, or an ensemble's prior, then each event's
@@ -369,91 +440,16 @@ PARAMETER_SHA256 = {
 }
 
 
-ENCODED_EDGES = np.array([-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7e308, -1.7e308, np.nextafter(1.0, 2.0)])
-
-
-class TestArrayEncoding:
-    @settings(max_examples=200, deadline=None)
-    @given(array=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
-                            elements=st.floats(width=64) | st.sampled_from(ENCODED_EDGES.tolist())))
-    @example(array=ENCODED_EDGES)
-    @example(array=np.array(-0.0))
-    @example(array=np.zeros((2, 0, 3)))
-    def test_round_trip_is_bit_exact_and_writable(self, array):
-        entry = json.loads(json.dumps(encode_array(array)))
-        assert entry["shape"] == list(array.shape)
-        assert len(entry["float64"]) == 16 * array.size and set(entry["float64"]) <= set("0123456789abcdef")
-        back = decode_array(entry)
-        assert back.dtype == np.float64 and back.dtype.isnative and back.flags.writeable
-        assert back.shape == array.shape and back.tobytes() == array.tobytes()
-
-    def test_payload_is_little_endian_doubles_in_c_order(self):
-        array = np.arange(6.0).reshape(2, 3).T
-        entry = encode_array(array)
-        raw = b"".join(struct.pack("<d", v) for v in [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
-        assert entry == {"shape": [3, 2], "float64": raw.hex()}
-
-    GOOD = encode_array(np.arange(4.0).reshape(2, 2))
-
-    @pytest.mark.parametrize("entry, reason", [
-        ({"shape": [2, 2], "float64": bytes(31).hex()}, r"payload holds 31 bytes; shape \[2, 2\] needs 32"),
-        ({"shape": [2, 2], "float64": bytes(33).hex()}, r"payload holds 33 bytes; shape \[2, 2\] needs 32"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:-4]}, r"payload holds 30 bytes; shape \[2, 2\] needs 32"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:-1]}, r"payload is not hex \(Odd-length string\)"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "g" + GOOD["float64"][21:]},
-         r"payload is not hex \(Non-hexadecimal digit found\)"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "  " + GOOD["float64"][22:]},
-         r"payload is not hex \(Non-hexadecimal digit found\)"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "\n" + GOOD["float64"][21:]},
-         r"payload is not hex \(Non-hexadecimal digit found\)"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + " " + GOOD["float64"][20:]},
-         r"payload is not hex \(Odd-length string\)"),
-        ({"shape": [2, 2], "float64": GOOD["float64"][:20] + "\u00e9" + GOOD["float64"][21:]},
-         r"payload is not hex \(string argument should contain only ASCII characters\)"),
-        ({"shape": [2, 2], "float64": GOOD["float64"], "dtype": "float64"},
-         r"entry has keys \['dtype', 'float64', 'shape'\], expected \['float64', 'shape'\]"),
-        ({"shape": [2, 2]}, r"entry has keys \['shape'\], expected \['float64', 'shape'\]"),
-        ({"float64": GOOD["float64"]}, r"entry has keys \['float64'\], expected \['float64', 'shape'\]"),
-        ({"shape": [4, True], "float64": GOOD["float64"]}, r"shape entry True is not a non-negative integer"),
-        ({"shape": [-4, -1], "float64": GOOD["float64"]}, r"shape entry -4 is not a non-negative integer"),
-        ({"shape": [-2, -2], "float64": GOOD["float64"]}, r"shape entry -2 is not a non-negative integer"),
-        ({"shape": [2, 2.0], "float64": GOOD["float64"]}, r"shape entry 2\.0 is not a non-negative integer"),
-        ({"shape": 4, "float64": GOOD["float64"]}, r"shape is a number, not an array"),
-        ({"shape": [2, 2], "float64": [GOOD["float64"]]}, r"payload is an array, not a hex string"),
-        ([[0.0, 1.0], [2.0, 3.0]], r"entry is an array, not an object with keys 'float64' and 'shape'"),
-        (None, r"entry is null, not an object with keys 'float64' and 'shape'"),
-    ], ids=["byte-short", "byte-long", "cut-4-characters", "odd-length", "non-hex-digit", "embedded-spaces",
-            "embedded-newline", "inserted-space", "non-ascii", "extra-key",
-            "no-payload", "no-shape", "bool-dimension", "negative-dimension", "negative-pair", "float-dimension",
-            "shape-not-a-list", "payload-not-a-string", "format-1-list", "null"])
-    # The product of each bad shape is 4, as many doubles as the payload holds.
-    def test_malformed_entry_refused(self, entry, reason):
-        with pytest.raises(ValueError, match=rf"^{reason}$"):
-            decode_array(entry)
-
-    @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 2**62, 4], [0, 2**63], [0, 2**40, 2**40], [0] * 65])
-    def test_overflowing_shape_refused_without_allocating(self, shape):
-        tracemalloc.start()
-        try:
-            for payload in (bytes(8).hex(), ""):
-                with pytest.raises(ValueError, match=r"^payload holds \d+ bytes; shape .* needs \d+$"
-                                                     r"|^shape .* is not one NumPy holds \(.+\)$"):
-                    decode_array({"shape": shape, "float64": payload})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-
 class TestParentCheckpoints:
     """Checkpoints written by earlier versions, converted to format 2 by
     loading each with the format-1 loader and saving it again, then to
     format 3 by joining each fusion network's per-gate blocks, in order,
     into its theta, then to format 4 by writing each base64 payload's bytes
     as hex, then to format 5 by joining an AIO-HMM ensemble's prior and each
-    class's arrays, in order, into its theta: the fusion ones from before
-    the parameters moved into one flat vector (hidden 2, one epoch on
-    `synth --n 20 --seed 4`)."""
+    class's arrays, in order, into its theta, then to format 6 by writing the
+    document without theta as one header line, followed by theta's hex
+    payload as raw bytes: the fusion ones from before the parameters moved
+    into one flat vector (hidden 2, one epoch on `synth --n 20 --seed 4`)."""
 
     @pytest.mark.parametrize("name, total", [("fusion_h2", 205), ("concat_h2", 165)])
     def test_load_and_resave_byte_identically(self, tmp_path, name, total):
@@ -462,8 +458,7 @@ class TestParentCheckpoints:
         assert parameter_sha256(model) == PARAMETER_SHA256[name]
         save_model(model, config, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == src.read_bytes()
-        theta = decode_array(json.loads(src.read_text(encoding="utf-8"))["params"]["theta"])
-        assert param_count(model)["total"] == total == theta.size
+        assert param_count(model)["total"] == total == read_checkpoint(src)[1].size
 
     def test_aiohmm_checkpoint_loads_resaves_and_streams(self, tmp_path):
         """An AIO-HMM ensemble written while the EM settings were still
@@ -484,31 +479,58 @@ class TestParentCheckpoints:
                 np.testing.assert_allclose(row, want, rtol=0, atol=1e-10)
 
 
-def set_entry(entries: dict, name: str, index: tuple, value: float) -> None:
-    """Set one value of the encoded array ``entries[name]``."""
-    array = decode_array(entries[name])
-    array[index] = value
-    entries[name] = encode_array(array)
+# A checkpoint edit is a function ``edit(params, theta)`` of the header's
+# params and a writable copy of theta; it edits them in place, or returns
+# the payload to write instead of theta (an array, or raw bytes).  Any other
+# return value, such as that of ``dict.pop``, is ignored.
 
 
-def edited_checkpoint(tmp_path, edit, name="fusion_h2") -> Path:
-    doc = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
-    edit(doc["params"])
+def write_edited(tmp_path, header, theta, edit) -> Path:
+    """Write copies of ``header`` and ``theta`` as edited by ``edit``."""
+    header, theta = copy.deepcopy(header), theta.copy()
+    payload = edit(header["params"], theta)
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    write_checkpoint(path, header, payload if isinstance(payload, (bytes, np.ndarray)) else theta)
     return path
 
 
-def theta_of(params: dict) -> np.ndarray:
-    return decode_array(params["theta"])
+def edited_checkpoint(tmp_path, edit, name="fusion_h2") -> Path:
+    return write_edited(tmp_path, *read_checkpoint(DATA / f"{name}.json"), edit)
+
+
+def theta_set(index, value):
+    """An edit that sets ``theta[index]`` to ``value``."""
+    def edit(params, theta):
+        theta[index] = value
+    return edit
+
+
+def theta_edit(event, field, value):
+    """An edit of an AIO-HMM checkpoint that sets ``field`` of ``event``'s
+    class (``"prior"`` for the prior) to ``value`` inside ``theta``, in the
+    layout of the declared sizes."""
+    def edit(params, theta):
+        events = params["events"]
+        shapes = param_shapes(params["variant"], params["states"], params["input_x"], params["input_z"])
+        counts = [math.prod(shape) for shape in shapes.values()]
+        start, count = 0, len(events)
+        if field != "prior":
+            i = AIOHMM_FIELDS.index(field)
+            start, count = len(events) + events.index(event) * sum(counts) + sum(counts[:i]), counts[i]
+        theta_set(slice(start, start + count), np.ravel(value))(params, theta)
+    return edit
+
+
+def cut_payload(n_bytes):
+    """An edit that writes theta's bytes without the last ``n_bytes``, or,
+    for a negative ``n_bytes``, with that many zero bytes more."""
+    def edit(params, theta):
+        raw = theta.tobytes()
+        return raw[:-n_bytes] if n_bytes > 0 else raw + bytes(-n_bytes)
+    return edit
 
 
 class TestFusionCheckpointErrors:
-    def test_numeric_strings_name_file_and_field(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda p: p.update(theta=[str(v) for v in theta_of(p).tolist()]))
-        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers"):
-            load_model(path)
-
     @pytest.mark.parametrize(
         "name, field, value, message",
         [
@@ -516,8 +538,6 @@ class TestFusionCheckpointErrors:
              r"bad 'events' entry .*duplicate event labels"),
             ("fusion_h2", "events", ["left_lane", "right_lane", "u_turn", "right_turn", "straight"],
              r"bad 'events' entry .*unknown event labels"),
-            ("fusion_h2", "theta", 5, r"field 'theta' is not an array of numbers "
-                                      r"\(entry is a number, not an object with keys 'float64' and 'shape'\)"),
             ("fusion_h2", "arch", "lstm", r"unknown arch 'lstm'"),
             ("concat_h2", "hidden", "abc", r"field 'hidden' must be an integer of at least 1, got 'abc'"),
             ("fusion_h2", "hidden", True, r"field 'hidden' must be an integer of at least 1, got True"),
@@ -530,11 +550,11 @@ class TestFusionCheckpointErrors:
                                              r"got float64 \(205,\)\)"),
             ("concat_h2", "input_x", False, r"field 'input_x' must be an integer of at least 1, got False"),
         ],
-        ids=["duplicate-events", "unknown-events", "theta-not-an-object", "unknown-arch",
+        ids=["duplicate-events", "unknown-events", "unknown-arch",
              "concat-string-hidden", "bool-hidden", "zero-hidden", "huge-hidden", "huge-input", "bool-input"],
     )
     def test_bad_description_names_the_file(self, tmp_path, name, field, value, message):
-        path = edited_checkpoint(tmp_path, lambda p: p.update({field: value}), name)
+        path = edited_checkpoint(tmp_path, lambda p, t: p.update({field: value}), name)
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
             load_model(path)
 
@@ -545,7 +565,7 @@ class TestFusionCheckpointErrors:
         ("arch", "fusion", 205),
     ], ids=["huge-hidden", "huge-input", "hidden-plus-one", "wrong-arch"])
     def test_declared_sizes_refused_before_allocation(self, tmp_path, field, value, want):
-        path = edited_checkpoint(tmp_path, lambda p: p.update({field: value}), "concat_h2")
+        path = edited_checkpoint(tmp_path, lambda p, t: p.update({field: value}), "concat_h2")
         tracemalloc.start()
         try:
             with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' does not fit the declared sizes "
@@ -557,18 +577,21 @@ class TestFusionCheckpointErrors:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_missing_theta_names_file_and_field(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda p: p.pop("theta"))
-        with pytest.raises(DataFormatError, match=r"edited\.json: bad fusion network description \(KeyError\('theta'\)\)$"):
+    @pytest.mark.parametrize("tail", [b"\n", b""], ids=["newline", "no-newline"])
+    def test_header_without_payload_names_file_and_field(self, tmp_path, tail):
+        path = tmp_path / "edited.json"
+        path.write_bytes((DATA / "fusion_h2.json").read_bytes().partition(b"\n")[0] + tail)
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' does not fit the declared sizes "
+                                                  r"\(theta must be a contiguous float64 vector of 205 entries, "
+                                                  r"got float64 \(0,\)\)$"):
             load_model(path)
 
-    @pytest.mark.parametrize("reshape, got", [
-        (lambda t: t.reshape(41, 5), r"\(41, 5\)"),
-        (lambda t: t[:-1], r"\(204,\)"),
-        (lambda t: np.append(t, 0.5), r"\(206,\)"),
-    ], ids=["2-d", "one-short", "one-long"])
-    def test_misshaped_theta_names_file_field_and_both_counts(self, tmp_path, reshape, got):
-        path = edited_checkpoint(tmp_path, lambda p: p.update(theta=encode_array(reshape(theta_of(p)))))
+    @pytest.mark.parametrize("edit, got", [
+        (lambda p, t: t[:-1], r"\(204,\)"),
+        (lambda p, t: np.append(t, 0.5), r"\(206,\)"),
+    ], ids=["one-short", "one-long"])
+    def test_misshaped_theta_names_file_field_and_both_counts(self, tmp_path, edit, got):
+        path = edited_checkpoint(tmp_path, edit)
         with pytest.raises(
             DataFormatError,
             match=r"edited\.json: field 'theta' does not fit the declared sizes "
@@ -578,15 +601,16 @@ class TestFusionCheckpointErrors:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_theta_names_file_and_field(self, tmp_path, value):
-        path = edited_checkpoint(tmp_path, lambda p: set_entry(p, "theta", (203,), value))
+        path = edited_checkpoint(tmp_path, theta_set(203, value))
         with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
             load_model(path)
 
-    # theta's hex payload cut by 4 characters, i.e. 2 bytes
-    def test_short_payload_names_file_and_field(self, tmp_path):
-        path = edited_checkpoint(tmp_path, lambda p: p["theta"].update(float64=p["theta"]["float64"][:-4]))
-        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers "
-                                                  r"\(payload holds 1638 bytes; shape \[205\] needs 1640\)$"):
+    @pytest.mark.parametrize("n_bytes, held", [(2, 1638), (7, 1633), (-1, 1641)],
+                             ids=["cut-2-bytes", "cut-7-bytes", "one-byte-more"])
+    def test_partial_double_names_file_and_field(self, tmp_path, n_bytes, held):
+        path = edited_checkpoint(tmp_path, cut_payload(n_bytes))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not a whole number of doubles "
+                                                  rf"\(the payload holds {held} bytes\)$"):
             load_model(path)
 
 
@@ -594,94 +618,58 @@ HMM_EVENTS = ("left_lane", "right_lane", "straight")
 
 
 @pytest.fixture(scope="module")
-def hmm_doc(tmp_path_factory):
+def hmm_parts(tmp_path_factory):
     """A saved three-class AIO-HMM ensemble (2 states, dx = 2, dz = 3) as
-    parsed JSON; its theta holds 3 + 3 * 44 = 135 values."""
+    its parsed header and theta, which holds 3 + 3 * 44 = 135 values."""
     rng = make_rng(30)
     ensemble = AioHmmEnsemble(events=HMM_EVENTS, models={e: random_model(rng, 2, 3, 2) for e in HMM_EVENTS})
     path = tmp_path_factory.mktemp("hmm") / "hmm.json"
     save_model(ensemble, {}, path)
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def edited_hmm_checkpoint(tmp_path, doc, edit) -> Path:
-    doc = json.loads(json.dumps(doc))
-    edit(doc["params"])
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return path
-
-
-def theta_edit(event, field, value):
-    """An edit of an AIO-HMM checkpoint's params that sets ``field`` of
-    ``event``'s class (``"prior"`` for the prior) to ``value`` inside
-    ``theta``, in the layout of the declared sizes."""
-    def edit(params):
-        events = params["events"]
-        shapes = param_shapes(params["variant"], params["states"], params["input_x"], params["input_z"])
-        counts = [math.prod(shape) for shape in shapes.values()]
-        start, count = 0, len(events)
-        if field != "prior":
-            i = AIOHMM_FIELDS.index(field)
-            start, count = len(events) + events.index(event) * sum(counts) + sum(counts[:i]), counts[i]
-        theta = decode_array(params["theta"])
-        theta[start : start + count] = np.ravel(value)
-        params["theta"] = encode_array(theta)
-    return edit
+    return read_checkpoint(path)
 
 
 class TestAioHmmCheckpointErrors:
-    def test_unedited_checkpoint_loads(self, tmp_path, hmm_doc):
-        ensemble, kind, _ = load_model(edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: None))
+    def test_unedited_checkpoint_loads(self, tmp_path, hmm_parts):
+        ensemble, kind, _ = load_model(write_edited(tmp_path, *hmm_parts, lambda p, t: None))
         assert kind == "aio_hmm" and ensemble.events == HMM_EVENTS
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_theta_names_file_and_field(self, tmp_path, hmm_doc, value):
+    def test_non_finite_theta_names_file_and_field(self, tmp_path, hmm_parts, value):
         mu = np.ones((2, 3))
         mu[1, 2] = value
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, theta_edit("right_lane", "mu", mu))
+        path = write_edited(tmp_path, *hmm_parts, theta_edit("right_lane", "mu", mu))
         with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
             load_model(path)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda p: p["theta"].update(shape=[-135]), r"shape entry -135 is not a non-negative integer"),
-        (lambda p: p.update(theta=decode_array(p["theta"]).tolist()),
-         r"entry is an array, not an object with keys 'float64' and 'shape'"),
-        (lambda p: p["theta"].update(float64=p["theta"]["float64"][:-4]),
-         r"payload holds 1078 bytes; shape \[135\] needs 1080"),
-    ], ids=["negative-shape", "number-list", "cut-payload"])
-    def test_refused_theta_gives_the_reason(self, tmp_path, hmm_doc, edit, message):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, edit)
-        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers \("
-                                                  + message + r"\)$"):
+    @pytest.mark.parametrize("n_bytes, held", [(2, 1078), (-3, 1083)], ids=["cut-2-bytes", "three-bytes-more"])
+    def test_partial_double_names_file_and_field(self, tmp_path, hmm_parts, n_bytes, held):
+        path = write_edited(tmp_path, *hmm_parts, cut_payload(n_bytes))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not a whole number of doubles "
+                                                  rf"\(the payload holds {held} bytes\)$"):
             load_model(path)
 
     @pytest.mark.parametrize("field, message", [
-        ("theta", r"bad AIO-HMM ensemble description \(KeyError\('theta'\)\)"),
         ("states", r"bad AIO-HMM ensemble description \(KeyError\('states'\)\)"),
         ("input_z", r"bad AIO-HMM ensemble description \(KeyError\('input_z'\)\)"),
         ("variant", r"unknown variant None"),
         ("events", r"bad 'events' entry \(KeyError\('events'\)\)"),
     ])
-    def test_missing_field_names_file_and_field(self, tmp_path, hmm_doc, field, message):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.pop(field))
+    def test_missing_field_names_file_and_field(self, tmp_path, hmm_parts, field, message):
+        path = write_edited(tmp_path, *hmm_parts, lambda p, t: p.pop(field))
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message + "$"):
             load_model(path)
 
-    @pytest.mark.parametrize(
-        "value", ["abc", [[1.0, 2.0], [3.0]], {"x": 1}, [["0.5"] * 2] * 2, [[True] * 2] * 2,
-                  {"shape": [135], "float64": encode_array(np.ones(3))["float64"]}]
-    )
-    def test_non_numeric_theta_names_file_and_field(self, tmp_path, hmm_doc, value):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.update(theta=value))
-        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' is not an array of numbers"):
+    def test_empty_payload_names_file_and_field(self, tmp_path, hmm_parts):
+        path = write_edited(tmp_path, *hmm_parts, lambda p, t: b"")
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' does not fit the declared sizes "
+                                                  r"\(theta must be a vector of 135 entries, got shape \(0,\)\)$"):
             load_model(path)
 
     @pytest.mark.parametrize("field, value", [
         ("states", "2"), ("states", True), ("states", 0), ("input_x", 2.0), ("input_z", -3), ("input_z", None),
     ])
-    def test_bad_size_names_file_and_field(self, tmp_path, hmm_doc, field, value):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.update({field: value}))
+    def test_bad_size_names_file_and_field(self, tmp_path, hmm_parts, field, value):
+        path = write_edited(tmp_path, *hmm_parts, lambda p, t: p.update({field: value}))
         with pytest.raises(DataFormatError, match=rf"edited\.json: field '{field}' must be an integer of at "
                                                   rf"least 1, got {value!r}$"):
             load_model(path)
@@ -693,8 +681,8 @@ class TestAioHmmCheckpointErrors:
         ("states", 10**8, 60000005400000003), ("input_z", 10**12, 6000000000012000000000045),
         ("input_x", 10**6, 18000099), ("states", 3, 219), ("input_z", 4, 189), ("variant", "hmm", 123),
     ], ids=["huge-states", "huge-input-z", "huge-input-x", "states-plus-one", "input-z-plus-one", "hmm-variant"])
-    def test_declared_sizes_refused_before_allocation(self, tmp_path, hmm_doc, field, value, want):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.update({field: value}))
+    def test_declared_sizes_refused_before_allocation(self, tmp_path, hmm_parts, field, value, want):
+        path = write_edited(tmp_path, *hmm_parts, lambda p, t: p.update({field: value}))
         tracemalloc.start()
         try:
             with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' does not fit the declared sizes "
@@ -710,25 +698,25 @@ class TestAioHmmCheckpointErrors:
         (theta_edit("straight", "sigma", -np.ones((2, 3, 3))),
          r"model 'straight': sigma\[0\] is not positive definite"),
         (theta_edit("right_lane", "pi", [1.5, -0.5]), r"model 'right_lane': pi must be a distribution over states"),
-        (lambda p: p.update(variant="io"), r"model 'left_lane': variant 'io' requires b = 0"),
-        (lambda p: p.update(variant="lstm"), r"unknown variant 'lstm'"),
-        (lambda p: p.update(variant=["aio"]), r"unknown variant \['aio'\]"),
+        (lambda p, t: p.update(variant="io"), r"model 'left_lane': variant 'io' requires b = 0"),
+        (lambda p, t: p.update(variant="lstm"), r"unknown variant 'lstm'"),
+        (lambda p, t: p.update(variant=["aio"]), r"unknown variant \['aio'\]"),
     ], ids=["sigma", "pi", "io-variant", "unknown-variant", "variant-not-a-string"])
-    def test_invalid_class_names_file_and_event(self, tmp_path, hmm_doc, edit, message):
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, edit)
+    def test_invalid_class_names_file_and_event(self, tmp_path, hmm_parts, edit, message):
+        path = write_edited(tmp_path, *hmm_parts, edit)
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message + "$"):
             load_model(path)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p.update(events=["straight", "left_lane", "right_lane"]),
+            (lambda p, t: p.update(events=["straight", "left_lane", "right_lane"]),
              r"bad 'events' entry .*must be the last"),
-            (lambda p: p.update(events=7), r"bad 'events' entry \(TypeError"),
-            (lambda p: p.update(events=[]), r"bad 'events' entry .*must be the last"),
-            (lambda p: p.update(events=["left_lane", "left_lane", "straight"]),
+            (lambda p, t: p.update(events=7), r"bad 'events' entry \(TypeError"),
+            (lambda p, t: p.update(events=[]), r"bad 'events' entry .*must be the last"),
+            (lambda p, t: p.update(events=["left_lane", "left_lane", "straight"]),
              r"bad 'events' entry .*duplicate event labels"),
-            (lambda p: p.update(events=["left_lane", "straight"]),
+            (lambda p, t: p.update(events=["left_lane", "straight"]),
              r"field 'theta' does not fit the declared sizes \(theta must be a vector of 90 entries"),
             (theta_edit(None, "prior", [0.5, 0.5, 0.5]), r"'prior' must be a distribution over the 3 events$"),
             (theta_edit(None, "prior", [1.5, -0.5, 0.0]), r"'prior' must be a distribution over the 3 events$"),
@@ -736,18 +724,18 @@ class TestAioHmmCheckpointErrors:
         ids=["straight-not-last", "events-not-a-list", "no-event", "duplicate-event", "event-dropped",
              "prior-sum", "prior-negative"],
     )
-    def test_bad_ensemble_entry_names_file(self, tmp_path, hmm_doc, edit, message):
+    def test_bad_ensemble_entry_names_file(self, tmp_path, hmm_parts, edit, message):
         with pytest.raises(DataFormatError, match=r"edited\.json: " + message):
-            load_model(edited_hmm_checkpoint(tmp_path, hmm_doc, edit))
+            load_model(write_edited(tmp_path, *hmm_parts, edit))
 
-    def test_models_with_different_sizes_rejected(self, tmp_path, hmm_doc):
+    def test_models_with_different_sizes_rejected(self, tmp_path, hmm_parts):
         # An ensemble built in code refuses a class of another z size; a
         # checkpoint can only declare one, so one that does not fit is refused.
         rng = make_rng(31)
         models = {e: random_model(rng, 2, 3, 2) for e in HMM_EVENTS}
         with pytest.raises(ValueError, match=r"models disagree on their \(x, z\) sizes \[\(2, 3\), \(2, 4\)\]"):
             AioHmmEnsemble(events=HMM_EVENTS, models={**models, "straight": random_model(rng, 2, 4, 2)})
-        path = edited_hmm_checkpoint(tmp_path, hmm_doc, lambda p: p.update(input_z=4))
+        path = write_edited(tmp_path, *hmm_parts, lambda p, t: p.update(input_z=4))
         with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' does not fit the declared sizes"):
             load_model(path)
 
@@ -771,66 +759,74 @@ class TestAioHmmCheckpointErrors:
             load_model(path)
 
 
-FUSION_DOC = json.loads((DATA / "fusion_h2.json").read_text(encoding="utf-8"))
+FUSION_PARTS = read_checkpoint(DATA / "fusion_h2.json")
 FUSION_PATHS = [
     (), ("format_version",), ("kind",), ("config",), ("params",), ("params", "arch"),
     ("params", "input_x"), ("params", "input_z"), ("params", "hidden"),
-    ("params", "events"), ("params", "events", 2), ("params", "events", 4), ("params", "theta"),
-    ("params", "theta", "shape"), ("params", "theta", "shape", 0), ("params", "theta", "float64"),
+    ("params", "events"), ("params", "events", 2), ("params", "events", 4), ("params", "theta"), ("theta",),
 ]
 HMM_PATHS = [
     (), ("kind",), ("params",), ("params", "events"), ("params", "events", 1), ("params", "events", 2),
     ("params", "variant"), ("params", "states"), ("params", "input_x"), ("params", "input_z"),
-    ("params", "theta"), ("params", "theta", "shape"), ("params", "theta", "shape", 0),
-    ("params", "theta", "float64"),
+    ("params", "prior"), ("prior",),
 ]
-# Declared sizes and array shape entries get small values, values of the
-# wrong type, and huge values whose parameters would not fit in memory.
-# Payloads are hex of whole doubles, any bits and any count, so some match
-# their shape and hold NaN, Inf, subnormal or huge values; or the file's own
-# payload with a run of its doubles overwritten, so that the per-class checks
-# see covariances, initial distributions and priors of any value.
+# Declared sizes get small values, values of the wrong type, and huge values
+# whose parameters would not fit in memory.  The payload is kept, cut or
+# extended by any number of bytes, or has a run of its doubles overwritten by
+# doubles of any bits (NaN, Inf, subnormal or huge ones among them), so that
+# the per-class checks see covariances, initial distributions and priors of
+# any value; or it is replaced by such a run.
 SIZE_FIELDS = ("input_x", "input_z", "hidden", "states")
+STRAY_FIELDS = ("theta", "prior")  # fields the loader does not read: only ever added
 SIZES = st.integers(-2, 10) | st.sampled_from(
     [None, True, 2.0, "2", [2], 10**8, 10**12, 1e8, 1e12, -(10**12)]
 )
-PAYLOADS = st.integers(0, 16).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n)).map(
-    lambda raw: raw.hex()
-)
+DOUBLES = st.lists(
+    st.binary(min_size=8, max_size=8)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e308, -0.0]).map(lambda v: struct.pack("<d", v)),
+    max_size=16,
+).map(b"".join)
 
 
-def overwritten(payload: str):
-    """Strategy: the hex ``payload`` with a run of its doubles overwritten
-    by one of PAYLOADS, its length kept."""
-    n = len(payload) // 16
-    return st.tuples(st.integers(0, n - 1), PAYLOADS).map(
-        lambda cut: (payload[: 16 * cut[0]] + cut[1] + payload[16 * cut[0] + len(cut[1]):])[: 16 * n]
+def payloads(raw: bytes):
+    """Strategy: the payload ``raw`` kept, cut, extended, or with a run of
+    its doubles overwritten (its length kept), or one of DOUBLES."""
+    n = len(raw)
+    return (
+        st.just(raw)
+        | st.integers(0, n - 1).map(lambda k: raw[:k])
+        | st.binary(min_size=1, max_size=24).map(lambda tail: raw + tail)
+        | st.tuples(st.integers(0, n // 8 - 1), DOUBLES).map(
+            lambda cut: (raw[: 8 * cut[0]] + cut[1] + raw[8 * cut[0] + len(cut[1]):])[:n])
+        | DOUBLES
     )
 
 
 @st.composite
-def checkpoint_mutations(draw, doc, paths):
-    where = draw(st.sampled_from(paths))
-    key = where[-1] if where else None
-    if key in SIZE_FIELDS or "shape" in where[-2:-1]:
-        values = SIZES
-    elif key == "shape":
-        values = st.lists(SIZES, max_size=3) | JSON_VALUES
-    elif key == "float64":
-        values = overwritten(doc["params"]["theta"]["float64"]) | PAYLOADS | JSON_VALUES
-    elif key == "variant":
-        values = st.sampled_from(VARIANTS) | JSON_VALUES
-    else:
-        values = JSON_VALUES
-    return where, draw(values), draw(st.booleans())
+def checkpoint_mutations(draw, parts, paths):
+    """A (header, payload) pair: ``parts``'s header with one entry deleted or
+    replaced (or none), and its theta's bytes mutated (or not)."""
+    header, theta = parts
+    where = draw(st.none() | st.sampled_from(paths))
+    if where is not None:
+        key = where[-1] if where else None
+        if key in SIZE_FIELDS:
+            values = SIZES
+        elif key == "variant":
+            values = st.sampled_from(VARIANTS) | JSON_VALUES
+        else:
+            values = JSON_VALUES
+        header = mutated(header, where, draw(values), key not in STRAY_FIELDS and draw(st.booleans()))
+    return header, draw(payloads(theta.tobytes()))
 
 
-def load_mutated_checkpoint(doc):
-    """Load ``doc`` as a checkpoint file.  It must raise DataFormatError or
-    give finite float64 parameters over a valid event tuple."""
+def load_mutated_checkpoint(header, payload):
+    """Load ``header`` and ``payload`` as a checkpoint file.  It must raise
+    DataFormatError or give finite float64 parameters over a valid event
+    tuple."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        write_checkpoint(path, header, payload)
         try:
             model, _, _ = load_model(path)
         except DataFormatError:
@@ -845,15 +841,15 @@ def load_mutated_checkpoint(doc):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutation=checkpoint_mutations(FUSION_DOC, FUSION_PATHS))
+@given(mutation=checkpoint_mutations(FUSION_PARTS, FUSION_PATHS))
 def test_mutated_fusion_checkpoint_loads_or_raises_data_format_error(mutation):
-    load_mutated_checkpoint(mutated(FUSION_DOC, *mutation))
+    load_mutated_checkpoint(*mutation)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_mutated_aiohmm_checkpoint_loads_or_raises_data_format_error(hmm_doc, data):
-    load_mutated_checkpoint(mutated(hmm_doc, *data.draw(checkpoint_mutations(hmm_doc, HMM_PATHS))))
+def test_mutated_aiohmm_checkpoint_loads_or_raises_data_format_error(hmm_parts, data):
+    load_mutated_checkpoint(*data.draw(checkpoint_mutations(hmm_parts, HMM_PATHS)))
 
 
 def test_train_config_round_trips_through_checkpoint(tmp_path):
