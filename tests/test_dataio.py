@@ -283,6 +283,28 @@ class TestCheckpoints:
         arrays = [loaded.theta] if isinstance(loaded, FusionRnnModel) else [loaded.prior]
         assert all(a.dtype == np.float64 and a.dtype.isnative and a.flags.writeable for a in arrays)
 
+    # The loader splits the file at its first newline, so payload bytes that
+    # read as a newline, a carriage return or a NUL must stay the payload's.
+    @pytest.mark.parametrize("raw", [b"\n" * 8, b"\n\r\x00\x00\x00\x00\xf0\x3f", b"\r\n" * 4],
+                             ids=["newline-bytes", "newline-cr-nul", "crlf-bytes"])
+    def test_payload_bytes_that_read_as_newlines_round_trip(self, tmp_path, raw):
+        model = init_fusion_model("concat", 6, 9, 2, EVENTS, make_rng(10))
+        model.theta[::2] = struct.unpack("<d", raw)[0]
+        path = tmp_path / "m.json"
+        save_model(model, {}, path)
+        line, _, payload = path.read_bytes().partition(b"\n")
+        assert json.loads(line)["params"]["hidden"] == 2 and len(payload) == 8 * 165
+        assert raw in payload and load_model(path)[0].theta.tobytes() == model.theta.tobytes()
+
+    def test_non_ascii_config_saved_as_an_ascii_header(self, tmp_path):
+        model = init_fusion_model("concat", 6, 9, 2, EVENTS, make_rng(11))
+        config = {"note": "Spurwechsel \u2192 links", "place": "K\u00f6ln"}
+        path = tmp_path / "m.json"
+        save_model(model, config, path)
+        line = path.read_bytes().partition(b"\n")[0]
+        assert line.isascii() and b"\\u2192" in line
+        assert load_model(path)[2] == config
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_ensemble_theta_is_the_prior_then_each_class_in_event_order(self, tmp_path, variant):
         rng = make_rng(7)
@@ -367,6 +389,20 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError) as err:
             load_model(path)
         assert str(err.value) == f"{path}: unexpected field {where[-1]!r}"
+
+    # each kind's params refuse the other kind's fields
+    @pytest.mark.parametrize("name, key, value", [
+        ("fusion_h2", "states", 2), ("fusion_h2", "variant", "aio"),
+        ("aiohmm_s2", "hidden", 2), ("aiohmm_s2", "arch", "fusion"),
+    ])
+    def test_other_kinds_field_refused(self, tmp_path, name, key, value):
+        header, theta = read_checkpoint(DATA / f"{name}.json")
+        header["params"][key] = value
+        path = tmp_path / "stray.json"
+        write_checkpoint(path, header, theta)
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: unexpected field {key!r}"
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -605,6 +641,12 @@ class TestFusionCheckpointErrors:
         with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
             load_model(path)
 
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    def test_non_finite_first_or_last_double_names_file_and_field(self, tmp_path, index):
+        path = edited_checkpoint(tmp_path, theta_set(index, float("nan")))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
+            load_model(path)
+
     @pytest.mark.parametrize("n_bytes, held", [(2, 1638), (7, 1633), (-1, 1641)],
                              ids=["cut-2-bytes", "cut-7-bytes", "one-byte-more"])
     def test_partial_double_names_file_and_field(self, tmp_path, n_bytes, held):
@@ -638,6 +680,13 @@ class TestAioHmmCheckpointErrors:
         mu = np.ones((2, 3))
         mu[1, 2] = value
         path = write_edited(tmp_path, *hmm_parts, theta_edit("right_lane", "mu", mu))
+        with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
+            load_model(path)
+
+    # NaN or Inf in any block of the layout, the prior included, is refused
+    @pytest.mark.parametrize("field", ("prior",) + AIOHMM_FIELDS)
+    def test_non_finite_block_names_file_and_field(self, tmp_path, hmm_parts, field):
+        path = write_edited(tmp_path, *hmm_parts, theta_edit("straight", field, math.inf))
         with pytest.raises(DataFormatError, match=r"edited\.json: field 'theta' contains non-finite values$"):
             load_model(path)
 
