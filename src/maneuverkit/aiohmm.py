@@ -47,11 +47,12 @@ frozen and checks itself once, when made.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
 
+from .events import validate_events
 from .numerics import Padded, as_block, make_rng, pad_sequences, softmax
 
 log = logging.getLogger(__name__)
@@ -108,11 +109,15 @@ class AioHmmModel:
         return param_shapes(self.variant, self.states, self.dim_x, self.dim_z)
 
     def validate(self) -> None:
+        """Raise ValueError naming the first field that breaks a rule."""
         if self.mu.ndim != 2 or self.a.ndim != 2:
             raise ValueError(f"mu and a must be 2-D, got shapes {self.mu.shape} and {self.a.shape}")
         for name, shape in self.shapes().items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
+            value = getattr(self, name)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} contains non-finite values")
         if (self.pi < 0.0).any() or abs(float(self.pi.sum()) - 1.0) > 1e-9:
             raise ValueError("pi must be a distribution over states")
         if self.variant in (VARIANT_IO, VARIANT_HMM) and np.any(self.b):
@@ -168,9 +173,6 @@ class EmConfig:
         # written as "not (ok)", so NaN fails it too
         if not self.tol >= 0.0:
             raise ValueError(f"tol must be a non-negative number, got {self.tol!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +578,7 @@ def _init_model(batch: Padded, config: EmConfig) -> AioHmmModel:
     gamma[np.arange(T) < batch.lengths[:, None]] = g / g.sum(axis=1, keepdims=True)
     xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
     stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.full(B, np.nan))
-    model = m_step(batch, stats, blank, diag={}, rounds=1)
-    model.validate()
-    return model
+    return m_step(batch, stats, blank, diag={}, rounds=1)
 
 
 def fit_em(
@@ -652,12 +652,15 @@ def sample_sequence(
 class AioHmmEnsemble:
     """One fitted model per event class plus the class prior.
 
-    The constructor checks what an ensemble is, once, and raises ValueError
-    naming the first rule broken:
+    The constructor is the one check of what an ensemble is, and raises
+    ValueError naming the first rule broken:
+    - ``events`` passes :func:`~maneuverkit.events.validate_events`;
     - the prior is a finite, non-negative float array over the events that
       sums to 1 (uniform when omitted);
     - ``models`` holds exactly one model per event and none under any
       other key;
+    - each class passes :meth:`AioHmmModel.validate`, and the error names
+      the class;
     - every class shares one (x, z) size, one variant and one state count,
       so the predictor stacks them as one (K, S) filter.
     """
@@ -667,6 +670,7 @@ class AioHmmEnsemble:
     prior: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        validate_events(self.events)
         n = len(self.events)
         prior = np.full(n, 1.0 / n) if self.prior is None else np.array(self.prior, dtype=float)
         if (prior.shape != (n,) or not np.isfinite(prior).all() or (prior < 0.0).any()
@@ -679,6 +683,11 @@ class AioHmmEnsemble:
         stray = [key for key in self.models if key not in self.events]
         if stray:
             raise ValueError(f"'models' has models for keys outside the events {stray!r}")
+        for event in self.events:
+            try:
+                self.models[event].validate()
+            except ValueError as err:
+                raise ValueError(f"model {event!r}: {err}") from None
         for what, shape in (("(x, z) sizes", lambda m: (m.dim_x, m.dim_z)),
                             ("variants", lambda m: m.variant), ("state counts", lambda m: m.states)):
             values = {shape(m) for m in self.models.values()}

@@ -350,8 +350,10 @@ def run_session(
     """Score a timeline with known event onsets under the stick rule.
 
     ``onsets`` is a list of (1-based step, event index), strictly increasing
-    in step.  The outcomes are those of :class:`CommitTracker` fed the
-    timeline's trajectory, in the order they close.
+    in step, each the onset of a maneuver: a ``straight`` onset would count
+    as a missed maneuver, so it raises ValueError.  The outcomes are those
+    of :class:`CommitTracker` fed the timeline's trajectory, in the order
+    they close.
     """
     tracker = CommitTracker(predictor.events, p_th)
     T = len(xs)
@@ -360,6 +362,8 @@ def run_session(
         raise ValueError("onsets must be strictly increasing; overlapping onsets are rejected")
     if any(not 1 <= s <= T for s in steps):
         raise ValueError("onset steps must lie within the timeline")
+    if any(event == tracker.straight for _, event in onsets):
+        raise ValueError(f"onset events must be maneuvers, not {predictor.events[tracker.straight]!r}")
     onset_at = dict(onsets)
 
     outcomes = [tracker.step(t, probs, onset_at.get(t))[1]

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,6 @@ def _grid(text: str) -> list[float]:
 
 
 def cmd_synth(args) -> int:
-    _log_config("synth", args)
     dataset = synth.generate(_scenario_config(args.config, args.seed), args.n)
     dataio.save_dataset(dataset, args.out)
     log.info("wrote %d samples to %s", len(dataset), args.out)
@@ -127,7 +127,7 @@ def train_model(args, dataset, seed: int):
                 raise ValueError(f"fit of event {name!r}: {err}") from None
             curve.extend((name, i, v) for i, v in enumerate(trace))
             log.info("fit %s: %d EM iterations, final loglik %.2f", name, len(trace), trace[-1])
-        meta = {"arch": args.arch, "setting": args.setting, "em": config.to_dict()}
+        meta = {"arch": args.arch, "setting": args.setting, "em": asdict(config)}
         return aiohmm.AioHmmEnsemble(events=events, models=models), meta, curve, False
 
     arch, loss_mode = RNN_ARCHS[args.arch]
@@ -141,7 +141,7 @@ def train_model(args, dataset, seed: int):
     model = fusion_rnn.init_fusion_model(arch, dataset[0].xs.shape[1], dataset[0].zs.shape[1],
                                          args.hidden, events, make_rng(seed))
     report = training.train(dataset, model, config)
-    meta = {"arch": args.arch, "setting": args.setting, "train": config.to_dict(), "hidden": args.hidden}
+    meta = {"arch": args.arch, "setting": args.setting, "train": asdict(config), "hidden": args.hidden}
     curve = [("epoch", "mean_loss")] + list(enumerate(report.epoch_losses))
     return report.model, meta, curve, report.aborted
 
@@ -158,7 +158,6 @@ def fold_trainer(args):
 
 
 def cmd_train(args) -> int:
-    _log_config("train", args)
     dataset = dataio.load_dataset(_resolve_data(args.data))
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -224,7 +223,6 @@ def _eval_report_dict(ev: metrics.DatasetEval, p_th: float) -> dict:
 
 
 def cmd_eval(args) -> int:
-    _log_config("eval", args)
     predictor, sizes = _load_predictor(args.model)
     dataset = _load_model_data(args.model, sizes, args.data)
     ev = metrics.evaluate_dataset(predictor, dataset, args.pth)
@@ -242,7 +240,6 @@ def _emit_report(doc: dict, out: str | None) -> None:
 
 
 def cmd_anticipate(args) -> int:
-    _log_config("anticipate", args)
     predictor, sizes = _load_predictor(args.model)
     if args.stream:
         return _stream_loop(predictor, args.pth, sizes)
@@ -261,7 +258,7 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
     """Read step records from stdin, emit one probability record per step.
 
     Input lines: {"x": [...], "z": [...]} with an optional "onset": label
-    key marking the start of one of the predictor's events.  A step record
+    key marking the start of one of the predictor's maneuvers.  A step record
     carries a "commit" entry exactly when ``anticipation.CommitTracker``, the
     stick rule of session scoring, commits at that step.  The first
     malformed record, or the first step whose probabilities are not finite
@@ -313,13 +310,12 @@ def _parse_step(
         except dataio.DataFormatError as err:
             raise ValueError(f"{where}: {err}") from None
     onset = record.get("onset")
-    if onset is not None and onset not in events:
-        raise ValueError(f"{where}: field 'onset' is {onset!r}, not one of {list(events)}")
+    if onset is not None and onset not in events[:-1]:  # straight, always last, is no maneuver
+        raise ValueError(f"{where}: field 'onset' is {onset!r}, not one of {list(events[:-1])}")
     return vectors[0], vectors[1], None if onset is None else events.index(onset)
 
 
 def cmd_sweep(args) -> int:
-    _log_config("sweep", args)
     predictor, sizes = _load_predictor(args.model)
     dataset = _load_model_data(args.model, sizes, args.data)
     sweep = metrics.threshold_sweep(predictor, dataset, args.grid)
@@ -335,7 +331,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_xval(args) -> int:
-    _log_config("xval", args)
     dataset = dataio.load_dataset(_resolve_data(args.data))
     events = events_for_setting(args.setting)
     dataset = [s for s in dataset if EVENTS[s.label] in events]
@@ -367,7 +362,6 @@ def _xval_report_dict(report: metrics.EvalReport, args) -> dict:
 
 
 def cmd_gradcheck(args) -> int:
-    _log_config("gradcheck", args)
     if args.arch not in RNN_ARCHS:
         raise ValueError(f"gradcheck applies to the network archs, not {args.arch!r}")
     arch, loss_mode = RNN_ARCHS[args.arch]
@@ -389,7 +383,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _log_config("report", args)
     doc = dataio.load_report(args.infile)
     render = _report_text if args.format == "text" else _report_csv
     try:
@@ -603,6 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    _log_config(args.command, args)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as err:

@@ -23,18 +23,20 @@ network's ``params`` hold ``arch``, ``input_x``, ``input_z``, ``hidden`` and
 ``theta`` is the class prior (one value per event), then, for each event in
 ``events`` order, its ``mu``, ``a``, ``b``, ``sigma``, ``w`` and ``pi``, each
 in C order with the shapes of :func:`~maneuverkit.aiohmm.param_shapes`.
-Every class shares the one variant and the declared sizes, as the ensemble
-requires.  A header key the loader does not read is refused.  A payload
-that is not a whole number of doubles is refused, and so is a ``theta``
-whose length is not the one the declared sizes lay out, before anything is
-allocated.  NaN or Inf anywhere in a model is a save-time error, and a
-load-time one.  A checkpoint of any other ``format_version``, including
-every older file (a single indented JSON document), is refused with a
-message to retrain.
+The readers only parse and cut: each model's constructor is the one check
+of a valid model, each class of an ensemble included, so ``save_model``
+cannot write a checkpoint that ``load_model`` refuses.  A header key the
+loader does not read is refused.  A payload that is not a whole number of
+doubles is refused, and so is a ``theta`` whose length is not the one the
+declared sizes lay out, before anything is allocated.  NaN or Inf
+anywhere in a model is a save-time error, and a load-time one.  A
+checkpoint of any other ``format_version``, including every older file (a
+single indented JSON document), is refused with a message to retrain.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -43,7 +45,7 @@ import numpy as np
 
 from .aiohmm import AioHmmEnsemble, AioHmmModel, param_shapes
 from .events import EVENTS, validate_events
-from .fusion_rnn import ARCH_CONCAT, ARCH_FUSION, FusionRnnModel
+from .fusion_rnn import FusionRnnModel
 from .synth import SequenceSample
 
 FORMAT_VERSION = 6
@@ -184,17 +186,6 @@ def parse_vector(value, field: str, sizes: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _read_json(path: Path):
-    """The JSON document in ``path``; a file that is not UTF-8 text or not
-    JSON raises DataFormatError naming it."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as err:
-        raise DataFormatError(f"{path}: not UTF-8 text ({err})") from None
-    except json.JSONDecodeError as err:
-        raise DataFormatError(f"{path}: malformed JSON ({err})") from None
-
-
 HEADER_FIELDS = {"format_version", "kind", "config", "params"}
 PARAM_FIELDS = {
     KIND_FUSION: {"arch", "input_x", "input_z", "hidden", "events"},
@@ -292,20 +283,17 @@ def _read_params(d: dict, payload: bytes, path: Path, what: str, size_fields: tu
 
 
 def _fusion_from_dict(d: dict, payload: bytes, path: Path) -> FusionRnnModel:
-    """Build the network around ``theta``; the model checks its length."""
+    """Build the network around ``theta``; the model checks itself."""
     events, sizes, theta = _read_params(d, payload, path, "fusion network", ("input_x", "input_z", "hidden"))
-    arch = d.get("arch")
-    if arch not in (ARCH_FUSION, ARCH_CONCAT):
-        raise DataFormatError(f"{path}: unknown arch {arch!r}")
     try:
-        return FusionRnnModel(arch=arch, events=events, theta=theta, **sizes)
-    except ValueError as err:  # theta's length is not the one the sizes lay out
-        raise DataFormatError(f"{path}: field 'theta' does not fit the declared sizes ({err})") from None
+        return FusionRnnModel(arch=d.get("arch"), events=events, theta=theta, **sizes)
+    except ValueError as err:
+        raise DataFormatError(f"{path}: {err}") from None
 
 
 def _ensemble_from_dict(d: dict, payload: bytes, path: Path) -> AioHmmEnsemble:
     """Cut ``theta`` into the prior and each class's arrays, as views, once
-    its length fits the declared sizes; a fault in a class names it."""
+    its length fits the declared sizes; the ensemble checks itself."""
     events, sizes, theta = _read_params(d, payload, path, "AIO-HMM ensemble", ("states", "input_x", "input_z"))
     variant = d.get("variant")
     try:
@@ -317,18 +305,14 @@ def _ensemble_from_dict(d: dict, payload: bytes, path: Path) -> AioHmmEnsemble:
     if theta.shape != (need,):
         raise DataFormatError(f"{path}: field 'theta' does not fit the declared sizes (theta must be "
                               f"a vector of {need} entries, got shape {theta.shape})")
-    blocks = iter(np.split(theta, np.cumsum([len(events)] + counts * len(events))[:-1]))
-    prior, models = next(blocks), {}
-    for event in events:
-        model = AioHmmModel(variant, **{name: next(blocks).reshape(shape) for name, shape in shapes.items()})
-        try:
-            model.validate()
-        except ValueError as err:
-            raise DataFormatError(f"{path}: model {event!r}: {err}") from None
-        models[event] = model
+    bounds = [0, *itertools.accumulate([len(events)] + counts * len(events))]
+    blocks = (theta[start:end] for start, end in itertools.pairwise(bounds))
+    prior = next(blocks)
+    models = {event: AioHmmModel(variant, **{name: next(blocks).reshape(shape) for name, shape in shapes.items()})
+              for event in events}
     try:
         return AioHmmEnsemble(events=events, models=models, prior=prior)
-    except ValueError as err:  # the prior is not a distribution over the events
+    except ValueError as err:
         raise DataFormatError(f"{path}: {err}") from None
 
 
@@ -343,7 +327,12 @@ def save_report(report: dict, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> dict:
     path = Path(path)
-    doc = _read_json(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path}: not UTF-8 text ({err})") from None
+    except json.JSONDecodeError as err:
+        raise DataFormatError(f"{path}: malformed JSON ({err})") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: a report must be a JSON object")
     return doc

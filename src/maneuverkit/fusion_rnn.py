@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .events import validate_events
 from .lstm import (
     LstmParams,
     LstmTape,
@@ -59,7 +60,8 @@ class FusionRnnModel:
     ``lstm_x`` alone, over input_x + input_z inputs, in concat mode, where
     ``W_f`` and ``b_f`` are None.  ``layout`` records each array's (slice of
     theta, shape) in storage order, once; :meth:`views` lays any vector of
-    that layout out the same way.
+    that layout out the same way.  The constructor is the one check of a
+    network's arch, events, sizes and ``theta``, and raises ValueError.
     """
 
     arch: str
@@ -78,7 +80,8 @@ class FusionRnnModel:
     def __post_init__(self) -> None:
         if self.arch not in (ARCH_FUSION, ARCH_CONCAT):
             raise ValueError(f"unknown arch {self.arch!r}")
-        if min(self.input_x, self.input_z, self.hidden, self.k) < 1:
+        validate_events(self.events)
+        if min(self.input_x, self.input_z, self.hidden) < 1:
             raise ValueError("all model dimensions must be positive")
         H, fused = self.hidden, self.arch == ARCH_FUSION
         sizes = [self.input_x, self.input_z] if fused else [self.input_x + self.input_z]
@@ -96,8 +99,8 @@ class FusionRnnModel:
         theta = self.theta
         if theta.shape != (size,) or theta.dtype != np.float64 or not theta.flags.c_contiguous:
             raise ValueError(
-                f"theta must be a contiguous float64 vector of {size} entries, got "
-                f"{theta.dtype} {theta.shape}"
+                f"field 'theta' does not fit the declared sizes (theta must be a contiguous "
+                f"float64 vector of {size} entries, got {theta.dtype} {theta.shape})"
             )
         self.cells, self.W_f, self.b_f, self.W_y, self.b_y = self.views(theta)
 

@@ -325,7 +325,5 @@ def cross_validate(
         else:
             scores.append(FoldScore(ev.precision, ev.recall, ev.f1, ev.mean_ttm_steps, p_th))
         confusion_total = ev.confusion if confusion_total is None else confusion_total + ev.confusion
-    if confusion_total is None:
-        raise ValueError("cross-validation produced no folds")
     return EvalReport(events=predictor.events, folds=scores, confusion=confusion_total)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -26,6 +26,7 @@ from . import fusion_rnn
 from .events import map_label_to_model
 from .fusion_rnn import FusionRnnModel
 from .numerics import finite_diff_grad, make_rng
+from .synth import SequenceSample
 
 log = logging.getLogger(__name__)
 
@@ -62,9 +63,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs!r}")
         if not 1.0 <= self.augmentation_factor < math.inf:
             raise ValueError(f"augmentation_factor must be finite and >= 1, got {self.augmentation_factor!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -126,32 +124,6 @@ def loss_logit_grads(probs: np.ndarray, target: int, mode: str = LOSS_EXPONENTIA
 # ---------------------------------------------------------------------------
 
 
-def rmsprop_apply(param: np.ndarray, grad: np.ndarray, acc: np.ndarray, learning_rate: float) -> None:
-    """One RMSprop step on a single array, overwriting ``param`` and ``acc``.
-
-    acc <- decay*acc + (1-decay)*grad^2;  p <- p - lr*grad/(sqrt(acc)+eps)
-
-    with decay ``RMSPROP_DECAY`` and eps ``RMSPROP_EPSILON``.  Each
-    operation rounds as the expressions above do, left to right.  A shape
-    mismatch or a non-finite gradient raises before anything is written.
-    """
-    if param.shape != grad.shape or param.shape != acc.shape:
-        raise ValueError(
-            f"shape mismatch: param {param.shape}, grad {grad.shape}, acc {acc.shape}"
-        )
-    if not np.isfinite(grad).all():
-        raise FloatingPointError("non-finite gradient; step rejected")
-    scratch = (1.0 - RMSPROP_DECAY) * grad
-    scratch *= grad
-    acc *= RMSPROP_DECAY
-    acc += scratch
-    np.sqrt(acc, out=scratch)
-    scratch += RMSPROP_EPSILON
-    step = learning_rate * grad
-    step /= scratch
-    param -= step
-
-
 class RmsProp:
     """RMSprop over a FusionRnnModel's parameter vector (in place)."""
 
@@ -160,9 +132,31 @@ class RmsProp:
         self.acc = np.zeros_like(model.theta)
 
     def step(self, model: FusionRnnModel, grad: np.ndarray) -> None:
-        """Apply one update from a gradient laid out like ``model.theta``;
-        a rejected gradient leaves ``model.theta`` and ``acc`` untouched."""
-        rmsprop_apply(model.theta, grad, self.acc, self.config.learning_rate)
+        """One RMSprop step from a gradient laid out like ``model.theta``,
+        overwriting ``model.theta`` and ``acc``:
+
+        acc <- decay*acc + (1-decay)*grad^2;  theta <- theta - lr*grad/(sqrt(acc)+eps)
+
+        with decay ``RMSPROP_DECAY`` and eps ``RMSPROP_EPSILON``.  Each
+        operation rounds as the expressions above do, left to right.  A shape
+        mismatch or a non-finite gradient raises before anything is written.
+        """
+        theta, acc = model.theta, self.acc
+        if theta.shape != grad.shape or theta.shape != acc.shape:
+            raise ValueError(
+                f"shape mismatch: theta {theta.shape}, grad {grad.shape}, acc {acc.shape}"
+            )
+        if not np.isfinite(grad).all():
+            raise FloatingPointError("non-finite gradient; step rejected")
+        scratch = (1.0 - RMSPROP_DECAY) * grad
+        scratch *= grad
+        acc *= RMSPROP_DECAY
+        acc += scratch
+        np.sqrt(acc, out=scratch)
+        scratch += RMSPROP_EPSILON
+        step = self.config.learning_rate * grad
+        step /= scratch
+        theta -= step
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +172,6 @@ def augment(dataset: list, factor: float, seed: int) -> list:
     label.  Originals are always retained, in order, at the front.  A
     target above ``MAX_AUGMENTED_SAMPLES`` is refused before any draw.
     """
-    from .synth import SequenceSample  # local import to avoid a cycle
-
     if not 1.0 <= factor < math.inf:
         raise ValueError(f"augmentation factor must be finite and >= 1, got {factor}")
     n = len(dataset)

@@ -1,7 +1,9 @@
+import decimal
 import itertools
 import math
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from maneuverkit.aiohmm import (
     sequence_loglik,
     shifted_observations,
 )
-from maneuverkit.events import EVENTS
+from maneuverkit.events import EVENTS, SETTINGS
 from maneuverkit.numerics import finite_diff_grad, make_rng, softmax
 
 
@@ -248,6 +250,57 @@ def gradient_update_transitions(
     for _ in range(steps):
         w += _transition_gradient(w, Xe, Xi, n) @ step
     return w
+
+
+def decimal_inverse(A):
+    """The inverse of the square matrix ``A``, a list of rows of Decimals,
+    by Gauss-Jordan elimination with partial pivoting in the current
+    decimal context."""
+    n = len(A)
+    aug = [row + [Decimal(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(aug[r][c]))
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            if r != c:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def decimal_update_transitions(w, Xe, Xi, steps, digits=34):
+    """The bound ascent of ``_update_transitions`` in ``digits``-digit
+    decimal arithmetic, from the exact values of its float inputs, rounded
+    to float at the end: each step adds G_i 2 (M_i + ridge_i I)^-1 to w_i,
+    with the inverse from :func:`decimal_inverse`.  At 34 digits, a cond(M_i)
+    of 1e11 leaves every weight far more digits than a double holds."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        S, dt = w.shape[0], Xe.shape[1]
+        W = [[[Decimal(v) for v in row] for row in wi] for wi in w.tolist()]
+        rows = [([Decimal(v) for v in x], [[Decimal(v) for v in row] for row in xi])
+                for x, xi in zip(Xe.tolist(), Xi.tolist())]
+        for i in range(S):
+            live = [(x, xi[i], sum(xi[i])) for x, xi in rows if any(xi[i])]  # rows whose n_r > 0
+            M = [[sum((n * x[k] * x[l] for x, _, n in live), Decimal(0)) for l in range(dt)] for k in range(dt)]
+            ridge = Decimal(1e-10) * (1 + sum(M[k][k] for k in range(dt)) / dt)
+            inv = decimal_inverse([[M[k][l] + (ridge if k == l else 0) for l in range(dt)] for k in range(dt)])
+            wi = W[i]
+            for _ in range(steps):
+                G = [[Decimal(0)] * dt for _ in range(S)]
+                for x, xi, n in live:
+                    logits = [sum(a * b for a, b in zip(wij, x)) for wij in wi]
+                    top = max(logits)
+                    e = [(v - top).exp() for v in logits]
+                    total = sum(e)
+                    for j in range(S):
+                        c = xi[j] - n * e[j] / total
+                        G[j] = [g + c * v for g, v in zip(G[j], x)]
+                wi = [[a + 2 * sum(G[j][k] * inv[k][l] for k in range(dt)) for l, a in enumerate(wi[j])]
+                      for j in range(S)]
+            W[i] = wi
+        return np.array([[[float(v) for v in row] for row in wi] for wi in W])
 
 
 def one_row_update_transitions(w, x, xi, steps):
@@ -688,15 +741,32 @@ class TestTransitions:
 
     @settings(max_examples=300, deadline=None)
     @given(transition_problems())
+    @example(problem=(
+        np.array([[[0.5114554968336429, -1.7164883906582418, 1.1931073932362732, -0.6058319091014716,
+                    1.8746731341556362, 0.45251503442026925],
+                   [0.38143403360037, -0.7981239917913455, -0.3974693377553645, 0.5078954582293679,
+                    -1.3094332631095793, 0.04873347689106245]],
+                  [[-1.901535973108794, 0.9446785611932761, 1.4588481464049736, 0.11849050275406396,
+                    -0.6090386560651737, 0.5626104213877923],
+                   [-0.8701499798354211, -1.034640705526724, -1.139541665996349, 0.3411140276241297,
+                    0.23850078787784326, -0.3791050489030344]]]),
+        np.array([[0.9991067769163884, 38.787178811579224, 13.592309188834486, 18.05417597641557,
+                   38.66542633623276, -3.0],
+                  [-0.9776266937502783, 39.589978238828714, 13.873636638251352, 18.427853121210426,
+                   41.87349806704866, -3.0]]),
+        np.array([[[0.05029366203677243, 0.23093270682118935], [0.48122407946280427, 0.3766856669898358]],
+                  [[0.34449197301355083, 0.0009086726482877572], [0.36048691599368576, 0.3895099048116736]]]),
+    ))
     def test_scaled_ascent_reaches_gradient_ascent_objective(self, problem):
-        # Scaling the inputs by the steps before the products, not the
-        # gradient after them, moves each step's rounding by about eps
-        # cond(M_i), which the ridge lets reach 1e10 and more on the
-        # constant, binary and collinear columns.  The parent's own einsum
-        # and matmul ascents differ by as much on these problems.
+        # Any float ascent rounds each step by about eps cond(M_i), which the
+        # ridge lets reach 1e10 and more on the constant, binary and
+        # collinear columns, so the reference is the ascent in 34 digits.
+        # On the pinned problem (cond(M_i) 6.0e10) the explicit-inverse
+        # float ascent was 2.3e-4 off, 1.78 times this bound, and
+        # _update_transitions 4.3e-13.
         w, Xe, Xi = problem
         got = transition_objectives(_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
-        ref = transition_objectives(gradient_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
+        ref = transition_objectives(decimal_update_transitions(w, Xe, Xi, BOUND_STEPS), Xe, Xi)
         M = np.einsum("ri,rk,rl->ikl", Xi.sum(axis=2), Xe, Xe)
         dt = M.shape[1]
         ridge = 1e-10 * (1.0 + np.trace(M, axis1=1, axis2=2) / dt)
@@ -834,6 +904,12 @@ class TestForwardBackward:
         zs[-1, 0] = np.nan
         with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
             sequence_loglik(m, xs, zs)
+
+    def test_sequence_loglik_rejects_a_block(self):
+        m = random_model(make_rng(10), 2, 2, 3)
+        rng = make_rng(12)
+        with pytest.raises(ValueError, match=r"^sequence_loglik takes one \(T, ·\) sequence, got xs \(2, 4, 3\)$"):
+            sequence_loglik(m, rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 4, 2)))
 
     @pytest.mark.parametrize("xs_len, zs_len", [(0, 0), (5, 4)], ids=["empty", "length-mismatch"])
     def test_sequence_loglik_rejects_unequal_or_empty_streams(self, xs_len, zs_len):
@@ -1292,7 +1368,7 @@ class TestEmConfig:
             EmConfig().states = 0
 
     def test_checkpoint_block_holds_the_fields(self):
-        assert EmConfig().to_dict() == {"states": 3, "variant": "aio", "max_iter": 50, "tol": 1e-6, "seed": 0}
+        assert asdict(EmConfig()) == {"states": 3, "variant": "aio", "max_iter": 50, "tol": 1e-6, "seed": 0}
 
 
 class TestVariantNesting:
@@ -1316,6 +1392,18 @@ class TestVariantNesting:
         assert sequence_loglik(hmm, xs, zs) == sequence_loglik(as_aio, xs, zs)
 
 
+class TestModelValidate:
+    # NaN pi used to pass the distribution check, and NaN sigma the Cholesky check.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["mu", "a", "b", "sigma", "w", "pi"])
+    def test_non_finite_field_refused_by_name(self, field, value):
+        m = random_model(make_rng(40), 3, 2, 2)
+        m.validate()
+        getattr(m, field).flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite values$"):
+            m.validate()
+
+
 class TestInference:
     def test_two_model_posterior(self):
         post = softmax(np.array([-10.0, -12.0]) + np.log([0.5, 0.5]))
@@ -1325,7 +1413,8 @@ class TestInference:
         rng = make_rng(16)
         m = random_model(rng, 2, 2, 2)
         xs, zs = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
-        ens = AioHmmEnsemble(events=EVENTS[:3], models=dict(zip(EVENTS, [m, m.copy(), m.copy()])))
+        events = SETTINGS["lane"]
+        ens = AioHmmEnsemble(events=events, models=dict(zip(events, [m, m.copy(), m.copy()])))
         post = ens.posterior(xs, zs)
         np.testing.assert_allclose(post, 1 / 3, atol=1e-12)
 
@@ -1353,6 +1442,36 @@ class TestInference:
         message = r"'prior' must be a distribution over the 5 events"
         with pytest.raises(ValueError, match=message):
             AioHmmEnsemble(events=EVENTS, models=models, prior=prior)
+
+    # Each used to be built, and saved by save_model, and refused only by
+    # load_model; a non-positive-definite class failed AioHmmPredictor with
+    # a bare LinAlgError.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.sigma.__setitem__(1, -np.eye(2)), r"sigma\[1\] is not positive definite"),
+        (lambda m: m.pi.__setitem__(slice(None), [1.5, -0.5]), "pi must be a distribution over states"),
+        (lambda m: m.mu.__setitem__((0, 0), np.nan), "mu contains non-finite values"),
+        (lambda m: setattr(m, "variant", "io"), "variant 'io' requires b = 0"),
+        (lambda m: setattr(m, "w", m.w[:, :1]), r"w has shape \(2, 1, 2\), expected \(2, 2, 2\)"),
+    ], ids=["sigma", "pi", "nan-mu", "io-variant", "w-shape"])
+    def test_invalid_class_rejected_by_name(self, edit, message):
+        rng = make_rng(21)
+        models = dict(zip(EVENTS, (random_model(rng, 2, 2, 2) for _ in EVENTS)))
+        edit(models["left_turn"])
+        with pytest.raises(ValueError, match=rf"^model 'left_turn': {message}$"):
+            AioHmmEnsemble(events=EVENTS, models=models)
+
+    @pytest.mark.parametrize("events, message", [
+        (("straight", "left_lane"), "'straight' must be the last event"),
+        (("left_lane", "right_lane"), "'straight' must be the last event"),
+        ((), "'straight' must be the last event"),
+        (("left_lane", "left_lane", "straight"), "duplicate event labels"),
+        (("u_turn", "straight"), "unknown event labels"),
+    ], ids=["straight-first", "no-straight", "empty", "duplicate", "unknown"])
+    def test_invalid_event_tuple_rejected(self, events, message):
+        rng = make_rng(22)
+        models = {e: random_model(rng, 2, 2, 2) for e in events}
+        with pytest.raises(ValueError, match=message):
+            AioHmmEnsemble(events=events, models=models)
 
     # A checkpoint can no longer name its classes, so these rules guard only
     # ensembles built in code.

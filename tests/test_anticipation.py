@@ -272,7 +272,7 @@ def timelines(draw):
     table = draw(st.lists(st.lists(TENTHS, min_size=len(events), max_size=len(events)),
                           min_size=T, max_size=T))
     steps = draw(st.sets(st.integers(1, T), max_size=T))
-    onsets = [(s, draw(st.integers(0, len(events) - 1))) for s in sorted(steps)]
+    onsets = [(s, draw(st.integers(0, len(events) - 2))) for s in sorted(steps)]  # maneuvers: straight is last
     return events, table, onsets, draw(THRESHOLDS)
 
 
@@ -387,6 +387,16 @@ class TestRunSession:
             run_session(ScriptedPredictor([UNIFORM_ROW]), *dummy_streams(10), onsets=[(4, 1), (4, 2)], p_th=0.5)
         with pytest.raises(ValueError):
             run_session(ScriptedPredictor([UNIFORM_ROW]), *dummy_streams(10), onsets=[(5, 1), (3, 2)], p_th=0.5)
+
+    @pytest.mark.parametrize("step", [0, 11])
+    def test_onset_outside_the_timeline_rejected(self, step):
+        with pytest.raises(ValueError, match="^onset steps must lie within the timeline$"):
+            run_session(ScriptedPredictor([UNIFORM_ROW]), *dummy_streams(10), onsets=[(step, 1)], p_th=0.5)
+
+    # used to be scored as a missed maneuver, PredictionEvent(kind="mp", actual=4)
+    def test_straight_onset_rejected(self):
+        with pytest.raises(ValueError, match="^onset events must be maneuvers, not 'straight'$"):
+            run_session(ScriptedPredictor([UNIFORM_ROW]), *dummy_streams(10), onsets=[(2, 1), (3, 4)], p_th=0.5)
 
     def test_determinism(self):
         rows = [MANEUVER_ROW, UNIFORM_ROW] * 10

@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -74,6 +75,56 @@ class TestPipeline:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    d = tmp_path_factory.mktemp("small") / "d.jsonl"
+    assert main(["synth", "--n", "20", "--seed", "0", "--out", str(d)]) == 0
+    return d
+
+
+NETWORK = ["--arch", "frnn-el", "--hidden", "2", "--epochs", "2", "--seed", "1"]
+
+
+class TestTrainOutcomes:
+    @pytest.mark.parametrize("flags, header, rows", [
+        (NETWORK, "epoch,mean_loss", 2),
+        (["--arch", "hmm", "--states", "2", "--em-iters", "2", "--seed", "1"], "event,iteration,loglik", None),
+    ], ids=["network", "hmm"])
+    def test_curve_out_writes_the_training_curve(self, small_data, tmp_path, caplog, flags, header, rows):
+        caplog.set_level(logging.INFO)
+        curve = tmp_path / "curve.csv"
+        assert main(["train", "--data", str(small_data), *flags, "--out", str(tmp_path / "m.json"),
+                     "--curve-out", str(curve)]) == 0
+        lines = curve.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == header
+        body = [line.split(",") for line in lines[1:]]
+        if rows is not None:
+            assert [r[0] for r in body] == [str(i) for i in range(rows)]
+        assert body and all(len(r) == header.count(",") + 1 and math.isfinite(float(r[-1])) for r in body)
+        assert f"training curve written to {curve}" in caplog.text
+
+    def test_diverged_network_exits_1_and_writes_no_checkpoint(self, small_data, tmp_path, caplog):
+        # a step of 1e308 times the gradient overflows the weights
+        m, curve = tmp_path / "m.json", tmp_path / "curve.csv"
+        assert main(["train", "--data", str(small_data), *NETWORK, "--lr", "1e308", "--out", str(m),
+                     "--curve-out", str(curve)]) == 1
+        assert "training diverged" in caplog.text
+        assert not m.exists() and not curve.exists()
+
+    def test_empty_dataset_exits_1(self, tmp_path, caplog):
+        d, m = tmp_path / "d.jsonl", tmp_path / "m.json"
+        d.write_text("", encoding="utf-8")
+        assert main(["train", "--data", str(d), *NETWORK, "--out", str(m)]) == 1
+        assert "training dataset is empty" in caplog.text
+        assert not m.exists()
+
+    def test_relative_data_is_found_in_the_data_dir(self, small_data, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MANEUVERKIT_DATA_DIR", str(small_data.parent))
+        assert main(["train", "--data", small_data.name, *NETWORK, "--out", "m.json"]) == 0
+        assert load_model(tmp_path / "m.json")[1] == "fusion_rnn"
 
 
 class TestValidation:
@@ -556,6 +607,17 @@ class TestOverflowingSample:
 
 
 class TestStreamRecords:
+    # A straight onset used to be scored as a missed maneuver.
+    @pytest.mark.parametrize("kind", ["hmm", "fusion"])
+    def test_straight_onset_stops_with_located_error(self, hmm_checkpoint, monkeypatch, capsys, caplog, kind):
+        model = hmm_checkpoint if kind == "hmm" else Path(__file__).parent / "data" / "fusion_h2.json"
+        lines = [json.dumps(STEP), json.dumps({**STEP, "onset": "straight"}), json.dumps(STEP)]
+        code, records = stream(model, lines, monkeypatch, capsys)
+        assert code == 1
+        assert [r["t"] for r in records] == [1]
+        assert ("stdin line 2: field 'onset' is 'straight', not one of "
+                "['left_lane', 'right_lane', 'left_turn', 'right_turn']") in caplog.text
+
     def test_known_onset_is_accepted(self, hmm_checkpoint, monkeypatch, capsys):
         lines = [json.dumps(STEP), json.dumps({**STEP, "onset": "left_turn"})]
         code, records = stream(hmm_checkpoint, lines, monkeypatch, capsys)
@@ -801,6 +863,16 @@ class TestMalformedReports:
         assert code == 1
         assert out == ""
         assert f"{r}: {message}" in caplog.text
+
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_report_that_is_not_json_is_a_located_error(self, tmp_path, capsys, caplog, fmt):
+        r = tmp_path / "r.json"
+        r.write_text("{not json", encoding="utf-8")
+        code, out = run(["report", "--in", str(r), "--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{r}: malformed JSON (" in caplog.text
 
 
 class TestTrainerFactory:

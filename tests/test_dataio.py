@@ -5,6 +5,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -613,6 +614,23 @@ class TestFusionCheckpointErrors:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    # The loader's refusal of a network is the constructor's, prefixed with
+    # the file, so save_model cannot write a network that load_model refuses.
+    @pytest.mark.parametrize("edit, change", [
+        (lambda p, t: p.update(arch="lstm"), lambda m: {"arch": "lstm"}),
+        (lambda p, t: t[:-1], lambda m: {"theta": m.theta[:-1].copy()}),
+        (lambda p, t: p.update(hidden=3), lambda m: {"hidden": 3}),
+    ], ids=["arch", "short-theta", "hidden-plus-one"])
+    def test_loader_refuses_a_network_as_the_constructor_does(self, tmp_path, edit, change):
+        with pytest.raises(DataFormatError) as loaded:
+            load_model(edited_checkpoint(tmp_path, edit))
+        m = load_model(DATA / "fusion_h2.json")[0]
+        fields = {"arch": m.arch, "input_x": m.input_x, "input_z": m.input_z, "hidden": m.hidden,
+                  "events": m.events, "theta": m.theta}
+        with pytest.raises(ValueError) as built:
+            FusionRnnModel(**{**fields, **change(m)})
+        assert str(loaded.value) == f"{tmp_path / 'edited.json'}: {built.value}"
+
     @pytest.mark.parametrize("tail", [b"\n", b""], ids=["newline", "no-newline"])
     def test_header_without_payload_names_file_and_field(self, tmp_path, tail):
         path = tmp_path / "edited.json"
@@ -790,15 +808,36 @@ class TestAioHmmCheckpointErrors:
 
     def test_only_bad_covariance_is_named(self, tmp_path):
         # the batched check fails for the whole stack; the message must still
-        # name the one state whose covariance is not positive definite
+        # name the one state whose covariance is not positive definite, when
+        # the ensemble is built and when a checkpoint's payload holds it
         rng = make_rng(32)
         models = {e: random_model(rng, 4, 3, 2) for e in EVENTS}
-        models["left_turn"].sigma[2] = np.diag([1.0, -1.0, 1.0])
+        sigma = models["left_turn"].sigma.copy()
+        sigma[2] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^model 'left_turn': sigma\[2\] is not positive definite$"):
+            AioHmmEnsemble(events=EVENTS, models={**models, "left_turn": replace(models["left_turn"], sigma=sigma)})
         path = tmp_path / "m.json"
         save_model(AioHmmEnsemble(events=EVENTS, models=models), {}, path)
+        path = write_edited(tmp_path, *read_checkpoint(path), theta_edit("left_turn", "sigma", sigma))
         with pytest.raises(DataFormatError,
-                           match=r"m\.json: model 'left_turn': sigma\[2\] is not positive definite$"):
+                           match=r"edited\.json: model 'left_turn': sigma\[2\] is not positive definite$"):
             load_model(path)
+
+    # The loader's refusal of a class is the constructor's, prefixed with the
+    # file, so save_model cannot write an ensemble that load_model refuses.
+    @pytest.mark.parametrize("event, field, value", [
+        ("straight", "sigma", -np.ones((2, 3, 3))),
+        ("right_lane", "pi", [1.5, -0.5]),
+        ("left_lane", "sigma", [np.eye(3), np.diag([1.0, 0.0, 1.0])]),
+    ], ids=["sigma", "pi", "singular-sigma"])
+    def test_loader_refuses_a_class_as_the_constructor_does(self, tmp_path, hmm_parts, event, field, value):
+        with pytest.raises(DataFormatError) as loaded:
+            load_model(write_edited(tmp_path, *hmm_parts, theta_edit(event, field, value)))
+        ensemble = load_model(write_edited(tmp_path, *hmm_parts, lambda p, t: None))[0]
+        bad = replace(ensemble.models[event], **{field: np.array(value, dtype=float)})
+        with pytest.raises(ValueError) as built:
+            AioHmmEnsemble(events=ensemble.events, models={**ensemble.models, event: bad}, prior=ensemble.prior)
+        assert str(loaded.value) == f"{tmp_path / 'edited.json'}: {built.value}"
 
     @pytest.mark.parametrize("doc", [[1, 2], {"format_version": FORMAT_VERSION, "kind": "aio_hmm"}])
     def test_document_without_params_rejected(self, tmp_path, doc):
@@ -909,6 +948,6 @@ def test_train_config_round_trips_through_checkpoint(tmp_path):
     cfg = TrainConfig(loss_mode="uniform", learning_rate=3e-4, epochs=7, seed=42)
     em = EmConfig(states=4, variant="io", max_iter=12, seed=8)
     path = tmp_path / "m.json"
-    save_model(model, {"train": cfg.to_dict(), "em": em.to_dict()}, path)
+    save_model(model, {"train": asdict(cfg), "em": asdict(em)}, path)
     _, _, loaded = load_model(path)
-    assert loaded == {"train": cfg.to_dict(), "em": em.to_dict()}
+    assert loaded == {"train": asdict(cfg), "em": asdict(em)}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maneuverkit.fusion_rnn import (
+    FusionRnnModel,
     backward,
     forward,
     init_fusion_model,
@@ -328,6 +329,18 @@ class TestFlatLayout:
             np.testing.assert_array_equal(a, b)
         c.theta[...] = 0.0
         assert np.all(c.W_y == 0.0) and np.any(m.W_y != 0.0)
+
+    # Each used to be built, and saved by save_model, and refused only by load_model.
+    @pytest.mark.parametrize("events, message", [
+        (("left_lane", "right_lane"), "'straight' must be the last event"),
+        (("straight", "left_lane"), "'straight' must be the last event"),
+        (("left_lane", "left_lane", "straight"), "duplicate event labels"),
+        (("u_turn", "straight"), "unknown event labels"),
+    ], ids=["no-straight", "straight-first", "duplicate", "unknown"])
+    @pytest.mark.parametrize("arch", ["fusion", "concat"])
+    def test_invalid_event_tuple_rejected(self, arch, events, message):
+        with pytest.raises(ValueError, match=message):
+            FusionRnnModel(arch=arch, input_x=6, input_z=9, hidden=2, events=events)
 
     def test_wrong_theta_size_rejected(self):
         m = make_model()

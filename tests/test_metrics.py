@@ -400,6 +400,17 @@ class TestCrossValidate:
         assert mean == pytest.approx(0.85)
         assert stderr == 0.0
 
+    def test_one_defined_fold_has_zero_stderr(self, caplog):
+        from maneuverkit.metrics import EvalReport, FoldScore
+
+        report = EvalReport(
+            events=EVENTS,
+            folds=[FoldScore(None, None, None, None, 0.5), FoldScore(0.9, 0.8, 0.85, 2.5, 0.7)],
+            confusion=np.zeros((5, 5)),
+        )
+        assert report.f1_mean_stderr() == (0.85, 0.0)
+        assert "1 fold value(s) undefined; aggregating the rest" in caplog.text
+
     def test_training_folds_never_contain_test_samples(self):
         data = generate(ScenarioConfig(seed=22), 30)
         seen = []

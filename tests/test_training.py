@@ -21,7 +21,6 @@ from maneuverkit.training import (
     gradient_check,
     loss_logit_grads,
     loss_weights,
-    rmsprop_apply,
     train,
 )
 
@@ -29,10 +28,20 @@ from test_fusion_rnn import rebuilt_model_backward
 
 
 def rmsprop_update(param, grad, acc, learning_rate):
-    """The functional reference of ``rmsprop_apply``: the step on copies,
-    returning (new_param, new_acc)."""
+    """The operations of ``RmsProp.step`` on one array, written out on
+    copies; returns (new_param, new_acc)."""
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite gradient; step rejected")
     new_param, new_acc = param.copy(), acc.copy()
-    rmsprop_apply(new_param, grad, new_acc, learning_rate)
+    scratch = (1.0 - RMSPROP_DECAY) * grad
+    scratch *= grad
+    new_acc *= RMSPROP_DECAY
+    new_acc += scratch
+    np.sqrt(new_acc, out=scratch)
+    scratch += RMSPROP_EPSILON
+    step = learning_rate * grad
+    step /= scratch
+    new_param -= step
     return new_param, new_acc
 
 
@@ -138,6 +147,16 @@ class TestRmsProp:
             opt.step(model, grad)
         np.testing.assert_array_equal(model.theta, theta)
         np.testing.assert_array_equal(opt.acc, acc)
+
+    def test_misshaped_gradient_rejected_before_any_write(self):
+        rng = make_rng(6)
+        model = init_fusion_model("fusion", 6, 9, 5, EVENTS, rng)
+        opt = RmsProp(model, TrainConfig(learning_rate=1e-2))
+        theta = model.theta.copy()
+        with pytest.raises(ValueError, match=r"^shape mismatch: theta \(\d+,\), grad \(\d+,\), acc"):
+            opt.step(model, rng.standard_normal(model.theta.size - 1))
+        np.testing.assert_array_equal(model.theta, theta)
+        np.testing.assert_array_equal(opt.acc, 0.0)
 
     @pytest.mark.parametrize("arch", ["fusion", "concat"])
     def test_flat_step_equals_per_block_updates(self, arch):
