@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
         raise ValueError("training dataset is empty")
     model, meta, curve, aborted = train_model(args, dataset, args.seed)
     if aborted:
-        raise RuntimeError("training diverged; checkpoint holds the last finite state")
+        raise RuntimeError("training diverged; no checkpoint was written")
     dataio.save_model(model, meta, args.out)
     log.info("checkpoint written to %s", args.out)
     if args.curve_out:
@@ -260,14 +260,19 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
     Input lines: {"x": [...], "z": [...]} with an optional "onset": label
     key marking the start of one of the predictor's maneuvers.  A step record
     carries a "commit" entry exactly when ``anticipation.CommitTracker``, the
-    stick rule of session scoring, commits at that step.  The first
-    malformed record, or the first step whose probabilities are not finite
-    (a finite but extreme record can overflow the model, and every later
-    step would carry the NaN), ends the stream with a ValueError that names
-    its 1-based input line.  That check is the guard against overflow, so
-    NumPy's overflow and invalid-value warnings are off for the whole stream.
+    stick rule of session scoring, commits at that step.  Each record is the
+    line ``json.dumps`` would write for it, filled into a format made once
+    per stream (see :func:`_record_writer`), and goes out with one write and
+    one flush.  The first malformed record, or the first step whose
+    probabilities are not finite (a finite but extreme record can overflow
+    the model, and every later step would carry the NaN), ends the stream
+    with a ValueError that names its 1-based input line.  That check is the
+    guard against overflow, so NumPy's overflow and invalid-value warnings
+    are off for the whole stream.
     """
     tracker = anticipation.CommitTracker(predictor.events, p_th)
+    record = _record_writer(predictor.events)
+    write, flush = sys.stdout.write, sys.stdout.flush
     state = predictor.begin()
     t = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,12 +286,27 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
             values = probs.tolist()
             if not all(map(math.isfinite, values)):  # cheaper than np.isfinite here
                 raise ValueError(f"stdin line {lineno}: the step's probabilities are not finite")
-            out = {"t": t, "probs": dict(zip(predictor.events, values))}
             commit, _ = tracker.step(t, probs, onset)
-            if commit is not None:
-                out["commit"] = {"event": predictor.events[commit], "p": values[commit]}
-            print(json.dumps(out), flush=True)
+            write(record(t, values, commit))
+            flush()
     return 0
+
+
+def _record_writer(events: tuple[str, ...]):
+    """The stream's record line for (t, finite probabilities, committed event
+    index or None): what ``json.dumps`` writes for {"t": t, "probs":
+    dict(zip(events, values))}, with {"event": ..., "p": ...} under "commit"
+    when an event is committed, and a newline.  Each key is written by
+    ``json.dumps`` once, into a %-format; a finite Python float's ``repr``
+    is what ``json.dumps`` writes for it."""
+    fmt = '{"t": %d, "probs": {' + ", ".join(json.dumps(e) + ": %r" for e in events) + "}%s}\n"
+
+    def record(t: int, values: list[float], commit: int | None) -> str:
+        entry = "" if commit is None else ', "commit": ' + json.dumps(
+            {"event": events[commit], "p": values[commit]})
+        return fmt % (t, *values, entry)
+
+    return record
 
 
 def _parse_step(
@@ -294,24 +314,22 @@ def _parse_step(
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
     """Decode one stream record into (x, z, onset event index or None), or
     raise a ValueError that names the input line and the offending field."""
-    where = f"stdin line {lineno}"
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{where}: not a JSON record ({err.msg})") from None
-    if not isinstance(record, dict):
-        raise ValueError(f"{where}: expected a JSON object with fields 'x' and 'z'")
-    vectors = []
-    for field, size in zip(("x", "z"), sizes):
-        if field not in record:
-            raise ValueError(f"{where}: missing field {field!r}")
-        try:
+        if not isinstance(record, dict):
+            raise ValueError("expected a JSON object with fields 'x' and 'z'")
+        vectors = []
+        for field, size in zip(("x", "z"), sizes):
+            if field not in record:
+                raise ValueError(f"missing field {field!r}")
             vectors.append(dataio.parse_vector(record[field], field, (size,)))
-        except dataio.DataFormatError as err:
-            raise ValueError(f"{where}: {err}") from None
-    onset = record.get("onset")
-    if onset is not None and onset not in events[:-1]:  # straight, always last, is no maneuver
-        raise ValueError(f"{where}: field 'onset' is {onset!r}, not one of {list(events[:-1])}")
+        onset = record.get("onset")
+        if onset is not None and onset not in events[:-1]:  # straight, always last, is no maneuver
+            raise ValueError(f"field 'onset' is {onset!r}, not one of {list(events[:-1])}")
+    except json.JSONDecodeError as err:
+        raise ValueError(f"stdin line {lineno}: not a JSON record ({err.msg})") from None
+    except ValueError as err:  # DataFormatError too; the line is named on this path only
+        raise ValueError(f"stdin line {lineno}: {err}") from None
     return vectors[0], vectors[1], None if onset is None else events.index(onset)
 
 

@@ -164,21 +164,22 @@ def parse_vector(value, field: str, sizes: tuple[int, ...]) -> np.ndarray:
     here, although NumPy would convert them.
 
     A fault raises DataFormatError naming the field; callers prefix it with
-    the location (file, line and step, or stream line).
+    the location (file, line and step, or stream line).  The list's own
+    elements are checked before its one conversion to an array.
     """
-    vector = None
+    finite = None
     if isinstance(value, list) and len(value) in sizes and _NUMBER_TYPES.issuperset(map(type, value)):
-        try:
-            vector = np.array(value, float)
-        except OverflowError:  # an integer beyond the float range
+        try:  # every element, so an integer beyond the float range is found wherever it is
+            finite = list(map(math.isfinite, value))
+        except OverflowError:
             pass
-    if vector is None:
+    if finite is None:
         raise DataFormatError(
             f"field {field!r} must be a list of {' or '.join(map(str, sizes))} numbers"
         )
-    if not all(map(math.isfinite, vector.tolist())):  # cheaper than np.isfinite here
+    if not all(finite):
         raise DataFormatError(f"field {field!r} must be finite")
-    return vector
+    return np.array(value, float)
 
 
 # ---------------------------------------------------------------------------

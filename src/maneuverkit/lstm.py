@@ -94,8 +94,16 @@ def stack_recurrent(cells: list[LstmParams]) -> tuple[np.ndarray, np.ndarray]:
 def input_projections(cells: list[LstmParams], inputs: list[np.ndarray]) -> np.ndarray:
     """W u + b of every cell, stacked on a leading cell axis: (C, T, 4H)
     for (T, input) sequences, (C, 4H) for (input,) steps, and (C, ..., 4H)
-    for inputs with any leading axes."""
-    return np.stack([u @ p.W.T + p.b for p, u in zip(cells, inputs)])
+    for inputs with any leading axes.
+
+    The result is allocated once and each cell's product is written into
+    its slice in place, then its bias added there, so no per-cell temporary
+    is made; the arithmetic is that of ``u @ W.T + b``, bit for bit."""
+    a = np.empty((len(cells),) + inputs[0].shape[:-1] + (cells[0].b.shape[0],))
+    for p, u, ak in zip(cells, inputs, a):
+        np.matmul(u, p.W.T, out=ak)
+        ak += p.b
+    return a
 
 
 @dataclass

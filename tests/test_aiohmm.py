@@ -598,20 +598,13 @@ def expected_emission_loglik(m, batch, stats):
     return float(np.sum(G * emission_logprobs(m, X, Z, z_prev=Zprev)))
 
 
-@st.composite
-def mean_problems(draw):
+def mean_problem(seed, variant, S, dz, kinds, lengths, data, drop_state, rounds):
     """(batch, stats, model, mean rounds) for one M-step, with the designs the factored
     mean solve must get right: duplicated and constant columns, fewer rows
     than [design | z | 1] columns, length-1 sequences, a state with no
-    posterior mass, and all-zero observations for every state or for one
-    state alone, whose solve stops while the others go on."""
-    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
-    variant = draw(st.sampled_from(["aio", "io", "hmm"]))
-    S, dz = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    kinds = draw(st.lists(st.sampled_from(["normal", "const", "duplicate", "binary"]),
-                          min_size=1, max_size=4))
-    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
-    data = draw(st.sampled_from(["normal", "offset", "duplicate", "zero", "zero-state"]))
+    posterior mass (``drop_state``), and all-zero observations for every
+    state or for one state alone, whose solve stops while the others go on."""
+    rng = make_rng(seed)
     seqs = []
     for L in lengths:
         cols = []
@@ -637,13 +630,30 @@ def mean_problems(draw):
     gamma = rng.uniform(0.05, 1.0, batch.zs.shape[:2] + (S,))
     if data == "zero-state" and S > 1:
         gamma[1:, :, 0] = 0.0  # state 0 sees only the all-zero first sequence
-    elif S > 1 and draw(st.booleans()):
+    elif S > 1 and drop_state:
         gamma[..., int(rng.integers(0, S))] = 0.0
     gamma /= gamma.sum(axis=2, keepdims=True)
     gamma[np.arange(gamma.shape[1]) >= batch.lengths[:, None]] = 0.0
     xi = gamma[:, :-1, :, None] * gamma[:, 1:, None, :]
     stats = PosteriorStats(gamma=gamma, xi=xi, loglik=np.zeros(len(seqs)))
-    return batch, stats, m, draw(st.integers(1, 3))
+    return batch, stats, m, rounds
+
+
+@st.composite
+def mean_problems(draw):
+    """A :func:`mean_problem` over drawn sizes, designs and data."""
+    return mean_problem(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        variant=draw(st.sampled_from(["aio", "io", "hmm"])),
+        S=draw(st.integers(1, 4)),
+        dz=draw(st.integers(1, 3)),
+        kinds=draw(st.lists(st.sampled_from(["normal", "const", "duplicate", "binary"]),
+                            min_size=1, max_size=4)),
+        lengths=draw(st.lists(st.integers(1, 12), min_size=1, max_size=6)),
+        data=draw(st.sampled_from(["normal", "offset", "duplicate", "zero", "zero-state"])),
+        drop_state=draw(st.booleans()),
+        rounds=draw(st.integers(1, 3)),
+    )
 
 
 def transition_row(m, i, x):
@@ -1157,6 +1167,11 @@ class TestMStep:
 
     @settings(max_examples=300, deadline=None)
     @given(mean_problems())
+    # One sequence of 2 steps, dx = dz = 1, 2 states: the minimum-norm
+    # coupling solve returns a and b of 2e5 to 6.5e6, whose design terms
+    # cancel in the fitted mean and leave eps |x| |a| |mu| of rounding.
+    @example(problem=mean_problem(seed=117, variant="aio", S=2, dz=1, kinds=["normal"], lengths=[2],
+                                  data="normal", drop_state=False, rounds=1))
     def test_scatter_from_r_matches_residual_form(self, problem):
         batch, stats, m, rounds = problem
         X, Z, Zprev, G = live_rows(batch, stats)
@@ -1166,8 +1181,12 @@ class TestMStep:
             fitted = (1.0 + X @ a[k] + Zprev @ b[k])[:, None] * mu[k]
             resid = Z - fitted
             ref = (resid * G[:, i, None]).T @ resid
-            # a scatter that is all rounding is measured against its terms'
-            raw = np.finfo(float).eps * float(G[:, i] @ np.sum(Z * Z + fitted * fitted, axis=1))
+            # a scatter that is all rounding is measured against its terms',
+            # the design terms x a mu and z_prev b mu among them: the two
+            # residuals round those apart, however far they cancel
+            design = (np.abs(X) @ np.abs(a[k]) + np.abs(Zprev) @ np.abs(b[k]))[:, None] * np.abs(mu[k])
+            terms = Z * Z + fitted * fitted + design * design
+            raw = np.finfo(float).eps * float(G[:, i] @ np.sum(terms, axis=1))
             assert np.abs(scatter[k] - ref).max() <= 1e-9 * (np.abs(ref).max() + raw)
 
     @settings(max_examples=300, deadline=None)

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maneuverkit import aiohmm, training
 from maneuverkit.anticipation import FusionRnnPredictor
-from maneuverkit.cli import COMMANDS, build_parser, main, train_model
+from maneuverkit.cli import COMMANDS, _record_writer, build_parser, main, train_model
 from maneuverkit.dataio import load_dataset, load_model, save_dataset
+from maneuverkit.events import EVENTS, STRAIGHT, validate_events
 from maneuverkit.synth import ScenarioConfig, generate, split_folds
 
 from test_dataio import (
@@ -110,7 +113,7 @@ class TestTrainOutcomes:
         m, curve = tmp_path / "m.json", tmp_path / "curve.csv"
         assert main(["train", "--data", str(small_data), *NETWORK, "--lr", "1e308", "--out", str(m),
                      "--curve-out", str(curve)]) == 1
-        assert "training diverged" in caplog.text
+        assert "training diverged; no checkpoint was written" in caplog.text
         assert not m.exists() and not curve.exists()
 
     def test_empty_dataset_exits_1(self, tmp_path, caplog):
@@ -604,6 +607,55 @@ class TestOverflowingSample:
                        "--epochs", "2", "--seed", "2", "--out", str(m)], capsys)
         assert code == 0
         assert m.exists()
+
+
+DATA = Path(__file__).parent / "data"
+
+# Event tuples a model can hold: one to four maneuvers in any order, then straight.
+EVENT_TUPLES = st.lists(st.sampled_from(EVENTS[:-1]), min_size=1, max_size=4, unique=True).map(
+    lambda maneuvers: (*maneuvers, STRAIGHT))
+# Finite floats, with the edge cases of their shortest repr: zero, the least
+# subnormal, one, and values that take 17 significant digits.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1.0, 0.30000000000000004, 0.9999999999999999, 1.7976931348623157e308])
+
+
+@st.composite
+def stream_records(draw):
+    """(events, finite values, t, committed index or None) of one record."""
+    events = draw(EVENT_TUPLES)
+    values = draw(st.lists(FINITE, min_size=len(events), max_size=len(events)))
+    return events, values, draw(st.integers(1, 10**12)), draw(st.none() | st.integers(0, len(events) - 1))
+
+
+class TestStreamBytes:
+    # The committed outputs were written before the stream's records were
+    # preformatted: the bytes must not move.
+    @pytest.mark.parametrize("name", ["fusion_h2", "aiohmm_s2"])
+    def test_stream_output_is_byte_identical_to_the_committed_one(self, monkeypatch, capsys, name):
+        steps = (DATA / "stream_steps.jsonl").read_text(encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(steps))
+        code, out = run(["anticipate", "--model", str(DATA / f"{name}.json"), "--pth", "0.8", "--stream"],
+                        capsys)
+        assert code == 0
+        assert out.encode("utf-8") == (DATA / f"stream_{name}.jsonl").read_bytes()
+
+    def test_committed_steps_carry_onsets_and_commits(self):
+        # what the byte comparison above covers
+        assert '"onset"' in (DATA / "stream_steps.jsonl").read_text(encoding="utf-8")
+        assert '"commit"' in (DATA / "stream_aiohmm_s2.jsonl").read_text(encoding="utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream_records())
+    @example((EVENTS, [0.0, 5e-324, 1.0, 0.30000000000000004, 0.1], 1, 3))
+    @example((EVENTS[2:], [0.9999999999999999, 5e-324, 1.7976931348623157e308], 7, None))
+    def test_record_is_what_json_dumps_writes(self, record):
+        events, values, t, commit = record
+        validate_events(events)
+        doc = {"t": t, "probs": dict(zip(events, values))}
+        if commit is not None:
+            doc["commit"] = {"event": events[commit], "p": values[commit]}
+        assert _record_writer(events)(t, values, commit) == json.dumps(doc) + "\n"
 
 
 class TestStreamRecords:

@@ -565,7 +565,8 @@ class TestHoistedBackward:
 
 class TestCellMajorStep:
     """The cell-major step, on one sequence, against :func:`matvec_step`:
-    every bit of the step, the training tape and the streamed predictor."""
+    every bit of the input projections, the step, the training tape and the
+    streamed predictor."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -573,9 +574,10 @@ class TestCellMajorStep:
         hidden=st.integers(1, 64),
         T=st.integers(1, 8),
         scale=st.floats(1.0, 3.0),
+        B=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_matvec_reference(self, arch, hidden, T, scale, seed):
+    def test_equals_matvec_reference(self, arch, hidden, T, scale, B, seed):
         rng = make_rng(seed)
         model = init_fusion_model(arch, 6, 9, hidden, EVENTS, rng)
         model.theta[...] *= scale  # scaled weights drive the gates into saturation
@@ -583,6 +585,13 @@ class TestCellMajorStep:
         cells, inputs = model.cells, cell_inputs(model, xs, zs)
         U, V = stack_recurrent(cells)
         C = len(cells)
+
+        # The in-place projections equal each cell's own u @ W.T + b, bit for
+        # bit, for a step, a sequence and a block's strided (B, ·) step rows.
+        block = cell_inputs(model, rng.standard_normal((B, T, 6)), rng.standard_normal((B, T, 9)))
+        for step_inputs in ([u[0] for u in inputs], inputs, [u[:, T - 1] for u in block]):
+            np.testing.assert_array_equal(input_projections(cells, step_inputs),
+                                          np.stack([u @ p.W.T + p.b for p, u in zip(cells, step_inputs)]))
 
         a = input_projections(cells, [u[0] for u in inputs])
         h, c = rng.standard_normal((C, hidden)), rng.standard_normal((C, hidden))
