@@ -26,6 +26,9 @@ over all classes stacked, and the streaming predictor advances its forward
 vectors with the one-step update :func:`log_forward_step` and the same
 :func:`log_transitions`.
 
+The block pass holds its arrays time-major, states before sequences; its
+layout and the two rules that keep it exact are under :func:`block_forward`.
+
 The M-step solves the coupled mean parameters by ``MEAN_ROUNDS`` rounds of
 alternating exact weighted least squares, updates each covariance from
 posterior-weighted residuals (eigenvalues floored at ``COV_FLOOR``),
@@ -222,8 +225,8 @@ def log_forward(log_pi: np.ndarray, log_a: np.ndarray, logb: np.ndarray) -> np.n
     log transitions (..., T-1, S, S) whose entry t - 1 leads into step t,
     and log emissions (..., T, S).  The log-sum-exp of the alphas at step t
     is the log-likelihood of the prefix that ends there."""
-    la = np.empty(logb.shape)
-    la[..., 0, :] = log_pi + logb[..., 0, :]
+    la = np.empty_like(logb)
+    np.add(log_pi, logb[..., 0, :], out=la[..., 0, :])
     for t in range(1, logb.shape[-2]):
         la[..., t, :] = log_forward_step(la[..., t - 1, :], log_a[..., t - 1, :, :], logb[..., t, :])
     return la
@@ -262,22 +265,26 @@ def emission_logprobs(
 ) -> np.ndarray:
     """(T, S) log emission densities for a whole sequence.
 
-    All states' residuals r are whitened, y = L^-1 r, by one batched matmul
-    with the inverse factors of :func:`emission_factors`.  ``factors`` are
-    ``emission_factors(m.sigma)`` when the caller keeps them across calls;
-    every stage matches a per-state loop of the same whitened math bit for
-    bit.
+    All states' residuals r = z - s mu are built state-major, (S, dz, T),
+    in one buffer and in place, then whitened, y = L^-1 r, by one contiguous
+    batched matmul with the inverse factors of :func:`emission_factors` and
+    squared in place; the result is a (T, S) view of (S, T) memory.
+    ``factors`` are ``emission_factors(m.sigma)`` when the caller keeps them
+    across calls; every stage matches a per-state loop of the same whitened
+    math bit for bit.
     """
     if z_prev is None:
         z_prev = shifted_observations(zs)
     inv_chol, logdet = emission_factors(m.sigma) if factors is None else factors
     scales = emission_scales(m, xs, z_prev)
-    resid = zs[None, :, :] - scales.T[:, :, None] * m.mu[:, None, :]    # (S, T, dz)
-    y = inv_chol @ resid.transpose(0, 2, 1)                             # (S, dz, T)
-    quad = np.sum(y * y, axis=1)                                        # (S, T)
-    out = np.empty((zs.shape[0], m.states))
-    out[:] = (-0.5 * ((m.dim_z * LOG_2PI + logdet)[:, None] + quad)).T
-    return out
+    resid = np.multiply(m.mu[:, :, None], scales.T[:, None, :])          # (S, dz, T)
+    np.subtract(zs.T, resid, out=resid)
+    y = inv_chol @ resid                                                # (S, dz, T)
+    np.multiply(y, y, out=y)
+    quad = y.sum(axis=1)                                                # (S, T)
+    quad += (m.dim_z * LOG_2PI + logdet)[:, None]
+    quad *= -0.5
+    return quad.T
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +308,39 @@ def block_forward(
     carries its forward and backward vectors through unchanged: every real
     step, and the log-likelihood, is what a pass over that sequence alone
     computes, and each padding row repeats the last real one.
+
+    The three arrays are views of time-major, state-first memory: log
+    emissions live in (T, ..., S, B) and log transitions in (T-1, ..., S,
+    S, B), and :func:`log_forward` gives the alphas the emissions' layout.
+    A step's update and its log-sum-exp over source states thus run their
+    inner loops along the B sequences, not along strided runs of S states.
+    Padding is an index assignment into that memory.  Two rules keep the
+    layout from moving a bit:
+
+    - Products keep the (B, T) row order of the C-layout pass, and the
+      results are reordered after: the emission rows, and the rows
+      :func:`log_transitions` takes.  BLAS rounds a large enough product by
+      its row order (308 transition rows against 48 weight rows moved log
+      transitions by one ulp), which changed 4-state checkpoints.
+    - :func:`forward_backward` returns ``gamma`` and ``xi`` in C order.
+      :func:`m_step` takes ``pi`` from ``gamma[:, 0].sum(axis=0)``, and
+      NumPy rounds a sum by memory order: pairwise along a contiguous axis
+      of 8 or more terms, in sequence along a strided one.
     """
     B, T = xs.shape[:2]
     *lead, S = log_pi.shape
     live = np.arange(T) < lengths[:, None]                               # (B, T)
-    logb = np.zeros((B, T, m.states))
-    logb[live] = emission_logprobs(m, xs[live], zs[live], z_prev=shifted_observations(zs)[live],
-                                   factors=factors)
-    logb = np.moveaxis(logb.reshape(B, T, *lead, S), (0, 1), (-3, -2))
+    rows, steps = np.nonzero(live)                                       # in (B, T) order
+    logb = np.zeros((T, m.states, B))
+    logb[steps, :, rows] = emission_logprobs(m, xs[live], zs[live], factors=factors,
+                                             z_prev=shifted_observations(zs)[live])
+    logb = np.moveaxis(logb.reshape(T, *lead, S, B), (0, -1), (-2, -3))   # (..., B, T, S)
     xe = transition_inputs(m, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
-    log_a = np.moveaxis(log_transitions(w, xe).reshape(*lead, S, S, B, T - 1), (-2, -1), (-4, -3))
-    log_a[..., ~live[:, 1:], :, :] = np.where(np.eye(S, dtype=bool), 0.0, -np.inf)
+    log_a = np.ascontiguousarray(                                        # (T-1, ..., S, S, B)
+        np.moveaxis(log_transitions(w, xe).reshape(*lead, S, S, B, T - 1), -1, 0))
+    pad_rows, pad_steps = np.nonzero(~live[:, 1:])
+    log_a[pad_steps, ..., pad_rows] = np.where(np.eye(S, dtype=bool), 0.0, -np.inf)
+    log_a = np.moveaxis(log_a, (0, -1), (-3, -4))                       # (..., B, T-1, S, S)
     return logb, log_a, log_forward(log_pi[..., None, :], log_a, logb)
 
 
@@ -331,7 +360,7 @@ def forward_backward(
     live = np.arange(T) < lengths[:, None]                               # (B, T)
     with np.errstate(divide="ignore"):  # zero pi entries give log 0 = -inf
         logb, log_a, la = block_forward(m, m.w, np.log(m.pi), xs, zs, lengths)
-    lb = np.empty(la.shape)
+    lb = np.empty_like(la)
     lb[:, T - 1] = 0.0
     for t in range(T - 2, -1, -1):  # the same update along reversed transitions
         lb[:, t] = log_forward_step(logb[:, t + 1] + lb[:, t + 1], log_a[:, t].swapaxes(1, 2), 0.0)
@@ -339,10 +368,10 @@ def forward_backward(
     loglik = np.logaddexp.reduce(la[:, T - 1], axis=-1)
     if not np.all(np.isfinite(loglik)):
         raise FloatingPointError("log-space forward pass degenerated")
-    gamma = np.exp(la + lb - loglik[:, None, None])
+    gamma = np.exp(la + lb - loglik[:, None, None], order="C")
     gamma[~live] = 0.0
     xi = np.exp(la[:, :-1, :, None] + log_a + (logb[:, 1:] + lb[:, 1:])[:, :, None, :]
-                - loglik[:, None, None, None])
+                - loglik[:, None, None, None], order="C")
     xi[~live[:, 1:]] = 0.0
     if single:
         return PosteriorStats(gamma=gamma[0], xi=xi[0], loglik=float(loglik[0]))

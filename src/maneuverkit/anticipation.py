@@ -141,8 +141,8 @@ class AioHmmPredictor:
 
     A block's trajectory is one :func:`~maneuverkit.aiohmm.block_forward`
     over the (K, B) chains; the prefix log-likelihood at step t is the
-    log-sum-exp of the alphas at t, and a padding row repeats its
-    sequence's last real one.
+    log-sum-exp of the alphas at t, reduced over their time-major memory,
+    and a padding row repeats its sequence's last real one.
     """
 
     def __init__(self, ensemble: AioHmmEnsemble):

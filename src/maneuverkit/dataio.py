@@ -219,7 +219,11 @@ def save_model(model, config: dict, path: str | Path) -> None:
 def load_model(path: str | Path):
     """Read a checkpoint; returns (model, kind, config)."""
     path = Path(path)
-    line, _, payload = path.read_bytes().partition(b"\n")
+    data = path.read_bytes()
+    cut = data.find(b"\n")
+    if cut < 0:  # no newline: the whole file is the header line
+        cut = len(data)
+    line, payload = data[:cut], memoryview(data)[cut + 1:]  # a view: the payload is not copied
     try:
         header = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError as err:
@@ -251,7 +255,7 @@ def _refuse_unexpected(d: dict, fields: set, path: Path) -> None:
         raise DataFormatError(f"{path}: unexpected field {unexpected[0]!r}")
 
 
-def _read_params(d: dict, payload: bytes, path: Path, what: str, size_fields: tuple[str, ...]):
+def _read_params(d: dict, payload: memoryview, path: Path, what: str, size_fields: tuple[str, ...]):
     """A checkpoint's events, its declared sizes ``size_fields`` (each an
     integer of at least 1) by name, and its finite ``theta``, read from the
     raw little-endian doubles of ``payload``.
@@ -283,7 +287,7 @@ def _read_params(d: dict, payload: bytes, path: Path, what: str, size_fields: tu
     return events, sizes, theta
 
 
-def _fusion_from_dict(d: dict, payload: bytes, path: Path) -> FusionRnnModel:
+def _fusion_from_dict(d: dict, payload: memoryview, path: Path) -> FusionRnnModel:
     """Build the network around ``theta``; the model checks itself."""
     events, sizes, theta = _read_params(d, payload, path, "fusion network", ("input_x", "input_z", "hidden"))
     try:
@@ -292,7 +296,7 @@ def _fusion_from_dict(d: dict, payload: bytes, path: Path) -> FusionRnnModel:
         raise DataFormatError(f"{path}: {err}") from None
 
 
-def _ensemble_from_dict(d: dict, payload: bytes, path: Path) -> AioHmmEnsemble:
+def _ensemble_from_dict(d: dict, payload: memoryview, path: Path) -> AioHmmEnsemble:
     """Cut ``theta`` into the prior and each class's arrays, as views, once
     its length fits the declared sizes; the ensemble checks itself."""
     events, sizes, theta = _read_params(d, payload, path, "AIO-HMM ensemble", ("states", "input_x", "input_z"))

@@ -18,6 +18,7 @@ from maneuverkit.aiohmm import (
     COV_FLOOR,
     MEAN_ROUNDS,
     EmConfig,
+    LOG_2PI,
     Padded,
     PosteriorStats,
     _floor_covariance,
@@ -42,6 +43,7 @@ from maneuverkit.aiohmm import (
     sequence_loglik,
     shifted_observations,
 )
+from maneuverkit.anticipation import AioHmmPredictor
 from maneuverkit.events import EVENTS, SETTINGS
 from maneuverkit.numerics import finite_diff_grad, make_rng, softmax
 
@@ -65,6 +67,17 @@ def random_model(rng, S, dz, dx, variant="aio", scale=0.3):
     )
     m.validate()
     return m
+
+
+def stacked_emitter(models):
+    """One model emitting for the K classes' states stacked, as the
+    predictor's block pass runs them; its transitions are unused."""
+    n = sum(m.states for m in models)
+    return AioHmmModel(
+        variant=models[0].variant, mu=np.concatenate([m.mu for m in models]),
+        a=np.concatenate([m.a for m in models]), b=np.concatenate([m.b for m in models]),
+        sigma=np.concatenate([m.sigma for m in models]), w=np.zeros((n, n, 1)), pi=np.full(n, 1.0 / n),
+    )
 
 
 def emission_logpdf(m, i, z, x, z_prev):
@@ -428,6 +441,58 @@ def padded_emission_forward_backward(m, xs, zs, lengths):
     loglik = np.logaddexp.reduce(la[:, T - 1], axis=-1)
     if not np.all(np.isfinite(loglik)):
         raise FloatingPointError("log-space forward pass degenerated")
+    gamma = np.exp(la + lb - loglik[:, None, None])
+    gamma[~live] = 0.0
+    xi = np.exp(la[:, :-1, :, None] + log_a + (logb[:, 1:] + lb[:, 1:])[:, :, None, :]
+                - loglik[:, None, None, None])
+    xi[~live[:, 1:]] = 0.0
+    return PosteriorStats(gamma=gamma, xi=xi, loglik=loglik)
+
+
+def c_layout_emission_logprobs(m, xs, zs, z_prev, factors):
+    """The emission kernel before its time-major layout, verbatim: the
+    residual broadcast over (S, T, dz) and whitened as a transposed view."""
+    inv_chol, logdet = emission_factors(m.sigma) if factors is None else factors
+    scales = emission_scales(m, xs, z_prev)
+    resid = zs[None, :, :] - scales.T[:, :, None] * m.mu[:, None, :]    # (S, T, dz)
+    y = inv_chol @ resid.transpose(0, 2, 1)                             # (S, dz, T)
+    quad = np.sum(y * y, axis=1)                                        # (S, T)
+    out = np.empty((zs.shape[0], m.states))
+    out[:] = (-0.5 * ((m.dim_z * LOG_2PI + logdet)[:, None] + quad)).T
+    return out
+
+
+def c_layout_block_forward(m, w, log_pi, xs, zs, lengths, factors=None):
+    """``block_forward`` in C layout, (..., B, T, S) memory, verbatim, with
+    the forward recursion into a C-ordered ``np.empty``."""
+    B, T = xs.shape[:2]
+    *lead, S = log_pi.shape
+    live = np.arange(T) < lengths[:, None]                               # (B, T)
+    logb = np.zeros((B, T, m.states))
+    logb[live] = c_layout_emission_logprobs(m, xs[live], zs[live], shifted_observations(zs)[live],
+                                            factors)
+    logb = np.moveaxis(logb.reshape(B, T, *lead, S), (0, 1), (-3, -2))
+    xe = transition_inputs(m, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
+    log_a = np.moveaxis(log_transitions(w, xe).reshape(*lead, S, S, B, T - 1), (-2, -1), (-4, -3))
+    log_a[..., ~live[:, 1:], :, :] = np.where(np.eye(S, dtype=bool), 0.0, -np.inf)
+    la = np.empty(logb.shape)
+    la[..., 0, :] = log_pi[..., None, :] + logb[..., 0, :]
+    for t in range(1, T):
+        la[..., t, :] = log_forward_step(la[..., t - 1, :], log_a[..., t - 1, :, :], logb[..., t, :])
+    return logb, log_a, la
+
+
+def c_layout_forward_backward(m, xs, zs, lengths):
+    """``forward_backward`` of a padded batch in C layout, verbatim."""
+    T = xs.shape[1]
+    live = np.arange(T) < lengths[:, None]                               # (B, T)
+    with np.errstate(divide="ignore"):  # zero pi entries give log 0 = -inf
+        logb, log_a, la = c_layout_block_forward(m, m.w, np.log(m.pi), xs, zs, lengths)
+    lb = np.empty(la.shape)
+    lb[:, T - 1] = 0.0
+    for t in range(T - 2, -1, -1):  # the same update along reversed transitions
+        lb[:, t] = log_forward_step(logb[:, t + 1] + lb[:, t + 1], log_a[:, t].swapaxes(1, 2), 0.0)
+    loglik = np.logaddexp.reduce(la[:, T - 1], axis=-1)
     gamma = np.exp(la + lb - loglik[:, None, None])
     gamma[~live] = 0.0
     xi = np.exp(la[:, :-1, :, None] + log_a + (logb[:, 1:] + lb[:, 1:])[:, :, None, :]
@@ -1042,12 +1107,7 @@ class TestForwardBackward:
         models = [random_model(rng, S, dz, dx, variant=variant, scale=float(rng.uniform(0.1, 1.0)))
                   for _ in range(K)]
         seqs = [(rng.standard_normal((T, dx)), rng.standard_normal((T, dz)) * 2.0) for T in lengths]
-        emitter = AioHmmModel(
-            variant=variant, mu=np.concatenate([m.mu for m in models]),
-            a=np.concatenate([m.a for m in models]), b=np.concatenate([m.b for m in models]),
-            sigma=np.concatenate([m.sigma for m in models]), w=np.zeros((K * S, K * S, 1)),
-            pi=np.full(K * S, 1.0 / (K * S)),
-        )
+        emitter = stacked_emitter(models)
         w, log_pi = np.stack([m.w for m in models]), np.log(np.stack([m.pi for m in models]))
         _, _, la = block_forward(emitter, w, log_pi, *pad_sequences(seqs))
         assert la.shape == (K, len(seqs), max(lengths), S)
@@ -1058,6 +1118,69 @@ class TestForwardBackward:
                 assert abs(np.logaddexp.reduce(la[k, b, T - 1]) - ref) <= 1e-12 * (1.0 + abs(ref))
                 pad = la[k, b, T:]
                 np.testing.assert_array_equal(pad, np.broadcast_to(la[k, b, T - 1], pad.shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from(["aio", "io", "hmm"]),
+           st.one_of(st.lists(st.integers(1, 8), min_size=1, max_size=6),
+                     st.lists(st.just(1), min_size=1, max_size=6)),
+           st.integers(0, 3))
+    @example(seed=8, S=3, K=2, variant="aio", lengths=[1, 1, 1], zero_pi=1)
+    @example(seed=9, S=4, K=3, variant="io", lengths=[8, 1, 5, 2], zero_pi=3)
+    @example(seed=10, S=2, K=1, variant="hmm", lengths=[3, 7], zero_pi=1)
+    @example(seed=13, S=4, K=3, variant="aio", lengths=[8] * 44, zero_pi=0)
+    def test_time_major_pass_equals_c_layout_pass(self, seed, S, K, variant, lengths, zero_pi):
+        # The block pass lays logb and log_a out time-major with states
+        # before sequences; every value, and every posterior, stays bit for
+        # bit the C-layout pass's.  The last example is large enough (308
+        # transition rows against 48 weight rows) for BLAS to round the
+        # transition logits by their row order, so it catches a pass that
+        # feeds log_transitions its rows time-major.
+        rng = make_rng(seed)
+        dz, dx = int(rng.integers(1, 10)), int(rng.integers(1, 7))
+        models = [random_model(rng, S, dz, dx, variant=variant, scale=float(rng.uniform(0.1, 1.0)))
+                  for _ in range(K)]
+        for m in models:  # up to S - 1 states that no chain starts in
+            m.pi[rng.permutation(S)[: min(zero_pi, S - 1)]] = 0.0
+            m.pi /= m.pi.sum()
+        xs, zs, lengths = pad_sequences(
+            [(rng.standard_normal((T, dx)), rng.standard_normal((T, dz)) * 2.0) for T in lengths])
+
+        for m in models:
+            got, ref = forward_backward(m, xs, zs, lengths), c_layout_forward_backward(m, xs, zs, lengths)
+            for name in ("gamma", "xi", "loglik"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+
+        events = EVENTS[-K:]
+        prior = rng.uniform(0.1, 1.0, K)
+        ensemble = AioHmmEnsemble(events=events, models=dict(zip(events, models)), prior=prior / prior.sum())
+        predictor = AioHmmPredictor(ensemble)
+        emitter = stacked_emitter(models)
+        w = np.stack([m.w for m in models])
+        with np.errstate(divide="ignore"):
+            log_pi, log_prior = np.log(np.stack([m.pi for m in models])), np.log(ensemble.prior)
+        factors = emission_factors(emitter.sigma)
+        got = block_forward(emitter, w, log_pi, xs, zs, lengths, factors)
+        ref = c_layout_block_forward(emitter, w, log_pi, xs, zs, lengths, factors)
+        for name, g, r in zip(("logb", "log_a", "la"), got, ref):
+            assert g.shape == r.shape, name
+            np.testing.assert_array_equal(g, r, err_msg=name)
+        ref_logliks = np.logaddexp.reduce(ref[2], axis=-1).transpose(1, 2, 0)  # (B, T, K)
+        np.testing.assert_array_equal(predictor.trajectory(xs, zs, lengths),
+                                      softmax(ref_logliks + log_prior))
+
+    @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
+    def test_posteriors_are_c_contiguous(self, variant):
+        # m_step takes pi from gamma[:, 0].sum(axis=0), and NumPy's sum
+        # rounds by memory order: along a contiguous axis it adds pairwise,
+        # along a strided one in sequence.  A gamma left in the pass's
+        # time-major memory would move pi in the last bit, so the posteriors
+        # come back in C order.
+        rng = make_rng(31)
+        m = random_model(rng, 3, 2, 2, variant=variant)
+        seqs = [(rng.standard_normal((T, 2)), rng.standard_normal((T, 2))) for T in (6, 2, 9, 1)]
+        stats = forward_backward(m, *pad_sequences(seqs))
+        assert stats.gamma.flags.c_contiguous and stats.xi.flags.c_contiguous
 
     def test_bad_lengths_rejected(self):
         m = random_model(make_rng(8), 2, 2, 2)

@@ -371,7 +371,9 @@ class TestCheckpoints:
     # so is any file whose first line is not a JSON object.
     @pytest.mark.parametrize("content", [
         (DATA / "format5_fusion_h2.json").read_bytes(), b"{\n", b"[1, 2]\n", b'"fusion_rnn"\n', b"null", b"",
-    ], ids=["format-5-fixture", "open-brace", "array", "string", "null", "empty"])
+        b"\n", b"\n\x00\x00\x00\x00\x00\x00\xf0\x3f",
+    ], ids=["format-5-fixture", "open-brace", "array", "string", "null", "empty", "newline-only",
+            "payload-only"])
     def test_first_line_not_a_json_object_refused_with_the_reason(self, tmp_path, content):
         path = tmp_path / "old.json"
         path.write_bytes(content)
