@@ -22,9 +22,9 @@ the real steps and one log-softmax cover every step, and one
 its own end each sequence gets log emission 0 and the log of the identity
 transition matrix, which leaves its real steps exactly as a pass over that
 sequence alone.  The predictor's batched trajectories run the same pass
-over all classes stacked, and the streaming predictor advances its forward
-vectors with the one-step update :func:`log_forward_step` and the same
-:func:`log_transitions`.
+over all classes stacked, with one :class:`Emissions` of all their states,
+and the streaming predictor advances its forward vectors with the one-step
+update :func:`log_forward_step` and the same :func:`log_transitions`.
 
 The block pass holds its arrays time-major, states before sequences; its
 layout and the two rules that keep it exact are under :func:`block_forward`.
@@ -52,6 +52,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from numbers import Integral
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,7 +184,7 @@ class EmConfig:
 # ---------------------------------------------------------------------------
 
 
-def transition_inputs(m: AioHmmModel, xs: np.ndarray) -> np.ndarray:
+def transition_inputs(m: AioHmmModel | Emissions, xs: np.ndarray) -> np.ndarray:
     """Effective transition features: x_t, or a constant bias for 'hmm'."""
     if m.variant == VARIANT_HMM:
         return np.ones(xs.shape[:-1] + (1,))
@@ -240,49 +241,53 @@ def shifted_observations(zs: np.ndarray) -> np.ndarray:
     return prev
 
 
-def emission_scales(m: AioHmmModel, xs: np.ndarray, z_prev: np.ndarray) -> np.ndarray:
+class Emissions(NamedTuple):
+    """The emission side of S stacked states: the variant, which also sets
+    the transition inputs, mu (S, dz), a (S, dx), b (S, dz), inverse Cholesky
+    factors L_i^-1 (S, dz, dz) of Sigma_i = L_i L_i^T and log-determinants."""
+
+    variant: str
+    mu: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    inv_chol: np.ndarray
+    logdet: np.ndarray
+
+
+def emissions(models: Sequence[AioHmmModel]) -> Emissions:
+    """The :class:`Emissions` of one model's states, or of an ensemble's K
+    classes stacked in order: one batched ``cholesky`` of the covariances,
+    then one batched ``inv``.  The arrays are copies of the models'."""
+    chol = np.linalg.cholesky(np.concatenate([m.sigma for m in models]))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    mu, a, b = (np.concatenate([getattr(m, k) for m in models]) for k in ("mu", "a", "b"))
+    return Emissions(models[0].variant, mu, a, b, np.linalg.inv(chol), logdet)
+
+
+def emission_scales(m: AioHmmModel | Emissions, xs: np.ndarray, z_prev: np.ndarray) -> np.ndarray:
     """(T, S) mean scale factors 1 + a_i.x_t + b_i.z_{t-1} per state; the
     pinned zeros of the io and hmm variants add exact zeros."""
     return 1.0 + xs @ m.a.T + z_prev @ m.b.T
 
 
-def emission_factors(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse Cholesky factors L_i^-1 (S, dz, dz), where Sigma_i = L_i L_i^T,
-    and log-determinants (S,) of a covariance stack, in the form
-    :func:`emission_logprobs` takes them: one batched ``cholesky``, then one
-    batched ``inv``."""
-    chol = np.linalg.cholesky(sigma)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return np.linalg.inv(chol), logdet
-
-
-def emission_logprobs(
-    m: AioHmmModel,
-    xs: np.ndarray,
-    zs: np.ndarray,
-    z_prev: np.ndarray | None = None,
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """(T, S) log emission densities for a whole sequence.
+def emission_logprobs(e: Emissions, xs: np.ndarray, zs: np.ndarray, z_prev: np.ndarray) -> np.ndarray:
+    """(T, S) log emission densities of T rows of inputs ``xs``,
+    observations ``zs`` and previous observations ``z_prev`` (for one whole
+    sequence, :func:`shifted_observations` of its ``zs``).
 
     All states' residuals r = z - s mu are built state-major, (S, dz, T),
     in one buffer and in place, then whitened, y = L^-1 r, by one contiguous
-    batched matmul with the inverse factors of :func:`emission_factors` and
-    squared in place; the result is a (T, S) view of (S, T) memory.
-    ``factors`` are ``emission_factors(m.sigma)`` when the caller keeps them
-    across calls; every stage matches a per-state loop of the same whitened
-    math bit for bit.
+    batched matmul with the inverse factors of ``e`` and squared in place;
+    the result is a (T, S) view of (S, T) memory.  Every stage matches a
+    per-state loop of the same whitened math bit for bit.
     """
-    if z_prev is None:
-        z_prev = shifted_observations(zs)
-    inv_chol, logdet = emission_factors(m.sigma) if factors is None else factors
-    scales = emission_scales(m, xs, z_prev)
-    resid = np.multiply(m.mu[:, :, None], scales.T[:, None, :])          # (S, dz, T)
+    scales = emission_scales(e, xs, z_prev)
+    resid = np.multiply(e.mu[:, :, None], scales.T[:, None, :])          # (S, dz, T)
     np.subtract(zs.T, resid, out=resid)
-    y = inv_chol @ resid                                                # (S, dz, T)
+    y = e.inv_chol @ resid                                              # (S, dz, T)
     np.multiply(y, y, out=y)
     quad = y.sum(axis=1)                                                # (S, T)
-    quad += (m.dim_z * LOG_2PI + logdet)[:, None]
+    quad += (e.mu.shape[1] * LOG_2PI + e.logdet)[:, None]
     quad *= -0.5
     return quad.T
 
@@ -293,21 +298,20 @@ def emission_logprobs(
 
 
 def block_forward(
-    m: AioHmmModel, w: np.ndarray, log_pi: np.ndarray, xs: np.ndarray, zs: np.ndarray,
-    lengths: np.ndarray, factors: tuple[np.ndarray, np.ndarray] | None = None,
+    e: Emissions, w: np.ndarray, log_pi: np.ndarray, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log forward pass of chains with transition weights ``w`` (..., S, S,
     dt) and log initial probabilities ``log_pi`` (..., S) over a zero-padded
     (B, T, ·) block of sequences ``lengths`` long: the log emissions
     (..., B, T, S), log transitions (..., B, T-1, S, S) and log alphas.
 
-    ``m`` emits for all (...) x S states in one :func:`emission_logprobs`
-    call over the real rows (``factors`` as that call takes them) and its
-    variant sets the transition inputs.  Past its own end a sequence gets
-    log emission 0 and the log of the identity transition matrix, which
-    carries its forward and backward vectors through unchanged: every real
-    step, and the log-likelihood, is what a pass over that sequence alone
-    computes, and each padding row repeats the last real one.
+    ``e`` emits for all (...) x S states in one :func:`emission_logprobs`
+    call over the real rows, and its variant sets the transition inputs.
+    Past its own end a sequence gets log emission 0 and the log of the
+    identity transition matrix, which carries its forward and backward
+    vectors through unchanged: every real step, and the log-likelihood, is
+    what a pass over that sequence alone computes, and each padding row
+    repeats the last real one.
 
     The three arrays are views of time-major, state-first memory: log
     emissions live in (T, ..., S, B) and log transitions in (T-1, ..., S,
@@ -331,11 +335,10 @@ def block_forward(
     *lead, S = log_pi.shape
     live = np.arange(T) < lengths[:, None]                               # (B, T)
     rows, steps = np.nonzero(live)                                       # in (B, T) order
-    logb = np.zeros((T, m.states, B))
-    logb[steps, :, rows] = emission_logprobs(m, xs[live], zs[live], factors=factors,
-                                             z_prev=shifted_observations(zs)[live])
+    logb = np.zeros((T, len(e.mu), B))
+    logb[steps, :, rows] = emission_logprobs(e, xs[live], zs[live], shifted_observations(zs)[live])
     logb = np.moveaxis(logb.reshape(T, *lead, S, B), (0, -1), (-2, -3))   # (..., B, T, S)
-    xe = transition_inputs(m, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
+    xe = transition_inputs(e, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
     log_a = np.ascontiguousarray(                                        # (T-1, ..., S, S, B)
         np.moveaxis(log_transitions(w, xe).reshape(*lead, S, S, B, T - 1), -1, 0))
     pad_rows, pad_steps = np.nonzero(~live[:, 1:])
@@ -359,7 +362,7 @@ def forward_backward(
     T = xs.shape[1]
     live = np.arange(T) < lengths[:, None]                               # (B, T)
     with np.errstate(divide="ignore"):  # zero pi entries give log 0 = -inf
-        logb, log_a, la = block_forward(m, m.w, np.log(m.pi), xs, zs, lengths)
+        logb, log_a, la = block_forward(emissions([m]), m.w, np.log(m.pi), xs, zs, lengths)
     lb = np.empty_like(la)
     lb[:, T - 1] = 0.0
     for t in range(T - 2, -1, -1):  # the same update along reversed transitions
@@ -386,7 +389,7 @@ def sequence_loglik(m: AioHmmModel, xs: np.ndarray, zs: np.ndarray) -> float:
     if not single:
         raise ValueError(f"sequence_loglik takes one (T, ·) sequence, got xs {xs.shape}")
     with np.errstate(divide="ignore"):  # zero pi entries give log 0 = -inf
-        _, _, la = block_forward(m, m.w, np.log(m.pi), xs, zs, lengths)
+        _, _, la = block_forward(emissions([m]), m.w, np.log(m.pi), xs, zs, lengths)
     loglik = np.logaddexp.reduce(la[0, -1])
     if not np.isfinite(loglik):
         raise FloatingPointError("log-space forward pass degenerated")
@@ -638,6 +641,7 @@ def fit_em(
                 break
         model = m_step(batch, stats, model, diag)
     if diag.get("ridge") or diag.get("floored"):
+        # bench/workloads.py::FitSummaries parses this record's two arguments, so its shape stays fixed
         log.info(
             "EM fit used %d rank-deficient mean solve(s) and floored %d covariance update(s)",
             diag.get("ridge", 0), diag.get("floored", 0),

@@ -45,10 +45,9 @@ import numpy as np
 
 from .aiohmm import (
     AioHmmEnsemble,
-    AioHmmModel,
     block_forward,
-    emission_factors,
     emission_logprobs,
+    emissions,
     log_forward_step,
     log_transitions,
     transition_inputs,
@@ -64,11 +63,13 @@ STICK_STEPS = math.ceil(STICK_SECONDS / STEP_SECONDS)  # 7
 
 
 class Predictor(Protocol):
-    """Per-step probability source over a fixed event tuple: ``begin`` and
-    ``step`` stream one sequence, and ``trajectory`` scores a checked
-    (B, T, ·) block with its lengths, as :func:`trajectory` describes."""
+    """Per-step probability source over a fixed event tuple and (x, z)
+    input ``sizes``: ``begin`` and ``step`` stream one sequence, and
+    ``trajectory`` scores a checked (B, T, ·) block with its lengths, as
+    :func:`trajectory` describes."""
 
     events: tuple[str, ...]
+    sizes: tuple[int, int]
 
     def begin(self) -> Any: ...
 
@@ -96,6 +97,7 @@ class FusionRnnPredictor:
     def __init__(self, model: FusionRnnModel):
         self.model = model.copy()
         self.events = model.events
+        self.sizes = (model.input_x, model.input_z)
         self._recurrent = stack_recurrent(self.model.cells)
 
     def begin(self):
@@ -123,8 +125,8 @@ class FusionRnnPredictor:
 class AioHmmPredictor:
     """Streams the per-class model ensemble as one stacked log-space filter.
 
-    The constructor takes a snapshot of the ensemble's parameters: every
-    class's states become one K*S-state emission model whose inverse
+    The constructor takes a snapshot of the ensemble's parameters: all K*S
+    states become one :class:`~maneuverkit.aiohmm.Emissions`, whose inverse
     Cholesky factors are computed once and whose variant, the ensemble's one
     variant, sets the transition inputs; the K classes' transition weights
     and log initial probabilities are stacked into (K, S, S, dt) and (K, S)
@@ -148,15 +150,8 @@ class AioHmmPredictor:
     def __init__(self, ensemble: AioHmmEnsemble):
         self.events = ensemble.events
         models = [ensemble.models[e] for e in self.events]
-        mu = np.concatenate([m.mu for m in models])
-        a = np.concatenate([m.a for m in models])
-        n = mu.shape[0]
-        self._emission = AioHmmModel(
-            variant=models[0].variant, mu=mu, a=a, b=np.concatenate([m.b for m in models]),
-            sigma=np.concatenate([m.sigma for m in models]),
-            w=np.zeros((n, n, a.shape[1])), pi=np.full(n, 1.0 / n),  # transitions unused
-        )
-        self._factors = emission_factors(self._emission.sigma)
+        self._emissions = emissions(models)
+        self.sizes = (models[0].dim_x, models[0].dim_z)
         self._w = np.stack([m.w for m in models])  # (K, S, S, dt)
         with np.errstate(divide="ignore"):  # pi and prior entries may be exactly zero
             self._log_pi = np.log(np.stack([m.pi for m in models]))  # (K, S)
@@ -169,19 +164,18 @@ class AioHmmPredictor:
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
         z_prev = np.zeros_like(z) if state is None else state[1]
-        logb = emission_logprobs(
-            self._emission, x[None, :], z[None, :], z_prev=z_prev[None, :], factors=self._factors
-        )[0].reshape(self._log_pi.shape)
+        e = self._emissions
+        logb = emission_logprobs(e, x[None, :], z[None, :], z_prev[None, :])[0].reshape(self._log_pi.shape)
         if state is None:
             log_alpha = self._log_pi + logb
         else:
-            log_a = log_transitions(self._w, transition_inputs(self._emission, x[None, :]))[..., 0]
+            log_a = log_transitions(self._w, transition_inputs(e, x[None, :]))[..., 0]
             log_alpha = log_forward_step(state[0], log_a, logb)
         logliks = np.logaddexp.reduce(log_alpha, axis=1)
         return (log_alpha, z), softmax(logliks + self._log_prior)
 
     def trajectory(self, xs: np.ndarray, zs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        _, _, la = block_forward(self._emission, self._w, self._log_pi, xs, zs, lengths, self._factors)
+        _, _, la = block_forward(self._emissions, self._w, self._log_pi, xs, zs, lengths)
         logliks = np.logaddexp.reduce(la, axis=-1).transpose(1, 2, 0)  # (B, T, K)
         return softmax(logliks + self._log_prior)
 

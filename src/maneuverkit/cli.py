@@ -181,16 +181,9 @@ def _predictor(model) -> anticipation.Predictor:
     return anticipation.AioHmmPredictor(model)
 
 
-def _load_predictor(path: str) -> tuple[anticipation.Predictor, tuple[int, int]]:
-    """The checkpoint's predictor, over the full prefix of its streams, and
-    its (x, z) input sizes."""
-    model, kind, _config = dataio.load_model(path)
-    if kind == dataio.KIND_FUSION:
-        sizes = (model.input_x, model.input_z)
-    else:
-        first = model.models[model.events[0]]
-        sizes = (first.dim_x, first.dim_z)
-    return _predictor(model), sizes
+def _load_predictor(path: str) -> anticipation.Predictor:
+    """The checkpoint's predictor, over the full prefix of its streams."""
+    return _predictor(dataio.load_model(path)[0])
 
 
 def _load_model_data(model_path: str, sizes: tuple[int, int], data_path: str) -> list:
@@ -223,8 +216,8 @@ def _eval_report_dict(ev: metrics.DatasetEval, p_th: float) -> dict:
 
 
 def cmd_eval(args) -> int:
-    predictor, sizes = _load_predictor(args.model)
-    dataset = _load_model_data(args.model, sizes, args.data)
+    predictor = _load_predictor(args.model)
+    dataset = _load_model_data(args.model, predictor.sizes, args.data)
     ev = metrics.evaluate_dataset(predictor, dataset, args.pth)
     _emit_report(_eval_report_dict(ev, args.pth), args.out)
     return 0
@@ -240,10 +233,10 @@ def _emit_report(doc: dict, out: str | None) -> None:
 
 
 def cmd_anticipate(args) -> int:
-    predictor, sizes = _load_predictor(args.model)
+    predictor = _load_predictor(args.model)
     if args.stream:
-        return _stream_loop(predictor, args.pth, sizes)
-    dataset = _load_model_data(args.model, sizes, args.data)
+        return _stream_loop(predictor, args.pth)
+    dataset = _load_model_data(args.model, predictor.sizes, args.data)
     for sample, result in zip(dataset, metrics.anticipate_dataset(predictor, dataset, args.pth)):
         print(json.dumps({
             "id": sample.id, "predicted": predictor.events[result.maneuver],
@@ -254,7 +247,7 @@ def cmd_anticipate(args) -> int:
     return 0
 
 
-def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[int, int]) -> int:
+def _stream_loop(predictor: anticipation.Predictor, p_th: float) -> int:
     """Read step records from stdin, emit one probability record per step.
 
     Input lines: {"x": [...], "z": [...]} with an optional "onset": label
@@ -280,7 +273,7 @@ def _stream_loop(predictor: anticipation.Predictor, p_th: float, sizes: tuple[in
             line = line.strip()
             if not line:
                 continue
-            x, z, onset = _parse_step(line, lineno, sizes, predictor.events)
+            x, z, onset = _parse_step(line, lineno, predictor.sizes, predictor.events)
             t += 1
             state, probs = predictor.step(state, x, z)
             values = probs.tolist()
@@ -334,8 +327,8 @@ def _parse_step(
 
 
 def cmd_sweep(args) -> int:
-    predictor, sizes = _load_predictor(args.model)
-    dataset = _load_model_data(args.model, sizes, args.data)
+    predictor = _load_predictor(args.model)
+    dataset = _load_model_data(args.model, predictor.sizes, args.data)
     sweep = metrics.threshold_sweep(predictor, dataset, args.grid)
     rows = [
         {

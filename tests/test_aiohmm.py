@@ -1,16 +1,18 @@
 import decimal
 import itertools
+import logging
 import math
 import warnings
 from dataclasses import FrozenInstanceError, asdict, replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maneuverkit import synth
+from maneuverkit import aiohmm, synth
 from maneuverkit.aiohmm import (
     AioHmmEnsemble,
     AioHmmModel,
@@ -28,9 +30,9 @@ from maneuverkit.aiohmm import (
     _update_mean_params,
     _update_transitions,
     block_forward,
-    emission_factors,
     emission_logprobs,
     emission_scales,
+    emissions,
     fit_em,
     transition_inputs,
     forward_backward,
@@ -69,21 +71,10 @@ def random_model(rng, S, dz, dx, variant="aio", scale=0.3):
     return m
 
 
-def stacked_emitter(models):
-    """One model emitting for the K classes' states stacked, as the
-    predictor's block pass runs them; its transitions are unused."""
-    n = sum(m.states for m in models)
-    return AioHmmModel(
-        variant=models[0].variant, mu=np.concatenate([m.mu for m in models]),
-        a=np.concatenate([m.a for m in models]), b=np.concatenate([m.b for m in models]),
-        sigma=np.concatenate([m.sigma for m in models]), w=np.zeros((n, n, 1)), pi=np.full(n, 1.0 / n),
-    )
-
-
 def emission_logpdf(m, i, z, x, z_prev):
     """Gaussian log density of one observation under state i."""
-    logb = emission_logprobs(m, np.asarray(x, float)[None, :], np.asarray(z, float)[None, :],
-                             z_prev=np.asarray(z_prev, float)[None, :])
+    logb = emission_logprobs(emissions([m]), np.asarray(x, float)[None, :], np.asarray(z, float)[None, :],
+                             np.asarray(z_prev, float)[None, :])
     return float(logb[0, i])
 
 
@@ -167,7 +158,7 @@ def reference_forward_backward(m, xs, zs):
     with its own softmax transition matrices.  Returns (gamma, xi, loglik);
     raises FloatingPointError where the scaled recursion underflows."""
     T, S = xs.shape[0], m.states
-    logb = emission_logprobs(m, xs, zs)
+    logb = emission_logprobs(emissions([m]), xs, zs, shifted_observations(zs))
     shift = logb.max(axis=1)
     if not np.all(np.isfinite(shift)):
         raise FloatingPointError("all emission densities vanished")
@@ -421,8 +412,8 @@ def padded_emission_forward_backward(m, xs, zs, lengths):
     live = np.arange(T) < lengths[:, None]                               # (B, T)
 
     logb = emission_logprobs(
-        m, xs.reshape(B * T, -1), zs.reshape(B * T, -1),
-        z_prev=shifted_observations(zs).reshape(B * T, -1),
+        emissions([m]), xs.reshape(B * T, -1), zs.reshape(B * T, -1),
+        shifted_observations(zs).reshape(B * T, -1),
     ).reshape(B, T, S)
     logb[~live] = 0.0
     xe = transition_inputs(m, xs[:, 1:])
@@ -449,30 +440,29 @@ def padded_emission_forward_backward(m, xs, zs, lengths):
     return PosteriorStats(gamma=gamma, xi=xi, loglik=loglik)
 
 
-def c_layout_emission_logprobs(m, xs, zs, z_prev, factors):
-    """The emission kernel before its time-major layout, verbatim: the
-    residual broadcast over (S, T, dz) and whitened as a transposed view."""
-    inv_chol, logdet = emission_factors(m.sigma) if factors is None else factors
-    scales = emission_scales(m, xs, z_prev)
-    resid = zs[None, :, :] - scales.T[:, :, None] * m.mu[:, None, :]    # (S, T, dz)
-    y = inv_chol @ resid.transpose(0, 2, 1)                             # (S, dz, T)
+def c_layout_emission_logprobs(e, xs, zs, z_prev):
+    """The emission kernel before its time-major layout, verbatim but for
+    reading the ``Emissions`` value ``e``: the residual broadcast over
+    (S, T, dz) and whitened as a transposed view."""
+    scales = emission_scales(e, xs, z_prev)
+    resid = zs[None, :, :] - scales.T[:, :, None] * e.mu[:, None, :]    # (S, T, dz)
+    y = e.inv_chol @ resid.transpose(0, 2, 1)                           # (S, dz, T)
     quad = np.sum(y * y, axis=1)                                        # (S, T)
-    out = np.empty((zs.shape[0], m.states))
-    out[:] = (-0.5 * ((m.dim_z * LOG_2PI + logdet)[:, None] + quad)).T
+    out = np.empty((zs.shape[0], len(e.mu)))
+    out[:] = (-0.5 * ((e.mu.shape[1] * LOG_2PI + e.logdet)[:, None] + quad)).T
     return out
 
 
-def c_layout_block_forward(m, w, log_pi, xs, zs, lengths, factors=None):
+def c_layout_block_forward(e, w, log_pi, xs, zs, lengths):
     """``block_forward`` in C layout, (..., B, T, S) memory, verbatim, with
     the forward recursion into a C-ordered ``np.empty``."""
     B, T = xs.shape[:2]
     *lead, S = log_pi.shape
     live = np.arange(T) < lengths[:, None]                               # (B, T)
-    logb = np.zeros((B, T, m.states))
-    logb[live] = c_layout_emission_logprobs(m, xs[live], zs[live], shifted_observations(zs)[live],
-                                            factors)
+    logb = np.zeros((B, T, len(e.mu)))
+    logb[live] = c_layout_emission_logprobs(e, xs[live], zs[live], shifted_observations(zs)[live])
     logb = np.moveaxis(logb.reshape(B, T, *lead, S), (0, 1), (-3, -2))
-    xe = transition_inputs(m, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
+    xe = transition_inputs(e, xs[:, 1:].reshape(B * (T - 1), xs.shape[2]))
     log_a = np.moveaxis(log_transitions(w, xe).reshape(*lead, S, S, B, T - 1), (-2, -1), (-4, -3))
     log_a[..., ~live[:, 1:], :, :] = np.where(np.eye(S, dtype=bool), 0.0, -np.inf)
     la = np.empty(logb.shape)
@@ -487,7 +477,7 @@ def c_layout_forward_backward(m, xs, zs, lengths):
     T = xs.shape[1]
     live = np.arange(T) < lengths[:, None]                               # (B, T)
     with np.errstate(divide="ignore"):  # zero pi entries give log 0 = -inf
-        logb, log_a, la = c_layout_block_forward(m, m.w, np.log(m.pi), xs, zs, lengths)
+        logb, log_a, la = c_layout_block_forward(emissions([m]), m.w, np.log(m.pi), xs, zs, lengths)
     lb = np.empty(la.shape)
     lb[:, T - 1] = 0.0
     for t in range(T - 2, -1, -1):  # the same update along reversed transitions
@@ -630,6 +620,22 @@ def lstsq_update_mean_params(m, i, Z, X, Zprev, g, rounds, diag):
     return mu, a, b
 
 
+def rational_scatter(mu, a, b, X, Zprev, Z, g):
+    """sum_t g_t r_t r_t^T with r_t = z_t - (1 + a.x_t + b.z_{t-1}) mu, in
+    exact rational arithmetic from the exact values of the float inputs,
+    rounded to float at the end."""
+    mu, a, b = ([Fraction(v) for v in arr.tolist()] for arr in (mu, a, b))
+    dz = len(mu)
+    total = [[Fraction(0)] * dz for _ in range(dz)]
+    for x, zp, z, w in zip(X.tolist(), Zprev.tolist(), Z.tolist(), g.tolist()):
+        s = 1 + sum(Fraction(u) * v for u, v in zip(x, a)) + sum(Fraction(u) * v for u, v in zip(zp, b))
+        r = [Fraction(v) - s * m for v, m in zip(z, mu)]
+        for d in range(dz):
+            for e in range(dz):
+                total[d][e] += Fraction(w) * r[d] * r[e]
+    return np.array([[float(v) for v in row] for row in total])
+
+
 def live_rows(batch, stats):
     """(X, Z, Zprev, G) over every sequence's real steps."""
     xs, zs, lengths = batch
@@ -660,7 +666,7 @@ def expected_emission_loglik(m, batch, stats):
     """The emission part of the expected complete-data log-likelihood,
     sum_t sum_i gamma_ti log N(z_t; s_ti mu_i, Sigma_i)."""
     X, Z, Zprev, G = live_rows(batch, stats)
-    return float(np.sum(G * emission_logprobs(m, X, Z, z_prev=Zprev)))
+    return float(np.sum(G * emission_logprobs(emissions([m]), X, Z, Zprev)))
 
 
 def mean_problem(seed, variant, S, dz, kinds, lengths, data, drop_state, rounds):
@@ -886,9 +892,12 @@ class TestEmission:
             xs = rng.standard_normal((T, dx))
             zs = rng.standard_normal((T, dz)) * float(rng.uniform(0.1, 5.0))
             expected = per_state_emission_logprobs(m, xs, zs)
-            np.testing.assert_array_equal(emission_logprobs(m, xs, zs), expected)
-            np.testing.assert_array_equal(
-                emission_logprobs(m, xs, zs, factors=emission_factors(m.sigma)), expected
+            z_prev = shifted_observations(zs)
+            np.testing.assert_array_equal(emission_logprobs(emissions([m]), xs, zs, z_prev), expected)
+            classes = [replace(m, mu=m.mu[part], a=m.a[part], b=m.b[part], sigma=m.sigma[part])
+                       for part in (slice(None, S // 2), slice(S // 2, None))]
+            np.testing.assert_array_equal(  # the model's states as two classes, stacked in order
+                emission_logprobs(emissions(classes), xs, zs, z_prev), expected
             )
 
     @pytest.mark.parametrize("variant", ["aio", "io", "hmm"])
@@ -910,7 +919,7 @@ class TestEmission:
             xs = rng.standard_normal((T, dx))
             zs = rng.standard_normal((T, dz)) * float(rng.uniform(0.1, 5.0))
             ref = per_state_emission_logprobs(m, xs, zs, whiten=np.linalg.solve)
-            got = emission_logprobs(m, xs, zs)
+            got = emission_logprobs(emissions([m]), xs, zs, shifted_observations(zs))
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
     def test_zero_couplings_mean_is_mu(self):
@@ -1107,7 +1116,7 @@ class TestForwardBackward:
         models = [random_model(rng, S, dz, dx, variant=variant, scale=float(rng.uniform(0.1, 1.0)))
                   for _ in range(K)]
         seqs = [(rng.standard_normal((T, dx)), rng.standard_normal((T, dz)) * 2.0) for T in lengths]
-        emitter = stacked_emitter(models)
+        emitter = emissions(models)
         w, log_pi = np.stack([m.w for m in models]), np.log(np.stack([m.pi for m in models]))
         _, _, la = block_forward(emitter, w, log_pi, *pad_sequences(seqs))
         assert la.shape == (K, len(seqs), max(lengths), S)
@@ -1155,13 +1164,12 @@ class TestForwardBackward:
         prior = rng.uniform(0.1, 1.0, K)
         ensemble = AioHmmEnsemble(events=events, models=dict(zip(events, models)), prior=prior / prior.sum())
         predictor = AioHmmPredictor(ensemble)
-        emitter = stacked_emitter(models)
+        emitter = emissions(models)
         w = np.stack([m.w for m in models])
         with np.errstate(divide="ignore"):
             log_pi, log_prior = np.log(np.stack([m.pi for m in models])), np.log(ensemble.prior)
-        factors = emission_factors(emitter.sigma)
-        got = block_forward(emitter, w, log_pi, xs, zs, lengths, factors)
-        ref = c_layout_block_forward(emitter, w, log_pi, xs, zs, lengths, factors)
+        got = block_forward(emitter, w, log_pi, xs, zs, lengths)
+        ref = c_layout_block_forward(emitter, w, log_pi, xs, zs, lengths)
         for name, g, r in zip(("logb", "log_a", "la"), got, ref):
             assert g.shape == r.shape, name
             np.testing.assert_array_equal(g, r, err_msg=name)
@@ -1295,22 +1303,34 @@ class TestMStep:
     # cancel in the fitted mean and leave eps |x| |a| |mu| of rounding.
     @example(problem=mean_problem(seed=117, variant="aio", S=2, dz=1, kinds=["normal"], lengths=[2],
                                   data="normal", drop_state=False, rounds=1))
+    # One sequence of 3 steps whose b reaches 1.6e4: design terms of 1.5e6
+    # cancel to residuals of 0.2, so both forms keep only part of their
+    # terms' digits (the R form is off by 1.1e-10 on an entry of 0.044).
+    @example(problem=mean_problem(seed=42185128, variant="aio", S=2, dz=2,
+                                  kinds=["binary", "normal", "const", "const"], lengths=[3],
+                                  data="offset", drop_state=False, rounds=1))
     def test_scatter_from_r_matches_residual_form(self, problem):
         batch, stats, m, rounds = problem
         X, Z, Zprev, G = live_rows(batch, stats)
         states = np.flatnonzero(G.sum(axis=0) > 1e-12)
         mu, a, b, scatter = _update_mean_params(m, states, Z, X, Zprev, G[:, states], rounds, {})
+        eps = np.finfo(float).eps
         for k, i in enumerate(states):
             fitted = (1.0 + X @ a[k] + Zprev @ b[k])[:, None] * mu[k]
             resid = Z - fitted
             ref = (resid * G[:, i, None]).T @ resid
-            # a scatter that is all rounding is measured against its terms',
-            # the design terms x a mu and z_prev b mu among them: the two
-            # residuals round those apart, however far they cancel
+            exact = rational_scatter(mu[k], a[k], b[k], X, Zprev, Z, G[:, i])
+            # Each form rounds a row's residual by about eps times the size of
+            # its terms, the design terms x a mu and z_prev b mu among them,
+            # however far they cancel; that rounding enters r r^T once in each
+            # factor, so each form's error is eps |r| |terms| in the g-weighted
+            # norms over the rows, plus (eps |terms|)^2 where r is all rounding.
             design = (np.abs(X) @ np.abs(a[k]) + np.abs(Zprev) @ np.abs(b[k]))[:, None] * np.abs(mu[k])
-            terms = Z * Z + fitted * fitted + design * design
-            raw = np.finfo(float).eps * float(G[:, i] @ np.sum(terms, axis=1))
-            assert np.abs(scatter[k] - ref).max() <= 1e-9 * (np.abs(ref).max() + raw)
+            terms = math.sqrt(float(G[:, i] @ np.sum(Z * Z + fitted * fitted + design * design, axis=1)))
+            r = math.sqrt(float(np.trace(exact)))
+            envelope = 32.0 * eps * terms * (r + eps * terms)
+            for name, form in (("R", scatter[k]), ("residual", ref)):
+                assert np.abs(form - exact).max() <= envelope, name
 
     @settings(max_examples=300, deadline=None)
     @given(mean_problems())
@@ -1428,6 +1448,32 @@ class TestFitEm:
         seqs = [(s.xs, s.zs) for s in train if s.label == EVENTS.index("left_turn")]
         _, trace = fit_em(seqs, EmConfig(states=3, max_iter=10, seed=2 + fold))
         assert np.diff(trace).min() >= -1e-8
+
+    def test_closing_record_carries_the_fits_counts(self, monkeypatch, caplog):
+        # The benchmark reads the rank-deficient solves and floored
+        # covariances from this record's two arguments (FitSummaries in
+        # bench/workloads.py), so its shape is part of fit_em's contract.
+        dataset = synth.generate(synth.ScenarioConfig(seed=1), 80)
+        seqs = [(s.xs, s.zs) for s in dataset if s.label == EVENTS.index("left_turn")]
+        diags = []
+
+        def recording_m_step(batch, stats, m, diag=None, rounds=MEAN_ROUNDS):
+            diags.append(diag)
+            return m_step(batch, stats, m, diag, rounds)
+
+        monkeypatch.setattr(aiohmm, "m_step", recording_m_step)
+        caplog.set_level(logging.INFO, logger=aiohmm.__name__)
+        fit_em(seqs, EmConfig(states=3, max_iter=10, seed=2))
+        fit_diag = diags[-1]  # the first call is the initialization's own M-step
+        assert all(d is fit_diag for d in diags[1:])
+        counts = (fit_diag["ridge"], fit_diag["floored"])
+        assert min(counts) > 0
+        records = [r for r in caplog.records if r.name == aiohmm.__name__ and r.funcName == "fit_em"]
+        assert len(records) == 1 and records[0] is caplog.records[-1]
+        assert records[0].levelno == logging.INFO
+        assert isinstance(records[0].args, tuple) and len(records[0].args) == 2
+        assert all(type(v) is int for v in records[0].args)
+        assert records[0].args == counts
 
     def test_padded_fit_raises_no_runtime_warning(self):
         dataset = synth.generate(synth.ScenarioConfig(seed=1), 240)

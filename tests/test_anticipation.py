@@ -13,6 +13,7 @@ from maneuverkit.aiohmm import (
     VARIANTS,
     AioHmmEnsemble,
     emission_logprobs,
+    emissions,
 )
 from maneuverkit.anticipation import (
     STICK_STEPS,
@@ -61,7 +62,7 @@ def per_class_filter(ensemble, xs, zs):
         z_prev = zs[t - 1 : t] if t else np.zeros((1, zs.shape[1]))
         logliks = []
         for k, m in enumerate(models):
-            logb = emission_logprobs(m, xs[t : t + 1], zs[t : t + 1], z_prev=z_prev)[0]
+            logb = emission_logprobs(emissions([m]), xs[t : t + 1], zs[t : t + 1], z_prev)[0]
             if t == 0:
                 alphas[k] = alphas[k] + logb
             else:
@@ -77,6 +78,8 @@ def per_class_filter(ensemble, xs, zs):
 
 class ScriptedPredictor:
     """Replays a fixed (T, K) probability table; ignores the features."""
+
+    sizes = (6, 9)  # those of dummy_streams
 
     def __init__(self, rows, events=EVENTS):
         self.rows = np.asarray(rows, dtype=float)
@@ -289,7 +292,7 @@ def streamed_commits(predictor, T, onsets, p_th):
     out = io.StringIO()
     try:
         with redirect_stdout(out):
-            assert _stream_loop(predictor, p_th, (6, 9)) == 0
+            assert _stream_loop(predictor, p_th) == 0
     finally:
         sys.stdin = saved
     records = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -424,6 +427,13 @@ class TestPredictors:
         batch, _ = forward(model, xs, zs)
         stream = trajectory(FusionRnnPredictor(model), xs, zs)
         np.testing.assert_allclose(stream, batch, rtol=0, atol=1e-12)
+
+    def test_predictors_report_their_input_sizes(self):
+        rng = make_rng(4)
+        assert FusionRnnPredictor(init_fusion_model("fusion", 6, 9, 2, EVENTS, rng)).sizes == (6, 9)
+        assert FusionRnnPredictor(init_fusion_model("concat", 3, 5, 2, EVENTS, rng)).sizes == (3, 5)
+        models = {name: random_model(rng, 2, 3, 4) for name in EVENTS}
+        assert AioHmmPredictor(AioHmmEnsemble(events=EVENTS, models=models)).sizes == (4, 3)
 
     def test_aiohmm_incremental_matches_full_prefix_inference(self):
         rng = make_rng(3)
