@@ -52,9 +52,9 @@ def _resolve_data(path: str) -> Path:
     raise FileNotFoundError(f"data file not found: {path}")
 
 
-def _log_config(command: str, args: argparse.Namespace) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    log.info("%s config: %s", command, json.dumps(resolved, default=str))
+def _of_events(dataset: list, events: tuple[str, ...]) -> list:
+    """The samples of ``dataset`` whose label is one of ``events``."""
+    return [s for s in dataset if EVENTS[s.label] in events]
 
 
 def _grid(text: str) -> list[float]:
@@ -131,7 +131,7 @@ def train_model(args, dataset, seed: int):
         return aiohmm.AioHmmEnsemble(events=events, models=models), meta, curve, False
 
     arch, loss_mode = RNN_ARCHS[args.arch]
-    dataset = [s for s in dataset if EVENTS[s.label] in events]
+    dataset = _of_events(dataset, events)
     if not dataset:
         raise ValueError(f"dataset has no samples for the {args.setting!r} events {list(events)}")
     config = training.TrainConfig(loss_mode=loss_mode, learning_rate=args.lr, epochs=args.epochs,
@@ -186,17 +186,18 @@ def _load_predictor(path: str) -> anticipation.Predictor:
     return _predictor(dataio.load_model(path)[0])
 
 
-def _load_model_data(model_path: str, sizes: tuple[int, int], data_path: str) -> list:
-    """The dataset at ``data_path``, checked against the (x, z) input sizes
-    of the checkpoint at ``model_path``."""
+def _load_model_data(model_path: str, predictor: anticipation.Predictor, data_path: str) -> list:
+    """The samples of the dataset at ``data_path`` whose label is one of the
+    predictor's events, checked against its (x, z) input sizes; the
+    predictor is the checkpoint at ``model_path``."""
     path = _resolve_data(data_path)
-    dataset = dataio.load_dataset(path)
+    dataset = _of_events(dataio.load_dataset(path), predictor.events)
     if dataset:
         found = (dataset[0].xs.shape[1], dataset[0].zs.shape[1])
-        if found != sizes:
+        if found != predictor.sizes:
             raise ValueError(
                 f"{path} has (x, z) sizes {found}, but the model {model_path} "
-                f"expects {sizes}"
+                f"expects {predictor.sizes}"
             )
     return dataset
 
@@ -217,7 +218,7 @@ def _eval_report_dict(ev: metrics.DatasetEval, p_th: float) -> dict:
 
 def cmd_eval(args) -> int:
     predictor = _load_predictor(args.model)
-    dataset = _load_model_data(args.model, predictor.sizes, args.data)
+    dataset = _load_model_data(args.model, predictor, args.data)
     ev = metrics.evaluate_dataset(predictor, dataset, args.pth)
     _emit_report(_eval_report_dict(ev, args.pth), args.out)
     return 0
@@ -236,7 +237,7 @@ def cmd_anticipate(args) -> int:
     predictor = _load_predictor(args.model)
     if args.stream:
         return _stream_loop(predictor, args.pth)
-    dataset = _load_model_data(args.model, predictor.sizes, args.data)
+    dataset = _load_model_data(args.model, predictor, args.data)
     for sample, result in zip(dataset, metrics.anticipate_dataset(predictor, dataset, args.pth)):
         print(json.dumps({
             "id": sample.id, "predicted": predictor.events[result.maneuver],
@@ -328,7 +329,7 @@ def _parse_step(
 
 def cmd_sweep(args) -> int:
     predictor = _load_predictor(args.model)
-    dataset = _load_model_data(args.model, predictor.sizes, args.data)
+    dataset = _load_model_data(args.model, predictor, args.data)
     sweep = metrics.threshold_sweep(predictor, dataset, args.grid)
     rows = [
         {
@@ -342,9 +343,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_xval(args) -> int:
-    dataset = dataio.load_dataset(_resolve_data(args.data))
-    events = events_for_setting(args.setting)
-    dataset = [s for s in dataset if EVENTS[s.label] in events]
+    dataset = _of_events(dataio.load_dataset(_resolve_data(args.data)), events_for_setting(args.setting))
     report = metrics.cross_validate(dataset, args.folds, fold_trainer(args), args.seed, args.grid)
     _emit_report(_xval_report_dict(report, args), args.out)
     return 0
@@ -442,7 +441,7 @@ def _report_text(doc: dict) -> str:
             for p in doc["points"]
         ]
     else:
-        return json.dumps(doc, indent=2)
+        raise ValueError(f"cannot render report of kind {kind!r} as text")
     events, confusion = doc.get("events"), doc.get("confusion")
     if events and confusion is not None:
         lines.append("  confusion (rows = predicted, cols = actual):")
@@ -607,7 +606,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    _log_config(args.command, args)
+    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    log.info("%s config: %s", args.command, json.dumps(resolved, default=str))
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as err:

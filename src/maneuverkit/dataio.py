@@ -5,6 +5,11 @@ Datasets are one JSON object per line:
     {"id": "...", "label": "left_lane", "steps": [{"x": [6 numbers],
      "z": [9 or 12 numbers]}, ...], "meta": {...}}
 
+A line ends at a newline (LF); a carriage return, before it or between JSON
+tokens, is whitespace.  The file is read once, as bytes, and each line is
+decoded as UTF-8 where it is read, so the first fault in file order is the
+one named.
+
 Checkpoints are one line of JSON, the header, then the parameters' raw
 bytes:
 
@@ -81,44 +86,33 @@ def save_dataset(dataset: list[SequenceSample], path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> list[SequenceSample]:
-    """Parse and validate a JSONL dataset; diagnostics carry line numbers."""
+    """Parse and validate a JSONL dataset in one pass over its bytes; each
+    line is decoded as UTF-8 where it is read, so the first fault in file
+    order is the one named, with its line number."""
     path = Path(path)
     samples: list[SequenceSample] = []
     z_dim: int | None = None
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err})") from None
-                samples.append(_parse_sample(record, path, lineno))
-                z_now = samples[-1].zs.shape[1]
-                if z_dim is None:
-                    z_dim = z_now
-                elif z_now != z_dim:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: z has length {z_now}, but earlier lines use {z_dim}"
-                    )
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise DataFormatError(f"{path}:{lineno}: not UTF-8 text ({err})") from None
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err})") from None
+            samples.append(_parse_sample(record, path, lineno))
+            z_now = samples[-1].zs.shape[1]
+            if z_dim is None:
+                z_dim = z_now
+            elif z_now != z_dim:
+                raise DataFormatError(
+                    f"{path}:{lineno}: z has length {z_now}, but earlier lines use {z_dim}"
+                )
     return samples
-
-
-def _not_utf8(path: Path, err: UnicodeDecodeError) -> DataFormatError:
-    """The error for a JSONL file that is not UTF-8 text, naming its first
-    line that does not decode.  The text reader decodes ahead in chunks, so
-    ``err`` does not say which line it was reading; ``bytes.splitlines``
-    breaks lines where the text reader does."""
-    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as line_err:
-            return DataFormatError(f"{path}:{lineno}: not UTF-8 text ({line_err})")
-    return DataFormatError(f"{path}: not UTF-8 text ({err})")
 
 
 def _parse_sample(record: dict, path: Path, lineno: int) -> SequenceSample:

@@ -887,6 +887,45 @@ class TestReportText:
             assert [m.end() for m in re.finditer(r"\S+", line)][1:] == ends
 
 
+@pytest.fixture(scope="module")
+def lane_runs(tmp_path_factory):
+    """A 60-sample dataset, the same file without its turn samples, and a
+    network and an HMM ensemble trained with ``--setting lane`` on it."""
+    root = tmp_path_factory.mktemp("lane")
+    d, lanes = root / "d.jsonl", root / "lanes.jsonl"
+    assert main(["synth", "--n", "60", "--seed", "1", "--out", str(d)]) == 0
+    lanes.write_text("".join(line + "\n" for line in d.read_text(encoding="utf-8").splitlines()
+                             if not json.loads(line)["label"].endswith("_turn")), encoding="utf-8")
+    models = {}
+    for kind, flags in (("network", ["--arch", "frnn-el", "--hidden", "4", "--epochs", "1"]),
+                        ("hmm", ["--arch", "hmm", "--states", "2", "--em-iters", "2"])):
+        models[kind] = root / f"{kind}.json"
+        assert main(["train", "--data", str(d), *flags, "--setting", "lane", "--out", str(models[kind])]) == 0
+    return d, lanes, models
+
+
+class TestSettingCheckpoint:
+    @pytest.mark.parametrize("command", [
+        ["eval", "--pth", "0.5"], ["sweep", "--grid", "0.3,0.6,0.9"], ["anticipate", "--pth", "0.5"],
+    ], ids=["eval", "sweep", "anticipate"])
+    @pytest.mark.parametrize("kind", ["network", "hmm"])
+    def test_scores_its_own_events_only(self, lane_runs, tmp_path, capsys, command, kind):
+        # a checkpoint trained on the lane events scores the full file as
+        # it scores the file without its turn samples
+        d, lanes, models = lane_runs
+        outs = []
+        for data in (d, lanes):
+            out = ["--out", str(tmp_path / f"{data.stem}.json")] if command[0] != "anticipate" else []
+            code, printed = run([*command, "--model", str(models[kind]), "--data", str(data), *out], capsys)
+            assert code == 0
+            outs.append(printed)
+        assert outs[0] == outs[1]
+        if command[0] == "anticipate":
+            assert len(outs[0].splitlines()) == len(lanes.read_text(encoding="utf-8").splitlines()) < 60
+        else:
+            assert (tmp_path / "d.json").read_bytes() == (tmp_path / "lanes.json").read_bytes()
+
+
 class TestMalformedReports:
     @pytest.mark.parametrize("doc, fmt, message", [
         ([1, 2], "text", "a report must be a JSON object"),
@@ -907,6 +946,9 @@ class TestMalformedReports:
         ({"kind": "sweep", "points": [{"p_th": 0.5, "precision": "high"}]}, "csv",
          "malformed report"),
         ({"kind": "bogus"}, "csv", "malformed report (cannot render report of kind 'bogus' as CSV)"),
+        ({"kind": "bogus", "x": 1}, "text", "malformed report (cannot render report of kind 'bogus' as text)"),
+        ({"x": 1}, "text", "malformed report (cannot render report of kind '?' as text)"),
+        ({"x": 1}, "csv", "malformed report (cannot render report of kind '?' as CSV)"),
     ])
     def test_malformed_report_is_a_located_error(self, tmp_path, capsys, caplog, doc, fmt, message):
         r = tmp_path / "r.json"

@@ -115,14 +115,54 @@ class TestDatasetRoundTrip:
             load_dataset(path)
 
     def test_non_utf8_line_is_named(self, tmp_path):
-        # the reader decodes ahead in chunks, so the fault surfaces before
-        # line 3 is read; the error must still name line 3 (blank line 2 counts)
+        # blank line 2 counts, so the line with the 0xff byte is line 3
         path = tmp_path / "bad.jsonl"
         good = json.dumps(VALID_RECORD).encode("utf-8")
         path.write_bytes(good + b"\n\n" + good.replace(b'"a"', b'"a\xff"') + b"\n" + good + b"\n")
         with pytest.raises(DataFormatError, match=r"^\S*bad\.jsonl:3: not UTF-8 text \('utf-8' codec "
                                                   r"can't decode byte 0xff in position \d+"):
             load_dataset(path)
+
+    def test_first_fault_in_file_order_is_named(self, tmp_path):
+        # malformed JSON on line 2 comes before the 0xff byte on line 4, and
+        # the whole file fits in one 8 KB read, so a reader that decodes
+        # ahead meets line 4's fault first
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps(VALID_RECORD).encode("utf-8")
+        path.write_bytes(b"\n".join([good, b'{"id": "a"', good, good.replace(b'"a"', b'"a\xff"')]) + b"\n")
+        assert path.stat().st_size < 8192
+        with pytest.raises(DataFormatError, match=r"^\S*bad\.jsonl:2: malformed JSON \("):
+            load_dataset(path)
+
+    def test_raw_carriage_return_between_tokens_is_whitespace(self, tmp_path):
+        lf, cr = tmp_path / "lf.jsonl", tmp_path / "crws.jsonl"
+        text = json.dumps(VALID_RECORD)
+        lf.write_text(text + "\n", encoding="utf-8")
+        cr.write_bytes(text.replace(", ", ",\r ").encode("utf-8") + b"\n")
+        assert cr.read_bytes().count(b"\r") > 3
+        assert_same_samples(load_dataset(cr), load_dataset(lf))
+
+    def test_crlf_copy_loads_the_same_samples(self, tmp_path):
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        save_dataset(generate(ScenarioConfig(seed=1), 12), lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert_same_samples(load_dataset(crlf), load_dataset(lf))
+
+    def test_lines_ended_by_a_bare_carriage_return_are_refused_at_line_1(self, tmp_path):
+        # a line ends at "\n" only, so the whole file is line 1
+        lf, cr = tmp_path / "lf.jsonl", tmp_path / "cr.jsonl"
+        save_dataset(generate(ScenarioConfig(seed=1), 12), lf)
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        with pytest.raises(DataFormatError, match=r"^\S*cr\.jsonl:1: malformed JSON \(Extra data"):
+            load_dataset(cr)
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.id, a.label, a.meta) == (b.id, b.label, b.meta)
+        np.testing.assert_array_equal(a.xs, b.xs)
+        np.testing.assert_array_equal(a.zs, b.zs)
 
 
 VALID_RECORD = {
